@@ -16,6 +16,7 @@
    Usage: dune exec bench/main.exe *)
 
 module T = Dco3d_tensor.Tensor
+module V = Dco3d_autodiff.Value
 module Rng = Dco3d_tensor.Rng
 module Nl = Dco3d_netlist.Netlist
 module Gen = Dco3d_netlist.Generator
@@ -598,6 +599,10 @@ let kernels () =
   let gout = T.rand_uniform rng [| 16; 64; 64 |] in
   let timg = T.rand_uniform rng [| 8; 32; 32 |] in
   let tw = T.randn rng [| 8; 8; 4; 4 |] in
+  let sm_nx = e.ctx.Flow.fp.P.Floorplan.gcell_nx in
+  let sm_ny = e.ctx.Flow.fp.P.Floorplan.gcell_ny in
+  let sm_w0 = T.rand_uniform rng [| Fm.n_channels; sm_ny; sm_nx |] in
+  let sm_w1 = T.rand_uniform rng [| Fm.n_channels; sm_ny; sm_nx |] in
   let conv_flops co ci kh kw oh ow =
     2. *. float_of_int (co * ci * kh * kw * oh * ow)
   in
@@ -645,6 +650,26 @@ let kernels () =
             Dco3d_congestion.Rudy.rudy_map p ~tier:0
               ~kind:Dco3d_congestion.Rudy.All ~nx:64 ~ny:64;
           ] );
+      ( "soft_maps",
+        Printf.sprintf "%s, 2x%dx%d gcells, fwd+bwd" e.name sm_ny sm_nx,
+        None,
+        7,
+        fun () ->
+          (* Eq.-6 soft maps of both dies and the x/y/z gradients of a
+             fixed random cotangent through their custom backward *)
+          let x = V.param (T.of_array1 p.P.Placement.x) in
+          let y = V.param (T.of_array1 p.P.Placement.y) in
+          let z =
+            V.param
+              (T.of_array1
+                 (Array.map (fun t -> 0.2 +. (0.6 *. float_of_int t))
+                    p.P.Placement.tier))
+          in
+          let f0, f1 =
+            Dco3d_core.Soft_maps.build ~placement:p ~x ~y ~z ~nx:sm_nx ~ny:sm_ny ()
+          in
+          V.backward (V.add (V.dot f0 (V.const sm_w0)) (V.dot f1 (V.const sm_w1)));
+          [ V.data f0; V.data f1; V.grad x; V.grad y; V.grad z ] );
       ( "thermal_solve",
         Printf.sprintf "%s, 2x48x48 gcells" e.name,
         None,

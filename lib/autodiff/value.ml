@@ -1,4 +1,5 @@
 module T = Dco3d_tensor.Tensor
+module Obs = Dco3d_obs.Obs
 
 type t = {
   id : int;
@@ -6,15 +7,14 @@ type t = {
   mutable grad : T.t option;
   requires_grad : bool;
   parents : t list;
-  (* [backward gout] returns one gradient option per parent. *)
-  backward : (T.t -> T.t option list) option;
+  (* [backward gout] returns, per parent, a thunk computing that
+     parent's gradient (or [None] when it gets none).  {!backward}
+     forces only the thunks of parents that lead to a wanted leaf. *)
+  backward : (T.t -> (unit -> T.t) option list) option;
 }
 
-let counter = ref 0
-
-let next_id () =
-  incr counter;
-  !counter
+let counter = Atomic.make 0
+let next_id () = Atomic.fetch_and_add counter 1 + 1
 
 let data v = v.data
 let requires_grad v = v.requires_grad
@@ -39,66 +39,74 @@ let node data parents backward =
       backward = Some backward }
   else const data
 
-let custom ~data ~parents ~backward = node data parents backward
+let custom ~data ~parents ~backward =
+  node data parents (fun g ->
+      List.map (Option.map (fun gp () -> gp)) (backward g))
 
 (* ------------------------------------------------------------------ *)
 (* Elementwise                                                         *)
 (* ------------------------------------------------------------------ *)
 
 let add a b =
-  node (T.add a.data b.data) [ a; b ] (fun g -> [ Some g; Some g ])
+  node (T.add a.data b.data) [ a; b ] (fun g ->
+      [ Some (fun () -> g); Some (fun () -> g) ])
 
 let sub a b =
-  node (T.sub a.data b.data) [ a; b ] (fun g -> [ Some g; Some (T.neg g) ])
+  node (T.sub a.data b.data) [ a; b ] (fun g ->
+      [ Some (fun () -> g); Some (fun () -> T.neg g) ])
 
 let mul a b =
   node (T.mul a.data b.data) [ a; b ] (fun g ->
-      [ Some (T.mul g b.data); Some (T.mul g a.data) ])
+      [ Some (fun () -> T.mul g b.data); Some (fun () -> T.mul g a.data) ])
 
 let div a b =
   let y = T.div a.data b.data in
   node y [ a; b ] (fun g ->
-      let ga = T.map2 (fun gv bv -> gv /. bv) g b.data in
+      let ga () = T.map2 (fun gv bv -> gv /. bv) g b.data in
       (* d(a/b)/db = -a / b^2 *)
-      let gb =
+      let gb () =
         T.map2 (fun gv yv_over_b -> gv *. yv_over_b)
           g
           (T.map2 (fun yv bv -> -.yv /. bv) y b.data)
       in
       [ Some ga; Some gb ])
 
-let neg a = node (T.neg a.data) [ a ] (fun g -> [ Some (T.neg g) ])
-let scale s a = node (T.scale s a.data) [ a ] (fun g -> [ Some (T.scale s g) ])
-let add_scalar s a = node (T.add_scalar s a.data) [ a ] (fun g -> [ Some g ])
+let neg a = node (T.neg a.data) [ a ] (fun g -> [ Some (fun () -> T.neg g) ])
+
+let scale s a =
+  node (T.scale s a.data) [ a ] (fun g -> [ Some (fun () -> T.scale s g) ])
+
+let add_scalar s a = node (T.add_scalar s a.data) [ a ] (fun g -> [ Some (fun () -> g) ])
 
 let relu a =
   let y = T.relu a.data in
   node y [ a ] (fun g ->
-      [ Some (T.map2 (fun gv xv -> if xv > 0. then gv else 0.) g a.data) ])
+      [ Some (fun () -> T.map2 (fun gv xv -> if xv > 0. then gv else 0.) g a.data) ])
 
 let leaky_relu slope a =
   let y = T.map (fun x -> if x > 0. then x else slope *. x) a.data in
   node y [ a ] (fun g ->
-      [ Some (T.map2 (fun gv xv -> if xv > 0. then gv else slope *. gv) g a.data) ])
+      [ Some (fun () ->
+            T.map2 (fun gv xv -> if xv > 0. then gv else slope *. gv) g a.data) ])
 
 let sigmoid a =
   let y = T.sigmoid a.data in
   node y [ a ] (fun g ->
-      [ Some (T.map2 (fun gv yv -> gv *. yv *. (1. -. yv)) g y) ])
+      [ Some (fun () -> T.map2 (fun gv yv -> gv *. yv *. (1. -. yv)) g y) ])
 
 let tanh_ a =
   let y = T.tanh_ a.data in
   node y [ a ] (fun g ->
-      [ Some (T.map2 (fun gv yv -> gv *. (1. -. (yv *. yv))) g y) ])
+      [ Some (fun () -> T.map2 (fun gv yv -> gv *. (1. -. (yv *. yv))) g y) ])
 
 let sqr a =
   node (T.sqr a.data) [ a ] (fun g ->
-      [ Some (T.map2 (fun gv xv -> 2. *. gv *. xv) g a.data) ])
+      [ Some (fun () -> T.map2 (fun gv xv -> 2. *. gv *. xv) g a.data) ])
 
 let sqrt_ a =
   let y = T.sqrt_ a.data in
   node y [ a ] (fun g ->
-      [ Some (T.map2 (fun gv yv -> gv /. (2. *. Float.max yv 1e-12)) g y) ])
+      [ Some (fun () -> T.map2 (fun gv yv -> gv /. (2. *. Float.max yv 1e-12)) g y) ])
 
 (* ------------------------------------------------------------------ *)
 (* Linear algebra                                                      *)
@@ -107,25 +115,23 @@ let sqrt_ a =
 let matmul a b =
   node (T.matmul a.data b.data) [ a; b ] (fun g ->
       [
-        Some (T.matmul g (T.transpose2 b.data));
-        Some (T.matmul (T.transpose2 a.data) g);
+        Some (fun () -> T.matmul g (T.transpose2 b.data));
+        Some (fun () -> T.matmul (T.transpose2 a.data) g);
       ])
 
 let sum a =
   node (T.scalar (T.sum a.data)) [ a ] (fun g ->
-      let gv = T.get_flat g 0 in
-      [ Some (T.full (T.shape a.data) gv) ])
+      [ Some (fun () -> T.full (T.shape a.data) (T.get_flat g 0)) ])
 
 let mean a =
   let n = float_of_int (max 1 (T.numel a.data)) in
   node (T.scalar (T.mean a.data)) [ a ] (fun g ->
-      let gv = T.get_flat g 0 /. n in
-      [ Some (T.full (T.shape a.data) gv) ])
+      [ Some (fun () -> T.full (T.shape a.data) (T.get_flat g 0 /. n)) ])
 
 let dot a b =
   node (T.scalar (T.dot a.data b.data)) [ a; b ] (fun g ->
       let gv = T.get_flat g 0 in
-      [ Some (T.scale gv b.data); Some (T.scale gv a.data) ])
+      [ Some (fun () -> T.scale gv b.data); Some (fun () -> T.scale gv a.data) ])
 
 let add_bias_rows x b =
   if T.rank x.data <> 2 || T.rank b.data <> 1 then
@@ -139,102 +145,99 @@ let add_bias_rows x b =
     done
   done;
   node y [ x; b ] (fun g ->
-      let gb = T.zeros [| f |] in
-      for i = 0 to n - 1 do
-        for j = 0 to f - 1 do
-          T.set_flat gb j (T.get_flat gb j +. T.get2 g i j)
-        done
-      done;
-      [ Some g; Some gb ])
+      let gb () =
+        let gb = T.zeros [| f |] in
+        for i = 0 to n - 1 do
+          for j = 0 to f - 1 do
+            T.set_flat gb j (T.get_flat gb j +. T.get2 g i j)
+          done
+        done;
+        gb
+      in
+      [ Some (fun () -> g); Some gb ])
 
 (* ------------------------------------------------------------------ *)
 (* Convolution / pooling                                               *)
 (* ------------------------------------------------------------------ *)
 
+(* Bias gradient of a convolution: sum of [g] over each output channel. *)
+let conv_bias_grad g =
+  let co = T.dim g 0 and oh = T.dim g 1 and ow = T.dim g 2 in
+  let gb = T.zeros [| co |] in
+  for o = 0 to co - 1 do
+    let acc = ref 0. in
+    for i = 0 to (oh * ow) - 1 do
+      acc := !acc +. T.get_flat g ((o * oh * ow) + i)
+    done;
+    T.set_flat gb o !acc
+  done;
+  gb
+
+let c_conv_dx = Obs.counter "autodiff/conv_input_grads"
+let c_conv_dw = Obs.counter "autodiff/conv_weight_grads"
+
+(* Parents and backward of a convolution node, given its input and
+   weight gradients as functions of the output gradient; the bias (when
+   present) is the third parent.  The counters record each input and
+   weight gradient the tape actually computes. *)
+let conv_node y x ~weight ~bias ~gx ~gw =
+  let grads g =
+    [
+      Some (fun () -> Obs.incr c_conv_dx; gx g);
+      Some (fun () -> Obs.incr c_conv_dw; gw g);
+    ]
+  in
+  match bias with
+  | Some b ->
+      node y [ x; weight; b ] (fun g -> grads g @ [ Some (fun () -> conv_bias_grad g) ])
+  | None -> node y [ x; weight ] grads
+
 let conv2d ?(stride = 1) ?(pad = 0) x ~weight ~bias =
   let bias_t = Option.map (fun b -> b.data) bias in
   let y = T.conv2d ~stride ~pad x.data ~weight:weight.data ~bias:bias_t in
-  let parents =
-    match bias with Some b -> [ x; weight; b ] | None -> [ x; weight ]
-  in
-  node y parents (fun g ->
-      let gx =
-        T.conv2d_backward_input ~stride ~pad ~input_shape:(T.shape x.data)
-          ~weight:weight.data g
-      in
-      let gw =
-        T.conv2d_backward_weight ~stride ~pad ~input:x.data
-          ~weight_shape:(T.shape weight.data) g
-      in
-      let gb () =
-        (* bias gradient: sum of g over each output channel *)
-        let co = T.dim g 0 and oh = T.dim g 1 and ow = T.dim g 2 in
-        let gb = T.zeros [| co |] in
-        for o = 0 to co - 1 do
-          let acc = ref 0. in
-          for i = 0 to (oh * ow) - 1 do
-            acc := !acc +. T.get_flat g ((o * oh * ow) + i)
-          done;
-          T.set_flat gb o !acc
-        done;
-        gb
-      in
-      match bias with
-      | Some _ -> [ Some gx; Some gw; Some (gb ()) ]
-      | None -> [ Some gx; Some gw ])
+  conv_node y x ~weight ~bias
+    ~gx:(fun g ->
+      T.conv2d_backward_input ~stride ~pad ~input_shape:(T.shape x.data)
+        ~weight:weight.data g)
+    ~gw:(fun g ->
+      T.conv2d_backward_weight ~stride ~pad ~input:x.data
+        ~weight_shape:(T.shape weight.data) g)
 
 let conv2d_transpose ?(stride = 1) ?(pad = 0) x ~weight ~bias =
   let bias_t = Option.map (fun b -> b.data) bias in
   let y = T.conv2d_transpose ~stride ~pad x.data ~weight:weight.data ~bias:bias_t in
-  let parents =
-    match bias with Some b -> [ x; weight; b ] | None -> [ x; weight ]
-  in
-  node y parents (fun g ->
-      (* Transposed conv forward == conv backward-input, so its input
-         gradient is a plain convolution of g with the same kernel
-         (viewed as [ci <- co]), and the weight gradient mirrors
-         conv2d_backward_weight with the roles of x and g exchanged. *)
-      let gx = T.conv2d ~stride ~pad g ~weight:weight.data ~bias:None in
-      let gw =
-        T.conv2d_backward_weight ~stride ~pad ~input:g
-          ~weight_shape:(T.shape weight.data)
-          x.data
-      in
-      let gb () =
-        let co = T.dim g 0 and oh = T.dim g 1 and ow = T.dim g 2 in
-        let gb = T.zeros [| co |] in
-        for o = 0 to co - 1 do
-          let acc = ref 0. in
-          for i = 0 to (oh * ow) - 1 do
-            acc := !acc +. T.get_flat g ((o * oh * ow) + i)
-          done;
-          T.set_flat gb o !acc
-        done;
-        gb
-      in
-      match bias with
-      | Some _ -> [ Some gx; Some gw; Some (gb ()) ]
-      | None -> [ Some gx; Some gw ])
+  (* Transposed conv forward == conv backward-input, so its input
+     gradient is a plain convolution of g with the same kernel (viewed
+     as [ci <- co]), and the weight gradient mirrors
+     conv2d_backward_weight with the roles of x and g exchanged. *)
+  conv_node y x ~weight ~bias
+    ~gx:(fun g -> T.conv2d ~stride ~pad g ~weight:weight.data ~bias:None)
+    ~gw:(fun g ->
+      T.conv2d_backward_weight ~stride ~pad ~input:g
+        ~weight_shape:(T.shape weight.data) x.data)
 
 let maxpool2 x =
   let y, arg = T.maxpool2 x.data in
   node y [ x ] (fun g ->
-      [ Some (T.maxpool2_backward ~input_shape:(T.shape x.data) arg g) ])
+      [ Some (fun () -> T.maxpool2_backward ~input_shape:(T.shape x.data) arg g) ])
 
 let upsample_nearest2 x =
   let y = T.upsample_nearest2 x.data in
   node y [ x ] (fun g ->
       (* gradient: sum the 2x2 block of g into each input pixel *)
-      let c = T.dim x.data 0 and h = T.dim x.data 1 and w = T.dim x.data 2 in
-      let gin = T.zeros [| c; h; w |] in
-      for ch = 0 to c - 1 do
-        for oy = 0 to (2 * h) - 1 do
-          for ox = 0 to (2 * w) - 1 do
-            T.set3 gin ch (oy / 2) (ox / 2)
-              (T.get3 gin ch (oy / 2) (ox / 2) +. T.get3 g ch oy ox)
+      let gin () =
+        let c = T.dim x.data 0 and h = T.dim x.data 1 and w = T.dim x.data 2 in
+        let gin = T.zeros [| c; h; w |] in
+        for ch = 0 to c - 1 do
+          for oy = 0 to (2 * h) - 1 do
+            for ox = 0 to (2 * w) - 1 do
+              T.set3 gin ch (oy / 2) (ox / 2)
+                (T.get3 gin ch (oy / 2) (ox / 2) +. T.get3 g ch oy ox)
+            done
           done
-        done
-      done;
+        done;
+        gin
+      in
       [ Some gin ])
 
 let concat_channels xs =
@@ -249,31 +252,33 @@ let concat_channels xs =
           let pos = ref 0 in
           List.map
             (fun x ->
-              let c = channel_count x.data in
-              let slice = T.slice_channels g !pos c in
-              pos := !pos + c;
-              Some (T.reshape slice (T.shape x.data)))
+              let lo = !pos and c = channel_count x.data in
+              pos := lo + c;
+              Some (fun () -> T.reshape (T.slice_channels g lo c) (T.shape x.data)))
             xs)
 
 let slice_channels x lo n =
   let y = T.slice_channels x.data lo n in
   node y [ x ] (fun g ->
-      let gx = T.zeros (T.shape x.data) in
-      let x3shape =
-        match T.rank x.data with
-        | 3 -> T.shape x.data
-        | 2 -> [| 1; T.dim x.data 0; T.dim x.data 1 |]
-        | _ -> invalid_arg "Value.slice_channels backward"
+      let gx () =
+        let gx = T.zeros (T.shape x.data) in
+        let x3shape =
+          match T.rank x.data with
+          | 3 -> T.shape x.data
+          | 2 -> [| 1; T.dim x.data 0; T.dim x.data 1 |]
+          | _ -> invalid_arg "Value.slice_channels backward"
+        in
+        let hw = x3shape.(1) * x3shape.(2) in
+        for i = 0 to (n * hw) - 1 do
+          T.set_flat gx ((lo * hw) + i) (T.get_flat g i)
+        done;
+        gx
       in
-      let hw = x3shape.(1) * x3shape.(2) in
-      for i = 0 to (n * hw) - 1 do
-        T.set_flat gx ((lo * hw) + i) (T.get_flat g i)
-      done;
       [ Some gx ])
 
 let reshape x sh =
   let y = T.reshape (T.copy x.data) sh in
-  node y [ x ] (fun g -> [ Some (T.reshape (T.copy g) (T.shape x.data)) ])
+  node y [ x ] (fun g -> [ Some (fun () -> T.reshape (T.copy g) (T.shape x.data)) ])
 
 let columns x =
   if T.rank x.data <> 2 then invalid_arg "Value.columns: rank-2 only";
@@ -281,10 +286,13 @@ let columns x =
   Array.init f (fun j ->
       let col = T.init [| n |] (fun i -> T.get2 x.data i.(0) j) in
       node col [ x ] (fun g ->
-          let gx = T.zeros [| n; f |] in
-          for i = 0 to n - 1 do
-            T.set2 gx i j (T.get_flat g i)
-          done;
+          let gx () =
+            let gx = T.zeros [| n; f |] in
+            for i = 0 to n - 1 do
+              T.set2 gx i j (T.get_flat g i)
+            done;
+            gx
+          in
           [ Some gx ]))
 
 let mse x target =
@@ -293,8 +301,7 @@ let mse x target =
   let diff = T.sub x.data target in
   let loss = T.dot diff diff /. n in
   node (T.scalar loss) [ x ] (fun g ->
-      let gv = 2. *. T.get_flat g 0 /. n in
-      [ Some (T.scale gv diff) ])
+      [ Some (fun () -> T.scale (2. *. T.get_flat g 0 /. n) diff) ])
 
 let rmse_frobenius x target =
   if not (T.same_shape x.data target) then
@@ -306,7 +313,7 @@ let rmse_frobenius x target =
   node (T.scalar rmse) [ x ] (fun g ->
       let gv = T.get_flat g 0 in
       let denom = Float.max rmse 1e-12 in
-      [ Some (T.scale (gv /. (denom *. n)) diff) ])
+      [ Some (fun () -> T.scale (gv /. (denom *. n)) diff) ])
 
 let add_list = function
   | [] -> invalid_arg "Value.add_list: empty list"
@@ -316,42 +323,71 @@ let add_list = function
 (* Backward pass                                                       *)
 (* ------------------------------------------------------------------ *)
 
+let shape_string t =
+  "[" ^ String.concat "; " (Array.to_list (Array.map string_of_int (T.shape t))) ^ "]"
+
 let accumulate v g =
+  if not (T.same_shape g v.data) then
+    invalid_arg
+      (Printf.sprintf "Value.backward: gradient of shape %s for a parent of shape %s"
+         (shape_string g) (shape_string v.data));
   match v.grad with
   | None -> v.grad <- Some (T.copy g)
   | Some acc -> T.axpy ~alpha:1. g acc
 
-let backward root =
+let backward ?wrt root =
   if T.numel root.data <> 1 then
     invalid_arg "Value.backward: root must be a scalar";
-  (* Topological order via iterative DFS. *)
-  let visited = Hashtbl.create 256 in
+  (* The leaves that receive gradients: [wrt], or every param. *)
+  let wanted =
+    match wrt with
+    | None -> fun v -> Option.is_none v.backward
+    | Some leaves ->
+        let ids = Hashtbl.create 64 in
+        List.iter
+          (fun v ->
+            if Option.is_some v.backward then
+              invalid_arg "Value.backward: ~wrt must list leaves";
+            Hashtbl.replace ids v.id ())
+          leaves;
+        fun v -> Option.is_none v.backward && Hashtbl.mem ids v.id
+  in
+  (* Topological order via DFS over the nodes that require gradients,
+     keeping only those on a path to a wanted leaf: [needs] maps each
+     visited node to whether it is on one. *)
+  let needs = Hashtbl.create 256 in
   let order = ref [] in
   let rec visit v =
-    if (not (Hashtbl.mem visited v.id)) && v.requires_grad then begin
-      Hashtbl.add visited v.id ();
-      List.iter visit v.parents;
-      order := v :: !order
-    end
+    match Hashtbl.find_opt needs v.id with
+    | Some n -> n
+    | None when not v.requires_grad -> false
+    | None ->
+        let n = List.fold_left (fun acc p -> visit p || acc) (wanted v) v.parents in
+        Hashtbl.add needs v.id n;
+        if n then order := v :: !order;
+        n
   in
-  visit root;
-  root.grad <- Some (T.ones (T.shape root.data));
+  if visit root then root.grad <- Some (T.ones (T.shape root.data));
   List.iter
     (fun v ->
       match (v.backward, v.grad) with
       | Some bw, Some g ->
           let parent_grads = bw g in
-          (try
-             List.iter2
-               (fun p gp ->
-                 match gp with
-                 | Some gp when p.requires_grad -> accumulate p gp
-                 | _ -> ())
-               v.parents parent_grads
-           with Invalid_argument _ ->
-             invalid_arg "Value.backward: backward arity mismatch");
+          let np = List.length v.parents and ng = List.length parent_grads in
+          if ng <> np then
+            invalid_arg
+              (Printf.sprintf
+                 "Value.backward: backward arity mismatch (%d gradients for %d parents)"
+                 ng np);
+          List.iter2
+            (fun p gp ->
+              match gp with
+              | Some gp when Hashtbl.find_opt needs p.id = Some true ->
+                  accumulate p (gp ())
+              | Some _ | None -> ())
+            v.parents parent_grads;
           (* Free intermediate gradients eagerly to bound memory. *)
-          if v.backward <> None then v.grad <- None
+          v.grad <- None
       | _ -> ())
     !order
 

@@ -102,16 +102,29 @@ val custom :
   t
 (** [custom ~data ~parents ~backward] builds a node whose forward value
     was computed outside the tape.  [backward gout] must return one
-    gradient (or [None]) per parent, in order — the OCaml analogue of a
-    custom PyTorch [Function], used for the sub-gradient RUDY backward
-    of Eq. 6. *)
+    gradient (or [None]) per parent, in order, each shaped like its
+    parent — the OCaml analogue of a custom PyTorch [Function], used
+    for the sub-gradient RUDY backward of Eq. 6.  It runs whenever
+    {!backward} reaches the node, even if only some of its parents need
+    a gradient. *)
 
 (** {1 Backward pass} *)
 
-val backward : t -> unit
-(** [backward loss] seeds the scalar [loss] with gradient 1 and
-    propagates to every reachable node that requires gradients.
-    @raise Invalid_argument if [loss] is not a scalar. *)
+val backward : ?wrt:t list -> t -> unit
+(** [backward ?wrt loss] seeds the scalar [loss] with gradient 1 and
+    accumulates gradients into the leaves listed in [wrt] (default:
+    every {!param} reachable from [loss]).  A parent's gradient is
+    computed only when that parent lies on a path to a [wrt] leaf — so
+    a frozen network's conv weight and bias gradients, and the input
+    gradient of a conv over a constant, are never computed — and a
+    param not in [wrt] is never written.  The [wrt] gradients are
+    bit-identical to those of a full pass.  The counters
+    [autodiff/conv_input_grads] and [autodiff/conv_weight_grads] count
+    the conv gradients computed.
+    @raise Invalid_argument if [loss] is not a scalar, if [wrt] lists a
+    non-leaf node, or if a backward function returns the wrong number
+    of gradients or a gradient whose shape differs from its parent's
+    (the message names both shapes). *)
 
 val zero_grad : t -> unit
 (** Reset the accumulated gradient of a leaf (typically a {!param}). *)

@@ -178,16 +178,29 @@ let optimize ?(config = default_config) ~predictor (p_in : Pl.t) =
     let ambient = Thermal.default_config.Thermal.ambient_c in
     T.map (fun t -> Float.max 0. (t -. ambient)) r.Thermal.grid
   in
+  (* Each stage of an iteration runs in its own span (gcn, soft_maps,
+     unet, losses, then grad for the step), so a trace shows where an
+     iteration's time goes. *)
   let forward_losses () =
-    let x, y, z = Spreader.forward spreader ~features in
-    let z = if config.freeze_z then Lazy.force z_const else z in
+    let x, y, z =
+      Obs.with_span "gcn" @@ fun () ->
+      let x, y, z = Spreader.forward spreader ~features in
+      (x, y, if config.freeze_z then Lazy.force z_const else z)
+    in
     let rise =
       if config.epsilon > 0. then Some (solve_soft_thermal ~x ~y ~z)
       else None
     in
-    let f0, f1 = Soft_maps.build ?thermal:rise ~placement:p ~x ~y ~z ~nx ~ny () in
-    let prep f = resize_value (normalize_features f) input_hw input_hw in
-    let c0, c1 = SiaUNet.forward net (prep f0) (prep f1) in
+    let f0, f1 =
+      Obs.with_span "soft_maps" @@ fun () ->
+      Soft_maps.build ?thermal:rise ~placement:p ~x ~y ~z ~nx ~ny ()
+    in
+    let c0, c1 =
+      Obs.with_span "unet" @@ fun () ->
+      let prep f = resize_value (normalize_features f) input_hw input_hw in
+      SiaUNet.forward net (prep f0) (prep f1)
+    in
+    Obs.with_span "losses" @@ fun () ->
     let l_cong = Losses.congestion c0 c1 in
     let l_cut = Losses.cutsize ~adj:raw_adj z in
     let l_ovlp = Losses.overlap ~target:config.density_target f0 f1 in
@@ -244,7 +257,10 @@ let optimize ?(config = default_config) ~predictor (p_in : Pl.t) =
     end;
     if sc l_cong < !trust_floor then stop := true
     else begin
-      V.backward total;
+      (* only the GCN spreader is trained: the predictor stays frozen,
+         so no gradient is computed for (or written into) its weights *)
+      Obs.with_span "grad" @@ fun () ->
+      V.backward ~wrt:(Opt.params opt) total;
       Opt.step opt
     end;
     if (!it + 1) mod 10 = 0 then

@@ -51,6 +51,25 @@ let leave_one_out a =
   done;
   (prefix.(k), Array.init k (fun i -> prefix.(i) *. suffix.(i + 1)))
 
+(* [v] clamped into [0, hi) *)
+let[@inline] clamp_below hi v = Float.max 0. (Float.min (hi -. 1e-9) v)
+
+(* Eq. 6: the gradient of one coordinate of the net's extreme pin
+   [darg] — for each die d: kind_d * (dW * sum_s_d + W * dS_d), plus
+   the 3D channel with 0.5 * p3d — added into [garr] when that pin is a
+   movable cell. *)
+let[@inline] edge_grad nl nc garr ~p3d ~sum_s ~darg ~dwd ~dsd sign =
+  match nc.pins.(darg) with
+  | Nl.Cell c when not (Nl.is_macro nl c) ->
+      let acc =
+        0.
+        +. (nc.p_bot *. ((sign *. dwd *. sum_s.(0)) +. (nc.weight *. dsd.(0))))
+        +. (nc.p_top *. ((sign *. dwd *. sum_s.(1)) +. (nc.weight *. dsd.(1))))
+        +. (0.5 *. p3d *. ((sign *. dwd *. sum_s.(2)) +. (nc.weight *. dsd.(2))))
+      in
+      garr.(c) <- garr.(c) +. acc
+  | Nl.Cell _ | Nl.Io _ -> ()
+
 let build ?thermal ~placement ~x ~y ~z ~nx ~ny () =
   let p = placement in
   let nl = p.Pl.nl in
@@ -65,32 +84,24 @@ let build ?thermal ~placement ~x ~y ~z ~nx ~ny () =
   let xs = Array.init n (T.get_flat xt) in
   let ys = Array.init n (T.get_flat yt) in
   let zs = Array.init n (T.get_flat zt) in
-  let out = T.zeros [| 2 * n_ch; ny; nx |] in
-  let plane die ch = (((die * n_ch) + ch) * ny * nx) in
-  let addp die ch gy gx v =
-    let idx = plane die ch + (gy * nx) + gx in
-    T.set_flat out idx (T.get_flat out idx +. v)
-  in
+  (* The tile and tent loops below are written out in full, in the
+     forward and the backward alike, and read and write plain float
+     arrays: a helper taking or returning floats would box them at
+     every visit on a non-flambda build. *)
+  let out = Array.make (2 * n_ch * ny * nx) 0. in
+  let plane die ch = ((die * n_ch) + ch) * ny * nx in
+  let cl_x i = Int.max 0 (Int.min (nx - 1) i) in
+  let cl_y j = Int.max 0 (Int.min (ny - 1) j) in
 
-  (* ---------- bilinear tent splat ---------- *)
-  (* returns the four (gy, gx, phi, dphi_dx, dphi_dy) taps *)
-  let tent px py =
-    let u = (px /. bw) -. 0.5 and v = (py /. bh) -. 0.5 in
-    let i0 = int_of_float (floor u) and j0 = int_of_float (floor v) in
-    let fu = u -. float_of_int i0 and fv = v -. float_of_int j0 in
-    let cl_x i = max 0 (min (nx - 1) i) and cl_y j = max 0 (min (ny - 1) j) in
-    [|
-      (cl_y j0, cl_x i0, (1. -. fu) *. (1. -. fv),
-       -.(1. -. fv) /. bw, -.(1. -. fu) /. bh);
-      (cl_y j0, cl_x (i0 + 1), fu *. (1. -. fv), (1. -. fv) /. bw, -.fu /. bh);
-      (cl_y (j0 + 1), cl_x i0, (1. -. fu) *. fv, -.fv /. bw, (1. -. fu) /. bh);
-      (cl_y (j0 + 1), cl_x (i0 + 1), fu *. fv, fv /. bw, fu /. bh);
-    |]
-  in
-  let clamp_x v = Float.max 0. (Float.min (die_w -. 1e-9) v) in
-  let clamp_y v = Float.max 0. (Float.min (die_h -. 1e-9) v) in
+  (* Bilinear tent splat of a point (px, py): with
+     u = px/bw - 1/2 = i0 + fu and v = py/bh - 1/2 = j0 + fv, the taps
+     (dj, di) in order (0,0) (0,1) (1,0) (1,1) hit GCell
+     (j0 + dj, i0 + di), clamped to the grid, with weight phi = wx * wy
+     where wx = 1 - fu or fu and wy = 1 - fv or fv; dphi/dx = -+wy/bw
+     and dphi/dy = -+wx/bh. *)
 
   (* ---------- cell density + macro blockage ---------- *)
+  let d_dens0 = plane 0 ch_density and d_dens1 = plane 1 ch_density in
   for c = 0 to n - 1 do
     let area = Nl.cell_area nl c in
     if Nl.is_macro nl c then begin
@@ -105,26 +116,38 @@ let build ?thermal ~placement ~x ~y ~z ~nx ~ny () =
       let gx1 = min (nx - 1) (int_of_float (x1 /. bw)) in
       let gy0 = max 0 (int_of_float (y0 /. bh)) in
       let gy1 = min (ny - 1) (int_of_float (y1 /. bh)) in
+      let d_macro = plane die ch_macro and d_dens = plane die ch_density in
       for gy = gy0 to gy1 do
         for gx = gx0 to gx1 do
           let ox = Float.max 0. (Float.min x1 (float_of_int (gx + 1) *. bw)
                                  -. Float.max x0 (float_of_int gx *. bw)) in
           let oy = Float.max 0. (Float.min y1 (float_of_int (gy + 1) *. bh)
                                  -. Float.max y0 (float_of_int gy *. bh)) in
-          addp die ch_macro gy gx (ox *. oy /. bin_area);
-          addp die ch_density gy gx (ox *. oy /. bin_area)
+          let a = ox *. oy /. bin_area in
+          let k = (gy * nx) + gx in
+          out.(d_macro + k) <- out.(d_macro + k) +. a;
+          out.(d_dens + k) <- out.(d_dens + k) +. a
         done
       done
     end
     else begin
       let wt = zs.(c) in
-      let taps = tent (clamp_x xs.(c)) (clamp_y ys.(c)) in
-      Array.iter
-        (fun (gy, gx, phi, _, _) ->
-          let base = area /. bin_area *. phi in
-          addp 0 ch_density gy gx (base *. (1. -. wt));
-          addp 1 ch_density gy gx (base *. wt))
-        taps
+      let a = area /. bin_area in
+      let u = (clamp_below die_w xs.(c) /. bw) -. 0.5 in
+      let v = (clamp_below die_h ys.(c) /. bh) -. 0.5 in
+      let i0 = int_of_float (floor u) and j0 = int_of_float (floor v) in
+      let fu = u -. float_of_int i0 and fv = v -. float_of_int j0 in
+      for dj = 0 to 1 do
+        let row = cl_y (j0 + dj) * nx in
+        let wy = if dj = 0 then 1. -. fv else fv in
+        for di = 0 to 1 do
+          let k = row + cl_x (i0 + di) in
+          let wx = if di = 0 then 1. -. fu else fu in
+          let base = a *. (wx *. wy) in
+          out.(d_dens0 + k) <- out.(d_dens0 + k) +. (base *. (1. -. wt));
+          out.(d_dens1 + k) <- out.(d_dens1 + k) +. (base *. wt)
+        done
+      done
     end
   done;
 
@@ -141,8 +164,8 @@ let build ?thermal ~placement ~x ~y ~z ~nx ~ny () =
           (fun i e ->
             match e with
             | Nl.Cell c ->
-                px.(i) <- clamp_x xs.(c);
-                py.(i) <- clamp_y ys.(c);
+                px.(i) <- clamp_below die_w xs.(c);
+                py.(i) <- clamp_below die_h ys.(c);
                 wtop.(i) <- (if Nl.is_macro nl c then float_of_int p.Pl.tier.(c)
                              else zs.(c))
             | Nl.Io io ->
@@ -173,56 +196,66 @@ let build ?thermal ~placement ~x ~y ~z ~nx ~ny () =
       signal_nets
   in
 
-  (* RUDY tile iteration over a bbox *)
-  let iter_tiles (x0, y0, x1, y1) f =
-    let x1 = Float.max x1 (x0 +. min_span) and y1 = Float.max y1 (y0 +. min_span) in
-    let gx0 = max 0 (min (nx - 1) (int_of_float (x0 /. bw))) in
-    let gx1 = max 0 (min (nx - 1) (int_of_float (x1 /. bw))) in
-    let gy0 = max 0 (min (ny - 1) (int_of_float (y0 /. bh))) in
-    let gy1 = max 0 (min (ny - 1) (int_of_float (y1 /. bh))) in
-    for gy = gy0 to gy1 do
-      let ty0 = float_of_int gy *. bh and ty1 = float_of_int (gy + 1) *. bh in
-      let oy = Float.min y1 ty1 -. Float.max y0 ty0 in
-      if oy > 0. then
-        for gx = gx0 to gx1 do
-          let tx0 = float_of_int gx *. bw and tx1 = float_of_int (gx + 1) *. bw in
-          let ox = Float.min x1 tx1 -. Float.max x0 tx0 in
-          if ox > 0. then f gy gx ox oy
-        done
-    done
-  in
-
+  (* RUDY tiles of a net: the bbox (x0, y0, x1, y1) widened to at least
+     min_span, cut into its overlaps (ox, oy) with the GCells it
+     touches; each tile carries s = ox * oy / bin_area. *)
+  let d_r2d0 = plane 0 ch_rudy2d and d_r2d1 = plane 1 ch_rudy2d in
+  let d_r3d0 = plane 0 ch_rudy3d and d_r3d1 = plane 1 ch_rudy3d in
+  let d_pr2d0 = plane 0 ch_pinrudy2d and d_pr2d1 = plane 1 ch_pinrudy2d in
+  let d_pr3d0 = plane 0 ch_pinrudy3d and d_pr3d1 = plane 1 ch_pinrudy3d in
+  let d_pins0 = plane 0 ch_pins and d_pins1 = plane 1 ch_pins in
   Array.iter
     (fun nc ->
       let p3d = Float.max 0. (1. -. nc.p_top -. nc.p_bot) in
+      let w2_0 = nc.weight *. nc.p_bot and w2_1 = nc.weight *. nc.p_top in
+      let w3 = 0.5 *. nc.weight *. p3d in
       (* RUDY channels *)
-      iter_tiles nc.bbox (fun gy gx ox oy ->
-          let s = ox *. oy /. bin_area in
-          addp 0 ch_rudy2d gy gx (nc.weight *. nc.p_bot *. s);
-          addp 1 ch_rudy2d gy gx (nc.weight *. nc.p_top *. s);
-          let v3 = 0.5 *. nc.weight *. p3d *. s in
-          addp 0 ch_rudy3d gy gx v3;
-          addp 1 ch_rudy3d gy gx v3);
-      (* PinRUDY channels: tent splat at each pin *)
-      Array.iteri
-        (fun i _ ->
-          let taps = tent nc.px.(i) nc.py.(i) in
-          let wt = nc.wtop.(i) in
-          Array.iter
-            (fun (gy, gx, phi, _, _) ->
-              addp 0 ch_pinrudy2d gy gx (nc.weight *. nc.p_bot *. (1. -. wt) *. phi);
-              addp 1 ch_pinrudy2d gy gx (nc.weight *. nc.p_top *. wt *. phi);
-              let v3 = 0.5 *. nc.weight *. p3d *. phi in
-              addp 0 ch_pinrudy3d gy gx (v3 *. (1. -. wt));
-              addp 1 ch_pinrudy3d gy gx (v3 *. wt))
-            taps;
-          (* pin density (unit weight) *)
-          Array.iter
-            (fun (gy, gx, phi, _, _) ->
-              addp 0 ch_pins gy gx ((1. -. wt) *. phi /. bin_area);
-              addp 1 ch_pins gy gx (wt *. phi /. bin_area))
-            taps)
-        nc.pins)
+      let x0, y0, x1, y1 = nc.bbox in
+      let x1 = Float.max x1 (x0 +. min_span) and y1 = Float.max y1 (y0 +. min_span) in
+      let gx0 = cl_x (int_of_float (x0 /. bw)) and gx1 = cl_x (int_of_float (x1 /. bw)) in
+      let gy0 = cl_y (int_of_float (y0 /. bh)) and gy1 = cl_y (int_of_float (y1 /. bh)) in
+      for gy = gy0 to gy1 do
+        let ty0 = float_of_int gy *. bh and ty1 = float_of_int (gy + 1) *. bh in
+        let oy = Float.min y1 ty1 -. Float.max y0 ty0 in
+        if oy > 0. then
+          for gx = gx0 to gx1 do
+            let tx0 = float_of_int gx *. bw and tx1 = float_of_int (gx + 1) *. bw in
+            let ox = Float.min x1 tx1 -. Float.max x0 tx0 in
+            if ox > 0. then begin
+              let s = ox *. oy /. bin_area in
+              let k = (gy * nx) + gx in
+              out.(d_r2d0 + k) <- out.(d_r2d0 + k) +. (w2_0 *. s);
+              out.(d_r2d1 + k) <- out.(d_r2d1 + k) +. (w2_1 *. s);
+              let v3 = w3 *. s in
+              out.(d_r3d0 + k) <- out.(d_r3d0 + k) +. v3;
+              out.(d_r3d1 + k) <- out.(d_r3d1 + k) +. v3
+            end
+          done
+      done;
+      (* PinRUDY channels and pin density (unit weight): tent splat at
+         each pin *)
+      for i = 0 to Array.length nc.pins - 1 do
+        let wt = nc.wtop.(i) in
+        let u = (nc.px.(i) /. bw) -. 0.5 and v = (nc.py.(i) /. bh) -. 0.5 in
+        let i0 = int_of_float (floor u) and j0 = int_of_float (floor v) in
+        let fu = u -. float_of_int i0 and fv = v -. float_of_int j0 in
+        for dj = 0 to 1 do
+          let row = cl_y (j0 + dj) * nx in
+          let wy = if dj = 0 then 1. -. fv else fv in
+          for di = 0 to 1 do
+            let k = row + cl_x (i0 + di) in
+            let wx = if di = 0 then 1. -. fu else fu in
+            let phi = wx *. wy in
+            out.(d_pr2d0 + k) <- out.(d_pr2d0 + k) +. (w2_0 *. (1. -. wt) *. phi);
+            out.(d_pr2d1 + k) <- out.(d_pr2d1 + k) +. (w2_1 *. wt *. phi);
+            let v3 = w3 *. phi in
+            out.(d_pr3d0 + k) <- out.(d_pr3d0 + k) +. (v3 *. (1. -. wt));
+            out.(d_pr3d1 + k) <- out.(d_pr3d1 + k) +. (v3 *. wt);
+            out.(d_pins0 + k) <- out.(d_pins0 + k) +. ((1. -. wt) *. phi /. bin_area);
+            out.(d_pins1 + k) <- out.(d_pins1 + k) +. (wt *. phi /. bin_area)
+          done
+        done
+      done)
     caches;
 
   (* ---------- thermal plane: a frozen field ---------- *)
@@ -237,89 +270,109 @@ let build ?thermal ~placement ~x ~y ~z ~nx ~ny () =
          || T.dim tmap 2 <> nx
       then invalid_arg "Soft_maps.build: thermal map must be [2; ny; nx]";
       for die = 0 to 1 do
-        for gy = 0 to ny - 1 do
-          for gx = 0 to nx - 1 do
-            addp die ch_thermal gy gx (T.get3 tmap die gy gx)
-          done
+        let d = plane die ch_thermal in
+        for k = 0 to (ny * nx) - 1 do
+          out.(d + k) <- out.(d + k) +. T.get_flat tmap ((die * ny * nx) + k)
         done
       done);
 
   (* ------------------------------------------------------------------ *)
   (* custom backward                                                     *)
   (* ------------------------------------------------------------------ *)
-  let backward g =
-    let gx_arr = T.zeros [| n |] and gy_arr = T.zeros [| n |] in
-    let gz_arr = T.zeros [| n |] in
-    let gp die ch gy gx = T.get_flat g (plane die ch + (gy * nx) + gx) in
-    let bump arr c v = T.set_flat arr c (T.get_flat arr c +. v) in
+  let backward (g : T.t) =
+    let g = g.T.data in
+    let gxa = Array.make n 0. and gya = Array.make n 0. and gza = Array.make n 0. in
     (* --- cell density --- *)
     for c = 0 to n - 1 do
       if not (Nl.is_macro nl c) then begin
         let area = Nl.cell_area nl c in
         let wt = zs.(c) in
-        let taps = tent (clamp_x xs.(c)) (clamp_y ys.(c)) in
-        Array.iter
-          (fun (gy, gx, phi, dpx, dpy) ->
-            let g0 = gp 0 ch_density gy gx and g1 = gp 1 ch_density gy gx in
-            let a = area /. bin_area in
-            bump gx_arr c (a *. dpx *. (((1. -. wt) *. g0) +. (wt *. g1)));
-            bump gy_arr c (a *. dpy *. (((1. -. wt) *. g0) +. (wt *. g1)));
-            bump gz_arr c (a *. phi *. (g1 -. g0)))
-          taps
+        let a = area /. bin_area in
+        let u = (clamp_below die_w xs.(c) /. bw) -. 0.5 in
+        let v = (clamp_below die_h ys.(c) /. bh) -. 0.5 in
+        let i0 = int_of_float (floor u) and j0 = int_of_float (floor v) in
+        let fu = u -. float_of_int i0 and fv = v -. float_of_int j0 in
+        for dj = 0 to 1 do
+          let row = cl_y (j0 + dj) * nx in
+          let wy = if dj = 0 then 1. -. fv else fv in
+          for di = 0 to 1 do
+            let k = row + cl_x (i0 + di) in
+            let wx = if di = 0 then 1. -. fu else fu in
+            let phi = wx *. wy in
+            let dpx = (if di = 0 then -.wy else wy) /. bw in
+            let dpy = (if dj = 0 then -.wx else wx) /. bh in
+            let g0 = g.(d_dens0 + k) and g1 = g.(d_dens1 + k) in
+            gxa.(c) <- gxa.(c) +. (a *. dpx *. (((1. -. wt) *. g0) +. (wt *. g1)));
+            gya.(c) <- gya.(c) +. (a *. dpy *. (((1. -. wt) *. g0) +. (wt *. g1)));
+            gza.(c) <- gza.(c) +. (a *. phi *. (g1 -. g0))
+          done
+        done
       end
     done;
     (* --- per-net channels --- *)
+    (* Tile sums of one net, as [| die 0; die 1; 3D |]:
+       sum_s = sum of S * g[d][rudy2d], and S * (g0 + g1)[rudy3d] for
+       the 3D entry; dxl, dxh, dyl, dyh = the same sums of dS/d(edge)
+       over the tiles cut by each bbox edge. *)
     Array.iter
       (fun nc ->
         let x0, y0, x1, y1 = nc.bbox in
         let w = Float.max min_span (x1 -. x0) in
         let h = Float.max min_span (y1 -. y0) in
         let p3d = Float.max 0. (1. -. nc.p_top -. nc.p_bot) in
-        (* aggregate tile sums:
-           sum_s[d]      = sum of S * g[d][rudy2d]
-           sum_s3        = sum of S * (g0 + g1)[rudy3d]
-           boundary sums = sum over tiles cut by each bbox edge *)
-        let sum_s = [| 0.; 0. |] in
-        let sum_s3 = ref 0. in
-        let dxl = [| 0.; 0. |] and dxh = [| 0.; 0. |] in
-        let dyl = [| 0.; 0. |] and dyh = [| 0.; 0. |] in
-        let dxl3 = ref 0. and dxh3 = ref 0. and dyl3 = ref 0. and dyh3 = ref 0. in
-        iter_tiles nc.bbox (fun gy gx ox oy ->
-            let s = ox *. oy /. bin_area in
-            let g0 = gp 0 ch_rudy2d gy gx and g1 = gp 1 ch_rudy2d gy gx in
-            let g3 = gp 0 ch_rudy3d gy gx +. gp 1 ch_rudy3d gy gx in
-            sum_s.(0) <- sum_s.(0) +. (s *. g0);
-            sum_s.(1) <- sum_s.(1) +. (s *. g1);
-            sum_s3 := !sum_s3 +. (s *. g3);
-            (* dS/d(boundary): the tiles whose overlap is cut by the
-               moving edge *)
-            let tx0 = float_of_int gx *. bw and tx1 = float_of_int (gx + 1) *. bw in
-            let ty0 = float_of_int gy *. bh and ty1 = float_of_int (gy + 1) *. bh in
-            (* right edge x1 inside the tile: dox/dxh = 1 *)
-            if x1 > tx0 && x1 <= tx1 then begin
-              let d = oy /. bin_area in
-              dxh.(0) <- dxh.(0) +. (d *. g0);
-              dxh.(1) <- dxh.(1) +. (d *. g1);
-              dxh3 := !dxh3 +. (d *. g3)
-            end;
-            if x0 >= tx0 && x0 < tx1 then begin
-              let d = -.oy /. bin_area in
-              dxl.(0) <- dxl.(0) +. (d *. g0);
-              dxl.(1) <- dxl.(1) +. (d *. g1);
-              dxl3 := !dxl3 +. (d *. g3)
-            end;
-            if y1 > ty0 && y1 <= ty1 then begin
-              let d = ox /. bin_area in
-              dyh.(0) <- dyh.(0) +. (d *. g0);
-              dyh.(1) <- dyh.(1) +. (d *. g1);
-              dyh3 := !dyh3 +. (d *. g3)
-            end;
-            if y0 >= ty0 && y0 < ty1 then begin
-              let d = -.ox /. bin_area in
-              dyl.(0) <- dyl.(0) +. (d *. g0);
-              dyl.(1) <- dyl.(1) +. (d *. g1);
-              dyl3 := !dyl3 +. (d *. g3)
-            end);
+        let sum_s = Array.make 3 0. in
+        let dxl = Array.make 3 0. and dxh = Array.make 3 0. in
+        let dyl = Array.make 3 0. and dyh = Array.make 3 0. in
+        (* the tiles span the bbox widened to min_span (x1e, y1e); the
+           edge tests use the bbox itself *)
+        let x1e = Float.max x1 (x0 +. min_span) and y1e = Float.max y1 (y0 +. min_span) in
+        let gx0 = cl_x (int_of_float (x0 /. bw)) and gx1 = cl_x (int_of_float (x1e /. bw)) in
+        let gy0 = cl_y (int_of_float (y0 /. bh)) and gy1 = cl_y (int_of_float (y1e /. bh)) in
+        for gy = gy0 to gy1 do
+          let ty0 = float_of_int gy *. bh and ty1 = float_of_int (gy + 1) *. bh in
+          let oy = Float.min y1e ty1 -. Float.max y0 ty0 in
+          if oy > 0. then
+            for gx = gx0 to gx1 do
+              let tx0 = float_of_int gx *. bw and tx1 = float_of_int (gx + 1) *. bw in
+              let ox = Float.min x1e tx1 -. Float.max x0 tx0 in
+              if ox > 0. then begin
+                let s = ox *. oy /. bin_area in
+                let k = (gy * nx) + gx in
+                let g0 = g.(d_r2d0 + k) and g1 = g.(d_r2d1 + k) in
+                let g3 = g.(d_r3d0 + k) +. g.(d_r3d1 + k) in
+                sum_s.(0) <- sum_s.(0) +. (s *. g0);
+                sum_s.(1) <- sum_s.(1) +. (s *. g1);
+                sum_s.(2) <- sum_s.(2) +. (s *. g3);
+                (* dS/d(boundary): the tiles whose overlap is cut by the
+                   moving edge *)
+                (* right edge x1 inside the tile: dox/dxh = 1 *)
+                if x1 > tx0 && x1 <= tx1 then begin
+                  let d = oy /. bin_area in
+                  dxh.(0) <- dxh.(0) +. (d *. g0);
+                  dxh.(1) <- dxh.(1) +. (d *. g1);
+                  dxh.(2) <- dxh.(2) +. (d *. g3)
+                end;
+                if x0 >= tx0 && x0 < tx1 then begin
+                  let d = -.oy /. bin_area in
+                  dxl.(0) <- dxl.(0) +. (d *. g0);
+                  dxl.(1) <- dxl.(1) +. (d *. g1);
+                  dxl.(2) <- dxl.(2) +. (d *. g3)
+                end;
+                if y1 > ty0 && y1 <= ty1 then begin
+                  let d = ox /. bin_area in
+                  dyh.(0) <- dyh.(0) +. (d *. g0);
+                  dyh.(1) <- dyh.(1) +. (d *. g1);
+                  dyh.(2) <- dyh.(2) +. (d *. g3)
+                end;
+                if y0 >= ty0 && y0 < ty1 then begin
+                  let d = -.ox /. bin_area in
+                  dyl.(0) <- dyl.(0) +. (d *. g0);
+                  dyl.(1) <- dyl.(1) +. (d *. g1);
+                  dyl.(2) <- dyl.(2) +. (d *. g3)
+                end
+              end
+            done
+        done;
         (* dW/d(edge) and dS/d(edge): both vanish while the span is
            clamped at min_span (moving the extreme pin then leaves the
            effective bbox unchanged) *)
@@ -327,93 +380,76 @@ let build ?thermal ~placement ~x ~y ~z ~nx ~ny () =
         let dw_dxh = if x_live then -1. /. (w *. w) else 0. in
         let dh_dyh = if y_live then -1. /. (h *. h) else 0. in
         if not x_live then begin
-          dxl.(0) <- 0.; dxl.(1) <- 0.; dxh.(0) <- 0.; dxh.(1) <- 0.;
-          dxl3 := 0.; dxh3 := 0.
+          Array.fill dxl 0 3 0.;
+          Array.fill dxh 0 3 0.
         end;
         if not y_live then begin
-          dyl.(0) <- 0.; dyl.(1) <- 0.; dyh.(0) <- 0.; dyh.(1) <- 0.;
-          dyl3 := 0.; dyh3 := 0.
+          Array.fill dyl 0 3 0.;
+          Array.fill dyh 0 3 0.
         end;
         (* Eq. 6: only the extreme pins receive position gradients *)
-        let kinds d = if d = 0 then nc.p_bot else nc.p_top in
-        let edge_grad ~darg ~dwd ~dsd ~dsd3 sign =
-          (* total dL/d(coordinate of extreme pin):
-             for each die d: kind_d * (dW * sum_s_d + W * dS_d)
-             plus the 3D channel with 0.5 * p3d *)
-          match nc.pins.(darg) with
-          | Nl.Cell c when not (Nl.is_macro nl c) ->
-              let acc = ref 0. in
-              for d = 0 to 1 do
-                acc :=
-                  !acc
-                  +. (kinds d *. ((sign *. dwd *. sum_s.(d)) +. (nc.weight *. dsd.(d))))
-              done;
-              acc :=
-                !acc
-                +. (0.5 *. p3d *. ((sign *. dwd *. !sum_s3) +. (nc.weight *. !dsd3)));
-              Some (c, !acc)
-          | Nl.Cell _ | Nl.Io _ -> None
-        in
-        (match edge_grad ~darg:nc.arg_xh ~dwd:dw_dxh ~dsd:dxh ~dsd3:dxh3 1. with
-        | Some (c, v) -> bump gx_arr c v
-        | None -> ());
-        (match edge_grad ~darg:nc.arg_xl ~dwd:dw_dxh ~dsd:dxl ~dsd3:dxl3 (-1.) with
-        | Some (c, v) -> bump gx_arr c v
-        | None -> ());
-        (match edge_grad ~darg:nc.arg_yh ~dwd:dh_dyh ~dsd:dyh ~dsd3:dyh3 1. with
-        | Some (c, v) -> bump gy_arr c v
-        | None -> ());
-        (match edge_grad ~darg:nc.arg_yl ~dwd:dh_dyh ~dsd:dyl ~dsd3:dyl3 (-1.) with
-        | Some (c, v) -> bump gy_arr c v
-        | None -> ());
+        edge_grad nl nc gxa ~p3d ~sum_s ~darg:nc.arg_xh ~dwd:dw_dxh ~dsd:dxh 1.;
+        edge_grad nl nc gxa ~p3d ~sum_s ~darg:nc.arg_xl ~dwd:dw_dxh ~dsd:dxl (-1.);
+        edge_grad nl nc gya ~p3d ~sum_s ~darg:nc.arg_yh ~dwd:dh_dyh ~dsd:dyh 1.;
+        edge_grad nl nc gya ~p3d ~sum_s ~darg:nc.arg_yl ~dwd:dh_dyh ~dsd:dyl (-1.);
+        let w2_0 = nc.weight *. nc.p_bot and w2_1 = nc.weight *. nc.p_top in
+        let w3 = 0.5 *. nc.weight *. p3d in
         (* z gradients through the soft tier products (RUDY channels) *)
-        Array.iteri
-          (fun i e ->
-            match e with
-            | Nl.Cell c when not (Nl.is_macro nl c) ->
-                let dtop = nc.loo_top.(i) in
-                let dbot = -.nc.loo_bot.(i) in
-                let d3 = if p3d > 0. then -.dtop -. dbot else 0. in
-                bump gz_arr c
-                  (nc.weight
-                  *. ((dbot *. sum_s.(0)) +. (dtop *. sum_s.(1))
-                     +. (0.5 *. d3 *. !sum_s3)))
-            | Nl.Cell _ | Nl.Io _ -> ())
-          nc.pins;
+        for i = 0 to Array.length nc.pins - 1 do
+          match nc.pins.(i) with
+          | Nl.Cell c when not (Nl.is_macro nl c) ->
+              let dtop = nc.loo_top.(i) in
+              let dbot = -.nc.loo_bot.(i) in
+              let d3 = if p3d > 0. then -.dtop -. dbot else 0. in
+              gza.(c) <-
+                gza.(c)
+                +. (nc.weight
+                   *. ((dbot *. sum_s.(0)) +. (dtop *. sum_s.(1))
+                      +. (0.5 *. d3 *. sum_s.(2))))
+          | Nl.Cell _ | Nl.Io _ -> ()
+        done;
         (* PinRUDY + pin-density backward: tent position gradients with
            the net-level scales treated as constants (sub-gradient
            choice, like Eq. 6 keeps only the dominant terms), plus the
            local z factor *)
-        Array.iteri
-          (fun i e ->
-            match e with
-            | Nl.Cell c when not (Nl.is_macro nl c) ->
-                let wt = nc.wtop.(i) in
-                let taps = tent nc.px.(i) nc.py.(i) in
-                Array.iter
-                  (fun (gy, gx, phi, dpx, dpy) ->
-                    let gpin0 = gp 0 ch_pins gy gx and gpin1 = gp 1 ch_pins gy gx in
-                    let gpr0 = gp 0 ch_pinrudy2d gy gx and gpr1 = gp 1 ch_pinrudy2d gy gx in
-                    let g3p0 = gp 0 ch_pinrudy3d gy gx and g3p1 = gp 1 ch_pinrudy3d gy gx in
-                    let w2_0 = nc.weight *. nc.p_bot and w2_1 = nc.weight *. nc.p_top in
-                    let w3 = 0.5 *. nc.weight *. p3d in
-                    (* coefficient of phi for each channel/die *)
-                    let coef_x =
-                      ((1. -. wt) *. ((gpin0 /. bin_area) +. (w2_0 *. gpr0) +. (w3 *. g3p0)))
-                      +. (wt *. ((gpin1 /. bin_area) +. (w2_1 *. gpr1) +. (w3 *. g3p1)))
-                    in
-                    bump gx_arr c (coef_x *. dpx);
-                    bump gy_arr c (coef_x *. dpy);
-                    (* z: d/dz of the local (1-wt)/wt factors *)
-                    bump gz_arr c
-                      (phi
-                      *. (-.((gpin0 /. bin_area) +. (w2_0 *. gpr0) +. (w3 *. g3p0))
-                         +. ((gpin1 /. bin_area) +. (w2_1 *. gpr1) +. (w3 *. g3p1)))))
-                  taps
-            | Nl.Cell _ | Nl.Io _ -> ())
-          nc.pins)
+        for i = 0 to Array.length nc.pins - 1 do
+          match nc.pins.(i) with
+          | Nl.Cell c when not (Nl.is_macro nl c) ->
+              let wt = nc.wtop.(i) in
+              let u = (nc.px.(i) /. bw) -. 0.5 and v = (nc.py.(i) /. bh) -. 0.5 in
+              let i0 = int_of_float (floor u) and j0 = int_of_float (floor v) in
+              let fu = u -. float_of_int i0 and fv = v -. float_of_int j0 in
+              for dj = 0 to 1 do
+                let row = cl_y (j0 + dj) * nx in
+                let wy = if dj = 0 then 1. -. fv else fv in
+                for di = 0 to 1 do
+                  let k = row + cl_x (i0 + di) in
+                  let wx = if di = 0 then 1. -. fu else fu in
+                  let phi = wx *. wy in
+                  let dpx = (if di = 0 then -.wy else wy) /. bw in
+                  let dpy = (if dj = 0 then -.wx else wx) /. bh in
+                  (* coefficient of phi for each die *)
+                  let e0 =
+                    (g.(d_pins0 + k) /. bin_area) +. (w2_0 *. g.(d_pr2d0 + k))
+                    +. (w3 *. g.(d_pr3d0 + k))
+                  in
+                  let e1 =
+                    (g.(d_pins1 + k) /. bin_area) +. (w2_1 *. g.(d_pr2d1 + k))
+                    +. (w3 *. g.(d_pr3d1 + k))
+                  in
+                  let coef_x = ((1. -. wt) *. e0) +. (wt *. e1) in
+                  gxa.(c) <- gxa.(c) +. (coef_x *. dpx);
+                  gya.(c) <- gya.(c) +. (coef_x *. dpy);
+                  (* z: d/dz of the local (1-wt)/wt factors *)
+                  gza.(c) <- gza.(c) +. (phi *. (-.e0 +. e1))
+                done
+              done
+          | Nl.Cell _ | Nl.Io _ -> ()
+        done)
       caches;
-    [ Some gx_arr; Some gy_arr; Some gz_arr ]
+    [ Some (T.make [| n |] gxa); Some (T.make [| n |] gya); Some (T.make [| n |] gza) ]
   in
-  let fused = V.custom ~data:out ~parents:[ x; y; z ] ~backward in
+  let fused =
+    V.custom ~data:(T.make [| 2 * n_ch; ny; nx |] out) ~parents:[ x; y; z ] ~backward
+  in
   (V.slice_channels fused 0 n_ch, V.slice_channels fused n_ch n_ch)

@@ -6,6 +6,8 @@ module T = Dco3d_tensor.Tensor
 module Rng = Dco3d_tensor.Rng
 module V = Dco3d_autodiff.Value
 module Opt = Dco3d_autodiff.Optimizer
+module Obs = Dco3d_obs.Obs
+module Pool = Dco3d_parallel.Pool
 
 let check_float = Alcotest.(check (float 1e-9))
 
@@ -45,6 +47,168 @@ let test_zero_grad () =
   check_float "grad set" 1. (T.get_flat (V.grad x) 0);
   V.zero_grad x;
   check_float "grad cleared" 0. (T.get_flat (V.grad x) 0)
+
+(* A custom node whose backward returns [grads] for the single parent
+   [x]. *)
+let custom_with x grads =
+  V.custom ~data:(T.copy (V.data x)) ~parents:[ x ] ~backward:(fun _ -> grads)
+
+let test_backward_wrong_shape () =
+  let x = V.param (T.of_array1 [| 1.; 2.; 3. |]) in
+  let bad () = custom_with x [ Some (T.zeros [| 2 |]) ] in
+  let err =
+    Invalid_argument "Value.backward: gradient of shape [2] for a parent of shape [3]"
+  in
+  (* the first gradient reaching x, and one added to an existing one *)
+  Alcotest.check_raises "first accumulation" err (fun () -> V.backward (V.sum (bad ())));
+  V.zero_grad x;
+  Alcotest.check_raises "later accumulation" err (fun () ->
+      V.backward (V.add (V.sum x) (V.sum (bad ()))))
+
+let test_backward_arity () =
+  let x = V.param (T.of_array1 [| 1. |]) in
+  let y = custom_with x [ Some (T.ones [| 1 |]); None ] in
+  Alcotest.check_raises "two gradients for one parent"
+    (Invalid_argument "Value.backward: backward arity mismatch (2 gradients for 1 parents)")
+    (fun () -> V.backward (V.sum y))
+
+let test_backward_wrt_leaves_only () =
+  let x = V.param (T.of_array1 [| 1. |]) in
+  let y = V.scale 2. x in
+  Alcotest.check_raises "interior node"
+    (Invalid_argument "Value.backward: ~wrt must list leaves") (fun () ->
+      V.backward ~wrt:[ y ] (V.sum y))
+
+(* ------------------------------------------------------------------ *)
+(* Gradient pruning: [backward ~wrt] against the full pass              *)
+(* ------------------------------------------------------------------ *)
+
+(* A value of the test network and whether it has a [wrt] leaf among
+   its ancestors, which is what makes the tape compute its gradient. *)
+type node = { v : V.t; live : bool }
+
+(* Builds a small random network from [seed] — a conv2d (optionally
+   followed by a conv2d_transpose) and a matmul + add_bias_rows branch,
+   each optionally through a custom node, over inputs that are constant
+   or trainable — and sums both branches into a scalar loss.  Param [i]
+   (in creation order) is in [wrt] when [in_wrt i].  Also counts, from
+   the structure alone, the convolution input and weight gradients the
+   pruned pass must compute. *)
+let prune_net ~seed ~in_wrt =
+  let rng = Rng.create seed in
+  let params = ref [] and dx = ref 0 and dw = ref 0 in
+  let input shape =
+    let t = T.randn rng shape in
+    if Rng.bool rng then { v = V.const t; live = false } else begin
+      let v = V.param t in
+      let live = in_wrt (List.length !params) in
+      params := !params @ [ (v, live) ];
+      { v; live }
+    end
+  in
+  let param shape =
+    let v = V.param (T.randn rng ~sigma:0.5 shape) in
+    let live = in_wrt (List.length !params) in
+    params := !params @ [ (v, live) ];
+    { v; live }
+  in
+  let op parents f =
+    let live = List.exists (fun p -> p.live) parents in
+    { v = f (List.map (fun p -> p.v) parents); live }
+  in
+  let maybe f x = if Rng.bool rng then f x else x in
+  let cube x =
+    op [ x ] (function
+      | [ x ] ->
+          V.custom
+            ~data:(T.map (fun a -> a *. a *. a) (V.data x))
+            ~parents:[ x ]
+            ~backward:(fun g ->
+              [ Some (T.map2 (fun gv a -> gv *. 3. *. a *. a) g (V.data x)) ])
+      | _ -> assert false)
+  in
+  let loss_of x = op [ op [ x ] (function [ x ] -> V.sqr x | _ -> assert false) ] (function
+      | [ x ] -> V.sum x | _ -> assert false)
+  in
+  let conv ~transpose x ci co =
+    let k = if transpose then 2 else 3 in
+    let w = param (if transpose then [| ci; co; k; k |] else [| co; ci; k; k |]) in
+    let b = if Rng.bool rng then Some (param [| co |]) else None in
+    let y = op (x :: w :: Option.to_list b) (function
+      | x :: weight :: b ->
+          let bias = match b with [ b ] -> Some b | _ -> None in
+          if transpose then V.conv2d_transpose ~stride:2 x ~weight ~bias
+          else V.conv2d ~pad:1 x ~weight ~bias
+      | _ -> assert false)
+    in
+    if y.live && x.live then incr dx;
+    if y.live && w.live then incr dw;
+    y
+  in
+  let ci = 1 + Rng.int rng 3 and c1 = 1 + Rng.int rng 3 and hw = 3 + Rng.int rng 3 in
+  let img = conv ~transpose:false (input [| ci; hw; hw |]) ci c1 in
+  let img = maybe (fun x -> conv ~transpose:true x c1 (1 + Rng.int rng 2)) img in
+  let img = maybe cube img in
+  let n = 2 + Rng.int rng 3 and k = 2 + Rng.int rng 3 and f = 1 + Rng.int rng 3 in
+  let a = input [| n; k |] in
+  let m = op [ a; param [| k; f |] ] (function
+      | [ a; b ] -> V.matmul a b | _ -> assert false)
+  in
+  let m =
+    maybe
+      (fun m -> op [ m; param [| f |] ] (function
+        | [ m; b ] -> V.add_bias_rows m b | _ -> assert false))
+      m
+  in
+  let m = maybe cube m in
+  let loss =
+    op [ loss_of img; loss_of m ] (function [ a; b ] -> V.add a b | _ -> assert false)
+  in
+  (loss.v, !params, !dx, !dw)
+
+let bits t = Array.map Int64.bits_of_float (Array.init (T.numel t) (T.get_flat t))
+
+let with_obs f =
+  let was = Obs.enabled () in
+  Obs.enable ();
+  Fun.protect ~finally:(fun () -> if not was then Obs.disable ()) f
+
+(* For random networks and random [wrt] subsets, at a given job count:
+   the [wrt] gradients are bit-identical to a full pass, params outside
+   [wrt] keep the gradient they had, and a convolution computes its
+   input (weight) gradient only when its input (weight) leads to a
+   [wrt] leaf — a convolution over a constant never runs it. *)
+let prop_pruned_backward jobs =
+  QCheck.Test.make
+    ~name:(Printf.sprintf "backward ~wrt matches the full pass (jobs %d)" jobs)
+    ~count:40 (QCheck.int_bound 100_000) (fun seed ->
+      Pool.set_jobs ~exact:true jobs;
+      Fun.protect ~finally:(fun () -> Pool.set_jobs 1) @@ fun () ->
+      let in_wrt i = Hashtbl.hash (seed, i) land 1 = 0 in
+      let full_loss, full, _, _ = prune_net ~seed ~in_wrt:(fun _ -> true) in
+      V.backward full_loss;
+      let loss, params, dx, dw = prune_net ~seed ~in_wrt in
+      let wrt = List.filter_map (fun (p, w) -> if w then Some p else None) params in
+      let others = List.filter_map (fun (p, w) -> if w then None else Some p) params in
+      (* give every param outside [wrt] a gradient of ones first *)
+      if others <> [] then V.backward (V.add_list (List.map V.sum others));
+      let counts () =
+        ( Obs.counter_value "autodiff/conv_input_grads",
+          Obs.counter_value "autodiff/conv_weight_grads" )
+      in
+      let (x0, w0), (x1, w1) =
+        with_obs (fun () ->
+            let before = counts () in
+            V.backward ~wrt loss;
+            (before, counts ()))
+      in
+      List.for_all2
+        (fun (fp, _) (p, w) ->
+          if w then bits (V.grad p) = bits (V.grad fp)
+          else bits (V.grad p) = bits (T.ones (V.shape p)))
+        full params
+      && x1 - x0 = dx
+      && w1 - w0 = dw)
 
 (* ------------------------------------------------------------------ *)
 (* Finite-difference checks on every op                                *)
@@ -265,6 +429,11 @@ let suites =
         Alcotest.test_case "scalar root required" `Quick test_backward_requires_scalar;
         Alcotest.test_case "zero_grad" `Quick test_zero_grad;
         Alcotest.test_case "custom op (Eq.6 mechanism)" `Quick test_custom_op;
+        Alcotest.test_case "wrong-shaped gradient" `Quick test_backward_wrong_shape;
+        Alcotest.test_case "backward arity" `Quick test_backward_arity;
+        Alcotest.test_case "wrt lists leaves" `Quick test_backward_wrt_leaves_only;
+        qtest (prop_pruned_backward 1);
+        qtest (prop_pruned_backward 4);
       ] );
     ( "autodiff.gradcheck",
       [

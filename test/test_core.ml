@@ -542,6 +542,25 @@ let test_dco_optimize_thermal_coupling () =
   Alcotest.(check bool) "stats recorded" true
     (Array.length report.Dco.stats >= 1)
 
+(* Algorithm 2 trains only the GCN: the predictor is frozen, so an
+   optimize run must leave no gradient on any UNet weight and must not
+   change the model (the same model may be the one being served). *)
+let test_dco_predictor_frozen () =
+  let _, _, base, _ = Lazy.force env in
+  let predictor, _ = Lazy.force trained in
+  let fingerprint = Predictor.fingerprint predictor in
+  let config = { Dco.default_config with Dco.iterations = 3; seed = 4 } in
+  let _ = Dco.optimize ~config ~predictor base in
+  List.iteri
+    (fun i p ->
+      Alcotest.(check bool)
+        (Printf.sprintf "UNet param %d has no gradient" i)
+        true
+        (Array.for_all (fun v -> v = 0.) (V.grad p).T.data))
+    (Dco3d_nn.Siamese_unet.params predictor.Predictor.net);
+  Alcotest.(check string) "fingerprint unchanged" fingerprint
+    (Predictor.fingerprint predictor)
+
 let test_dco_deterministic () =
   let _, _, base, _ = Lazy.force env in
   let predictor, _ = Lazy.force trained in
@@ -682,6 +701,7 @@ let suites =
         Alcotest.test_case "thermal coupling smoke" `Slow
           test_dco_optimize_thermal_coupling;
         Alcotest.test_case "deterministic" `Slow test_dco_deterministic;
+        Alcotest.test_case "predictor stays frozen" `Slow test_dco_predictor_frozen;
         Alcotest.test_case "cool reduces peak" `Quick test_dco_cool_reduces_peak;
         Alcotest.test_case "cool deterministic" `Quick test_dco_cool_deterministic;
         Alcotest.test_case "resize gradcheck" `Quick test_resize_value_gradcheck;
