@@ -113,7 +113,10 @@ quantize-smoke:
 # Fleet smoke: `dco3d balance` with two shards (one f32, one i8)
 # behind one socket.  Concurrent clients route by numeric path, a
 # SIGKILLed shard is respawned by the supervisor while `client predict
-# --retry` rides through, and SIGTERM drains the whole fleet.  The
+# --retry` rides through, and SIGTERM drains the whole fleet.  A
+# one-entry result cache forces LRU evictions, so the spill is written
+# both on eviction (spill_writes in the stats taken before the kill)
+# and on drain (.spill files under each shard's spill dir).  The
 # balancer and each shard leave stage profiles under $(LOGS)/.
 balance-smoke:
 	dune build bin/dco3d.exe
@@ -123,7 +126,7 @@ balance-smoke:
 	DCO3D_PROFILE=$(LOGS)/balance-profile.txt \
 	  dune exec --no-build bin/dco3d.exe -- balance --socket $(LOGS)/balance-smoke.sock \
 	  --ctl $(LOGS)/balance-smoke.ctl --shards 2 --numerics f32,i8 \
-	  --spill-dir $(LOGS)/balance-spill \
+	  --spill-dir $(LOGS)/balance-spill --cache-capacity 1 \
 	  > $(LOGS)/balance-smoke.log 2>&1 & \
 	BAL_PID=$$!; \
 	for i in $$(seq 1 150); do grep -q "all 2 shards live" $(LOGS)/balance-smoke.log 2>/dev/null && break; sleep 0.2; done; \
@@ -136,11 +139,13 @@ balance-smoke:
 	  -s 0.05 --gcell 16 --route i8 --retry 6 | tee -a $(LOGS)/balance-predict.log | grep -q "numeric i8" && \
 	dune exec --no-build bin/dco3d.exe -- client predict --socket $(LOGS)/balance-smoke.sock \
 	  -s 0.05 --gcell 16 --route f32 --retry 6 | tee -a $(LOGS)/balance-predict.log | grep -q "numeric f32" && \
+	dune exec --no-build bin/dco3d.exe -- client stats --socket $(LOGS)/balance-smoke.sock \
+	  > $(LOGS)/balance-stats.log && \
 	pkill -9 -f "[-]-shard-id 0" && sleep 1 && \
 	dune exec --no-build bin/dco3d.exe -- client predict --socket $(LOGS)/balance-smoke.sock \
 	  -s 0.05 --gcell 16 --retry 10 >> $(LOGS)/balance-predict.log 2>&1 && \
 	dune exec --no-build bin/dco3d.exe -- client stats --socket $(LOGS)/balance-smoke.sock \
-	  | tee $(LOGS)/balance-stats.log && \
+	  | tee -a $(LOGS)/balance-stats.log && \
 	kill -TERM $$BAL_PID && wait $$BAL_PID; \
 	STATUS=$$?; cat $(LOGS)/balance-smoke.log; \
 	[ $$STATUS -eq 0 ] && \
@@ -148,6 +153,8 @@ balance-smoke:
 	  grep -q "shard 0: .*1 restarts" $(LOGS)/balance-smoke.log && \
 	  [ -f $(LOGS)/balance-profile.txt ] && \
 	  ls $(LOGS)/balance-profile.txt.shard0 $(LOGS)/balance-profile.txt.shard1 && \
+	  ls $(LOGS)/balance-spill/shard-*/*.spill > /dev/null && \
+	  awk '/spill_writes/ { s += $$2 } END { exit !(s > 0) }' $(LOGS)/balance-stats.log && \
 	  echo "balance-smoke: OK" || { echo "balance-smoke: FAILED"; exit 1; }
 	@rm -f $(LOGS)/balance-smoke.sock $(LOGS)/balance-smoke.ctl
 

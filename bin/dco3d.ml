@@ -100,10 +100,7 @@ let route_cache_t =
         ~doc:
           "Content-addressed route cache: routing results are persisted            under $(docv) keyed by netlist, GCell-binned placement and            config, and replayed bit-identically on repeat runs.  Safe            to share between concurrent processes and shards.")
 
-(* Eta-expanded: [Route_cache.create] has a leading optional argument,
-   and a bare [Option.map Route_cache.create] would freeze it at the
-   first type it unifies with. *)
-let route_cache_of = Option.map (fun dir -> Route_cache.create dir)
+let route_cache_of = Option.map Route_cache.create
 
 let corpus_cache_t =
   Arg.(
@@ -1494,7 +1491,7 @@ let corpus_cmd =
               conns
           end
           else
-            let store = Option.map (fun d -> Corpus.Store.create d) corpus_dir in
+            let store = Option.map Corpus.open_store corpus_dir in
             let route_cache = route_cache_of route_cache_dir in
             Corpus.run_matrix ?store ?route_cache ~specs ~configs ()
         in

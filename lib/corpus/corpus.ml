@@ -9,12 +9,8 @@
    base draw distinct RNG streams and carry distinct design names all
    the way into the flow reports.
 
-   PPA rows persist through the shared [Framing] layout
-
-     "DCO3D-CORPUS-V1" | 16-byte MD5(body) | body
-
-   with body = Marshal of (key, row), key = MD5(netlist digest x flow
-   config x seed), stored-key re-checked on read — the same discipline
+   PPA rows persist in a [Framing.Store] ("DCO3D-CORPUS-V1", ".ppa")
+   keyed by MD5(netlist digest x flow config x seed) — the same store
    (and the same LRU bound) as the route cache one directory over. *)
 
 module Nl = Dco3d_netlist.Netlist
@@ -23,7 +19,7 @@ module Cl = Dco3d_netlist.Cell_lib
 module Flow = Dco3d_flow.Flow
 module Route_cache = Dco3d_route.Route_cache
 module Dataset = Dco3d_core.Dataset
-module Framing = Dco3d_framing.Framing
+module Store = Dco3d_framing.Framing.Store
 module Obs = Dco3d_obs.Obs
 
 type spec = {
@@ -188,71 +184,9 @@ let store_key ~netlist_digest ~seed fc =
 (* On-disk PPA store                                                   *)
 (* ------------------------------------------------------------------ *)
 
-module Store = struct
-  type t = { dir : string; max_entries : int }
-
-  let magic = "DCO3D-CORPUS-V1"
-  let suffix = ".ppa"
-
-  let default_max_entries () =
-    match int_of_string_opt (Sys.getenv "DCO3D_CORPUS_CACHE_CAP") with
-    | Some n when n > 0 -> n
-    | Some _ | None -> 4096
-    | exception Not_found -> 4096
-
-  let create ?max_entries dir =
-    Framing.mkdir_p dir;
-    let max_entries =
-      match max_entries with
-      | Some n when n > 0 -> n
-      | Some _ | None -> default_max_entries ()
-    in
-    { dir; max_entries }
-
-  let dir t = t.dir
-  let max_entries t = t.max_entries
-
-  (* Jobs-invariant: all three are functions of the request stream. *)
-  let c_hit = Obs.counter "corpus/cache_hit"
-  let c_miss = Obs.counter "corpus/cache_miss"
-  let c_evicted = Obs.counter "corpus/cache_evicted"
-
-  let find t ~key =
-    let path = Framing.path_of ~dir:t.dir ~suffix key in
-    let result =
-      match Framing.read_file ~magic ~path with
-      | None -> None
-      | Some body -> (
-          match (Marshal.from_string body 0 : string * row) with
-          | stored_key, r when stored_key = key ->
-              Framing.touch path;
-              Some r
-          | _ ->
-              (* digest-valid but colliding/stale key *)
-              Framing.discard path;
-              None
-          | exception Failure _ ->
-              Framing.discard path;
-              None)
-    in
-    (match result with Some _ -> Obs.incr c_hit | None -> Obs.incr c_miss);
-    result
-
-  let put t ~key r =
-    let body = Marshal.to_string (key, r) [] in
-    let ok =
-      Framing.write_file ~magic
-        ~path:(Framing.path_of ~dir:t.dir ~suffix key)
-        ~body
-    in
-    let evicted =
-      Framing.evict_lru ~dir:t.dir ~suffix ~max_entries:t.max_entries
-    in
-    if evicted > 0 then Obs.incr ~by:evicted c_evicted;
-    ok
-
-  let count t = Framing.count_entries ~dir:t.dir ~suffix
-end
+let open_store dir : row Store.t =
+  Store.create ~magic:"DCO3D-CORPUS-V1" ~suffix:".ppa" ~counters:"corpus/cache"
+    dir
 
 (* ------------------------------------------------------------------ *)
 (* Matrix runner                                                       *)
@@ -273,7 +207,7 @@ let run_cell ?store ?route_cache s fc =
   let dg = netlist_digest nl in
   let t1 = now_ms () in
   let key = store_key ~netlist_digest:dg ~seed:s.sp_seed fc in
-  match Option.bind store (fun st -> Store.find st ~key) with
+  match Option.bind store (fun st -> Store.find st key) with
   | Some r -> r
   | None ->
       let ctx = context_of ?route_cache ~seed:s.sp_seed nl fc in
@@ -306,7 +240,7 @@ let run_cell ?store ?route_cache s fc =
         }
       in
       (match store with
-      | Some st -> ignore (Store.put st ~key r : bool)
+      | Some st -> ignore (Store.put st key r : bool)
       | None -> ());
       r
 

@@ -14,8 +14,8 @@
     (design x flow-config) cell and emits one PPA {!row} each — WL,
     WNS/TNS, power, peak/avg temperature, overflow, per-stage runtime —
     as machine-readable JSON plus a rendered table
-    ([dco3d corpus --matrix]).  Rows cache through {!Store} (same
-    [Framing] discipline as the route cache) keyed by
+    ([dco3d corpus --matrix]).  Rows cache through {!open_store} (the
+    same {!Dco3d_framing.Framing.Store} as the route cache) keyed by
     [(netlist digest, flow config, seed)], so a whole fleet shares one
     evaluated corpus. *)
 
@@ -126,30 +126,17 @@ val store_key : netlist_digest:string -> seed:int -> flow_config -> string
 
 (** {1 On-disk PPA store} *)
 
-module Store : sig
-  type t
-
-  val create : ?max_entries:int -> string -> t
-  (** Bounded like {!Dco3d_route.Route_cache.create}: LRU-by-mtime
-      eviction past [max_entries] (default [DCO3D_CORPUS_CACHE_CAP],
-      else 4096), [corpus/cache_evicted] counter, corrupt survivors
-      age out like live entries.
-      @raise Unix.Unix_error if the directory cannot be created. *)
-
-  val dir : t -> string
-  val max_entries : t -> int
-
-  val find : t -> key:string -> row option
-  (** Counted on [corpus/cache_hit] / [corpus/cache_miss]. *)
-
-  val put : t -> key:string -> row -> bool
-  val count : t -> int
-end
+val open_store : string -> row Dco3d_framing.Framing.Store.t
+(** The PPA row store rooted at a directory: magic ["DCO3D-CORPUS-V1"],
+    suffix [.ppa], counters [corpus/cache_{hit,miss,evicted}], bounded
+    LRU at {!Dco3d_framing.Framing.Store.default_max_entries}.  Entries are
+    keyed by {!store_key}.
+    @raise Unix.Unix_error if the directory cannot be created. *)
 
 (** {1 Matrix runner} *)
 
 val run_cell :
-  ?store:Store.t ->
+  ?store:row Dco3d_framing.Framing.Store.t ->
   ?route_cache:Dco3d_route.Route_cache.t ->
   spec ->
   flow_config ->
@@ -161,7 +148,7 @@ val run_cell :
     Runs under a [corpus/cell] span. *)
 
 val run_matrix :
-  ?store:Store.t ->
+  ?store:row Dco3d_framing.Framing.Store.t ->
   ?route_cache:Dco3d_route.Route_cache.t ->
   specs:spec list ->
   configs:flow_config list ->

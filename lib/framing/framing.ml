@@ -1,6 +1,9 @@
-(* Shared magic+digest+rename framing for content-addressed cache
-   files — the spill tier and the route cache persist through this one
-   module so the corruption-handling discipline can't drift. *)
+(* The one on-disk store: magic+digest+rename framing for
+   content-addressed cache files, and the bounded LRU [Store] the
+   spill tier, the route cache and the corpus PPA store all persist
+   through, so the corruption-handling discipline can't drift. *)
+
+module Obs = Dco3d_obs.Obs
 
 let rec mkdir_p dir =
   if not (Sys.file_exists dir) then begin
@@ -64,13 +67,11 @@ let read_file ~magic ~path =
         discard path;
         None
 
-let count_entries ~dir ~suffix =
+(* The [suffix] file names in [dir]; none if it is unreadable. *)
+let entries ~dir ~suffix =
   match Sys.readdir dir with
-  | entries ->
-      Array.fold_left
-        (fun n e -> if Filename.check_suffix e suffix then n + 1 else n)
-        0 entries
-  | exception Sys_error _ -> 0
+  | names -> List.filter (fun e -> Filename.check_suffix e suffix) (Array.to_list names)
+  | exception Sys_error _ -> []
 
 let touch path =
   try Unix.utimes path 0. 0. with Unix.Unix_error _ -> ()
@@ -81,35 +82,116 @@ let touch path =
    cap and still gets unlinked, so a directory full of damaged
    survivors cannot pin the cache above its bound forever. *)
 let evict_lru ~dir ~suffix ~max_entries =
-  let max_entries = max 1 max_entries in
-  match Sys.readdir dir with
-  | exception Sys_error _ -> 0
-  | entries ->
-      let aged =
-        Array.to_list entries
-        |> List.filter_map (fun e ->
-               if not (Filename.check_suffix e suffix) then None
-               else
-                 let path = Filename.concat dir e in
-                 match Unix.stat path with
-                 | st -> Some (st.Unix.st_mtime, path)
-                 | exception Unix.Unix_error _ -> None)
+  let names = entries ~dir ~suffix in
+  (* Under the cap (the common case) this costs one readdir; only a
+     directory past it pays a stat per entry. *)
+  if List.length names <= max_entries then 0
+  else
+    let aged =
+      List.filter_map
+        (fun e ->
+          let path = Filename.concat dir e in
+          match Unix.stat path with
+          | st -> Some (st.Unix.st_mtime, path)
+          | exception Unix.Unix_error _ -> None)
+        names
+    in
+    (* oldest first; path tie-break keeps the order deterministic when
+       a burst of writes lands within one mtime granule *)
+    let doomed = List.length aged - max_entries in
+    List.sort compare aged
+    |> List.filteri (fun i _ -> i < doomed)
+    |> List.fold_left
+         (fun evicted (_, path) ->
+           match Sys.remove path with
+           | () -> evicted + 1
+           | exception Sys_error _ -> evicted)
+         0
+
+(* The single encoding seam: every store body is a [Marshal] of
+   [(key, value)].  Swapping the codec (e.g. for an explicit,
+   type-checked one) changes only these two functions. *)
+let encode key v = Marshal.to_string (key, v) []
+let decode body : string * 'v = Marshal.from_string body 0
+
+module Store = struct
+  type 'v t = {
+    dir : string;
+    magic : string;
+    suffix : string;
+    max_entries : int;
+    slack : int;
+    puts : int Atomic.t;  (* this handle's puts, for the eviction period *)
+    c_hit : Obs.counter;
+    c_miss : Obs.counter;
+    c_evicted : Obs.counter;
+  }
+
+  let default_max_entries = 4096
+
+  (* Hits, misses and evictions are functions of the request stream
+     alone, so all three counters are jobs-invariant. *)
+  let create ~magic ~suffix ~counters ?(max_entries = default_max_entries)
+      dir =
+    mkdir_p dir;
+    let max_entries = max 1 max_entries in
+    {
+      dir;
+      magic;
+      suffix;
+      max_entries;
+      slack = max_entries / 16;
+      puts = Atomic.make 0;
+      c_hit = Obs.counter (counters ^ "_hit");
+      c_miss = Obs.counter (counters ^ "_miss");
+      c_evicted = Obs.counter (counters ^ "_evicted");
+    }
+
+  let dir t = t.dir
+  let max_entries t = t.max_entries
+
+  let find t key =
+    let path = path_of ~dir:t.dir ~suffix:t.suffix key in
+    let found =
+      match read_file ~magic:t.magic ~path with
+      | None -> None
+      | Some body -> (
+          match decode body with
+          | stored_key, v when stored_key = key ->
+              touch path;
+              Some v
+          | _ | (exception _) ->
+              (* Digest-valid but undecodable (a body shorter than
+                 Marshal's header raises [Invalid_argument], not
+                 [Failure]) or stored under another key (an MD5
+                 collision, a renamed file): drop it so the next write
+                 can install a good copy. *)
+              discard path;
+              None)
+    in
+    Obs.incr (if Option.is_some found then t.c_hit else t.c_miss);
+    found
+
+  let put t key v =
+    let ok =
+      write_file ~magic:t.magic
+        ~path:(path_of ~dir:t.dir ~suffix:t.suffix key)
+        ~body:(encode key v)
+    in
+    (* Eviction is amortized: the pass (a readdir, plus a stat per
+       entry once over the target) runs on this handle's first put and
+       every [slack]-th put after it, and trims to [max_entries -
+       slack], so one writer never holds more than [max_entries] files
+       yet pays the directory scan only once per [slack] writes.  Caps
+       below 16 have no slack and scan on every put. *)
+    if Atomic.fetch_and_add t.puts 1 mod max 1 t.slack = 0 then begin
+      let evicted =
+        evict_lru ~dir:t.dir ~suffix:t.suffix
+          ~max_entries:(t.max_entries - t.slack)
       in
-      let n = List.length aged in
-      if n <= max_entries then 0
-      else begin
-        (* oldest first; path tie-break keeps the order deterministic
-           when a burst of writes lands within one mtime granule *)
-        let ordered = List.sort compare aged in
-        let doomed = ref (n - max_entries) and evicted = ref 0 in
-        List.iter
-          (fun (_, path) ->
-            if !doomed > 0 then begin
-              decr doomed;
-              match Sys.remove path with
-              | () -> incr evicted
-              | exception Sys_error _ -> ()
-            end)
-          ordered;
-        !evicted
-      end
+      if evicted > 0 then Obs.incr ~by:evicted t.c_evicted
+    end;
+    ok
+
+  let count t = List.length (entries ~dir:t.dir ~suffix:t.suffix)
+end

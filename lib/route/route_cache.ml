@@ -7,52 +7,18 @@
    key and a hit replays the stored result bit-identically (the
    determinism digest of a replay equals the cold route's).
 
-   One file per key under the cache dir, shared [Framing] layout:
-
-     "DCO3D-ROUTE-V1" | 16-byte MD5(body) | body
-
-   with body = Marshal of (key, flattened result).  The stored key is
-   re-checked after unmarshalling, so an MD5 filename collision or a
-   foreign file can never serve the wrong layout.  Writes are
-   temp-file + rename, so shard daemons and parallel dataset workers
-   can share one cache directory; all IO is best-effort. *)
+   Entries live in a [Framing.Store] ("DCO3D-ROUTE-V1", ".route",
+   [route/cache_*] counters) holding the flattened result, so stored-key
+   rechecks, corruption handling, the LRU bound and temp-file + rename
+   writes (shard daemons and parallel dataset workers share one cache
+   directory) are the store's; this module owns only the content key
+   and the flattening. *)
 
 module T = Dco3d_tensor.Tensor
 module Nl = Dco3d_netlist.Netlist
 module Fp = Dco3d_place.Floorplan
 module Pl = Dco3d_place.Placement
-module Obs = Dco3d_obs.Obs
-module Framing = Dco3d_framing.Framing
-
-type t = { dir : string; max_entries : int }
-
-let magic = "DCO3D-ROUTE-V1"
-let suffix = ".route"
-
-let default_max_entries () =
-  match int_of_string_opt (Sys.getenv "DCO3D_ROUTE_CACHE_CAP") with
-  | Some n when n > 0 -> n
-  | Some _ | None -> 4096
-  | exception Not_found -> 4096
-
-let create ?max_entries dir =
-  Framing.mkdir_p dir;
-  let max_entries =
-    match max_entries with
-    | Some n when n > 0 -> n
-    | Some _ | None -> default_max_entries ()
-  in
-  { dir; max_entries }
-
-let dir t = t.dir
-let max_entries t = t.max_entries
-
-(* Hits and misses are functions of the request stream alone, so both
-   counters are jobs-invariant; so is [evicted] (writes beyond the cap
-   are too). *)
-let c_hit = Obs.counter "route/cache_hit"
-let c_miss = Obs.counter "route/cache_miss"
-let c_evicted = Obs.counter "route/cache_evicted"
+module Store = Dco3d_framing.Framing.Store
 
 let add_int buf i = Buffer.add_string buf (Printf.sprintf " %d" i)
 
@@ -171,52 +137,26 @@ let result_of_flat f : Router.result =
     config = f.x_config;
   }
 
-let find t ~config p =
-  let k = key ~config p in
-  let path = Framing.path_of ~dir:t.dir ~suffix k in
-  let result =
-    match Framing.read_file ~magic ~path with
-    | None -> None
-    | Some body -> (
-        match (Marshal.from_string body 0 : string * flat) with
-        | stored_key, f when stored_key = k ->
-            Framing.touch path;
-            Some (result_of_flat f)
-        | _ ->
-            (* digest-valid but colliding/stale key *)
-            Framing.discard path;
-            None
-        | exception Failure _ ->
-            Framing.discard path;
-            None)
-  in
-  (match result with Some _ -> Obs.incr c_hit | None -> Obs.incr c_miss);
-  result
+type t = flat Store.t
 
-let put t ~config p (r : Router.result) =
-  let k = key ~config p in
-  let body = Marshal.to_string (k, flat_of_result r) [] in
-  let ok =
-    Framing.write_file ~magic ~path:(Framing.path_of ~dir:t.dir ~suffix k) ~body
-  in
-  let evicted =
-    Framing.evict_lru ~dir:t.dir ~suffix ~max_entries:t.max_entries
-  in
-  if evicted > 0 then Obs.incr ~by:evicted c_evicted;
-  ok
+let create ?max_entries dir =
+  Store.create ~magic:"DCO3D-ROUTE-V1" ~suffix:".route" ~counters:"route/cache"
+    ?max_entries dir
 
-let count t = Framing.count_entries ~dir:t.dir ~suffix
+let find t ~config p = Option.map result_of_flat (Store.find t (key ~config p))
 
 let find_or_route ?cache ?(validate = false) ?warm_start ~config p =
   match cache with
   | None -> Router.route ~config ~validate ?warm_start p
   | Some t -> (
-      match find t ~config p with
-      | Some r -> r
+      let k = key ~config p in
+      match Store.find t k with
+      | Some f -> result_of_flat f
       | None ->
           let r = Router.route ~config ~validate ?warm_start p in
           (* A warm-started result is a function of its predecessor
              chain, not of the content key alone, so persisting it
              would poison the cache's cold-replay contract. *)
-          if Option.is_none warm_start then ignore (put t ~config p r : bool);
+          if Option.is_none warm_start then
+            ignore (Store.put t k (flat_of_result r) : bool);
           r)

@@ -8,31 +8,27 @@
     it {e bit-identically}: [Router.digest] of a replay equals the cold
     route's.  Sub-GCell placement jitter maps to the same key.
 
-    Entries share the {!Dco3d_framing.Framing} on-disk layout
-    ("DCO3D-ROUTE-V1" + MD5(body) + Marshal of (key, value)) with
-    temp-file + rename writes, so shard daemons, parallel dataset
-    workers and repeated sweeps can all share one cache directory.
-    Corrupt, truncated or foreign files are deleted and treated as
-    misses; all IO is best-effort.  Counters [route/cache_hit] and
-    [route/cache_miss] report effectiveness. *)
+    Entries live in a {!Dco3d_framing.Framing.Store} (magic
+    ["DCO3D-ROUTE-V1"], suffix [.route], counters
+    [route/cache_{hit,miss,evicted}]), which owns the framing, the
+    stored-key recheck, corruption handling and the LRU bound; shard
+    daemons, parallel dataset workers and repeated sweeps can all
+    share one cache directory. *)
 
-type t
+type flat
+(** A {!Router.result} with its tensors flattened to [(shape, data)]
+    pairs — the stored value. *)
+
+type t = flat Dco3d_framing.Framing.Store.t
+(** Use {!Dco3d_framing.Framing.Store.dir} / [count] / [max_entries]
+    for diagnostics. *)
 
 val create : ?max_entries:int -> string -> t
 (** [create dir] opens a cache rooted at [dir], creating it (and
-    parents) if missing.  The cache is bounded: once more than
-    [max_entries] [.route] files exist, the oldest-by-mtime entries
-    are evicted after each write (read hits bump the mtime, so this is
-    LRU; corrupt survivors age out like any other file).  The cap
-    defaults to [DCO3D_ROUTE_CACHE_CAP] (else 4096) and is clamped to
-    >= 1.  Evictions are reported on the [route/cache_evicted]
-    counter.
+    parents) if missing.  Bounded at [max_entries] (default
+    {!Dco3d_framing.Framing.Store.default_max_entries}) by LRU
+    eviction after each write.
     @raise Unix.Unix_error if the directory cannot be created. *)
-
-val dir : t -> string
-
-val max_entries : t -> int
-(** The entry cap this cache enforces. *)
 
 val key : config:Router.config -> Dco3d_place.Placement.t -> string
 (** The content key (hex MD5) a placement routes under — exposed for
@@ -42,13 +38,6 @@ val find : t -> config:Router.config -> Dco3d_place.Placement.t ->
   Router.result option
 (** Cached result for this (netlist, binned placement, config), if
     present and intact. *)
-
-val put : t -> config:Router.config -> Dco3d_place.Placement.t ->
-  Router.result -> bool
-(** Persist a result; [false] if the write failed (disk full, …). *)
-
-val count : t -> int
-(** Number of [.route] entries currently on disk (for stats). *)
 
 val find_or_route :
   ?cache:t ->

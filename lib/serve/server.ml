@@ -2,6 +2,10 @@ module P = Protocol
 module Obs = Dco3d_obs.Obs
 module Predictor = Dco3d_core.Predictor
 module T = Dco3d_tensor.Tensor
+module Store = Dco3d_framing.Framing.Store
+module Route_cache = Dco3d_route.Route_cache
+module Corpus = Dco3d_corpus.Corpus
+module Dataset = Dco3d_core.Dataset
 
 type address = Unix_path of string | Tcp of string * int
 
@@ -42,8 +46,8 @@ let c_cache_miss = Obs.counter "serve/cache_miss"
 let c_overloaded = Obs.counter "serve/overloaded"
 let c_timeout = Obs.counter "serve/timeout"
 let c_epipe = Obs.counter "serve/epipe"
-let c_spill_hit = Obs.counter "serve/spill_hit"
 let c_spill_write = Obs.counter "serve/spill_write"
+let c_corpus_dedup = Obs.counter "serve/corpus_dedup"
 let g_queue_depth = Obs.gauge "serve/queue_depth"
 let h_batch_size = Obs.histogram "serve/batch_size"
 
@@ -58,6 +62,57 @@ type pending = {
   pm : Mutex.t;
   pcv : Condition.t;
 }
+
+(* One async job class: its queue, the worker's wakeup, and the status
+   table clients poll.  Finished statuses retire through two FIFOs:
+   [finished] in finish order and [polled] in the order their final
+   status was first answered ([unpolled] marks the finished ids not yet
+   answered).  A status goes once [job_retention] later ones have been
+   answered, or once [job_retention_unpolled] later jobs have finished,
+   whichever comes first; queued and running jobs are never dropped. *)
+type ('req, 'status) jobs = {
+  pending : (int * 'req) Queue.t;
+  wake : Condition.t;
+  status : (int, 'status) Hashtbl.t;
+  finished : int Queue.t;
+  unpolled : (int, unit) Hashtbl.t;
+  polled : int Queue.t;
+}
+
+let job_retention = 256
+let job_retention_unpolled = 4096
+
+let new_jobs () =
+  {
+    pending = Queue.create ();
+    wake = Condition.create ();
+    status = Hashtbl.create 16;
+    finished = Queue.create ();
+    unpolled = Hashtbl.create 16;
+    polled = Queue.create ();
+  }
+
+(* Drop the oldest ids of [fifo] past [limit].  An id may already be
+   gone through the other FIFO; removing it again is a no-op. *)
+let retire jobs fifo limit =
+  while Queue.length fifo > limit do
+    let id = Queue.pop fifo in
+    Hashtbl.remove jobs.status id;
+    Hashtbl.remove jobs.unpolled id
+  done
+
+(* Answer a poll.  Called with [t.m] held.  The first answer carrying
+   a finished status moves the id to the [polled] FIFO, so a matrix
+   client that submits every cell before polling any still finds
+   them all. *)
+let poll_status jobs id =
+  let status = Hashtbl.find_opt jobs.status id in
+  if Hashtbl.mem jobs.unpolled id then begin
+    Hashtbl.remove jobs.unpolled id;
+    Queue.push id jobs.polled;
+    retire jobs jobs.polled job_retention
+  end;
+  status
 
 type stats_acc = {
   mutable n_requests : int;
@@ -89,19 +144,17 @@ type t = {
      blocking select wakes immediately instead of on a poll tick. *)
   stop_rd : Unix.file_descr;
   stop_wr : Unix.file_descr;
-  spill : Spill.t option;
+  spill : (T.t * T.t) Store.t option;
+  route_cache : Route_cache.t option;
+  corpus_store : Corpus.row Store.t option;
   started_at : float;
   (* All mutable server state below is guarded by [m]. *)
   m : Mutex.t;
   queue_cv : Condition.t;  (* batcher wakeup *)
-  flow_cv : Condition.t;  (* flow-worker wakeup *)
-  corpus_cv : Condition.t;  (* corpus-worker wakeup *)
   queue : pending Queue.t;
   cache : (T.t * T.t) Lru.t;
-  jobs : (int, P.job_status) Hashtbl.t;
-  flow_queue : (int * P.flow_spec) Queue.t;
-  corpus_jobs : (int, P.corpus_status) Hashtbl.t;
-  corpus_queue : (int * string * P.corpus_req) Queue.t;  (* id, dedup key *)
+  flow_jobs : (P.flow_spec, P.job_status) jobs;
+  corpus_jobs : (string * P.corpus_req, P.corpus_status) jobs;  (* dedup key *)
   (* dedup key -> job id for queued/running corpus jobs: a duplicate
      submit joins the in-flight job instead of queueing a second run *)
   corpus_inflight : (string, int) Hashtbl.t;
@@ -111,8 +164,7 @@ type t = {
   stats : stats_acc;
   mutable accept_thread : Thread.t option;
   mutable batcher_thread : Thread.t option;
-  mutable flow_thread : Thread.t option;
-  mutable corpus_thread : Thread.t option;
+  mutable job_threads : Thread.t list;
   mutable handler_threads : Thread.t list;
 }
 
@@ -265,8 +317,47 @@ let batcher_loop t =
   done
 
 (* ------------------------------------------------------------------ *)
-(* Flow worker                                                         *)
+(* Job runner: flow and corpus jobs                                    *)
 (* ------------------------------------------------------------------ *)
+
+(* Register a queued job and wake its worker.  Called with [t.m] held;
+   ids are unique across both job classes. *)
+let enqueue t jobs ~queued req =
+  let id = t.next_job_id in
+  t.next_job_id <- id + 1;
+  Hashtbl.replace jobs.status id queued;
+  Queue.push (id, req) jobs.pending;
+  Condition.signal jobs.wake;
+  id
+
+(* One worker thread per job class, so a corpus cell never blocks a
+   flow job.  [run] must not raise (it folds failures into a status);
+   [finish] runs with [t.m] held once the final status is recorded.
+   The loop drains its queue before honouring [stopping]. *)
+let job_loop t jobs ~running ~run ~finish =
+  let rec loop () =
+    let next =
+      locked t (fun () ->
+          while Queue.is_empty jobs.pending && not t.stopping do
+            Condition.wait jobs.wake t.m
+          done;
+          let job = Queue.take_opt jobs.pending in
+          Option.iter (fun (id, _) -> Hashtbl.replace jobs.status id running) job;
+          job)
+    in
+    match next with
+    | None -> ()
+    | Some (id, req) ->
+        let status = run req in
+        locked t (fun () ->
+            Hashtbl.replace jobs.status id status;
+            Hashtbl.replace jobs.unpolled id ();
+            Queue.push id jobs.finished;
+            retire jobs jobs.finished job_retention_unpolled;
+            finish req status);
+        loop ()
+  in
+  loop ()
 
 let run_flow_spec ?route_cache (spec : P.flow_spec) =
   let profile = Dco3d_netlist.Generator.profile spec.P.fl_design in
@@ -289,60 +380,15 @@ let run_flow_spec ?route_cache (spec : P.flow_spec) =
     fs_power_mw = result.signoff.power_mw;
   }
 
-let flow_loop t =
-  (* Shards pass one shared directory, so repeated sweeps and sibling
-     daemons replay each other's routed corpus (Framing's temp+rename
-     writes make concurrent producers safe). *)
-  let route_cache =
-    Option.map
-      (fun d -> Dco3d_route.Route_cache.create d)
-      t.cfg.route_cache_dir
-  in
-  let running = ref true in
-  while !running do
-    let job =
-      locked t (fun () ->
-          while Queue.is_empty t.flow_queue && not t.stopping do
-            Condition.wait t.flow_cv t.m
-          done;
-          if Queue.is_empty t.flow_queue then begin
-            running := false;
-            None
-          end
-          else Some (Queue.pop t.flow_queue))
-    in
-    match job with
-    | None -> ()
-    | Some (id, spec) ->
-        locked t (fun () -> Hashtbl.replace t.jobs id P.Job_running);
-        let status =
-          try
-            let summary =
-              Obs.with_span "serve/flow_job"
-                ~args:[ ("design", spec.P.fl_design) ]
-                (fun () -> run_flow_spec ?route_cache spec)
-            in
-            P.Job_done summary
-          with
-          | Not_found ->
-              P.Job_failed (Printf.sprintf "unknown design %S" spec.P.fl_design)
-          | e -> P.Job_failed (Printexc.to_string e)
-        in
-        locked t (fun () ->
-            Hashtbl.replace t.jobs id status;
-            match status with
-            | P.Job_done _ -> t.stats.jobs_done <- t.stats.jobs_done + 1
-            | _ -> t.stats.jobs_failed <- t.stats.jobs_failed + 1)
-  done
-
-(* ------------------------------------------------------------------ *)
-(* Corpus worker                                                       *)
-(* ------------------------------------------------------------------ *)
-
-module Corpus = Dco3d_corpus.Corpus
-module Dataset = Dco3d_core.Dataset
-
-let c_corpus_dedup = Obs.counter "serve/corpus_dedup"
+let run_flow_job t (spec : P.flow_spec) =
+  try
+    P.Job_done
+      (Obs.with_span "serve/flow_job"
+         ~args:[ ("design", spec.P.fl_design) ]
+         (fun () -> run_flow_spec ?route_cache:t.route_cache spec))
+  with
+  | Not_found -> P.Job_failed (Printf.sprintf "unknown design %S" spec.P.fl_design)
+  | e -> P.Job_failed (Printexc.to_string e)
 
 let run_corpus_req ?store ?route_cache (req : P.corpus_req) =
   match req.P.cr_kind with
@@ -361,65 +407,36 @@ let run_corpus_req ?store ?route_cache (req : P.corpus_req) =
           cd_digest = Dataset.digest d;
         }
 
+let run_corpus_job t (_, (req : P.corpus_req)) =
+  try
+    P.Corpus_done
+      (Obs.with_span "serve/corpus_job"
+         ~args:
+           [
+             ("design", req.P.cr_spec.Corpus.sp_name);
+             ("config", req.P.cr_config.Corpus.fc_name);
+           ]
+         (fun () ->
+           run_corpus_req ?store:t.corpus_store ?route_cache:t.route_cache req))
+  with
+  | Not_found ->
+      P.Corpus_failed
+        (Printf.sprintf "unknown base profile %S" req.P.cr_spec.Corpus.sp_base)
+  | e -> P.Corpus_failed (Printexc.to_string e)
+
+let flow_loop t =
+  job_loop t t.flow_jobs ~running:P.Job_running ~run:(run_flow_job t)
+    ~finish:(fun _ -> function
+      | P.Job_done _ -> t.stats.jobs_done <- t.stats.jobs_done + 1
+      | _ -> t.stats.jobs_failed <- t.stats.jobs_failed + 1)
+
 let corpus_loop t =
-  (* The PPA store sits next to the route cache (one layout corpus per
-     fleet): an explicit --corpus-cache wins, else <route cache>/corpus,
-     else no persistence (jobs still run). *)
-  let route_cache =
-    Option.map
-      (fun d -> Dco3d_route.Route_cache.create d)
-      t.cfg.route_cache_dir
-  in
-  let store_dir =
-    match (t.cfg.corpus_dir, t.cfg.route_cache_dir) with
-    | Some d, _ -> Some d
-    | None, Some rc -> Some (Filename.concat rc "corpus")
-    | None, None -> None
-  in
-  let store = Option.map (fun d -> Corpus.Store.create d) store_dir in
-  let running = ref true in
-  while !running do
-    let job =
-      locked t (fun () ->
-          while Queue.is_empty t.corpus_queue && not t.stopping do
-            Condition.wait t.corpus_cv t.m
-          done;
-          if Queue.is_empty t.corpus_queue then begin
-            running := false;
-            None
-          end
-          else Some (Queue.pop t.corpus_queue))
-    in
-    match job with
-    | None -> ()
-    | Some (id, key, req) ->
-        locked t (fun () -> Hashtbl.replace t.corpus_jobs id P.Corpus_running);
-        let status =
-          try
-            let result =
-              Obs.with_span "serve/corpus_job"
-                ~args:
-                  [
-                    ("design", req.P.cr_spec.Corpus.sp_name);
-                    ("config", req.P.cr_config.Corpus.fc_name);
-                  ]
-                (fun () -> run_corpus_req ?store ?route_cache req)
-            in
-            P.Corpus_done result
-          with
-          | Not_found ->
-              P.Corpus_failed
-                (Printf.sprintf "unknown base profile %S"
-                   req.P.cr_spec.Corpus.sp_base)
-          | e -> P.Corpus_failed (Printexc.to_string e)
-        in
-        locked t (fun () ->
-            Hashtbl.replace t.corpus_jobs id status;
-            Hashtbl.remove t.corpus_inflight key;
-            match status with
-            | P.Corpus_done _ -> t.stats.corpus_done <- t.stats.corpus_done + 1
-            | _ -> t.stats.corpus_failed <- t.stats.corpus_failed + 1)
-  done
+  job_loop t t.corpus_jobs ~running:P.Corpus_running ~run:(run_corpus_job t)
+    ~finish:(fun (key, _) status ->
+      Hashtbl.remove t.corpus_inflight key;
+      match status with
+      | P.Corpus_done _ -> t.stats.corpus_done <- t.stats.corpus_done + 1
+      | _ -> t.stats.corpus_failed <- t.stats.corpus_failed + 1)
 
 (* ------------------------------------------------------------------ *)
 (* Stats                                                               *)
@@ -488,16 +505,13 @@ let handle_predict t payload timeout_ms =
      restarted shard serves its predecessor's hot set.  The disk read
      runs outside the state lock; a racing duplicate at worst reads the
      same file twice. *)
-  match
-    match t.spill with Some sp -> Spill.find sp key | None -> None
-  with
+  match Option.bind t.spill (fun sp -> Store.find sp key) with
   | Some (cb, ct) ->
       locked t (fun () ->
           Lru.put t.cache key (cb, ct);
           t.stats.n_cache_hits <- t.stats.n_cache_hits + 1;
           t.stats.n_spill_hits <- t.stats.n_spill_hits + 1);
       Obs.incr c_cache_hit;
-      Obs.incr c_spill_hit;
       P.Predicted { c_bottom = cb; c_top = ct; cache_hit = true }
   | None ->
   let action =
@@ -551,18 +565,13 @@ let handle_request t (env : P.envelope) =
         locked t (fun () ->
             if t.stopping then -1
             else begin
-              let id = t.next_job_id in
-              t.next_job_id <- id + 1;
-              Hashtbl.replace t.jobs id P.Job_queued;
-              Queue.push (id, spec) t.flow_queue;
               t.stats.jobs_submitted <- t.stats.jobs_submitted + 1;
-              Condition.signal t.flow_cv;
-              id
+              enqueue t t.flow_jobs ~queued:P.Job_queued spec
             end)
       in
       if id < 0 then P.Server_error "server shutting down" else P.Accepted id
   | P.Flow_poll id -> (
-      match locked t (fun () -> Hashtbl.find_opt t.jobs id) with
+      match locked t (fun () -> poll_status t.flow_jobs id) with
       | Some status -> P.Status status
       | None -> P.Server_error (Printf.sprintf "unknown job id %d" id))
   | P.Hello _ ->
@@ -587,18 +596,16 @@ let handle_request t (env : P.envelope) =
                   Obs.incr c_corpus_dedup;
                   id
               | None ->
-                  let id = t.next_job_id in
-                  t.next_job_id <- id + 1;
-                  Hashtbl.replace t.corpus_jobs id P.Corpus_queued;
+                  let id =
+                    enqueue t t.corpus_jobs ~queued:P.Corpus_queued (key, req)
+                  in
                   Hashtbl.replace t.corpus_inflight key id;
-                  Queue.push (id, key, req) t.corpus_queue;
                   t.stats.corpus_submitted <- t.stats.corpus_submitted + 1;
-                  Condition.signal t.corpus_cv;
                   id)
       in
       if id < 0 then P.Server_error "server shutting down" else P.Accepted id
   | P.Corpus_poll id -> (
-      match locked t (fun () -> Hashtbl.find_opt t.corpus_jobs id) with
+      match locked t (fun () -> poll_status t.corpus_jobs id) with
       | Some status -> P.Corpus_status status
       | None -> P.Server_error (Printf.sprintf "unknown corpus job id %d" id))
 
@@ -721,6 +728,17 @@ let bind_listen = function
 let ignore_sigpipe () =
   if Sys.os_type = "Unix" then Sys.set_signal Sys.sigpipe Sys.Signal_ignore
 
+let open_spill dir : (T.t * T.t) Store.t =
+  Store.create ~magic:"DCO3D-SPILL-V1" ~suffix:".spill" ~counters:"serve/spill"
+    dir
+
+(* Persist one cache entry to the spill.  Called with [t.m] held. *)
+let spill_put t sp key value =
+  if Store.put sp key value then begin
+    t.stats.n_spill_writes <- t.stats.n_spill_writes + 1;
+    Obs.incr c_spill_write
+  end
+
 let make ~listen ~bound cfg predictor =
   ignore_sigpipe ();
   if cfg.queue_capacity < 1 then invalid_arg "Server.start: queue_capacity < 1";
@@ -731,7 +749,19 @@ let make ~listen ~bound cfg predictor =
      startup, not mid-serve. *)
   let fingerprint = Predictor.fingerprint ~numeric:cfg.numeric predictor in
   let stop_rd, stop_wr = Unix.pipe ~cloexec:true () in
-  let spill = Option.map (fun dir -> Spill.create ~dir) cfg.spill_dir in
+  let spill = Option.map open_spill cfg.spill_dir in
+  (* One route cache and one PPA store per daemon, shared by both job
+     workers.  Shards pass one shared directory, so sibling daemons
+     replay each other's routed corpus.  The PPA store sits next to the
+     route cache: an explicit --corpus-cache wins, else
+     <route cache>/corpus, else no persistence (jobs still run). *)
+  let route_cache = Option.map Route_cache.create cfg.route_cache_dir in
+  let corpus_store =
+    match (cfg.corpus_dir, cfg.route_cache_dir) with
+    | Some d, _ -> Some (Corpus.open_store d)
+    | None, Some rc -> Some (Corpus.open_store (Filename.concat rc "corpus"))
+    | None, None -> None
+  in
   let t =
     {
       cfg;
@@ -742,17 +772,15 @@ let make ~listen ~bound cfg predictor =
       stop_rd;
       stop_wr;
       spill;
+      route_cache;
+      corpus_store;
       started_at = now ();
       m = Mutex.create ();
       queue_cv = Condition.create ();
-      flow_cv = Condition.create ();
-      corpus_cv = Condition.create ();
       queue = Queue.create ();
       cache = Lru.create ~capacity:cfg.cache_capacity;
-      jobs = Hashtbl.create 16;
-      flow_queue = Queue.create ();
-      corpus_jobs = Hashtbl.create 16;
-      corpus_queue = Queue.create ();
+      flow_jobs = new_jobs ();
+      corpus_jobs = new_jobs ();
       corpus_inflight = Hashtbl.create 16;
       next_job_id = 0;
       stopping = false;
@@ -779,29 +807,24 @@ let make ~listen ~bound cfg predictor =
         };
       accept_thread = None;
       batcher_thread = None;
-      flow_thread = None;
-      corpus_thread = None;
+      job_threads = [];
       handler_threads = [];
     }
   in
   (* Eviction-to-disk hook: fires inside [Lru.put] while [t.m] is held,
-     which is fine — entries are two small gcell maps and the write is
-     one buffered temp file + rename. *)
+     which is fine — entries are two small gcell maps, the write is one
+     buffered temp file + rename, and the store scans its directory
+     only once per cap/16 puts. *)
   Option.iter
-    (fun sp ->
-      Lru.set_on_evict t.cache (fun key value ->
-          if Spill.put sp key value then begin
-            t.stats.n_spill_writes <- t.stats.n_spill_writes + 1;
-            Obs.incr c_spill_write
-          end))
+    (fun sp -> Lru.set_on_evict t.cache (fun key value -> spill_put t sp key value))
     spill;
   Option.iter
     (fun listen_fd ->
       t.accept_thread <- Some (Thread.create (fun () -> accept_loop t listen_fd) ()))
     listen;
   t.batcher_thread <- Some (Thread.create (fun () -> batcher_loop t) ());
-  t.flow_thread <- Some (Thread.create (fun () -> flow_loop t) ());
-  t.corpus_thread <- Some (Thread.create (fun () -> corpus_loop t) ());
+  t.job_threads <-
+    [ Thread.create flow_loop t; Thread.create corpus_loop t ];
   t
 
 let start cfg predictor =
@@ -822,8 +845,8 @@ let request_stop t =
         else begin
           t.stopping <- true;
           Condition.broadcast t.queue_cv;
-          Condition.broadcast t.flow_cv;
-          Condition.broadcast t.corpus_cv;
+          Condition.broadcast t.flow_jobs.wake;
+          Condition.broadcast t.corpus_jobs.wake;
           true
         end)
   in
@@ -846,18 +869,11 @@ let wait t =
      worker.  Handlers waiting on pending outcomes therefore finish. *)
   Option.iter Thread.join t.batcher_thread;
   List.iter Thread.join (locked t (fun () -> t.handler_threads));
-  Option.iter Thread.join t.flow_thread;
-  Option.iter Thread.join t.corpus_thread;
+  List.iter Thread.join t.job_threads;
   (* Flush the surviving hot set so a successor process starts warm —
      eviction only spilled the overflow; this writes what's resident. *)
   Option.iter
-    (fun sp ->
-      locked t (fun () ->
-          Lru.iter t.cache (fun key value ->
-              if Spill.put sp key value then begin
-                t.stats.n_spill_writes <- t.stats.n_spill_writes + 1;
-                Obs.incr c_spill_write
-              end)))
+    (fun sp -> locked t (fun () -> Lru.iter t.cache (spill_put t sp)))
     t.spill;
   Option.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) t.listen;
   (try Unix.close t.stop_rd with Unix.Unix_error _ -> ());

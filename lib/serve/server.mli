@@ -14,13 +14,15 @@
        {!Dco3d_core.Predictor.predict_batch} forward pass for the whole
        batch — bit-identical to per-request [predict], so batching is
        invisible to clients;}
-    {- a {b flow worker} that runs submitted flow jobs one at a time;
-       clients poll them by job id;}
-    {- a {b corpus worker} that runs the third async request class —
-       corpus PPA cells and corpus dataset builds — deduped in-flight
-       by {!Protocol.corpus_key} and cached on disk through
-       {!Dco3d_corpus.Corpus.Store} next to the route cache, so a
-       whole fleet shares one evaluated corpus.}}
+    {- two {b job workers} running one job loop: one runs submitted
+       flow jobs, the other the third async request class — corpus PPA
+       cells and corpus dataset builds, deduped in-flight by
+       {!Protocol.corpus_key} and cached on disk through
+       {!Dco3d_corpus.Corpus.open_store} next to the route cache, so a
+       whole fleet shares one evaluated corpus.  Each class runs one
+       job at a time, so a corpus cell never blocks a flow job; clients
+       poll jobs by id, and each job table keeps a bounded number of
+       finished statuses ({!job_retention}, {!job_retention_unpolled}).}}
 
     Results are cached in an {!Lru} keyed by
     [Protocol.predict_key ^ ":" ^ Predictor.fingerprint], so a repeated
@@ -35,7 +37,9 @@
 
     Observability: [serve/queue_depth] gauge, [serve/batch_size]
     histogram, [serve/cache_hit]/[serve/cache_miss]/[serve/overloaded]/
-    [serve/timeout]/[serve/epipe]/[serve/corpus_dedup] counters, and
+    [serve/timeout]/[serve/epipe]/[serve/corpus_dedup]/
+    [serve/spill_write] counters (plus the spill store's
+    [serve/spill_{hit,miss,evicted}]), and
     [serve/batch] / [serve/flow_job] / [serve/corpus_job] spans, all
     through {!Dco3d_obs.Obs}. *)
 
@@ -58,16 +62,19 @@ type config = {
           float results can never alias.  The compilation is forced at
           {!start}, so the first request pays no quantization latency. *)
   spill_dir : string option;
-      (** when set, evicted LRU entries are persisted here ({!Spill})
-          and cache misses read through the spill before running the
-          forward pass — restarts keep the hot set (default [None]) *)
+      (** when set, evicted LRU entries are persisted here and cache
+          misses read through the spill before running the forward
+          pass — restarts keep the hot set (default [None]).  The spill
+          is a {!Dco3d_framing.Framing.Store} ("DCO3D-SPILL-V1",
+          [.spill], [serve/spill_{hit,miss,evicted}] counters), bounded
+          LRU at {!Dco3d_framing.Framing.Store.default_max_entries}. *)
   route_cache_dir : string option;
       (** when set, the async flow jobs route through a
           content-addressed {!Dco3d_route.Route_cache} rooted here;
           shards given the same directory share one routed corpus
           (default [None]) *)
   corpus_dir : string option;
-      (** PPA row store for corpus jobs ({!Dco3d_corpus.Corpus.Store}).
+      (** PPA row store for corpus jobs ({!Dco3d_corpus.Corpus.open_store}).
           Defaults to [<route_cache_dir>/corpus] when a route cache is
           configured, else no persistence (default [None]) *)
   shard_id : int;
@@ -76,6 +83,13 @@ type config = {
 }
 
 val default_config : address -> config
+
+val open_spill :
+  string -> (Dco3d_tensor.Tensor.t * Dco3d_tensor.Tensor.t) Dco3d_framing.Framing.Store.t
+(** The spill store rooted at a directory, as {!start} opens
+    [spill_dir]: magic ["DCO3D-SPILL-V1"], suffix [.spill], counters
+    [serve/spill_{hit,miss,evicted}], default cap.
+    @raise Unix.Unix_error if the directory cannot be created. *)
 
 val numeric_name : [ `F32 | `I8 ] -> string
 (** ["f32"] / ["i8"] — the wire spelling used in hello handshakes. *)
@@ -95,8 +109,8 @@ val start : config -> Dco3d_core.Predictor.t -> t
     @raise Unix.Unix_error if the address cannot be bound. *)
 
 val start_detached : config -> Dco3d_core.Predictor.t -> t
-(** Like {!start} but binds no listening socket: the batcher, flow
-    worker, cache, and spill all run, and connections arrive only via
+(** Like {!start} but binds no listening socket: the batcher, job
+    workers, cache, and spill all run, and connections arrive only via
     {!adopt_connection}.  This is the shard-side server behind the
     fd-passing balancer. *)
 
@@ -125,11 +139,24 @@ val request_stop : t -> unit
 val wait : t -> unit
 (** Block until shutdown completes: live connections are shut down,
     the queued predict requests are drained (each gets its reply or
-    [Timed_out]), queued flow jobs finish, and the socket is closed
+    [Timed_out]), queued flow and corpus jobs finish, and the socket is closed
     (and unlinked, for a Unix-domain path). *)
 
 val stop : t -> unit
 (** [request_stop] then [wait]. *)
+
+val job_retention : int
+(** Answered finished jobs each job table remembers (256).  Once a
+    poll has returned a job's final status, the job is dropped after
+    this many later jobs of its table have had their final status
+    answered; polling a dropped id answers "unknown job id".  Queued
+    and running jobs are never dropped. *)
+
+val job_retention_unpolled : int
+(** The hard bound (4096): a finished job whose final status nobody
+    has polled yet is dropped once this many later jobs of its table
+    have finished.  A client may therefore submit up to this many jobs
+    before it polls the first. *)
 
 val stats : t -> (string * float) list
 (** The same snapshot served to [Stats] requests: queue depth, cache

@@ -1,4 +1,4 @@
-(* dco3d.serve fleet: LRU eviction hooks, persistent spill framing,
+(* dco3d.serve fleet: LRU eviction hooks, the spill's on-disk layout,
    warm restarts from spill, self-pipe stop latency, and process-level
    balancer failure paths (shard crash mid-stream, drain-while-serving,
    numeric-path routing) against real [dco3d serve --shard-of]
@@ -11,7 +11,6 @@ module SiaUNet = Dco3d_nn.Siamese_unet
 module Predictor = Dco3d_core.Predictor
 module Lru = Dco3d_serve.Lru
 module Proto = Dco3d_serve.Protocol
-module Spill = Dco3d_serve.Spill
 module Server = Dco3d_serve.Server
 module Client = Dco3d_serve.Client
 module Balance = Dco3d_serve.Balance
@@ -91,8 +90,10 @@ let test_lru_iter_order () =
   Alcotest.(check bool) "b evicted first" false (Lru.mem c "b")
 
 (* ------------------------------------------------------------------ *)
-(* Spill store                                                         *)
+(* The spill store as the server opens it                              *)
 (* ------------------------------------------------------------------ *)
+
+module Store = Dco3d_framing.Framing.Store
 
 let pair_of_seed seed =
   let rng = Rng.create seed in
@@ -104,26 +105,38 @@ let spill_file dir key =
 let test_spill_roundtrip () =
   let dir = tmp_name ".spill" in
   Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
-  let s = Spill.create ~dir in
+  Obs.reset ();
+  Obs.enable ();
+  Fun.protect ~finally:(fun () ->
+      Obs.disable ();
+      Obs.reset ())
+  @@ fun () ->
+  let s = Server.open_spill dir in
   let b, t = pair_of_seed 3 in
-  Alcotest.(check bool) "put succeeds" true (Spill.put s "key-1" (b, t));
-  Alcotest.(check int) "one entry on disk" 1 (Spill.count s);
-  (match Spill.find s "key-1" with
+  Alcotest.(check bool) "put succeeds" true (Store.put s "key-1" (b, t));
+  Alcotest.(check int) "one entry on disk" 1 (Store.count s);
+  Alcotest.(check bool) "named MD5-hex(key).spill" true
+    (Sys.file_exists (spill_file dir "key-1"));
+  (match Store.find s "key-1" with
   | Some (gb, gt) ->
       check_bits "bottom survives disk" b gb;
       check_bits "top survives disk" t gt
   | None -> Alcotest.fail "spilled entry not found");
-  Alcotest.(check bool) "missing key misses" true (Spill.find s "nope" = None);
+  Alcotest.(check bool) "missing key misses" true (Store.find s "nope" = None);
+  Alcotest.(check int) "serve/spill_hit counted" 1
+    (Obs.counter_value "serve/spill_hit");
+  Alcotest.(check int) "serve/spill_miss counted" 1
+    (Obs.counter_value "serve/spill_miss");
   (* a fresh handle on the same dir sees the entry: restart persistence *)
-  let s2 = Spill.create ~dir in
+  let s2 = Server.open_spill dir in
   Alcotest.(check bool) "entry survives re-open" true
-    (Spill.find s2 "key-1" <> None)
+    (Store.find s2 "key-1" <> None)
 
 let test_spill_rejects_corruption () =
   let dir = tmp_name ".spill" in
   Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
-  let s = Spill.create ~dir in
-  Alcotest.(check bool) "put" true (Spill.put s "key-1" (pair_of_seed 4));
+  let s = Server.open_spill dir in
+  Alcotest.(check bool) "put" true (Store.put s "key-1" (pair_of_seed 4));
   let path = spill_file dir "key-1" in
   (* flip a byte in the middle of the body: digest check must fail *)
   let fd = Unix.openfile path [ Unix.O_RDWR ] 0 in
@@ -131,20 +144,20 @@ let test_spill_rejects_corruption () =
   ignore (Unix.write fd (Bytes.of_string "\xff") 0 1);
   Unix.close fd;
   Alcotest.(check bool) "corrupt entry is a miss" true
-    (Spill.find s "key-1" = None);
+    (Store.find s "key-1" = None);
   Alcotest.(check bool) "corrupt file deleted" false (Sys.file_exists path);
-  Alcotest.(check int) "store empty again" 0 (Spill.count s)
+  Alcotest.(check int) "store empty again" 0 (Store.count s)
 
 let test_spill_rejects_wrong_key () =
   let dir = tmp_name ".spill" in
   Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
-  let s = Spill.create ~dir in
-  Alcotest.(check bool) "put" true (Spill.put s "key-a" (pair_of_seed 5));
+  let s = Server.open_spill dir in
+  Alcotest.(check bool) "put" true (Store.put s "key-a" (pair_of_seed 5));
   (* simulate a hash-slot mixup: the file lands under key-b's name but
      still stores "key-a" inside; the stored-key check must reject it *)
   Sys.rename (spill_file dir "key-a") (spill_file dir "key-b");
   Alcotest.(check bool) "foreign entry is a miss" true
-    (Spill.find s "key-b" = None);
+    (Store.find s "key-b" = None);
   Alcotest.(check bool) "foreign file deleted" false
     (Sys.file_exists (spill_file dir "key-b"));
   (* truncated file: framing check must reject without raising *)
@@ -153,7 +166,7 @@ let test_spill_rejects_wrong_key () =
   output_string oc "DCO3D";
   close_out oc;
   Alcotest.(check bool) "truncated entry is a miss" true
-    (Spill.find s "key-c" = None);
+    (Store.find s "key-c" = None);
   Alcotest.(check bool) "truncated file deleted" false (Sys.file_exists path)
 
 (* ------------------------------------------------------------------ *)
@@ -220,9 +233,26 @@ let test_server_spill_warm_restart () =
     (stat srv "spill_writes" >= 1.);
   Client.close c;
   Server.stop srv;
-  (* drain flushed the two resident entries too: all three on disk *)
-  Alcotest.(check int) "hot set flushed on drain" 3
-    (Spill.count (Spill.create ~dir:spill_dir));
+  (* drain flushed the two resident entries too: all three on disk,
+     named MD5-hex(key).spill and framed under the spill magic *)
+  let spilled =
+    Sys.readdir spill_dir |> Array.to_list
+    |> List.filter (fun e -> Filename.check_suffix e ".spill")
+  in
+  Alcotest.(check int) "hot set flushed on drain" 3 (List.length spilled);
+  Array.iteri
+    (fun i (b, t) ->
+      let key =
+        Proto.predict_key { Proto.f_bottom = b; f_top = t }
+        ^ ":" ^ Server.fingerprint srv
+      in
+      let path = Dco3d_framing.Framing.path_of ~dir:spill_dir ~suffix:".spill" key in
+      let ic = open_in_bin path in
+      let head = really_input_string ic 14 in
+      close_in ic;
+      Alcotest.(check string) (Printf.sprintf "entry %d framed as a spill" i)
+        "DCO3D-SPILL-V1" head)
+    inputs;
   (* second life: fresh process state, same spill dir.  Every key is a
      digest-verified disk hit, bit-identical, no forward pass. *)
   let srv2 = Server.start (server_cfg ~cache_capacity:2 ~spill_dir ()) predictor in
@@ -244,6 +274,38 @@ let test_server_spill_warm_restart () =
         inputs;
       Alcotest.(check bool) "hits came from spill" true
         (stat srv2 "spill_hits" >= 3.))
+
+(* An entry written in the spill's on-disk layout by an older daemon —
+   "DCO3D-SPILL-V1" | MD5(body) | Marshal (key, (c_bottom, c_top)) under
+   MD5-hex(key).spill — is served as a cache hit, verbatim. *)
+let test_server_spill_planted_entry () =
+  let predictor = mk_predictor 19 in
+  let spill_dir = tmp_name ".spill" in
+  Fun.protect ~finally:(fun () -> rm_rf spill_dir) @@ fun () ->
+  let rng = Rng.create 31 in
+  let b, t = (rand_stack rng 6 6, rand_stack rng 6 6) in
+  (* deliberately not the model's output: only the disk can supply it *)
+  let pb, pt = (rand_stack rng 6 6, rand_stack rng 6 6) in
+  let srv = Server.start (server_cfg ~spill_dir ()) predictor in
+  let c = Client.connect (Server.bound_addr srv) in
+  Fun.protect
+    ~finally:(fun () ->
+      Client.close c;
+      Server.stop srv)
+  @@ fun () ->
+  let key =
+    Proto.predict_key { Proto.f_bottom = b; f_top = t }
+    ^ ":" ^ Server.fingerprint srv
+  in
+  Alcotest.(check bool) "planted" true
+    (Dco3d_framing.Framing.write_file ~magic:"DCO3D-SPILL-V1"
+       ~path:(Dco3d_framing.Framing.path_of ~dir:spill_dir ~suffix:".spill" key)
+       ~body:(Marshal.to_string (key, (pb, pt)) []));
+  let rb, rt, hit = predict_ok "planted" c b t in
+  Alcotest.(check bool) "planted entry is a hit" true hit;
+  check_bits "planted bottom" pb rb;
+  check_bits "planted top" pt rt;
+  Alcotest.(check (float 0.)) "one spill hit" 1. (stat srv "spill_hits")
 
 let test_server_spill_corrupt_recompute () =
   let predictor = mk_predictor 13 in
@@ -509,6 +571,8 @@ let suites =
           test_server_spill_warm_restart;
         Alcotest.test_case "corrupt spill recomputes" `Quick
           test_server_spill_corrupt_recompute;
+        Alcotest.test_case "planted entry in the old layout is served" `Quick
+          test_server_spill_planted_entry;
       ] );
     ( "balance wakeup",
       [ Alcotest.test_case "stop beats the old poll tick" `Quick

@@ -1,5 +1,5 @@
-(* dco3d.corpus: the generated PPA benchmark suite and the bounded
-   on-disk stores underneath it.
+(* dco3d.corpus: the generated PPA benchmark suite, its PPA store and
+   the bounded route cache underneath it.
 
    Load-bearing properties:
 
@@ -10,8 +10,8 @@
    - a PPA row's determinism digest is jobs-invariant and rerun-stable,
      and a store replay returns the stored row verbatim (runtimes
      included);
-   - the caches are bounded: LRU-by-mtime eviction past the cap, with
-     corrupt survivors aging out like live entries;
+   - the route cache is bounded (the store under it has its own suite
+     in test_store.ml) and its survivors still replay;
    - the serving tier replays a corpus cell bit-identically, dedupes
      identical in-flight requests, and answers repeats from the store
      without re-running the flow. *)
@@ -22,7 +22,7 @@ module Placer = Dco3d_place.Placer
 module Params = Dco3d_place.Params
 module R = Dco3d_route.Router
 module Rc = Dco3d_route.Route_cache
-module Framing = Dco3d_framing.Framing
+module Store = Dco3d_framing.Framing.Store
 module Corpus = Dco3d_corpus.Corpus
 module Dataset = Dco3d_core.Dataset
 module Obs = Dco3d_obs.Obs
@@ -72,98 +72,18 @@ let row_t =
     ( = )
 
 (* ------------------------------------------------------------------ *)
-(* Framing: LRU eviction primitive                                     *)
-(* ------------------------------------------------------------------ *)
-
-let test_evict_lru () =
-  let dir = tmp_dir () in
-  Framing.mkdir_p dir;
-  let file i = Filename.concat dir (Printf.sprintf "e%d.x" i) in
-  for i = 0 to 4 do
-    let oc = open_out (file i) in
-    output_string oc "x";
-    close_out oc;
-    (* deterministic mtimes, oldest first *)
-    Unix.utimes (file i) (1000. +. float_of_int i) (1000. +. float_of_int i)
-  done;
-  let foreign = Filename.concat dir "other.y" in
-  let oc = open_out foreign in
-  close_out oc;
-  let removed = Framing.evict_lru ~dir ~suffix:".x" ~max_entries:2 in
-  Alcotest.(check int) "evicts past cap" 3 removed;
-  Alcotest.(check bool) "oldest gone" false (Sys.file_exists (file 0));
-  Alcotest.(check bool) "next-oldest gone" false (Sys.file_exists (file 1));
-  Alcotest.(check bool) "newest kept" true (Sys.file_exists (file 4));
-  Alcotest.(check bool) "foreign suffix untouched" true
-    (Sys.file_exists foreign);
-  Alcotest.(check int) "under cap is a no-op" 0
-    (Framing.evict_lru ~dir ~suffix:".x" ~max_entries:10);
-  (* touch promotes: file 3 becomes newest, so a cap of 1 keeps it *)
-  Framing.touch (file 3);
-  let removed = Framing.evict_lru ~dir ~suffix:".x" ~max_entries:1 in
-  Alcotest.(check int) "cap 1" 1 removed;
-  Alcotest.(check bool) "touched entry survives" true
-    (Sys.file_exists (file 3));
-  Alcotest.(check bool) "untouched entry evicted" false
-    (Sys.file_exists (file 4));
-  Alcotest.(check int) "missing dir" 0
-    (Framing.evict_lru ~dir:(Filename.concat dir "nope") ~suffix:".x"
-       ~max_entries:1)
-
-(* ------------------------------------------------------------------ *)
-(* Route cache: bounded size                                           *)
-(* ------------------------------------------------------------------ *)
-
-let placed ?(scale = 0.02) ~seed name =
-  let nl = Gen.generate ~scale ~seed (Gen.profile name) in
-  let fp = Fp.create nl in
-  Placer.global_place ~seed:1 ~params:Params.default nl fp
-
-let test_route_cache_cap () =
-  with_obs @@ fun () ->
-  let rc = Rc.create ~max_entries:2 (tmp_dir ()) in
-  Alcotest.(check int) "explicit cap" 2 (Rc.max_entries rc);
-  (* three distinct placements -> three distinct keys -> one eviction *)
-  for seed = 1 to 3 do
-    let p = placed ~seed "DMA" in
-    ignore (Rc.find_or_route ~cache:rc ~config:(R.calibrated_config p) p)
-  done;
-  Alcotest.(check int) "bounded" 2 (Rc.count rc);
-  Alcotest.(check int) "eviction counted" 1
-    (Obs.counter_value "route/cache_evicted");
-  (* the survivors still replay *)
-  let p = placed ~seed:3 "DMA" in
-  let cfg = R.calibrated_config p in
-  let cold = R.route ~config:cfg p in
-  let replay = Rc.find_or_route ~cache:rc ~config:cfg p in
-  Alcotest.(check string) "survivor replays bit-identically" (R.digest cold)
-    (R.digest replay)
-
-let test_route_cache_env_cap () =
-  Unix.putenv "DCO3D_ROUTE_CACHE_CAP" "17";
-  Fun.protect ~finally:(fun () -> Unix.putenv "DCO3D_ROUTE_CACHE_CAP" "")
-  @@ fun () ->
-  Alcotest.(check int) "env cap" 17 (Rc.max_entries (Rc.create (tmp_dir ())));
-  Unix.putenv "DCO3D_ROUTE_CACHE_CAP" "-3";
-  Alcotest.(check int) "non-positive falls back" 4096
-    (Rc.max_entries (Rc.create (tmp_dir ())));
-  Unix.putenv "DCO3D_ROUTE_CACHE_CAP" "";
-  Alcotest.(check int) "unset falls back" 4096
-    (Rc.max_entries (Rc.create (tmp_dir ())))
-
-(* ------------------------------------------------------------------ *)
-(* Corpus store: round-trip, corruption, bound                         *)
+(* PPA store: the corpus instance of the shared store                  *)
 (* ------------------------------------------------------------------ *)
 
 let fake_row i =
   {
-    Corpus.r_design = "fake";
-    r_digest = Printf.sprintf "%032x" i;
+    Corpus.r_design = Printf.sprintf "d%d" i;
+    r_digest = String.make 32 '0';
     r_config = "base";
     r_seed = i;
-    r_cells = 10 + i;
+    r_cells = 10;
     r_nets = 12;
-    r_overflow = i;
+    r_overflow = 3;
     r_ovf_pct = 0.5;
     r_wirelength_um = 123.4;
     r_wns_ps = -1.5;
@@ -178,53 +98,60 @@ let fake_row i =
 
 let test_store_roundtrip () =
   with_obs @@ fun () ->
-  let st = Corpus.Store.create (tmp_dir ()) in
+  let st = Corpus.open_store (tmp_dir ()) in
   let r = fake_row 1 in
-  Alcotest.(check (option row_t)) "empty miss" None
-    (Corpus.Store.find st ~key:"k1");
-  Alcotest.(check bool) "put" true (Corpus.Store.put st ~key:"k1" r);
-  Alcotest.(check (option row_t)) "hit, verbatim" (Some r)
-    (Corpus.Store.find st ~key:"k1");
-  Alcotest.(check (option row_t)) "other key misses" None
-    (Corpus.Store.find st ~key:"k2");
-  Alcotest.(check int) "one entry" 1 (Corpus.Store.count st);
+  Alcotest.(check (option row_t)) "empty miss" None (Store.find st "k1");
+  Alcotest.(check bool) "put" true (Store.put st "k1" r);
+  Alcotest.(check (option row_t)) "hit, verbatim" (Some r) (Store.find st "k1");
+  Alcotest.(check (option row_t)) "other key misses" None (Store.find st "k2");
+  Alcotest.(check int) "one entry" 1 (Store.count st);
   Alcotest.(check int) "hits counted" 1 (Obs.counter_value "corpus/cache_hit");
   Alcotest.(check int) "misses counted" 2
     (Obs.counter_value "corpus/cache_miss")
 
 let test_store_corrupt_self_deletes () =
-  let st = Corpus.Store.create (tmp_dir ()) in
-  ignore (Corpus.Store.put st ~key:"k" (fake_row 3) : bool);
-  let path = Framing.path_of ~dir:(Corpus.Store.dir st) ~suffix:".ppa" "k" in
+  let st = Corpus.open_store (tmp_dir ()) in
+  ignore (Store.put st "k" (fake_row 3) : bool);
+  let path =
+    Dco3d_framing.Framing.path_of ~dir:(Store.dir st) ~suffix:".ppa" "k"
+  in
   (* flip a byte inside the framed body: digest check must fail *)
   let fd = Unix.openfile path [ Unix.O_WRONLY ] 0 in
   ignore (Unix.lseek fd 40 Unix.SEEK_SET : int);
   ignore (Unix.write_substring fd "~" 0 1 : int);
   Unix.close fd;
   Alcotest.(check (option row_t)) "corrupt entry misses" None
-    (Corpus.Store.find st ~key:"k");
+    (Store.find st "k");
   Alcotest.(check bool) "and self-deletes" false (Sys.file_exists path)
 
-let test_store_bounded_with_corrupt_survivor () =
+(* ------------------------------------------------------------------ *)
+(* Route cache: bounded size                                           *)
+(* ------------------------------------------------------------------ *)
+
+let placed ?(scale = 0.02) ~seed name =
+  let nl = Gen.generate ~scale ~seed (Gen.profile name) in
+  let fp = Fp.create nl in
+  Placer.global_place ~seed:1 ~params:Params.default nl fp
+
+let test_route_cache_cap () =
   with_obs @@ fun () ->
-  let st = Corpus.Store.create ~max_entries:2 (tmp_dir ()) in
-  (* a corrupt survivor from a crashed run, older than everything *)
-  let junk = Filename.concat (Corpus.Store.dir st) "deadbeef.ppa" in
-  let oc = open_out junk in
-  output_string oc "not a framed row";
-  close_out oc;
-  Unix.utimes junk 1000. 1000.;
-  ignore (Corpus.Store.put st ~key:"a" (fake_row 1) : bool);
-  ignore (Corpus.Store.put st ~key:"b" (fake_row 2) : bool);
-  (* the second put pushes the population to 3: the corrupt file is
-     oldest, so it is what ages out *)
-  Alcotest.(check bool) "corrupt survivor aged out" false
-    (Sys.file_exists junk);
-  Alcotest.(check int) "bounded" 2 (Corpus.Store.count st);
+  let rc = Rc.create ~max_entries:2 (tmp_dir ()) in
+  Alcotest.(check int) "explicit cap" 2 (Store.max_entries rc);
+  (* three distinct placements -> three distinct keys -> one eviction *)
+  for seed = 1 to 3 do
+    let p = placed ~seed "DMA" in
+    ignore (Rc.find_or_route ~cache:rc ~config:(R.calibrated_config p) p)
+  done;
+  Alcotest.(check int) "bounded" 2 (Store.count rc);
   Alcotest.(check int) "eviction counted" 1
-    (Obs.counter_value "corpus/cache_evicted");
-  Alcotest.(check (option row_t)) "live entries kept" (Some (fake_row 2))
-    (Corpus.Store.find st ~key:"b")
+    (Obs.counter_value "route/cache_evicted");
+  (* the survivors still replay *)
+  let p = placed ~seed:3 "DMA" in
+  let cfg = R.calibrated_config p in
+  let cold = R.route ~config:cfg p in
+  let replay = Rc.find_or_route ~cache:rc ~config:cfg p in
+  Alcotest.(check string) "survivor replays bit-identically" (R.digest cold)
+    (R.digest replay)
 
 (* ------------------------------------------------------------------ *)
 (* Determinism: digests and PPA rows                                   *)
@@ -258,7 +185,7 @@ let test_row_determinism () =
 
 let test_store_replay_verbatim () =
   with_obs @@ fun () ->
-  let store = Corpus.Store.create (tmp_dir ()) in
+  let store = Corpus.open_store (tmp_dir ()) in
   let r1 = Corpus.run_cell ~store tiny_spec tiny_cfg in
   let hits0 = Obs.counter_value "corpus/cache_hit" in
   let r2 = Corpus.run_cell ~store tiny_spec tiny_cfg in
@@ -389,22 +316,16 @@ let suites =
   [
     ( "corpus",
       [
-        Alcotest.test_case "framing evict_lru (order, suffix, touch)" `Quick
-          test_evict_lru;
         Alcotest.test_case "route cache bounded + survivor replay" `Quick
           test_route_cache_cap;
-        Alcotest.test_case "route cache cap from env" `Quick
-          test_route_cache_env_cap;
-        Alcotest.test_case "store round-trip + counters" `Quick
-          test_store_roundtrip;
-        Alcotest.test_case "store corrupt entry self-deletes" `Quick
-          test_store_corrupt_self_deletes;
-        Alcotest.test_case "store bounded, corrupt survivor ages out" `Quick
-          test_store_bounded_with_corrupt_survivor;
         Alcotest.test_case "netlist digests deterministic (jobs 1 and 4)"
           `Quick test_netlist_digest_determinism;
         Alcotest.test_case "PPA rows deterministic (jobs 1 and 4)" `Quick
           test_row_determinism;
+        Alcotest.test_case "store round-trip + counters" `Quick
+          test_store_roundtrip;
+        Alcotest.test_case "store corrupt entry self-deletes" `Quick
+          test_store_corrupt_self_deletes;
         Alcotest.test_case "store replay verbatim" `Quick
           test_store_replay_verbatim;
         Alcotest.test_case "served replay, in-flight dedup, store hits"

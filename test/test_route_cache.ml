@@ -1,5 +1,6 @@
-(* Tests for the content-addressed route cache (and, through it, the
-   shared magic+digest framing).
+(* Tests for the content-addressed route cache.  The store under it
+   (framing, corruption handling, the LRU bound) has its own suite in
+   test_store.ml; these pin what is route-specific.
 
    The load-bearing property: a cache replay is bit-identical to the
    cold route — same Router.digest — and so is a warm-started re-route
@@ -15,6 +16,7 @@ module Placer = Dco3d_place.Placer
 module Params = Dco3d_place.Params
 module R = Dco3d_route.Router
 module Rc = Dco3d_route.Route_cache
+module Store = Dco3d_framing.Framing.Store
 
 let placed ?(scale = 0.02) ?(seed = 5) name =
   let nl = Gen.generate ~scale ~seed (Gen.profile name) in
@@ -63,7 +65,7 @@ let test_replay_bit_identical () =
   Alcotest.(check (option string)) "empty cache misses" None
     (Option.map R.digest (Rc.find cache ~config:cfg p));
   let cold = Rc.find_or_route ~cache ~config:cfg p in
-  Alcotest.(check int) "one entry" 1 (Rc.count cache);
+  Alcotest.(check int) "one entry" 1 (Store.count cache);
   (* the replay, the cold route, and a warm-started re-route of the
      unchanged placement must all carry one digest — at jobs=1 and 4 *)
   let replay1 =
@@ -184,16 +186,16 @@ let test_corrupt_entries_are_misses () =
     (fun (label, damage) ->
       let cache = Rc.create (tmp_dir ()) in
       let cold = Rc.find_or_route ~cache ~config:cfg p in
-      (match entry_files (Rc.dir cache) with
+      (match entry_files (Store.dir cache) with
       | [ path ] -> damage path
       | l -> Alcotest.failf "%s: expected 1 entry, found %d" label (List.length l));
       Alcotest.(check bool) (label ^ " reads as a miss") true
         (Rc.find cache ~config:cfg p = None);
-      Alcotest.(check int) (label ^ " self-deletes") 0 (Rc.count cache);
+      Alcotest.(check int) (label ^ " self-deletes") 0 (Store.count cache);
       let again = Rc.find_or_route ~cache ~config:cfg p in
       Alcotest.(check string) (label ^ " repopulates bit-identically")
         (R.digest cold) (R.digest again);
-      Alcotest.(check int) (label ^ " entry back") 1 (Rc.count cache))
+      Alcotest.(check int) (label ^ " entry back") 1 (Store.count cache))
     damage_cases
 
 let test_foreign_key_collision_is_miss () =
@@ -205,10 +207,10 @@ let test_foreign_key_collision_is_miss () =
   let cache = Rc.create (tmp_dir ()) in
   let _ = Rc.find_or_route ~cache ~config:cfg p in
   let probe = { cfg with R.max_iterations = 1 } in
-  (match entry_files (Rc.dir cache) with
+  (match entry_files (Store.dir cache) with
   | [ path ] ->
       let target =
-        Dco3d_framing.Framing.path_of ~dir:(Rc.dir cache) ~suffix:".route"
+        Dco3d_framing.Framing.path_of ~dir:(Store.dir cache) ~suffix:".route"
           (Rc.key ~config:probe p)
       in
       (* keep a copy under the probe key's filename: framing intact,
@@ -222,7 +224,7 @@ let test_foreign_key_collision_is_miss () =
   | l -> Alcotest.failf "expected 1 entry, found %d" (List.length l));
   Alcotest.(check bool) "renamed entry is a miss" true
     (Rc.find cache ~config:probe p = None);
-  Alcotest.(check int) "impostor deleted, original kept" 1 (Rc.count cache);
+  Alcotest.(check int) "impostor deleted, original kept" 1 (Store.count cache);
   Alcotest.(check bool) "original still hits" true
     (Rc.find cache ~config:cfg p <> None)
 
@@ -237,7 +239,7 @@ let test_dataset_build_cached_identical () =
   let cache = Rc.create (tmp_dir ()) in
   let plain = Dataset.build ~n_samples:3 ~seed:2 ~route_cfg:cfg nl fp in
   let cached = Dataset.build ~n_samples:3 ~seed:2 ~route_cache:cache ~route_cfg:cfg nl fp in
-  Alcotest.(check bool) "cache populated" true (Rc.count cache > 0);
+  Alcotest.(check bool) "cache populated" true (Store.count cache > 0);
   let replayed = Dataset.build ~n_samples:3 ~seed:2 ~route_cache:cache ~route_cfg:cfg nl fp in
   let digest (d : Dataset.t) =
     Digest.to_hex

@@ -595,6 +595,82 @@ let test_e2e_flow_job () =
   | _ -> Alcotest.fail "unknown job id must be refused"
   | exception Client.Error _ -> ()
 
+(* The job tables are bounded: a daemon polled for weeks must not hold
+   every result it ever produced, but a client that submits many jobs
+   before polling any must still find them all.  Unknown-design jobs
+   fail immediately, so they make cheap finished jobs. *)
+let unknown_design_spec =
+  {
+    Proto.fl_design = "no-such-design";
+    fl_scale = 0.02;
+    fl_seed = 1;
+    fl_gcell = 8;
+    fl_variant = Proto.Pin3d;
+  }
+
+(* jobs run in submission order: once the newest has finished, every
+   older one has too.  Peeks with the server's stats, not a poll, so no
+   status counts as answered. *)
+let settle_flow_jobs srv n =
+  let rec go () =
+    let s = Server.stats srv in
+    if List.assoc "jobs_failed" s +. List.assoc "jobs_done" s < float_of_int n
+    then begin
+      Thread.delay 0.01;
+      go ()
+    end
+  in
+  go ()
+
+let check_unknown what c id =
+  match Client.poll_flow c id with
+  | _ -> Alcotest.fail (what ^ ": must have been forgotten")
+  | exception Client.Error msg ->
+      Alcotest.(check bool) (what ^ " answers unknown job id") true
+        (contains ~affix:"unknown job id" msg)
+
+let check_failed what c id =
+  match Client.poll_flow c id with
+  | Proto.Job_failed msg ->
+      Alcotest.(check bool) (what ^ " reports its failure") true
+        (contains ~affix:"no-such-design" msg)
+  | _ -> Alcotest.fail (what ^ ": must report Job_failed")
+
+(* Answered statuses retire after [Server.job_retention] later answers;
+   unanswered ones outlive that many finished jobs. *)
+let test_e2e_job_retention () =
+  let predictor = mk_predictor 79 in
+  with_server predictor @@ fun srv ->
+  let c = Client.connect (Server.bound_addr srv) in
+  Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+  let n = Server.job_retention + 1 in
+  let ids = List.init n (fun _ -> Client.submit_flow c unknown_design_spec) in
+  settle_flow_jobs srv n;
+  (* more than [job_retention] jobs finished, none polled yet: the
+     first is still there *)
+  check_failed "first job, submitted before any poll" c (List.hd ids);
+  (* answer every other one once; the first answer is now the oldest of
+     cap + 1 and is dropped, the second-oldest stays *)
+  List.iter (fun id -> check_failed "each job" c id) (List.tl ids);
+  check_unknown "oldest answered job" c (List.hd ids);
+  check_failed "the cap-th most recently answered job" c (List.nth ids 1);
+  (* an answered job may be polled again while it is retained *)
+  check_failed "repeat poll" c (List.nth ids 1)
+
+(* The hard bound: unanswered statuses go once
+   [Server.job_retention_unpolled] later jobs have finished. *)
+let test_e2e_job_retention_unpolled () =
+  let predictor = mk_predictor 80 in
+  with_server predictor @@ fun srv ->
+  let c = Client.connect (Server.bound_addr srv) in
+  Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+  let n = Server.job_retention_unpolled + 1 in
+  let ids = List.init n (fun _ -> Client.submit_flow c unknown_design_spec) in
+  settle_flow_jobs srv n;
+  check_unknown "oldest unpolled job" c (List.hd ids);
+  check_failed "second-oldest unpolled job" c (List.nth ids 1);
+  check_failed "newest job" c (List.nth ids (n - 1))
+
 let test_e2e_drain_on_stop () =
   let predictor = mk_predictor 73 in
   let cfg =
@@ -825,6 +901,10 @@ let suites =
         Alcotest.test_case "bad payload fails, batcher survives" `Quick
           test_bad_payload_does_not_kill_batcher;
         Alcotest.test_case "flow job lifecycle" `Quick test_e2e_flow_job;
+        Alcotest.test_case "answered jobs retire after a cap" `Quick
+          test_e2e_job_retention;
+        Alcotest.test_case "unpolled jobs are retained up to a hard cap" `Quick
+          test_e2e_job_retention_unpolled;
         Alcotest.test_case "drain on stop" `Quick test_e2e_drain_on_stop;
         Alcotest.test_case "numeric-distinct fingerprints" `Quick
           test_fingerprint_numeric_distinct;
