@@ -599,6 +599,13 @@ let kernels () =
   let gout = T.rand_uniform rng [| 16; 64; 64 |] in
   let timg = T.rand_uniform rng [| 8; 32; 32 |] in
   let tw = T.randn rng [| 8; 8; 4; 4 |] in
+  (* the UNet's enc0/dec0 shape (8 -> 8 on 32x32, 3x3, pad 1), the
+     conv that dominates an Algorithm-1 step; its own stream, so the
+     rows above and below keep their inputs and digests *)
+  let urng = Rng.create 14 in
+  let uimg = T.rand_uniform urng [| 8; 32; 32 |] in
+  let uw = T.randn urng [| 8; 8; 3; 3 |] in
+  let ugout = T.rand_uniform urng [| 8; 32; 32 |] in
   let sm_nx = e.ctx.Flow.fp.P.Floorplan.gcell_nx in
   let sm_ny = e.ctx.Flow.fp.P.Floorplan.gcell_ny in
   let sm_w0 = T.rand_uniform rng [| Fm.n_channels; sm_ny; sm_nx |] in
@@ -641,6 +648,29 @@ let kernels () =
         Some (conv_flops 8 8 4 4 32 32),
         3,
         fun () -> [ T.conv2d_transpose ~stride:2 ~pad:1 timg ~weight:tw ~bias:None ] );
+      ( "unet_conv2d",
+        "8x32x32 -> 8x32x32, 3x3",
+        Some (conv_flops 8 8 3 3 32 32),
+        9,
+        fun () -> [ T.conv2d ~pad:1 uimg ~weight:uw ~bias:None ] );
+      ( "unet_backward_input",
+        "8x32x32 -> 8x32x32, 3x3",
+        Some (conv_flops 8 8 3 3 32 32),
+        9,
+        fun () ->
+          [
+            T.conv2d_backward_input ~pad:1 ~input_shape:[| 8; 32; 32 |]
+              ~weight:uw ugout;
+          ] );
+      ( "unet_backward_weight",
+        "8x8x3x3 over 32x32",
+        Some (conv_flops 8 8 3 3 32 32),
+        9,
+        fun () ->
+          [
+            T.conv2d_backward_weight ~pad:1 ~input:uimg
+              ~weight_shape:[| 8; 8; 3; 3 |] ugout;
+          ] );
       ( "rudy_map",
         Printf.sprintf "%s, 64x64 gcells" e.name,
         None,

@@ -78,16 +78,35 @@ let scale s a =
 
 let add_scalar s a = node (T.add_scalar s a.data) [ a ] (fun g -> [ Some (fun () -> g) ])
 
+(* The backward passes below are plain float loops over [g] and the
+   forward input, like the T kernels they pair with: a [T.map2] closure
+   boxes every float it returns.  [g] always has the node's shape (the
+   backward pass checks every accumulation), which here is the
+   input's. *)
 let relu a =
   let y = T.relu a.data in
   node y [ a ] (fun g ->
-      [ Some (fun () -> T.map2 (fun gv xv -> if xv > 0. then gv else 0.) g a.data) ])
+      [ Some (fun () ->
+            let gd = g.T.data and xd = a.data.T.data in
+            let out = Array.create_float (Array.length xd) in
+            for i = 0 to Array.length xd - 1 do
+              Array.unsafe_set out i
+                (if Array.unsafe_get xd i > 0. then Array.unsafe_get gd i else 0.)
+            done;
+            T.make (T.shape a.data) out) ])
 
 let leaky_relu slope a =
-  let y = T.map (fun x -> if x > 0. then x else slope *. x) a.data in
+  let y = T.leaky_relu slope a.data in
   node y [ a ] (fun g ->
       [ Some (fun () ->
-            T.map2 (fun gv xv -> if xv > 0. then gv else slope *. gv) g a.data) ])
+            let gd = g.T.data and xd = a.data.T.data in
+            let out = Array.create_float (Array.length xd) in
+            for i = 0 to Array.length xd - 1 do
+              let gv = Array.unsafe_get gd i in
+              Array.unsafe_set out i
+                (if Array.unsafe_get xd i > 0. then gv else slope *. gv)
+            done;
+            T.make (T.shape a.data) out) ])
 
 let sigmoid a =
   let y = T.sigmoid a.data in
@@ -101,7 +120,14 @@ let tanh_ a =
 
 let sqr a =
   node (T.sqr a.data) [ a ] (fun g ->
-      [ Some (fun () -> T.map2 (fun gv xv -> 2. *. gv *. xv) g a.data) ])
+      [ Some (fun () ->
+            let gd = g.T.data and xd = a.data.T.data in
+            let out = Array.create_float (Array.length xd) in
+            for i = 0 to Array.length xd - 1 do
+              Array.unsafe_set out i
+                (2. *. Array.unsafe_get gd i *. Array.unsafe_get xd i)
+            done;
+            T.make (T.shape a.data) out) ])
 
 let sqrt_ a =
   let y = T.sqrt_ a.data in

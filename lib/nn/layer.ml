@@ -101,7 +101,7 @@ let relu = activation ~batch:T.relu ~kind:Relu V.relu
 
 let leaky_relu slope =
   activation
-    ~batch:(T.map (fun x -> if x > 0. then x else slope *. x))
+    ~batch:(T.leaky_relu slope)
     ~kind:(Leaky slope) (V.leaky_relu slope)
 
 let sigmoid = activation ~batch:T.sigmoid ~kind:Sigmoid V.sigmoid

@@ -116,8 +116,6 @@ let of_layer ?(quantize_conv = fun _ -> true) (layer : Layer.t) =
 (* Execution                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let leaky slope = T.map (fun v -> if v > 0. then v else slope *. v)
-
 let run_unit x = function
   | Q_conv { transposed; stride; pad; qw; bias; act } ->
       let bias = Option.map (fun b -> T.make [| Array.length b |] b) bias in
@@ -129,7 +127,7 @@ let run_unit x = function
         T.conv2d_transpose_batch ~stride ~pad x ~weight ~bias
       else T.conv2d_batch ~stride ~pad x ~weight ~bias
   | F_act `Relu -> T.relu x
-  | F_act (`Leaky a) -> leaky a x
+  | F_act (`Leaky a) -> T.leaky_relu a x
   | F_act `Sigmoid -> T.sigmoid x
   | F_act `Tanh -> T.tanh_ x
   | F_act `Maxpool2 -> T.maxpool2_batch x

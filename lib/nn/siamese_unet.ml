@@ -132,8 +132,6 @@ let predict net f0 f1 =
 (* micro-batcher coalesce requests without changing any reply bit.     *)
 (* ------------------------------------------------------------------ *)
 
-let leaky_batch slope = T.map (fun v -> if v > 0. then v else slope *. v)
-
 let encode_batch net x =
   let skips = Array.make (Array.length net.levels) x in
   let cur = ref x in
@@ -159,7 +157,7 @@ let forward_batch net x0 x1 =
   let skips0, b0 = encode_batch net x0 in
   let skips1, b1 = encode_batch net x1 in
   let communicate own other =
-    leaky_batch 0.1
+    T.leaky_relu 0.1
       (T.add
          (net.comm_self.Layer.forward_batch own)
          (net.comm_cross.Layer.forward_batch other))
@@ -257,7 +255,7 @@ let forward_batch_q q x0 x1 =
   let skips0, b0 = encode_batch_q q x0 in
   let skips1, b1 = encode_batch_q q x1 in
   let communicate own other =
-    leaky_batch 0.1
+    T.leaky_relu 0.1
       (T.add
          (Quant.forward_batch q.q_comm_self own)
          (Quant.forward_batch q.q_comm_cross other))

@@ -154,8 +154,11 @@ let kaiming rng ~fan_in shape =
 
 let map f t = { shape = t.shape; data = Array.map f t.data }
 
+let check_zip a b =
+  if not (same_shape a b) then invalid_arg "Tensor.map2: shape mismatch"
+
 let map2 f a b =
-  if not (same_shape a b) then invalid_arg "Tensor.map2: shape mismatch";
+  check_zip a b;
   let n = Array.length a.data in
   let data = Array.make n 0. in
   for i = 0 to n - 1 do
@@ -166,20 +169,88 @@ let map2 f a b =
 
 let iteri_flat f t = Array.iteri f t.data
 
-let add a b = map2 ( +. ) a b
-let sub a b = map2 ( -. ) a b
-let mul a b = map2 ( *. ) a b
+(* The elementwise ops a training step or an Algorithm-2 iteration runs
+   are written out as plain float loops: [map]/[map2] call a closure
+   per element, which boxes every float it returns. *)
+let add a b =
+  check_zip a b;
+  let ad = a.data and bd = b.data in
+  let out = Array.create_float (Array.length ad) in
+  for i = 0 to Array.length ad - 1 do
+    Array.unsafe_set out i (Array.unsafe_get ad i +. Array.unsafe_get bd i)
+  done;
+  { shape = a.shape; data = out }
+
+let sub a b =
+  check_zip a b;
+  let ad = a.data and bd = b.data in
+  let out = Array.create_float (Array.length ad) in
+  for i = 0 to Array.length ad - 1 do
+    Array.unsafe_set out i (Array.unsafe_get ad i -. Array.unsafe_get bd i)
+  done;
+  { shape = a.shape; data = out }
+
+let mul a b =
+  check_zip a b;
+  let ad = a.data and bd = b.data in
+  let out = Array.create_float (Array.length ad) in
+  for i = 0 to Array.length ad - 1 do
+    Array.unsafe_set out i (Array.unsafe_get ad i *. Array.unsafe_get bd i)
+  done;
+  { shape = a.shape; data = out }
+
 let div a b = map2 ( /. ) a b
-let neg t = map (fun x -> -.x) t
-let scale s t = map (fun x -> s *. x) t
+
+let neg t =
+  let d = t.data in
+  let out = Array.create_float (Array.length d) in
+  for i = 0 to Array.length d - 1 do
+    Array.unsafe_set out i (-.Array.unsafe_get d i)
+  done;
+  { shape = t.shape; data = out }
+
+let scale s t =
+  let d = t.data in
+  let out = Array.create_float (Array.length d) in
+  for i = 0 to Array.length d - 1 do
+    Array.unsafe_set out i (s *. Array.unsafe_get d i)
+  done;
+  { shape = t.shape; data = out }
+
 let add_scalar s t = map (fun x -> s +. x) t
-let relu t = map (fun x -> if x > 0. then x else 0.) t
+
+let leaky_relu slope t =
+  let d = t.data in
+  let out = Array.create_float (Array.length d) in
+  for i = 0 to Array.length d - 1 do
+    let x = Array.unsafe_get d i in
+    Array.unsafe_set out i (if x > 0. then x else slope *. x)
+  done;
+  { shape = t.shape; data = out }
+
+let relu t =
+  let d = t.data in
+  let out = Array.create_float (Array.length d) in
+  for i = 0 to Array.length d - 1 do
+    let x = Array.unsafe_get d i in
+    Array.unsafe_set out i (if x > 0. then x else 0.)
+  done;
+  { shape = t.shape; data = out }
+
 let sigmoid t = map (fun x -> 1. /. (1. +. exp (-.x))) t
 let tanh_ t = map tanh t
 let exp_ t = map exp t
 let log_ t = map log t
 let sqrt_ t = map sqrt t
-let sqr t = map (fun x -> x *. x) t
+
+let sqr t =
+  let d = t.data in
+  let out = Array.create_float (Array.length d) in
+  for i = 0 to Array.length d - 1 do
+    let x = Array.unsafe_get d i in
+    Array.unsafe_set out i (x *. x)
+  done;
+  { shape = t.shape; data = out }
 
 let clip ~lo ~hi t =
   map (fun x -> if x < lo then lo else if x > hi then hi else x) t
@@ -231,26 +302,32 @@ let frobenius t = sqrt (dot t t)
 (* block of r = n mod 4 columns with element (p, j) at nq*4k + p*r +    *)
 (* (j - 4*nq).                                                          *)
 
-(* Copy logical row [p] of B (given contiguously in [src] at            *)
-(* [src_off .. src_off+n-1]) into the packed buffer [pb]. *)
-let pack_row ~k ~n pb p src src_off =
+(* Pack a dense row-major (k x n) [src] straight into that layout,
+   quad by quad, so every store is sequential.  The arrays are
+   annotated: a helper that only moves floats is otherwise inferred at
+   ['a array] and boxes every element through the generic accessors. *)
+let pack_dense ~k ~n (src : float array) (pb : float array) =
   let nq = n lsr 2 in
   let r = n - (nq lsl 2) in
   let k4 = k lsl 2 in
-  let p4 = p lsl 2 in
   for q = 0 to nq - 1 do
-    let dst = (q * k4) + p4 in
-    let s = src_off + (q lsl 2) in
-    Array.unsafe_set pb dst (Array.unsafe_get src s);
-    Array.unsafe_set pb (dst + 1) (Array.unsafe_get src (s + 1));
-    Array.unsafe_set pb (dst + 2) (Array.unsafe_get src (s + 2));
-    Array.unsafe_set pb (dst + 3) (Array.unsafe_get src (s + 3))
+    let base = q * k4 and col = q lsl 2 in
+    for p = 0 to k - 1 do
+      let d = base + (p lsl 2) and s = (p * n) + col in
+      Array.unsafe_set pb d (Array.unsafe_get src s);
+      Array.unsafe_set pb (d + 1) (Array.unsafe_get src (s + 1));
+      Array.unsafe_set pb (d + 2) (Array.unsafe_get src (s + 2));
+      Array.unsafe_set pb (d + 3) (Array.unsafe_get src (s + 3))
+    done
   done;
   if r > 0 then begin
-    let dst = (nq * k4) + (p * r) in
-    let s = src_off + (nq lsl 2) in
-    for t = 0 to r - 1 do
-      Array.unsafe_set pb (dst + t) (Array.unsafe_get src (s + t))
+    let base = nq * k4 and col = nq lsl 2 in
+    for p = 0 to k - 1 do
+      for t = 0 to r - 1 do
+        Array.unsafe_set pb
+          (base + (p * r) + t)
+          (Array.unsafe_get src ((p * n) + col + t))
+      done
     done
   end
 
@@ -327,10 +404,7 @@ let matmul a b =
   let out = Array.make (m * n) 0. in
   if m > 0 && n > 0 && k > 0 then
     Workspace.with_floats (k * n) (fun pb ->
-        let bd = b.data in
-        for p = 0 to k - 1 do
-          pack_row ~k ~n pb p bd (p * n)
-        done;
+        pack_dense ~k ~n b.data pb;
         gemm ~m ~k ~n a.data pb out);
   make [| m; n |] out
 
@@ -377,12 +451,48 @@ let matvec a x =
 (* the direct loops visit them, and the zeros it substitutes for       *)
 (* padding (or for skipped zero coefficients) are exact no-ops:        *)
 (* adding +/-0. never changes a finite float's bits.                   *)
+(*                                                                     *)
+(* Every lowering's B is one gather from a source image, packed        *)
+(* straight into the GEMM panel quad by quad (sequential stores, no    *)
+(* staging row, no per-element division; see [pack_gather]).  The     *)
+(* forward lowering is batched — [conv2d] is [conv2d_batch] at n = 1,  *)
+(* and [conv2d_transpose] likewise — so a batch only adds GEMM         *)
+(* columns and never reorders an accumulation.  Hot kernels take       *)
+(* annotated [float array]s: a helper that only moves floats is        *)
+(* otherwise inferred polymorphic and boxes every element it touches.  *)
 (* ------------------------------------------------------------------ *)
 
 type conv_engine = [ `Auto | `Direct | `Gemm ]
 
 let check_rank3 name t =
   if rank t <> 3 then invalid_arg (name ^ ": expected a rank-3 tensor")
+
+let check_rank4 name t =
+  if rank t <> 4 then invalid_arg (name ^ ": expected a rank-4 tensor")
+
+let shape_string s =
+  "[" ^ String.concat "; " (Array.to_list (Array.map string_of_int s)) ^ "]"
+
+let shape_mismatch name what a what' b =
+  invalid_arg
+    (Printf.sprintf "%s: %s %s does not match %s %s" name what (shape_string a)
+       what' (shape_string b))
+
+(* Checks shared by the forward entries: weight axis [in_axis] must
+   equal the input's channel count, and a bias must have one entry per
+   output channel (weight axis [out_axis]).  Returns that count. *)
+let check_conv_args name ~stride ~in_channels ~in_axis ~out_axis ~weight ~bias
+    =
+  if stride < 1 then invalid_arg (name ^ ": stride must be >= 1");
+  if rank weight <> 4 then invalid_arg (name ^ ": weight must be rank 4");
+  if weight.shape.(in_axis) <> in_channels then
+    invalid_arg (name ^ ": channel mismatch between input and weight");
+  let co = weight.shape.(out_axis) in
+  (match bias with
+  | Some b when rank b <> 1 || b.shape.(0) <> co ->
+      shape_mismatch name "bias shape" b.shape "weight shape" weight.shape
+  | _ -> ());
+  co
 
 let gemm_selected (engine : conv_engine) macs =
   match engine with
@@ -402,78 +512,201 @@ let gemm_selected_dilated (engine : conv_engine) ~stride macs =
   | `Direct -> false
   | `Auto -> stride = 1 && macs >= conv_gemm_min_macs
 
-(* Bias goes in after the full contraction, matching the direct paths
-   (which also add it last, once per output channel). *)
-let add_channel_bias out ~n bias =
-  match bias with
+(* ---- Direct panel packing ----------------------------------------- *)
+(* Every lowering's B is a gather from one source [src] of h x w       *)
+(* planes:                                                              *)
+(*   B(p, j) = src[off_p + off_j + y*w + x],  y = y_p + y_j,            *)
+(*                                            x = x_p + x_j,            *)
+(* when 0 <= y < h and 0 <= x < w, else 0.  [rows] holds the triple     *)
+(* (off, y, x) of each p, [cols] that of each column j; they are built  *)
+(* by nested loops, so packing needs no division.                       *)
+
+let[@inline] gather_into (pb : float array) d (src : float array) ~h ~w ~off ~y
+    ~x =
+  Array.unsafe_set pb d
+    (if y >= 0 && y < h && x >= 0 && x < w then
+       Array.unsafe_get src (off + (y * w) + x)
+     else 0.)
+
+let[@inline] imin (a : int) b = if a < b then a else b
+let[@inline] imax (a : int) b = if a > b then a else b
+
+(* Writes the packed layout directly: quad q's 4k floats in order, then
+   the tail block.  A quad whose four columns are all in range for row
+   p (the image interior) takes four loads with no bounds tests. *)
+let pack_gather ~k ~n ~h ~w (src : float array) (rows : int array)
+    (cols : int array) (pb : float array) =
+  let nq = n lsr 2 in
+  let r = n - (nq lsl 2) in
+  let k4 = k lsl 2 in
+  for q = 0 to nq - 1 do
+    let c = 12 * q in
+    let o0 = Array.unsafe_get cols c
+    and y0 = Array.unsafe_get cols (c + 1)
+    and x0 = Array.unsafe_get cols (c + 2) in
+    let o1 = Array.unsafe_get cols (c + 3)
+    and y1 = Array.unsafe_get cols (c + 4)
+    and x1 = Array.unsafe_get cols (c + 5) in
+    let o2 = Array.unsafe_get cols (c + 6)
+    and y2 = Array.unsafe_get cols (c + 7)
+    and x2 = Array.unsafe_get cols (c + 8) in
+    let o3 = Array.unsafe_get cols (c + 9)
+    and y3 = Array.unsafe_get cols (c + 10)
+    and x3 = Array.unsafe_get cols (c + 11) in
+    let ylo = imin (imin y0 y1) (imin y2 y3)
+    and yhi = imax (imax y0 y1) (imax y2 y3) in
+    let xlo = imin (imin x0 x1) (imin x2 x3)
+    and xhi = imax (imax x0 x1) (imax x2 x3) in
+    let r0 = o0 + (y0 * w) + x0 and r1 = o1 + (y1 * w) + x1 in
+    let r2 = o2 + (y2 * w) + x2 and r3 = o3 + (y3 * w) + x3 in
+    let base = q * k4 in
+    for p = 0 to k - 1 do
+      let i = 3 * p in
+      let op = Array.unsafe_get rows i
+      and yp = Array.unsafe_get rows (i + 1)
+      and xp = Array.unsafe_get rows (i + 2) in
+      let d = base + (p lsl 2) in
+      if yp + ylo >= 0 && yp + yhi < h && xp + xlo >= 0 && xp + xhi < w then begin
+        let s = op + (yp * w) + xp in
+        Array.unsafe_set pb d (Array.unsafe_get src (s + r0));
+        Array.unsafe_set pb (d + 1) (Array.unsafe_get src (s + r1));
+        Array.unsafe_set pb (d + 2) (Array.unsafe_get src (s + r2));
+        Array.unsafe_set pb (d + 3) (Array.unsafe_get src (s + r3))
+      end
+      else begin
+        gather_into pb d src ~h ~w ~off:(op + o0) ~y:(yp + y0) ~x:(xp + x0);
+        gather_into pb (d + 1) src ~h ~w ~off:(op + o1) ~y:(yp + y1)
+          ~x:(xp + x1);
+        gather_into pb (d + 2) src ~h ~w ~off:(op + o2) ~y:(yp + y2)
+          ~x:(xp + x2);
+        gather_into pb (d + 3) src ~h ~w ~off:(op + o3) ~y:(yp + y3)
+          ~x:(xp + x3)
+      end
+    done
+  done;
+  if r > 0 then begin
+    let base = nq * k4 and c0 = 3 * (nq lsl 2) in
+    for p = 0 to k - 1 do
+      let i = 3 * p in
+      let op = Array.unsafe_get rows i
+      and yp = Array.unsafe_get rows (i + 1)
+      and xp = Array.unsafe_get rows (i + 2) in
+      for t = 0 to r - 1 do
+        let c = c0 + (3 * t) in
+        gather_into pb
+          (base + (p * r) + t)
+          src ~h ~w
+          ~off:(op + Array.unsafe_get cols c)
+          ~y:(yp + Array.unsafe_get cols (c + 1))
+          ~x:(xp + Array.unsafe_get cols (c + 2))
+      done
+    done
+  end
+
+(* Kernel taps (c, ky, kx), c-major over [chans] planes of [plane]
+   floats: off = c*plane, y = y0 + dir*ky, x = x0 + dir*kx. *)
+let fill_taps (d : int array) ~chans ~plane ~kh ~kw ~y0 ~x0 ~dir =
+  let i = ref 0 in
+  for c = 0 to chans - 1 do
+    for ky = 0 to kh - 1 do
+      for kx = 0 to kw - 1 do
+        Array.unsafe_set d !i (c * plane);
+        Array.unsafe_set d (!i + 1) (y0 + (dir * ky));
+        Array.unsafe_set d (!i + 2) (x0 + (dir * kx));
+        i := !i + 3
+      done
+    done
+  done
+
+(* Pixels (b, oy, ox) of [imgs] images of [img] floats on an oh x ow
+   grid: off = b*img, y = oy*stride, x = ox*stride. *)
+let fill_pixels (d : int array) ~imgs ~img ~oh ~ow ~stride =
+  let i = ref 0 in
+  for b = 0 to imgs - 1 do
+    for oy = 0 to oh - 1 do
+      for ox = 0 to ow - 1 do
+        Array.unsafe_set d !i (b * img);
+        Array.unsafe_set d (!i + 1) (oy * stride);
+        Array.unsafe_set d (!i + 2) (ox * stride);
+        i := !i + 3
+      done
+    done
+  done
+
+(* out (m x n) += A (m x k) . B, with B gathered from [src] (h x w
+   planes) through the descriptors [rows] and [cols] fill. *)
+let gemm_gather ~m ~k ~n ~h ~w src ~rows ~cols ad out =
+  Workspace.with_ints (3 * k) (fun rd ->
+      rows rd;
+      Workspace.with_ints (3 * n) (fun cd ->
+          cols cd;
+          Workspace.with_floats (k * n) (fun pb ->
+              pack_gather ~k ~n ~h ~w src rd cd pb;
+              gemm ~par_macs:conv_par_macs ~m ~k ~n ad pb out)))
+
+(* A stride-dilated gather reads src[(y_p + y_j) / s] only where the
+   division is exact.  Zero-inserting the stride — plane q's (h x w)
+   pixels land at multiples of [stride] in a dh x dw plane — turns it
+   into a stride-1 gather over the dilated planes, whose zeros are the
+   same 0. entries the divisibility test produced.  [f src ~h ~w] runs
+   on the source to gather from. *)
+let with_dilated ~planes ~h ~w ~stride (src : float array) f =
+  if stride = 1 then f src ~h ~w
+  else begin
+    let dilated n = max 0 (((n - 1) * stride) + 1) in
+    let dh = dilated h and dw = dilated w in
+    Workspace.with_zeroed (planes * dh * dw) (fun (dst : float array) ->
+        for q = 0 to planes - 1 do
+          for y = 0 to h - 1 do
+            let s = ((q * h) + y) * w and d = ((q * dh) + (y * stride)) * dw in
+            for x = 0 to w - 1 do
+              Array.unsafe_set dst (d + (x * stride)) (Array.unsafe_get src (s + x))
+            done
+          done
+        done;
+        f dst ~h:dh ~w:dw)
+  end
+
+(* Finish a batched forward GEMM: bias after the full contraction
+   (matching the direct paths, which also add it last, once per output
+   channel), then [co; n; hw] -> [n; co; hw]. *)
+let finish_batch (g : float array) ~n ~co ~hw bias =
+  let ncol = n * hw in
+  (match bias with
   | None -> ()
   | Some b ->
-      for o = 0 to Array.length b.data - 1 do
+      for o = 0 to co - 1 do
         let bv = Array.unsafe_get b.data o in
-        let base = o * n in
-        for i = 0 to n - 1 do
-          Array.unsafe_set out (base + i)
-            (Array.unsafe_get out (base + i) +. bv)
+        let base = o * ncol in
+        for i = 0 to ncol - 1 do
+          Array.unsafe_set g (base + i) (Array.unsafe_get g (base + i) +. bv)
         done
+      done);
+  if n = 1 then g
+  else begin
+    let out = Array.create_float (n * co * hw) in
+    for o = 0 to co - 1 do
+      for b = 0 to n - 1 do
+        Array.blit g ((o * ncol) + (b * hw)) out (((b * co) + o) * hw) hw
       done
-
-(* One im2col scan line at stride 1: destination index [j] reads source
-   index [j + shift], so the line is a zero prefix, one contiguous
-   blit, and a zero suffix — no per-element bounds tests. *)
-let fill_line_s1 row pos src srow ~shift ~len_src ~len_dst =
-  let lo = min len_dst (max 0 (-shift)) in
-  let hi = min (len_dst - 1) (len_src - 1 - shift) in
-  if hi >= lo then begin
-    if lo > 0 then Array.fill row pos lo 0.;
-    Array.blit src (srow + lo + shift) row (pos + lo) (hi - lo + 1);
-    if hi < len_dst - 1 then Array.fill row (pos + hi + 1) (len_dst - 1 - hi) 0.
+    done;
+    out
   end
-  else Array.fill row pos len_dst 0.
 
-(* Forward lowering: A = weight as (co x ci*kh*kw) — its natural
-   layout — and B(p, (oy,ox)) = x[c, oy*s + ky - pad, ox*s + kx - pad]
-   (or 0. outside the input) for p = (c, ky, kx).  The inner index p
-   ascends exactly like the direct loop's (c, ky, kx) nest. *)
-let conv2d_gemm ~stride ~pad ~ci ~h ~w ~co ~kh ~kw ~oh ~ow xd wd bias =
-  let kdim = ci * kh * kw in
-  let ncol = oh * ow in
-  let out = Array.make (co * ncol) 0. in
-  Workspace.with_floats (kdim * ncol) (fun pb ->
-      Workspace.with_floats ncol (fun row ->
-          for p = 0 to kdim - 1 do
-            let c = p / (kh * kw) in
-            let rem = p mod (kh * kw) in
-            let ky = rem / kw and kx = rem mod kw in
-            let xbase = c * h * w in
-            let pos = ref 0 in
-            for oy = 0 to oh - 1 do
-              let iy = (oy * stride) + ky - pad in
-              if iy < 0 || iy >= h then begin
-                Array.fill row !pos ow 0.;
-                pos := !pos + ow
-              end
-              else begin
-                let xrow = xbase + (iy * w) in
-                if stride = 1 then begin
-                  fill_line_s1 row !pos xd xrow ~shift:(kx - pad) ~len_src:w
-                    ~len_dst:ow;
-                  pos := !pos + ow
-                end
-                else
-                  for ox = 0 to ow - 1 do
-                    let ix = (ox * stride) + kx - pad in
-                    Array.unsafe_set row !pos
-                      (if ix >= 0 && ix < w then Array.unsafe_get xd (xrow + ix)
-                       else 0.);
-                    incr pos
-                  done
-              end
-            done;
-            pack_row ~k:kdim ~n:ncol pb p row 0
-          done);
-      gemm ~par_macs:conv_par_macs ~m:co ~k:kdim ~n:ncol wd pb out);
-  add_channel_bias out ~n:ncol bias;
-  out
+(* Forward lowering over a batch: A = weight as (co x ci*kh*kw) — its
+   natural layout — and B[(c,ky,kx), (b,oy,ox)] =
+   x[b, c, oy*s + ky - pad, ox*s + kx - pad] (or 0. outside the input).
+   The inner index p ascends exactly like the direct loop's (c, ky, kx)
+   nest. *)
+let conv2d_gemm ~n ~stride ~pad ~ci ~h ~w ~co ~kh ~kw ~oh ~ow xd wd bias =
+  let ncol = n * oh * ow in
+  let g = Array.make (co * ncol) 0. in
+  gemm_gather ~m:co ~k:(ci * kh * kw) ~n:ncol ~h ~w xd
+    ~rows:(fun d ->
+      fill_taps d ~chans:ci ~plane:(h * w) ~kh ~kw ~y0:(-pad) ~x0:(-pad) ~dir:1)
+    ~cols:(fun d -> fill_pixels d ~imgs:n ~img:(ci * h * w) ~oh ~ow ~stride)
+    wd g;
+  finish_batch g ~n ~co ~hw:(oh * ow) bias
 
 (* Input-gradient lowering.  A plain col2im scatter would re-associate
    the sums, so instead the gradient is computed as a second GEMM over
@@ -482,238 +715,194 @@ let conv2d_gemm ~stride ~pad ~ci ~h ~w ~co ~kh ~kw ~oh ~ow xd wd bias =
    that division is exact and in range, else 0.  For a fixed input
    pixel the direct path accumulates over (o, ky, kx) ascending — the
    same order p ascends here. *)
-let conv2d_backward_input_gemm ~stride ~pad ~ci ~h ~w ~co ~kh ~kw ~oh ~ow gd wd
-    =
+let conv2d_backward_input_gemm ~stride ~pad ~ci ~h ~w ~co ~kh ~kw ~oh ~ow gd
+    (wd : float array) =
   let kdim = co * kh * kw in
-  let ncol = h * w in
-  let gin = Array.make (ci * ncol) 0. in
-  Workspace.with_floats (ci * kdim) (fun a2 ->
+  let gin = Array.make (ci * h * w) 0. in
+  Workspace.with_floats (ci * kdim) (fun (a2 : float array) ->
       for c = 0 to ci - 1 do
-        let abase = c * kdim in
         for o = 0 to co - 1 do
-          let wbase = ((o * ci) + c) * kh * kw in
-          let dst = abase + (o * kh * kw) in
-          for t = 0 to (kh * kw) - 1 do
-            Array.unsafe_set a2 (dst + t) (Array.unsafe_get wd (wbase + t))
-          done
+          Array.blit wd
+            (((o * ci) + c) * kh * kw)
+            a2
+            ((c * kdim) + (o * kh * kw))
+            (kh * kw)
         done
       done;
-      Workspace.with_floats (kdim * ncol) (fun pb ->
-          Workspace.with_floats ncol (fun row ->
-              for p = 0 to kdim - 1 do
-                let o = p / (kh * kw) in
-                let rem = p mod (kh * kw) in
-                let ky = rem / kw and kx = rem mod kw in
-                let gbase = o * oh * ow in
-                let pos = ref 0 in
-                for iy = 0 to h - 1 do
-                  let ty = iy + pad - ky in
-                  let oy = ty / stride in
-                  if ty >= 0 && ty mod stride = 0 && oy < oh then begin
-                    let grow = gbase + (oy * ow) in
-                    if stride = 1 then begin
-                      fill_line_s1 row !pos gd grow ~shift:(pad - kx)
-                        ~len_src:ow ~len_dst:w;
-                      pos := !pos + w
-                    end
-                    else
-                      for ix = 0 to w - 1 do
-                        let tx = ix + pad - kx in
-                        let ox = tx / stride in
-                        Array.unsafe_set row !pos
-                          (if tx >= 0 && tx mod stride = 0 && ox < ow then
-                             Array.unsafe_get gd (grow + ox)
-                           else 0.);
-                        incr pos
-                      done
-                  end
-                  else begin
-                    Array.fill row !pos w 0.;
-                    pos := !pos + w
-                  end
-                done;
-                pack_row ~k:kdim ~n:ncol pb p row 0
-              done);
-          gemm ~par_macs:conv_par_macs ~m:ci ~k:kdim ~n:ncol a2 pb gin));
+      with_dilated ~planes:co ~h:oh ~w:ow ~stride gd (fun src ~h:sh ~w:sw ->
+          gemm_gather ~m:ci ~k:kdim ~n:(h * w) ~h:sh ~w:sw src
+            ~rows:(fun d ->
+              fill_taps d ~chans:co ~plane:(sh * sw) ~kh ~kw ~y0:pad ~x0:pad
+                ~dir:(-1))
+            ~cols:(fun d -> fill_pixels d ~imgs:1 ~img:0 ~oh:h ~ow:w ~stride:1)
+            a2 gin));
   gin
 
 (* Weight-gradient lowering: A = gout as (co x oh*ow) — its natural
    layout — and B[(oy,ox), (c,ky,kx)] = x[c, oy*s+ky-pad, ox*s+kx-pad]
-   or 0.  The direct path reduces each weight cell over (oy, ox)
+   or 0.: the forward gather with the roles of rows and columns
+   exchanged.  The direct path reduces each weight cell over (oy, ox)
    ascending, which is exactly how p ascends here. *)
 let conv2d_backward_weight_gemm ~stride ~pad ~ci ~h ~w ~co ~kh ~kw ~oh ~ow gd
     xd =
-  let kdim = oh * ow in
-  let ncol = ci * kh * kw in
-  let gw = Array.make (co * ncol) 0. in
-  Workspace.with_floats (kdim * ncol) (fun pb ->
-      Workspace.with_floats ncol (fun row ->
-          for p = 0 to kdim - 1 do
-            let oy = p / ow and ox = p mod ow in
-            let pos = ref 0 in
-            for c = 0 to ci - 1 do
-              let xbase = c * h * w in
-              for ky = 0 to kh - 1 do
-                let iy = (oy * stride) + ky - pad in
-                if iy < 0 || iy >= h then begin
-                  Array.fill row !pos kw 0.;
-                  pos := !pos + kw
-                end
-                else begin
-                  let xrow = xbase + (iy * w) in
-                  for kx = 0 to kw - 1 do
-                    let ix = (ox * stride) + kx - pad in
-                    Array.unsafe_set row !pos
-                      (if ix >= 0 && ix < w then Array.unsafe_get xd (xrow + ix)
-                       else 0.);
-                    incr pos
-                  done
-                end
-              done
-            done;
-            pack_row ~k:kdim ~n:ncol pb p row 0
-          done);
-      gemm ~par_macs:conv_par_macs ~m:co ~k:kdim ~n:ncol gd pb gw);
+  let gw = Array.make (co * ci * kh * kw) 0. in
+  gemm_gather ~m:co ~k:(oh * ow) ~n:(ci * kh * kw) ~h ~w xd
+    ~rows:(fun d -> fill_pixels d ~imgs:1 ~img:0 ~oh ~ow ~stride)
+    ~cols:(fun d ->
+      fill_taps d ~chans:ci ~plane:(h * w) ~kh ~kw ~y0:(-pad) ~x0:(-pad) ~dir:1)
+    gd gw;
   gw
 
-(* Transpose lowering: a transposed convolution is a stride-dilated
-   correlation with the kernel flipped, so A3[o, (c,qy,qx)] =
-   w[c, o, kh-1-qy, kw-1-qx] and B3[(c,qy,qx), (oy,ox)] = x[c, iy, ix]
-   where iy = (oy + pad - (kh-1-qy)) / s when exact and in range, else
-   0.  Flipping inside A3 makes p = (c, qy, qx) ascend in the same
-   order the direct scatter visits contributions for a fixed output
-   pixel: c ascending, then iy, then ix. *)
-let conv2d_transpose_gemm ~stride ~pad ~ci ~h ~w ~co ~kh ~kw ~oh ~ow xd wd
-    bias =
+(* Transpose lowering over a batch: a transposed convolution is a
+   stride-dilated correlation with the kernel flipped, so A3[o,
+   (c,qy,qx)] = w[c, o, kh-1-qy, kw-1-qx] and B3[(c,qy,qx), (b,oy,ox)]
+   = x[b, c, iy, ix] where iy = (oy + pad - (kh-1-qy)) / s when exact
+   and in range, else 0.  Flipping inside A3 makes p = (c, qy, qx)
+   ascend in the same order the direct scatter visits contributions
+   for a fixed output pixel: c ascending, then iy, then ix. *)
+let conv2d_transpose_gemm ~n ~stride ~pad ~ci ~h ~w ~co ~kh ~kw ~oh ~ow xd
+    (wd : float array) bias =
   let kdim = ci * kh * kw in
-  let ncol = oh * ow in
-  let out = Array.make (co * ncol) 0. in
-  Workspace.with_floats (co * kdim) (fun a3 ->
+  let ncol = n * oh * ow in
+  let g = Array.make (co * ncol) 0. in
+  Workspace.with_floats (co * kdim) (fun (a3 : float array) ->
       for o = 0 to co - 1 do
-        let abase = o * kdim in
         for c = 0 to ci - 1 do
           let wbase = ((c * co) + o) * kh * kw in
-          let dst = abase + (c * kh * kw) in
+          let drow = (o * kdim) + (c * kh * kw) in
           for qy = 0 to kh - 1 do
-            let wrow = wbase + ((kh - 1 - qy) * kw) in
-            let drow = dst + (qy * kw) in
             for qx = 0 to kw - 1 do
-              Array.unsafe_set a3 (drow + qx)
-                (Array.unsafe_get wd (wrow + (kw - 1 - qx)))
+              Array.unsafe_set a3
+                (drow + (qy * kw) + qx)
+                (Array.unsafe_get wd
+                   (wbase + ((kh - 1 - qy) * kw) + (kw - 1 - qx)))
             done
           done
         done
       done;
-      Workspace.with_floats (kdim * ncol) (fun pb ->
-          Workspace.with_floats ncol (fun row ->
-              for p = 0 to kdim - 1 do
-                let c = p / (kh * kw) in
-                let rem = p mod (kh * kw) in
-                let qy = rem / kw and qx = rem mod kw in
-                let ky = kh - 1 - qy and kx = kw - 1 - qx in
-                let xbase = c * h * w in
-                let pos = ref 0 in
-                for oy = 0 to oh - 1 do
-                  let ty = oy + pad - ky in
-                  let iy = ty / stride in
-                  if ty >= 0 && ty mod stride = 0 && iy < h then begin
-                    let xrow = xbase + (iy * w) in
-                    for ox = 0 to ow - 1 do
-                      let tx = ox + pad - kx in
-                      let ix = tx / stride in
-                      Array.unsafe_set row !pos
-                        (if tx >= 0 && tx mod stride = 0 && ix < w then
-                           Array.unsafe_get xd (xrow + ix)
-                         else 0.);
-                      incr pos
-                    done
-                  end
-                  else begin
-                    Array.fill row !pos ow 0.;
-                    pos := !pos + ow
-                  end
-                done;
-                pack_row ~k:kdim ~n:ncol pb p row 0
-              done);
-          gemm ~par_macs:conv_par_macs ~m:co ~k:kdim ~n:ncol a3 pb out));
-  add_channel_bias out ~n:ncol bias;
-  out
+      with_dilated ~planes:(n * ci) ~h ~w ~stride xd (fun src ~h:sh ~w:sw ->
+          gemm_gather ~m:co ~k:kdim ~n:ncol ~h:sh ~w:sw src
+            ~rows:(fun d ->
+              fill_taps d ~chans:ci ~plane:(sh * sw) ~kh ~kw
+                ~y0:(pad - kh + 1) ~x0:(pad - kw + 1) ~dir:1)
+            ~cols:(fun d ->
+              fill_pixels d ~imgs:n ~img:(ci * sh * sw) ~oh ~ow ~stride:1)
+            a3 g));
+  finish_batch g ~n ~co ~hw:(oh * ow) bias
 
-let conv2d ?(stride = 1) ?(pad = 0) ?(engine = `Auto) x ~weight ~bias =
-  check_rank3 "Tensor.conv2d" x;
-  if rank weight <> 4 then invalid_arg "Tensor.conv2d: weight must be rank 4";
-  let ci = x.shape.(0) and h = x.shape.(1) and w = x.shape.(2) in
-  let co = weight.shape.(0) in
-  if weight.shape.(1) <> ci then
-    invalid_arg "Tensor.conv2d: channel mismatch between input and weight";
+(* Direct reference for one sample: reads x at [xoff], writes out at
+   [ooff].  Each output channel writes only its own slice, so channels
+   distribute freely across domains without changing any result bit. *)
+let conv2d_direct ~stride ~pad ~ci ~h ~w ~co ~kh ~kw ~oh ~ow (xd : float array)
+    xoff (wd : float array) bias (out : float array) ooff =
+  let per_out_channel o =
+    let wbase_o = o * ci * kh * kw in
+    let obase_o = ooff + (o * oh * ow) in
+    for c = 0 to ci - 1 do
+      let wbase = wbase_o + (c * kh * kw) in
+      let xbase = xoff + (c * h * w) in
+      for ky = 0 to kh - 1 do
+        for kx = 0 to kw - 1 do
+          let wv = Array.unsafe_get wd (wbase + (ky * kw) + kx) in
+          if wv <> 0. then
+            for oy = 0 to oh - 1 do
+              let iy = (oy * stride) + ky - pad in
+              if iy >= 0 && iy < h then begin
+                let orow = obase_o + (oy * ow) in
+                let xrow = xbase + (iy * w) in
+                for ox = 0 to ow - 1 do
+                  let ix = (ox * stride) + kx - pad in
+                  if ix >= 0 && ix < w then
+                    Array.unsafe_set out (orow + ox)
+                      (Array.unsafe_get out (orow + ox)
+                      +. (wv *. Array.unsafe_get xd (xrow + ix)))
+                done
+              end
+            done
+        done
+      done
+    done;
+    match bias with
+    | Some b ->
+        let bv = b.data.(o) in
+        for i = 0 to (oh * ow) - 1 do
+          Array.unsafe_set out (obase_o + i)
+            (Array.unsafe_get out (obase_o + i) +. bv)
+        done
+    | None -> ()
+  in
+  if co * ci * kh * kw * oh * ow < conv_par_macs then
+    for o = 0 to co - 1 do
+      per_out_channel o
+    done
+  else Pool.parallel_for ~chunk:1 0 co per_out_channel
+
+(* Shared by [conv2d] (n = 1) and [conv2d_batch]: returns
+   (co, oh, ow, data) with data laid out [n; co; oh; ow]. *)
+let conv2d_core ~name ~stride ~pad ~engine ~n ~ci ~h ~w xd ~weight ~bias =
+  let co =
+    check_conv_args name ~stride ~in_channels:ci ~in_axis:1 ~out_axis:0
+      ~weight ~bias
+  in
   let kh = weight.shape.(2) and kw = weight.shape.(3) in
   let oh = ((h + (2 * pad) - kh) / stride) + 1 in
   let ow = ((w + (2 * pad) - kw) / stride) + 1 in
-  if oh <= 0 || ow <= 0 then invalid_arg "Tensor.conv2d: empty output";
-  if stride >= 1 && gemm_selected engine (co * ci * kh * kw * oh * ow) then
-    make [| co; oh; ow |]
-      (conv2d_gemm ~stride ~pad ~ci ~h ~w ~co ~kh ~kw ~oh ~ow x.data
-         weight.data bias)
-  else begin
-    let out = Array.make (co * oh * ow) 0. in
-    let xd = x.data and wd = weight.data in
-    (* each output channel writes only its own [out] slice, so channels
-       distribute freely across domains without changing any result bit *)
-    let per_out_channel o =
-      let wbase_o = o * ci * kh * kw in
-      let obase_o = o * oh * ow in
-      for c = 0 to ci - 1 do
-        let wbase = wbase_o + (c * kh * kw) in
-        let xbase = c * h * w in
-        for ky = 0 to kh - 1 do
-          for kx = 0 to kw - 1 do
-            let wv = Array.unsafe_get wd (wbase + (ky * kw) + kx) in
-            if wv <> 0. then
-              for oy = 0 to oh - 1 do
-                let iy = (oy * stride) + ky - pad in
-                if iy >= 0 && iy < h then begin
-                  let orow = obase_o + (oy * ow) in
-                  let xrow = xbase + (iy * w) in
-                  for ox = 0 to ow - 1 do
-                    let ix = (ox * stride) + kx - pad in
-                    if ix >= 0 && ix < w then
-                      Array.unsafe_set out (orow + ox)
-                        (Array.unsafe_get out (orow + ox)
-                        +. (wv *. Array.unsafe_get xd (xrow + ix)))
-                  done
-                end
-              done
-          done
-        done
+  if oh <= 0 || ow <= 0 then invalid_arg (name ^ ": empty output");
+  let data =
+    if n > 0 && gemm_selected engine (n * co * ci * kh * kw * oh * ow) then
+      conv2d_gemm ~n ~stride ~pad ~ci ~h ~w ~co ~kh ~kw ~oh ~ow xd weight.data
+        bias
+    else begin
+      let out = Array.make (n * co * oh * ow) 0. in
+      for b = 0 to n - 1 do
+        conv2d_direct ~stride ~pad ~ci ~h ~w ~co ~kh ~kw ~oh ~ow xd
+          (b * ci * h * w) weight.data bias out
+          (b * co * oh * ow)
       done;
-      match bias with
-      | Some b ->
-          let bv = b.data.(o) in
-          for i = 0 to (oh * ow) - 1 do
-            Array.unsafe_set out (obase_o + i)
-              (Array.unsafe_get out (obase_o + i) +. bv)
-          done
-      | None -> ()
-    in
-    if co * ci * kh * kw * oh * ow < conv_par_macs then
-      for o = 0 to co - 1 do
-        per_out_channel o
-      done
-    else Pool.parallel_for ~chunk:1 0 co per_out_channel;
-    make [| co; oh; ow |] out
-  end
+      out
+    end
+  in
+  (co, oh, ow, data)
+
+let conv2d ?(stride = 1) ?(pad = 0) ?(engine = `Auto) x ~weight ~bias =
+  check_rank3 "Tensor.conv2d" x;
+  let co, oh, ow, data =
+    conv2d_core ~name:"Tensor.conv2d" ~stride ~pad ~engine ~n:1
+      ~ci:x.shape.(0) ~h:x.shape.(1) ~w:x.shape.(2) x.data ~weight ~bias
+  in
+  make [| co; oh; ow |] data
+
+let conv2d_batch ?(stride = 1) ?(pad = 0) ?(engine = `Auto) x ~weight ~bias =
+  check_rank4 "Tensor.conv2d_batch" x;
+  let n = x.shape.(0) in
+  let co, oh, ow, data =
+    conv2d_core ~name:"Tensor.conv2d_batch" ~stride ~pad ~engine ~n
+      ~ci:x.shape.(1) ~h:x.shape.(2) ~w:x.shape.(3) x.data ~weight ~bias
+  in
+  make [| n; co; oh; ow |] data
+
+(* The spatial size [conv2d] produces from an h x w input. *)
+let conv_output_shape name ~stride ~pad ~co ~h ~w ~kh ~kw =
+  if stride < 1 then invalid_arg (name ^ ": stride must be >= 1");
+  [|
+    co; ((h + (2 * pad) - kh) / stride) + 1; ((w + (2 * pad) - kw) / stride) + 1;
+  |]
 
 let conv2d_backward_input ?(stride = 1) ?(pad = 0) ?(engine = `Auto)
     ~input_shape ~weight gout =
-  check_rank3 "Tensor.conv2d_backward_input" gout;
+  let name = "Tensor.conv2d_backward_input" in
+  check_rank3 name gout;
+  if rank weight <> 4 then invalid_arg (name ^ ": weight must be rank 4");
+  if Array.length input_shape <> 3 || weight.shape.(1) <> input_shape.(0) then
+    shape_mismatch name "input shape" input_shape "weight shape" weight.shape;
   let ci = input_shape.(0) and h = input_shape.(1) and w = input_shape.(2) in
   let co = weight.shape.(0) in
   let kh = weight.shape.(2) and kw = weight.shape.(3) in
+  let expected = conv_output_shape name ~stride ~pad ~co ~h ~w ~kh ~kw in
+  if gout.shape <> expected then
+    shape_mismatch name "gradient shape" gout.shape "output shape" expected;
   let oh = gout.shape.(1) and ow = gout.shape.(2) in
-  if
-    stride >= 1
-    && gemm_selected_dilated engine ~stride (co * ci * kh * kw * oh * ow)
-  then
+  if gemm_selected_dilated engine ~stride (co * ci * kh * kw * oh * ow) then
     make input_shape
       (conv2d_backward_input_gemm ~stride ~pad ~ci ~h ~w ~co ~kh ~kw ~oh ~ow
          gout.data weight.data)
@@ -760,12 +949,19 @@ let conv2d_backward_input ?(stride = 1) ?(pad = 0) ?(engine = `Auto)
 
 let conv2d_backward_weight ?(stride = 1) ?(pad = 0) ?(engine = `Auto) ~input
     ~weight_shape gout =
-  check_rank3 "Tensor.conv2d_backward_weight" gout;
+  let name = "Tensor.conv2d_backward_weight" in
+  check_rank3 name gout;
+  check_rank3 name input;
+  if Array.length weight_shape <> 4 || weight_shape.(1) <> input.shape.(0) then
+    shape_mismatch name "input shape" input.shape "weight shape" weight_shape;
   let ci = input.shape.(0) and h = input.shape.(1) and w = input.shape.(2) in
   let co = weight_shape.(0) in
   let kh = weight_shape.(2) and kw = weight_shape.(3) in
+  let expected = conv_output_shape name ~stride ~pad ~co ~h ~w ~kh ~kw in
+  if gout.shape <> expected then
+    shape_mismatch name "gradient shape" gout.shape "output shape" expected;
   let oh = gout.shape.(1) and ow = gout.shape.(2) in
-  if stride >= 1 && gemm_selected engine (co * ci * kh * kw * oh * ow) then
+  if gemm_selected engine (co * ci * kh * kw * oh * ow) then
     make weight_shape
       (conv2d_backward_weight_gemm ~stride ~pad ~ci ~h ~w ~co ~kh ~kw ~oh ~ow
          gout.data input.data)
@@ -809,74 +1005,101 @@ let conv2d_backward_weight ?(stride = 1) ?(pad = 0) ?(engine = `Auto) ~input
     make weight_shape gw
   end
 
-let conv2d_transpose ?(stride = 1) ?(pad = 0) ?(engine = `Auto) x ~weight
+(* Direct reference for one sample, offsets as in [conv2d_direct].
+   Output channels own disjoint [out] slices; within one, input
+   channels scatter in ascending order — a fixed accumulation order. *)
+let conv2d_transpose_direct ~stride ~pad ~ci ~h ~w ~co ~kh ~kw ~oh ~ow
+    (xd : float array) xoff (wd : float array) bias (out : float array) ooff =
+  let per_out_channel o =
+    let obase = ooff + (o * oh * ow) in
+    for c = 0 to ci - 1 do
+      let xbase = xoff + (c * h * w) in
+      let wbase = ((c * co) + o) * kh * kw in
+      for iy = 0 to h - 1 do
+        let xrow = xbase + (iy * w) in
+        for ix = 0 to w - 1 do
+          let xv = Array.unsafe_get xd (xrow + ix) in
+          if xv <> 0. then
+            for ky = 0 to kh - 1 do
+              let oy = (iy * stride) + ky - pad in
+              if oy >= 0 && oy < oh then begin
+                let orow = obase + (oy * ow) in
+                let wrow = wbase + (ky * kw) in
+                for kx = 0 to kw - 1 do
+                  let ox = (ix * stride) + kx - pad in
+                  if ox >= 0 && ox < ow then
+                    Array.unsafe_set out (orow + ox)
+                      (Array.unsafe_get out (orow + ox)
+                      +. (xv *. Array.unsafe_get wd (wrow + kx)))
+                done
+              end
+            done
+        done
+      done
+    done;
+    match bias with
+    | Some b ->
+        let bv = b.data.(o) in
+        for i = 0 to (oh * ow) - 1 do
+          Array.unsafe_set out (obase + i) (Array.unsafe_get out (obase + i) +. bv)
+        done
+    | None -> ()
+  in
+  if ci * co * kh * kw * h * w < conv_par_macs then
+    for o = 0 to co - 1 do
+      per_out_channel o
+    done
+  else Pool.parallel_for ~chunk:1 0 co per_out_channel
+
+(* Shared by [conv2d_transpose] (n = 1) and [conv2d_transpose_batch]. *)
+let conv2d_transpose_core ~name ~stride ~pad ~engine ~n ~ci ~h ~w xd ~weight
     ~bias =
-  check_rank3 "Tensor.conv2d_transpose" x;
-  if rank weight <> 4 then
-    invalid_arg "Tensor.conv2d_transpose: weight must be rank 4";
-  let ci = x.shape.(0) and h = x.shape.(1) and w = x.shape.(2) in
-  if weight.shape.(0) <> ci then
-    invalid_arg "Tensor.conv2d_transpose: channel mismatch";
-  let co = weight.shape.(1) in
+  let co =
+    check_conv_args name ~stride ~in_channels:ci ~in_axis:0 ~out_axis:1
+      ~weight ~bias
+  in
   let kh = weight.shape.(2) and kw = weight.shape.(3) in
   let oh = ((h - 1) * stride) - (2 * pad) + kh in
   let ow = ((w - 1) * stride) - (2 * pad) + kw in
-  if oh <= 0 || ow <= 0 then invalid_arg "Tensor.conv2d_transpose: empty output";
-  if
-    stride >= 1
-    && gemm_selected_dilated engine ~stride (ci * co * kh * kw * h * w)
-  then
-    make [| co; oh; ow |]
-      (conv2d_transpose_gemm ~stride ~pad ~ci ~h ~w ~co ~kh ~kw ~oh ~ow x.data
-         weight.data bias)
-  else begin
-    let out = Array.make (co * oh * ow) 0. in
-    let xd = x.data and wd = weight.data in
-    (* output channels own disjoint [out] slices; within one, input
-       channels scatter in ascending order — a fixed accumulation order *)
-    let per_out_channel o =
-      let obase = o * oh * ow in
-      for c = 0 to ci - 1 do
-        let xbase = c * h * w in
-        let wbase = ((c * co) + o) * kh * kw in
-        for iy = 0 to h - 1 do
-          let xrow = xbase + (iy * w) in
-          for ix = 0 to w - 1 do
-            let xv = Array.unsafe_get xd (xrow + ix) in
-            if xv <> 0. then
-              for ky = 0 to kh - 1 do
-                let oy = (iy * stride) + ky - pad in
-                if oy >= 0 && oy < oh then begin
-                  let orow = obase + (oy * ow) in
-                  let wrow = wbase + (ky * kw) in
-                  for kx = 0 to kw - 1 do
-                    let ox = (ix * stride) + kx - pad in
-                    if ox >= 0 && ox < ow then
-                      Array.unsafe_set out (orow + ox)
-                        (Array.unsafe_get out (orow + ox)
-                        +. (xv *. Array.unsafe_get wd (wrow + kx)))
-                  done
-                end
-              done
-          done
-        done
+  if oh <= 0 || ow <= 0 then invalid_arg (name ^ ": empty output");
+  let data =
+    if
+      n > 0
+      && gemm_selected_dilated engine ~stride (n * ci * co * kh * kw * h * w)
+    then
+      conv2d_transpose_gemm ~n ~stride ~pad ~ci ~h ~w ~co ~kh ~kw ~oh ~ow xd
+        weight.data bias
+    else begin
+      let out = Array.make (n * co * oh * ow) 0. in
+      for b = 0 to n - 1 do
+        conv2d_transpose_direct ~stride ~pad ~ci ~h ~w ~co ~kh ~kw ~oh ~ow xd
+          (b * ci * h * w) weight.data bias out
+          (b * co * oh * ow)
       done;
-      match bias with
-      | Some b ->
-          let bv = b.data.(o) in
-          for i = 0 to (oh * ow) - 1 do
-            Array.unsafe_set out (obase + i)
-              (Array.unsafe_get out (obase + i) +. bv)
-          done
-      | None -> ()
-    in
-    if ci * co * kh * kw * h * w < conv_par_macs then
-      for o = 0 to co - 1 do
-        per_out_channel o
-      done
-    else Pool.parallel_for ~chunk:1 0 co per_out_channel;
-    make [| co; oh; ow |] out
-  end
+      out
+    end
+  in
+  (co, oh, ow, data)
+
+let conv2d_transpose ?(stride = 1) ?(pad = 0) ?(engine = `Auto) x ~weight
+    ~bias =
+  check_rank3 "Tensor.conv2d_transpose" x;
+  let co, oh, ow, data =
+    conv2d_transpose_core ~name:"Tensor.conv2d_transpose" ~stride ~pad ~engine
+      ~n:1 ~ci:x.shape.(0) ~h:x.shape.(1) ~w:x.shape.(2) x.data ~weight ~bias
+  in
+  make [| co; oh; ow |] data
+
+let conv2d_transpose_batch ?(stride = 1) ?(pad = 0) ?(engine = `Auto) x
+    ~weight ~bias =
+  check_rank4 "Tensor.conv2d_transpose_batch" x;
+  let n = x.shape.(0) in
+  let co, oh, ow, data =
+    conv2d_transpose_core ~name:"Tensor.conv2d_transpose_batch" ~stride ~pad
+      ~engine ~n ~ci:x.shape.(1) ~h:x.shape.(2) ~w:x.shape.(3) x.data ~weight
+      ~bias
+  in
+  make [| n; co; oh; ow |] data
 
 let maxpool2 x =
   check_rank3 "Tensor.maxpool2" x;
@@ -884,6 +1107,7 @@ let maxpool2 x =
   if h mod 2 <> 0 || w mod 2 <> 0 then
     invalid_arg "Tensor.maxpool2: spatial dimensions must be even";
   let oh = h / 2 and ow = w / 2 in
+  let xd = x.data in
   let out = Array.make (c * oh * ow) 0. in
   let arg = Array.make (c * oh * ow) 0 in
   for ch = 0 to c - 1 do
@@ -891,18 +1115,15 @@ let maxpool2 x =
     let obase = ch * oh * ow in
     for oy = 0 to oh - 1 do
       for ox = 0 to ow - 1 do
+        (* candidates i0, i0+1, i0+w, i0+w+1; the first strict
+           maximum wins *)
         let i0 = xbase + (2 * oy * w) + (2 * ox) in
-        let candidates = [| i0; i0 + 1; i0 + w; i0 + w + 1 |] in
-        let best = ref candidates.(0) in
-        let bestv = ref x.data.(candidates.(0)) in
+        let best = ref i0 in
         for k = 1 to 3 do
-          let i = candidates.(k) in
-          if x.data.(i) > !bestv then begin
-            best := i;
-            bestv := x.data.(i)
-          end
+          let i = i0 + (k land 1) + (if k >= 2 then w else 0) in
+          if Array.unsafe_get xd i > Array.unsafe_get xd !best then best := i
         done;
-        out.(obase + (oy * ow) + ox) <- !bestv;
+        out.(obase + (oy * ow) + ox) <- Array.unsafe_get xd !best;
         arg.(obase + (oy * ow) + ox) <- !best
       done
     done
@@ -956,17 +1177,12 @@ let upsample_nearest2 x =
 (* ------------------------------------------------------------------ *)
 (* Batched kernels (rank-4 [n; c; h; w]).                              *)
 (*                                                                     *)
-(* The batched forward convolution folds the whole batch into one      *)
-(* im2col/GEMM call (kdim x n*oh*ow columns), so weight packing and    *)
-(* the parallel-region dispatch amortize over the batch — the payoff   *)
-(* the serve micro-batcher is built on.  Bit-exactness with the        *)
-(* per-sample kernels is preserved because each output element is      *)
-(* still one ascending-p dot chain: batching only adds columns to the  *)
-(* GEMM, never reorders an accumulation.                               *)
+(* The batched convolutions live with the convolution kernels above:   *)
+(* one im2col/GEMM call per batch (kdim x n*oh*ow columns), so weight  *)
+(* packing and the parallel-region dispatch amortize over the batch —  *)
+(* the payoff the serve micro-batcher is built on.  The helpers below  *)
+(* are per-channel or pure copies, so they fold the batch axis freely. *)
 (* ------------------------------------------------------------------ *)
-
-let check_rank4 name t =
-  if rank t <> 4 then invalid_arg (name ^ ": expected a rank-4 tensor")
 
 let stack ts =
   if Array.length ts = 0 then invalid_arg "Tensor.stack: empty batch";
@@ -987,115 +1203,6 @@ let unstack t =
   let rest = Array.sub t.shape 1 (rank t - 1) in
   let per = numel_of_shape rest in
   Array.init n (fun i -> make rest (Array.sub t.data (i * per) per))
-
-let conv2d_batch ?(stride = 1) ?(pad = 0) ?(engine = `Auto) x ~weight ~bias =
-  check_rank4 "Tensor.conv2d_batch" x;
-  if rank weight <> 4 then
-    invalid_arg "Tensor.conv2d_batch: weight must be rank 4";
-  let n = x.shape.(0) and ci = x.shape.(1) in
-  let h = x.shape.(2) and w = x.shape.(3) in
-  let co = weight.shape.(0) in
-  if weight.shape.(1) <> ci then
-    invalid_arg "Tensor.conv2d_batch: channel mismatch between input and weight";
-  let kh = weight.shape.(2) and kw = weight.shape.(3) in
-  let oh = ((h + (2 * pad) - kh) / stride) + 1 in
-  let ow = ((w + (2 * pad) - kw) / stride) + 1 in
-  if oh <= 0 || ow <= 0 then invalid_arg "Tensor.conv2d_batch: empty output";
-  let sample_macs = co * ci * kh * kw * oh * ow in
-  if n > 0 && stride >= 1 && gemm_selected engine (n * sample_macs) then begin
-    (* One GEMM for the whole batch: column j = (b, oy, ox). *)
-    let kdim = ci * kh * kw in
-    let ohw = oh * ow in
-    let ncol = n * ohw in
-    let g = Array.make (co * ncol) 0. in
-    let xd = x.data in
-    Workspace.with_floats (kdim * ncol) (fun pb ->
-        Workspace.with_floats ncol (fun row ->
-            for p = 0 to kdim - 1 do
-              let c = p / (kh * kw) in
-              let rem = p mod (kh * kw) in
-              let ky = rem / kw and kx = rem mod kw in
-              let pos = ref 0 in
-              for b = 0 to n - 1 do
-                let xbase = (((b * ci) + c) * h) * w in
-                for oy = 0 to oh - 1 do
-                  let iy = (oy * stride) + ky - pad in
-                  if iy < 0 || iy >= h then begin
-                    Array.fill row !pos ow 0.;
-                    pos := !pos + ow
-                  end
-                  else begin
-                    let xrow = xbase + (iy * w) in
-                    if stride = 1 then begin
-                      fill_line_s1 row !pos xd xrow ~shift:(kx - pad)
-                        ~len_src:w ~len_dst:ow;
-                      pos := !pos + ow
-                    end
-                    else
-                      for ox = 0 to ow - 1 do
-                        let ix = (ox * stride) + kx - pad in
-                        Array.unsafe_set row !pos
-                          (if ix >= 0 && ix < w then
-                             Array.unsafe_get xd (xrow + ix)
-                           else 0.);
-                        incr pos
-                      done
-                  end
-                done
-              done;
-              pack_row ~k:kdim ~n:ncol pb p row 0
-            done);
-        gemm ~par_macs:conv_par_macs ~m:co ~k:kdim ~n:ncol weight.data pb g);
-    add_channel_bias g ~n:ncol bias;
-    (* [co; n; oh*ow] -> [n; co; oh*ow] *)
-    let out = Array.make (n * co * ohw) 0. in
-    for o = 0 to co - 1 do
-      let grow = o * ncol in
-      for b = 0 to n - 1 do
-        Array.blit g (grow + (b * ohw)) out ((((b * co) + o) * ohw)) ohw
-      done
-    done;
-    make [| n; co; oh; ow |] out
-  end
-  else begin
-    let sample_in = ci * h * w in
-    let sample_out = co * oh * ow in
-    let out = Array.make (n * sample_out) 0. in
-    for b = 0 to n - 1 do
-      let xb = make [| ci; h; w |] (Array.sub x.data (b * sample_in) sample_in) in
-      let yb = conv2d ~stride ~pad ~engine xb ~weight ~bias in
-      Array.blit yb.data 0 out (b * sample_out) sample_out
-    done;
-    make [| n; co; oh; ow |] out
-  end
-
-(* Per-sample dispatch: the decoder's stride-2 up-convolutions live on
-   the direct path anyway (see [gemm_selected_dilated]), so there is no
-   batched lowering to win — correctness and bit-identity come free. *)
-let conv2d_transpose_batch ?(stride = 1) ?(pad = 0) ?(engine = `Auto) x
-    ~weight ~bias =
-  check_rank4 "Tensor.conv2d_transpose_batch" x;
-  if rank weight <> 4 then
-    invalid_arg "Tensor.conv2d_transpose_batch: weight must be rank 4";
-  let n = x.shape.(0) and ci = x.shape.(1) in
-  let h = x.shape.(2) and w = x.shape.(3) in
-  if weight.shape.(0) <> ci then
-    invalid_arg "Tensor.conv2d_transpose_batch: channel mismatch";
-  let co = weight.shape.(1) in
-  let kh = weight.shape.(2) and kw = weight.shape.(3) in
-  let oh = ((h - 1) * stride) - (2 * pad) + kh in
-  let ow = ((w - 1) * stride) - (2 * pad) + kw in
-  if oh <= 0 || ow <= 0 then
-    invalid_arg "Tensor.conv2d_transpose_batch: empty output";
-  let sample_in = ci * h * w in
-  let sample_out = co * oh * ow in
-  let out = Array.make (n * sample_out) 0. in
-  for b = 0 to n - 1 do
-    let xb = make [| ci; h; w |] (Array.sub x.data (b * sample_in) sample_in) in
-    let yb = conv2d_transpose ~stride ~pad ~engine xb ~weight ~bias in
-    Array.blit yb.data 0 out (b * sample_out) sample_out
-  done;
-  make [| n; co; oh; ow |] out
 
 let maxpool2_batch x =
   check_rank4 "Tensor.maxpool2_batch" x;

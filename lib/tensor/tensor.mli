@@ -100,6 +100,10 @@ val neg : t -> t
 val scale : float -> t -> t
 val add_scalar : float -> t -> t
 val relu : t -> t
+
+val leaky_relu : float -> t -> t
+(** [leaky_relu slope t]: [x] where [x > 0.], else [slope *. x]. *)
+
 val sigmoid : t -> t
 val tanh_ : t -> t
 val exp_ : t -> t
@@ -142,13 +146,20 @@ type conv_engine = [ `Auto | `Direct | `Gemm ]
     GEMM pipeline that reuses {!module:Workspace} scratch.  The two are
     bit-identical for every shape, stride, and padding — the engine is
     purely a performance choice — and [`Auto] (the default) picks
-    [`Gemm] once the kernel is large enough to amortize packing. *)
+    [`Gemm] once the kernel is large enough to amortize packing.
+
+    Every convolution entry below checks its shapes (input channels
+    against the weight, bias length against the output channels, a
+    gradient against the output shape the input and weight imply) and
+    its stride ([>= 1]) before touching any data, and raises
+    [Invalid_argument] naming the mismatched shapes. *)
 
 val conv2d :
   ?stride:int -> ?pad:int -> ?engine:conv_engine -> t -> weight:t ->
   bias:t option -> t
 (** [conv2d x ~weight ~bias] with [x : [ci; h; w]],
-    [weight : [co; ci; kh; kw]], [bias : [co]] option. *)
+    [weight : [co; ci; kh; kw]], [bias : [co]] option.  Runs as
+    {!conv2d_batch} at [n = 1]. *)
 
 val conv2d_backward_input :
   ?stride:int -> ?pad:int -> ?engine:conv_engine -> input_shape:int array ->
@@ -166,7 +177,8 @@ val conv2d_transpose :
   bias:t option -> t
 (** Transposed convolution (a.k.a. deconvolution), used by the UNet
     decoder.  [x : [ci; h; w]], [weight : [ci; co; kh; kw]]; output has
-    spatial size [(h-1)*stride - 2*pad + kh]. *)
+    spatial size [(h-1)*stride - 2*pad + kh].  Runs as
+    {!conv2d_transpose_batch} at [n = 1]. *)
 
 val maxpool2 : t -> t * int array
 (** 2x2, stride-2 max pooling.  Also returns the flat argmax index into
@@ -209,7 +221,8 @@ val conv2d_batch :
 val conv2d_transpose_batch :
   ?stride:int -> ?pad:int -> ?engine:conv_engine -> t -> weight:t ->
   bias:t option -> t
-(** {!conv2d_transpose} over a batch ([x : [n; ci; h; w]]). *)
+(** {!conv2d_transpose} over a batch ([x : [n; ci; h; w]]), with the
+    same single-GEMM lowering as {!conv2d_batch} when [`Gemm] runs. *)
 
 val maxpool2_batch : t -> t
 (** 2x2, stride-2 max pooling over a rank-4 batch (no argmax — this is

@@ -240,6 +240,133 @@ let test_auto_matches_forced_engines () =
           with_bias = false };
       ])
 
+(* The batched lowerings against stacked per-sample [`Direct] results.
+   A batch lays its columns out (b, oy, ox), so a packing quad can
+   straddle an output row or a sample boundary and the tail block
+   holds n*oh*ow mod 4 columns; the stream must reach each of those,
+   plus stride 2 and pad > kernel. *)
+let test_batched_vs_direct () =
+  let rng = Rng.create 0xC041C in
+  let straddle_row = ref false and straddle_sample = ref false in
+  let ragged_tail = ref false and strided = ref false in
+  let big_pad = ref false in
+  let note ~oh ~ow ~n c =
+    let ohw = oh * ow in
+    let quad_cross ~period =
+      let rec go j = j + 3 < n * ohw && ((j / period <> (j + 3) / period) || go (j + 4)) in
+      go 0
+    in
+    if quad_cross ~period:ow then straddle_row := true;
+    if n > 1 && quad_cross ~period:ohw then straddle_sample := true;
+    if n * ohw mod 4 <> 0 then ragged_tail := true;
+    if c.stride = 2 then strided := true;
+    if c.pad > max c.kh c.kw then big_pad := true
+  in
+  let stacked f xs = T.stack (Array.map f xs) in
+  let check_case c =
+    for n = 1 to 3 do
+      let xs = Array.init n (fun _ -> T.randn rng [| c.ci; c.h; c.w |]) in
+      let xb = T.stack xs in
+      let w = T.randn rng [| c.co; c.ci; c.kh; c.kw |] in
+      let bias = if c.with_bias then Some (T.randn rng [| c.co |]) else None in
+      let direct =
+        stacked
+          (fun x ->
+            T.conv2d ~stride:c.stride ~pad:c.pad ~engine:`Direct x ~weight:w
+              ~bias)
+          xs
+      in
+      note ~n c ~oh:(T.dim direct 2) ~ow:(T.dim direct 3);
+      let tag = Printf.sprintf "%s n=%d" (case_name "conv2d_batch" c) n in
+      on_both_schedules (fun sched ->
+          Alcotest.check exact_tensor (tag ^ " gemm " ^ sched) direct
+            (T.conv2d_batch ~stride:c.stride ~pad:c.pad ~engine:`Gemm xb
+               ~weight:w ~bias);
+          Alcotest.check exact_tensor (tag ^ " auto " ^ sched) direct
+            (T.conv2d_batch ~stride:c.stride ~pad:c.pad xb ~weight:w ~bias))
+    done
+  in
+  let check_transpose_case c =
+    for n = 1 to 3 do
+      let xs = Array.init n (fun _ -> T.randn rng [| c.ci; c.h; c.w |]) in
+      let xb = T.stack xs in
+      let w = T.randn rng [| c.ci; c.co; c.kh; c.kw |] in
+      let bias = if c.with_bias then Some (T.randn rng [| c.co |]) else None in
+      let direct =
+        stacked
+          (fun x ->
+            T.conv2d_transpose ~stride:c.stride ~pad:c.pad ~engine:`Direct x
+              ~weight:w ~bias)
+          xs
+      in
+      note ~n c ~oh:(T.dim direct 2) ~ow:(T.dim direct 3);
+      let tag = Printf.sprintf "%s n=%d" (case_name "transpose_batch" c) n in
+      on_both_schedules (fun sched ->
+          Alcotest.check exact_tensor (tag ^ " gemm " ^ sched) direct
+            (T.conv2d_transpose_batch ~stride:c.stride ~pad:c.pad ~engine:`Gemm
+               xb ~weight:w ~bias);
+          Alcotest.check exact_tensor (tag ^ " auto " ^ sched) direct
+            (T.conv2d_transpose_batch ~stride:c.stride ~pad:c.pad xb ~weight:w
+               ~bias))
+    done
+  in
+  List.iter check_case
+    (corner_conv_cases @ random_cases rng ~n:30 ~valid:valid_conv);
+  List.iter check_transpose_case
+    (corner_transpose_cases @ random_cases rng ~n:30 ~valid:valid_transpose);
+  List.iter
+    (fun (what, hit) -> Alcotest.(check bool) ("stream covers " ^ what) true !hit)
+    [
+      ("quads straddling output rows", straddle_row);
+      ("quads straddling samples", straddle_sample);
+      ("n*oh*ow mod 4 <> 0", ragged_tail);
+      ("stride 2", strided);
+      ("pad > kernel", big_pad);
+    ]
+
+(* Minor-heap words one call allocates, after warm-up calls have grown
+   the scratch arena.  Outputs above 256 words go straight to the major
+   heap, so this counts only per-call bookkeeping and boxing. *)
+let minor_words_of f =
+  ignore (f ());
+  ignore (f ());
+  let w0 = Gc.minor_words () in
+  ignore (Sys.opaque_identity (f ()));
+  Gc.minor_words () -. w0
+
+(* A helper that only moves floats is inferred at ['a array] unless
+   annotated, and then boxes every element through the generic array
+   accessors (about 147k words for one of these convolutions); a
+   [map]/[map2] closure boxes every float it returns.  The kernels must
+   stay within a small constant instead. *)
+let test_kernels_allocation_free () =
+  let module V = Dco3d_autodiff.Value in
+  let rng = Rng.create 0xC041D in
+  let x = T.randn rng [| 8; 32; 32 |] and xb = T.randn rng [| 2; 8; 32; 32 |] in
+  let w = T.randn rng [| 8; 8; 3; 3 |] and b = Some (T.randn rng [| 8 |]) in
+  let g = T.randn rng [| 8; 32; 32 |] in
+  let budget = 512. in
+  let check what f =
+    let words = minor_words_of f in
+    if words > budget then
+      Alcotest.failf "%s allocates %.0f minor words per call (budget %.0f)" what
+        words budget
+  in
+  check "conv2d" (fun () -> T.conv2d ~pad:1 x ~weight:w ~bias:b);
+  check "conv2d_batch" (fun () -> T.conv2d_batch ~pad:1 xb ~weight:w ~bias:b);
+  check "conv2d_backward_input" (fun () ->
+      T.conv2d_backward_input ~pad:1 ~input_shape:[| 8; 32; 32 |] ~weight:w g);
+  check "conv2d_backward_weight" (fun () ->
+      T.conv2d_backward_weight ~pad:1 ~input:x ~weight_shape:[| 8; 8; 3; 3 |] g);
+  check "T.add" (fun () -> T.add x g);
+  (* forward and backward through the tape; the budget also covers the
+     tape's own bookkeeping (node records, the backward pass's table) *)
+  check "V.leaky_relu forward+backward" (fun () ->
+      let p = V.param x in
+      let y = V.leaky_relu 0.1 p in
+      V.backward (V.dot y (V.const g));
+      V.grad p)
+
 let suites =
   [
     ( "tensor.conv_gemm",
@@ -253,5 +380,9 @@ let suites =
           test_matmul_vs_reference;
         Alcotest.test_case "auto == forced engines" `Quick
           test_auto_matches_forced_engines;
+        Alcotest.test_case "batched == stacked direct" `Quick
+          test_batched_vs_direct;
+        Alcotest.test_case "kernels allocation-free" `Quick
+          test_kernels_allocation_free;
       ] );
   ]

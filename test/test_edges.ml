@@ -43,6 +43,66 @@ let test_tensor_conv_errors () =
     (Invalid_argument "Tensor.maxpool2: spatial dimensions must be even")
     (fun () -> ignore (T.maxpool2 odd))
 
+(* Every public conv entry reads and writes with unchecked accesses, so
+   a malformed call must be rejected up front, naming both shapes. *)
+let test_tensor_conv_malformed () =
+  let raises what msg f =
+    Alcotest.check_raises what (Invalid_argument msg) (fun () -> ignore (f ()))
+  in
+  let x = T.zeros [| 2; 6; 6 |] and w = T.zeros [| 4; 2; 3; 3 |] in
+  let long_bias = Some (T.zeros [| 9 |]) in
+  raises "conv2d bias longer than co"
+    "Tensor.conv2d: bias shape [9] does not match weight shape [4; 2; 3; 3]"
+    (fun () -> T.conv2d ~pad:1 x ~weight:w ~bias:long_bias);
+  raises "conv2d_batch bias longer than co"
+    "Tensor.conv2d_batch: bias shape [9] does not match weight shape [4; 2; \
+     3; 3]"
+    (fun () ->
+      T.conv2d_batch ~pad:1 (T.zeros [| 2; 2; 6; 6 |]) ~weight:w ~bias:long_bias);
+  raises "conv2d stride 0" "Tensor.conv2d: stride must be >= 1" (fun () ->
+      T.conv2d ~stride:0 x ~weight:w ~bias:None);
+  (* transposed weights are [ci; co; kh; kw]: co = 3 here *)
+  let tw = T.zeros [| 2; 3; 2; 2 |] and short_bias = Some (T.zeros [| 1 |]) in
+  raises "conv2d_transpose short bias"
+    "Tensor.conv2d_transpose: bias shape [1] does not match weight shape [2; \
+     3; 2; 2]"
+    (fun () -> T.conv2d_transpose ~stride:2 x ~weight:tw ~bias:short_bias);
+  raises "conv2d_transpose_batch short bias"
+    "Tensor.conv2d_transpose_batch: bias shape [1] does not match weight \
+     shape [2; 3; 2; 2]"
+    (fun () ->
+      T.conv2d_transpose_batch ~stride:2 (T.zeros [| 1; 2; 6; 6 |]) ~weight:tw
+        ~bias:short_bias);
+  let gout = T.zeros [| 4; 6; 6 |] in
+  raises "backward_input input channels"
+    "Tensor.conv2d_backward_input: input shape [3; 6; 6] does not match \
+     weight shape [4; 2; 3; 3]"
+    (fun () ->
+      T.conv2d_backward_input ~pad:1 ~input_shape:[| 3; 6; 6 |] ~weight:w gout);
+  raises "backward_input gradient channels"
+    "Tensor.conv2d_backward_input: gradient shape [3; 6; 6] does not match \
+     output shape [4; 6; 6]"
+    (fun () ->
+      T.conv2d_backward_input ~pad:1 ~input_shape:[| 2; 6; 6 |] ~weight:w
+        (T.zeros [| 3; 6; 6 |]));
+  raises "backward_weight gradient channels"
+    "Tensor.conv2d_backward_weight: gradient shape [4; 6; 6] does not match \
+     output shape [5; 6; 6]"
+    (fun () ->
+      T.conv2d_backward_weight ~pad:1 ~input:x ~weight_shape:[| 5; 2; 3; 3 |]
+        gout);
+  raises "backward_weight gradient size"
+    "Tensor.conv2d_backward_weight: gradient shape [4; 6; 6] does not match \
+     output shape [4; 4; 4]"
+    (fun () ->
+      T.conv2d_backward_weight ~input:x ~weight_shape:[| 4; 2; 3; 3 |] gout);
+  raises "backward_weight input channels"
+    "Tensor.conv2d_backward_weight: input shape [2; 6; 6] does not match \
+     weight shape [4; 3; 3; 3]"
+    (fun () ->
+      T.conv2d_backward_weight ~pad:1 ~input:x ~weight_shape:[| 4; 3; 3; 3 |]
+        gout)
+
 let test_tensor_empty_and_tiny () =
   let e = T.zeros [| 0 |] in
   Alcotest.(check (float 0.)) "sum of empty" 0. (T.sum e);
@@ -297,6 +357,8 @@ let suites =
         Alcotest.test_case "bad indices" `Quick test_tensor_bad_indices;
         Alcotest.test_case "shape mismatches" `Quick test_tensor_shape_mismatches;
         Alcotest.test_case "conv errors" `Quick test_tensor_conv_errors;
+        Alcotest.test_case "malformed conv arguments" `Quick
+          test_tensor_conv_malformed;
         Alcotest.test_case "empty and tiny" `Quick test_tensor_empty_and_tiny;
         Alcotest.test_case "resize degenerate" `Quick test_resize_degenerate;
       ] );
