@@ -812,6 +812,17 @@ let kernels () =
 (* Route benchmark: sequential vs parallel repair waves                 *)
 (* ------------------------------------------------------------------ *)
 
+(* [time_best] that also reports the A* pops of one call: routes are
+   deterministic, so every rep pops the same count. *)
+let time_pops reps f =
+  let pops0 = Obs.counter_value "route/astar_pops" in
+  let t, r = time_best reps f in
+  (t, r, (Obs.counter_value "route/astar_pops" - pops0) / max 1 reps)
+
+let print_pops pops t =
+  Printf.printf "    A* pops %d per route, %.1f ns of route time per pop\n"
+    pops (t *. 1e9 /. float_of_int (max 1 pops))
+
 let route_bench () =
   section "Route benchmark (sequential vs parallel repair waves)";
   let target_jobs = Pool.jobs () in
@@ -831,7 +842,7 @@ let route_bench () =
   let reps = max 3 (env_int "DCO3D_BENCH_REPS" 3) in
   let run () = Router.route ~config:cfg p in
   Pool.set_jobs 1;
-  let seq_t, seq_r = time_best reps run in
+  let seq_t, seq_r, pops = time_pops reps run in
   Pool.set_jobs target_jobs;
   let par_t, par_r = time_best reps run in
   (* same honest-reporting rule as the kernels: one effective job means
@@ -853,6 +864,7 @@ let route_bench () =
                  repair passes\n"
     seq_r.Router.overflow_total seq_r.Router.overflow_gcell_pct
     seq_r.Router.wirelength seq_r.Router.iterations_run;
+  print_pops pops seq_t;
   if not ok then begin
     prerr_endline
       "route: parallel repair diverged from sequential repair (digest \
@@ -874,8 +886,8 @@ let route_bench () =
   let cold_t, cold_r =
     time_best reps (fun () -> Router.route ~config:cfg perturbed)
   in
-  let warm_t, warm_r =
-    time_best reps (fun () -> Router.route ~config:cfg ~warm_start:(seq_r, p) perturbed)
+  let warm_t, warm_r, warm_pops =
+    time_pops reps (fun () -> Router.route ~config:cfg ~warm_start:(seq_r, p) perturbed)
   in
   let dwseq = Router.digest warm_seq_r and dwpar = Router.digest warm_r in
   let warm_jobs_ok = String.equal dwseq dwpar in
@@ -895,6 +907,7 @@ let route_bench () =
     "    warm: overflow %d vs cold %d, WL dev %.2f%%, %d repair passes\n"
     warm_r.Router.overflow_total cold_r.Router.overflow_total (100. *. wl_dev)
     warm_r.Router.iterations_run;
+  print_pops warm_pops warm_t;
   if not warm_jobs_ok then begin
     prerr_endline
       "route_warm: warm-start digest differs between DCO3D_JOBS=1 and N";

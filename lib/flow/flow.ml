@@ -24,6 +24,7 @@ type context = {
   seed : int;
   route_cache : Route_cache.t option;
   mutable last_route : (Router.result * Pl.t) option;
+  baseline : Params.t * Pl.t;
 }
 
 type place_stage = {
@@ -61,7 +62,8 @@ let make_context ?(seed = 1) ?(utilization = 0.55) ?(gcell_nx = 48)
   Obs.with_span "flow/calibrate" @@ fun () ->
   let fp = Fp.create ~utilization ~gcell_nx ~gcell_ny nl in
   (* calibrate the routing fabric and the clock on the Pin-3D baseline *)
-  let base = Placer.global_place ~seed ~params:Params.default nl fp in
+  let base_params = Params.default in
+  let base = Placer.global_place ~seed ~params:base_params nl fp in
   let route_cfg = Router.calibrated_config base in
   let r = Route_cache.find_or_route ?cache:route_cache ~config:route_cfg base in
   let clock_period_ps =
@@ -76,6 +78,7 @@ let make_context ?(seed = 1) ?(utilization = 0.55) ?(gcell_nx = 48)
     seed;
     route_cache;
     last_route = Some (r, base);
+    baseline = (base_params, Pl.copy base);
   }
 
 (* ------------------------------------------------------------------ *)
@@ -174,7 +177,10 @@ let run_with_placement_internal ctx ~name ~params (p : Pl.t) =
     Route_cache.find_or_route ?cache:ctx.route_cache
       ?warm_start:ctx.last_route ~config:ctx.route_cfg p
   in
-  ctx.last_route <- Some (route, p);
+  (* the context keeps its own copy: the result hands [p] to the
+     caller, and a caller editing it must not move the next warm
+     start's reference placement *)
+  ctx.last_route <- Some (route, Pl.copy p);
   Log.debug (fun m ->
       m "%s: warm route reused %d / ripped %d nets" name
         (Obs.counter_value "route/warm/reused" - reused0)
@@ -234,9 +240,19 @@ let run_with_placement_internal ctx ~name ~params (p : Pl.t) =
   in
   { flow_name = name; placement = p; route; place_stage; signoff; params }
 
+(* [global_place] is a function of (seed, params, netlist, floorplan),
+   and the context fixes all but the params: asked for the params the
+   calibration placed with, hand out a copy of that placement instead
+   of placing again.  The copy keeps callers from mutating the kept
+   baseline. *)
+let place ctx params =
+  let base_params, base = ctx.baseline in
+  if params = base_params then Pl.copy base
+  else Placer.global_place ~seed:ctx.seed ~params ctx.nl ctx.fp
+
 let run_with_params ctx ~name params =
   Obs.with_span "flow" ~args:[ ("name", name) ] @@ fun () ->
-  let p = Placer.global_place ~seed:ctx.seed ~params ctx.nl ctx.fp in
+  let p = place ctx params in
   run_with_placement_internal ctx ~name ~params p
 
 let run_with_placement ctx ~name p =

@@ -32,7 +32,15 @@ type context = {
           ground-truth evaluations pay only for their placement delta.
           The [route/warm/{reused,ripped}] counters in the stage
           profile report the split.  BO probes (reduced repair budget)
-          neither read nor update it. *)
+          neither read nor update it.  The flow stores a copy of the
+          placement it routed, not the one in its result. *)
+  baseline : Dco3d_place.Params.t * Dco3d_place.Placement.t;
+      (** the Pin-3D baseline placement the calibration ran, with the
+          params it was placed with.  {!run_with_params} returns a copy
+          of it when asked for exactly those params instead of placing
+          again (placement is a function of the context's seed,
+          netlist and floorplan plus the params).  Never handed out
+          itself, so nothing outside the context can mutate it. *)
 }
 
 val make_context :
@@ -84,7 +92,9 @@ type result = {
 
 val run_with_params :
   context -> name:string -> Dco3d_place.Params.t -> result
-(** Place with the given Table-I knobs, then finish the flow. *)
+(** Place with the given Table-I knobs, then finish the flow.  For the
+    baseline's params the placement is a fresh copy of
+    [ctx.baseline]; the result is the same as placing again. *)
 
 val run_with_placement :
   context -> name:string -> Dco3d_place.Placement.t -> result

@@ -95,11 +95,12 @@ let count_cg_status = function
   | Linalg.Max_iter -> Obs.incr c_cg_max_iter
   | Linalg.Breakdown -> Obs.incr c_cg_breakdowns
 
-let quadratic_place ?(anchor_weight = 0.) ?anchors ?(cg_iters = 60)
-    (p : Placement.t) =
+(* One QP solve against a prebuilt [sys]: the edge and terminal arrays
+   depend only on the netlist and the IO pads, so [global_place] builds
+   them once and every round re-solves with new anchors. *)
+let solve_qp sys ~anchor_weight ~anchors ~cg_iters (p : Placement.t) =
   let nl = p.nl in
   let n = Nl.n_cells nl in
-  let sys = build_system p in
   let nv = sys.n_vars in
   let cx = p.Placement.fp.Floorplan.width /. 2. in
   let cy = p.Placement.fp.Floorplan.height /. 2. in
@@ -122,8 +123,7 @@ let quadratic_place ?(anchor_weight = 0.) ?anchors ?(cg_iters = 60)
         diag.(c) <- diag.(c) +. anchor_weight
       done
   | None -> ());
-  let matvec v =
-    let out = Array.make nv 0. in
+  let matvec v out =
     for i = 0 to nv - 1 do
       out.(i) <- diag.(i) *. v.(i)
     done;
@@ -131,8 +131,7 @@ let quadratic_place ?(anchor_weight = 0.) ?anchors ?(cg_iters = 60)
       let i = sys.e_i.(k) and j = sys.e_j.(k) and w = sys.e_w.(k) in
       out.(i) <- out.(i) -. (w *. v.(j));
       out.(j) <- out.(j) -. (w *. v.(i))
-    done;
-    out
+    done
   in
   let solve_axis fixed_coord anchor_coord init =
     let b = Array.make nv 0. in
@@ -172,22 +171,22 @@ let quadratic_place ?(anchor_weight = 0.) ?anchors ?(cg_iters = 60)
   Array.blit ys 0 p.Placement.y 0 n;
   Placement.clamp_to_die p
 
+let quadratic_place ?(anchor_weight = 0.) ?anchors ?(cg_iters = 60)
+    (p : Placement.t) =
+  solve_qp (build_system p) ~anchor_weight ~anchors ~cg_iters p
+
 (* ------------------------------------------------------------------ *)
 (* Spreading                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let cell_eff_area (p : Placement.t) inflation c =
-  let a = Nl.cell_area p.nl c in
-  match inflation with None -> a | Some f -> a *. f.(c)
+let c_spread_iters = Obs.counter "place/spread_iters"
 
-(* Utilization per bin for one tier with optional inflation. *)
-let utilization (p : Placement.t) ~tier ~nx ~ny inflation =
-  let fp = p.Placement.fp in
-  let bw = fp.Floorplan.width /. float_of_int nx in
-  let bh = fp.Floorplan.height /. float_of_int ny in
-  let u = Array.make_matrix ny nx 0. in
-  let n = Nl.n_cells p.nl in
-  for c = 0 to n - 1 do
+(* Per-bin utilization of one tier into the flat row-major [u]
+   ([ny * nx]), from per-cell effective areas [area].  Cells are
+   summed in index order. *)
+let fill_utilization (p : Placement.t) ~tier ~nx ~ny ~bw ~bh area u =
+  Array.fill u 0 (nx * ny) 0.;
+  for c = 0 to Array.length area - 1 do
     if p.Placement.tier.(c) = tier then begin
       let gx =
         max 0 (min (nx - 1) (int_of_float (p.Placement.x.(c) /. bw)))
@@ -195,43 +194,66 @@ let utilization (p : Placement.t) ~tier ~nx ~ny inflation =
       let gy =
         max 0 (min (ny - 1) (int_of_float (p.Placement.y.(c) /. bh)))
       in
-      u.(gy).(gx) <- u.(gy).(gx) +. cell_eff_area p inflation c
+      let k = (gy * nx) + gx in
+      u.(k) <- u.(k) +. area.(c)
     end
   done;
   let bin_area = bw *. bh in
-  for gy = 0 to ny - 1 do
-    for gx = 0 to nx - 1 do
-      u.(gy).(gx) <- u.(gy).(gx) /. bin_area
-    done
-  done;
-  u
-
-let peak_utilization u =
-  Array.fold_left (fun acc row -> Array.fold_left Float.max acc row) 0. u
+  for k = 0 to (nx * ny) - 1 do
+    u.(k) <- u.(k) /. bin_area
+  done
 
 (* Utilization-proportional 1-D stretching of one lane of bins: crowded
    bins widen, empty bins shrink; cell coordinates remap linearly within
-   their bin.  [relief] controls gentleness (larger = gentler). *)
-let stretch_lane ~extent ~n_bins ~relief utils coords members damping =
+   their bin.  [relief] controls gentleness (larger = gentler).  On
+   entry [weights.(0 .. n_bins - 1)] holds the lane's utilizations; the
+   lane's cells are [cells.(lo .. hi - 1)].  Each cell's move depends
+   only on its own coordinate, so the order of [cells] is free. *)
+let stretch_lane ~extent ~n_bins ~relief weights new_left coords cells lo hi
+    damping =
   let total = extent in
-  let weights = Array.map (fun u -> u +. relief) utils in
-  let wsum = Array.fold_left ( +. ) 0. weights in
+  let wsum = ref 0. in
+  for i = 0 to n_bins - 1 do
+    weights.(i) <- weights.(i) +. relief;
+    wsum := !wsum +. weights.(i)
+  done;
+  let wsum = !wsum in
   if wsum > 0. then begin
-    let new_left = Array.make (n_bins + 1) 0. in
+    new_left.(0) <- 0.;
     for i = 0 to n_bins - 1 do
       new_left.(i + 1) <- new_left.(i) +. (weights.(i) /. wsum *. total)
     done;
     let bin_w = extent /. float_of_int n_bins in
-    List.iter
-      (fun c ->
-        let x = coords.(c) in
-        let b = max 0 (min (n_bins - 1) (int_of_float (x /. bin_w))) in
-        let t = (x -. (float_of_int b *. bin_w)) /. bin_w in
-        let t = Float.max 0. (Float.min 1. t) in
-        let mapped = new_left.(b) +. (t *. (new_left.(b + 1) -. new_left.(b))) in
-        coords.(c) <- x +. (damping *. (mapped -. x)))
-      members
+    for k = lo to hi - 1 do
+      let c = cells.(k) in
+      let x = coords.(c) in
+      let b = max 0 (min (n_bins - 1) (int_of_float (x /. bin_w))) in
+      let t = (x -. (float_of_int b *. bin_w)) /. bin_w in
+      let t = Float.max 0. (Float.min 1. t) in
+      let mapped = new_left.(b) +. (t *. (new_left.(b + 1) -. new_left.(b))) in
+      coords.(c) <- x +. (damping *. (mapped -. x))
+    done
   end
+
+(* Counting sort of one tier's cells into lanes: afterwards lane [l]'s
+   cells are [cells.(start.(l) .. start.(l + 1) - 1)].  [lane.(c)] holds
+   each cell's lane (-1 for other tiers); [start] has [n_lanes + 2]
+   slots, the last used as scratch by the fill pass. *)
+let bucket_lanes lane ~n_lanes start cells =
+  Array.fill start 0 (n_lanes + 2) 0;
+  Array.iter (fun l -> if l >= 0 then start.(l + 2) <- start.(l + 2) + 1) lane;
+  for l = 2 to n_lanes + 1 do
+    start.(l) <- start.(l) + start.(l - 1)
+  done;
+  (* start.(l + 1) is now lane l's first slot: fill through it, which
+     leaves start.(l + 1) at lane l's end = lane (l + 1)'s start *)
+  Array.iteri
+    (fun c l ->
+      if l >= 0 then begin
+        cells.(start.(l + 1)) <- c;
+        start.(l + 1) <- start.(l + 1) + 1
+      end)
+    lane
 
 let spread ?(iterations = 16) ?(damping = 0.6) ~target_density ~inflation
     (p : Placement.t) =
@@ -251,39 +273,63 @@ let spread ?(iterations = 16) ?(damping = 0.6) ~target_density ~inflation
     p.Placement.x.(c) <- p.Placement.x.(c) +. (0.02 *. bw *. jx);
     p.Placement.y.(c) <- p.Placement.y.(c) +. (0.02 *. bh *. jy)
   done;
+  (* effective (inflated) cell areas, and every buffer the iterations
+     reuse *)
+  let area =
+    Array.init n (fun c ->
+        let a = Nl.cell_area p.nl c in
+        match inflation with None -> a | Some f -> a *. f.(c))
+  in
+  let u = Array.make (nx * ny) 0. in
+  let lanes = max nx ny in
+  let weights = Array.make lanes 0. and new_left = Array.make (lanes + 1) 0. in
+  let row_of = Array.make n (-1) and col_of = Array.make n (-1) in
+  let row_start = Array.make (ny + 2) 0 and col_start = Array.make (nx + 2) 0 in
+  let row_cells = Array.make n 0 and col_cells = Array.make n 0 in
+  let relief = 0.75 *. target in
   for tier = 0 to Floorplan.n_tiers - 1 do
     let iter = ref 0 in
     let go = ref true in
     while !go && !iter < iterations do
       incr iter;
-      let u = utilization p ~tier ~nx ~ny inflation in
-      if peak_utilization u <= target *. 1.05 then go := false
+      fill_utilization p ~tier ~nx ~ny ~bw ~bh area u;
+      let peak = ref 0. in
+      for k = 0 to (nx * ny) - 1 do
+        peak := Float.max !peak u.(k)
+      done;
+      if !peak <= target *. 1.05 then go := false
       else begin
-        (* bucket cells by row lane (for x stretch) and column lane *)
-        let by_row = Array.make ny [] in
-        let by_col = Array.make nx [] in
+        Obs.incr c_spread_iters;
+        (* bucket cells by row lane (for x stretch) and column lane,
+           both from the coordinates before this iteration moves them *)
         for c = 0 to n - 1 do
           if p.Placement.tier.(c) = tier then begin
-            let gy =
-              max 0 (min (ny - 1) (int_of_float (p.Placement.y.(c) /. bh)))
-            in
-            let gx =
+            row_of.(c) <-
+              max 0 (min (ny - 1) (int_of_float (p.Placement.y.(c) /. bh)));
+            col_of.(c) <-
               max 0 (min (nx - 1) (int_of_float (p.Placement.x.(c) /. bw)))
-            in
-            by_row.(gy) <- c :: by_row.(gy);
-            by_col.(gx) <- c :: by_col.(gx)
+          end
+          else begin
+            row_of.(c) <- -1;
+            col_of.(c) <- -1
           end
         done;
-        let relief = 0.75 *. target in
+        bucket_lanes row_of ~n_lanes:ny row_start row_cells;
+        bucket_lanes col_of ~n_lanes:nx col_start col_cells;
         for gy = 0 to ny - 1 do
-          stretch_lane ~extent:fp.Floorplan.width ~n_bins:nx ~relief u.(gy)
-            p.Placement.x by_row.(gy) damping
+          Array.blit u (gy * nx) weights 0 nx;
+          stretch_lane ~extent:fp.Floorplan.width ~n_bins:nx ~relief weights
+            new_left p.Placement.x row_cells row_start.(gy)
+            row_start.(gy + 1) damping
         done;
-        let u' = utilization p ~tier ~nx ~ny inflation in
+        fill_utilization p ~tier ~nx ~ny ~bw ~bh area u;
         for gx = 0 to nx - 1 do
-          let col = Array.init ny (fun gy -> u'.(gy).(gx)) in
-          stretch_lane ~extent:fp.Floorplan.height ~n_bins:ny ~relief col
-            p.Placement.y by_col.(gx) damping
+          for gy = 0 to ny - 1 do
+            weights.(gy) <- u.((gy * nx) + gx)
+          done;
+          stretch_lane ~extent:fp.Floorplan.height ~n_bins:ny ~relief weights
+            new_left p.Placement.y col_cells col_start.(gx)
+            col_start.(gx + 1) damping
         done
       end
     done
@@ -778,7 +824,8 @@ let global_place ~seed ~params nl fp =
   Array.blit tier 0 p.Placement.tier 0 (Array.length tier);
   (* initial QP *)
   let cg = 40 + (30 * params.Params.initial_place_effort) in
-  quadratic_place ~cg_iters:cg p;
+  let sys = build_system p in
+  solve_qp sys ~anchor_weight:0. ~anchors:None ~cg_iters:cg p;
   (* seed-dependent jitter: distinct layouts for the dataset even under
      identical knobs, mirroring run-to-run tool variation *)
   let jitter = 0.35 *. Floorplan.gcell_w fp in
@@ -799,7 +846,7 @@ let global_place ~seed ~params nl fp =
     Obs.with_span "spread" (fun () ->
         spread ~iterations:spread_iters ~target_density:target ~inflation:None p);
     let ax = Array.copy p.Placement.x and ay = Array.copy p.Placement.y in
-    quadratic_place ~anchor_weight:!anchor_w ~anchors:(ax, ay) ~cg_iters:cg p;
+    solve_qp sys ~anchor_weight:!anchor_w ~anchors:(Some (ax, ay)) ~cg_iters:cg p;
     anchor_w := !anchor_w *. 2.
   done;
   (* Congestion knobs: the FINAL spreading pass runs with pin-

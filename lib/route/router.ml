@@ -163,77 +163,69 @@ module Heap = struct
   let clear h = h.len <- 0
   let is_empty h = h.len = 0
 
-  let push h k v =
-    if h.len = Array.length h.keys then begin
-      let keys = Array.make (2 * h.len) 0. and vals = Array.make (2 * h.len) 0 in
-      Array.blit h.keys 0 keys 0 h.len;
-      Array.blit h.vals 0 vals 0 h.len;
-      h.keys <- keys;
-      h.vals <- vals
-    end;
-    (* sift indices stay below [len] <= capacity, so the sift loops
-       use unchecked accesses (this and [pop_min] are the A* loop's
-       biggest single cost) *)
+  let grow h =
+    let keys = Array.make (2 * h.len) 0. and vals = Array.make (2 * h.len) 0 in
+    Array.blit h.keys 0 keys 0 h.len;
+    Array.blit h.vals 0 vals 0 h.len;
+    h.keys <- keys;
+    h.vals <- vals
+
+  (* Hole sifts: the moving entry is held in locals and written once,
+     at its final slot.  Each step makes exactly the comparison the
+     textbook swap loop makes (the moving key sits in the hole there
+     too), so both leave the same array layout and pop ties in the same
+     order.  Sift indices stay below [len] <= capacity, hence the
+     unchecked accesses (push and pop are the A* loop's biggest single
+     cost).  [push] is inlined so the A* relax step never boxes its
+     key. *)
+  let[@inline] push h k v =
+    if h.len = Array.length h.keys then grow h;
     let keys = h.keys and vals = h.vals in
     let i = ref h.len in
     h.len <- h.len + 1;
-    Array.unsafe_set keys !i k;
-    Array.unsafe_set vals !i v;
-    let continue_ = ref true in
-    while !continue_ && !i > 0 do
+    while
+      !i > 0 && Array.unsafe_get keys ((!i - 1) / 2) > k
+    do
       let parent = (!i - 1) / 2 in
-      let kp = Array.unsafe_get keys parent in
-      if kp > Array.unsafe_get keys !i then begin
-        let tv = Array.unsafe_get vals parent in
-        Array.unsafe_set keys parent (Array.unsafe_get keys !i);
-        Array.unsafe_set vals parent (Array.unsafe_get vals !i);
-        Array.unsafe_set keys !i kp;
-        Array.unsafe_set vals !i tv;
-        i := parent
-      end
-      else continue_ := false
-    done
+      Array.unsafe_set keys !i (Array.unsafe_get keys parent);
+      Array.unsafe_set vals !i (Array.unsafe_get vals parent);
+      i := parent
+    done;
+    Array.unsafe_set keys !i k;
+    Array.unsafe_set vals !i v
 
-  (* [pop_min] returns the value alone: the A* loop discards the key,
-     and skipping it keeps the million-pop hot path allocation-free
-     (the [(key, value)] pair of [pop] is two heap blocks per call). *)
-  let pop_min h =
+  (* The value alone: the A* loop discards the key, and returning a
+     pair would allocate on every pop. *)
+  let pop h =
     if h.len = 0 then invalid_arg "Heap.pop: empty heap";
     let keys = h.keys and vals = h.vals in
     let v = Array.unsafe_get vals 0 in
     h.len <- h.len - 1;
     let len = h.len in
     if len > 0 then begin
-      Array.unsafe_set keys 0 (Array.unsafe_get keys len);
-      Array.unsafe_set vals 0 (Array.unsafe_get vals len);
+      let k = Array.unsafe_get keys len and kv = Array.unsafe_get vals len in
       let i = ref 0 in
       let continue_ = ref true in
       while !continue_ do
         let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-        let smallest = ref !i in
-        if l < len && Array.unsafe_get keys l < Array.unsafe_get keys !smallest
-        then smallest := l;
-        if r < len && Array.unsafe_get keys r < Array.unsafe_get keys !smallest
-        then smallest := r;
-        if !smallest <> !i then begin
-          let tk = Array.unsafe_get keys !smallest in
-          let tv = Array.unsafe_get vals !smallest in
-          Array.unsafe_set keys !smallest (Array.unsafe_get keys !i);
-          Array.unsafe_set vals !smallest (Array.unsafe_get vals !i);
-          Array.unsafe_set keys !i tk;
-          Array.unsafe_set vals !i tv;
-          i := !smallest
+        let s = ref !i in
+        if l < len && Array.unsafe_get keys l < k then s := l;
+        if
+          r < len
+          && Array.unsafe_get keys r
+             < (if !s = !i then k else Array.unsafe_get keys !s)
+        then s := r;
+        if !s <> !i then begin
+          Array.unsafe_set keys !i (Array.unsafe_get keys !s);
+          Array.unsafe_set vals !i (Array.unsafe_get vals !s);
+          i := !s
         end
         else continue_ := false
-      done
+      done;
+      Array.unsafe_set keys !i k;
+      Array.unsafe_set vals !i kv
     end;
     v
-
-  let pop h =
-    if h.len = 0 then invalid_arg "Heap.pop: empty heap";
-    let k = h.keys.(0) in
-    let v = pop_min h in
-    (k, v)
 end
 
 (* ------------------------------------------------------------------ *)
@@ -343,11 +335,11 @@ let make_state cfg fp (p : Pl.t) =
   refresh_pass_cost st;
   st
 
-let h_edge st tier gy gx = (((tier * st.ny) + gy) * (st.nx - 1)) + gx
-let v_edge st tier gy gx = (2 * st.n_h) + (((tier * (st.ny - 1)) + gy) * st.nx) + gx
-let via_edge st gy gx = (2 * st.n_h) + (2 * st.n_v) + (gy * st.nx) + gx
+let[@inline] h_edge st tier gy gx = (((tier * st.ny) + gy) * (st.nx - 1)) + gx
+let[@inline] v_edge st tier gy gx = (2 * st.n_h) + (((tier * (st.ny - 1)) + gy) * st.nx) + gx
+let[@inline] via_edge st gy gx = (2 * st.n_h) + (2 * st.n_v) + (gy * st.nx) + gx
 
-let node_of st tier gy gx = (((tier * st.ny) + gy) * st.nx) + gx
+let[@inline] node_of st tier gy gx = (((tier * st.ny) + gy) * st.nx) + gx
 let tier_of_node st n = st.node_tier.(n)
 let gy_of_node st n = st.node_gy.(n)
 let gx_of_node st n = st.node_gx.(n)
@@ -364,7 +356,7 @@ let make_marks st = { mark = Array.make st.n_edges (-1); gen = 0 }
    per pass instead of once per query).  Unchecked accesses as in the
    tensor kernels: [e] comes from the edge-id formulas over in-range
    coordinates, and this runs ~5x per A* pop. *)
-let edge_cost st marks e =
+let[@inline] edge_cost st marks e =
   if Array.unsafe_get marks.mark e = marks.gen then 0.001
   else begin
     let over = Array.unsafe_get st.demand e + 1 - Array.unsafe_get st.cap e in
@@ -489,6 +481,9 @@ let pattern_route st marks src dst =
 (* A* maze routing                                                     *)
 (* ------------------------------------------------------------------ *)
 
+(* Per-domain A* scratch.  The search's window and target live here
+   too, so the relax step can read them instead of taking them as
+   arguments. *)
 type astar = {
   heap : Heap.t;
   gscore : float array;
@@ -497,6 +492,12 @@ type astar = {
   parent_node : int array;
   parent_edge : int array;
   mutable generation : int;
+  mutable wx0 : int;  (** search window, inclusive GCell bounds *)
+  mutable wx1 : int;
+  mutable wy0 : int;
+  mutable wy1 : int;
+  mutable tx : int;  (** target GCell *)
+  mutable ty : int;
 }
 
 let make_astar st =
@@ -509,11 +510,18 @@ let make_astar st =
     parent_node = Array.make n (-1);
     parent_edge = Array.make n (-1);
     generation = 0;
+    wx0 = 0;
+    wx1 = 0;
+    wy0 = 0;
+    wy1 = 0;
+    tx = 0;
+    ty = 0;
   }
 
 (* Totals are a function of the routing problem (net order and cost
    surfaces are deterministic), so they are jobs-invariant. *)
 let c_astar_pops = Obs.counter "route/astar_pops"
+let c_astar_calls = Obs.counter "route/astar_calls"
 let c_ripup_rounds = Obs.counter "route/ripup_rounds"
 let c_ripped_nets = Obs.counter "route/ripped_nets"
 let h_overflow_pass = Obs.histogram "route/overflow_per_pass"
@@ -530,68 +538,75 @@ let h_wave_size = Obs.histogram "route/wave_size"
 let c_warm_reused = Obs.counter "route/warm/reused"
 let c_warm_ripped = Obs.counter "route/warm/ripped"
 
+(* Mildly weighted A* heuristic (faster, near-optimal) for a node at
+   GCell (gx, gy). *)
+let[@inline] heuristic az gx gy =
+  1.15 *. float_of_int (abs (gx - az.tx) + abs (gy - az.ty))
+
+(* Relax edge [e] from the expanded node [n] to its neighbour [n'].
+   Every argument is an int or a record, and the edge cost, the
+   tentative score and the heap key are computed here and handed to
+   the inlined [Heap.push], so no float crosses a call boundary and a
+   pop allocates nothing.  Node and edge ids come from the id formulas
+   over in-range coordinates, hence the unchecked accesses. *)
+let relax st az marks n e n' =
+  let gx = Array.unsafe_get st.node_gx n' and gy = Array.unsafe_get st.node_gy n' in
+  if gx >= az.wx0 && gx <= az.wx1 && gy >= az.wy0 && gy <= az.wy1 then begin
+    let g = Array.unsafe_get az.gscore n +. edge_cost st marks e in
+    if
+      Array.unsafe_get az.stamp n' <> az.generation
+      || g < Array.unsafe_get az.gscore n'
+    then begin
+      Array.unsafe_set az.stamp n' az.generation;
+      Array.unsafe_set az.gscore n' g;
+      Array.unsafe_set az.parent_node n' n;
+      Array.unsafe_set az.parent_edge n' e;
+      Heap.push az.heap (g +. heuristic az gx gy) n'
+    end
+  end
+
 let astar_route st az marks src dst =
   az.generation <- az.generation + 1;
   let gen = az.generation in
   Heap.clear az.heap;
-  let dx1 = gx_of_node st dst and dy1 = gy_of_node st dst in
-  let sx = gx_of_node st src and sy = gy_of_node st src in
+  let node_gx = st.node_gx and node_gy = st.node_gy in
+  let dx1 = node_gx.(dst) and dy1 = node_gy.(dst) in
+  let sx = node_gx.(src) and sy = node_gy.(src) in
+  az.tx <- dx1;
+  az.ty <- dy1;
   (* restrict the search to the pair's bounding box plus a detour
      margin — the standard global-router window, which caps expansion
      cost on large grids *)
   let margin = 2 + (max st.nx st.ny / 6) in
-  let wx0 = max 0 (min sx dx1 - margin) and wx1 = min (st.nx - 1) (max sx dx1 + margin) in
-  let wy0 = max 0 (min sy dy1 - margin) and wy1 = min (st.ny - 1) (max sy dy1 + margin) in
-  (* node ids are in range by construction (they come from [node_of]
-     over clamped coordinates), so the per-pop decode and the visit
-     bookkeeping use unchecked accesses, as in the tensor kernels *)
-  let node_gx = st.node_gx and node_gy = st.node_gy in
-  let in_window n =
-    let gx = Array.unsafe_get node_gx n and gy = Array.unsafe_get node_gy n in
-    gx >= wx0 && gx <= wx1 && gy >= wy0 && gy <= wy1
-  in
-  (* mildly weighted heuristic: faster, near-optimal *)
-  let heuristic n =
-    1.15
-    *. float_of_int
-         (abs (Array.unsafe_get node_gx n - dx1)
-         + abs (Array.unsafe_get node_gy n - dy1))
-  in
-  let visit n g pn pe =
-    if
-      in_window n
-      && (Array.unsafe_get az.stamp n <> gen
-         || g < Array.unsafe_get az.gscore n)
-    then begin
-      Array.unsafe_set az.stamp n gen;
-      Array.unsafe_set az.gscore n g;
-      Array.unsafe_set az.parent_node n pn;
-      Array.unsafe_set az.parent_edge n pe;
-      Heap.push az.heap (g +. heuristic n) n
-    end
-  in
-  visit src 0. (-1) (-1);
+  az.wx0 <- max 0 (min sx dx1 - margin);
+  az.wx1 <- min (st.nx - 1) (max sx dx1 + margin);
+  az.wy0 <- max 0 (min sy dy1 - margin);
+  az.wy1 <- min (st.ny - 1) (max sy dy1 + margin);
+  az.stamp.(src) <- gen;
+  az.gscore.(src) <- 0.;
+  az.parent_node.(src) <- -1;
+  az.parent_edge.(src) <- -1;
+  Heap.push az.heap (heuristic az sx sy) src;
   let found = ref false in
   let pops = ref 0 in
   while (not !found) && not (Heap.is_empty az.heap) do
-    let n = Heap.pop_min az.heap in
+    let n = Heap.pop az.heap in
     incr pops;
     if n = dst then found := true
     else if Array.unsafe_get az.closed n <> gen then begin
       Array.unsafe_set az.closed n gen;
-      let g = Array.unsafe_get az.gscore n in
-      let t = tier_of_node st n in
+      let t = Array.unsafe_get st.node_tier n in
       let gy = Array.unsafe_get node_gy n and gx = Array.unsafe_get node_gx n in
-      let try_edge e n' = visit n' (g +. edge_cost st marks e) n e in
-      if gx > 0 then try_edge (h_edge st t gy (gx - 1)) (node_of st t gy (gx - 1));
-      if gx < st.nx - 1 then try_edge (h_edge st t gy gx) (node_of st t gy (gx + 1));
-      if gy > 0 then try_edge (v_edge st t (gy - 1) gx) (node_of st t (gy - 1) gx);
-      if gy < st.ny - 1 then try_edge (v_edge st t gy gx) (node_of st t (gy + 1) gx);
-      try_edge (via_edge st gy gx) (node_of st (1 - t) gy gx)
+      if gx > 0 then relax st az marks n (h_edge st t gy (gx - 1)) (node_of st t gy (gx - 1));
+      if gx < st.nx - 1 then relax st az marks n (h_edge st t gy gx) (node_of st t gy (gx + 1));
+      if gy > 0 then relax st az marks n (v_edge st t (gy - 1) gx) (node_of st t (gy - 1) gx);
+      if gy < st.ny - 1 then relax st az marks n (v_edge st t gy gx) (node_of st t (gy + 1) gx);
+      relax st az marks n (via_edge st gy gx) (node_of st (1 - t) gy gx)
     end
   done;
   (* one flush per call keeps the per-pop cost to a local increment *)
   Obs.incr ~by:!pops c_astar_pops;
+  Obs.incr c_astar_calls;
   if not !found then None
   else begin
     (* walk parents back to the source *)

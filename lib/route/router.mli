@@ -116,11 +116,9 @@ module Heap : sig
   val is_empty : t -> bool
   val push : t -> float -> int -> unit
 
-  val pop : t -> float * int
-  (** Smallest key with its value.
-      @raise Invalid_argument on an empty heap. *)
-
-  val pop_min : t -> int
-  (** Value of the smallest key, without allocating the pair.
+  val pop : t -> int
+  (** Remove the smallest key and return its value (the key is not
+      returned, so a pop allocates nothing).  Equal keys pop in the
+      order a swap-based binary heap would pop them.
       @raise Invalid_argument on an empty heap. *)
 end

@@ -69,8 +69,11 @@ let conjugate_gradient ?(max_iter = 200) ?(tol = 1e-8) ?iterations_out
     ?status_out matvec b x0 =
   let n = Array.length b in
   let x = Array.copy x0 in
-  let ax = matvec x in
-  let r = Array.init n (fun i -> b.(i) -. ax.(i)) in
+  (* [ap] first holds A x0, then A p each iteration: with [r] and [p]
+     these are the solver's only buffers, allocated once per solve *)
+  let ap = Array.make n 0. in
+  matvec x ap;
+  let r = Array.init n (fun i -> b.(i) -. ap.(i)) in
   let p = Array.copy r in
   let dot u v =
     let acc = ref 0. in
@@ -85,7 +88,7 @@ let conjugate_gradient ?(max_iter = 200) ?(tol = 1e-8) ?iterations_out
   let iter = ref 0 in
   let broke_down = ref false in
   while (not !broke_down) && !iter < max_iter && sqrt !rs > target do
-    let ap = matvec p in
+    matvec p ap;
     let denom = dot p ap in
     if denom <= 0. then broke_down := true (* lost positive-definiteness *)
     else begin

@@ -44,12 +44,16 @@ val conjugate_gradient :
   ?tol:float ->
   ?iterations_out:int ref ->
   ?status_out:cg_status ref ->
-  (float array -> float array) ->
+  (float array -> float array -> unit) ->
   float array ->
   float array ->
   float array
 (** [conjugate_gradient matvec b x0] solves the SPD system
-    [a x = b] where [a] is only available as a matrix-vector product.
+    [a x = b] where [a] is only available as a matrix-vector product:
+    [matvec src dst] must overwrite every element of [dst] with
+    [a src], and must not modify [src].  The solver owns [src] and
+    [dst] (two distinct arrays of length [Array.length b], allocated
+    once per solve), so [matvec] itself need not allocate.
     Returns the (possibly early-stopped) iterate.  [x0] is the starting
     point and is not mutated.  Defaults: [max_iter = 200],
     [tol = 1e-8] on the residual norm relative to [||b||].  When

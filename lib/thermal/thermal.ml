@@ -173,8 +173,7 @@ let solve ?(config = default_config) ~power_grid () =
      element is written by exactly one row task, so the product (and
      the whole CG trajectory built from it) is bit-identical at any
      DCO3D_JOBS *)
-  let matvec v =
-    let out = Array.make nv 0. in
+  let matvec v out =
     Pool.parallel_for 0 (2 * ny) (fun row ->
         let tier = row / ny in
         let y = row mod ny in
@@ -189,8 +188,7 @@ let solve ?(config = default_config) ~power_grid () =
           if y < ny - 1 then acc := !acc -. (kl *. v.(i + nx));
           acc := !acc -. (kz *. v.(idx other y x));
           out.(i) <- !acc
-        done);
-    out
+        done)
   in
   let b = Array.make nv 0. in
   for tier = 0 to 1 do

@@ -240,19 +240,47 @@ let stat srv name =
   | Some v -> v
   | None -> Alcotest.failf "stat %s missing" name
 
+(* Submit on a raw connection: the server answers one connection's
+   requests in order, so frames written back to back are all handled
+   before the client reads a reply. *)
+let raw_submit fd req =
+  Proto.send_request fd
+    { Proto.req = Proto.Corpus_submit req; timeout_ms = None }
+
+let accepted fd =
+  match Proto.recv_reply fd with
+  | Proto.Accepted id -> id
+  | _ -> Alcotest.fail "expected Accepted"
+
 let test_served_replay_dedup_and_store () =
   with_obs @@ fun () ->
   (* the reference row, computed locally with no caches at all *)
   let local = Corpus.run_cell tiny_spec tiny_cfg in
   with_corpus_server @@ fun srv ->
-  let c = Client.connect (Server.bound_addr srv) in
+  let fd =
+    match Server.bound_addr srv with
+    | Server.Unix_path path ->
+        let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+        Unix.connect fd (Unix.ADDR_UNIX path);
+        fd
+    | Server.Tcp _ -> Alcotest.fail "expected a Unix socket"
+  in
+  let c = Client.of_fd fd in
   Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
   let req =
     { Proto.cr_spec = tiny_spec; cr_config = tiny_cfg; cr_kind = Proto.Corpus_ppa }
   in
-  let id1 = Client.submit_corpus c req in
-  (* identical request while the first is in flight: same job id *)
-  let id1b = Client.submit_corpus c req in
+  (* a different cell first: it holds the single corpus worker, so the
+     duplicate below is handled while its twin is still queued behind
+     it — the dedup is exercised without depending on timing *)
+  let blocker = { req with Proto.cr_spec = Corpus.reseeded 8 tiny_spec } in
+  raw_submit fd blocker;
+  raw_submit fd req;
+  raw_submit fd req;
+  let id0 = accepted fd in
+  let id1 = accepted fd in
+  let id1b = accepted fd in
+  Alcotest.(check bool) "blocker is its own job" true (id0 <> id1);
   Alcotest.(check int) "in-flight dedup returns the same id" id1 id1b;
   Alcotest.(check bool) "dedup counted" true (stat srv "corpus_dedup" >= 1.);
   let served =

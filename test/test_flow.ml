@@ -4,6 +4,9 @@ module Nl = Dco3d_netlist.Netlist
 module Gen = Dco3d_netlist.Generator
 module Flow = Dco3d_flow.Flow
 module Pl = Dco3d_place.Placement
+module Placer = Dco3d_place.Placer
+module Params = Dco3d_place.Params
+module Obs = Dco3d_obs.Obs
 
 let ctx_env =
   lazy
@@ -101,6 +104,50 @@ let test_cong_variant_runs () =
   Alcotest.(check bool) "congestion knobs" true
     (r.Flow.params.Dco3d_place.Params.cong_restruct_effort > 0)
 
+(* The context keeps its calibration placement: [run_pin3d] must
+   return exactly what a fresh [global_place] at the default params
+   returns, without placing again, and never the kept copy itself —
+   mutating a result must not leak into the next run. *)
+let test_baseline_reuse () =
+  let was = Obs.enabled () in
+  Obs.enable ();
+  Fun.protect ~finally:(fun () -> if not was then Obs.disable ()) @@ fun () ->
+  let nl = Gen.generate ~scale:0.03 ~seed:11 (Gen.profile "DMA") in
+  let ctx = Flow.make_context ~gcell_nx:24 ~gcell_ny:24 nl in
+  let fresh =
+    Placer.global_place ~seed:ctx.Flow.seed ~params:Params.default nl
+      ctx.Flow.fp
+  in
+  let same name (a : Pl.t) (b : Pl.t) =
+    Alcotest.(check bool) (name ^ ": x") true (a.Pl.x = b.Pl.x);
+    Alcotest.(check bool) (name ^ ": y") true (a.Pl.y = b.Pl.y);
+    Alcotest.(check bool) (name ^ ": tier") true (a.Pl.tier = b.Pl.tier)
+  in
+  let solves0 = Obs.counter_value "place/cg_solves" in
+  let r1 = Flow.run_pin3d ctx in
+  Alcotest.(check int) "no placement solve ran" solves0
+    (Obs.counter_value "place/cg_solves");
+  same "first run == fresh global_place" fresh r1.Flow.placement;
+  let p1 = r1.Flow.placement in
+  p1.Pl.x.(0) <- p1.Pl.x.(0) +. 1.;
+  p1.Pl.y.(1) <- p1.Pl.y.(1) +. 1.;
+  p1.Pl.tier.(2) <- 1 - p1.Pl.tier.(2);
+  let r2 = Flow.run_pin3d ctx in
+  same "after mutating the first result" fresh r2.Flow.placement;
+  Alcotest.(check bool) "each run gets its own copy" true
+    (r2.Flow.placement.Pl.x != p1.Pl.x);
+  Alcotest.(check string) "same route"
+    (Dco3d_route.Router.digest r1.Flow.route)
+    (Dco3d_route.Router.digest r2.Flow.route);
+  (* other params still place *)
+  let rc = Flow.run_pin3d_cong ctx in
+  Alcotest.(check bool) "congestion params placed again" true
+    (Obs.counter_value "place/cg_solves" > solves0);
+  same "cong run == fresh cong global_place"
+    (Placer.global_place ~seed:ctx.Flow.seed ~params:Params.congestion_focused
+       nl ctx.Flow.fp)
+    rc.Flow.placement
+
 let suites =
   [
     ( "flow",
@@ -112,5 +159,7 @@ let suites =
         Alcotest.test_case "custom placement entry" `Quick test_custom_placement_entry;
         Alcotest.test_case "BO variant" `Slow test_bo_runs_and_reports_best_params;
         Alcotest.test_case "Cong variant" `Quick test_cong_variant_runs;
+        Alcotest.test_case "baseline placement reused, not aliased" `Quick
+          test_baseline_reuse;
       ] );
   ]

@@ -304,6 +304,27 @@ let test_congestion_params_spread_more () =
 
 let qtest = QCheck_alcotest.to_alcotest
 
+(* Placements pinned to values recorded before the spreader, the QP
+   set-up and CG were rewritten for speed: a digest of every cell's x,
+   y (IEEE bits) and tier, under the default and the congestion-focused
+   knobs (the second adds pin-saturation inflation to the final
+   spreading pass). *)
+let test_pinned_placement_digests () =
+  let nl = Gen.generate ~scale:0.05 ~seed:5 (Gen.profile "DMA") in
+  let fp = Floorplan.create ~gcell_nx:48 ~gcell_ny:48 nl in
+  let digest params =
+    let p = Placer.global_place ~seed:1 ~params nl fp in
+    let b = Buffer.create 16384 in
+    Array.iter (fun v -> Buffer.add_int64_le b (Int64.bits_of_float v)) p.Placement.x;
+    Array.iter (fun v -> Buffer.add_int64_le b (Int64.bits_of_float v)) p.Placement.y;
+    Array.iter (fun t -> Buffer.add_int8 b t) p.Placement.tier;
+    Digest.to_hex (Digest.string (Buffer.contents b))
+  in
+  Alcotest.(check string) "default" "b9c14fa97f2a825c85f6109de8acee1b"
+    (digest Params.default);
+  Alcotest.(check string) "congestion-focused" "0ababdb55bdc6bc7e670f698722904ae"
+    (digest Params.congestion_focused)
+
 let suites =
   [
     ( "place.params",
@@ -341,5 +362,6 @@ let suites =
         Alcotest.test_case "deterministic" `Quick test_global_place_deterministic;
         Alcotest.test_case "seed diversity" `Quick test_global_place_seed_diversity;
         Alcotest.test_case "congestion knobs spread more" `Quick test_congestion_params_spread_more;
+        Alcotest.test_case "pinned placement digests" `Quick test_pinned_placement_digests;
       ] );
   ]

@@ -135,16 +135,90 @@ let test_heap_pop_empty_raises () =
     | _ -> Alcotest.fail "expected Invalid_argument"
   in
   raises (fun () -> R.Heap.pop h);
-  raises (fun () -> R.Heap.pop_min h);
   (* and again after a push/drain cycle *)
   R.Heap.push h 1.5 7;
   R.Heap.push h 0.5 3;
-  Alcotest.(check int) "min value" 3 (R.Heap.pop_min h);
-  let k, v = R.Heap.pop h in
-  Alcotest.(check (float 0.)) "min key" 1.5 k;
-  Alcotest.(check int) "value" 7 v;
+  Alcotest.(check int) "min value" 3 (R.Heap.pop h);
+  Alcotest.(check int) "next value" 7 (R.Heap.pop h);
   Alcotest.(check bool) "drained" true (R.Heap.is_empty h);
   raises (fun () -> R.Heap.pop h)
+
+(* Reference binary heap with the textbook swap sifts.  The router's
+   heap must pop the same values in the same order, ties included: A*
+   pop order decides which of several equal-cost paths a net takes. *)
+module Swap_heap = struct
+  type t = { mutable keys : float array; mutable vals : int array; mutable len : int }
+
+  let create () = { keys = Array.make 4 0.; vals = Array.make 4 0; len = 0 }
+
+  let swap h a b =
+    let k = h.keys.(a) and v = h.vals.(a) in
+    h.keys.(a) <- h.keys.(b);
+    h.vals.(a) <- h.vals.(b);
+    h.keys.(b) <- k;
+    h.vals.(b) <- v
+
+  let push h k v =
+    if h.len = Array.length h.keys then begin
+      h.keys <- Array.append h.keys (Array.make h.len 0.);
+      h.vals <- Array.append h.vals (Array.make h.len 0)
+    end;
+    h.keys.(h.len) <- k;
+    h.vals.(h.len) <- v;
+    let i = ref h.len in
+    h.len <- h.len + 1;
+    while !i > 0 && h.keys.((!i - 1) / 2) > h.keys.(!i) do
+      swap h ((!i - 1) / 2) !i;
+      i := (!i - 1) / 2
+    done
+
+  let pop h =
+    let v = h.vals.(0) in
+    h.len <- h.len - 1;
+    h.keys.(0) <- h.keys.(h.len);
+    h.vals.(0) <- h.vals.(h.len);
+    let i = ref 0 and go = ref true in
+    while !go do
+      let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
+      let s = ref !i in
+      if l < h.len && h.keys.(l) < h.keys.(!s) then s := l;
+      if r < h.len && h.keys.(r) < h.keys.(!s) then s := r;
+      if !s <> !i then begin
+        swap h !s !i;
+        i := !s
+      end
+      else go := false
+    done;
+    v
+end
+
+(* ops: [Some k] pushes key k (drawn from four values, so most keys
+   tie) with a fresh value, [None] pops when non-empty; both heaps are
+   drained at the end *)
+let prop_heap_matches_swap_heap =
+  QCheck.Test.make ~name:"heap pops like a swap-sift heap, ties included"
+    ~count:200
+    QCheck.(list_of_size Gen.(0 -- 600) (option (int_bound 3)))
+    (fun ops ->
+      let h = R.Heap.create () and r = Swap_heap.create () in
+      let next = ref 0 in
+      let ok = ref true in
+      let pop_both () =
+        if R.Heap.pop h <> Swap_heap.pop r then ok := false
+      in
+      List.iter
+        (function
+          | Some k ->
+              let key = 0.5 *. float_of_int k in
+              R.Heap.push h key !next;
+              Swap_heap.push r key !next;
+              incr next
+          | None -> if not (R.Heap.is_empty h) then pop_both ())
+        ops;
+      while not (R.Heap.is_empty h) do
+        pop_both ()
+      done;
+      !ok && r.Swap_heap.len = 0)
 
 let with_jobs n f =
   Dco3d_parallel.Pool.set_jobs ~exact:true n;
@@ -264,6 +338,31 @@ let test_warm_mismatch_raises () =
   let p32 = Placer.global_place ~seed:1 ~params:Params.default nl fp32 in
   raises (fun () -> R.route ~config:cfg ~warm_start:(cold, p) p32)
 
+(* Router output pinned to values recorded before the A* loop and the
+   heap were rewritten for speed: [R.digest] (overflow, lengths, maps)
+   and the committed edge paths of every net, for a cold route and a
+   warm start from it.  DMA at scale 0.05 overflows under its
+   calibrated config, so repair waves and A* run. *)
+let test_pinned_route_digests () =
+  let p = placed ~scale:0.05 "DMA" in
+  let cfg = R.calibrated_config p in
+  let edges_md5 (r : R.result) =
+    Digest.to_hex (Digest.string (Marshal.to_string r.R.net_edges []))
+  in
+  let cold = R.route ~config:cfg p in
+  let q = Placer.perturb ~seed:3 ~fraction:0.05 p in
+  let warm = R.route ~config:cfg ~warm_start:(cold, p) q in
+  Alcotest.(check bool) "cold route overflows (A* repair ran)" true
+    (cold.R.overflow_total > 0);
+  Alcotest.(check string) "cold digest" "2eb2e356353e67c28fc2160e7d7cb6cc"
+    (R.digest cold);
+  Alcotest.(check string) "cold paths" "258bd943ff50b2f6ae72b25902dc371f"
+    (edges_md5 cold);
+  Alcotest.(check string) "warm digest" "646d1b1376d75bb2265a3f34348009cc"
+    (R.digest warm);
+  Alcotest.(check string) "warm paths" "62f5457f6ff4cc5bd6951eb1f31899ed"
+    (edges_md5 warm)
+
 let suites =
   [
     ( "route.router",
@@ -278,11 +377,13 @@ let suites =
         Alcotest.test_case "utilization maps" `Quick test_utilization_maps;
         Alcotest.test_case "congestion maps non-negative" `Quick test_congestion_maps_nonneg;
         Alcotest.test_case "heap pop on empty raises" `Quick test_heap_pop_empty_raises;
+        QCheck_alcotest.to_alcotest prop_heap_matches_swap_heap;
         Alcotest.test_case "demand conservation" `Quick test_demand_conservation;
         Alcotest.test_case "jobs-invariant digest" `Quick test_jobs_invariant_digest;
         Alcotest.test_case "warm unchanged bit-identical" `Quick test_warm_unchanged_bit_identical;
         Alcotest.test_case "warm perturbed jobs-invariant" `Quick test_warm_perturbed_jobs_invariant;
         Alcotest.test_case "warm reuse and parity" `Quick test_warm_reuse_and_parity;
         Alcotest.test_case "warm mismatch raises" `Quick test_warm_mismatch_raises;
+        Alcotest.test_case "pinned cold and warm digests" `Quick test_pinned_route_digests;
       ] );
   ]

@@ -459,9 +459,9 @@ let prop_cg_solves_spd =
       let rng = Rng.create (seed + 1) in
       let x_true = T.randn rng [| n |] in
       let b = T.matvec a x_true in
-      let matvec v =
+      let matvec v out =
         let t = T.matvec a (T.of_array1 v) in
-        Array.init n (T.get_flat t)
+        Array.iteri (fun i _ -> out.(i) <- T.get_flat t i) out
       in
       let x =
         Linalg.conjugate_gradient ~max_iter:500 ~tol:1e-12 matvec
@@ -490,7 +490,10 @@ let test_cg_breakdown_reported () =
      direction has p.Ap = 0, so the solver must report Breakdown after
      0 iterations — NOT Max_iter (the bug this pins down: breakdown
      used to be folded into iter := max_iter) *)
-  let matvec (v : float array) = [| v.(0); -.v.(1) |] in
+  let matvec (v : float array) out =
+    out.(0) <- v.(0);
+    out.(1) <- -.v.(1)
+  in
   let iters = ref (-1) in
   let status = ref Linalg.Converged in
   let _ =
@@ -513,9 +516,9 @@ let test_cg_max_iter_reported () =
   let rng = Rng.create 32 in
   let x_true = T.randn rng [| n |] in
   let b = T.matvec a x_true in
-  let matvec v =
+  let matvec v out =
     let t = T.matvec a (T.of_array1 v) in
-    Array.init n (T.get_flat t)
+    Array.iteri (fun i _ -> out.(i) <- T.get_flat t i) out
   in
   let iters = ref (-1) in
   let status = ref Linalg.Breakdown in
@@ -536,9 +539,9 @@ let prop_cg_status_consistent =
       let rng = Rng.create (seed + 1) in
       let x_true = T.randn rng [| n |] in
       let b = T.matvec a x_true in
-      let matvec v =
+      let matvec v out =
         let t = T.matvec a (T.of_array1 v) in
-        Array.init n (T.get_flat t)
+        Array.iteri (fun i _ -> out.(i) <- T.get_flat t i) out
       in
       let iters = ref (-1) in
       let status = ref Linalg.Breakdown in
