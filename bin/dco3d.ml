@@ -381,6 +381,19 @@ let flow_cmd =
       const run $ setup_t $ design_t $ scale_t $ seed_t $ gcell_t $ which_t
       $ bo_t $ route_cache_t)
 
+(* A freshly initialized network behind the same checks a model file
+   gets at load: a --input-hw the network cannot take fails here, at
+   startup, not on the first forward. *)
+let untrained_predictor ~seed ~input_hw =
+  let net =
+    SiaUNet.create (Dco3d_tensor.Rng.create seed)
+      { SiaUNet.default_config with SiaUNet.base_channels = 8 }
+  in
+  try Predictor.make net ~input_hw ~label_scale:1.0
+  with Invalid_argument msg ->
+    prerr_endline ("dco3d: " ^ msg);
+    exit 2
+
 (* ------------------------------------------------------------------ *)
 (* train                                                                *)
 (* ------------------------------------------------------------------ *)
@@ -388,6 +401,8 @@ let flow_cmd =
 let train_cmd =
   let run () design scale seed gcell n_samples epochs input_hw output cache_dir
       =
+    (* reject a bad --input-hw before the dataset build, not after it *)
+    ignore (untrained_predictor ~seed ~input_hw);
     let nl = netlist_of design scale seed in
     let route_cache = route_cache_of cache_dir in
     let ctx =
@@ -554,13 +569,6 @@ let sniff_quantized path =
 let load_any_model path =
   if sniff_quantized path then Predictor.load_quantized path
   else Predictor.load path
-
-let untrained_predictor ~seed ~input_hw =
-  let net =
-    SiaUNet.create (Dco3d_tensor.Rng.create seed)
-      { SiaUNet.default_config with SiaUNet.base_channels = 8 }
-  in
-  { Predictor.net; input_hw; label_scale = 1.0 }
 
 let numeric_t =
   let numeric_conv = Arg.enum [ ("f32", `F32); ("i8", `I8) ] in
@@ -904,6 +912,8 @@ let serve_cmd =
 let balance_cmd =
   let run () socket port ctl shards numerics model seed input_hw queue_cap
       max_batch linger_ms cache_cap spill_root route_cache_dir corpus_dir =
+    (* the shards would start and then fail every predict *)
+    if model = None then ignore (untrained_predictor ~seed ~input_hw);
     let addr = address_of socket port in
     let ctl_path =
       match ctl with

@@ -15,14 +15,46 @@ type t = { net : SiaUNet.t; input_hw : int; label_scale : float }
 
 type report = { train_loss : float array; test_loss : float array; epochs : int }
 
+(* What a network, its resolution and its label scale must agree on
+   before any forward can succeed; [Some cause] when they do not. *)
+let mismatch net ~input_hw ~label_scale =
+  let cfg = SiaUNet.config net in
+  let granularity = 1 lsl cfg.SiaUNet.depth in
+  if input_hw < 1 then
+    Some (Printf.sprintf "invalid network resolution %d" input_hw)
+  else if not (Float.is_finite label_scale) || label_scale <= 0. then
+    Some (Printf.sprintf "invalid label scale %g" label_scale)
+  else if cfg.SiaUNet.in_channels <> Fm.n_channels then
+    Some
+      (Printf.sprintf
+         "weights expect %d input channels but the feature pipeline produces %d"
+         cfg.SiaUNet.in_channels Fm.n_channels)
+  else if input_hw mod granularity <> 0 then
+    Some
+      (Printf.sprintf "network resolution %d is not divisible by 2^depth = %d"
+         input_hw granularity)
+  else None
+
+let make net ~input_hw ~label_scale =
+  match mismatch net ~input_hw ~label_scale with
+  | Some cause -> invalid_arg ("Predictor.make: " ^ cause)
+  | None -> { net; input_hw; label_scale }
+
 let eq4_loss c0 c1 t0 t1 =
   V.scale 0.5 (V.add (V.rmse_frobenius c0 t0) (V.rmse_frobenius c1 t1))
 
+(* A raw GCell feature stack at network resolution. *)
+let fmap ~input_hw stack = Fm.resize_stack (Fm.normalize stack) input_hw input_hw
+
+(* A predicted map back at the GCell resolution of [like] and in
+   ground-truth units; overflow maps are non-negative by definition. *)
+let post t ~like m =
+  let nx = T.dim like 2 and ny = T.dim like 1 in
+  T.relu (T.scale t.label_scale (T.resize_nearest m ny nx))
+
 (* Preprocess one sample into network-resolution tensors. *)
 let prep ~input_hw ~label_scale (s : Dataset.sample) =
-  let fmap stack =
-    Fm.resize_stack (Fm.normalize stack) input_hw input_hw
-  in
+  let fmap = fmap ~input_hw in
   let lmap m =
     T.reshape
       (T.scale (1. /. label_scale) (T.resize_nearest m input_hw input_hw))
@@ -53,6 +85,7 @@ let train ?(epochs = 12) ?(lr = 2e-3) ?(input_hw = 32) ?(base_channels = 8)
       { SiaUNet.in_channels = Fm.n_channels; base_channels; depth = 2 }
   in
   let label_scale = Dataset.label_scale train in
+  let t = make net ~input_hw ~label_scale in
   let opt = Opt.adam ~lr (SiaUNet.params net) in
   (* pre-expand the augmented training set (the paper's 8x) *)
   let train_samples =
@@ -89,39 +122,25 @@ let train ?(epochs = 12) ?(lr = 2e-3) ?(input_hw = 32) ?(base_channels = 8)
         m "epoch %d/%d: train %.4f test %.4f" (epoch + 1) epochs
           train_loss.(epoch) test_loss.(epoch))
   done;
-  ({ net; input_hw; label_scale }, { train_loss; test_loss; epochs })
+  (t, { train_loss; test_loss; epochs })
 
 let predict_batch ?(numeric = `F32) t pairs =
-  if Array.length pairs = 0 then [||]
-  else begin
-    let fmap stack =
-      Fm.resize_stack (Fm.normalize stack) t.input_hw t.input_hw
-    in
-    let prepped = Array.map (fun (f0, f1) -> (fmap f0, fmap f1)) pairs in
-    let outs = SiaUNet.predict_batch ~numeric t.net prepped in
-    Array.map2
-      (fun (f_bottom, _) (c0, c1) ->
-        let nx = T.dim f_bottom 2 and ny = T.dim f_bottom 1 in
-        let post m = T.relu (T.scale t.label_scale (T.resize_nearest m ny nx)) in
-        (post c0, post c1))
-      pairs outs
-  end
+  let fmap = fmap ~input_hw:t.input_hw in
+  let outs =
+    SiaUNet.predict_batch ~numeric t.net
+      (Array.map (fun (f0, f1) -> (fmap f0, fmap f1)) pairs)
+  in
+  Array.map2
+    (fun (like, _) (c0, c1) -> (post t ~like c0, post t ~like c1))
+    pairs outs
 
 let predict ?(numeric = `F32) t f_bottom f_top =
   match numeric with
   | `I8 -> (predict_batch ~numeric t [| (f_bottom, f_top) |]).(0)
   | `F32 ->
-      let nx = T.dim f_bottom 2 and ny = T.dim f_bottom 1 in
-      let fmap stack =
-        Fm.resize_stack (Fm.normalize stack) t.input_hw t.input_hw
-      in
+      let fmap = fmap ~input_hw:t.input_hw in
       let c0, c1 = SiaUNet.predict t.net (fmap f_bottom) (fmap f_top) in
-      let post m =
-        (* back to GCell resolution and ground-truth units; overflow maps
-           are non-negative by definition *)
-        T.relu (T.scale t.label_scale (T.resize_nearest m ny nx))
-      in
-      (post c0, post c1)
+      (post t ~like:f_bottom c0, post t ~like:f_bottom c1)
 
 let fingerprint ?(numeric = `F32) t =
   (* the numeric path is part of the model identity: an int8 and a
@@ -150,23 +169,34 @@ let evaluate t (d : Dataset.t) =
          in
          [ score p0 s.Dataset.c_bottom; score p1 s.Dataset.c_top ])
 
+(* A predictor on disk: a magic-tagged (resolution, label scale) header
+   plus a companion file holding the network — [.net] float weights, or
+   a [.qnet] int8 compilation for the standalone quantized artifact. *)
 let magic = "DCO3D-PREDICTOR-V1"
+let qmagic = "DCO3D-QPRED-V1"
 
-let save t path =
+let save_header ~magic t path =
   let oc = open_out_bin path in
   Fun.protect
     ~finally:(fun () -> close_out oc)
     (fun () ->
       output_string oc magic;
-      Marshal.to_channel oc (t.input_hw, t.label_scale) []);
+      Marshal.to_channel oc (t.input_hw, t.label_scale) [])
+
+let save t path =
+  save_header ~magic t path;
   SiaUNet.save t.net (path ^ ".net")
+
+let save_quantized t path =
+  save_header ~magic:qmagic t path;
+  SiaUNet.save_quantized (SiaUNet.quantized t.net) (path ^ ".qnet")
 
 exception Load_error of string
 
 let load_error path cause =
   raise (Load_error (Printf.sprintf "Predictor.load: %s: %s" path cause))
 
-let load ?expect path =
+let load_with ~magic ~load_net path =
   let ic =
     try open_in_bin path with Sys_error msg -> load_error path msg
   in
@@ -182,79 +212,23 @@ let load ?expect path =
         | End_of_file -> load_error path "truncated file"
         | Failure msg -> load_error path msg)
   in
-  if input_hw < 1 then
-    load_error path (Printf.sprintf "invalid network resolution %d" input_hw);
-  if not (Float.is_finite label_scale) || label_scale <= 0. then
-    load_error path (Printf.sprintf "invalid label scale %g" label_scale);
   let net =
-    (* the companion weights file is part of the same on-disk artifact,
+    (* the companion network file is part of the same on-disk artifact,
        so its failures surface as this module's Load_error too *)
-    try SiaUNet.load ?expect (path ^ ".net")
-    with SiaUNet.Load_error msg -> raise (Load_error msg)
+    try load_net () with SiaUNet.Load_error msg -> raise (Load_error msg)
   in
-  (* Cross-check the pair of files: a swapped-in weights file that
+  (* Cross-check the pair of files: a swapped-in network file that
      Marshal-decodes fine must still agree with the data pipeline and
      the stored network resolution, or [predict] would blow up inside
      a conv long after loading "succeeded". *)
-  let cfg = SiaUNet.config net in
-  if cfg.SiaUNet.in_channels <> Fm.n_channels then
-    load_error path
-      (Printf.sprintf
-         "weights expect %d input channels but the feature pipeline produces %d"
-         cfg.SiaUNet.in_channels Fm.n_channels);
-  let granularity = 1 lsl cfg.SiaUNet.depth in
-  if input_hw mod granularity <> 0 then
-    load_error path
-      (Printf.sprintf
-         "network resolution %d is not divisible by 2^depth = %d" input_hw
-         granularity);
-  { net; input_hw; label_scale }
+  match mismatch net ~input_hw ~label_scale with
+  | Some cause -> load_error path cause
+  | None -> { net; input_hw; label_scale }
 
-(* Standalone int8 artifact: the resolution/scale header plus a
-   companion .qnet file holding the quantized network. *)
-let qmagic = "DCO3D-QPRED-V1"
-
-let save_quantized t path =
-  let oc = open_out_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc qmagic;
-      Marshal.to_channel oc (t.input_hw, t.label_scale) []);
-  SiaUNet.save_quantized (SiaUNet.quantized t.net) (path ^ ".qnet")
+let load ?expect path =
+  load_with ~magic ~load_net:(fun () -> SiaUNet.load ?expect (path ^ ".net")) path
 
 let load_quantized path =
-  let ic = try open_in_bin path with Sys_error msg -> load_error path msg in
-  let input_hw, label_scale =
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () ->
-        try
-          let tag = really_input_string ic (String.length qmagic) in
-          if tag <> qmagic then load_error path "bad file magic";
-          (Marshal.from_channel ic : int * float)
-        with
-        | End_of_file -> load_error path "truncated file"
-        | Failure msg -> load_error path msg)
-  in
-  if input_hw < 1 then
-    load_error path (Printf.sprintf "invalid network resolution %d" input_hw);
-  if not (Float.is_finite label_scale) || label_scale <= 0. then
-    load_error path (Printf.sprintf "invalid label scale %g" label_scale);
-  let net =
-    try SiaUNet.load_quantized (path ^ ".qnet")
-    with SiaUNet.Load_error msg -> raise (Load_error msg)
-  in
-  let cfg = SiaUNet.config net in
-  if cfg.SiaUNet.in_channels <> Fm.n_channels then
-    load_error path
-      (Printf.sprintf
-         "weights expect %d input channels but the feature pipeline produces %d"
-         cfg.SiaUNet.in_channels Fm.n_channels);
-  let granularity = 1 lsl cfg.SiaUNet.depth in
-  if input_hw mod granularity <> 0 then
-    load_error path
-      (Printf.sprintf
-         "network resolution %d is not divisible by 2^depth = %d" input_hw
-         granularity);
-  { net; input_hw; label_scale }
+  load_with ~magic:qmagic
+    ~load_net:(fun () -> SiaUNet.load_quantized (path ^ ".qnet"))
+    path

@@ -13,6 +13,14 @@ type t = {
   label_scale : float;  (** labels are divided by this during training *)
 }
 
+val make :
+  Dco3d_nn.Siamese_unet.t -> input_hw:int -> label_scale:float -> t
+(** A predictor from a network, after the checks {!load} applies to a
+    file: positive resolution, positive finite label scale, the
+    network's input channels equal to the feature pipeline's, and the
+    resolution divisible by [2^depth].
+    @raise Invalid_argument naming the first check that fails. *)
+
 type report = {
   train_loss : float array;  (** per-epoch mean Eq.-4 loss *)
   test_loss : float array;
@@ -32,7 +40,9 @@ val train :
   t * report
 (** Algorithm 1.  Defaults: [epochs = 12], [lr = 2e-3], [input_hw = 32],
     [base_channels = 8], [augment = true].  The test set is only scored,
-    never trained on. *)
+    never trained on.
+    @raise Invalid_argument as {!make} does, before any training step,
+    when [input_hw] cannot feed the network. *)
 
 val predict :
   ?numeric:[ `F32 | `I8 ] ->
@@ -88,10 +98,10 @@ val load : ?expect:Dco3d_nn.Siamese_unet.config -> string -> t
 (** Restore a predictor written by {!save}.  When [expect] is given,
     weight files whose stored architecture disagrees with it are
     rejected with a message naming both configurations.  Regardless of
-    [expect], the loaded pair of files is cross-checked (channel count
-    against the feature pipeline, resolution divisibility, weight
-    shapes against the declared architecture) so that a mismatched or
-    swapped file fails here instead of deep inside a convolution later.
+    [expect], the loaded pair of files is cross-checked ({!make}'s
+    checks, plus weight shapes against the declared architecture) so
+    that a mismatched or swapped file fails here instead of deep inside
+    a convolution later.
     @raise Load_error on a missing, truncated, malformed or mismatched
     file. *)
 
@@ -104,7 +114,7 @@ val load_quantized : string -> t
 (** Restore a predictor from an int8 artifact written by
     {!save_quantized}.  The returned predictor's int8 path
     ([predict ~numeric:`I8]) serves the artifact exactly; its float
-    path carries the dequantized weights.  The same pipeline
-    cross-checks as {!load} apply.
+    path carries the dequantized weights.  It shares {!load}'s header
+    reader and cross-checks.
     @raise Load_error on a missing, truncated, corrupt or inconsistent
     file. *)

@@ -14,8 +14,8 @@ type t = {
 let layer rng ~adj ~in_dim ~out_dim ?(act = Fun.id) () =
   { adj; lin = Dco3d_nn.Layer.linear rng ~in_dim ~out_dim (); act }
 
-let forward l x = l.act (l.lin.Dco3d_nn.Layer.forward (spmm l.adj x))
-let params l = l.lin.Dco3d_nn.Layer.params
+let forward l x = l.act (Dco3d_nn.Layer.forward l.lin (spmm l.adj x))
+let params l = Dco3d_nn.Layer.params l.lin
 
 let stack rng ~adj ~dims ?(hidden_act = V.relu) () =
   let rec build = function

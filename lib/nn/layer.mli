@@ -1,24 +1,17 @@
-(** Neural-network layers as parameterized differentiable functions.
+(** Neural-network layers as data.
 
-    A layer couples a list of trainable {!Dco3d_autodiff.Value.t}
-    parameters with a forward function.  Layers compose with {!seq};
-    weight sharing (the Siamese property of the paper's predictor) is
-    obtained simply by applying the same layer value to several
-    inputs. *)
+    A layer is a plain description — convolutions, dense layers and
+    activations composed with {!seq} — whose leaves hold the trainable
+    {!Dco3d_autodiff.Value.t} parameters.  Two interpreters walk it:
+    {!forward} records it on the autodiff tape, and {!Quant} compiles
+    it into a batched inference program (float32, or int8 where the
+    policy allows).  Weight sharing (the Siamese property of the
+    paper's predictor) is obtained simply by applying the same layer
+    value to several inputs. *)
 
-type act_kind =
-  | Relu
-  | Leaky of float
-  | Sigmoid
-  | Tanh
-  | Maxpool2
-  | Opaque  (** a custom {!activation} — not introspectable *)
+type act_kind = Relu | Leaky of float | Sigmoid | Tanh | Maxpool2
 
-(** Structural description of a layer, for compilers that rewrite the
-    inference path (e.g. {!Quant} fusing activations into int8 conv
-    epilogues).  Parameter values are shared with [params], so a spec
-    always sees the current weights. *)
-type spec =
+type t =
   | Conv of {
       stride : int;
       pad : int;
@@ -36,19 +29,14 @@ type spec =
       bias : Dco3d_autodiff.Value.t option;
     }
   | Act of act_kind
-  | Seq of spec list
+  | Seq of t list  (** left-to-right composition *)
 
-type t = {
-  params : Dco3d_autodiff.Value.t list;  (** trainable leaves *)
-  forward : Dco3d_autodiff.Value.t -> Dco3d_autodiff.Value.t;
-  forward_batch : Dco3d_tensor.Tensor.t -> Dco3d_tensor.Tensor.t;
-      (** Inference-only batched forward over rank-4 [[n; c; h; w]]
-          tensors (rank-2 [[n; f]] for {!linear}).  Bit-identical to
-          applying {!forward} to each sample separately — the contract
-          the serve micro-batcher relies on.  Layers built with a bare
-          {!activation} (no [?batch]) raise [Invalid_argument]. *)
-  spec : spec;  (** structure, for introspection *)
-}
+val forward : t -> Dco3d_autodiff.Value.t -> Dco3d_autodiff.Value.t
+(** Apply the layer on the autodiff tape.  Convolutions take rank-3
+    [[c; h; w]] inputs, {!Linear} rank-2 [[n; in_dim]] (row-wise). *)
+
+val params : t -> Dco3d_autodiff.Value.t list
+(** Trainable leaves in layer order, each weight before its bias. *)
 
 val conv2d :
   Dco3d_tensor.Rng.t ->
@@ -82,16 +70,6 @@ val linear :
   Dco3d_tensor.Rng.t -> ?bias:bool -> in_dim:int -> out_dim:int -> unit -> t
 (** Dense layer on rank-2 inputs [[n; in_dim]] (row-wise). *)
 
-val activation :
-  ?batch:(Dco3d_tensor.Tensor.t -> Dco3d_tensor.Tensor.t) ->
-  ?kind:act_kind ->
-  (Dco3d_autodiff.Value.t -> Dco3d_autodiff.Value.t) ->
-  t
-(** Parameter-free layer from any differentiable function.  [?batch]
-    supplies the batched inference path; omitted, [forward_batch]
-    raises.  [?kind] (default {!Opaque}) labels the spec for
-    introspection. *)
-
 val relu : t
 val leaky_relu : float -> t
 val sigmoid : t
@@ -107,7 +85,7 @@ val num_params : t -> int
 (** {1 Persistence} *)
 
 val state : t -> Dco3d_tensor.Tensor.t list
-(** Snapshot of parameter tensors (copies, ordered as [params]). *)
+(** Snapshot of parameter tensors (copies, ordered as {!params}). *)
 
 val load_state : t -> Dco3d_tensor.Tensor.t list -> unit
 (** Restore a snapshot in place.

@@ -1,14 +1,16 @@
 module T = Dco3d_tensor.Tensor
 module V = Dco3d_autodiff.Value
 
-(* A quantized inference program compiled from a Layer.t spec: a flat
-   run of units executed left to right.  Convolutions with spatial
-   extent (kh*kw > 1, including every transposed conv) go to the int8
-   engine with any directly following relu/leaky fused into the
-   requantizing epilogue; pointwise (1x1) convolutions stay in float32
-   — at this network's sizes their cost is dominated by the per-call
-   fixed work (activation quantization, image staging), which the int8
-   MAC savings cannot recoup.  Everything is plain data, so a program
+(* A batched inference program compiled from a Layer.t: a flat run of
+   units executed left to right.  The quantization policy decides which
+   convolutions go to the int8 engine; those need spatial extent
+   (kh*kw > 1, including every transposed conv) and take any directly
+   following relu/leaky fused into the requantizing epilogue.  Every
+   other conv runs float32 — pointwise (1x1) convs always, since at this
+   network's sizes their cost is dominated by per-call fixed work
+   (activation quantization, image staging) that int8 MAC savings
+   cannot recoup.  A policy that declines every conv yields the plain
+   float32 batched network.  Everything is plain data, so a program
    round-trips through [parts] for persistence. *)
 
 type fused_act = [ `None | `Relu | `Leaky of float ]
@@ -37,10 +39,10 @@ type t = { units : qunit list }
 (* Compilation                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let rec flatten spec acc =
-  match spec with
-  | Layer.Seq specs -> List.fold_right flatten specs acc
-  | s -> s :: acc
+let rec flatten layer acc =
+  match layer with
+  | Layer.Seq layers -> List.fold_right flatten layers acc
+  | l -> l :: acc
 
 let tensor_bias = function
   | None -> None
@@ -72,8 +74,13 @@ let of_layer ?(quantize_conv = fun _ -> true) (layer : Layer.t) =
   let conv_idx = ref (-1) in
   let rec go = function
     | [] -> []
-    | Layer.Conv { stride; pad; weight; bias } :: rest ->
+    | (( Layer.Conv { stride; pad; weight; bias }
+       | Layer.Conv_transpose { stride; pad; weight; bias } ) as conv)
+      :: rest ->
         incr conv_idx;
+        let transposed =
+          match conv with Layer.Conv_transpose _ -> true | _ -> false
+        in
         let quantize = quantize_conv !conv_idx && quantizable (V.data weight) in
         let act, rest =
           match rest with
@@ -81,18 +88,7 @@ let of_layer ?(quantize_conv = fun _ -> true) (layer : Layer.t) =
           | Layer.Act (Layer.Leaky a) :: tl when quantize -> (`Leaky a, tl)
           | _ -> (`None, rest)
         in
-        compile_conv ~quantize ~transposed:false ~stride ~pad ~weight ~bias ~act
-        :: go rest
-    | Layer.Conv_transpose { stride; pad; weight; bias } :: rest ->
-        incr conv_idx;
-        let quantize = quantize_conv !conv_idx && quantizable (V.data weight) in
-        let act, rest =
-          match rest with
-          | Layer.Act Layer.Relu :: tl when quantize -> (`Relu, tl)
-          | Layer.Act (Layer.Leaky a) :: tl when quantize -> (`Leaky a, tl)
-          | _ -> (`None, rest)
-        in
-        compile_conv ~quantize ~transposed:true ~stride ~pad ~weight ~bias ~act
+        compile_conv ~quantize ~transposed ~stride ~pad ~weight ~bias ~act
         :: go rest
     | Layer.Act k :: rest ->
         let a =
@@ -102,15 +98,13 @@ let of_layer ?(quantize_conv = fun _ -> true) (layer : Layer.t) =
           | Layer.Sigmoid -> `Sigmoid
           | Layer.Tanh -> `Tanh
           | Layer.Maxpool2 -> `Maxpool2
-          | Layer.Opaque ->
-              invalid_arg "Quant.of_layer: opaque activation cannot be compiled"
         in
         F_act a :: go rest
     | Layer.Linear _ :: _ ->
         invalid_arg "Quant.of_layer: linear layers are not supported"
     | Layer.Seq _ :: _ -> assert false (* flattened away *)
   in
-  { units = go (flatten layer.Layer.spec []) }
+  { units = go (flatten layer []) }
 
 (* ------------------------------------------------------------------ *)
 (* Execution                                                           *)
@@ -256,21 +250,9 @@ let of_parts parts =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Introspection                                                       *)
+(* Dequantization                                                      *)
 (* ------------------------------------------------------------------ *)
 
-let num_quantized t =
-  List.length
-    (List.filter (function Q_conv _ -> true | _ -> false) t.units)
-
-let num_float t =
-  List.length
-    (List.filter (function F_conv _ -> true | _ -> false) t.units)
-
-(* The float network the quantized program effectively runs: quantized
-   weights dequantized back to float, everything else untouched.  The
-   parity harness compares against this to isolate quantization error
-   from kernel bugs. *)
 (* Invert quantize_weight_transposed's layout change: the stored
    forward kernel [co; ci; kh; kw] (spatially flipped) back to the
    transposed-conv layout [ci; co; kh; kw]. *)
@@ -293,6 +275,8 @@ let unflip_transposed qw =
   done;
   T.make [| ci; co; kh; kw |] out
 
+(* The float network the quantized program effectively runs: quantized
+   weights dequantized back to float, everything else untouched. *)
 let dequantized_units t =
   List.map
     (function

@@ -1,18 +1,26 @@
-(** Int8 compilation of layer stacks.
+(** Batched inference programs compiled from layer descriptions.
 
-    Compiles a {!Layer.t}'s {!Layer.spec} into a quantized inference
-    program: convolutions with spatial extent ([kh*kw > 1], including
-    every transposed convolution) run on the tensor library's int8
-    engine with any directly following relu/leaky-relu fused into the
-    requantizing epilogue; pointwise (1x1) convolutions and standalone
-    activations stay in float32 — at this network's sizes a 1x1 conv
-    is dominated by per-call fixed work (activation quantization,
-    image staging) that int8 MAC savings cannot recoup.
+    {!of_layer} compiles a {!Layer.t} into a flat program over rank-4
+    [[n; c; h; w]] batches.  The program is the one batched executor
+    for both numerics; a per-conv policy picks which convolutions run
+    int8:
 
-    Determinism: a compiled program inherits the int8 kernels'
-    guarantees — results are bit-identical at every [DCO3D_JOBS] value,
-    and element [b] of a batched run is bit-identical to running
-    sample [b] alone (per-sample activation scales). *)
+    - [~quantize_conv:(fun _ -> false)] is float32 inference: every
+      conv is an [F_conv] running the tensor library's batched conv,
+      bit-identical to applying {!Layer.forward} to each sample.
+    - The default policy is int8 inference: convolutions with spatial
+      extent ([kh*kw > 1], including every transposed convolution) run
+      on the int8 engine with any directly following relu/leaky-relu
+      fused into the requantizing epilogue.  Pointwise (1x1)
+      convolutions and standalone activations stay float32 — at this
+      network's sizes a 1x1 conv is dominated by per-call fixed work
+      (activation quantization, image staging) that int8 MAC savings
+      cannot recoup.
+
+    Determinism: results are bit-identical at every [DCO3D_JOBS]
+    value, and element [b] of a batched run is bit-identical to
+    running sample [b] alone (int8 units use per-sample activation
+    scales). *)
 
 type fused_act = [ `None | `Relu | `Leaky of float ]
 
@@ -31,15 +39,15 @@ type qunit =
       pad : int;
       weight : Dco3d_tensor.Tensor.t;
       bias : Dco3d_tensor.Tensor.t option;
-    }  (** float32 fallback conv (pointwise layers) *)
+    }  (** float32 conv (declined by the policy, or pointwise) *)
   | F_act of [ `Relu | `Leaky of float | `Sigmoid | `Tanh | `Maxpool2 ]
 
 type t = { units : qunit list }
 
 val of_layer : ?quantize_conv:(int -> bool) -> Layer.t -> t
-(** Compile a layer (tree) into a quantized program.  Weights are
-    quantized per output channel at call time, so the program captures
-    the layer's weights as of this call.
+(** Compile a layer (tree) into a program.  The program copies (or
+    quantizes per output channel) the layer's weights at call time, so
+    it captures them as of this call.
 
     [quantize_conv] is the quantization policy: it receives each
     convolution's 0-based index in the flattened program (transposed
@@ -50,8 +58,8 @@ val of_layer : ?quantize_conv:(int -> bool) -> Layer.t -> t
     the policy to pin accuracy-critical convolutions, e.g. the
     network's entry conv, whose quantization error would otherwise
     ride through every downstream layer.
-    @raise Invalid_argument on layers the quantizer cannot compile
-    (linear layers, opaque activations). *)
+    @raise Invalid_argument on {!Layer.Linear}, which has no batched
+    conv lowering. *)
 
 val forward_batch : t -> Dco3d_tensor.Tensor.t -> Dco3d_tensor.Tensor.t
 (** Run the program over a rank-4 [[n; c; h; w]] batch. *)
@@ -59,14 +67,8 @@ val forward_batch : t -> Dco3d_tensor.Tensor.t -> Dco3d_tensor.Tensor.t
 val dequantized : t -> t
 (** The float32 network a quantized program effectively computes:
     quantized weights dequantized back to float ([q . scale]),
-    float units untouched.  The golden-parity harness compares
-    against this to separate quantization error from kernel bugs. *)
-
-val num_quantized : t -> int
-(** Number of int8 conv units (reporting). *)
-
-val num_float : t -> int
-(** Number of float32 fallback conv units (reporting). *)
+    float units untouched.  A loaded int8 artifact takes its float
+    weights from this. *)
 
 (** {1 Persistence} *)
 

@@ -9,6 +9,10 @@
     b_other)]), which keeps the whole network exactly equivariant under
     die exchange — swapping the inputs swaps the predictions.
 
+    The topology is written once and run two ways: on the autodiff
+    tape ({!forward}), and over one compiled {!Quant} program per
+    layer ({!predict_batch}, float32 or int8).
+
     The network is an images-to-images model: it maps the per-die
     feature stacks [F0, F1 : [c_in; h; w]] to predicted post-route
     congestion maps [C0, C1 : [1; h; w]] (paper: [c_in = 7] and
@@ -29,6 +33,10 @@ val default_config : config
     7 feature channels plus the thermal channel. *)
 
 val create : Dco3d_tensor.Rng.t -> config -> t
+(** A network with He-initialized weights drawn from the generator.
+    @raise Invalid_argument unless [depth] is 1 or 2 and both channel
+    counts are positive — the same check {!load} and
+    {!load_quantized} apply to a file's stored architecture. *)
 
 val forward :
   t ->
@@ -53,41 +61,35 @@ val predict_batch :
   (Dco3d_tensor.Tensor.t * Dco3d_tensor.Tensor.t) array
 (** [predict_batch net pairs] is {!predict} over a whole batch in one
     network pass: the [(f0, f1)] stacks are packed into rank-4
-    [[n; c; h; w]] tensors and every conv layer runs as a single
-    batched im2col/GEMM call.  Element [i] of the result is
-    bit-identical to [predict net (fst pairs.(i)) (snd pairs.(i))] at
-    every [DCO3D_JOBS] value — the contract the serve micro-batcher
-    and its result cache depend on.
+    [[n; c; h; w]] tensors and every layer runs as its {!Quant}
+    program, so each conv is a single batched call.
 
-    [~numeric:`I8] (default [`F32]) runs the int8 compilation of the
-    network (see {!quantized}) instead: spatial convs execute on the
-    quantized engine, within a small tolerance of the float path (the
-    golden-parity harness bounds the divergence).  The determinism and
-    batching contracts hold on this path too — results are
-    bit-identical at every [DCO3D_JOBS] value and per-sample
-    activation scales decouple batchmates. *)
+    [~numeric:`F32] (the default) compiles every layer with no int8
+    unit on each call.  Element [i] of the result is bit-identical to
+    [predict net (fst pairs.(i)) (snd pairs.(i))] at every
+    [DCO3D_JOBS] value — the contract the serve micro-batcher and its
+    result cache depend on.
+
+    [~numeric:`I8] runs the memoized int8 compilation (see
+    {!quantized}) instead: spatial convs execute on the quantized
+    engine, within a small tolerance of the float path (the
+    golden-parity harness bounds the divergence).  Results are
+    bit-identical at every [DCO3D_JOBS] value, and per-sample
+    activation scales make element [i] independent of its
+    batchmates. *)
 
 (** {1 Quantized int8 inference} *)
 
 type qnet
-(** An int8 compilation of a network: spatial convolutions quantized
-    per output channel with fused requantize/bias/activation
-    epilogues, pointwise layers kept in float32 (see {!Quant}). *)
-
-val quantize : t -> qnet
-(** Compile the network's current weights.  Pure — does not touch the
-    memoized cache. *)
+(** An int8 compilation of a network: one {!Quant} program per layer.
+    Spatial convolutions are quantized per output channel with fused
+    requantize/bias/activation epilogues, except the level-0 encoder's
+    second conv, which produces the full-resolution skip tensor and
+    stays float32; pointwise layers stay float32 too. *)
 
 val quantized : t -> qnet
-(** Memoized {!quantize}: compiled once per weight state; the cache is
-    invalidated by {!load_state}. *)
-
-val forward_batch_q :
-  qnet ->
-  Dco3d_tensor.Tensor.t ->
-  Dco3d_tensor.Tensor.t ->
-  Dco3d_tensor.Tensor.t * Dco3d_tensor.Tensor.t
-(** The batched two-die forward on the int8 compilation. *)
+(** The network's int8 compilation, made once per weight state; the
+    cache is invalidated by {!load_state}. *)
 
 val qnet_fingerprint : qnet -> string
 (** Hex digest of the architecture plus every quantized bit (packed

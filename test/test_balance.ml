@@ -395,7 +395,36 @@ let cli_predictor ~seed ~input_hw =
     SiaUNet.create (Rng.create seed)
       { SiaUNet.default_config with SiaUNet.base_channels = 8 }
   in
-  { Predictor.net; input_hw; label_scale = 1.0 }
+  Predictor.make net ~input_hw ~label_scale:1.0
+
+let test_serve_rejects_bad_input_hw () =
+  (* 30 is not divisible by 2^depth = 4: the daemon must refuse to
+     start instead of answering every predict with an error *)
+  let sock = tmp_name ".sock" in
+  let devnull = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+  let pid =
+    Unix.create_process dco3d_exe
+      [| dco3d_exe; "serve"; "--socket"; sock; "--input-hw"; "30" |]
+      Unix.stdin devnull devnull
+  in
+  Unix.close devnull;
+  let deadline = Unix.gettimeofday () +. 60. in
+  let rec wait () =
+    match Unix.waitpid [ Unix.WNOHANG ] pid with
+    | 0, _ when Unix.gettimeofday () < deadline ->
+        Unix.sleepf 0.05;
+        wait ()
+    | 0, _ ->
+        Unix.kill pid Sys.sigkill;
+        ignore (Unix.waitpid [] pid);
+        (try Sys.remove sock with Sys_error _ -> ());
+        Alcotest.fail "serve --input-hw 30 kept running"
+    | _, Unix.WEXITED code -> code
+    | _, (Unix.WSIGNALED _ | Unix.WSTOPPED _) ->
+        Alcotest.fail "serve --input-hw 30 died on a signal"
+  in
+  Alcotest.(check bool) "exits nonzero at startup" true (wait () <> 0);
+  Alcotest.(check bool) "never bound its socket" false (Sys.file_exists sock)
 
 let fleet_argv ~ctl ~seed ~input_hw ~numeric_of ?spill_root () i =
   let base =
@@ -583,5 +612,7 @@ let suites =
           test_fleet_routing_and_bits;
         Alcotest.test_case "crash, drain, spill warm restart" `Quick
           test_fleet_crash_drain_spill;
+        Alcotest.test_case "serve rejects bad --input-hw" `Quick
+          test_serve_rejects_bad_input_hw;
       ] );
   ]

@@ -114,6 +114,26 @@ let test_training_reduces_loss () =
     (Printf.sprintf "train loss %.4f -> %.4f" first last)
     true (last < first)
 
+let test_train_rejects_bad_input_hw () =
+  (* 30 is not divisible by 2^depth = 4: the check must fire before the
+     first epoch, not inside a max-pool mid-training *)
+  let d = Lazy.force tiny_dataset in
+  let train, test = Dataset.split ~test_fraction:0.33 ~seed:1 d in
+  match
+    Predictor.train ~epochs:1 ~input_hw:30 ~base_channels:4 ~augment:false
+      ~train ~test ()
+  with
+  | _ -> Alcotest.fail "trained at an indivisible resolution"
+  | exception Invalid_argument msg ->
+      let contains hay needle =
+        let nh = String.length hay and nn = String.length needle in
+        let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
+        go 0
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "%S names the resolution check" msg)
+        true (contains msg "divisible")
+
 let test_predict_shapes_and_sign () =
   let t, _ = Lazy.force trained in
   let d = Lazy.force tiny_dataset in
@@ -669,6 +689,8 @@ let suites =
         Alcotest.test_case "metric ranges" `Slow test_evaluate_metrics_range;
         Alcotest.test_case "save/load" `Slow test_predictor_save_load;
         Alcotest.test_case "load errors" `Quick test_predictor_load_errors;
+        Alcotest.test_case "train rejects bad input_hw" `Quick
+          test_train_rejects_bad_input_hw;
       ] );
     ( "core.soft_maps",
       [

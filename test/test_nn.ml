@@ -10,14 +10,14 @@ module SiaUNet = Dco3d_nn.Siamese_unet
 let test_conv_layer_shapes () =
   let rng = Rng.create 1 in
   let l = Layer.conv2d rng ~pad:1 ~in_channels:3 ~out_channels:5 ~ksize:3 () in
-  let y = l.Layer.forward (V.const (T.zeros [| 3; 8; 8 |])) in
+  let y = Layer.forward l (V.const (T.zeros [| 3; 8; 8 |])) in
   Alcotest.(check (array int)) "conv shape" [| 5; 8; 8 |] (V.shape y);
   Alcotest.(check int) "param count" ((5 * 3 * 3 * 3) + 5) (Layer.num_params l)
 
 let test_linear_layer () =
   let rng = Rng.create 2 in
   let l = Layer.linear rng ~in_dim:4 ~out_dim:2 () in
-  let y = l.Layer.forward (V.const (T.zeros [| 10; 4 |])) in
+  let y = Layer.forward l (V.const (T.zeros [| 10; 4 |])) in
   Alcotest.(check (array int)) "linear shape" [| 10; 2 |] (V.shape y)
 
 let test_seq_composition () =
@@ -31,7 +31,7 @@ let test_seq_composition () =
         Layer.conv2d rng ~pad:1 ~in_channels:4 ~out_channels:2 ~ksize:3 ();
       ]
   in
-  let y = l.Layer.forward (V.const (T.zeros [| 1; 8; 8 |])) in
+  let y = Layer.forward l (V.const (T.zeros [| 1; 8; 8 |])) in
   Alcotest.(check (array int)) "seq shape" [| 2; 4; 4 |] (V.shape y)
 
 let test_layer_state_roundtrip () =
@@ -45,22 +45,22 @@ let test_layer_state_roundtrip () =
       for i = 0 to T.numel d - 1 do
         T.set_flat d i 99.
       done)
-    l.Layer.params;
+    (Layer.params l);
   Layer.load_state l snap;
   List.iter2
     (fun p s ->
       Alcotest.(check bool) "restored" true (T.approx_equal (V.data p) s))
-    l.Layer.params snap
+    (Layer.params l) snap
 
 let test_layer_trains () =
   (* A 1x1-conv network can learn y = 2x: check loss decreases. *)
   let rng = Rng.create 5 in
   let l = Layer.conv2d rng ~in_channels:1 ~out_channels:1 ~ksize:1 () in
-  let opt = Opt.adam ~lr:0.05 l.Layer.params in
+  let opt = Opt.adam ~lr:0.05 (Layer.params l) in
   let x = T.rand_uniform (Rng.create 6) [| 1; 4; 4 |] in
   let target = T.scale 2. x in
   let loss_at it =
-    let loss = V.mse (l.Layer.forward (V.const x)) target in
+    let loss = V.mse (Layer.forward l (V.const x)) target in
     if it >= 0 then begin
       V.backward loss;
       Opt.step opt

@@ -508,6 +508,82 @@ let test_predict_i8_batch_matches_singletons () =
       check_tensor_bits (Printf.sprintf "sample %d die 1" k) s1 b1)
     inputs
 
+(* The serve cache keys, pinned: the f32 one covers every weight bit
+   and the seeded draw order, the i8 one also the per-layer program
+   order and the quantization policy. *)
+let test_golden_fingerprints () =
+  on_both_schedules (fun sched ->
+      let net =
+        SiaUNet.create (Rng.create 0)
+          { SiaUNet.default_config with base_channels = 8 }
+      in
+      let p = { Predictor.net; input_hw = 32; label_scale = 1.0 } in
+      Alcotest.(check string)
+        (sched ^ ": f32 fingerprint") "1e06471a6b29c84e0fd15c14e5a7c781"
+        (Predictor.fingerprint ~numeric:`F32 p);
+      Alcotest.(check string)
+        (sched ^ ": i8 fingerprint") "18c82b07ec05fbdec0bc1319db5d7313"
+        (Predictor.fingerprint ~numeric:`I8 p))
+
+(* ------------------------------------------------------------------ *)
+(* Compiled programs vs the tape, per layer constructor                *)
+(* ------------------------------------------------------------------ *)
+
+module Layer = Dco3d_nn.Layer
+module Quant = Dco3d_nn.Quant
+module V = Dco3d_autodiff.Value
+
+(* The parts of Layer.t the UNet does not exercise: strided convs, a
+   biased strided transposed conv and every activation kind. *)
+let test_f32_program_matches_tape () =
+  let rng = Rng.create 61 in
+  let l =
+    Layer.seq
+      [
+        Layer.conv2d rng ~stride:2 ~pad:1 ~in_channels:2 ~out_channels:4
+          ~ksize:3 ();
+        Layer.relu;
+        Layer.conv2d_transpose rng ~stride:2 ~in_channels:4 ~out_channels:3
+          ~ksize:2 ();
+        Layer.sigmoid;
+        Layer.conv2d rng ~pad:1 ~in_channels:3 ~out_channels:3 ~ksize:3 ();
+        Layer.tanh_;
+        Layer.maxpool2;
+        Layer.conv2d rng ~in_channels:3 ~out_channels:2 ~ksize:1 ();
+        Layer.leaky_relu 0.1;
+      ]
+  in
+  (* non-zero biases, so the bias epilogues are checked too *)
+  List.iter
+    (fun p ->
+      let d = V.data p in
+      for i = 0 to T.numel d - 1 do
+        T.set_flat d i (Rng.float rng 2. -. 1.)
+      done)
+    (Layer.params l);
+  let samples = Array.init 3 (fun _ -> T.rand_uniform rng [| 2; 12; 12 |]) in
+  let prog = Quant.of_layer ~quantize_conv:(fun _ -> false) l in
+  Alcotest.(check bool)
+    "no int8 unit" true
+    (List.for_all
+       (function Quant.Q_conv _ -> false | _ -> true)
+       prog.Quant.units);
+  on_both_schedules (fun sched ->
+      let batched = T.unstack (Quant.forward_batch prog (T.stack samples)) in
+      Array.iteri
+        (fun k x ->
+          check_tensor_bits
+            (Printf.sprintf "%s sample %d" sched k)
+            (V.data (Layer.forward l (V.const x)))
+            batched.(k))
+        samples)
+
+let test_of_layer_rejects_linear () =
+  let l = Layer.linear (Rng.create 62) ~in_dim:4 ~out_dim:2 () in
+  match Quant.of_layer l with
+  | _ -> Alcotest.fail "a linear layer compiled"
+  | exception Invalid_argument _ -> ()
+
 let with_tmp f =
   let path = Filename.temp_file "dco3d_qtest" ".qpred" in
   Fun.protect
@@ -572,6 +648,12 @@ let suites =
           test_predict_i8_schedule_invariant;
         Alcotest.test_case "i8 batch matches singletons" `Quick
           test_predict_i8_batch_matches_singletons;
+        Alcotest.test_case "golden model fingerprints" `Quick
+          test_golden_fingerprints;
+        Alcotest.test_case "f32 program = tape, every constructor" `Quick
+          test_f32_program_matches_tape;
+        Alcotest.test_case "of_layer rejects linear" `Quick
+          test_of_layer_rejects_linear;
         Alcotest.test_case "quantized save/load round trip" `Quick
           test_quantized_save_load_roundtrip;
         Alcotest.test_case "quantized load rejects corrupt" `Quick
