@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all build test bench examples clean bench-deterministic bench-check serve-smoke quantize-smoke balance-smoke thermal-smoke warm-smoke corpus-smoke
+.PHONY: all build test bench examples clean bench-deterministic bench-check bench-ab serve-smoke quantize-smoke balance-smoke thermal-smoke warm-smoke corpus-smoke
 
 # Parallel jobs used for the determinism check's "parallel" leg.
 JOBS ?= 4
@@ -51,6 +51,18 @@ bench-check:
 	dune build bench/main.exe bench/bench_check.exe bin/dco3d.exe
 	DCO3D_ONLY=kernels,route,predict,serve DCO3D_JOBS=$(JOBS) dune exec --no-build bench/main.exe > /dev/null
 	dune exec --no-build bench/bench_check.exe
+
+# Ledger A/B: the working tree against BASE (a git worktree under
+# _build/bench-ab/), PAIRS alternating-order pairs of W at seeds
+# SEED, SEED+1, ..., S seconds each; prints each pair, the wins per
+# workload and ledger_check's verdict (base -- change).
+BASE ?= HEAD~1
+W ?= train-alg1
+PAIRS ?= 10
+S ?= 20
+SEED ?= 951
+bench-ab:
+	BASE='$(BASE)' W='$(W)' PAIRS=$(PAIRS) S=$(S) SEED=$(SEED) bash bench/ab.sh
 
 # End-to-end daemon smoke: start `dco3d serve` (untrained model), fire
 # predict requests (the repeats must hit the result cache), run a tiny

@@ -606,6 +606,11 @@ let kernels () =
   let uimg = T.rand_uniform urng [| 8; 32; 32 |] in
   let uw = T.randn urng [| 8; 8; 3; 3 |] in
   let ugout = T.rand_uniform urng [| 8; 32; 32 |] in
+  (* the UNet's level-0 up-conv (8 -> 8, 16x16 -> 32x32, 2x2 stride 2),
+     on its own stream for the same reason *)
+  let trng = Rng.create 15 in
+  let upimg = T.rand_uniform trng [| 8; 16; 16 |] in
+  let upw = T.randn trng [| 8; 8; 2; 2 |] in
   let sm_nx = e.ctx.Flow.fp.P.Floorplan.gcell_nx in
   let sm_ny = e.ctx.Flow.fp.P.Floorplan.gcell_ny in
   let sm_w0 = T.rand_uniform rng [| Fm.n_channels; sm_ny; sm_nx |] in
@@ -671,6 +676,12 @@ let kernels () =
             T.conv2d_backward_weight ~pad:1 ~input:uimg
               ~weight_shape:[| 8; 8; 3; 3 |] ugout;
           ] );
+      ( "unet_conv2d_transpose",
+        "8x16x16 -> 8x32x32, 2x2 s2",
+        Some (conv_flops 8 8 2 2 16 16),
+        9,
+        fun () ->
+          [ T.conv2d_transpose ~stride:2 upimg ~weight:upw ~bias:None ] );
       ( "rudy_map",
         Printf.sprintf "%s, 64x64 gcells" e.name,
         None,

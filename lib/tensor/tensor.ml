@@ -8,7 +8,7 @@ module Pool = Dco3d_parallel.Pool
    worker wake-up), so a region is only worth opening when every helper
    gets well over that in work.  The crossovers were calibrated per
    kernel against the PR 1 bench shapes (BENCH_kernels.json): the
-   packed GEMM amortizes dispatch fastest (dense FMAs), the conv
+   packed GEMM amortizes dispatch fastest (dense multiply-adds), the conv
    kernels pay an extra im2col pass first, and matvec is memory-bound
    (one float of traffic per MAC leaves little for extra cores), so
    each gets its own floor instead of PR 1's single global
@@ -289,12 +289,14 @@ let frobenius t = sqrt (dot t t)
 (* Packed GEMM engine.                                                 *)
 (*                                                                     *)
 (* C (m x n) += A (m x k) . B (k x n), with B pre-packed into quads of *)
-(* four columns so the register-tiled micro-kernel streams it with     *)
+(* four columns so the register-tiled C micro-kernel streams it with   *)
 (* unit stride.  Bit-exactness contract: for every output element the  *)
 (* inner index [p] is accumulated in strictly ascending order in one   *)
-(* continuous left-to-right chain, which is exactly the order of the   *)
-(* direct reference loops — so the GEMM path, the direct path, and     *)
-(* any row-banding across domains all produce identical bits.         *)
+(* continuous left-to-right chain of separate multiplies and adds (no  *)
+(* FMA: the stub is built with -ffp-contract=off, never -ffast-math),  *)
+(* which is exactly the order of the direct reference loops — so the   *)
+(* GEMM path, the direct path, and any row-banding across domains all  *)
+(* produce identical bits.                                             *)
 (* ------------------------------------------------------------------ *)
 
 (* Packed layout of a (k x n) B: full quads first — quad q holds        *)
@@ -331,70 +333,61 @@ let pack_dense ~k ~n (src : float array) (pb : float array) =
     done
   end
 
-(* Row band [i0, i1) of C.  Four independent accumulator chains per     *)
-(* column quad keep the FP adder pipeline full (one serial add chain    *)
-(* per output element was the old kernel's bottleneck); each chain      *)
-(* still sums its p-terms in ascending order starting from C's current  *)
-(* value, preserving the reference bit pattern.  The 4k-float quad      *)
-(* block stays L1-resident across the band's rows. *)
-let gemm_band ~k ~n ad pb out i0 i1 =
-  let nq = n lsr 2 in
-  let r = n - (nq lsl 2) in
-  let k4 = k lsl 2 in
-  for q = 0 to nq - 1 do
-    let base = q * k4 in
-    let jcol = q lsl 2 in
-    for i = i0 to i1 - 1 do
-      let arow = i * k in
-      let orow = (i * n) + jcol in
-      let acc0 = ref (Array.unsafe_get out orow) in
-      let acc1 = ref (Array.unsafe_get out (orow + 1)) in
-      let acc2 = ref (Array.unsafe_get out (orow + 2)) in
-      let acc3 = ref (Array.unsafe_get out (orow + 3)) in
-      for p = 0 to k - 1 do
-        let av = Array.unsafe_get ad (arow + p) in
-        let bb = base + (p lsl 2) in
-        acc0 := !acc0 +. (av *. Array.unsafe_get pb bb);
-        acc1 := !acc1 +. (av *. Array.unsafe_get pb (bb + 1));
-        acc2 := !acc2 +. (av *. Array.unsafe_get pb (bb + 2));
-        acc3 := !acc3 +. (av *. Array.unsafe_get pb (bb + 3))
-      done;
-      Array.unsafe_set out orow !acc0;
-      Array.unsafe_set out (orow + 1) !acc1;
-      Array.unsafe_set out (orow + 2) !acc2;
-      Array.unsafe_set out (orow + 3) !acc3
-    done
-  done;
-  if r > 0 then begin
-    let base = nq * k4 in
-    let jcol = nq lsl 2 in
-    for i = i0 to i1 - 1 do
-      let arow = i * k in
-      let orow = (i * n) + jcol in
-      for t = 0 to r - 1 do
-        let acc = ref (Array.unsafe_get out (orow + t)) in
-        for p = 0 to k - 1 do
-          acc :=
-            !acc
-            +. (Array.unsafe_get ad (arow + p)
-               *. Array.unsafe_get pb (base + (p * r) + t))
-        done;
-        Array.unsafe_set out (orow + t) !acc
-      done
-    done
-  end
+(* Rows [i0, i1) x column blocks [b0, b1) of C, in C ([gemm_stubs.c]);
+   block q < n/4 is quad q, block n/4 the n mod 4 tail.  A 4-row x
+   4-column register tile of 128-bit vector lanes, then the remainder
+   rows and the tail.  Each lane is one output element's chain, which
+   sums its p-terms in ascending order starting from C's current value
+   with a separate multiply and add (the stub is built with
+   -ffp-contract=off), so the bits are those of the scalar reference
+   loop.  No bounds checks: [gemm] checks the array lengths. *)
+external gemm_band :
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  float array ->
+  float array ->
+  float array ->
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  unit = "dco3d_gemm_band_byte" "dco3d_gemm_band"
+[@@noalloc]
 
-(* [out] must hold the addend (usually zeros).  Row banding never       *)
-(* changes result bits, so the parallel split is free to follow the     *)
-(* machine. *)
-let gemm ?(par_macs = matmul_par_macs) ~m ~k ~n ad pb out =
-  if m > 0 && n > 0 && k > 0 then
-    if m * n * k < par_macs then gemm_band ~k ~n ad pb out 0 m
+(* The stub reads float arrays as raw doubles, which needs the flat
+   float-array representation (the compiler's default). *)
+let () =
+  if Obj.tag (Obj.repr (Array.make 1 0.)) <> Obj.double_array_tag then
+    failwith "Dco3d_tensor: the GEMM kernel needs flat float arrays"
+
+(* [out] must hold the addend (usually zeros).  Banding never changes
+   result bits (each output element is computed whole by one band), so
+   the parallel split is free to follow the shape: row bands of whole
+   4-row tiles when there are at least as many tiles as column blocks
+   (quads, plus the n mod 4 tail), else column-block bands that each
+   keep all m rows — a conv GEMM has few rows (output channels) and
+   many columns (pixels). *)
+let gemm ?(par_macs = matmul_par_macs) ~m ~k ~n (ad : float array)
+    (pb : float array) (out : float array) =
+  if m > 0 && n > 0 && k > 0 then begin
+    if
+      Array.length ad < m * k
+      || Array.length pb < k * n
+      || Array.length out < m * n
+    then invalid_arg "Tensor.gemm: array shorter than its shape";
+    let tiles = (m + 3) lsr 2 and blocks = (n + 3) lsr 2 in
+    if m * n * k < par_macs then gemm_band k n ad pb out 0 m 0 blocks
+    else if tiles >= blocks then
+      Pool.for_chunks
+        ~chunk:((tiles + 63) / 64)
+        0 tiles
+        (fun t0 t1 -> gemm_band k n ad pb out (4 * t0) (min m (4 * t1)) 0 blocks)
     else
       Pool.for_chunks
-        ~chunk:(max 1 ((m + 63) / 64))
-        0 m
-        (fun i0 i1 -> gemm_band ~k ~n ad pb out i0 i1)
+        ~chunk:((blocks + 63) / 64)
+        0 blocks
+        (fun b0 b1 -> gemm_band k n ad pb out 0 m b0 b1)
+  end
 
 let matmul a b =
   if rank a <> 2 || rank b <> 2 then invalid_arg "Tensor.matmul: rank-2 only";
@@ -455,11 +448,15 @@ let matvec a x =
 (* Every lowering's B is one gather from a source image, packed        *)
 (* straight into the GEMM panel quad by quad (sequential stores, no    *)
 (* staging row, no per-element division; see [pack_gather]).  The     *)
-(* forward lowering is batched — [conv2d] is [conv2d_batch] at n = 1,  *)
-(* and [conv2d_transpose] likewise — so a batch only adds GEMM         *)
-(* columns and never reorders an accumulation.  Hot kernels take       *)
-(* annotated [float array]s: a helper that only moves floats is        *)
-(* otherwise inferred polymorphic and boxes every element it touches.  *)
+(* passes that walk dilated geometry (transposes, and backward_input  *)
+(* at stride s) run as s^2 stride-1 phase GEMMs, one per output        *)
+(* residue class, over only the taps that reach it ([phase_gemm]), so  *)
+(* no GEMM grinds through stride zeros.  The forward lowering is       *)
+(* batched — [conv2d] is [conv2d_batch] at n = 1, and                  *)
+(* [conv2d_transpose] likewise — so a batch only adds GEMM columns and *)
+(* never reorders an accumulation.  Hot kernels take annotated         *)
+(* [float array]s: a helper that only moves floats is otherwise        *)
+(* inferred polymorphic and boxes every element it touches.            *)
 (* ------------------------------------------------------------------ *)
 
 type conv_engine = [ `Auto | `Direct | `Gemm ]
@@ -478,12 +475,19 @@ let shape_mismatch name what a what' b =
     (Printf.sprintf "%s: %s %s does not match %s %s" name what (shape_string a)
        what' (shape_string b))
 
+(* Every conv entry's geometry check.  The unchecked kernels rely on
+   pad >= 0: the stride-phase lowering sizes its scratch for the
+   residues (r + pad) mod s in [0, s). *)
+let check_stride_pad name ~stride ~pad =
+  if stride < 1 then invalid_arg (name ^ ": stride must be >= 1");
+  if pad < 0 then invalid_arg (name ^ ": pad must be >= 0")
+
 (* Checks shared by the forward entries: weight axis [in_axis] must
    equal the input's channel count, and a bias must have one entry per
    output channel (weight axis [out_axis]).  Returns that count. *)
-let check_conv_args name ~stride ~in_channels ~in_axis ~out_axis ~weight ~bias
-    =
-  if stride < 1 then invalid_arg (name ^ ": stride must be >= 1");
+let check_conv_args name ~stride ~pad ~in_channels ~in_axis ~out_axis ~weight
+    ~bias =
+  check_stride_pad name ~stride ~pad;
   if rank weight <> 4 then invalid_arg (name ^ ": weight must be rank 4");
   if weight.shape.(in_axis) <> in_channels then
     invalid_arg (name ^ ": channel mismatch between input and weight");
@@ -499,18 +503,6 @@ let gemm_selected (engine : conv_engine) macs =
   | `Gemm -> true
   | `Direct -> false
   | `Auto -> macs >= conv_gemm_min_macs
-
-(* For the two kernels whose im2col walks *input-pixel* geometry
-   (backward_input, transpose), a stride of s leaves only 1/s^2 of the
-   column entries structurally nonzero: the GEMM grinds through the
-   zeros while the direct loop never visits them.  [`Auto] therefore
-   keeps dilated shapes on the direct path; [`Gemm] still honours an
-   explicit request (it is bit-identical, just slower). *)
-let gemm_selected_dilated (engine : conv_engine) ~stride macs =
-  match engine with
-  | `Gemm -> true
-  | `Direct -> false
-  | `Auto -> stride = 1 && macs >= conv_gemm_min_macs
 
 (* ---- Direct panel packing ----------------------------------------- *)
 (* Every lowering's B is a gather from one source [src] of h x w       *)
@@ -604,15 +596,15 @@ let pack_gather ~k ~n ~h ~w (src : float array) (rows : int array)
   end
 
 (* Kernel taps (c, ky, kx), c-major over [chans] planes of [plane]
-   floats: off = c*plane, y = y0 + dir*ky, x = x0 + dir*kx. *)
-let fill_taps (d : int array) ~chans ~plane ~kh ~kw ~y0 ~x0 ~dir =
+   floats: off = c*plane, y = ky - pad, x = kx - pad. *)
+let fill_taps (d : int array) ~chans ~plane ~kh ~kw ~pad =
   let i = ref 0 in
   for c = 0 to chans - 1 do
     for ky = 0 to kh - 1 do
       for kx = 0 to kw - 1 do
         Array.unsafe_set d !i (c * plane);
-        Array.unsafe_set d (!i + 1) (y0 + (dir * ky));
-        Array.unsafe_set d (!i + 2) (x0 + (dir * kx));
+        Array.unsafe_set d (!i + 1) (ky - pad);
+        Array.unsafe_set d (!i + 2) (kx - pad);
         i := !i + 3
       done
     done
@@ -634,38 +626,21 @@ let fill_pixels (d : int array) ~imgs ~img ~oh ~ow ~stride =
   done
 
 (* out (m x n) += A (m x k) . B, with B gathered from [src] (h x w
-   planes) through the descriptors [rows] and [cols] fill. *)
+   planes) through the filled descriptors [rd] and [cd] into the panel
+   scratch [pb]. *)
+let gemm_gathered ~m ~k ~n ~h ~w src rd cd pb ad out =
+  pack_gather ~k ~n ~h ~w src rd cd pb;
+  gemm ~par_macs:conv_par_macs ~m ~k ~n ad pb out
+
+(* [gemm_gathered] on borrowed scratch, with the descriptors [rows] and
+   [cols] fill. *)
 let gemm_gather ~m ~k ~n ~h ~w src ~rows ~cols ad out =
   Workspace.with_ints (3 * k) (fun rd ->
       rows rd;
       Workspace.with_ints (3 * n) (fun cd ->
           cols cd;
           Workspace.with_floats (k * n) (fun pb ->
-              pack_gather ~k ~n ~h ~w src rd cd pb;
-              gemm ~par_macs:conv_par_macs ~m ~k ~n ad pb out)))
-
-(* A stride-dilated gather reads src[(y_p + y_j) / s] only where the
-   division is exact.  Zero-inserting the stride — plane q's (h x w)
-   pixels land at multiples of [stride] in a dh x dw plane — turns it
-   into a stride-1 gather over the dilated planes, whose zeros are the
-   same 0. entries the divisibility test produced.  [f src ~h ~w] runs
-   on the source to gather from. *)
-let with_dilated ~planes ~h ~w ~stride (src : float array) f =
-  if stride = 1 then f src ~h ~w
-  else begin
-    let dilated n = max 0 (((n - 1) * stride) + 1) in
-    let dh = dilated h and dw = dilated w in
-    Workspace.with_zeroed (planes * dh * dw) (fun (dst : float array) ->
-        for q = 0 to planes - 1 do
-          for y = 0 to h - 1 do
-            let s = ((q * h) + y) * w and d = ((q * dh) + (y * stride)) * dw in
-            for x = 0 to w - 1 do
-              Array.unsafe_set dst (d + (x * stride)) (Array.unsafe_get src (s + x))
-            done
-          done
-        done;
-        f dst ~h:dh ~w:dw)
-  end
+              gemm_gathered ~m ~k ~n ~h ~w src rd cd pb ad out)))
 
 (* Finish a batched forward GEMM: bias after the full contraction
    (matching the direct paths, which also add it last, once per output
@@ -693,6 +668,116 @@ let finish_batch (g : float array) ~n ~co ~hw bias =
     out
   end
 
+(* ---- Stride-phase lowering ---------------------------------------- *)
+(* A transposed convolution, and the input gradient of a strided one,  *)
+(* gather in dilated geometry: output row oy reads source row          *)
+(* (oy + pad - ky) / s only where that division is exact.  Writing     *)
+(* oy = ry + s*ty (phase ry, 0 <= ry < s), exactly the taps with       *)
+(* ky = ry + pad (mod s) qualify, each reading source row              *)
+(* ty + (ry + pad - ky) / s: a stride-1 gather.  So each of the s^2    *)
+(* phases (ry, rx) is one GEMM over its own taps and its own pixel     *)
+(* grid, whose columns scatter to (ry + s*ty, rx + s*tx).  Every       *)
+(* output pixel lies in exactly one phase, a tap a phase drops is one  *)
+(* the direct loops never visit for its pixels, and the taps keep the  *)
+(* direct loops' order (ky, kx descending when [flip]), so each        *)
+(* output's chain is the direct loops' chain.                          *)
+
+(* Phase (ry, rx)'s taps (c, ky, kx): ky runs over ky0, ky0 + s, ...
+   (nky of them, descending when [flip]), kx likewise.  Tap p fills
+   column p of A (m x kp; row i from wd[c*chan_stride + i*row_stride +
+   ky*kw + kx]) and row descriptor p: (c*plane, (ry + pad - ky) / s,
+   (rx + pad - kx) / s), the divisions exact. *)
+let fill_phase_taps (a : float array) (rows : int array) (wd : float array) ~m
+    ~kp ~chans ~plane ~chan_stride ~row_stride ~kw ~s ~flip ~pad ~ry ~rx ~ky0
+    ~nky ~kx0 ~nkx =
+  let tap k0 cnt t = if flip then k0 + (s * (cnt - 1 - t)) else k0 + (s * t) in
+  let p = ref 0 in
+  for c = 0 to chans - 1 do
+    for ty = 0 to nky - 1 do
+      let ky = tap ky0 nky ty in
+      for tx = 0 to nkx - 1 do
+        let kx = tap kx0 nkx tx in
+        let wbase = (c * chan_stride) + (ky * kw) + kx in
+        for i = 0 to m - 1 do
+          Array.unsafe_set a ((i * kp) + !p)
+            (Array.unsafe_get wd (wbase + (i * row_stride)))
+        done;
+        let d = 3 * !p in
+        Array.unsafe_set rows d (c * plane);
+        Array.unsafe_set rows (d + 1) ((ry + pad - ky) / s);
+        Array.unsafe_set rows (d + 2) ((rx + pad - kx) / s);
+        incr p
+      done
+    done
+  done
+
+(* Phase (ry, rx)'s GEMM result g ([m; n; ohp; owp]) to its pixels
+   (ry + s*ty, rx + s*tx) of out ([n; m; oh; ow]), plus the bias. *)
+let scatter_phase (g : float array) (out : float array) ~m ~n ~oh ~ow ~s ~ry
+    ~rx ~ohp ~owp bias =
+  for b = 0 to n - 1 do
+    for i = 0 to m - 1 do
+      let gbase = ((i * n) + b) * ohp * owp in
+      let obase = (((b * m) + i) * oh * ow) + (ry * ow) + rx in
+      match bias with
+      | None ->
+          for ty = 0 to ohp - 1 do
+            for tx = 0 to owp - 1 do
+              Array.unsafe_set out
+                (obase + (s * ((ty * ow) + tx)))
+                (Array.unsafe_get g (gbase + (ty * owp) + tx))
+            done
+          done
+      | Some bt ->
+          let bv = Array.unsafe_get bt.data i in
+          for ty = 0 to ohp - 1 do
+            for tx = 0 to owp - 1 do
+              Array.unsafe_set out
+                (obase + (s * ((ty * ow) + tx)))
+                (Array.unsafe_get g (gbase + (ty * owp) + tx) +. bv)
+            done
+          done
+    done
+  done
+
+(* [n] images of [chans] source planes (sh x sw) in [src]; output
+   [n; m; oh; ow] into [out], every element written.  Weight indexing
+   as in [fill_phase_taps].  The scratch is borrowed once, at the
+   largest phase's size, not per phase through [gemm_gather]: s^2
+   rounds of borrows and closures would cost a k2/s2 transpose more
+   minor words than the kernels' allocation budget. *)
+let phase_gemm ~stride:s ~pad ~kh ~kw ~flip ~chans ~m ~n ~sh ~sw ~oh ~ow
+    ~chan_stride ~row_stride (src : float array) (wd : float array) bias
+    (out : float array) =
+  let cdiv x = (x + s - 1) / s in
+  let count r x = if r < x then ((x - 1 - r) / s) + 1 else 0 in
+  let kmax = chans * cdiv kh * cdiv kw and cmax = n * cdiv oh * cdiv ow in
+  Workspace.with_ints (3 * kmax) @@ fun rows ->
+  Workspace.with_ints (3 * cmax) @@ fun cols ->
+  Workspace.with_floats (m * kmax) @@ fun a ->
+  Workspace.with_floats (kmax * cmax) @@ fun pb ->
+  Workspace.with_floats (m * cmax) @@ fun g ->
+  for ry = 0 to s - 1 do
+    for rx = 0 to s - 1 do
+      let ky0 = (ry + pad) mod s and kx0 = (rx + pad) mod s in
+      let nky = count ky0 kh and nkx = count kx0 kw in
+      let ohp = count ry oh and owp = count rx ow in
+      let kp = chans * nky * nkx and ncol = n * ohp * owp in
+      if ncol > 0 then begin
+        Array.fill g 0 (m * ncol) 0.;
+        if kp > 0 then begin
+          fill_phase_taps a rows wd ~m ~kp ~chans ~plane:(sh * sw)
+            ~chan_stride ~row_stride ~kw ~s ~flip ~pad ~ry ~rx ~ky0 ~nky ~kx0
+            ~nkx;
+          fill_pixels cols ~imgs:n ~img:(chans * sh * sw) ~oh:ohp ~ow:owp
+            ~stride:1;
+          gemm_gathered ~m ~k:kp ~n:ncol ~h:sh ~w:sw src rows cols pb a g
+        end;
+        scatter_phase g out ~m ~n ~oh ~ow ~s ~ry ~rx ~ohp ~owp bias
+      end
+    done
+  done
+
 (* Forward lowering over a batch: A = weight as (co x ci*kh*kw) — its
    natural layout — and B[(c,ky,kx), (b,oy,ox)] =
    x[b, c, oy*s + ky - pad, ox*s + kx - pad] (or 0. outside the input).
@@ -703,39 +788,24 @@ let conv2d_gemm ~n ~stride ~pad ~ci ~h ~w ~co ~kh ~kw ~oh ~ow xd wd bias =
   let g = Array.make (co * ncol) 0. in
   gemm_gather ~m:co ~k:(ci * kh * kw) ~n:ncol ~h ~w xd
     ~rows:(fun d ->
-      fill_taps d ~chans:ci ~plane:(h * w) ~kh ~kw ~y0:(-pad) ~x0:(-pad) ~dir:1)
+      fill_taps d ~chans:ci ~plane:(h * w) ~kh ~kw ~pad)
     ~cols:(fun d -> fill_pixels d ~imgs:n ~img:(ci * h * w) ~oh ~ow ~stride)
     wd g;
   finish_batch g ~n ~co ~hw:(oh * ow) bias
 
 (* Input-gradient lowering.  A plain col2im scatter would re-associate
-   the sums, so instead the gradient is computed as a second GEMM over
-   *input* pixels: A2[c, (o,ky,kx)] = w[o,c,ky,kx] and
-   B2[(o,ky,kx), (iy,ix)] = gout[o, (iy+pad-ky)/s, (ix+pad-kx)/s] when
+   the sums, so instead the gradient is computed as a GEMM over *input*
+   pixels, one per stride phase: A[c, (o,ky,kx)] = w[o,c,ky,kx] and
+   B[(o,ky,kx), (iy,ix)] = gout[o, (iy+pad-ky)/s, (ix+pad-kx)/s] when
    that division is exact and in range, else 0.  For a fixed input
    pixel the direct path accumulates over (o, ky, kx) ascending — the
    same order p ascends here. *)
 let conv2d_backward_input_gemm ~stride ~pad ~ci ~h ~w ~co ~kh ~kw ~oh ~ow gd
-    (wd : float array) =
-  let kdim = co * kh * kw in
-  let gin = Array.make (ci * h * w) 0. in
-  Workspace.with_floats (ci * kdim) (fun (a2 : float array) ->
-      for c = 0 to ci - 1 do
-        for o = 0 to co - 1 do
-          Array.blit wd
-            (((o * ci) + c) * kh * kw)
-            a2
-            ((c * kdim) + (o * kh * kw))
-            (kh * kw)
-        done
-      done;
-      with_dilated ~planes:co ~h:oh ~w:ow ~stride gd (fun src ~h:sh ~w:sw ->
-          gemm_gather ~m:ci ~k:kdim ~n:(h * w) ~h:sh ~w:sw src
-            ~rows:(fun d ->
-              fill_taps d ~chans:co ~plane:(sh * sw) ~kh ~kw ~y0:pad ~x0:pad
-                ~dir:(-1))
-            ~cols:(fun d -> fill_pixels d ~imgs:1 ~img:0 ~oh:h ~ow:w ~stride:1)
-            a2 gin));
+    wd =
+  let gin = Array.create_float (ci * h * w) in
+  phase_gemm ~stride ~pad ~kh ~kw ~flip:false ~chans:co ~m:ci ~n:1 ~sh:oh
+    ~sw:ow ~oh:h ~ow:w ~chan_stride:(ci * kh * kw) ~row_stride:(kh * kw) gd wd
+    None gin;
   gin
 
 (* Weight-gradient lowering: A = gout as (co x oh*ow) — its natural
@@ -749,46 +819,24 @@ let conv2d_backward_weight_gemm ~stride ~pad ~ci ~h ~w ~co ~kh ~kw ~oh ~ow gd
   gemm_gather ~m:co ~k:(oh * ow) ~n:(ci * kh * kw) ~h ~w xd
     ~rows:(fun d -> fill_pixels d ~imgs:1 ~img:0 ~oh ~ow ~stride)
     ~cols:(fun d ->
-      fill_taps d ~chans:ci ~plane:(h * w) ~kh ~kw ~y0:(-pad) ~x0:(-pad) ~dir:1)
+      fill_taps d ~chans:ci ~plane:(h * w) ~kh ~kw ~pad)
     gd gw;
   gw
 
 (* Transpose lowering over a batch: a transposed convolution is a
-   stride-dilated correlation with the kernel flipped, so A3[o,
-   (c,qy,qx)] = w[c, o, kh-1-qy, kw-1-qx] and B3[(c,qy,qx), (b,oy,ox)]
-   = x[b, c, iy, ix] where iy = (oy + pad - (kh-1-qy)) / s when exact
-   and in range, else 0.  Flipping inside A3 makes p = (c, qy, qx)
-   ascend in the same order the direct scatter visits contributions
-   for a fixed output pixel: c ascending, then iy, then ix. *)
-let conv2d_transpose_gemm ~n ~stride ~pad ~ci ~h ~w ~co ~kh ~kw ~oh ~ow xd
-    (wd : float array) bias =
-  let kdim = ci * kh * kw in
-  let ncol = n * oh * ow in
-  let g = Array.make (co * ncol) 0. in
-  Workspace.with_floats (co * kdim) (fun (a3 : float array) ->
-      for o = 0 to co - 1 do
-        for c = 0 to ci - 1 do
-          let wbase = ((c * co) + o) * kh * kw in
-          let drow = (o * kdim) + (c * kh * kw) in
-          for qy = 0 to kh - 1 do
-            for qx = 0 to kw - 1 do
-              Array.unsafe_set a3
-                (drow + (qy * kw) + qx)
-                (Array.unsafe_get wd
-                   (wbase + ((kh - 1 - qy) * kw) + (kw - 1 - qx)))
-            done
-          done
-        done
-      done;
-      with_dilated ~planes:(n * ci) ~h ~w ~stride xd (fun src ~h:sh ~w:sw ->
-          gemm_gather ~m:co ~k:kdim ~n:ncol ~h:sh ~w:sw src
-            ~rows:(fun d ->
-              fill_taps d ~chans:ci ~plane:(sh * sw) ~kh ~kw
-                ~y0:(pad - kh + 1) ~x0:(pad - kw + 1) ~dir:1)
-            ~cols:(fun d ->
-              fill_pixels d ~imgs:n ~img:(ci * sh * sw) ~oh ~ow ~stride:1)
-            a3 g));
-  finish_batch g ~n ~co ~hw:(oh * ow) bias
+   stride-dilated correlation with the kernel flipped, so per stride
+   phase A[o, (c,ky,kx)] = w[c,o,ky,kx] and B[(c,ky,kx), (b,oy,ox)] =
+   x[b, c, (oy+pad-ky)/s, (ox+pad-kx)/s] when exact and in range, else
+   0.  Taking the taps with ky and kx descending makes p ascend in the
+   order the direct scatter visits contributions for a fixed output
+   pixel: c ascending, then iy, then ix.  The bias is added after the
+   full contraction, like the direct path. *)
+let conv2d_transpose_gemm ~n ~stride ~pad ~ci ~h ~w ~co ~kh ~kw ~oh ~ow xd wd
+    bias =
+  let out = Array.create_float (n * co * oh * ow) in
+  phase_gemm ~stride ~pad ~kh ~kw ~flip:true ~chans:ci ~m:co ~n ~sh:h ~sw:w ~oh
+    ~ow ~chan_stride:(co * kh * kw) ~row_stride:(kh * kw) xd wd bias out;
+  out
 
 (* Direct reference for one sample: reads x at [xoff], writes out at
    [ooff].  Each output channel writes only its own slice, so channels
@@ -841,7 +889,7 @@ let conv2d_direct ~stride ~pad ~ci ~h ~w ~co ~kh ~kw ~oh ~ow (xd : float array)
    (co, oh, ow, data) with data laid out [n; co; oh; ow]. *)
 let conv2d_core ~name ~stride ~pad ~engine ~n ~ci ~h ~w xd ~weight ~bias =
   let co =
-    check_conv_args name ~stride ~in_channels:ci ~in_axis:1 ~out_axis:0
+    check_conv_args name ~stride ~pad ~in_channels:ci ~in_axis:1 ~out_axis:0
       ~weight ~bias
   in
   let kh = weight.shape.(2) and kw = weight.shape.(3) in
@@ -883,7 +931,7 @@ let conv2d_batch ?(stride = 1) ?(pad = 0) ?(engine = `Auto) x ~weight ~bias =
 
 (* The spatial size [conv2d] produces from an h x w input. *)
 let conv_output_shape name ~stride ~pad ~co ~h ~w ~kh ~kw =
-  if stride < 1 then invalid_arg (name ^ ": stride must be >= 1");
+  check_stride_pad name ~stride ~pad;
   [|
     co; ((h + (2 * pad) - kh) / stride) + 1; ((w + (2 * pad) - kw) / stride) + 1;
   |]
@@ -902,7 +950,7 @@ let conv2d_backward_input ?(stride = 1) ?(pad = 0) ?(engine = `Auto)
   if gout.shape <> expected then
     shape_mismatch name "gradient shape" gout.shape "output shape" expected;
   let oh = gout.shape.(1) and ow = gout.shape.(2) in
-  if gemm_selected_dilated engine ~stride (co * ci * kh * kw * oh * ow) then
+  if gemm_selected engine (co * ci * kh * kw * oh * ow) then
     make input_shape
       (conv2d_backward_input_gemm ~stride ~pad ~ci ~h ~w ~co ~kh ~kw ~oh ~ow
          gout.data weight.data)
@@ -1055,7 +1103,7 @@ let conv2d_transpose_direct ~stride ~pad ~ci ~h ~w ~co ~kh ~kw ~oh ~ow
 let conv2d_transpose_core ~name ~stride ~pad ~engine ~n ~ci ~h ~w xd ~weight
     ~bias =
   let co =
-    check_conv_args name ~stride ~in_channels:ci ~in_axis:0 ~out_axis:1
+    check_conv_args name ~stride ~pad ~in_channels:ci ~in_axis:0 ~out_axis:1
       ~weight ~bias
   in
   let kh = weight.shape.(2) and kw = weight.shape.(3) in
@@ -1064,8 +1112,7 @@ let conv2d_transpose_core ~name ~stride ~pad ~engine ~n ~ci ~h ~w xd ~weight
   if oh <= 0 || ow <= 0 then invalid_arg (name ^ ": empty output");
   let data =
     if
-      n > 0
-      && gemm_selected_dilated engine ~stride (n * ci * co * kh * kw * h * w)
+      n > 0 && gemm_selected engine (n * ci * co * kh * kw * h * w)
     then
       conv2d_transpose_gemm ~n ~stride ~pad ~ci ~h ~w ~co ~kh ~kw ~oh ~ow xd
         weight.data bias
@@ -1758,7 +1805,7 @@ let conv2d_batch_i8 ?(stride = 1) ?(pad = 0) ?(act = `None) x ~qweight:qw
     invalid_arg "Tensor.conv2d_batch_i8: channel mismatch between input and weight";
   let co = qw.qw_shape.(0) in
   let kh = qw.qw_shape.(2) and kw = qw.qw_shape.(3) in
-  if stride < 1 then invalid_arg "Tensor.conv2d_batch_i8: stride must be >= 1";
+  check_stride_pad "Tensor.conv2d_batch_i8" ~stride ~pad;
   let oh = ((h + (2 * pad) - kh) / stride) + 1 in
   let ow = ((w + (2 * pad) - kw) / stride) + 1 in
   if oh <= 0 || ow <= 0 then invalid_arg "Tensor.conv2d_batch_i8: empty output";
@@ -1850,8 +1897,7 @@ let conv2d_transpose_batch_i8 ?(stride = 1) ?(pad = 0) ?(act = `None) x
       "Tensor.conv2d_transpose_batch_i8: channel mismatch between input and weight";
   let co = qw.qw_shape.(0) in
   let kh = qw.qw_shape.(2) and kw = qw.qw_shape.(3) in
-  if stride < 1 then
-    invalid_arg "Tensor.conv2d_transpose_batch_i8: stride must be >= 1";
+  check_stride_pad "Tensor.conv2d_transpose_batch_i8" ~stride ~pad;
   if pad > kh - 1 || pad > kw - 1 then
     invalid_arg "Tensor.conv2d_transpose_batch_i8: pad must be < kernel size";
   let oh = ((h - 1) * stride) + kh - (2 * pad) in
@@ -2115,7 +2161,8 @@ let approx_equal ?(eps = 1e-9) a b =
   &&
   let ok = ref true in
   for i = 0 to Array.length a.data - 1 do
-    if abs_float (a.data.(i) -. b.data.(i)) > eps then ok := false
+    (* written so that a NaN difference fails the test *)
+    if not (abs_float (a.data.(i) -. b.data.(i)) <= eps) then ok := false
   done;
   !ok
 

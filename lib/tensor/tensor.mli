@@ -146,13 +146,14 @@ type conv_engine = [ `Auto | `Direct | `Gemm ]
     GEMM pipeline that reuses {!module:Workspace} scratch.  The two are
     bit-identical for every shape, stride, and padding — the engine is
     purely a performance choice — and [`Auto] (the default) picks
-    [`Gemm] once the kernel is large enough to amortize packing.
+    [`Gemm] once the kernel's multiply-add count is large enough to
+    amortize packing, whatever its stride.
 
     Every convolution entry below checks its shapes (input channels
     against the weight, bias length against the output channels, a
     gradient against the output shape the input and weight imply) and
-    its stride ([>= 1]) before touching any data, and raises
-    [Invalid_argument] naming the mismatched shapes. *)
+    its stride ([>= 1]) and padding ([>= 0]) before touching any data,
+    and raises [Invalid_argument] naming the mismatched shapes. *)
 
 val conv2d :
   ?stride:int -> ?pad:int -> ?engine:conv_engine -> t -> weight:t ->
@@ -221,8 +222,9 @@ val conv2d_batch :
 val conv2d_transpose_batch :
   ?stride:int -> ?pad:int -> ?engine:conv_engine -> t -> weight:t ->
   bias:t option -> t
-(** {!conv2d_transpose} over a batch ([x : [n; ci; h; w]]), with the
-    same single-GEMM lowering as {!conv2d_batch} when [`Gemm] runs. *)
+(** {!conv2d_transpose} over a batch ([x : [n; ci; h; w]]).  Under
+    [`Auto]/[`Gemm] the batch is lowered to [stride²] phase GEMMs, one
+    per output residue class, each over all [n] samples' columns. *)
 
 val maxpool2_batch : t -> t
 (** 2x2, stride-2 max pooling over a rank-4 batch (no argmax — this is
@@ -298,7 +300,7 @@ val conv2d_transpose_batch_i8 :
     quantized convolution of a {!quantize_weight_transposed} kernel
     over the zero-stuffed input.  Same determinism and per-sample
     guarantees as {!conv2d_batch_i8}.
-    @raise Invalid_argument if [pad >= kh] or [pad >= kw]. *)
+    @raise Invalid_argument if [pad < 0], [pad >= kh] or [pad >= kw]. *)
 
 val gemm_i8_exact : m:int -> k:int -> n:int -> Bytes.t -> Bytes.t -> int array
 (** [gemm_i8_exact ~m ~k ~n a b] multiplies biased-int8 matrices
@@ -343,4 +345,8 @@ val flip_v : t -> t
 (** {1 Comparison and printing} *)
 
 val approx_equal : ?eps:float -> t -> t -> bool
+(** [approx_equal ~eps a b]: same shape and every element pair within
+    [eps] (default [1e-9]).  A NaN on either side fails, NaN against
+    NaN included. *)
+
 val pp : Format.formatter -> t -> unit

@@ -91,11 +91,6 @@ let with_floats n f =
   let s = acquire arena n in
   Fun.protect ~finally:(fun () -> s.in_use <- false) (fun () -> f s.buf)
 
-let with_zeroed n f =
-  with_floats n (fun buf ->
-      Array.fill buf 0 n 0.;
-      f buf)
-
 (* Same policy as [acquire], over the byte pool. *)
 let acquire_bytes arena n =
   arena.borrows <- arena.borrows + 1;

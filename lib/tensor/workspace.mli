@@ -10,8 +10,8 @@
 
     Borrowed buffers may be {e larger} than requested (capacities round
     up to powers of two) and contain stale data; callers must write
-    before reading, or use {!with_zeroed}.  Borrows nest: each
-    [with_floats] gets a distinct slot. *)
+    before reading.  Borrows nest: each [with_floats] gets a distinct
+    slot. *)
 
 val with_floats : int -> (float array -> 'a) -> 'a
 (** [with_floats n f] calls [f buf] with a scratch buffer of at least
@@ -19,9 +19,6 @@ val with_floats : int -> (float array -> 'a) -> 'a
     afterwards (also on exception).  Contents are unspecified — write
     before reading.  The buffer must not escape [f].
     @raise Invalid_argument on negative [n]. *)
-
-val with_zeroed : int -> (float array -> 'a) -> 'a
-(** Like {!with_floats} but indices [0 .. n-1] are zeroed first. *)
 
 val with_bytes : int -> (Bytes.t -> 'a) -> 'a
 (** [with_bytes n f] borrows a scratch byte buffer of at least [n]

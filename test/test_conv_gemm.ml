@@ -8,6 +8,7 @@
    the property that keeps BENCH_kernels.digest stable across engine
    changes, so it is checked with [eps = 0.], never a tolerance. *)
 
+module Obs = Dco3d_obs.Obs
 module Pool = Dco3d_parallel.Pool
 module T = Dco3d_tensor.Tensor
 module Rng = Dco3d_tensor.Rng
@@ -191,18 +192,37 @@ let test_transpose_random () =
   List.iter (check_transpose rng)
     (corner_transpose_cases @ random_cases rng ~n:30 ~valid:valid_transpose)
 
+(* Pool chunks [f] submits, from the pool's own counter (a function of
+   the work alone, the same at every job count). *)
+let pool_chunks f =
+  let was = Obs.enabled () in
+  Obs.enable ();
+  Fun.protect
+    ~finally:(fun () -> if not was then Obs.disable ())
+    (fun () ->
+      let before = Obs.counter_value "pool/chunks" in
+      let r = f () in
+      (Obs.counter_value "pool/chunks" - before, r))
+
 (* The packed-GEMM matmul must agree bitwise with a naive row-major
    triple loop accumulating the inner dimension in ascending order —
-   the reference order every engine in the tensor layer preserves. *)
+   the reference order every engine in the tensor layer preserves.
+   The stream must reach every m mod 4 (the micro-kernel's 4-row tile
+   and its remainder rows), every n mod 4 (full quads and the tail),
+   a one-term product on fewer than 4 rows, and pooled GEMMs whose
+   bands carry remainder rows: split over column blocks (m < 4 is one
+   row tile, so more than one band means column bands) and over rows
+   (n <= 4 is one column block, so the bands are row bands and the
+   last one is ragged). *)
 let test_matmul_vs_reference () =
   let rng = Rng.create 0xC041A in
-  for case = 1 to 20 do
-    (* the last cases exceed matmul_par_macs so the jobs=4 schedule
-       exercises real cross-domain row bands *)
-    let big = if case > 17 then 60 else 0 in
-    let m = big + 1 + Rng.int rng 40
-    and k = big + 1 + Rng.int rng 40
-    and n = big + 1 + Rng.int rng 40 in
+  let m_mods = Array.make 4 false and n_mods = Array.make 4 false in
+  let thin = ref false in
+  let column_bands = ref false and ragged_row_bands = ref false in
+  let check (m, k, n) =
+    m_mods.(m mod 4) <- true;
+    n_mods.(n mod 4) <- true;
+    if m < 4 && k = 1 then thin := true;
     let a = T.randn rng [| m; k |] and b = T.randn rng [| k; n |] in
     let reference =
       T.init [| m; n |] (fun idx ->
@@ -214,10 +234,54 @@ let test_matmul_vs_reference () =
           !acc)
     in
     on_both_schedules (fun sched ->
+        let bands, c = pool_chunks (fun () -> T.matmul a b) in
+        if bands > 1 && m < 4 then column_bands := true;
+        if bands > 1 && n <= 4 && m mod 4 <> 0 then ragged_row_bands := true;
         Alcotest.check exact_tensor
           (Printf.sprintf "matmul %dx%dx%d %s" m k n sched)
-          reference (T.matmul a b))
-  done
+          reference c)
+  in
+  for case = 1 to 20 do
+    (* the last cases exceed matmul_par_macs so the jobs=4 schedule
+       exercises real cross-domain bands *)
+    let big = if case > 17 then 60 else 0 in
+    let m = big + 1 + Rng.int rng 40
+    and k = big + 1 + Rng.int rng 40
+    and n = big + 1 + Rng.int rng 40 in
+    check (m, k, n)
+  done;
+  (* the last two are several times matmul_par_macs, so they stay
+     pooled under any plausible threshold *)
+  List.iter check
+    [ (1, 1, 1); (3, 1, 6); (2, 1, 7); (8, 3, 8); (3, 256, 1001);
+      (201, 1000, 3) ];
+  Array.iteri
+    (fun r hit ->
+      Alcotest.(check bool) (Printf.sprintf "stream covers m mod 4 = %d" r) true hit)
+    m_mods;
+  Array.iteri
+    (fun r hit ->
+      Alcotest.(check bool) (Printf.sprintf "stream covers n mod 4 = %d" r) true hit)
+    n_mods;
+  Alcotest.(check bool) "stream covers m < 4 with k = 1" true !thin;
+  Alcotest.(check bool) "stream covers pooled column bands with m < 4" true
+    !column_bands;
+  Alcotest.(check bool) "stream covers pooled row bands with m mod 4 <> 0"
+    true !ragged_row_bands;
+  (* Fused-multiply-add trap: with x = 1 + 2^-27, x*x = 1 + 2^-26 +
+     2^-54 rounds to 1 + 2^-26, so -(1 + 2^-26) + x*x is exactly 0.
+     A fused multiply-add keeps the 2^-54.  5 x 5 puts elements in a
+     4-row tile, a remainder row, a full quad and the tail. *)
+  let x = 1. +. ldexp 1. (-27) in
+  let a =
+    T.init [| 5; 2 |] (fun idx ->
+        if idx.(1) = 0 then -.(1. +. ldexp 1. (-26)) else x)
+  in
+  let b = T.init [| 2; 5 |] (fun idx -> if idx.(0) = 0 then 1. else x) in
+  on_both_schedules (fun sched ->
+      Alcotest.check exact_tensor
+        ("no fused multiply-add " ^ sched)
+        (T.zeros [| 5; 5 |]) (T.matmul a b))
 
 let test_auto_matches_forced_engines () =
   let rng = Rng.create 0xC041B in
@@ -239,6 +303,100 @@ let test_auto_matches_forced_engines () =
         { ci = 1; co = 1; h = 3; w = 3; kh = 2; kw = 2; stride = 1; pad = 0;
           with_bias = false };
       ])
+
+(* The stride-phase lowering's degenerate phases: a kernel smaller
+   than the stride leaves some phases with no taps (their outputs are
+   zero, or the bias alone), and an output grid smaller than the
+   stride leaves some phases with no pixels.  Every case is above
+   conv_gemm_min_macs, so [`Auto] takes the phase GEMMs too. *)
+let test_phase_corners () =
+  let rng = Rng.create 0xC041E in
+  let no_taps c =
+    List.exists
+      (fun r -> (r + c.pad) mod c.stride >= min c.kh c.kw)
+      (List.init c.stride Fun.id)
+  in
+  let tapless = ref 0 and gridless = ref 0 in
+  let engines = [ ("auto", `Auto); ("gemm", `Gemm) ] in
+  let transpose_cases =
+    [
+      (* 1x1 stride 2: odd output rows and columns have no taps *)
+      { ci = 8; co = 8; h = 8; w = 8; kh = 1; kw = 1; stride = 2; pad = 0;
+        with_bias = true };
+      (* 2x2 stride 3 on a 1x1 input: a 2x2 output, so phase 2 has
+         neither taps nor pixels *)
+      { ci = 32; co = 32; h = 1; w = 1; kh = 2; kw = 2; stride = 3; pad = 0;
+        with_bias = true };
+      (* 2x3 stride 3 with padding: taps and grids differ per axis *)
+      { ci = 16; co = 8; h = 5; w = 4; kh = 2; kw = 3; stride = 3; pad = 1;
+        with_bias = false };
+    ]
+  in
+  List.iter
+    (fun c ->
+      let xb = T.randn rng [| 2; c.ci; c.h; c.w |] in
+      let x = T.randn rng [| c.ci; c.h; c.w |] in
+      let w = T.randn rng [| c.ci; c.co; c.kh; c.kw |] in
+      let bias = if c.with_bias then Some (T.randn rng [| c.co |]) else None in
+      let oh = ((c.h - 1) * c.stride) - (2 * c.pad) + c.kh in
+      if no_taps c then incr tapless;
+      if min oh (((c.w - 1) * c.stride) - (2 * c.pad) + c.kw) < c.stride then
+        incr gridless;
+      let direct =
+        T.conv2d_transpose ~stride:c.stride ~pad:c.pad ~engine:`Direct x
+          ~weight:w ~bias
+      in
+      let direct_b =
+        T.conv2d_transpose_batch ~stride:c.stride ~pad:c.pad ~engine:`Direct xb
+          ~weight:w ~bias
+      in
+      on_both_schedules (fun sched ->
+          List.iter
+            (fun (tag, engine) ->
+              let name what = Printf.sprintf "%s %s %s" (case_name what c) tag sched in
+              Alcotest.check exact_tensor (name "transpose") direct
+                (T.conv2d_transpose ~stride:c.stride ~pad:c.pad ~engine x
+                   ~weight:w ~bias);
+              Alcotest.check exact_tensor (name "transpose_batch") direct_b
+                (T.conv2d_transpose_batch ~stride:c.stride ~pad:c.pad ~engine xb
+                   ~weight:w ~bias))
+            engines))
+    transpose_cases;
+  let backward_cases =
+    [
+      (* 1x1 stride 2: odd input pixels get no taps *)
+      { ci = 8; co = 8; h = 16; w = 16; kh = 1; kw = 1; stride = 2; pad = 0;
+        with_bias = false };
+      (* a 1x1 input: phase 1 has no pixels *)
+      { ci = 24; co = 24; h = 1; w = 1; kh = 3; kw = 3; stride = 2; pad = 1;
+        with_bias = false };
+      (* 2x2 stride 3 over a 2-wide input: no taps and no pixels *)
+      { ci = 16; co = 16; h = 5; w = 2; kh = 2; kw = 2; stride = 3; pad = 0;
+        with_bias = false };
+    ]
+  in
+  List.iter
+    (fun c ->
+      let x, w, _ = make_inputs rng c in
+      if no_taps c then incr tapless;
+      if min c.h c.w < c.stride then incr gridless;
+      let y = T.conv2d ~stride:c.stride ~pad:c.pad x ~weight:w ~bias:None in
+      let gout = T.randn rng (T.shape y) in
+      let run engine =
+        T.conv2d_backward_input ~stride:c.stride ~pad:c.pad ~engine
+          ~input_shape:(T.shape x) ~weight:w gout
+      in
+      let direct = run `Direct in
+      on_both_schedules (fun sched ->
+          List.iter
+            (fun (tag, engine) ->
+              Alcotest.check exact_tensor
+                (Printf.sprintf "%s %s %s" (case_name "bwd_input" c) tag sched)
+                direct (run engine))
+            engines))
+    backward_cases;
+  Alcotest.(check bool) "cases reach phases with no taps" true (!tapless >= 4);
+  Alcotest.(check bool) "cases reach phases with no pixels" true (!gridless >= 3)
 
 (* The batched lowerings against stacked per-sample [`Direct] results.
    A batch lays its columns out (b, oy, ox), so a packing quad can
@@ -358,6 +516,21 @@ let test_kernels_allocation_free () =
       T.conv2d_backward_input ~pad:1 ~input_shape:[| 8; 32; 32 |] ~weight:w g);
   check "conv2d_backward_weight" (fun () ->
       T.conv2d_backward_weight ~pad:1 ~input:x ~weight_shape:[| 8; 8; 3; 3 |] g);
+  (* the stride-phase lowerings: one GEMM per phase *)
+  let x16 = T.randn rng [| 8; 16; 16 |] and xb16 = T.randn rng [| 2; 8; 16; 16 |] in
+  let g16 = T.randn rng [| 8; 16; 16 |] in
+  List.iter
+    (fun (k, pad) ->
+      let tw = T.randn rng [| 8; 8; k; k |] in
+      let what f = Printf.sprintf "%s k%d s2 p%d" f k pad in
+      check (what "conv2d_transpose") (fun () ->
+          T.conv2d_transpose ~stride:2 ~pad x16 ~weight:tw ~bias:b);
+      check (what "conv2d_transpose_batch") (fun () ->
+          T.conv2d_transpose_batch ~stride:2 ~pad xb16 ~weight:tw ~bias:b))
+    [ (2, 0); (2, 1); (3, 0); (3, 1) ];
+  check "conv2d_backward_input s2" (fun () ->
+      T.conv2d_backward_input ~stride:2 ~pad:1 ~input_shape:[| 8; 32; 32 |]
+        ~weight:w g16);
   check "T.add" (fun () -> T.add x g);
   (* forward and backward through the tape; the budget also covers the
      tape's own bookkeeping (node records, the backward pass's table) *)
@@ -380,6 +553,8 @@ let suites =
           test_matmul_vs_reference;
         Alcotest.test_case "auto == forced engines" `Quick
           test_auto_matches_forced_engines;
+        Alcotest.test_case "stride phases without taps or pixels" `Quick
+          test_phase_corners;
         Alcotest.test_case "batched == stacked direct" `Quick
           test_batched_vs_direct;
         Alcotest.test_case "kernels allocation-free" `Quick

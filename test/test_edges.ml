@@ -32,6 +32,20 @@ let test_tensor_shape_mismatches () =
     (Invalid_argument "Tensor.matmul: rank-2 only") (fun () ->
       ignore (T.matmul a b))
 
+(* A NaN anywhere must fail the comparison the numeric tests rest on. *)
+let test_tensor_approx_equal_nan () =
+  let v xs = T.of_array1 xs in
+  let check what expected a b =
+    Alcotest.(check bool) what expected (T.approx_equal a b)
+  in
+  check "equal" true (v [| 1.; 2. |]) (v [| 1.; 2. |]);
+  check "NaN vs 1." false (v [| nan |]) (v [| 1. |]);
+  check "1. vs NaN" false (v [| 1. |]) (v [| nan |]);
+  check "NaN vs NaN" false (v [| nan |]) (v [| nan |]);
+  Alcotest.(check bool) "NaN vs NaN at eps = infinity" false
+    (T.approx_equal ~eps:infinity (v [| nan |]) (v [| nan |]));
+  check "shape mismatch" false (v [| 1.; 2. |]) (T.of_array2 [| [| 1.; 2. |] |])
+
 let test_tensor_conv_errors () =
   let x = T.zeros [| 2; 4; 4 |] in
   let w_bad = T.zeros [| 3; 5; 3; 3 |] in
@@ -73,6 +87,27 @@ let test_tensor_conv_malformed () =
     (fun () ->
       T.conv2d_transpose_batch ~stride:2 (T.zeros [| 1; 2; 6; 6 |]) ~weight:tw
         ~bias:short_bias);
+  (* a negative pad would put the stride-phase lowering's tap residues
+     outside [0, stride); 8 -> 8 channels on 8 x 8 is above the GEMM
+     threshold, so [`Auto] would take that lowering *)
+  let x8 = T.zeros [| 8; 8; 8 |] and w8 = T.zeros [| 8; 8; 2; 2 |] in
+  raises "conv2d negative pad" "Tensor.conv2d: pad must be >= 0" (fun () ->
+      T.conv2d ~pad:(-1) x ~weight:w ~bias:None);
+  raises "conv2d_transpose negative pad"
+    "Tensor.conv2d_transpose: pad must be >= 0" (fun () ->
+      T.conv2d_transpose ~stride:2 ~pad:(-1) x8 ~weight:w8 ~bias:None);
+  raises "conv2d_transpose_batch negative pad"
+    "Tensor.conv2d_transpose_batch: pad must be >= 0" (fun () ->
+      T.conv2d_transpose_batch ~stride:2 ~pad:(-1) (T.zeros [| 1; 8; 8; 8 |])
+        ~weight:w8 ~bias:None);
+  raises "backward_input negative pad"
+    "Tensor.conv2d_backward_input: pad must be >= 0" (fun () ->
+      T.conv2d_backward_input ~stride:2 ~pad:(-1) ~input_shape:[| 8; 8; 8 |]
+        ~weight:w8 (T.zeros [| 8; 3; 3 |]));
+  raises "backward_weight negative pad"
+    "Tensor.conv2d_backward_weight: pad must be >= 0" (fun () ->
+      T.conv2d_backward_weight ~stride:2 ~pad:(-1) ~input:x8
+        ~weight_shape:[| 8; 8; 2; 2 |] (T.zeros [| 8; 3; 3 |]));
   let gout = T.zeros [| 4; 6; 6 |] in
   raises "backward_input input channels"
     "Tensor.conv2d_backward_input: input shape [3; 6; 6] does not match \
@@ -356,6 +391,8 @@ let suites =
       [
         Alcotest.test_case "bad indices" `Quick test_tensor_bad_indices;
         Alcotest.test_case "shape mismatches" `Quick test_tensor_shape_mismatches;
+        Alcotest.test_case "approx_equal rejects NaN" `Quick
+          test_tensor_approx_equal_nan;
         Alcotest.test_case "conv errors" `Quick test_tensor_conv_errors;
         Alcotest.test_case "malformed conv arguments" `Quick
           test_tensor_conv_malformed;
