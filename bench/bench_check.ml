@@ -115,20 +115,21 @@ let row_of_line line =
 let rows_of_string text =
   String.split_on_char '\n' text |> List.filter_map row_of_line
 
-(* header field of the combined file: core count of the machine the
-   fresh run executed on (absent in older baselines -> assume 1) *)
-let cores_of_string text =
+(* first value of a header field of the combined file *)
+let header_field text key =
   String.split_on_char '\n' text
-  |> List.fold_left
-       (fun acc line ->
-         match acc with
-         | Some _ -> acc
-         | None -> (
-             match find_field line "cores" with
-             | Some v -> int_of_string_opt v
-             | None -> None))
-       None
+  |> List.find_map (fun line -> find_field line key)
+
+(* core count of the machine the fresh run executed on (absent in older
+   baselines -> assume 1) *)
+let cores_of_string text =
+  Option.bind (header_field text "cores") int_of_string_opt
   |> Option.value ~default:1
+
+(* the GEMM kernel variant the run dispatched to (absent in older
+   baselines) *)
+let isa_of_string text =
+  Option.value ~default:"unrecorded" (header_field text "isa")
 
 let read_file path =
   let ic = open_in_bin path in
@@ -161,18 +162,30 @@ let () =
     Printf.eprintf "bench-check: no kernel rows in %s\n" fresh_path;
     exit 2
   end;
-  let baseline =
-    if Array.length Sys.argv > 2 then
-      rows_of_string (read_file Sys.argv.(2))
+  let baseline_text =
+    if Array.length Sys.argv > 2 then Some (read_file Sys.argv.(2))
     else
       match read_git_baseline () with
-      | Some text -> rows_of_string text
+      | Some text -> Some text
       | None ->
           print_endline
             "bench-check: no committed BENCH_kernels.json at HEAD; checking \
              speedups only";
-          []
+          None
   in
+  let baseline = Option.fold ~none:[] ~some:rows_of_string baseline_text in
+  (* timings from a host with other vector units are not comparable
+     row for row; say so, so a par_ms drift can be read for what it is *)
+  Option.iter
+    (fun text ->
+      let fresh_isa = isa_of_string fresh_text
+      and base_isa = isa_of_string text in
+      if fresh_isa <> base_isa then
+        Printf.printf
+          "bench-check: GEMM ISA differs: fresh run %s, baseline %s (par_ms \
+           comparisons span hosts)\n"
+          fresh_isa base_isa)
+    baseline_text;
   let base_of op = List.find_opt (fun r -> r.op = op) baseline in
   let failures = ref 0 in
   let fail fmt =

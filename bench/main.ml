@@ -764,9 +764,11 @@ let kernels () =
      "parallel" leg may legitimately run the same schedule as the
      sequential one, so report both numbers honestly *)
   let effective = Pool.effective_jobs () in
-  Printf.printf "  jobs: sequential=1 parallel=%d (effective %d of %d cores)\n"
+  Printf.printf
+    "  jobs: sequential=1 parallel=%d (effective %d of %d cores); GEMM ISA %s\n"
     target_jobs effective
-    (Domain.recommended_domain_count ());
+    (Domain.recommended_domain_count ())
+    (T.gemm_isa ());
   Printf.printf "  %-24s %-28s %9s %9s %8s %9s %s\n" "op" "size" "seq ms"
     "par ms" "speedup" "GFLOP/s" "digest match";
   let rows =
@@ -1224,11 +1226,14 @@ let write_bench_files rows =
   let oc = open_out "BENCH_kernels.json" in
   (* "cores" lets bench_check scale its expectations to the machine the
      fresh file was generated on (e.g. the serve_fleet shard-scaling
-     floor only binds when a second core exists to scale onto) *)
+     floor only binds when a second core exists to scale onto); "isa"
+     names the GEMM kernel variant the run dispatched to, so timings
+     from hosts with different vector units can be told apart *)
   Printf.fprintf oc
-    "{\n  \"jobs\": %d,\n  \"jobs_effective\": %d,\n  \"cores\": %d,\n  \"kernels\": [\n"
+    "{\n  \"jobs\": %d,\n  \"jobs_effective\": %d,\n  \"cores\": %d,\n  \"isa\": %S,\n  \"kernels\": [\n"
     target_jobs effective
-    (Domain.recommended_domain_count ());
+    (Domain.recommended_domain_count ())
+    (T.gemm_isa ());
   List.iteri
     (fun i k ->
       Printf.fprintf oc

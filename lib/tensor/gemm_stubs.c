@@ -1,130 +1,166 @@
-/* Packed-GEMM micro-kernel: rows [i0, i1) x column blocks [b0, b1) of
- * C (m x n) += A (m x k) . B, where block q < n/4 is quad q and block
- * n/4 the n mod 4 tail.  B is packed by Tensor.pack_dense /
- * Tensor.pack_gather — full quads first (quad q holds columns 4q..4q+3, element (p, 4q+t) at
- * q*4k + 4p + t), then a tail block of r = n mod 4 columns with element
- * (p, j) at nq*4k + p*r + (j - 4*nq).
+/* Fused gather-GEMM kernel: rows [i0, i1) x column blocks [b0, b1) of
+ * out (m x n) += A (m x k) . B, where B is never materialized.  B is
+ * read straight from a source of h x w planes through (off, y, x) int
+ * descriptors, one triple per row p of B ([rows]) and per column j
+ * ([cols]):
+ *
+ *   B(p, j) = src[off_p + off_j + y*w + x],  y = y_p + y_j,  x = x_p + x_j
+ *
+ * when 0 <= y < h and 0 <= x < w, else 0.  A dense row-major (k x n) B
+ * is the special case off_p = p*n, x_j = j, h = 1, w = n.
+ *
+ * A column block is 8 columns (two quads); block n/8 holds the last
+ * n mod 8.  For one block and one slab of at most KB rows of p the
+ * kernel gathers B into a KB x 8 stack buffer that stays in L1, then
+ * runs a 4-row x 8-column register tile over every row tile of the
+ * band, the remainder rows by the same tile at fewer rows.  The gather
+ * takes the whole block at once when its 8 columns are consecutive
+ * pixels of one image row, else quad by quad: a run of one image row
+ * is one block copy (zeros and a shorter copy where it leaves the
+ * image), a scattered quad loads without bounds tests on rows where
+ * its bounding box is inside the image, and anything else tests each
+ * element.  The last, partial block is gathered with zero columns up
+ * to 8 and multiplied into a copy of its outputs, whose valid columns
+ * are written back.
  *
  * Bit-exactness contract: every output element is ONE chain that starts
- * from C's current value and adds a[i][p] * b[p][j] for p ascending, a
- * separately rounded multiply followed by a separately rounded add.
- * The vector lanes below are independent chains, one per output
- * element, so the 4x4 register tile, the remainder rows, the tail and
+ * from out's current value and adds a[i][p] * B(p, j) for p ascending,
+ * a separately rounded multiply followed by a separately rounded add.
+ * Slabs run in ascending p and each continues its outputs' chains from
+ * the values the previous slab stored, the vector lanes are independent
+ * chains, and the gathered zeros (padding) are multiplied and added like
+ * any other term, so the tile, the remainder rows, the partial block and
  * any row or column banding across domains all give the bits of the
- * scalar reference loop.  That holds only while the compiler neither fuses the
- * multiply into the add (an FMA rounds once) nor reassociates: the dune
- * rule builds this file with -ffp-contract=off, and never -ffast-math.
+ * scalar reference loop.  That holds only while the compiler neither
+ * fuses the multiply into the add (an FMA rounds once) nor reassociates:
+ * the dune rule builds this file with -ffp-contract=off, never
+ * -ffast-math, and no variant below lists "fma" as a target.
  *
- * The vectors are GCC's portable 128-bit extension (two doubles): SSE2
- * on x86-64, NEON on arm64.  The arrays are OCaml float arrays, which
- * the OCaml side checks are flat (unboxed doubles) at module init. */
+ * The kernel (gemm_kernel.h) is written once with GCC's portable
+ * vector extension (four doubles) and included below once per target
+ * on x86-64 — avx2 and the baseline (SSE2: each vector splits into two
+ * 128-bit halves) — of which the widest the CPU supports is chosen
+ * once, at module init.  There is no avx512f variant: without AVX512VL
+ * its 256-bit vectors compile to the same VEX instructions as avx2, and
+ * a tile of 512-bit vectors (one per row) ran slower.  Elsewhere (NEON
+ * on arm64, ...) only the baseline is built.
+ *
+ * The arrays are OCaml float and int arrays, read raw: the OCaml side
+ * checks that float arrays are flat (unboxed doubles) at module init,
+ * and checks every length and the descriptors' extent before calling
+ * (Tensor.gemm_gather).  Nothing here bounds-checks. */
 
+#include <string.h>
+#include <caml/alloc.h>
 #include <caml/mlvalues.h>
 
-typedef double v2d __attribute__((vector_size(16)));
+/* rows of p per slab: a KB x 8 block of doubles is 16 KB */
+#define KB 256
 
-static inline v2d load2(const double *p)
+typedef double v4d __attribute__((vector_size(32)));
+
+#define INLINE static inline __attribute__((always_inline))
+
+struct gemm_args {
+  intnat k, n, h, w;
+  const double *a, *src;
+  const value *rows, *cols;
+  double *out;
+  intnat i0, i1, b0, b1;
+};
+
+/* How a group of columns is gathered (gemm_kernel.h), fixed per group
+ * and block. */
+enum { EDGE, INTERIOR, RUN };
+
+/* ---- ISA variants ------------------------------------------------ */
+
+typedef void variant_fn(const struct gemm_args *);
+
+#define KERNEL(name) name##_baseline
+#include "gemm_kernel.h"
+#undef KERNEL
+
+#if defined(__x86_64__) && defined(__GNUC__)
+#pragma GCC push_options
+#pragma GCC target("avx2")
+#define KERNEL(name) name##_avx2
+#include "gemm_kernel.h"
+#undef KERNEL
+#pragma GCC pop_options
+
+static int has_avx2(void) { return __builtin_cpu_supports("avx2"); }
+#endif
+
+static int always(void) { return 1; }
+
+/* widest first: init picks the first the CPU supports */
+static const struct {
+  const char *name;
+  variant_fn *fn;
+  int (*supported)(void);
+} variants[] = {
+#if defined(__x86_64__) && defined(__GNUC__)
+  { "avx2", gemm_avx2, has_avx2 },
+#endif
+  { "baseline", gemm_baseline, always },
+};
+
+#define N_VARIANTS (sizeof variants / sizeof variants[0])
+
+/* index into variants: the widest supported one after module init
+ * (Tensor calls dco3d_gemm_isa_use), switched only between kernel
+ * calls by the test-only selector */
+static int active = N_VARIANTS - 1;
+
+/* Name of variant i, or "" past the last one. */
+value dco3d_gemm_isa_name(value vi)
 {
-  v2d v;
-  __builtin_memcpy(&v, p, sizeof v);
-  return v;
+  intnat i = Long_val(vi);
+  return caml_copy_string(i >= 0 && i < (intnat)N_VARIANTS ? variants[i].name
+                                                           : "");
 }
 
-static inline void store2(double *p, v2d v)
+/* Make variant i the active one if the CPU supports it; returns the
+ * previously active index, or -1 (nothing changed) if it does not. */
+value dco3d_gemm_isa_use(value vi)
 {
-  __builtin_memcpy(p, &v, sizeof v);
+  intnat i = Long_val(vi);
+#if defined(__x86_64__) && defined(__GNUC__)
+  __builtin_cpu_init();
+#endif
+  if (i < 0 || i >= (intnat)N_VARIANTS || !variants[i].supported())
+    return Val_long(-1);
+  return Val_long(__atomic_exchange_n(&active, (int)i, __ATOMIC_RELAXED));
 }
 
-static inline v2d splat(double x)
+value dco3d_gemm_isa_active(value unit)
 {
-  return (v2d){ x, x };
+  (void)unit;
+  return Val_long(__atomic_load_n(&active, __ATOMIC_RELAXED));
 }
 
-value dco3d_gemm_band(intnat k, intnat n, value va, value vpb, value vout,
-                      intnat i0, intnat i1, intnat b0, intnat b1)
+value dco3d_gemm_gather(intnat k, intnat n, intnat h, intnat w, value va,
+                        value vsrc, value vrows, value vcols, value vout,
+                        intnat i0, intnat i1, intnat b0, intnat b1)
 {
-  const double *a = (const double *)va;
-  const double *pb = (const double *)vpb;
-  double *out = (double *)vout;
-  intnat nq = n >> 2, r = n & 3, k4 = k << 2;
-  intnat qend = b1 < nq ? b1 : nq;
-
-  for (intnat q = b0; q < qend; q++) {
-    const double *bq = pb + q * k4;
-    intnat jcol = q << 2;
-    intnat i = i0;
-    /* 4 rows x 4 columns: eight 2-lane accumulators */
-    for (; i + 4 <= i1; i += 4) {
-      const double *a0 = a + i * k, *a1 = a0 + k, *a2 = a1 + k, *a3 = a2 + k;
-      double *c0 = out + i * n + jcol, *c1 = c0 + n, *c2 = c1 + n,
-             *c3 = c2 + n;
-      v2d s00 = load2(c0), s01 = load2(c0 + 2);
-      v2d s10 = load2(c1), s11 = load2(c1 + 2);
-      v2d s20 = load2(c2), s21 = load2(c2 + 2);
-      v2d s30 = load2(c3), s31 = load2(c3 + 2);
-      for (intnat p = 0; p < k; p++) {
-        v2d b0 = load2(bq + (p << 2)), b1 = load2(bq + (p << 2) + 2);
-        v2d x0 = splat(a0[p]), x1 = splat(a1[p]);
-        v2d x2 = splat(a2[p]), x3 = splat(a3[p]);
-        s00 = s00 + x0 * b0;
-        s01 = s01 + x0 * b1;
-        s10 = s10 + x1 * b0;
-        s11 = s11 + x1 * b1;
-        s20 = s20 + x2 * b0;
-        s21 = s21 + x2 * b1;
-        s30 = s30 + x3 * b0;
-        s31 = s31 + x3 * b1;
-      }
-      store2(c0, s00);
-      store2(c0 + 2, s01);
-      store2(c1, s10);
-      store2(c1 + 2, s11);
-      store2(c2, s20);
-      store2(c2 + 2, s21);
-      store2(c3, s30);
-      store2(c3 + 2, s31);
-    }
-    /* remainder rows: 1 row x 4 columns */
-    for (; i < i1; i++) {
-      const double *a0 = a + i * k;
-      double *c0 = out + i * n + jcol;
-      v2d s0 = load2(c0), s1 = load2(c0 + 2);
-      for (intnat p = 0; p < k; p++) {
-        v2d x0 = splat(a0[p]);
-        s0 = s0 + x0 * load2(bq + (p << 2));
-        s1 = s1 + x0 * load2(bq + (p << 2) + 2);
-      }
-      store2(c0, s0);
-      store2(c0 + 2, s1);
-    }
-  }
-
-  if (r > 0 && b1 > nq) {
-    /* the n mod 4 tail: one scalar chain per (row, column) */
-    const double *bt = pb + nq * k4;
-    intnat jcol = nq << 2;
-    for (intnat i = i0; i < i1; i++) {
-      const double *a0 = a + i * k;
-      double *c0 = out + i * n + jcol;
-      double s[3] = { c0[0], r > 1 ? c0[1] : 0., r > 2 ? c0[2] : 0. };
-      for (intnat p = 0; p < k; p++) {
-        double x = a0[p];
-        const double *b = bt + p * r;
-        for (intnat t = 0; t < r; t++)
-          s[t] = s[t] + x * b[t];
-      }
-      for (intnat t = 0; t < r; t++)
-        c0[t] = s[t];
-    }
-  }
+  struct gemm_args g = {
+    k, n, h, w,
+    (const double *)va, (const double *)vsrc,
+    (const value *)vrows, (const value *)vcols,
+    (double *)vout,
+    i0, i1, b0, b1,
+  };
+  variants[__atomic_load_n(&active, __ATOMIC_RELAXED)].fn(&g);
   return Val_unit;
 }
 
-value dco3d_gemm_band_byte(value *argv, int argn)
+value dco3d_gemm_gather_byte(value *argv, int argn)
 {
   (void)argn;
-  return dco3d_gemm_band(Long_val(argv[0]), Long_val(argv[1]), argv[2],
-                         argv[3], argv[4], Long_val(argv[5]),
-                         Long_val(argv[6]), Long_val(argv[7]),
-                         Long_val(argv[8]));
+  return dco3d_gemm_gather(Long_val(argv[0]), Long_val(argv[1]),
+                           Long_val(argv[2]), Long_val(argv[3]), argv[4],
+                           argv[5], argv[6], argv[7], argv[8],
+                           Long_val(argv[9]), Long_val(argv[10]),
+                           Long_val(argv[11]), Long_val(argv[12]));
 }

@@ -8,28 +8,32 @@ module Pool = Dco3d_parallel.Pool
    worker wake-up), so a region is only worth opening when every helper
    gets well over that in work.  The crossovers were calibrated per
    kernel against the PR 1 bench shapes (BENCH_kernels.json): the
-   packed GEMM amortizes dispatch fastest (dense multiply-adds), the conv
-   kernels pay an extra im2col pass first, and matvec is memory-bound
+   gather-GEMM (matmul and every conv lowering) amortizes dispatch
+   fastest (dense multiply-adds), the direct conv loops and the int8
+   kernels run at about the same crossover, and matvec is memory-bound
    (one float of traffic per MAC leaves little for extra cores), so
    each gets its own floor instead of PR 1's single global
    par_threshold = 1 lsl 16, which sent sub-crossover shapes to the
-   pool at a loss.
+   pool at a loss.  The gather-GEMM applies its floor to every chunk
+   ([gemm_gather]); on the conv and matmul kernel rows at two jobs,
+   floors of 2^15 to 2^18 per chunk timed within noise of each other.
 
      kernel                  threshold (MACs)  first clearly-winning shape
-     matmul / packed GEMM    1 lsl 17          128 x 128 x 128
-     conv2d family           1 lsl 17          8ch 32x32, 3x3 kernel
+     gather-GEMM             1 lsl 17 / chunk  128 x 128 x 128
+     direct / int8 conv      1 lsl 17          8ch 32x32, 3x3 kernel
      matvec                  1 lsl 18          512 x 512
 
    The guards depend only on the problem size — never on the job
    count — so the sequential and pooled paths agree bit-for-bit at
    every DCO3D_JOBS value. *)
-let matmul_par_macs = 1 lsl 17
+let gemm_par_macs = 1 lsl 17
 let conv_par_macs = 1 lsl 17
 let matvec_par_macs = 1 lsl 18
 
-(* Below this many MACs a convolution skips the im2col/GEMM lowering:
-   packing would cost more than the arithmetic it feeds.  The two conv
-   paths are bit-identical, so the switch is invisible to callers. *)
+(* Below this many MACs a convolution skips the GEMM lowering: the
+   descriptor set-up would cost more than the arithmetic it feeds.  The
+   two conv paths are bit-identical, so the switch is invisible to
+   callers. *)
 let conv_gemm_min_macs = 4096
 
 let numel_of_shape shape = Array.fold_left ( * ) 1 shape
@@ -286,72 +290,52 @@ let dot a b =
 let frobenius t = sqrt (dot t t)
 
 (* ------------------------------------------------------------------ *)
-(* Packed GEMM engine.                                                 *)
+(* Fused gather-GEMM engine.                                           *)
 (*                                                                     *)
-(* C (m x n) += A (m x k) . B (k x n), with B pre-packed into quads of *)
-(* four columns so the register-tiled C micro-kernel streams it with   *)
-(* unit stride.  Bit-exactness contract: for every output element the  *)
-(* inner index [p] is accumulated in strictly ascending order in one   *)
-(* continuous left-to-right chain of separate multiplies and adds (no  *)
-(* FMA: the stub is built with -ffp-contract=off, never -ffast-math),  *)
-(* which is exactly the order of the direct reference loops — so the   *)
-(* GEMM path, the direct path, and any row-banding across domains all  *)
-(* produce identical bits.                                             *)
+(* out (m x n) += A (m x k) . B, where B is never materialized: one C  *)
+(* entry ([gemm_stubs.c]) reads B(p, j) straight from a source through *)
+(* (off, y, x) int descriptors, one triple per row p ([rows]) and per  *)
+(* column j ([cols]):                                                  *)
+(*   B(p, j) = src[off_p + off_j + y*w + x],  y = y_p + y_j,           *)
+(*                                            x = x_p + x_j,           *)
+(* when 0 <= y < h and 0 <= x < w, else 0.  A dense row-major (k x n)  *)
+(* B is off_p = p*n, x_j = j on one h = 1, w = n plane ([matmul]);     *)
+(* every conv lowering below is a gather from an image.  Per 8-column  *)
+(* block and slab of at most 256 rows of p, the kernel gathers B into  *)
+(* an L1-resident stack buffer and runs a 4-row x 8-column register    *)
+(* tile over the band's rows.                                          *)
+(*                                                                     *)
+(* Bit-exactness contract: for every output element the inner index    *)
+(* [p] is accumulated in strictly ascending order in one continuous    *)
+(* left-to-right chain of separate multiplies and adds, starting from  *)
+(* out's value (slabs continue the chain from the value the previous   *)
+(* slab stored; no FMA: the stub is built with -ffp-contract=off,      *)
+(* never -ffast-math), which is exactly the order of the direct        *)
+(* reference loops — so the GEMM path, the direct path, every ISA      *)
+(* variant and any banding across domains produce identical bits.      *)
 (* ------------------------------------------------------------------ *)
 
-(* Packed layout of a (k x n) B: full quads first — quad q holds        *)
-(* columns 4q..4q+3, element (p, 4q+t) at q*4k + 4p + t — then a tail   *)
-(* block of r = n mod 4 columns with element (p, j) at nq*4k + p*r +    *)
-(* (j - 4*nq).                                                          *)
-
-(* Pack a dense row-major (k x n) [src] straight into that layout,
-   quad by quad, so every store is sequential.  The arrays are
-   annotated: a helper that only moves floats is otherwise inferred at
-   ['a array] and boxes every element through the generic accessors. *)
-let pack_dense ~k ~n (src : float array) (pb : float array) =
-  let nq = n lsr 2 in
-  let r = n - (nq lsl 2) in
-  let k4 = k lsl 2 in
-  for q = 0 to nq - 1 do
-    let base = q * k4 and col = q lsl 2 in
-    for p = 0 to k - 1 do
-      let d = base + (p lsl 2) and s = (p * n) + col in
-      Array.unsafe_set pb d (Array.unsafe_get src s);
-      Array.unsafe_set pb (d + 1) (Array.unsafe_get src (s + 1));
-      Array.unsafe_set pb (d + 2) (Array.unsafe_get src (s + 2));
-      Array.unsafe_set pb (d + 3) (Array.unsafe_get src (s + 3))
-    done
-  done;
-  if r > 0 then begin
-    let base = nq * k4 and col = nq lsl 2 in
-    for p = 0 to k - 1 do
-      for t = 0 to r - 1 do
-        Array.unsafe_set pb
-          (base + (p * r) + t)
-          (Array.unsafe_get src ((p * n) + col + t))
-      done
-    done
-  end
-
-(* Rows [i0, i1) x column blocks [b0, b1) of C, in C ([gemm_stubs.c]);
-   block q < n/4 is quad q, block n/4 the n mod 4 tail.  A 4-row x
-   4-column register tile of 128-bit vector lanes, then the remainder
-   rows and the tail.  Each lane is one output element's chain, which
-   sums its p-terms in ascending order starting from C's current value
-   with a separate multiply and add (the stub is built with
-   -ffp-contract=off), so the bits are those of the scalar reference
-   loop.  No bounds checks: [gemm] checks the array lengths. *)
-external gemm_band :
+(* Rows [i0, i1) x column blocks [b0, b1) (block b is columns 8b ..
+   8b+7, the last one partial), in C; the arguments are k n h w a src
+   rows cols out i0 i1 b0 b1.  The tile is compiled for avx2 and the
+   baseline ISA; module init picks the widest the CPU has.  No
+   bounds checks: [gemm_gather] checks every length and the
+   descriptors' extent. *)
+external gemm_gather_band :
+  (int[@untagged]) ->
+  (int[@untagged]) ->
   (int[@untagged]) ->
   (int[@untagged]) ->
   float array ->
   float array ->
+  int array ->
+  int array ->
   float array ->
   (int[@untagged]) ->
   (int[@untagged]) ->
   (int[@untagged]) ->
   (int[@untagged]) ->
-  unit = "dco3d_gemm_band_byte" "dco3d_gemm_band"
+  unit = "dco3d_gemm_gather_byte" "dco3d_gemm_gather"
 [@@noalloc]
 
 (* The stub reads float arrays as raw doubles, which needs the flat
@@ -360,34 +344,147 @@ let () =
   if Obj.tag (Obj.repr (Array.make 1 0.)) <> Obj.double_array_tag then
     failwith "Dco3d_tensor: the GEMM kernel needs flat float arrays"
 
-(* [out] must hold the addend (usually zeros).  Banding never changes
-   result bits (each output element is computed whole by one band), so
-   the parallel split is free to follow the shape: row bands of whole
-   4-row tiles when there are at least as many tiles as column blocks
-   (quads, plus the n mod 4 tail), else column-block bands that each
-   keep all m rows — a conv GEMM has few rows (output channels) and
-   many columns (pixels). *)
-let gemm ?(par_macs = matmul_par_macs) ~m ~k ~n (ad : float array)
-    (pb : float array) (out : float array) =
-  if m > 0 && n > 0 && k > 0 then begin
+(* The kernel's ISA variants, by index, widest first.  [isa_use i]
+   makes variant i the active one and returns the previous index, or
+   returns -1 and changes nothing if this CPU lacks variant i. *)
+external isa_name : int -> string = "dco3d_gemm_isa_name"
+external isa_use : int -> int = "dco3d_gemm_isa_use"
+external isa_active : unit -> int = "dco3d_gemm_isa_active"
+
+let gemm_isa_variants =
+  let rec from i = match isa_name i with "" -> [] | v -> v :: from (i + 1) in
+  from 0
+
+(* Dispatch once: the widest variant this CPU supports (the baseline,
+   last, always is). *)
+let () =
+  let rec pick i = if isa_use i < 0 then pick (i + 1) in
+  pick 0
+
+let gemm_isa () = isa_name (isa_active ())
+
+let with_gemm_isa name f =
+  let rec index i = function
+    | [] -> -1
+    | v :: rest -> if v = name then i else index (i + 1) rest
+  in
+  let was = isa_use (index 0 gemm_isa_variants) in
+  if was < 0 then None
+  else Some (Fun.protect ~finally:(fun () -> ignore (isa_use was)) f)
+
+(* The C kernel trusts its arguments, so a short array or a descriptor
+   that points past [src] is rejected here, before any read: with every
+   0 <= y < h and 0 <= x < w, the kernel reads src[off_p + off_j + y*w
+   + x] only between min off_p + min off_j and max off_p + max off_j +
+   h*w - 1.  No product or sum below can wrap: lengths are compared by
+   division, each offset is checked to lie in [0, length src) before
+   two are added, h*w <= length src, and every y and x within
+   [coord_limit] keeps the kernel's sums and differences of two
+   coordinates far from the int range.  O(k + n). *)
+let coord_limit = 1 lsl 58
+
+let outside () =
+  invalid_arg "Tensor.gemm_gather: descriptors reach outside the source"
+
+(* The largest offset of the first [cnt] triples of [d], after checking
+   each offset against [0, len) and each y and x against coord_limit. *)
+let max_offset (d : int array) cnt len =
+  let hi = ref 0 in
+  for i = 0 to cnt - 1 do
+    let off = Array.unsafe_get d (3 * i)
+    and y = Array.unsafe_get d ((3 * i) + 1)
+    and x = Array.unsafe_get d ((3 * i) + 2) in
     if
-      Array.length ad < m * k
-      || Array.length pb < k * n
-      || Array.length out < m * n
-    then invalid_arg "Tensor.gemm: array shorter than its shape";
-    let tiles = (m + 3) lsr 2 and blocks = (n + 3) lsr 2 in
-    if m * n * k < par_macs then gemm_band k n ad pb out 0 m 0 blocks
-    else if tiles >= blocks then
+      off < 0 || off >= len || y < -coord_limit || y > coord_limit
+      || x < -coord_limit || x > coord_limit
+    then outside ();
+    if off > !hi then hi := off
+  done;
+  !hi
+
+(* [cnt * per <= len] without forming the product (cnt, per >= 0). *)
+let fits cnt per len = per = 0 || cnt <= len / per
+
+let check_gather ~m ~k ~n ~h ~w (src : float array) (rows : int array)
+    (cols : int array) (a : float array) (out : float array) =
+  if
+    not
+      (fits m k (Array.length a)
+      && fits m n (Array.length out)
+      && fits k 3 (Array.length rows)
+      && fits n 3 (Array.length cols))
+  then invalid_arg "Tensor.gemm_gather: array shorter than its shape";
+  (* the kernel reads [src] only with work to do and a non-empty image *)
+  if m > 0 && k > 0 && n > 0 && h > 0 && w > 0 then begin
+    let len = Array.length src in
+    if not (fits h w len) then outside ();
+    if max_offset rows k len + max_offset cols n len + (h * w) - 1 >= len then
+      outside ()
+  end
+
+(* Banding never changes result bits (each output element is computed
+   whole by one band), so the split follows the cost alone, by one rule:
+   the work is cut into min 64 (MACs / [gemm_par_macs]) chunks, about
+   [gemm_par_macs] multiply-adds or more each, and below two chunks the
+   kernel is called once.  Chunks are ranges of 8-column blocks that keep
+   all m rows, because a call gathers each of its B blocks once: column
+   bands gather B exactly once between them, at any job count and
+   inline inside a pool worker, whereas a row band gathers all of B
+   again.  Only when B is a single block (n <= 8) are the chunks ranges
+   of 4-row tiles; a band then re-gathers at most 8k floats for its
+   ~[gemm_par_macs] multiply-adds.  The split is a function of the
+   shape alone, so at one job the chunks simply run in order. *)
+let gemm_gather ~m ~k ~n ~h ~w src rows cols a out =
+  if m < 0 || k < 0 || n < 0 then
+    invalid_arg "Tensor.gemm_gather: negative dimension";
+  check_gather ~m ~k ~n ~h ~w src rows cols a out;
+  if m > 0 && n > 0 && k > 0 then begin
+    let tiles = (m + 3) lsr 2 and blocks = (n + 7) lsr 3 in
+    let chunks =
+      int_of_float
+        (Float.min 64.
+           (float m *. float k *. float n /. float gemm_par_macs))
+    in
+    if chunks < 2 then gemm_gather_band k n h w a src rows cols out 0 m 0 blocks
+    else if blocks > 1 then
       Pool.for_chunks
-        ~chunk:((tiles + 63) / 64)
-        0 tiles
-        (fun t0 t1 -> gemm_band k n ad pb out (4 * t0) (min m (4 * t1)) 0 blocks)
+        ~chunk:((blocks + chunks - 1) / chunks)
+        0 blocks
+        (fun b0 b1 -> gemm_gather_band k n h w a src rows cols out 0 m b0 b1)
     else
       Pool.for_chunks
-        ~chunk:((blocks + 63) / 64)
-        0 blocks
-        (fun b0 b1 -> gemm_band k n ad pb out 0 m b0 b1)
+        ~chunk:((tiles + chunks - 1) / chunks)
+        0 tiles
+        (fun t0 t1 ->
+          gemm_gather_band k n h w a src rows cols out (4 * t0)
+            (min m (4 * t1)) 0 1)
   end
+
+(* Pixels (b, oy, ox) of [imgs] images of [img] floats on an oh x ow
+   grid: off = b*img, y = oy*stride, x = ox*stride.  A dense matrix's
+   rows are k images of n floats on a 1 x 1 grid, its columns one image
+   on a 1 x n grid. *)
+let fill_pixels (d : int array) ~imgs ~img ~oh ~ow ~stride =
+  let i = ref 0 in
+  for b = 0 to imgs - 1 do
+    for oy = 0 to oh - 1 do
+      for ox = 0 to ow - 1 do
+        Array.unsafe_set d !i (b * img);
+        Array.unsafe_set d (!i + 1) (oy * stride);
+        Array.unsafe_set d (!i + 2) (ox * stride);
+        i := !i + 3
+      done
+    done
+  done
+
+(* [gemm_gather] through descriptors that [rows] and [cols] write into
+   borrowed scratch. *)
+let gemm_described ~m ~k ~n ~h ~w src ~rows ~cols a out =
+  Workspace.with_ints (3 * k) (fun rd ->
+      rows rd;
+      Workspace.with_ints (3 * n) (fun cd ->
+          cols cd;
+          gemm_gather ~m ~k ~n ~h ~w src rd cd a out))
 
 let matmul a b =
   if rank a <> 2 || rank b <> 2 then invalid_arg "Tensor.matmul: rank-2 only";
@@ -396,9 +493,10 @@ let matmul a b =
   if k <> k' then invalid_arg "Tensor.matmul: inner dimension mismatch";
   let out = Array.make (m * n) 0. in
   if m > 0 && n > 0 && k > 0 then
-    Workspace.with_floats (k * n) (fun pb ->
-        pack_dense ~k ~n b.data pb;
-        gemm ~m ~k ~n a.data pb out);
+    gemm_described ~m ~k ~n ~h:1 ~w:n b.data
+      ~rows:(fun d -> fill_pixels d ~imgs:k ~img:n ~oh:1 ~ow:1 ~stride:1)
+      ~cols:(fun d -> fill_pixels d ~imgs:1 ~img:0 ~oh:1 ~ow:n ~stride:1)
+      a.data out;
   make [| m; n |] out
 
 let transpose2 t =
@@ -438,17 +536,18 @@ let matvec a x =
 (*                                                                     *)
 (* Each kernel has two bit-identical implementations: a direct loop    *)
 (* nest (the reference, kept for tiny shapes and for property tests)   *)
-(* and an im2col/GEMM lowering onto the packed micro-kernel above.     *)
+(* and an im2col/GEMM lowering onto the gather-GEMM kernel above.      *)
 (* The lowering is bit-exact because for every output element the      *)
 (* im2col inner index enumerates contributions in exactly the order    *)
 (* the direct loops visit them, and the zeros it substitutes for       *)
 (* padding (or for skipped zero coefficients) are exact no-ops:        *)
 (* adding +/-0. never changes a finite float's bits.                   *)
 (*                                                                     *)
-(* Every lowering's B is one gather from a source image, packed        *)
-(* straight into the GEMM panel quad by quad (sequential stores, no    *)
-(* staging row, no per-element division; see [pack_gather]).  The     *)
-(* passes that walk dilated geometry (transposes, and backward_input  *)
+(* Every lowering's B is one gather from a source image, described by *)
+(* (off, y, x) descriptors that nested loops fill ([fill_taps],        *)
+(* [fill_pixels]) and read by the kernel block by block, so no im2col  *)
+(* matrix is ever stored and no element needs a division.  The        *)
+(* passes that walk dilated geometry (transposes, and backward_input   *)
 (* at stride s) run as s^2 stride-1 phase GEMMs, one per output        *)
 (* residue class, over only the taps that reach it ([phase_gemm]), so  *)
 (* no GEMM grinds through stride zeros.  The forward lowering is       *)
@@ -504,97 +603,6 @@ let gemm_selected (engine : conv_engine) macs =
   | `Direct -> false
   | `Auto -> macs >= conv_gemm_min_macs
 
-(* ---- Direct panel packing ----------------------------------------- *)
-(* Every lowering's B is a gather from one source [src] of h x w       *)
-(* planes:                                                              *)
-(*   B(p, j) = src[off_p + off_j + y*w + x],  y = y_p + y_j,            *)
-(*                                            x = x_p + x_j,            *)
-(* when 0 <= y < h and 0 <= x < w, else 0.  [rows] holds the triple     *)
-(* (off, y, x) of each p, [cols] that of each column j; they are built  *)
-(* by nested loops, so packing needs no division.                       *)
-
-let[@inline] gather_into (pb : float array) d (src : float array) ~h ~w ~off ~y
-    ~x =
-  Array.unsafe_set pb d
-    (if y >= 0 && y < h && x >= 0 && x < w then
-       Array.unsafe_get src (off + (y * w) + x)
-     else 0.)
-
-let[@inline] imin (a : int) b = if a < b then a else b
-let[@inline] imax (a : int) b = if a > b then a else b
-
-(* Writes the packed layout directly: quad q's 4k floats in order, then
-   the tail block.  A quad whose four columns are all in range for row
-   p (the image interior) takes four loads with no bounds tests. *)
-let pack_gather ~k ~n ~h ~w (src : float array) (rows : int array)
-    (cols : int array) (pb : float array) =
-  let nq = n lsr 2 in
-  let r = n - (nq lsl 2) in
-  let k4 = k lsl 2 in
-  for q = 0 to nq - 1 do
-    let c = 12 * q in
-    let o0 = Array.unsafe_get cols c
-    and y0 = Array.unsafe_get cols (c + 1)
-    and x0 = Array.unsafe_get cols (c + 2) in
-    let o1 = Array.unsafe_get cols (c + 3)
-    and y1 = Array.unsafe_get cols (c + 4)
-    and x1 = Array.unsafe_get cols (c + 5) in
-    let o2 = Array.unsafe_get cols (c + 6)
-    and y2 = Array.unsafe_get cols (c + 7)
-    and x2 = Array.unsafe_get cols (c + 8) in
-    let o3 = Array.unsafe_get cols (c + 9)
-    and y3 = Array.unsafe_get cols (c + 10)
-    and x3 = Array.unsafe_get cols (c + 11) in
-    let ylo = imin (imin y0 y1) (imin y2 y3)
-    and yhi = imax (imax y0 y1) (imax y2 y3) in
-    let xlo = imin (imin x0 x1) (imin x2 x3)
-    and xhi = imax (imax x0 x1) (imax x2 x3) in
-    let r0 = o0 + (y0 * w) + x0 and r1 = o1 + (y1 * w) + x1 in
-    let r2 = o2 + (y2 * w) + x2 and r3 = o3 + (y3 * w) + x3 in
-    let base = q * k4 in
-    for p = 0 to k - 1 do
-      let i = 3 * p in
-      let op = Array.unsafe_get rows i
-      and yp = Array.unsafe_get rows (i + 1)
-      and xp = Array.unsafe_get rows (i + 2) in
-      let d = base + (p lsl 2) in
-      if yp + ylo >= 0 && yp + yhi < h && xp + xlo >= 0 && xp + xhi < w then begin
-        let s = op + (yp * w) + xp in
-        Array.unsafe_set pb d (Array.unsafe_get src (s + r0));
-        Array.unsafe_set pb (d + 1) (Array.unsafe_get src (s + r1));
-        Array.unsafe_set pb (d + 2) (Array.unsafe_get src (s + r2));
-        Array.unsafe_set pb (d + 3) (Array.unsafe_get src (s + r3))
-      end
-      else begin
-        gather_into pb d src ~h ~w ~off:(op + o0) ~y:(yp + y0) ~x:(xp + x0);
-        gather_into pb (d + 1) src ~h ~w ~off:(op + o1) ~y:(yp + y1)
-          ~x:(xp + x1);
-        gather_into pb (d + 2) src ~h ~w ~off:(op + o2) ~y:(yp + y2)
-          ~x:(xp + x2);
-        gather_into pb (d + 3) src ~h ~w ~off:(op + o3) ~y:(yp + y3)
-          ~x:(xp + x3)
-      end
-    done
-  done;
-  if r > 0 then begin
-    let base = nq * k4 and c0 = 3 * (nq lsl 2) in
-    for p = 0 to k - 1 do
-      let i = 3 * p in
-      let op = Array.unsafe_get rows i
-      and yp = Array.unsafe_get rows (i + 1)
-      and xp = Array.unsafe_get rows (i + 2) in
-      for t = 0 to r - 1 do
-        let c = c0 + (3 * t) in
-        gather_into pb
-          (base + (p * r) + t)
-          src ~h ~w
-          ~off:(op + Array.unsafe_get cols c)
-          ~y:(yp + Array.unsafe_get cols (c + 1))
-          ~x:(xp + Array.unsafe_get cols (c + 2))
-      done
-    done
-  end
-
 (* Kernel taps (c, ky, kx), c-major over [chans] planes of [plane]
    floats: off = c*plane, y = ky - pad, x = kx - pad. *)
 let fill_taps (d : int array) ~chans ~plane ~kh ~kw ~pad =
@@ -609,38 +617,6 @@ let fill_taps (d : int array) ~chans ~plane ~kh ~kw ~pad =
       done
     done
   done
-
-(* Pixels (b, oy, ox) of [imgs] images of [img] floats on an oh x ow
-   grid: off = b*img, y = oy*stride, x = ox*stride. *)
-let fill_pixels (d : int array) ~imgs ~img ~oh ~ow ~stride =
-  let i = ref 0 in
-  for b = 0 to imgs - 1 do
-    for oy = 0 to oh - 1 do
-      for ox = 0 to ow - 1 do
-        Array.unsafe_set d !i (b * img);
-        Array.unsafe_set d (!i + 1) (oy * stride);
-        Array.unsafe_set d (!i + 2) (ox * stride);
-        i := !i + 3
-      done
-    done
-  done
-
-(* out (m x n) += A (m x k) . B, with B gathered from [src] (h x w
-   planes) through the filled descriptors [rd] and [cd] into the panel
-   scratch [pb]. *)
-let gemm_gathered ~m ~k ~n ~h ~w src rd cd pb ad out =
-  pack_gather ~k ~n ~h ~w src rd cd pb;
-  gemm ~par_macs:conv_par_macs ~m ~k ~n ad pb out
-
-(* [gemm_gathered] on borrowed scratch, with the descriptors [rows] and
-   [cols] fill. *)
-let gemm_gather ~m ~k ~n ~h ~w src ~rows ~cols ad out =
-  Workspace.with_ints (3 * k) (fun rd ->
-      rows rd;
-      Workspace.with_ints (3 * n) (fun cd ->
-          cols cd;
-          Workspace.with_floats (k * n) (fun pb ->
-              gemm_gathered ~m ~k ~n ~h ~w src rd cd pb ad out)))
 
 (* Finish a batched forward GEMM: bias after the full contraction
    (matching the direct paths, which also add it last, once per output
@@ -743,7 +719,7 @@ let scatter_phase (g : float array) (out : float array) ~m ~n ~oh ~ow ~s ~ry
 (* [n] images of [chans] source planes (sh x sw) in [src]; output
    [n; m; oh; ow] into [out], every element written.  Weight indexing
    as in [fill_phase_taps].  The scratch is borrowed once, at the
-   largest phase's size, not per phase through [gemm_gather]: s^2
+   largest phase's size, not per phase through [gemm_described]: s^2
    rounds of borrows and closures would cost a k2/s2 transpose more
    minor words than the kernels' allocation budget. *)
 let phase_gemm ~stride:s ~pad ~kh ~kw ~flip ~chans ~m ~n ~sh ~sw ~oh ~ow
@@ -755,7 +731,6 @@ let phase_gemm ~stride:s ~pad ~kh ~kw ~flip ~chans ~m ~n ~sh ~sw ~oh ~ow
   Workspace.with_ints (3 * kmax) @@ fun rows ->
   Workspace.with_ints (3 * cmax) @@ fun cols ->
   Workspace.with_floats (m * kmax) @@ fun a ->
-  Workspace.with_floats (kmax * cmax) @@ fun pb ->
   Workspace.with_floats (m * cmax) @@ fun g ->
   for ry = 0 to s - 1 do
     for rx = 0 to s - 1 do
@@ -771,7 +746,7 @@ let phase_gemm ~stride:s ~pad ~kh ~kw ~flip ~chans ~m ~n ~sh ~sw ~oh ~ow
             ~nkx;
           fill_pixels cols ~imgs:n ~img:(chans * sh * sw) ~oh:ohp ~ow:owp
             ~stride:1;
-          gemm_gathered ~m ~k:kp ~n:ncol ~h:sh ~w:sw src rows cols pb a g
+          gemm_gather ~m ~k:kp ~n:ncol ~h:sh ~w:sw src rows cols a g
         end;
         scatter_phase g out ~m ~n ~oh ~ow ~s ~ry ~rx ~ohp ~owp bias
       end
@@ -786,7 +761,7 @@ let phase_gemm ~stride:s ~pad ~kh ~kw ~flip ~chans ~m ~n ~sh ~sw ~oh ~ow
 let conv2d_gemm ~n ~stride ~pad ~ci ~h ~w ~co ~kh ~kw ~oh ~ow xd wd bias =
   let ncol = n * oh * ow in
   let g = Array.make (co * ncol) 0. in
-  gemm_gather ~m:co ~k:(ci * kh * kw) ~n:ncol ~h ~w xd
+  gemm_described ~m:co ~k:(ci * kh * kw) ~n:ncol ~h ~w xd
     ~rows:(fun d ->
       fill_taps d ~chans:ci ~plane:(h * w) ~kh ~kw ~pad)
     ~cols:(fun d -> fill_pixels d ~imgs:n ~img:(ci * h * w) ~oh ~ow ~stride)
@@ -816,7 +791,7 @@ let conv2d_backward_input_gemm ~stride ~pad ~ci ~h ~w ~co ~kh ~kw ~oh ~ow gd
 let conv2d_backward_weight_gemm ~stride ~pad ~ci ~h ~w ~co ~kh ~kw ~oh ~ow gd
     xd =
   let gw = Array.make (co * ci * kh * kw) 0. in
-  gemm_gather ~m:co ~k:(oh * ow) ~n:(ci * kh * kw) ~h ~w xd
+  gemm_described ~m:co ~k:(oh * ow) ~n:(ci * kh * kw) ~h ~w xd
     ~rows:(fun d -> fill_pixels d ~imgs:1 ~img:0 ~oh ~ow ~stride)
     ~cols:(fun d ->
       fill_taps d ~chans:ci ~plane:(h * w) ~kh ~kw ~pad)
@@ -1225,8 +1200,9 @@ let upsample_nearest2 x =
 (* Batched kernels (rank-4 [n; c; h; w]).                              *)
 (*                                                                     *)
 (* The batched convolutions live with the convolution kernels above:   *)
-(* one im2col/GEMM call per batch (kdim x n*oh*ow columns), so weight  *)
-(* packing and the parallel-region dispatch amortize over the batch —  *)
+(* one im2col/GEMM call per batch (kdim x n*oh*ow columns), so the     *)
+(* descriptor set-up and the parallel-region dispatch amortize over    *)
+(* the batch —                                                         *)
 (* the payoff the serve micro-batcher is built on.  The helpers below  *)
 (* are per-channel or pure copies, so they fold the batch axis freely. *)
 (* ------------------------------------------------------------------ *)

@@ -138,16 +138,57 @@ val transpose2 : t -> t
 val matvec : t -> t -> t
 (** [[m; k]] x [[k]] -> [[m]]. *)
 
+(** {1 The gather-GEMM kernel}
+
+    {!matmul} and every convolution lowering run on one kernel that
+    multiplies by a [B] it never materializes: element [B(p, j)] is
+    read from a source of [h x w] planes through [(off, y, x)]
+    descriptors, one triple per row [p] and per column [j]. *)
+
+val gemm_gather :
+  m:int -> k:int -> n:int -> h:int -> w:int -> float array -> int array ->
+  int array -> float array -> float array -> unit
+(** [gemm_gather ~m ~k ~n ~h ~w src rows cols a out] adds [A . B] to
+    [out] (row-major [m x n]) for [a] row-major [m x k] and
+    [B(p, j) = src.(off_p + off_j + y * w + x)] with
+    [y = y_p + y_j], [x = x_p + x_j] when [0 <= y < h] and
+    [0 <= x < w], else [0.]; [rows] holds [(off_p, y_p, x_p)] at
+    [3p .. 3p+2] and [cols] holds [(off_j, y_j, x_j)] at [3j .. 3j+2].
+    Every output is one chain over [p] ascending from [out]'s value,
+    with separately rounded multiplies and adds, so the bits equal the
+    naive loop's at any [DCO3D_JOBS].
+    @raise Invalid_argument if a dimension is negative, [a], [out],
+    [rows] or [cols] is shorter than the shape implies, or (when
+    [m, k, n, h, w > 0]) an offset lies outside [\[0, length src)], a
+    [y] or [x] outside [\[-2^58, 2^58\]], or
+    [max off_p + max off_j + h * w - 1] past the end of [src] —
+    checked before any element is read, without overflow. *)
+
+val gemm_isa : unit -> string
+(** The kernel variant this process dispatches to: ["avx2"] or
+    ["baseline"], the widest the CPU supports (chosen once,
+    at start-up; only ["baseline"] off x86-64).  Every variant gives
+    the same bits. *)
+
+val gemm_isa_variants : string list
+(** Every variant compiled into this build, widest first. *)
+
+val with_gemm_isa : string -> (unit -> 'a) -> 'a option
+(** For tests only: [with_gemm_isa v f] runs [f ()] with every GEMM
+    dispatched to variant [v] and restores the previous one after;
+    [None] (and [f] not run) if [v] is unknown or this CPU lacks it.
+    Not for use while another domain runs kernels. *)
+
 (** {1 Convolution kernels (rank 3 activations [[c; h; w]])} *)
 
 type conv_engine = [ `Auto | `Direct | `Gemm ]
 (** Implementation selector for the convolution family.  [`Direct] is
-    the reference loop nest; [`Gemm] lowers onto an im2col + packed
-    GEMM pipeline that reuses {!module:Workspace} scratch.  The two are
+    the reference loop nest; [`Gemm] lowers onto {!gemm_gather}, which
+    reads the im2col matrix straight from the image.  The two are
     bit-identical for every shape, stride, and padding — the engine is
     purely a performance choice — and [`Auto] (the default) picks
     [`Gemm] once the kernel's multiply-add count is large enough to
-    amortize packing, whatever its stride.
+    amortize the lowering's set-up, whatever its stride.
 
     Every convolution entry below checks its shapes (input channels
     against the weight, bias length against the output channels, a
@@ -197,9 +238,9 @@ val upsample_nearest2 : t -> t
 (** {1 Batched kernels (rank 4 activations [[n; c; h; w]])}
 
     Inference-time batching for the serve micro-batcher: a batch of [n]
-    samples runs as {e one} kernel call, so the im2col/GEMM engine packs
-    the weight matrix once and its parallel region covers [n] times the
-    work.  Every batched kernel is bit-identical to [n] independent
+    samples runs as {e one} kernel call, so the im2col/GEMM engine
+    reads the weight matrix once per column block and its parallel
+    region covers [n] times the work.  Every batched kernel is bit-identical to [n] independent
     per-sample calls — batching adds GEMM columns, it never reorders a
     floating-point accumulation. *)
 

@@ -1,8 +1,8 @@
 (* Grow-only, per-domain scratch arena.
 
-   The kernel engine needs short-lived float buffers on every call: the
-   packed-B tile of a GEMM, an im2col column block, RUDY's per-chunk
-   partial congestion maps.  Allocating them fresh each time made every
+   The kernel engine needs short-lived buffers on every call: the
+   gather descriptors of a GEMM, a stride phase's weights and results,
+   RUDY's per-chunk partial congestion maps.  Allocating them fresh each time made every
    training step and every RUDY evaluation pay minor-heap churn and
    major-GC pressure proportional to the scratch footprint (PR 1's
    rudy_map spent more time allocating partial maps than accumulating

@@ -1,8 +1,8 @@
 (** Grow-only, per-domain scratch arena for kernel workspaces.
 
-    Hot kernels (packed GEMM tiles, im2col column blocks, RUDY partial
-    congestion maps) borrow float buffers here instead of allocating
-    fresh arrays per call.  Each domain owns a private arena
+    Hot kernels (GEMM gather descriptors, stride-phase weights and
+    results, RUDY partial congestion maps) borrow buffers here instead
+    of allocating fresh arrays per call.  Each domain owns a private arena
     ([Domain.DLS]), so borrowing is lock-free and pool workers never
     contend; buffers only ever grow, so steady-state workloads — the
     [Predictor.train] epoch loop re-running the same convolution shapes

@@ -204,7 +204,7 @@ let pool_chunks f =
       let r = f () in
       (Obs.counter_value "pool/chunks" - before, r))
 
-(* The packed-GEMM matmul must agree bitwise with a naive row-major
+(* The gather-GEMM matmul must agree bitwise with a naive row-major
    triple loop accumulating the inner dimension in ascending order —
    the reference order every engine in the tensor layer preserves.
    The stream must reach every m mod 4 (the micro-kernel's 4-row tile
@@ -212,7 +212,7 @@ let pool_chunks f =
    a one-term product on fewer than 4 rows, and pooled GEMMs whose
    bands carry remainder rows: split over column blocks (m < 4 is one
    row tile, so more than one band means column bands) and over rows
-   (n <= 4 is one column block, so the bands are row bands and the
+   (n <= 8 is one column block, so the bands are row bands and the
    last one is ragged). *)
 let test_matmul_vs_reference () =
   let rng = Rng.create 0xC041A in
@@ -242,15 +242,15 @@ let test_matmul_vs_reference () =
           reference c)
   in
   for case = 1 to 20 do
-    (* the last cases exceed matmul_par_macs so the jobs=4 schedule
-       exercises real cross-domain bands *)
+    (* the last cases are mostly over twice gemm_par_macs, so the
+       jobs=4 schedule exercises real cross-domain bands *)
     let big = if case > 17 then 60 else 0 in
     let m = big + 1 + Rng.int rng 40
     and k = big + 1 + Rng.int rng 40
     and n = big + 1 + Rng.int rng 40 in
     check (m, k, n)
   done;
-  (* the last two are several times matmul_par_macs, so they stay
+  (* the last two are several times gemm_par_macs, so they stay
      pooled under any plausible threshold *)
   List.iter check
     [ (1, 1, 1); (3, 1, 6); (2, 1, 7); (8, 3, 8); (3, 256, 1001);
@@ -282,6 +282,260 @@ let test_matmul_vs_reference () =
       Alcotest.check exact_tensor
         ("no fused multiply-add " ^ sched)
         (T.zeros [| 5; 5 |]) (T.matmul a b))
+
+(* Naive row-major reference: each output one chain over p ascending. *)
+let naive_matmul a b =
+  let m = T.dim a 0 and k = T.dim a 1 and n = T.dim b 1 in
+  T.init [| m; n |] (fun idx ->
+      let i = idx.(0) and j = idx.(1) in
+      let acc = ref 0. in
+      for p = 0 to k - 1 do
+        acc := !acc +. (T.get2 a i p *. T.get2 b p j)
+      done;
+      !acc)
+
+(* Bit-for-bit equality, element by element, through the bits of each
+   float (so -0. against 0. and NaN payloads count too). *)
+let check_bits what expected actual =
+  Alcotest.(check (array int)) (what ^ " shape") (T.shape expected)
+    (T.shape actual);
+  let e = T.numel expected in
+  for i = 0 to e - 1 do
+    let x = Int64.bits_of_float (T.get_flat expected i)
+    and y = Int64.bits_of_float (T.get_flat actual i) in
+    if x <> y then
+      Alcotest.failf "%s: element %d is %h, expected %h" what i
+        (T.get_flat actual i) (T.get_flat expected i)
+  done
+
+(* The slab height of the gather-GEMM kernel (KB in gemm_stubs.c). *)
+let kb = 256
+
+(* The fused kernel's blocking: slabs of KB rows of p (one chain
+   continued across slabs), 8-column blocks of two quads, a 4-row
+   tile with 1..3 remainder rows, and pooled row or column bands.
+   Every edge of that blocking against the naive loop, bit for bit, at
+   jobs 1 and 4; coverage is asserted on the case list itself and, for
+   pooling, on the pool's own chunk counter. *)
+let test_blocking_edges () =
+  let rng = Rng.create 0xC041F in
+  let seen = Hashtbl.create 16 in
+  let note what = Hashtbl.replace seen what () in
+  let check_matmul (m, k, n) =
+    let a = T.randn rng [| m; k |] and b = T.randn rng [| k; n |] in
+    let reference = naive_matmul a b in
+    List.iter
+      (fun kk -> if k = kk then note (Printf.sprintf "k = %d" kk))
+      [ kb - 1; kb; kb + 1; (2 * kb) + 3 ];
+    if n mod 8 >= 4 then note "single quad left over";
+    if n mod 4 <> 0 then note (Printf.sprintf "n mod 4 = %d" (n mod 4));
+    if m < 4 then note "m < 4";
+    on_both_schedules (fun sched ->
+        let bands, c = pool_chunks (fun () -> T.matmul a b) in
+        if bands > 1 then begin
+          (* B of one 8-column block: row bands, else column bands *)
+          if n <= 8 then begin
+            note "pooled row bands";
+            if m mod 4 <> 0 then note "pooled row bands, m mod 4 <> 0"
+          end
+          else if n mod 8 <> 0 then note "pooled column bands, n mod 8 <> 0"
+        end;
+        check_bits (Printf.sprintf "matmul %dx%dx%d %s" m k n sched) reference c)
+  in
+  List.iter check_matmul
+    [
+      (* the slab boundary: one chain continued across slabs *)
+      (5, kb - 1, 9); (6, kb, 12); (7, kb + 1, 13); (3, (2 * kb) + 3, 14);
+      (* 8-column blocks, a single quad left over, every n mod 4 *)
+      (4, 7, 4); (9, 5, 12); (1, 3, 17); (2, 9, 22); (3, 6, 31);
+      (* pooled row bands (one column block): 51 tiles, the last band
+         ragged; and column bands with m mod 4 <> 0 *)
+      (201, 1000, 3); (130, 300, 12);
+      (* pooled column bands whose last band is not 8-column aligned *)
+      (3, kb, 1001); (5, (2 * kb) + 3, 203);
+    ];
+  (* conv lowerings across the slab boundary: k = ci*kh*kw = 288 and
+     k = oh*ow = 257 (a 1 x 257 plane) and 515 *)
+  let conv_case c =
+    check_conv2d rng c;
+    check_conv2d_backwards rng c
+  in
+  conv_case
+    { ci = 32; co = 5; h = 6; w = 7; kh = 3; kw = 3; stride = 1; pad = 1;
+      with_bias = true };
+  conv_case
+    { ci = 3; co = 6; h = 1; w = 257; kh = 1; kw = 1; stride = 1; pad = 0;
+      with_bias = false };
+  conv_case
+    { ci = 2; co = 3; h = 5; w = 103; kh = 1; kw = 3; stride = 1; pad = 1;
+      with_bias = false };
+  List.iter
+    (fun what ->
+      Alcotest.(check bool) ("cases reach " ^ what) true (Hashtbl.mem seen what))
+    [
+      "k = 255"; "k = 256"; "k = 257"; "k = 515"; "single quad left over";
+      "n mod 4 = 1"; "n mod 4 = 2"; "n mod 4 = 3"; "m < 4"; "pooled row bands";
+      "pooled row bands, m mod 4 <> 0"; "pooled column bands, n mod 8 <> 0";
+    ]
+
+(* [gemm_gather] on arbitrary descriptors against its definition,
+   B(p, j) = src[off_p + off_j + y*w + x] inside the image and 0.
+   outside, bit for bit.  The conv builders only make columns whose x
+   runs along one image row, so columns are drawn here in quads that
+   are such runs, runs broken by another offset or another y in one
+   column, or scattered; rows and columns reach outside the image. *)
+let test_gather_definition () =
+  let rng = Rng.create 0xC0421 in
+  let kinds = Array.make 4 0 in
+  for case = 1 to 150 do
+    let h = 1 + Rng.int rng 6 and w = 1 + Rng.int rng 9 in
+    let planes = 1 + Rng.int rng 3 in
+    let m = 1 + Rng.int rng 7 and k = 1 + Rng.int rng 20
+    and n = 1 + Rng.int rng 30 in
+    let rows =
+      Array.init (3 * k) (fun i ->
+          match i mod 3 with
+          | 0 -> Rng.int rng planes * h * w
+          | _ -> Rng.int rng 5 - 2)
+    in
+    let cols = Array.make (3 * n) 0 in
+    for q = 0 to (n - 1) / 4 do
+      let kind = Rng.int rng 4 in
+      kinds.(kind) <- kinds.(kind) + 1;
+      let o = Rng.int rng 2 * h * w and y = Rng.int rng (h + 2) - 1
+      and x = Rng.int rng (w + 2) - 1 in
+      let broken = Rng.int rng 4 in
+      for t = 0 to min 3 (n - 1 - (4 * q)) do
+        let c = 3 * ((4 * q) + t) in
+        let o', y', x' =
+          match kind with
+          | 0 -> (o, y, x + t)
+          | 1 -> ((if t = broken then o + (h * w) else o), y, x + t)
+          | 2 -> (o, (if t = broken then y + 1 else y), x + t)
+          | _ -> (Rng.int rng 2 * h * w, Rng.int rng (h + 2) - 1,
+                  Rng.int rng (w + 2) - 1)
+        in
+        cols.(c) <- o';
+        cols.(c + 1) <- y';
+        cols.(c + 2) <- x'
+      done
+    done;
+    let src = Array.init ((planes + 2) * h * w) (fun _ -> Rng.float rng 2. -. 1.) in
+    let a = Array.init (m * k) (fun _ -> Rng.float rng 2. -. 1.) in
+    let b p j =
+      let y = rows.((3 * p) + 1) + cols.((3 * j) + 1)
+      and x = rows.((3 * p) + 2) + cols.((3 * j) + 2) in
+      if y >= 0 && y < h && x >= 0 && x < w then
+        src.(rows.(3 * p) + cols.(3 * j) + (y * w) + x)
+      else 0.
+    in
+    let reference =
+      T.init [| m; n |] (fun idx ->
+          let acc = ref 0. in
+          for p = 0 to k - 1 do
+            acc := !acc +. (a.((idx.(0) * k) + p) *. b p idx.(1))
+          done;
+          !acc)
+    in
+    on_both_schedules (fun sched ->
+        let out = Array.make (m * n) 0. in
+        T.gemm_gather ~m ~k ~n ~h ~w src rows cols a out;
+        check_bits
+          (Printf.sprintf "case %d (%dx%dx%d on %dx%d) %s" case m k n h w sched)
+          reference (T.make [| m; n |] out))
+  done;
+  Array.iteri
+    (fun kind count ->
+      Alcotest.(check bool)
+        (Printf.sprintf "cases reach column quads of kind %d" kind) true
+        (count >= 20))
+    kinds
+
+(* The kernel is compiled for several ISAs and dispatches to the widest
+   this CPU has; every variant the CPU supports must give the bits of
+   the baseline variant and of the naive / [`Direct] references, the
+   fused-multiply-add trap included. *)
+let test_isa_variants () =
+  let rng = Rng.create 0xC0420 in
+  Alcotest.(check bool) "the dispatched variant is compiled in" true
+    (List.mem (T.gemm_isa ()) T.gemm_isa_variants);
+  Alcotest.(check bool) "the baseline variant is compiled in" true
+    (List.mem "baseline" T.gemm_isa_variants);
+  let mats =
+    List.map
+      (fun (m, k, n) -> (T.randn rng [| m; k |], T.randn rng [| k; n |]))
+      [ (5, 7, 13); (7, kb + 3, 21); (3, 256, 1001); (201, 1000, 3) ]
+  in
+  let c = { ci = 8; co = 7; h = 19; w = 17; kh = 3; kw = 3; stride = 2;
+            pad = 1; with_bias = true } in
+  let x, w, bias = make_inputs rng c in
+  let y = T.conv2d ~stride:2 ~pad:1 x ~weight:w ~bias:None in
+  let gout = T.randn rng (T.shape y) in
+  let tw = T.randn rng [| 8; 7; 4; 4 |] in
+  let kernels =
+    List.map
+      (fun (a, b) ->
+        (Printf.sprintf "matmul %dx%dx%d" (T.dim a 0) (T.dim a 1) (T.dim b 1),
+         (fun () -> naive_matmul a b), fun () -> T.matmul a b))
+      mats
+    @ List.map
+        (fun (what, f) ->
+          (what, (fun () -> f `Direct), fun () -> f `Gemm))
+        [
+          ("conv2d", fun engine ->
+              T.conv2d ~stride:2 ~pad:1 ~engine x ~weight:w ~bias);
+          ("backward_input", fun engine ->
+              T.conv2d_backward_input ~stride:2 ~pad:1 ~engine
+                ~input_shape:(T.shape x) ~weight:w gout);
+          ("backward_weight", fun engine ->
+              T.conv2d_backward_weight ~stride:2 ~pad:1 ~engine ~input:x
+                ~weight_shape:(T.shape w) gout);
+          ("conv2d_transpose", fun engine ->
+              T.conv2d_transpose ~stride:2 ~pad:1 ~engine x ~weight:tw
+                ~bias:None);
+        ]
+  in
+  (* FMA trap as in "matmul == naive reference": exactly 0 without a
+     fused multiply-add *)
+  let xt = 1. +. ldexp 1. (-27) in
+  let ta =
+    T.init [| 5; 2 |] (fun idx ->
+        if idx.(1) = 0 then -.(1. +. ldexp 1. (-26)) else xt)
+  in
+  let tb = T.init [| 2; 5 |] (fun idx -> if idx.(0) = 0 then 1. else xt) in
+  let run_all () =
+    List.map (fun (_, _, gemm) -> gemm ()) kernels
+  in
+  let baseline =
+    match T.with_gemm_isa "baseline" (fun () -> run_all ()) with
+    | Some r -> r
+    | None -> Alcotest.fail "the baseline variant must run on every CPU"
+  in
+  let exercised =
+    List.filter
+      (fun isa ->
+        let ran =
+          T.with_gemm_isa isa (fun () ->
+              on_both_schedules (fun sched ->
+                  let tag what = Printf.sprintf "%s %s %s" what isa sched in
+                  List.iter2
+                    (fun (what, reference, gemm) base ->
+                      let r = gemm () in
+                      check_bits (tag what ^ " vs baseline") base r;
+                      check_bits (tag what ^ " vs reference") (reference ()) r)
+                    kernels baseline;
+                  check_bits (tag "no fused multiply-add")
+                    (T.zeros [| 5; 5 |]) (T.matmul ta tb)))
+        in
+        Option.is_some ran)
+      T.gemm_isa_variants
+  in
+  Printf.printf "gemm ISA variants exercised: %s (dispatched: %s)\n"
+    (String.concat ", " exercised) (T.gemm_isa ());
+  Alcotest.(check bool) "the dispatched variant was exercised" true
+    (List.mem (T.gemm_isa ()) exercised);
+  Alcotest.(check bool) "an unknown variant is refused" true
+    (Option.is_none (T.with_gemm_isa "no-such-isa" (fun () -> ())))
 
 let test_auto_matches_forced_engines () =
   let rng = Rng.create 0xC041B in
@@ -510,6 +764,8 @@ let test_kernels_allocation_free () =
       Alcotest.failf "%s allocates %.0f minor words per call (budget %.0f)" what
         words budget
   in
+  let ma = T.randn rng [| 64; 72 |] and mb = T.randn rng [| 72; 100 |] in
+  check "matmul" (fun () -> T.matmul ma mb);
   check "conv2d" (fun () -> T.conv2d ~pad:1 x ~weight:w ~bias:b);
   check "conv2d_batch" (fun () -> T.conv2d_batch ~pad:1 xb ~weight:w ~bias:b);
   check "conv2d_backward_input" (fun () ->
@@ -551,6 +807,12 @@ let suites =
           test_transpose_random;
         Alcotest.test_case "matmul == naive reference" `Quick
           test_matmul_vs_reference;
+        Alcotest.test_case "gather-GEMM blocking edges" `Quick
+          test_blocking_edges;
+        Alcotest.test_case "every ISA variant gives the same bits" `Quick
+          test_isa_variants;
+        Alcotest.test_case "gemm_gather == its definition" `Quick
+          test_gather_definition;
         Alcotest.test_case "auto == forced engines" `Quick
           test_auto_matches_forced_engines;
         Alcotest.test_case "stride phases without taps or pixels" `Quick

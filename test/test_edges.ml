@@ -138,6 +138,70 @@ let test_tensor_conv_malformed () =
       T.conv2d_backward_weight ~pad:1 ~input:x ~weight_shape:[| 4; 3; 3; 3 |]
         gout)
 
+(* [Tensor.gemm_gather] hands raw arrays to an unchecked C kernel, so
+   every length and the descriptors' reach into the source are checked
+   before any read; a short array or an outlying offset must raise,
+   never read or write out of bounds. *)
+let test_gemm_gather_bounds () =
+  let m = 2 and k = 3 and n = 5 in
+  let a = Array.init (m * k) float_of_int in
+  let b = Array.init (k * n) (fun i -> float_of_int (i + 1)) in
+  (* dense descriptors: row p at p*n, column j at x = j, one 1 x n plane *)
+  let rows = Array.init (3 * k) (fun i -> if i mod 3 = 0 then i / 3 * n else 0) in
+  let cols = Array.init (3 * n) (fun i -> if i mod 3 = 2 then i / 3 else 0) in
+  let call ?(m = m) ?(src = b) ?(rows = rows) ?(cols = cols) ?(a = a)
+      ?(out = Array.make (m * n) 0.) ?(h = 1) ?(w = n) () =
+    T.gemm_gather ~m ~k ~n ~h ~w src rows cols a out;
+    out
+  in
+  let expected = T.matmul (T.make [| m; k |] a) (T.make [| k; n |] b) in
+  Alcotest.(check bool) "well-formed call = matmul" true
+    (T.approx_equal ~eps:0. expected (T.make [| m; n |] (call ())));
+  let short = "Tensor.gemm_gather: array shorter than its shape"
+  and outside = "Tensor.gemm_gather: descriptors reach outside the source" in
+  let raises what msg f =
+    Alcotest.check_raises what (Invalid_argument msg) (fun () -> ignore (f ()))
+  in
+  raises "short a" short (fun () -> call ~a:(Array.make ((m * k) - 1) 0.) ());
+  raises "short out" short (fun () -> call ~out:(Array.make ((m * n) - 1) 0.) ());
+  raises "short rows" short (fun () -> call ~rows:(Array.sub rows 0 ((3 * k) - 1)) ());
+  raises "short cols" short (fun () -> call ~cols:(Array.sub cols 0 ((3 * n) - 1)) ());
+  raises "short src" outside (fun () -> call ~src:(Array.sub b 0 ((k * n) - 1)) ());
+  let bumped d i v = Array.mapi (fun j x -> if j = i then v else x) d in
+  raises "row offset past the source" outside (fun () ->
+      call ~rows:(bumped rows (3 * (k - 1)) (k * n)) ());
+  raises "column offset past the source" outside (fun () ->
+      call ~cols:(bumped cols 0 1) ());
+  raises "negative offset" outside (fun () -> call ~rows:(bumped rows 0 (-1)) ());
+  (* a plane larger than the source: y < h may reach past its end *)
+  raises "plane taller than the source" outside (fun () -> call ~h:2 ());
+  raises "negative dimension" "Tensor.gemm_gather: negative dimension"
+    (fun () -> call ~m:(-1) ~out:[||] ());
+  (* sizes whose products wrap: m*k = m*n = 2^63 = 0 in OCaml ints *)
+  raises "m*k and m*n wrap to 0" short (fun () ->
+      T.gemm_gather ~m:(1 lsl 61) ~k:4 ~n:4 ~h:1 ~w:4 b (Array.make 12 0)
+        (Array.make 12 0) [||] [||]);
+  raises "h*w wraps" outside (fun () -> call ~h:(1 lsl 61) ~w:8 ());
+  (* an offset of max_int: max off_p + ... + (w-1) wraps to below 0 *)
+  raises "row offset max_int" outside (fun () ->
+      call ~rows:(bumped rows 3 max_int) ~w:2 ());
+  raises "column offset max_int" outside (fun () ->
+      call ~cols:(bumped cols 0 max_int) ());
+  (* coordinates whose sums or products in the kernel would wrap *)
+  raises "row y near max_int" outside (fun () ->
+      call ~rows:(bumped rows 1 (max_int / 2)) ());
+  raises "column x near min_int" outside (fun () ->
+      call ~cols:(bumped cols 2 min_int) ());
+  (* an empty image: every element of B is outside it, so nothing of
+     the (empty) source is read and each output adds only zero terms *)
+  Alcotest.(check (array (float 0.))) "empty image" (Array.make (m * n) 0.)
+    (call ~src:[||] ~h:0 ());
+  let x = T.zeros [| 2; 0; 5 |] and w = T.randn (Rng.create 5) [| 3; 2; 3; 3 |] in
+  Alcotest.(check bool) "conv2d over an empty image, gemm = direct" true
+    (T.approx_equal ~eps:0.
+       (T.conv2d ~pad:2 ~engine:`Direct x ~weight:w ~bias:None)
+       (T.conv2d ~pad:2 ~engine:`Gemm x ~weight:w ~bias:None))
+
 let test_tensor_empty_and_tiny () =
   let e = T.zeros [| 0 |] in
   Alcotest.(check (float 0.)) "sum of empty" 0. (T.sum e);
@@ -396,6 +460,7 @@ let suites =
         Alcotest.test_case "conv errors" `Quick test_tensor_conv_errors;
         Alcotest.test_case "malformed conv arguments" `Quick
           test_tensor_conv_malformed;
+        Alcotest.test_case "gemm_gather bounds" `Quick test_gemm_gather_bounds;
         Alcotest.test_case "empty and tiny" `Quick test_tensor_empty_and_tiny;
         Alcotest.test_case "resize degenerate" `Quick test_resize_degenerate;
       ] );
