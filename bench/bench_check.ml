@@ -20,10 +20,7 @@
                          Catches "the new engine is slower than the one
                          we shipped" even when speedup still looks fine.
      4. per-op floors  - some rows promise more than "parallel is not
-                         slower": predict_i8's speedup column is int8
-                         time vs the float32 reference, and the
-                         quantized engine ships with a >= 2x contract;
-                         serve_fleet's is 2-shard over 1-shard wall
+                         slower": serve_fleet's is 2-shard over 1-shard wall
                          time, with a >= 1.5x scaling contract on
                          multi-core hosts (the fresh file's "cores"
                          header says what the bench machine had);
@@ -206,7 +203,6 @@ let () =
       let verdicts = ref [] in
       let floor =
         match r.op with
-        | "predict_i8" -> 2.0
         (* warm-started incremental re-route promises >= 2x over a cold
            re-route of the same perturbed placement; the ratio compares
            two routing runs on the same schedule, so it holds at any

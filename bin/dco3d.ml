@@ -554,30 +554,6 @@ let pp_address = function
   | Server.Unix_path p -> Printf.sprintf "unix:%s" p
   | Server.Tcp (h, p) -> Printf.sprintf "tcp:%s:%d" h p
 
-(* A model file on disk is either a float32 predictor ("DCO3D-PRED…")
-   or a pre-quantized one ("DCO3D-QPRED…"); sniff the magic so every
-   subcommand accepts both without a format flag. *)
-let sniff_quantized path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () ->
-      let want = "DCO3D-QPRED" in
-      let n = String.length want in
-      try really_input_string ic n = want with End_of_file -> false)
-
-let load_any_model path =
-  if sniff_quantized path then Predictor.load_quantized path
-  else Predictor.load path
-
-let numeric_t =
-  let numeric_conv = Arg.enum [ ("f32", `F32); ("i8", `I8) ] in
-  Arg.(
-    value & opt numeric_conv `F32
-    & info [ "numeric" ] ~docv:"PATH"
-        ~doc:
-          "Inference numeric path: $(b,f32) (reference) or $(b,i8)            (quantized engine; weights are quantized at startup unless            the model file is already quantized).")
-
 (* ------------------------------------------------------------------ *)
 (* thermal                                                              *)
 (* ------------------------------------------------------------------ *)
@@ -754,10 +730,10 @@ let thermal_cmd =
 
 let serve_cmd =
   let run () socket port model seed input_hw queue_cap max_batch linger_ms
-      cache_cap numeric shard_of shard_id spill_dir route_cache_dir corpus_dir =
+      cache_cap shard_of shard_id spill_dir route_cache_dir corpus_dir =
     let predictor =
       match model with
-      | Some path -> load_any_model path
+      | Some path -> Predictor.load path
       | None ->
           (* No trained weights: serve a freshly initialized network.
              Exercises the full daemon (batching, caching, flow jobs)
@@ -771,7 +747,6 @@ let serve_cmd =
         max_batch;
         batch_linger_ms = linger_ms;
         cache_capacity = cache_cap;
-        numeric;
         spill_dir;
         route_cache_dir;
         corpus_dir;
@@ -796,11 +771,9 @@ let serve_cmd =
           ->
             Obs.set_profile_dest (Printf.sprintf "%s.shard%d" d shard_id)
         | _ -> ());
-        Printf.printf
-          "dco3d serve: shard %d attached to %s (model %s, numeric %s)\n%!"
+        Printf.printf "dco3d serve: shard %d attached to %s (model %s)\n%!"
           shard_id ctl_path
-          (match model with Some p -> p | None -> "untrained")
-          (Server.numeric_name numeric);
+          (match model with Some p -> p | None -> "untrained");
         match Shard.run ~ctl_path cfg predictor with
         | Shard.Drained ->
             Printf.printf "dco3d serve: shard %d drained and stopped\n%!"
@@ -826,10 +799,9 @@ let serve_cmd =
                let (_ : int) = Thread.wait_signal stop_sigs in
                Server.request_stop srv)
              ());
-        Printf.printf "dco3d serve: listening on %s (model %s, numeric %s)\n%!"
+        Printf.printf "dco3d serve: listening on %s (model %s)\n%!"
           (pp_address (Server.bound_addr srv))
-          (match model with Some p -> p | None -> "untrained")
-          (Server.numeric_name numeric);
+          (match model with Some p -> p | None -> "untrained");
         Server.wait srv;
         print_endline "dco3d serve: drained and stopped";
         List.iter
@@ -902,7 +874,7 @@ let serve_cmd =
              of a balanced fleet instead.")
     Term.(
       const run $ setup_t $ socket_t $ port_t $ model_t $ seed_t $ hw_t
-      $ queue_t $ batch_t $ linger_t $ cache_t $ numeric_t $ shard_of_t
+      $ queue_t $ batch_t $ linger_t $ cache_t $ shard_of_t
       $ shard_id_t $ spill_t $ route_cache_t $ corpus_cache_t)
 
 (* ------------------------------------------------------------------ *)
@@ -910,7 +882,7 @@ let serve_cmd =
 (* ------------------------------------------------------------------ *)
 
 let balance_cmd =
-  let run () socket port ctl shards numerics model seed input_hw queue_cap
+  let run () socket port ctl shards model seed input_hw queue_cap
       max_batch linger_ms cache_cap spill_root route_cache_dir corpus_dir =
     (* the shards would start and then fail every predict *)
     if model = None then ignore (untrained_predictor ~seed ~input_hw);
@@ -922,27 +894,6 @@ let balance_cmd =
           match addr with
           | Server.Unix_path p -> p ^ ".ctl"
           | Server.Tcp _ -> "dco3d-balance.ctl")
-    in
-    (* One numeric path per shard, comma-separated; shorter lists
-       repeat their last entry, so "--numerics f32,i8" with 4 shards
-       means one f32 shard and three i8. *)
-    let numeric_of =
-      let parsed =
-        String.split_on_char ',' numerics
-        |> List.map String.trim
-        |> List.filter (fun s -> s <> "")
-      in
-      List.iter
-        (fun n ->
-          if n <> "f32" && n <> "i8" then begin
-            Printf.eprintf "dco3d balance: bad numeric %S (want f32|i8)\n" n;
-            exit 2
-          end)
-        parsed;
-      fun i ->
-        match parsed with
-        | [] -> "f32"
-        | l -> ( try List.nth l i with _ -> List.nth l (List.length l - 1))
     in
     let argv_of i =
       let base =
@@ -965,8 +916,6 @@ let balance_cmd =
           Printf.sprintf "%g" linger_ms;
           "--cache-capacity";
           string_of_int cache_cap;
-          "--numeric";
-          numeric_of i;
         ]
       in
       let with_model =
@@ -1042,9 +991,8 @@ let balance_cmd =
     print_endline "dco3d balance: drained and stopped";
     List.iter
       (fun s ->
-        Printf.printf "  shard %d: %s, %d restarts, numeric %s\n"
-          s.Balance.si_idx s.Balance.si_state s.Balance.si_restarts
-          s.Balance.si_numeric)
+        Printf.printf "  shard %d: %s, %d restarts\n" s.Balance.si_idx
+          s.Balance.si_state s.Balance.si_restarts)
       (Balance.slots b)
   in
   let ctl_t =
@@ -1059,18 +1007,12 @@ let balance_cmd =
       value & opt int 2
       & info [ "shards" ] ~docv:"N" ~doc:"Number of shard daemons to run.")
   in
-  let numerics_t =
-    Arg.(
-      value & opt string "f32"
-      & info [ "numerics" ] ~docv:"LIST"
-          ~doc:"Comma-separated numeric path per shard ($(b,f32)|$(b,i8));            a shorter list repeats its last entry.  E.g.            $(b,--shards 2 --numerics f32,i8) serves both engines            behind one endpoint.")
-  in
   let model_t =
     Arg.(
       value
       & opt (some string) None
       & info [ "model" ] ~docv:"FILE"
-          ~doc:"Model file every shard serves (f32 or pre-quantized).            Without it shards serve the seeded untrained network.")
+          ~doc:"Predictor file every shard serves.  Without it shards            serve the seeded untrained network.")
   in
   let hw_t =
     Arg.(
@@ -1118,101 +1060,9 @@ let balance_cmd =
              restarted; SIGHUP performs a rolling, zero-downtime \
              restart; SIGTERM/SIGINT drain the fleet and stop.")
     Term.(
-      const run $ setup_t $ socket_t $ port_t $ ctl_t $ shards_t $ numerics_t
+      const run $ setup_t $ socket_t $ port_t $ ctl_t $ shards_t
       $ model_t $ seed_t $ hw_t $ queue_t $ batch_t $ linger_t $ cache_t
       $ spill_t $ route_cache_t $ corpus_cache_t)
-
-(* ------------------------------------------------------------------ *)
-(* quantize                                                             *)
-(* ------------------------------------------------------------------ *)
-
-let quantize_cmd =
-  let run () model seed input_hw output report design scale gcell samples =
-    let predictor =
-      match model with
-      | Some path -> Predictor.load path
-      | None -> untrained_predictor ~seed ~input_hw
-    in
-    Predictor.save_quantized predictor output;
-    (* Reload what was just written: the parity check below then
-       covers the persisted artifact, not the in-memory compilation. *)
-    let q = Predictor.load_quantized output in
-    Printf.printf "quantized model written to %s\n" output;
-    Printf.printf "  f32 fingerprint %s\n"
-      (Predictor.fingerprint ~numeric:`F32 predictor);
-    Printf.printf "  i8  fingerprint %s\n"
-      (Predictor.fingerprint ~numeric:`I8 q);
-    (* Golden parity on real feature stacks: place the design at a few
-       seeds and compare the quantized predictions against the float32
-       reference on both dies. *)
-    let pairs =
-      Array.init samples (fun i ->
-          let s = seed + i in
-          let nl = netlist_of design scale s in
-          let fp = P.Floorplan.create ~gcell_nx:gcell ~gcell_ny:gcell nl in
-          let p = P.Placer.global_place ~seed:s ~params:P.Params.default nl fp in
-          Fm.both_dies p ~nx:gcell ~ny:gcell)
-    in
-    let f32 = Predictor.predict_batch ~numeric:`F32 predictor pairs in
-    let i8 = Predictor.predict_batch ~numeric:`I8 q pairs in
-    let rep = Dco3d_core.Parity.compare ~f32 ~i8 in
-    Dco3d_core.Parity.pp stdout rep;
-    print_newline ();
-    Option.iter
-      (fun path ->
-        let oc = open_out path in
-        output_string oc (Dco3d_core.Parity.to_json rep);
-        output_char oc '\n';
-        close_out oc;
-        Printf.printf "parity report written to %s\n" path)
-      report;
-    match Dco3d_core.Parity.check rep with
-    | Ok () -> ()
-    | Error msg ->
-        Printf.eprintf "dco3d quantize: parity violation: %s\n" msg;
-        exit 1
-  in
-  let model_t =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "model" ] ~docv:"FILE"
-          ~doc:"Float32 predictor from $(b,dco3d train).  Without it an            untrained network is quantized (CI smoke mode).")
-  in
-  let hw_t =
-    Arg.(
-      value & opt int 32
-      & info [ "input-hw" ] ~docv:"N"
-          ~doc:"Network resolution for the untrained fallback model.")
-  in
-  let out_t =
-    Arg.(
-      value
-      & opt string "predictor.i8.bin"
-      & info [ "o"; "output" ] ~docv:"FILE"
-          ~doc:"Where to save the quantized model.")
-  in
-  let report_t =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "report" ] ~docv:"FILE"
-          ~doc:"Write the golden-parity report as one-line JSON to $(docv).")
-  in
-  let samples_t =
-    Arg.(
-      value & opt int 2
-      & info [ "samples" ] ~docv:"N"
-          ~doc:"Placements (consecutive seeds) used for the parity check.")
-  in
-  Cmd.v
-    (Cmd.info "quantize"
-       ~doc:"Quantize a trained predictor to the int8 inference format \
-             and gate it against its own float32 golden reference \
-             (non-zero exit on a parity violation).")
-    Term.(
-      const run $ setup_t $ model_t $ seed_t $ hw_t $ out_t $ report_t
-      $ design_t $ scale_t $ gcell_t $ samples_t)
 
 let client_cmd =
   let run () socket port action design scale seed gcell repeat timeout_ms
@@ -1226,12 +1076,10 @@ let client_cmd =
         let want =
           match r with
           | "any" -> Proto.Want_any
-          | "f32" | "i8" -> Proto.Want_numeric r
           | fp -> Proto.Want_fingerprint fp
         in
-        let fp, shard, num = Client.hello ~want c in
-        Printf.printf "hello: shard %d (numeric %s, fingerprint %s)\n" shard
-          num fp);
+        let fp, shard, _ = Client.hello ~want c in
+        Printf.printf "hello: shard %d (fingerprint %s)\n" shard fp);
     match action with
     | `Ping ->
         let t0 = Unix.gettimeofday () in
@@ -1324,7 +1172,7 @@ let client_cmd =
       value
       & opt (some string) None
       & info [ "route" ] ~docv:"WANT"
-          ~doc:"Send a $(b,Hello) first to pin the route through a            $(b,dco3d balance) front: $(b,any), $(b,f32), $(b,i8), or            a model fingerprint.")
+          ~doc:"Send a $(b,Hello) first to pin the route through a            $(b,dco3d balance) front: $(b,any) or a model            fingerprint.")
   in
   let retry_t =
     Arg.(
@@ -1597,7 +1445,6 @@ let main =
       train_cmd;
       optimize_cmd;
       thermal_cmd;
-      quantize_cmd;
       corpus_cmd;
       serve_cmd;
       balance_cmd;

@@ -124,35 +124,29 @@ let train ?(epochs = 12) ?(lr = 2e-3) ?(input_hw = 32) ?(base_channels = 8)
   done;
   (t, { train_loss; test_loss; epochs })
 
-let predict_batch ?(numeric = `F32) t pairs =
+let predict_batch t pairs =
   let fmap = fmap ~input_hw:t.input_hw in
   let outs =
-    SiaUNet.predict_batch ~numeric t.net
+    SiaUNet.predict_batch t.net
       (Array.map (fun (f0, f1) -> (fmap f0, fmap f1)) pairs)
   in
   Array.map2
     (fun (like, _) (c0, c1) -> (post t ~like c0, post t ~like c1))
     pairs outs
 
-let predict ?(numeric = `F32) t f_bottom f_top =
-  match numeric with
-  | `I8 -> (predict_batch ~numeric t [| (f_bottom, f_top) |]).(0)
-  | `F32 ->
-      let fmap = fmap ~input_hw:t.input_hw in
-      let c0, c1 = SiaUNet.predict t.net (fmap f_bottom) (fmap f_top) in
-      (post t ~like:f_bottom c0, post t ~like:f_bottom c1)
+let predict t f_bottom f_top =
+  let fmap = fmap ~input_hw:t.input_hw in
+  let c0, c1 = SiaUNet.predict t.net (fmap f_bottom) (fmap f_top) in
+  (post t ~like:f_bottom c0, post t ~like:f_bottom c1)
 
-let fingerprint ?(numeric = `F32) t =
-  (* the numeric path is part of the model identity: an int8 and a
-     float predictor must never share a serve-cache key *)
-  let net_fp =
-    match numeric with
-    | `F32 -> ("f32", SiaUNet.fingerprint t.net)
-    | `I8 -> ("i8", SiaUNet.qnet_fingerprint (SiaUNet.quantized t.net))
-  in
+let fingerprint t =
+  (* The "f32" tag is part of the digested value: serve cache keys,
+     spill files and ledger goldens were all made with it. *)
   Digest.to_hex
     (Digest.string
-       (Marshal.to_string (t.input_hw, t.label_scale, net_fp) []))
+       (Marshal.to_string
+          (t.input_hw, t.label_scale, ("f32", SiaUNet.fingerprint t.net))
+          []))
 
 let evaluate t (d : Dataset.t) =
   (* metrics at the network resolution H x W, as the paper evaluates at
@@ -170,33 +164,24 @@ let evaluate t (d : Dataset.t) =
          [ score p0 s.Dataset.c_bottom; score p1 s.Dataset.c_top ])
 
 (* A predictor on disk: a magic-tagged (resolution, label scale) header
-   plus a companion file holding the network — [.net] float weights, or
-   a [.qnet] int8 compilation for the standalone quantized artifact. *)
+   plus a companion [.net] file holding the network weights. *)
 let magic = "DCO3D-PREDICTOR-V1"
-let qmagic = "DCO3D-QPRED-V1"
 
-let save_header ~magic t path =
+let save t path =
   let oc = open_out_bin path in
   Fun.protect
     ~finally:(fun () -> close_out oc)
     (fun () ->
       output_string oc magic;
-      Marshal.to_channel oc (t.input_hw, t.label_scale) [])
-
-let save t path =
-  save_header ~magic t path;
+      Marshal.to_channel oc (t.input_hw, t.label_scale) []);
   SiaUNet.save t.net (path ^ ".net")
-
-let save_quantized t path =
-  save_header ~magic:qmagic t path;
-  SiaUNet.save_quantized (SiaUNet.quantized t.net) (path ^ ".qnet")
 
 exception Load_error of string
 
 let load_error path cause =
   raise (Load_error (Printf.sprintf "Predictor.load: %s: %s" path cause))
 
-let load_with ~magic ~load_net path =
+let load ?expect path =
   let ic =
     try open_in_bin path with Sys_error msg -> load_error path msg
   in
@@ -215,7 +200,8 @@ let load_with ~magic ~load_net path =
   let net =
     (* the companion network file is part of the same on-disk artifact,
        so its failures surface as this module's Load_error too *)
-    try load_net () with SiaUNet.Load_error msg -> raise (Load_error msg)
+    try SiaUNet.load ?expect (path ^ ".net")
+    with SiaUNet.Load_error msg -> raise (Load_error msg)
   in
   (* Cross-check the pair of files: a swapped-in network file that
      Marshal-decodes fine must still agree with the data pipeline and
@@ -224,11 +210,3 @@ let load_with ~magic ~load_net path =
   match mismatch net ~input_hw ~label_scale with
   | Some cause -> load_error path cause
   | None -> { net; input_hw; label_scale }
-
-let load ?expect path =
-  load_with ~magic ~load_net:(fun () -> SiaUNet.load ?expect (path ^ ".net")) path
-
-let load_quantized path =
-  load_with ~magic:qmagic
-    ~load_net:(fun () -> SiaUNet.load_quantized (path ^ ".qnet"))
-    path

@@ -3,9 +3,8 @@
     A layer is a plain description — convolutions, dense layers and
     activations composed with {!seq} — whose leaves hold the trainable
     {!Dco3d_autodiff.Value.t} parameters.  Two interpreters walk it:
-    {!forward} records it on the autodiff tape, and {!Quant} compiles
-    it into a batched inference program (float32, or int8 where the
-    policy allows).  Weight sharing (the Siamese property of the
+    {!forward} records it on the autodiff tape, and {!forward_batch}
+    runs it over a batch of plain tensors for inference.  Weight sharing (the Siamese property of the
     paper's predictor) is obtained simply by applying the same layer
     value to several inputs. *)
 
@@ -34,6 +33,14 @@ type t =
 val forward : t -> Dco3d_autodiff.Value.t -> Dco3d_autodiff.Value.t
 (** Apply the layer on the autodiff tape.  Convolutions take rank-3
     [[c; h; w]] inputs, {!Linear} rank-2 [[n; in_dim]] (row-wise). *)
+
+val forward_batch : t -> Dco3d_tensor.Tensor.t -> Dco3d_tensor.Tensor.t
+(** Apply the layer to a rank-4 [[n; c; h; w]] batch, off the tape,
+    reading the current weights in place.  Element [b] of the result is
+    bit-identical to {!forward} on sample [b] alone, at every
+    [DCO3D_JOBS] value.
+    @raise Invalid_argument on {!Linear}, which has no batched
+    lowering. *)
 
 val params : t -> Dco3d_autodiff.Value.t list
 (** Trainable leaves in layer order, each weight before its bias. *)

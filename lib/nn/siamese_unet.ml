@@ -5,21 +5,12 @@ type config = { in_channels : int; base_channels : int; depth : int }
 
 let default_config = { in_channels = 8; base_channels = 8; depth = 2 }
 
-(* The int8 compilation of a network: one Quant program per layer, in
-   [layers] order, plus a fingerprint over every quantized bit. *)
-type qnet = { q_cfg : config; q_progs : Quant.t array; q_fp : string }
-
-(* Layers in one flat array, the order of [params] and of a persisted
-   [.qnet]: per resolution level (0 = full resolution) the encoder
-   double conv, the transposed conv from the level below and the
-   decoder double conv; then the bottleneck, the communication layer's
-   self and cross pointwise convs, and the 1x1 head. *)
-type t = {
-  cfg : config;
-  layers : Layer.t array;
-  mutable qcache : qnet option;
-      (** memoized int8 compilation; invalidated on weight load *)
-}
+(* Layers in one flat array, the order of [params]: per resolution
+   level (0 = full resolution) the encoder double conv, the transposed
+   conv from the level below and the decoder double conv; then the
+   bottleneck, the communication layer's self and cross pointwise
+   convs, and the 1x1 head. *)
+type t = { cfg : config; layers : Layer.t array }
 
 let enc l = 3 * l
 let up l = (3 * l) + 1
@@ -84,12 +75,12 @@ let create rng cfg =
     Array.concat
       (Array.to_list levels @ [ [| bottleneck; comm_self; comm_cross; head |] ])
   in
-  { cfg; layers; qcache = None }
+  { cfg; layers }
 
 (* ------------------------------------------------------------------ *)
 (* The Siamese topology (Fig. 3), written once over the operations it *)
-(* needs.  One instance runs on the autodiff tape, one on compiled    *)
-(* batched programs.  Operand order is part of the contract: it fixes *)
+(* needs.  One instance runs on the autodiff tape, one on batches of  *)
+(* plain tensors.  Operand order is part of the contract: it fixes    *)
 (* the tape's parent lists and hence the backward order.              *)
 (* ------------------------------------------------------------------ *)
 
@@ -156,61 +147,20 @@ let predict net f0 f1 =
   (to_map c0, to_map c1)
 
 (* ------------------------------------------------------------------ *)
-(* Batched inference: the topology over one Quant program per layer.  *)
+(* Batched inference: the topology over [Layer.forward_batch].        *)
 (* ------------------------------------------------------------------ *)
 
-(* Float32 compiles every layer with no int8 unit: each conv is one
-   batched im2col/GEMM call for the whole batch, bit-identical to the
-   per-sample tape forward (the batched kernels only add GEMM columns,
-   the elementwise steps use the same scalar formulas), which is what
-   lets the serve micro-batcher coalesce requests without changing any
-   reply bit.  Int8 runs the memoized quantized programs; per-sample
-   activation scales keep the same batching contract. *)
-
-let q_fingerprint_of cfg progs =
-  Digest.to_hex
-    (Digest.string
-       (Marshal.to_string
-          ("i8", cfg, List.map Quant.to_parts (Array.to_list progs))
-          []))
-
-let qnet_fingerprint q = q.q_fp
-
-let quantized net =
-  match net.qcache with
-  | Some q -> q
-  | None ->
-      (* The second conv of the level-0 encoder stays float32.  Its
-         output is the full-resolution skip tensor, so any quantization
-         error there reaches the prediction twice — directly through the
-         skip concatenation into the last decoder block and again
-         through the pooled deep path — which makes it the single
-         largest contributor to int8/f32 divergence (measured on the
-         golden-parity harness).  Pinning that one conv costs a single
-         full-resolution conv at the network's thinnest channel count;
-         everything else with spatial extent quantizes. *)
-      let q_progs =
-        Array.mapi
-          (fun i l ->
-            if i = enc 0 then Quant.of_layer ~quantize_conv:(fun c -> c <> 1) l
-            else Quant.of_layer l)
-          net.layers
-      in
-      let q = { q_cfg = net.cfg; q_progs; q_fp = q_fingerprint_of net.cfg q_progs } in
-      net.qcache <- Some q;
-      q
-
-let predict_batch ?(numeric = `F32) net pairs =
+(* Each conv is one batched gather-GEMM call for the whole batch,
+   bit-identical to the per-sample tape forward (the batched kernels
+   only add GEMM columns, the elementwise steps use the same scalar
+   formulas), which is what lets the serve micro-batcher coalesce
+   requests without changing any reply bit. *)
+let predict_batch net pairs =
   if Array.length pairs = 0 then [||]
   else begin
-    let progs =
-      match numeric with
-      | `F32 -> Array.map (Quant.of_layer ~quantize_conv:(fun _ -> false)) net.layers
-      | `I8 -> (quantized net).q_progs
-    in
     let ops =
       {
-        layer = (fun i x -> Quant.forward_batch progs.(i) x);
+        layer = (fun i x -> Layer.forward_batch net.layers.(i) x);
         pool = T.maxpool2_batch;
         concat = T.concat_channels_batch;
         merge = (fun a b -> T.leaky_relu 0.1 (T.add a b));
@@ -236,10 +186,7 @@ let num_params net = Layer.num_params (as_layer net)
 let config net = net.cfg
 let state net = Layer.state (as_layer net)
 
-let load_state net snapshot =
-  Layer.load_state (as_layer net) snapshot;
-  (* the memoized int8 compilation captured the old weights *)
-  net.qcache <- None
+let load_state net snapshot = Layer.load_state (as_layer net) snapshot
 
 (* Every weight as plain (shape, data): what [fingerprint] digests and
    [save] persists. *)
@@ -319,88 +266,3 @@ let load ?expect path =
         load_error path
           (Printf.sprintf "weights disagree with the declared architecture %s (%s)"
              (config_string cfg) msg))
-
-(* ------------------------------------------------------------------ *)
-(* Quantized persistence.                                              *)
-(*                                                                     *)
-(* A standalone int8 artifact: config plus the Quant parts of every    *)
-(* layer program, framed as magic + MD5 digest + payload so that any   *)
-(* corruption is caught deterministically at load, before any of the   *)
-(* packed bytes reach a kernel.                                        *)
-(* ------------------------------------------------------------------ *)
-
-let qmagic = "DCO3D-QUNET-V1"
-
-let save_quantized q path =
-  let payload =
-    Marshal.to_string
-      (q.q_cfg, List.map Quant.to_parts (Array.to_list q.q_progs))
-      []
-  in
-  let oc = open_out_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc qmagic;
-      output_string oc (Digest.string payload);
-      output_string oc payload)
-
-let qload_error path cause =
-  raise
-    (Load_error (Printf.sprintf "Siamese_unet.load_quantized: %s: %s" path cause))
-
-(* Rebuild the float32 parameter snapshot a quantized program implies:
-   the dequantized weights and stored biases, ordered exactly as the
-   layer's [params] (weight before bias, convs in program order). *)
-let state_of_program prog =
-  List.concat_map
-    (function
-      | Quant.F_conv { weight; bias; _ } -> weight :: Option.to_list bias
-      | _ -> [])
-    (Quant.dequantized prog).Quant.units
-
-let load_quantized path =
-  let ic = try open_in_bin path with Sys_error msg -> qload_error path msg in
-  let cfg, parts =
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () ->
-        try
-          let tag = really_input_string ic (String.length qmagic) in
-          if tag <> qmagic then qload_error path "bad file magic";
-          let digest = really_input_string ic 16 in
-          let len = in_channel_length ic - pos_in ic in
-          let payload = really_input_string ic len in
-          if Digest.string payload <> digest then
-            qload_error path "payload digest mismatch (corrupt file)";
-          (Marshal.from_string payload 0 : config * Quant.parts list)
-        with
-        | End_of_file -> qload_error path "truncated file"
-        | Failure msg -> qload_error path msg)
-  in
-  Option.iter
-    (fun cause -> qload_error path (invalid_architecture cfg cause))
-    (check_config cfg);
-  let n_layers = (3 * cfg.depth) + 4 in
-  if List.length parts <> n_layers then
-    qload_error path
-      (Printf.sprintf "expected %d layer programs, file holds %d" n_layers
-         (List.length parts));
-  let q_progs =
-    try Array.of_list (List.map Quant.of_parts parts)
-    with Invalid_argument msg -> qload_error path msg
-  in
-  let q = { q_cfg = cfg; q_progs; q_fp = q_fingerprint_of cfg q_progs } in
-  (* The float side of the returned network carries the dequantized
-     (fake-quantized) weights — the function the int8 path effectively
-     computes up to integer rounding — while the seeded qcache serves
-     the exact artifact on the int8 path. *)
-  try
-    let net = create (Dco3d_tensor.Rng.create 0) cfg in
-    load_state net (List.concat_map state_of_program (Array.to_list q_progs));
-    net.qcache <- Some q;
-    net
-  with Invalid_argument msg ->
-    qload_error path
-      (Printf.sprintf "programs disagree with the declared architecture %s (%s)"
-         (config_string cfg) msg)

@@ -10,8 +10,8 @@
     die exchange — swapping the inputs swaps the predictions.
 
     The topology is written once and run two ways: on the autodiff
-    tape ({!forward}), and over one compiled {!Quant} program per
-    layer ({!predict_batch}, float32 or int8).
+    tape ({!forward}), and over batches of plain tensors through
+    {!Layer.forward_batch} ({!predict_batch}).
 
     The network is an images-to-images model: it maps the per-die
     feature stacks [F0, F1 : [c_in; h; w]] to predicted post-route
@@ -35,8 +35,8 @@ val default_config : config
 val create : Dco3d_tensor.Rng.t -> config -> t
 (** A network with He-initialized weights drawn from the generator.
     @raise Invalid_argument unless [depth] is 1 or 2 and both channel
-    counts are positive — the same check {!load} and
-    {!load_quantized} apply to a file's stored architecture. *)
+    counts are positive — the same check {!load} applies to a file's
+    stored architecture. *)
 
 val forward :
   t ->
@@ -55,58 +55,17 @@ val predict :
 (** Inference on plain tensors; returns rank-2 [[h; w]] maps. *)
 
 val predict_batch :
-  ?numeric:[ `F32 | `I8 ] ->
   t ->
   (Dco3d_tensor.Tensor.t * Dco3d_tensor.Tensor.t) array ->
   (Dco3d_tensor.Tensor.t * Dco3d_tensor.Tensor.t) array
 (** [predict_batch net pairs] is {!predict} over a whole batch in one
     network pass: the [(f0, f1)] stacks are packed into rank-4
-    [[n; c; h; w]] tensors and every layer runs as its {!Quant}
-    program, so each conv is a single batched call.
-
-    [~numeric:`F32] (the default) compiles every layer with no int8
-    unit on each call.  Element [i] of the result is bit-identical to
+    [[n; c; h; w]] tensors and every layer runs through
+    {!Layer.forward_batch}, so each conv is a single batched call.
+    Element [i] of the result is bit-identical to
     [predict net (fst pairs.(i)) (snd pairs.(i))] at every
     [DCO3D_JOBS] value — the contract the serve micro-batcher and its
-    result cache depend on.
-
-    [~numeric:`I8] runs the memoized int8 compilation (see
-    {!quantized}) instead: spatial convs execute on the quantized
-    engine, within a small tolerance of the float path (the
-    golden-parity harness bounds the divergence).  Results are
-    bit-identical at every [DCO3D_JOBS] value, and per-sample
-    activation scales make element [i] independent of its
-    batchmates. *)
-
-(** {1 Quantized int8 inference} *)
-
-type qnet
-(** An int8 compilation of a network: one {!Quant} program per layer.
-    Spatial convolutions are quantized per output channel with fused
-    requantize/bias/activation epilogues, except the level-0 encoder's
-    second conv, which produces the full-resolution skip tensor and
-    stays float32; pointwise layers stay float32 too. *)
-
-val quantized : t -> qnet
-(** The network's int8 compilation, made once per weight state; the
-    cache is invalidated by {!load_state}. *)
-
-val qnet_fingerprint : qnet -> string
-(** Hex digest of the architecture plus every quantized bit (packed
-    int8 payloads, scales, float fallback weights), domain-separated
-    from {!fingerprint} — an int8 and a float model can never share a
-    cache key. *)
-
-val save_quantized : qnet -> string -> unit
-(** Persist a standalone int8 artifact (magic + digest framing). *)
-
-val load_quantized : string -> t
-(** Restore a network from an int8 artifact.  The returned network's
-    int8 path serves the artifact exactly ({!quantized} is pre-seeded);
-    its float path carries the dequantized ("fake-quantized") weights —
-    the function the int8 path computes up to integer rounding.
-    @raise Load_error on a missing, truncated, corrupt (digest
-    mismatch) or inconsistent file. *)
+    result cache depend on. *)
 
 val params : t -> Dco3d_autodiff.Value.t list
 val num_params : t -> int

@@ -52,7 +52,6 @@ type slot_info = {
   si_state : string;  (** "starting" | "live" | "draining" | "dead" *)
   si_pid : int;
   si_fingerprint : string;
-  si_numeric : string;
   si_restarts : int;
 }
 

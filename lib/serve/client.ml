@@ -79,8 +79,7 @@ let ping c =
 
 let hello ?(want = P.Want_any) c =
   match roundtrip c (P.Hello want) None with
-  | P.Hello_reply { h_fingerprint; h_shard; h_numeric } ->
-      (h_fingerprint, h_shard, h_numeric)
+  | P.Hello_reply { h_fingerprint; h_shard } -> (h_fingerprint, h_shard, "f32")
   | r -> fail_reply "hello" r
 
 type predict_outcome =

@@ -32,7 +32,10 @@ val ping : t -> unit
 
 val hello : ?want:Protocol.route_want -> t -> string * int * string
 (** Route pin + handshake: sends [Hello want] (default [Want_any]) and
-    returns the serving shard's [(fingerprint, shard_id, numeric)].
+    returns the serving shard's [(fingerprint, shard_id, "f32")].  The
+    third component is a constant: every shard serves the float
+    network; it stays so that callers destructuring the triple keep
+    compiling.
     Behind a balancer this must be the connection's first request —
     it is what the routing decision is made from. *)
 

@@ -14,10 +14,9 @@ type flow_spec = {
 }
 
 (* What a client asks the balancer to route it to.  Matching is against
-   the shard's numeric-aware model fingerprint. *)
+   the shard's model fingerprint. *)
 type route_want =
   | Want_any
-  | Want_numeric of string      (* "f32" | "i8" *)
   | Want_fingerprint of string
 
 (* The third async request class: corpus PPA cells and corpus dataset
@@ -88,13 +87,15 @@ type reply =
   | Overloaded of { queue_len : int; capacity : int }
   | Timed_out
   | Server_error of string
-  | Hello_reply of { h_fingerprint : string; h_shard : int; h_numeric : string }
+  | Hello_reply of { h_fingerprint : string; h_shard : int }
   | Corpus_status of corpus_status
 
 exception Protocol_error of string
 
 let magic = "DCO3D-SERVE-V1"
-let version = 1
+(* Bumped whenever a message type's Marshal layout changes, so a peer
+   built against another layout is refused instead of mis-decoded. *)
+let version = 2
 let max_frame_bytes = 256 * 1024 * 1024
 let header_bytes = String.length magic + 1 + 4 + 16
 
@@ -188,7 +189,6 @@ type shard_hello = {
   sh_pid : int;
   sh_shard : int;
   sh_fingerprint : string;
-  sh_numeric : string;
 }
 
 let encode_shard_hello (h : shard_hello) = Marshal.to_string h []

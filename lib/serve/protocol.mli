@@ -31,7 +31,6 @@ type flow_spec = {
 
 type route_want =
   | Want_any  (** any live shard *)
-  | Want_numeric of string  (** a shard serving this numeric path ("f32"/"i8") *)
   | Want_fingerprint of string  (** a shard with exactly this model fingerprint *)
 
 (** The third async request class: corpus PPA cells and corpus dataset
@@ -113,7 +112,7 @@ type reply =
       (** backpressure: the predict queue is past its high-water mark *)
   | Timed_out
   | Server_error of string
-  | Hello_reply of { h_fingerprint : string; h_shard : int; h_numeric : string }
+  | Hello_reply of { h_fingerprint : string; h_shard : int }
       (** answer to [Hello]: which shard the connection landed on *)
   | Corpus_status of corpus_status
       (** answer to [Corpus_submit] is [Accepted id]; this answers
@@ -164,7 +163,6 @@ type shard_hello = {
   sh_pid : int;
   sh_shard : int;
   sh_fingerprint : string;
-  sh_numeric : string;
 }
 
 val encode_shard_hello : shard_hello -> string

@@ -15,7 +15,6 @@ type config = {
   max_batch : int;
   batch_linger_ms : float;
   cache_capacity : int;
-  numeric : [ `F32 | `I8 ];
   spill_dir : string option;
   route_cache_dir : string option;
   corpus_dir : string option;
@@ -30,14 +29,11 @@ let default_config address =
     max_batch = 8;
     batch_linger_ms = 2.0;
     cache_capacity = 128;
-    numeric = `F32;
     spill_dir = None;
     route_cache_dir = None;
     corpus_dir = None;
     shard_id = 0;
   }
-
-let numeric_name = function `F32 -> "f32" | `I8 -> "i8"
 
 (* Obs probes (interning is idempotent, handles live at module level). *)
 let c_requests = Obs.counter "serve/requests"
@@ -247,7 +243,7 @@ let run_batch t batch =
           (Obs.with_span "serve/batch"
              ~args:[ ("size", string_of_int n) ]
              (fun () ->
-               Predictor.predict_batch ~numeric:t.cfg.numeric t.predictor
+               Predictor.predict_batch t.predictor
                  (Array.map
                     (fun p -> (p.payload.P.f_bottom, p.payload.P.f_top))
                     misses)))
@@ -578,11 +574,7 @@ let handle_request t (env : P.envelope) =
       (* Normally consumed by the balancer; answered here too so a
          client talking straight to a shard gets the same handshake. *)
       P.Hello_reply
-        {
-          h_fingerprint = t.fingerprint;
-          h_shard = t.cfg.shard_id;
-          h_numeric = numeric_name t.cfg.numeric;
-        }
+        { h_fingerprint = t.fingerprint; h_shard = t.cfg.shard_id }
   | P.Corpus_submit req ->
       let key = P.corpus_key req in
       let id =
@@ -743,11 +735,7 @@ let make ~listen ~bound cfg predictor =
   ignore_sigpipe ();
   if cfg.queue_capacity < 1 then invalid_arg "Server.start: queue_capacity < 1";
   if cfg.max_batch < 1 then invalid_arg "Server.start: max_batch < 1";
-  (* Computing the fingerprint before binding also forces the int8
-     compilation for [`I8] servers: the first request pays no
-     quantization latency, and a model that cannot compile fails at
-     startup, not mid-serve. *)
-  let fingerprint = Predictor.fingerprint ~numeric:cfg.numeric predictor in
+  let fingerprint = Predictor.fingerprint predictor in
   let stop_rd, stop_wr = Unix.pipe ~cloexec:true () in
   let spill = Option.map open_spill cfg.spill_dir in
   (* One route cache and one PPA store per daemon, shared by both job
@@ -836,7 +824,6 @@ let start_detached cfg predictor =
 
 let bound_addr t = t.bound
 let fingerprint t = t.fingerprint
-let numeric t = t.cfg.numeric
 
 let request_stop t =
   let first =

@@ -55,12 +55,6 @@ type config = {
       (** how long the batcher waits for companions once one request is
           pending (default 2.0) *)
   cache_capacity : int;  (** LRU result-cache entries (default 128) *)
-  numeric : [ `F32 | `I8 ];
-      (** inference numeric path (default [`F32]).  [`I8] serves the
-          memoized int8 compilation of the model; the cache key's
-          fingerprint component is numeric-path-specific, so int8 and
-          float results can never alias.  The compilation is forced at
-          {!start}, so the first request pays no quantization latency. *)
   spill_dir : string option;
       (** when set, evicted LRU entries are persisted here and cache
           misses read through the spill before running the forward
@@ -90,9 +84,6 @@ val open_spill :
     [spill_dir]: magic ["DCO3D-SPILL-V1"], suffix [.spill], counters
     [serve/spill_{hit,miss,evicted}], default cap.
     @raise Unix.Unix_error if the directory cannot be created. *)
-
-val numeric_name : [ `F32 | `I8 ] -> string
-(** ["f32"] / ["i8"] — the wire spelling used in hello handshakes. *)
 
 val bind_listen : address -> Unix.file_descr * address
 (** Bind + listen on an address, unlinking a stale Unix-domain path
@@ -126,10 +117,8 @@ val bound_addr : t -> address
     the kernel picked.  For a detached server, echoes the config. *)
 
 val fingerprint : t -> string
-(** The numeric-aware model fingerprint this server computes cache keys
-    with (forced at start). *)
-
-val numeric : t -> [ `F32 | `I8 ]
+(** The model fingerprint ({!Dco3d_core.Predictor.fingerprint}) this
+    server computes cache keys with. *)
 
 val request_stop : t -> unit
 (** Begin a graceful shutdown: stop accepting, nudge every serving

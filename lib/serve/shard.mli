@@ -11,7 +11,7 @@ type outcome =
 
 val run : ctl_path:string -> Server.config -> Dco3d_core.Predictor.t -> outcome
 (** Connect to the balancer's control socket, register with a
-    [shard_hello] (pid, shard id, model fingerprint, numeric path),
+    [shard_hello] (pid, shard id, model fingerprint),
     then serve adopted connections until told to drain or the balancer
     disappears.  Returns after the server has fully drained (queued
     requests answered, hot set spilled).  The [Server.config.address]

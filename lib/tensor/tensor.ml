@@ -9,8 +9,8 @@ module Pool = Dco3d_parallel.Pool
    gets well over that in work.  The crossovers were calibrated per
    kernel against the PR 1 bench shapes (BENCH_kernels.json): the
    gather-GEMM (matmul and every conv lowering) amortizes dispatch
-   fastest (dense multiply-adds), the direct conv loops and the int8
-   kernels run at about the same crossover, and matvec is memory-bound
+   fastest (dense multiply-adds), the direct conv loops run at about
+   the same crossover, and matvec is memory-bound
    (one float of traffic per MAC leaves little for extra cores), so
    each gets its own floor instead of PR 1's single global
    par_threshold = 1 lsl 16, which sent sub-crossover shapes to the
@@ -20,7 +20,7 @@ module Pool = Dco3d_parallel.Pool
 
      kernel                  threshold (MACs)  first clearly-winning shape
      gather-GEMM             1 lsl 17 / chunk  128 x 128 x 128
-     direct / int8 conv      1 lsl 17          8ch 32x32, 3x3 kernel
+     direct conv             1 lsl 17          8ch 32x32, 3x3 kernel
      matvec                  1 lsl 18          512 x 512
 
    The guards depend only on the problem size — never on the job
@@ -1260,752 +1260,6 @@ let concat_channels_batch ts =
           ts
       done;
       make [| n; ctot; h; w |] out
-
-(* ------------------------------------------------------------------ *)
-(* Quantized int8 inference kernels.                                   *)
-(*                                                                     *)
-(* Weights are quantized per output channel to symmetric int8           *)
-(* (scale_o = max|W[o]|/127, zero point 0) and stored biased by +128    *)
-(* as unsigned bytes.  Activations are quantized per *sample* at call   *)
-(* time with the same symmetric scheme — per sample, not per batch, so  *)
-(* a sample's int8 result is bit-identical whatever batch the serve     *)
-(* micro-batcher happened to coalesce it into (the same contract the    *)
-(* float path gives the result cache).                                  *)
-(*                                                                     *)
-(* The microkernel packs three consecutive *k*-elements per 63-bit      *)
-(* word (lanes at bits 0/21/42): weight triples forward                 *)
-(* (a0 + a1<<21 + a2<<42) and activation triples reversed               *)
-(* (b2 + b1<<21 + b0<<42).  One integer multiply then lands             *)
-(* a0b0 + a1b1 + a2b2 — a three-term dot product — in the bit-42 lane:  *)
-(* the cross terms fall at lanes 0 and 21 below it, or at bits 63/84    *)
-(* where they wrap off the top of OCaml's 63-bit (mod-2^63) integers.   *)
-(* Up to 10 products accumulate before any lane can overflow            *)
-(* (10 . 3 . 255^2 < 2^21), so one shift recovers 30 exact MACs.  All   *)
-(* accumulation is exact integer arithmetic, so results are             *)
-(* bit-identical at any DCO3D_JOBS split by construction; the float     *)
-(* work (requantize scale, bias, activation) happens once per output    *)
-(* element, in a fixed per-element order.                               *)
-(*                                                                     *)
-(* Bias correction: with ua = qa + 128 and ub = qb + 128,               *)
-(*   sum_p qa.qb = sum_p ua.ub - 128.rowsum_a - 128.colsum_b + k.2^14   *)
-(* rowsums are precomputed at weight-quantization time, colsums fall    *)
-(* out of packing.                                                      *)
-(* ------------------------------------------------------------------ *)
-
-type qweight = {
-  qw_shape : int array;  (* [co; ci; kh; kw] *)
-  qw_data : Bytes.t;  (* co x (ci*kh*kw), biased: byte = q + 128 *)
-  qw_scales : float array;  (* per output channel *)
-  qw_rowsum : int array;  (* per output channel, sum of biased bytes *)
-}
-
-let qweight_shape qw = Array.copy qw.qw_shape
-let qweight_scales qw = Array.copy qw.qw_scales
-let qweight_bytes qw = Bytes.copy qw.qw_data
-
-(* Round-half-away-from-zero without the [Float.round] C call: truncate
-   after nudging by +-0.5.  The exact expression is part of the int8
-   path's determinism contract (the parity tests replicate it). *)
-let quantize_clamped v inv =
-  let x = v *. inv in
-  let q = int_of_float (if x >= 0. then x +. 0.5 else x -. 0.5) in
-  if q > 127 then 127 else if q < -127 then -127 else q
-
-(* Affine variant for activations: [clamp (round (v * inv) + z)].
-   Same rounding expression as [quantize_clamped], shifted by the
-   per-sample zero-point before the clamp. *)
-let quantize_affine v inv z =
-  let x = v *. inv in
-  let q = z + int_of_float (if x >= 0. then x +. 0.5 else x -. 0.5) in
-  if q > 127 then 127 else if q < -127 then -127 else q
-
-let quantize_weight w =
-  if rank w <> 4 then invalid_arg "Tensor.quantize_weight: weight must be rank 4";
-  let co = w.shape.(0) in
-  let kdim = w.shape.(1) * w.shape.(2) * w.shape.(3) in
-  let data = Bytes.create (co * kdim) in
-  let scales = Array.make co 1. in
-  let rowsum = Array.make co 0 in
-  let wd = w.data in
-  for o = 0 to co - 1 do
-    let base = o * kdim in
-    let m = ref 0. in
-    for p = 0 to kdim - 1 do
-      let v = Float.abs (Array.unsafe_get wd (base + p)) in
-      if v > !m then m := v
-    done;
-    let s = if !m > 0. then !m /. 127. else 1. in
-    scales.(o) <- s;
-    let inv = 1. /. s in
-    let rs = ref 0 in
-    for p = 0 to kdim - 1 do
-      let q = quantize_clamped (Array.unsafe_get wd (base + p)) inv in
-      Bytes.unsafe_set data (base + p) (Char.unsafe_chr (q + 128));
-      rs := !rs + (q + 128)
-    done;
-    rowsum.(o) <- !rs
-  done;
-  { qw_shape = Array.copy w.shape; qw_data = data; qw_scales = scales;
-    qw_rowsum = rowsum }
-
-let dequantize_weight qw =
-  let n = Bytes.length qw.qw_data in
-  let co = qw.qw_shape.(0) in
-  let kdim = n / max 1 co in
-  let out = Array.make n 0. in
-  for o = 0 to co - 1 do
-    let s = qw.qw_scales.(o) in
-    let base = o * kdim in
-    for p = 0 to kdim - 1 do
-      let q = Char.code (Bytes.unsafe_get qw.qw_data (base + p)) - 128 in
-      Array.unsafe_set out (base + p) (float_of_int q *. s)
-    done
-  done;
-  make (Array.copy qw.qw_shape) out
-
-let qweight_of_parts ~shape ~data ~scales =
-  if Array.length shape <> 4 then
-    invalid_arg "Tensor.qweight_of_parts: shape must be rank 4";
-  let co = shape.(0) in
-  let kdim = shape.(1) * shape.(2) * shape.(3) in
-  if co < 1 || kdim < 1 then
-    invalid_arg "Tensor.qweight_of_parts: empty weight";
-  if Bytes.length data <> co * kdim then
-    invalid_arg "Tensor.qweight_of_parts: data length disagrees with shape";
-  if Array.length scales <> co then
-    invalid_arg "Tensor.qweight_of_parts: one scale per output channel required";
-  Array.iter
-    (fun s ->
-      if not (Float.is_finite s) || s <= 0. then
-        invalid_arg "Tensor.qweight_of_parts: scales must be finite and positive")
-    scales;
-  Bytes.iter
-    (fun c ->
-      if Char.code c < 1 then
-        invalid_arg "Tensor.qweight_of_parts: byte outside the symmetric range")
-    data;
-  let rowsum = Array.make co 0 in
-  for o = 0 to co - 1 do
-    let base = o * kdim in
-    let rs = ref 0 in
-    for p = 0 to kdim - 1 do
-      rs := !rs + Char.code (Bytes.unsafe_get data (base + p))
-    done;
-    rowsum.(o) <- !rs
-  done;
-  { qw_shape = Array.copy shape; qw_data = Bytes.copy data;
-    qw_scales = Array.copy scales; qw_rowsum = rowsum }
-
-(* ---- k-SWAR microkernel workers ----------------------------------- *)
-(* Top-level tail-recursive loops keep every accumulator in a           *)
-(* register: OCaml's amd64 convention passes ten int arguments in       *)
-(* registers, where closure-captured refs would round-trip through      *)
-(* stack slots on every iteration.  Each call runs [rem] <= 10 packed   *)
-(* k-triples of one/two weight rows against one/two activation          *)
-(* columns; the caller recovers each 3-term-dot lane with one shift.    *)
-
-let rec qk2x2 wpb xcol iw ix ix2 rem s00 s01 s10 s11 =
-  if rem <= 0 then (s00, s01, s10, s11)
-  else
-    let w0 = Array.unsafe_get wpb iw in
-    let w1 = Array.unsafe_get wpb (iw + 1) in
-    let x0 = Array.unsafe_get xcol ix in
-    let x1 = Array.unsafe_get xcol ix2 in
-    qk2x2 wpb xcol (iw + 2) (ix + 1) (ix2 + 1) (rem - 1) (s00 + (w0 * x0))
-      (s01 + (w0 * x1)) (s10 + (w1 * x0)) (s11 + (w1 * x1))
-
-let rec qk2x1 wpb xcol iw ix rem s0 s1 =
-  if rem <= 0 then (s0, s1)
-  else
-    let w0 = Array.unsafe_get wpb iw in
-    let w1 = Array.unsafe_get wpb (iw + 1) in
-    let x0 = Array.unsafe_get xcol ix in
-    qk2x1 wpb xcol (iw + 2) (ix + 1) (rem - 1) (s0 + (w0 * x0))
-      (s1 + (w1 * x0))
-
-(* Two-words-per-step unrolling of [qk2x2]; [rem] counts double
-   steps.  Callers only use it for full 10-word spill blocks, so the
-   odd tail never reaches it. *)
-let rec qk2x2u wpb xcol iw ix ix2 rem s00 s01 s10 s11 =
-  if rem <= 0 then (s00, s01, s10, s11)
-  else
-    let w0 = Array.unsafe_get wpb iw in
-    let w1 = Array.unsafe_get wpb (iw + 1) in
-    let w2 = Array.unsafe_get wpb (iw + 2) in
-    let w3 = Array.unsafe_get wpb (iw + 3) in
-    let x0 = Array.unsafe_get xcol ix in
-    let x1 = Array.unsafe_get xcol ix2 in
-    let x2 = Array.unsafe_get xcol (ix + 1) in
-    let x3 = Array.unsafe_get xcol (ix2 + 1) in
-    qk2x2u wpb xcol (iw + 4) (ix + 2) (ix2 + 2) (rem - 1)
-      (s00 + (w0 * x0) + (w2 * x2))
-      (s01 + (w0 * x1) + (w2 * x3))
-      (s10 + (w1 * x0) + (w3 * x2))
-      (s11 + (w1 * x1) + (w3 * x3))
-
-(* Full-k dots for a 2x2 (rows x columns) tile, spilling the bit-42
-   lane every 10 words: 10 . 3 . 255^2 < 2^21 keeps the dot lane from
-   overflowing bit 62 and the cross-term lanes from carrying into it.
-   Full blocks run the unrolled worker (5 double steps); the final
-   partial block falls back to the single-step worker. *)
-let qtile_2x2 wpb xcol wbase x0 x1 glen =
-  let d00 = ref 0 and d01 = ref 0 and d10 = ref 0 and d11 = ref 0 in
-  let g = ref 0 in
-  while glen - !g >= 10 do
-    let s00, s01, s10, s11 =
-      qk2x2u wpb xcol (wbase + (2 * !g)) (x0 + !g) (x1 + !g) 5 0 0 0 0
-    in
-    d00 := !d00 + (s00 lsr 42);
-    d01 := !d01 + (s01 lsr 42);
-    d10 := !d10 + (s10 lsr 42);
-    d11 := !d11 + (s11 lsr 42);
-    g := !g + 10
-  done;
-  if !g < glen then begin
-    let s00, s01, s10, s11 =
-      qk2x2 wpb xcol (wbase + (2 * !g)) (x0 + !g) (x1 + !g) (glen - !g) 0 0 0 0
-    in
-    d00 := !d00 + (s00 lsr 42);
-    d01 := !d01 + (s01 lsr 42);
-    d10 := !d10 + (s10 lsr 42);
-    d11 := !d11 + (s11 lsr 42)
-  end;
-  (!d00, !d01, !d10, !d11)
-
-let qtile_2x1 wpb xcol wbase x0 glen =
-  let d0 = ref 0 and d1 = ref 0 in
-  let g = ref 0 in
-  while !g < glen do
-    let gb = min 10 (glen - !g) in
-    let s0, s1 = qk2x1 wpb xcol (wbase + (2 * !g)) (x0 + !g) gb 0 0 in
-    d0 := !d0 + (s0 lsr 42);
-    d1 := !d1 + (s1 lsr 42);
-    g := !g + gb
-  done;
-  (!d0, !d1)
-
-(* Pack A rows k-wise forward, rows interleaved in pairs so the 2x2
-   tile loads both rows' words from adjacent slots.  K-tail elements
-   and the dummy row of an odd pairing pack as 128 (the biased zero);
-   the bias correction accounts for the pad exactly. *)
-let qpack_rows ~co ~kdim getb =
-  let glen = (kdim + 2) / 3 in
-  let pairs = (co + 1) / 2 in
-  let wpb = Array.make (pairs * glen * 2) 0 in
-  let byte o p = if o < co && p < kdim then getb o p else 128 in
-  for pr = 0 to pairs - 1 do
-    let o0 = 2 * pr in
-    for g = 0 to glen - 1 do
-      let p = 3 * g in
-      let idx = ((pr * glen) + g) * 2 in
-      wpb.(idx) <-
-        byte o0 p lor (byte o0 (p + 1) lsl 21) lor (byte o0 (p + 2) lsl 42);
-      wpb.(idx + 1) <-
-        byte (o0 + 1) p
-        lor (byte (o0 + 1) (p + 1) lsl 21)
-        lor (byte (o0 + 1) (p + 2) lsl 42)
-    done
-  done;
-  wpb
-
-(* Per-row half of the bias correction over the padded length [k3]:
-   qdot = D - 128.rowsum' - 128.colsum' + k3.2^14, where both sums
-   count the pad bytes (128 on both sides). *)
-let qcrow ~co ~kdim ~k3 rowsum =
-  Array.init co (fun o ->
-      (k3 * 16384) - (128 * (rowsum.(o) + ((k3 - kdim) * 128))))
-
-(* Pack one activation column into [xcol] at [base]: [glen] reversed
-   k-triples read through the offset table (index = colbase + off[p]),
-   the k-tail packing 128.  Returns the column's biased-byte sum
-   (pad included) read off the packed words themselves — whole words
-   accumulate all three lanes at once, split once per 4096 words
-   (lanes hold bare bytes: 255 . 4096 < 2^21). *)
-let qpack_col xq off ~kdim ~glen xcol base cb =
-  let gf = kdim / 3 in
-  let sum = ref 0 in
-  let g0 = ref 0 in
-  while !g0 < gf do
-    let gend = min gf (!g0 + 4096) in
-    let acc = ref 0 in
-    for g = !g0 to gend - 1 do
-      let p = 3 * g in
-      let b0 = Char.code (Bytes.unsafe_get xq (cb + Array.unsafe_get off p)) in
-      let b1 =
-        Char.code (Bytes.unsafe_get xq (cb + Array.unsafe_get off (p + 1)))
-      in
-      let b2 =
-        Char.code (Bytes.unsafe_get xq (cb + Array.unsafe_get off (p + 2)))
-      in
-      let wd = b2 lor (b1 lsl 21) lor (b0 lsl 42) in
-      Array.unsafe_set xcol (base + g) wd;
-      acc := !acc + wd
-    done;
-    sum :=
-      !sum
-      + (!acc land 0x1FFFFF)
-      + ((!acc lsr 21) land 0x1FFFFF)
-      + (!acc lsr 42);
-    g0 := gend
-  done;
-  if gf < glen then begin
-    let p = 3 * gf in
-    let b0 = Char.code (Bytes.unsafe_get xq (cb + Array.unsafe_get off p)) in
-    let b1 =
-      if p + 1 < kdim then
-        Char.code (Bytes.unsafe_get xq (cb + Array.unsafe_get off (p + 1)))
-      else 128
-    in
-    Array.unsafe_set xcol (base + gf) (128 lor (b1 lsl 21) lor (b0 lsl 42));
-    sum := !sum + b0 + b1 + 128
-  end;
-  !sum
-
-(* Exact-dot entry for property tests: biased bytes in, the int-exact
-   signed-dot accumulator values out (no requantization). *)
-let gemm_i8_exact ~m ~k ~n a b =
-  if Bytes.length a <> m * k then invalid_arg "Tensor.gemm_i8_exact: bad A size";
-  if Bytes.length b <> k * n then invalid_arg "Tensor.gemm_i8_exact: bad B size";
-  let glen = (k + 2) / 3 in
-  let k3 = 3 * glen in
-  let wpb =
-    qpack_rows ~co:m ~kdim:k (fun o p ->
-        Char.code (Bytes.unsafe_get a ((o * k) + p)))
-  in
-  let rowsum =
-    Array.init m (fun o ->
-        let rs = ref 0 in
-        for p = 0 to k - 1 do
-          rs := !rs + Char.code (Bytes.unsafe_get a ((o * k) + p))
-        done;
-        !rs)
-  in
-  let crow = qcrow ~co:m ~kdim:k ~k3 rowsum in
-  let off = Array.init k (fun p -> p * n) in
-  let out = Array.make (m * n) 0 in
-  let xcol = Array.make glen 0 in
-  let pairs = (m + 1) / 2 in
-  for j = 0 to n - 1 do
-    let cs = qpack_col b off ~kdim:k ~glen xcol 0 j in
-    for pr = 0 to pairs - 1 do
-      let d0, d1 = qtile_2x1 wpb xcol (pr * glen * 2) 0 glen in
-      let o0 = 2 * pr in
-      out.((o0 * n) + j) <- d0 + crow.(o0) - (128 * cs);
-      if o0 + 1 < m then
-        out.(((o0 + 1) * n) + j) <- d1 + crow.(o0 + 1) - (128 * cs)
-    done
-  done;
-  out
-
-let act_slope = function `None -> 1. | `Relu -> 0. | `Leaky a -> a
-
-(* Shared driver for the quantized convolutions: a stride-[stride]
-   valid convolution of the packed weights over the padded biased image
-   [xq] (n x ci x ph x pw bytes — callers bake padding or transpose
-   zero-stuffing into the image, so the inner loops see no boundary
-   tests at all).  Requantization, bias and activation fuse into the
-   output store, writing [n; co; oh; ow] directly.  [slope] is the
-   negative-side slope: 1.0 = identity, 0.0 = relu, a = leaky.
-   Parallelism splits output columns; every output element is one fixed
-   ascending dot chain of exact integer arithmetic, so any split (and
-   any pair/tail tiling) is bit-identical. *)
-let qconv_core ~n ~ci ~ph ~pw ~stride ~oh ~ow qw xscales zpoints bias slope xq
-    out =
-  let co = qw.qw_shape.(0) in
-  let kh = qw.qw_shape.(2) and kw = qw.qw_shape.(3) in
-  let kdim = ci * kh * kw in
-  let glen = (kdim + 2) / 3 in
-  let k3 = 3 * glen in
-  let ohw = oh * ow in
-  let ncol = n * ohw in
-  let off = Array.make kdim 0 in
-  for p = 0 to kdim - 1 do
-    let c = p / (kh * kw) in
-    let r = p mod (kh * kw) in
-    off.(p) <- (((c * ph) + (r / kw)) * pw) + (r mod kw)
-  done;
-  let wpb =
-    qpack_rows ~co ~kdim (fun o p ->
-        Char.code (Bytes.unsafe_get qw.qw_data ((o * kdim) + p)))
-  in
-  let crow = qcrow ~co ~kdim ~k3 qw.qw_rowsum in
-  (* true signed weight rowsums: the affine zero-point correction
-     subtracts z * srow(o), cancelling both the pad bytes' contribution
-     (their q is exactly z) and the interior offset in one term *)
-  let srow = Array.map (fun rs -> rs - (128 * kdim)) qw.qw_rowsum in
-  let biasv =
-    match bias with
-    | None -> Array.make co 0.
-    | Some bt ->
-        if Array.length bt.data <> co then
-          invalid_arg "Tensor: bias length disagrees with output channels";
-        Array.copy bt.data
-  in
-  let wscales = qw.qw_scales in
-  let sample_q = ci * ph * pw in
-  let pairs = (co + 1) / 2 in
-  let run j0 j1 =
-    let xcol = Array.make (2 * glen) 0 in
-    let b = ref (j0 / ohw) in
-    let rem0 = j0 - (!b * ohw) in
-    let oy = ref (rem0 / ow) in
-    let ox = ref (rem0 - (!oy * ow)) in
-    let j = ref j0 in
-    while !j < j1 do
-      let cb =
-        (!b * sample_q) + (!oy * stride * pw) + (!ox * stride)
-      in
-      let xs = Array.unsafe_get xscales !b in
-      let z = Array.unsafe_get zpoints !b in
-      let oidx = ((!b * co) * ohw) + (!oy * ow) + !ox in
-      let took =
-        if !j + 1 < j1 && !ox + 1 < ow then begin
-          let cs0 = qpack_col xq off ~kdim ~glen xcol 0 cb in
-          let cs1 = qpack_col xq off ~kdim ~glen xcol glen (cb + stride) in
-          let e0 = -128 * cs0 and e1 = -128 * cs1 in
-          for pr = 0 to pairs - 1 do
-            let d00, d01, d10, d11 =
-              qtile_2x2 wpb xcol (pr * glen * 2) 0 glen glen
-            in
-            let o0 = 2 * pr in
-            let c0 =
-              Array.unsafe_get crow o0 - (z * Array.unsafe_get srow o0)
-            in
-            let s0 = Array.unsafe_get wscales o0 *. xs in
-            let b0 = Array.unsafe_get biasv o0 in
-            let f00 = (float_of_int (d00 + e0 + c0) *. s0) +. b0 in
-            let f01 = (float_of_int (d01 + e1 + c0) *. s0) +. b0 in
-            let at0 = oidx + (o0 * ohw) in
-            Array.unsafe_set out at0
-              (if f00 < 0. then f00 *. slope else f00);
-            Array.unsafe_set out (at0 + 1)
-              (if f01 < 0. then f01 *. slope else f01);
-            if o0 + 1 < co then begin
-              let c1 =
-                Array.unsafe_get crow (o0 + 1)
-                - (z * Array.unsafe_get srow (o0 + 1))
-              in
-              let s1 = Array.unsafe_get wscales (o0 + 1) *. xs in
-              let b1 = Array.unsafe_get biasv (o0 + 1) in
-              let f10 = (float_of_int (d10 + e0 + c1) *. s1) +. b1 in
-              let f11 = (float_of_int (d11 + e1 + c1) *. s1) +. b1 in
-              let at1 = at0 + ohw in
-              Array.unsafe_set out at1
-                (if f10 < 0. then f10 *. slope else f10);
-              Array.unsafe_set out (at1 + 1)
-                (if f11 < 0. then f11 *. slope else f11)
-            end
-          done;
-          2
-        end
-        else begin
-          let cs0 = qpack_col xq off ~kdim ~glen xcol 0 cb in
-          let e0 = -128 * cs0 in
-          for pr = 0 to pairs - 1 do
-            let d0, d1 = qtile_2x1 wpb xcol (pr * glen * 2) 0 glen in
-            let o0 = 2 * pr in
-            let c0 =
-              Array.unsafe_get crow o0 - (z * Array.unsafe_get srow o0)
-            in
-            let s0 = Array.unsafe_get wscales o0 *. xs in
-            let b0 = Array.unsafe_get biasv o0 in
-            let f0 = (float_of_int (d0 + e0 + c0) *. s0) +. b0 in
-            Array.unsafe_set out (oidx + (o0 * ohw))
-              (if f0 < 0. then f0 *. slope else f0);
-            if o0 + 1 < co then begin
-              let c1 =
-                Array.unsafe_get crow (o0 + 1)
-                - (z * Array.unsafe_get srow (o0 + 1))
-              in
-              let s1 = Array.unsafe_get wscales (o0 + 1) *. xs in
-              let b1 = Array.unsafe_get biasv (o0 + 1) in
-              let f1 = (float_of_int (d1 + e0 + c1) *. s1) +. b1 in
-              Array.unsafe_set out (oidx + ((o0 + 1) * ohw))
-                (if f1 < 0. then f1 *. slope else f1)
-            end
-          done;
-          1
-        end
-      in
-      j := !j + took;
-      ox := !ox + took;
-      if !ox >= ow then begin
-        ox := 0;
-        incr oy;
-        if !oy >= oh then begin
-          oy := 0;
-          incr b
-        end
-      end
-    done
-  in
-  if ncol > 0 then
-    if co * k3 * ncol < conv_par_macs then run 0 ncol
-    else Pool.for_chunks ~chunk:(max 8 ((ncol + 127) / 128)) 0 ncol run
-
-(* Per-sample affine activation quantization over the raw input:
-   [x ~ s * (q - z)] with the scale spanning [min(x, 0) .. max(x, 0)],
-   so zero is always exactly representable (the pad and zero-stuffing
-   bytes encode it as [z + 128]) and one-sided distributions — every
-   post-relu/leaky activation in the network — get the full 255-level
-   range instead of half of it.  A symmetric sample degenerates to
-   [z = 0], the plain symmetric scheme.  A sample's quantized image —
-   and therefore its reply — never depends on its batchmates (the
-   contract the serve result cache relies on). *)
-let quantize_samples xd ~n ~sample xscales zpoints store =
-  for b = 0 to n - 1 do
-    let base = b * sample in
-    let mn = ref 0. and mx = ref 0. in
-    for idx = base to base + sample - 1 do
-      let v = Array.unsafe_get xd idx in
-      if v < !mn then mn := v;
-      if v > !mx then mx := v
-    done;
-    let range = !mx -. !mn in
-    let s = if range > 0. then range /. 254. else 1. in
-    let z =
-      (* mn <= 0, so the half-away nudge is always downward *)
-      -127 - int_of_float ((!mn /. s) -. 0.5)
-    in
-    xscales.(b) <- s;
-    zpoints.(b) <- z;
-    store b (1. /. s) z
-  done
-
-let conv2d_batch_i8 ?(stride = 1) ?(pad = 0) ?(act = `None) x ~qweight:qw
-    ~bias =
-  check_rank4 "Tensor.conv2d_batch_i8" x;
-  let n = x.shape.(0) and ci = x.shape.(1) in
-  let h = x.shape.(2) and w = x.shape.(3) in
-  if qw.qw_shape.(1) <> ci then
-    invalid_arg "Tensor.conv2d_batch_i8: channel mismatch between input and weight";
-  let co = qw.qw_shape.(0) in
-  let kh = qw.qw_shape.(2) and kw = qw.qw_shape.(3) in
-  check_stride_pad "Tensor.conv2d_batch_i8" ~stride ~pad;
-  let oh = ((h + (2 * pad) - kh) / stride) + 1 in
-  let ow = ((w + (2 * pad) - kw) / stride) + 1 in
-  if oh <= 0 || ow <= 0 then invalid_arg "Tensor.conv2d_batch_i8: empty output";
-  let ph = h + (2 * pad) and pw = w + (2 * pad) in
-  let out = Array.make (n * co * oh * ow) 0. in
-  if n > 0 then begin
-    let xd = x.data in
-    let sample = ci * h * w in
-    let sample_q = ci * ph * pw in
-    let xscales = Array.make n 1. in
-    let zpoints = Array.make n 0 in
-    Workspace.with_bytes (n * sample_q) (fun xq ->
-        quantize_samples xd ~n ~sample xscales zpoints (fun b inv z ->
-            (* the border padding encodes x = 0, which the affine
-               scheme represents as the sample's zero-point *)
-            Bytes.fill xq (b * sample_q) sample_q (Char.unsafe_chr (z + 128));
-            for c = 0 to ci - 1 do
-              for y = 0 to h - 1 do
-                let src = ((((b * ci) + c) * h) + y) * w in
-                let dst = (((((b * ci) + c) * ph) + (y + pad)) * pw) + pad in
-                for xx = 0 to w - 1 do
-                  Bytes.unsafe_set xq (dst + xx)
-                    (Char.unsafe_chr
-                       (quantize_affine (Array.unsafe_get xd (src + xx)) inv z
-                       + 128))
-                done
-              done
-            done);
-        qconv_core ~n ~ci ~ph ~pw ~stride ~oh ~ow qw xscales zpoints bias
-          (act_slope act) xq out)
-  end;
-  make [| n; co; oh; ow |] out
-
-(* Quantize a transposed-convolution weight ([ci; co; kh; kw]) into the
-   equivalent *forward* kernel: output-channel-major, spatially flipped
-   — a stride-1 convolution of this kernel over the zero-stuffed input
-   is exactly the transposed convolution.  Scales are per output
-   channel of the transposed conv. *)
-let quantize_weight_transposed w =
-  if rank w <> 4 then
-    invalid_arg "Tensor.quantize_weight_transposed: weight must be rank 4";
-  let ci = w.shape.(0) and co = w.shape.(1) in
-  let kh = w.shape.(2) and kw = w.shape.(3) in
-  let kdim = ci * kh * kw in
-  let data = Bytes.create (co * kdim) in
-  let scales = Array.make co 1. in
-  let rowsum = Array.make co 0 in
-  let wd = w.data in
-  let src c o ky kx =
-    Array.unsafe_get wd (((((c * co) + o) * kh) + ky) * kw + kx)
-  in
-  for o = 0 to co - 1 do
-    let m = ref 0. in
-    for c = 0 to ci - 1 do
-      for ky = 0 to kh - 1 do
-        for kx = 0 to kw - 1 do
-          let v = Float.abs (src c o ky kx) in
-          if v > !m then m := v
-        done
-      done
-    done;
-    let s = if !m > 0. then !m /. 127. else 1. in
-    scales.(o) <- s;
-    let inv = 1. /. s in
-    let rs = ref 0 in
-    for c = 0 to ci - 1 do
-      for ky = 0 to kh - 1 do
-        for kx = 0 to kw - 1 do
-          let q = quantize_clamped (src c o (kh - 1 - ky) (kw - 1 - kx)) inv in
-          Bytes.unsafe_set data
-            ((o * kdim) + (((c * kh) + ky) * kw) + kx)
-            (Char.unsafe_chr (q + 128));
-          rs := !rs + (q + 128)
-        done
-      done
-    done;
-    rowsum.(o) <- !rs
-  done;
-  { qw_shape = [| co; ci; kh; kw |]; qw_data = data; qw_scales = scales;
-    qw_rowsum = rowsum }
-
-let conv2d_transpose_batch_i8 ?(stride = 1) ?(pad = 0) ?(act = `None) x
-    ~qweight:qw ~bias =
-  check_rank4 "Tensor.conv2d_transpose_batch_i8" x;
-  let n = x.shape.(0) and ci = x.shape.(1) in
-  let h = x.shape.(2) and w = x.shape.(3) in
-  if qw.qw_shape.(1) <> ci then
-    invalid_arg
-      "Tensor.conv2d_transpose_batch_i8: channel mismatch between input and weight";
-  let co = qw.qw_shape.(0) in
-  let kh = qw.qw_shape.(2) and kw = qw.qw_shape.(3) in
-  check_stride_pad "Tensor.conv2d_transpose_batch_i8" ~stride ~pad;
-  if pad > kh - 1 || pad > kw - 1 then
-    invalid_arg "Tensor.conv2d_transpose_batch_i8: pad must be < kernel size";
-  let oh = ((h - 1) * stride) + kh - (2 * pad) in
-  let ow = ((w - 1) * stride) + kw - (2 * pad) in
-  if oh <= 0 || ow <= 0 then
-    invalid_arg "Tensor.conv2d_transpose_batch_i8: empty output";
-  let eh = kh - 1 - pad and ew = kw - 1 - pad in
-  let ph = ((h - 1) * stride) + 1 + (2 * eh) in
-  let pw = ((w - 1) * stride) + 1 + (2 * ew) in
-  let out = Array.make (n * co * oh * ow) 0. in
-  if n > 0 && stride > 1 && kh = stride && kw = stride && pad = 0 then begin
-    (* Exact fast path for the stride = kernel, pad = 0 case (the
-       UNet's 2x2/stride-2 up-convolutions): in the zero-stuffed
-       formulation every output pixel overlaps exactly one real input
-       pixel — the other kh*kw - 1 taps read stuffed bytes, which
-       encode the sample's zero-point and so contribute exactly zero
-       to the debiased integer dot.  Dropping them changes nothing but
-       the work: the whole transposed convolution collapses to one
-       stride-1 1x1 convolution with stride^2 * co output rows (one
-       per output-parity class, each holding that class's kernel tap
-       slice), then a strided scatter.  Same integer accumulators,
-       same float epilogue in the same order — bit-identical to the
-       general path below, at 1/(stride^2) of the MACs and none of
-       the stuffed-image traffic. *)
-    let s = stride in
-    let f = s * s * co in
-    let kdim_full = ci * kh * kw in
-    let fdata = Bytes.create (f * ci) in
-    let fscales = Array.make f 1. in
-    let frowsum = Array.make f 0 in
-    for a = 0 to s - 1 do
-      for bb = 0 to s - 1 do
-        (* output parity (a, bb) reads flipped-kernel tap
-           (s-1-a, s-1-bb): real pixels sit at (s-1) + s*y in the
-           stuffed image, so oy + ky = (s-1) + s*y forces ky there *)
-        let ky = s - 1 - a and kx = s - 1 - bb in
-        for o = 0 to co - 1 do
-          let fr = (((a * s) + bb) * co) + o in
-          fscales.(fr) <- qw.qw_scales.(o);
-          let rs = ref 0 in
-          for c = 0 to ci - 1 do
-            let byte =
-              Bytes.unsafe_get qw.qw_data
-                ((o * kdim_full) + ((((c * kh) + ky) * kw) + kx))
-            in
-            Bytes.unsafe_set fdata ((fr * ci) + c) byte;
-            rs := !rs + Char.code byte
-          done;
-          frowsum.(fr) <- !rs
-        done
-      done
-    done;
-    let fqw =
-      { qw_shape = [| f; ci; 1; 1 |]; qw_data = fdata; qw_scales = fscales;
-        qw_rowsum = frowsum }
-    in
-    let fbias =
-      match bias with
-      | None -> None
-      | Some bt ->
-          if Array.length bt.data <> co then
-            invalid_arg
-              "Tensor.conv2d_transpose_batch_i8: bias length disagrees with \
-               output channels";
-          Some (make [| f |] (Array.init f (fun fr -> bt.data.(fr mod co))))
-    in
-    let xd = x.data in
-    let sample = ci * h * w in
-    let xscales = Array.make n 1. in
-    let zpoints = Array.make n 0 in
-    let tmp = Array.make (n * f * h * w) 0. in
-    Workspace.with_bytes (n * sample) (fun xq ->
-        quantize_samples xd ~n ~sample xscales zpoints (fun b inv z ->
-            let base = b * sample in
-            for idx = 0 to sample - 1 do
-              Bytes.unsafe_set xq (base + idx)
-                (Char.unsafe_chr
-                   (quantize_affine (Array.unsafe_get xd (base + idx)) inv z
-                   + 128))
-            done);
-        qconv_core ~n ~ci ~ph:h ~pw:w ~stride:1 ~oh:h ~ow:w fqw xscales
-          zpoints fbias (act_slope act) xq tmp);
-    let hw = h * w in
-    for b = 0 to n - 1 do
-      for a = 0 to s - 1 do
-        for bb = 0 to s - 1 do
-          for o = 0 to co - 1 do
-            let fr = (((a * s) + bb) * co) + o in
-            let src = ((b * f) + fr) * hw in
-            let dst = ((b * co) + o) * oh * ow in
-            for y = 0 to h - 1 do
-              let srow = src + (y * w) in
-              let drow = dst + ((((y * s) + a) * ow) + bb) in
-              for xx = 0 to w - 1 do
-                Array.unsafe_set out (drow + (xx * s))
-                  (Array.unsafe_get tmp (srow + xx))
-              done
-            done
-          done
-        done
-      done
-    done
-  end
-  else if n > 0 then begin
-    let xd = x.data in
-    let sample = ci * h * w in
-    let sample_q = ci * ph * pw in
-    let xscales = Array.make n 1. in
-    let zpoints = Array.make n 0 in
-    Workspace.with_bytes (n * sample_q) (fun xq ->
-        quantize_samples xd ~n ~sample xscales zpoints (fun b inv z ->
-            (* stuffed zeros and the border extension both encode
-               x = 0 — the sample's zero-point under the affine scheme *)
-            Bytes.fill xq (b * sample_q) sample_q (Char.unsafe_chr (z + 128));
-            for c = 0 to ci - 1 do
-              for y = 0 to h - 1 do
-                let src = ((((b * ci) + c) * h) + y) * w in
-                let dst =
-                  ((((((b * ci) + c) * ph) + eh + (y * stride)) * pw) + ew)
-                in
-                for xx = 0 to w - 1 do
-                  Bytes.unsafe_set xq (dst + (xx * stride))
-                    (Char.unsafe_chr
-                       (quantize_affine (Array.unsafe_get xd (src + xx)) inv z
-                       + 128))
-                done
-              done
-            done);
-        qconv_core ~n ~ci ~ph ~pw ~stride:1 ~oh ~ow qw xscales zpoints bias
-          (act_slope act) xq out)
-  end;
-  make [| n; co; oh; ow |] out
 
 (* ------------------------------------------------------------------ *)
 (* Map utilities.                                                      *)

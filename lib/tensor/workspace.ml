@@ -17,26 +17,22 @@
    calling the same convolution shapes every step — performs zero
    scratch allocations. *)
 
-type slot = { mutable buf : float array; mutable in_use : bool }
-
-(* The int8 inference path borrows byte buffers (quantized activations,
-   im2col scan lines) and word buffers (lane-packed GEMM tiles, column
-   sums) with exactly the float pool's lifecycle, so each gets its own
-   grow-only slot list in the same per-domain arena. *)
-type bslot = { mutable bbuf : Bytes.t; mutable b_in_use : bool }
-type islot = { mutable ibuf : int array; mutable i_in_use : bool }
+(* Float and int slots share one lifecycle: the gather-GEMM's (off, y,
+   x) descriptors borrow int words exactly as its phases borrow floats,
+   so each element type gets its own grow-only slot list in the same
+   per-domain arena. *)
+type 'a slot = { mutable buf : 'a array; mutable in_use : bool }
 
 type arena = {
-  mutable slots : slot list;
-  mutable bslots : bslot list;
-  mutable islots : islot list;
+  mutable slots : float slot list;
+  mutable islots : int slot list;
   mutable borrows : int;  (* with_* calls served *)
   mutable grows : int;  (* calls that had to allocate or grow a slot *)
 }
 
 let key =
   Domain.DLS.new_key (fun () ->
-      { slots = []; bslots = []; islots = []; borrows = 0; grows = 0 })
+      { slots = []; islots = []; borrows = 0; grows = 0 })
 
 let round_capacity n =
   let c = ref 16 in
@@ -46,8 +42,9 @@ let round_capacity n =
   !c
 
 (* Smallest free slot that fits, so a small request does not pin the
-   big GEMM slot while a nested borrow is live. *)
-let acquire arena n =
+   big GEMM slot while a nested borrow is live.  [add] registers a new
+   slot with the arena; [zero] fills fresh buffers. *)
+let acquire arena slots ~add ~zero n =
   arena.borrows <- arena.borrows + 1;
   let best = ref None in
   List.iter
@@ -56,7 +53,7 @@ let acquire arena n =
         match !best with
         | Some b when Array.length b.buf <= Array.length s.buf -> ()
         | _ -> best := Some s)
-    arena.slots;
+    slots;
   match !best with
   | Some s ->
       s.in_use <- true;
@@ -73,107 +70,33 @@ let acquire arena n =
             match !grown with
             | Some b when Array.length b.buf >= Array.length s.buf -> ()
             | _ -> grown := Some s)
-        arena.slots;
+        slots;
       let cap = round_capacity n in
       (match !grown with
       | Some s ->
-          s.buf <- Array.make cap 0.;
+          s.buf <- Array.make cap zero;
           s.in_use <- true;
           s
       | None ->
-          let s = { buf = Array.make cap 0.; in_use = true } in
-          arena.slots <- s :: arena.slots;
+          let s = { buf = Array.make cap zero; in_use = true } in
+          add arena s;
           s)
 
-let with_floats n f =
-  if n < 0 then invalid_arg "Workspace.with_floats: negative size";
+let borrow name slots ~add ~zero n f =
+  if n < 0 then invalid_arg (name ^ ": negative size");
   let arena = Domain.DLS.get key in
-  let s = acquire arena n in
+  let s = acquire arena (slots arena) ~add ~zero n in
   Fun.protect ~finally:(fun () -> s.in_use <- false) (fun () -> f s.buf)
 
-(* Same policy as [acquire], over the byte pool. *)
-let acquire_bytes arena n =
-  arena.borrows <- arena.borrows + 1;
-  let best = ref None in
-  List.iter
-    (fun s ->
-      if (not s.b_in_use) && Bytes.length s.bbuf >= n then
-        match !best with
-        | Some b when Bytes.length b.bbuf <= Bytes.length s.bbuf -> ()
-        | _ -> best := Some s)
-    arena.bslots;
-  match !best with
-  | Some s ->
-      s.b_in_use <- true;
-      s
-  | None ->
-      arena.grows <- arena.grows + 1;
-      let grown = ref None in
-      List.iter
-        (fun s ->
-          if not s.b_in_use then
-            match !grown with
-            | Some b when Bytes.length b.bbuf >= Bytes.length s.bbuf -> ()
-            | _ -> grown := Some s)
-        arena.bslots;
-      let cap = round_capacity n in
-      (match !grown with
-      | Some s ->
-          s.bbuf <- Bytes.create cap;
-          s.b_in_use <- true;
-          s
-      | None ->
-          let s = { bbuf = Bytes.create cap; b_in_use = true } in
-          arena.bslots <- s :: arena.bslots;
-          s)
-
-let with_bytes n f =
-  if n < 0 then invalid_arg "Workspace.with_bytes: negative size";
-  let arena = Domain.DLS.get key in
-  let s = acquire_bytes arena n in
-  Fun.protect ~finally:(fun () -> s.b_in_use <- false) (fun () -> f s.bbuf)
-
-(* Same policy as [acquire], over the int-word pool. *)
-let acquire_ints arena n =
-  arena.borrows <- arena.borrows + 1;
-  let best = ref None in
-  List.iter
-    (fun s ->
-      if (not s.i_in_use) && Array.length s.ibuf >= n then
-        match !best with
-        | Some b when Array.length b.ibuf <= Array.length s.ibuf -> ()
-        | _ -> best := Some s)
-    arena.islots;
-  match !best with
-  | Some s ->
-      s.i_in_use <- true;
-      s
-  | None ->
-      arena.grows <- arena.grows + 1;
-      let grown = ref None in
-      List.iter
-        (fun s ->
-          if not s.i_in_use then
-            match !grown with
-            | Some b when Array.length b.ibuf >= Array.length s.ibuf -> ()
-            | _ -> grown := Some s)
-        arena.islots;
-      let cap = round_capacity n in
-      (match !grown with
-      | Some s ->
-          s.ibuf <- Array.make cap 0;
-          s.i_in_use <- true;
-          s
-      | None ->
-          let s = { ibuf = Array.make cap 0; i_in_use = true } in
-          arena.islots <- s :: arena.islots;
-          s)
+let with_floats n f =
+  borrow "Workspace.with_floats" (fun a -> a.slots)
+    ~add:(fun a s -> a.slots <- s :: a.slots)
+    ~zero:0. n f
 
 let with_ints n f =
-  if n < 0 then invalid_arg "Workspace.with_ints: negative size";
-  let arena = Domain.DLS.get key in
-  let s = acquire_ints arena n in
-  Fun.protect ~finally:(fun () -> s.i_in_use <- false) (fun () -> f s.ibuf)
+  borrow "Workspace.with_ints" (fun a -> a.islots)
+    ~add:(fun a s -> a.islots <- s :: a.islots)
+    ~zero:0 n f
 
 let live_floats () =
   let arena = Domain.DLS.get key in
@@ -182,8 +105,7 @@ let live_floats () =
 let live_scratch_bytes () =
   let arena = Domain.DLS.get key in
   (8 * live_floats ())
-  + List.fold_left (fun acc s -> acc + Bytes.length s.bbuf) 0 arena.bslots
-  + List.fold_left (fun acc s -> acc + (8 * Array.length s.ibuf)) 0 arena.islots
+  + List.fold_left (fun acc s -> acc + (8 * Array.length s.buf)) 0 arena.islots
 
 let borrows () = (Domain.DLS.get key).borrows
 let grows () = (Domain.DLS.get key).grows
@@ -192,11 +114,9 @@ let reset () =
   let arena = Domain.DLS.get key in
   if
     List.exists (fun s -> s.in_use) arena.slots
-    || List.exists (fun s -> s.b_in_use) arena.bslots
-    || List.exists (fun s -> s.i_in_use) arena.islots
+    || List.exists (fun s -> s.in_use) arena.islots
   then invalid_arg "Workspace.reset: a buffer is still borrowed";
   arena.slots <- [];
-  arena.bslots <- [];
   arena.islots <- [];
   arena.borrows <- 0;
   arena.grows <- 0

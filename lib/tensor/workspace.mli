@@ -10,8 +10,8 @@
 
     Borrowed buffers may be {e larger} than requested (capacities round
     up to powers of two) and contain stale data; callers must write
-    before reading.  Borrows nest: each [with_floats] gets a distinct
-    slot. *)
+    before reading.  Borrows nest: each [with_floats] or [with_ints]
+    gets a distinct slot. *)
 
 val with_floats : int -> (float array -> 'a) -> 'a
 (** [with_floats n f] calls [f buf] with a scratch buffer of at least
@@ -20,17 +20,10 @@ val with_floats : int -> (float array -> 'a) -> 'a
     before reading.  The buffer must not escape [f].
     @raise Invalid_argument on negative [n]. *)
 
-val with_bytes : int -> (Bytes.t -> 'a) -> 'a
-(** [with_bytes n f] borrows a scratch byte buffer of at least [n]
-    bytes — the int8 engine's quantized activations and im2col scan
-    lines.  Same lifecycle and caveats as {!with_floats}: contents are
-    unspecified, the buffer must not escape [f].
-    @raise Invalid_argument on negative [n]. *)
-
 val with_ints : int -> (int array -> 'a) -> 'a
 (** [with_ints n f] borrows a scratch int buffer of at least [n]
-    words — the int8 GEMM's lane-packed tiles and column sums.  Same
-    lifecycle and caveats as {!with_floats}.
+    words — the gather-GEMM's [(off, y, x)] row and column
+    descriptors.  Same lifecycle and caveats as {!with_floats}.
     @raise Invalid_argument on negative [n]. *)
 
 val live_floats : unit -> int
@@ -38,8 +31,8 @@ val live_floats : unit -> int
     borrowed or free). *)
 
 val live_scratch_bytes : unit -> int
-(** Total bytes retained by this domain's arena across all three pools
-    (float, byte and int slots). *)
+(** Total bytes retained by this domain's arena across both pools
+    (float and int slots). *)
 
 val borrows : unit -> int
 (** Borrows served on this domain since the last {!reset}. *)

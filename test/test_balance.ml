@@ -1,7 +1,7 @@
 (* dco3d.serve fleet: LRU eviction hooks, the spill's on-disk layout,
    warm restarts from spill, self-pipe stop latency, and process-level
    balancer failure paths (shard crash mid-stream, drain-while-serving,
-   numeric-path routing) against real [dco3d serve --shard-of]
+   fingerprint routing) against real [dco3d serve --shard-of]
    children. *)
 
 module T = Dco3d_tensor.Tensor
@@ -188,7 +188,6 @@ let server_cfg ?(cache_capacity = 128) ?spill_dir ?(shard_id = 0) () =
     max_batch = 8;
     batch_linger_ms = 10.;
     cache_capacity;
-    numeric = `F32;
     spill_dir;
     route_cache_dir = None;
     corpus_dir = None;
@@ -397,14 +396,14 @@ let cli_predictor ~seed ~input_hw =
   in
   Predictor.make net ~input_hw ~label_scale:1.0
 
-let test_serve_rejects_bad_input_hw () =
-  (* 30 is not divisible by 2^depth = 4: the daemon must refuse to
-     start instead of answering every predict with an error *)
+(* Run [dco3d serve --socket <fresh path> extra...] and require it to
+   exit nonzero at startup without ever binding its socket. *)
+let check_serve_refuses what extra =
   let sock = tmp_name ".sock" in
   let devnull = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
   let pid =
     Unix.create_process dco3d_exe
-      [| dco3d_exe; "serve"; "--socket"; sock; "--input-hw"; "30" |]
+      (Array.append [| dco3d_exe; "serve"; "--socket"; sock |] extra)
       Unix.stdin devnull devnull
   in
   Unix.close devnull;
@@ -418,15 +417,29 @@ let test_serve_rejects_bad_input_hw () =
         Unix.kill pid Sys.sigkill;
         ignore (Unix.waitpid [] pid);
         (try Sys.remove sock with Sys_error _ -> ());
-        Alcotest.fail "serve --input-hw 30 kept running"
+        Alcotest.failf "serve %s kept running" what
     | _, Unix.WEXITED code -> code
     | _, (Unix.WSIGNALED _ | Unix.WSTOPPED _) ->
-        Alcotest.fail "serve --input-hw 30 died on a signal"
+        Alcotest.failf "serve %s died on a signal" what
   in
-  Alcotest.(check bool) "exits nonzero at startup" true (wait () <> 0);
-  Alcotest.(check bool) "never bound its socket" false (Sys.file_exists sock)
+  Alcotest.(check bool) (what ^ ": exits nonzero at startup") true (wait () <> 0);
+  Alcotest.(check bool) (what ^ ": never bound its socket") false
+    (Sys.file_exists sock)
 
-let fleet_argv ~ctl ~seed ~input_hw ~numeric_of ?spill_root () i =
+let test_serve_rejects_bad_input_hw () =
+  (* 30 is not divisible by 2^depth = 4: the daemon must refuse to
+     start instead of answering every predict with an error *)
+  check_serve_refuses "--input-hw 30" [| "--input-hw"; "30" |];
+  (* a model file in the retired int8 format is refused at load *)
+  let model = tmp_name ".bin" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove model with Sys_error _ -> ())
+    (fun () ->
+      Test_core.write_retired_predictor model;
+      check_serve_refuses "--model <retired format>" [| "--model"; model |])
+
+(* Slot [i] serves the untrained network drawn from [seed_of i]. *)
+let fleet_argv ~ctl ~seed_of ~input_hw ?spill_root () i =
   let base =
     [
       dco3d_exe;
@@ -436,13 +449,11 @@ let fleet_argv ~ctl ~seed ~input_hw ~numeric_of ?spill_root () i =
       "--shard-id";
       string_of_int i;
       "--seed";
-      string_of_int seed;
+      string_of_int (seed_of i);
       "--input-hw";
       string_of_int input_hw;
       "--linger-ms";
       "10";
-      "--numeric";
-      numeric_of i;
     ]
   in
   let full =
@@ -454,7 +465,7 @@ let fleet_argv ~ctl ~seed ~input_hw ~numeric_of ?spill_root () i =
   in
   Array.of_list full
 
-let with_fleet ?spill_root ~numeric_of ~seed ~input_hw n f =
+let with_fleet ?spill_root ~seed_of ~input_hw n f =
   if not (Sys.file_exists dco3d_exe) then
     Alcotest.failf "missing shard binary %s" dco3d_exe;
   let addr = Server.Unix_path (tmp_name ".sock") in
@@ -462,7 +473,7 @@ let with_fleet ?spill_root ~numeric_of ~seed ~input_hw n f =
   let cfg = Balance.default_config ~address:addr ~ctl_path:ctl ~n_shards:n in
   let b =
     Balance.start cfg
-      ~argv_of:(fleet_argv ~ctl ~seed ~input_hw ~numeric_of ?spill_root ())
+      ~argv_of:(fleet_argv ~ctl ~seed_of ~input_hw ?spill_root ())
   in
   Fun.protect
     ~finally:(fun () ->
@@ -487,53 +498,50 @@ let slot_pid b idx =
 
 let test_fleet_routing_and_bits () =
   let seed = 7 and input_hw = 16 in
-  let numeric_of i = if i = 1 then "i8" else "f32" in
-  with_fleet ~numeric_of ~seed ~input_hw 2 @@ fun _b addr ->
-  (* explicit numeric routing via hello *)
-  let c_i8 = Client.connect addr in
-  let _fp, shard_i8, numeric_i8 =
-    Client.hello ~want:(Proto.Want_numeric "i8") c_i8
-  in
-  Alcotest.(check string) "i8 request lands on the i8 shard" "i8" numeric_i8;
-  Alcotest.(check int) "which is slot 1" 1 shard_i8;
-  let c_f32 = Client.connect addr in
-  let fp_f32, shard_f32, numeric_f32 =
-    Client.hello ~want:(Proto.Want_numeric "f32") c_f32
-  in
-  Alcotest.(check string) "f32 request lands on the f32 shard" "f32"
-    numeric_f32;
-  Alcotest.(check int) "which is slot 0" 0 shard_f32;
-  (* pinning an exact fingerprint also routes *)
-  let c_fp = Client.connect addr in
-  let fp2, _, _ = Client.hello ~want:(Proto.Want_fingerprint fp_f32) c_fp in
-  Alcotest.(check string) "fingerprint pin honoured" fp_f32 fp2;
-  Client.close c_fp;
-  (* legacy clients (no hello) route within the primary f32 group and
-     stay bit-identical to a local Predictor.predict *)
+  (* slot 1 serves another seed, so the two slots differ in fingerprint *)
+  let seed_of i = if i = 1 then seed + 1 else seed in
+  with_fleet ~seed_of ~input_hw 2 @@ fun _b addr ->
   let predictor = cli_predictor ~seed ~input_hw in
+  let other = cli_predictor ~seed:(seed + 1) ~input_hw in
+  let fp_other = Predictor.fingerprint other in
+  Alcotest.(check bool) "the slots' fingerprints differ" true
+    (fp_other <> Predictor.fingerprint predictor);
+  (* pinning a fingerprint routes to the shard serving it *)
+  let c_pin = Client.connect addr in
+  let fp, shard, _ = Client.hello ~want:(Proto.Want_fingerprint fp_other) c_pin in
+  Alcotest.(check string) "fingerprint pin honoured" fp_other fp;
+  Alcotest.(check int) "which is slot 1" 1 shard;
+  (* any live shard answers a Want_any hello, with its own fingerprint *)
+  let c_any = Client.connect addr in
+  let fp_any, shard_any, _ = Client.hello ~want:Proto.Want_any c_any in
+  Alcotest.(check string) "Want_any reports the serving shard's model"
+    (Predictor.fingerprint (if shard_any = 1 then other else predictor))
+    fp_any;
+  Client.close c_any;
+  (* clients without a hello route within slot 0's fingerprint group
+     and stay bit-identical to a local Predictor.predict *)
   let rng = Rng.create 31 in
   for i = 0 to 3 do
     let b, t = (rand_stack rng 8 10, rand_stack rng 8 10) in
     let eb, et = Predictor.predict predictor b t in
     let c = Client.connect addr in
-    let rb, rt, _ = predict_ok (Printf.sprintf "legacy %d" i) c b t in
-    check_bits (Printf.sprintf "legacy %d bottom" i) eb rb;
-    check_bits (Printf.sprintf "legacy %d top" i) et rt;
+    let rb, rt, _ = predict_ok (Printf.sprintf "no hello %d" i) c b t in
+    check_bits (Printf.sprintf "no hello %d bottom" i) eb rb;
+    check_bits (Printf.sprintf "no hello %d top" i) et rt;
     Client.close c
   done;
-  (* the already-helloed connections keep serving on their shard *)
+  (* the pinned connection keeps serving slot 1's model *)
   let b1, t1 = (rand_stack rng 8 10, rand_stack rng 8 10) in
-  ignore (predict_ok "pinned i8 predict" c_i8 b1 t1);
-  ignore (predict_ok "pinned f32 predict" c_f32 b1 t1);
-  Client.close c_i8;
-  Client.close c_f32
+  let eb, et = Predictor.predict other b1 t1 in
+  let rb, rt, _ = predict_ok "pinned predict" c_pin b1 t1 in
+  check_bits "pinned bottom" eb rb;
+  check_bits "pinned top" et rt;
+  Client.close c_pin
 
 let test_fleet_crash_drain_spill () =
   let seed = 7 and input_hw = 16 in
   let spill_root = tmp_name ".fleet-spill" in
-  with_fleet ~spill_root
-    ~numeric_of:(fun _ -> "f32")
-    ~seed ~input_hw 2
+  with_fleet ~spill_root ~seed_of:(fun _ -> seed) ~input_hw 2
   @@ fun b addr ->
   let predictor = cli_predictor ~seed ~input_hw in
   let rng = Rng.create 37 in

@@ -20,6 +20,21 @@ module Losses = Dco3d_core.Losses
 module Spreader = Dco3d_core.Spreader
 module Dco = Dco3d_core.Dco
 module Tcl = Dco3d_core.Tcl_export
+module SiaUNet = Dco3d_nn.Siamese_unet
+module Pool = Dco3d_parallel.Pool
+
+let with_exact_jobs n f =
+  let saved = Pool.jobs () in
+  Pool.set_jobs ~exact:true n;
+  Fun.protect ~finally:(fun () -> Pool.set_jobs ~exact:true saved) f
+
+(* A predictor header in the retired int8 format: its old magic, then a
+   well-formed (resolution, label scale) pair. *)
+let write_retired_predictor path =
+  let oc = open_out_bin path in
+  output_string oc "DCO3D-QPRED-V1";
+  Marshal.to_channel oc ((32, 1.0) : int * float) [];
+  close_out oc
 
 (* shared tiny environment *)
 let env =
@@ -211,7 +226,37 @@ let test_predictor_load_errors () =
       | _ -> Alcotest.fail "expected Load_error on truncated file"
       | exception Predictor.Load_error msg ->
           Alcotest.(check bool) "truncated: names the file" true
-            (contains msg path))
+            (contains msg path));
+  (* a header in the retired int8 predictor format is refused on its
+     magic, before anything behind it is decoded *)
+  let path = Filename.temp_file "dco3d_pred" ".bin" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      write_retired_predictor path;
+      match Predictor.load path with
+      | _ -> Alcotest.fail "expected Load_error on the retired format"
+      | exception Predictor.Load_error msg ->
+          Alcotest.(check bool)
+            (Printf.sprintf "retired format: %S says bad file magic" msg)
+            true
+            (contains msg "bad file magic"))
+
+(* The serve cache key, pinned: it covers every weight bit and the
+   seeded draw order, and must not depend on the schedule. *)
+let test_golden_fingerprint () =
+  List.iter
+    (fun jobs ->
+      with_exact_jobs jobs (fun () ->
+          let net =
+            SiaUNet.create (Rng.create 0)
+              { SiaUNet.default_config with base_channels = 8 }
+          in
+          let p = { Predictor.net; input_hw = 32; label_scale = 1.0 } in
+          Alcotest.(check string)
+            (Printf.sprintf "jobs=%d: fingerprint" jobs)
+            "1e06471a6b29c84e0fd15c14e5a7c781" (Predictor.fingerprint p)))
+    [ 1; 4 ]
 
 (* ------------------------------------------------------------------ *)
 (* Soft maps (section IV-A + Eq. 6)                                    *)
@@ -689,6 +734,7 @@ let suites =
         Alcotest.test_case "metric ranges" `Slow test_evaluate_metrics_range;
         Alcotest.test_case "save/load" `Slow test_predictor_save_load;
         Alcotest.test_case "load errors" `Quick test_predictor_load_errors;
+        Alcotest.test_case "golden fingerprint" `Quick test_golden_fingerprint;
         Alcotest.test_case "train rejects bad input_hw" `Quick
           test_train_rejects_bad_input_hw;
       ] );

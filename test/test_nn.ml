@@ -6,6 +6,21 @@ module V = Dco3d_autodiff.Value
 module Opt = Dco3d_autodiff.Optimizer
 module Layer = Dco3d_nn.Layer
 module SiaUNet = Dco3d_nn.Siamese_unet
+module Pool = Dco3d_parallel.Pool
+
+let with_exact_jobs n f =
+  let saved = Pool.jobs () in
+  Pool.set_jobs ~exact:true n;
+  Fun.protect ~finally:(fun () -> Pool.set_jobs ~exact:true saved) f
+
+let check_tensor_bits name a b =
+  Alcotest.(check (array int)) (name ^ ": shape") (T.shape a) (T.shape b);
+  for i = 0 to T.numel a - 1 do
+    Alcotest.(check int64)
+      (Printf.sprintf "%s [%d]" name i)
+      (Int64.bits_of_float (T.get_flat a i))
+      (Int64.bits_of_float (T.get_flat b i))
+  done
 
 let test_conv_layer_shapes () =
   let rng = Rng.create 1 in
@@ -73,6 +88,56 @@ let test_layer_trains () =
   done;
   let last = loss_at (-1) in
   Alcotest.(check bool) "loss decreased 20x" true (last < first /. 20.)
+
+(* The parts of Layer.t the UNet does not exercise: strided convs, a
+   biased strided transposed conv and every activation kind.  Each
+   sample of the batched run must carry the tape's bits, on both
+   schedules. *)
+let test_forward_batch_matches_tape () =
+  let rng = Rng.create 61 in
+  let l =
+    Layer.seq
+      [
+        Layer.conv2d rng ~stride:2 ~pad:1 ~in_channels:2 ~out_channels:4
+          ~ksize:3 ();
+        Layer.relu;
+        Layer.conv2d_transpose rng ~stride:2 ~in_channels:4 ~out_channels:3
+          ~ksize:2 ();
+        Layer.sigmoid;
+        Layer.conv2d rng ~pad:1 ~in_channels:3 ~out_channels:3 ~ksize:3 ();
+        Layer.tanh_;
+        Layer.maxpool2;
+        Layer.conv2d rng ~in_channels:3 ~out_channels:2 ~ksize:1 ();
+        Layer.leaky_relu 0.1;
+      ]
+  in
+  (* non-zero biases, so the bias epilogues are checked too *)
+  List.iter
+    (fun p ->
+      let d = V.data p in
+      for i = 0 to T.numel d - 1 do
+        T.set_flat d i (Rng.float rng 2. -. 1.)
+      done)
+    (Layer.params l);
+  let samples = Array.init 3 (fun _ -> T.rand_uniform rng [| 2; 12; 12 |]) in
+  List.iter
+    (fun jobs ->
+      with_exact_jobs jobs (fun () ->
+          let batched = T.unstack (Layer.forward_batch l (T.stack samples)) in
+          Array.iteri
+            (fun k x ->
+              check_tensor_bits
+                (Printf.sprintf "jobs=%d sample %d" jobs k)
+                (V.data (Layer.forward l (V.const x)))
+                batched.(k))
+            samples))
+    [ 1; 4 ]
+
+let test_forward_batch_rejects_linear () =
+  let l = Layer.linear (Rng.create 62) ~in_dim:4 ~out_dim:2 () in
+  match Layer.forward_batch l (T.zeros [| 1; 4; 1; 1 |]) with
+  | _ -> Alcotest.fail "a linear layer ran batched"
+  | exception Invalid_argument _ -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Siamese UNet                                                        *)
@@ -243,6 +308,10 @@ let suites =
         Alcotest.test_case "seq composition" `Quick test_seq_composition;
         Alcotest.test_case "state roundtrip" `Quick test_layer_state_roundtrip;
         Alcotest.test_case "1x1 conv learns scaling" `Quick test_layer_trains;
+        Alcotest.test_case "forward_batch = tape, every constructor" `Quick
+          test_forward_batch_matches_tape;
+        Alcotest.test_case "forward_batch rejects linear" `Quick
+          test_forward_batch_rejects_linear;
       ] );
     ( "nn.siamese_unet",
       [

@@ -330,7 +330,7 @@ let test_load_rejects_wrong_channels () =
 (* ------------------------------------------------------------------ *)
 
 let with_server ?(queue_capacity = 64) ?(max_batch = 8) ?(batch_linger_ms = 30.)
-    ?(cache_capacity = 128) ?(numeric = `F32) ?spill_dir ?(shard_id = 0)
+    ?(cache_capacity = 128) ?spill_dir ?(shard_id = 0)
     predictor f =
   let cfg =
     {
@@ -339,7 +339,6 @@ let with_server ?(queue_capacity = 64) ?(max_batch = 8) ?(batch_linger_ms = 30.)
       max_batch;
       batch_linger_ms;
       cache_capacity;
-      numeric;
       spill_dir;
       route_cache_dir = None;
       corpus_dir = None;
@@ -680,7 +679,6 @@ let test_e2e_drain_on_stop () =
       max_batch = 8;
       batch_linger_ms = 200.;
       cache_capacity = 16;
-      numeric = `F32;
       spill_dir = None;
       route_cache_dir = None;
       corpus_dir = None;
@@ -717,55 +715,8 @@ let test_e2e_drain_on_stop () =
   | _ -> Alcotest.fail "queued request must be served during drain"
 
 (* ------------------------------------------------------------------ *)
-(* Quantized serving and client retry                                  *)
+(* Client retry                                                        *)
 (* ------------------------------------------------------------------ *)
-
-let test_fingerprint_numeric_distinct () =
-  (* Same weights, different numeric path: the serve cache key must not
-     alias int8 replies with float32 replies. *)
-  let predictor = mk_predictor 83 in
-  let fp_f32 = Predictor.fingerprint ~numeric:`F32 predictor in
-  let fp_i8 = Predictor.fingerprint ~numeric:`I8 predictor in
-  Alcotest.(check bool)
-    "f32 and i8 fingerprints differ" true (fp_f32 <> fp_i8);
-  Alcotest.(check string)
-    "f32 fingerprint stable" fp_f32
-    (Predictor.fingerprint ~numeric:`F32 predictor);
-  Alcotest.(check string)
-    "i8 fingerprint stable" fp_i8
-    (Predictor.fingerprint ~numeric:`I8 predictor);
-  Alcotest.(check string)
-    "default numeric is f32" fp_f32
-    (Predictor.fingerprint predictor)
-
-let test_e2e_quantized_serving () =
-  let predictor = mk_predictor 89 in
-  with_server ~numeric:`I8 predictor @@ fun srv ->
-  let c = Client.connect (Server.bound_addr srv) in
-  Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
-  let rng = Rng.create 97 in
-  let fb = rand_stack rng 7 9 and ft = rand_stack rng 7 9 in
-  match Client.predict c fb ft with
-  | Client.Ok { c_bottom; c_top; _ } ->
-      let eb, et = Predictor.predict ~numeric:`I8 predictor fb ft in
-      check_bits "quantized bottom" eb c_bottom;
-      check_bits "quantized top" et c_top;
-      let fb32, ft32 = Predictor.predict ~numeric:`F32 predictor fb ft in
-      (* Either die's map may saturate to the clamp floor on a given
-         fixture; the numeric paths must diverge somewhere across the
-         pair. *)
-      let differs = ref false in
-      let scan f32 i8 =
-        Array.iteri
-          (fun i v ->
-            if Int64.bits_of_float v <> Int64.bits_of_float i8.T.data.(i)
-            then differs := true)
-          f32.T.data
-      in
-      scan fb32 c_bottom;
-      scan ft32 c_top;
-      Alcotest.(check bool) "i8 reply is not the f32 reply" true !differs
-  | _ -> Alcotest.fail "quantized predict not served"
 
 let test_retry_overloaded_recovers () =
   let predictor = mk_predictor 101 in
@@ -906,9 +857,6 @@ let suites =
         Alcotest.test_case "unpolled jobs are retained up to a hard cap" `Quick
           test_e2e_job_retention_unpolled;
         Alcotest.test_case "drain on stop" `Quick test_e2e_drain_on_stop;
-        Alcotest.test_case "numeric-distinct fingerprints" `Quick
-          test_fingerprint_numeric_distinct;
-        Alcotest.test_case "quantized serving" `Quick test_e2e_quantized_serving;
         Alcotest.test_case "retry recovers from overload" `Quick
           test_retry_overloaded_recovers;
         Alcotest.test_case "retry respects deadline" `Quick
