@@ -103,7 +103,9 @@ serve-smoke:
 # fleet.  A one-entry result cache forces LRU evictions, so the spill
 # is written both on eviction (spill_writes in the stats taken before
 # the kill) and on drain (.spill files under each shard's spill dir).
-# The balancer and each shard leave stage profiles under $(LOGS)/.
+# The balancer and each shard leave stage profiles under $(LOGS)/; a
+# span path balance/route/balance/route in any of them means the
+# concurrent connection threads nested their spans into each other.
 balance-smoke:
 	dune build bin/dco3d.exe
 	mkdir -p $(LOGS)
@@ -139,6 +141,8 @@ balance-smoke:
 	  ls $(LOGS)/balance-profile.txt.shard0 $(LOGS)/balance-profile.txt.shard1 && \
 	  ls $(LOGS)/balance-spill/shard-*/*.spill > /dev/null && \
 	  awk '/spill_writes/ { s += $$2 } END { exit !(s > 0) }' $(LOGS)/balance-stats.log && \
+	  { ! grep -l 'balance/route/balance/route' $(LOGS)/balance-profile.txt* || \
+	    { echo "balance-smoke: concurrent connections nested their route spans"; false; }; } && \
 	  echo "balance-smoke: OK" || { echo "balance-smoke: FAILED"; exit 1; }
 	@rm -f $(LOGS)/balance-smoke.sock $(LOGS)/balance-smoke.ctl
 

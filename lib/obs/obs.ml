@@ -14,13 +14,14 @@
       span aggregation and the event buffer sit behind one mutex
       (spans mark stages, not inner loops, so the lock is cold).
 
-   3. Span paths form a stage tree.  Nesting is tracked per domain
-      with DLS, so a span opened inside another on the same domain
-      extends its path ("flow" -> "flow/place" -> "flow/place/cg_solve")
-      while spans on pool workers start fresh roots and land on their
-      own trace track.  High-cardinality segments ("iter:17",
-      "sample:3", "net:812") are rolled up to "iter:*" in the
-      aggregated profile; the raw trace keeps exact names. *)
+   3. Span paths form a stage tree.  Nesting is tracked per thread,
+      so a span opened inside another on the same thread extends its
+      path ("flow" -> "flow/place" -> "flow/place/cg_solve") while
+      spans on pool workers or on a server's connection threads start
+      fresh roots and land on their own trace track.  High-cardinality
+      segments ("iter:17", "sample:3", "net:812") are rolled up to
+      "iter:*" in the aggregated profile; the raw trace keeps exact
+      names. *)
 
 (* ------------------------------------------------------------------ *)
 (* Gating                                                              *)
@@ -135,23 +136,34 @@ let record_span ~path ~tid ~ts_us ~dur_us ~args =
    else incr dropped_events);
   Mutex.unlock stats_mutex
 
-(* Innermost open span path on this domain. *)
-let span_stack : string list Domain.DLS.key = Domain.DLS.new_key (fun () -> [])
+(* Open span paths per thread, innermost first.  Systhreads share
+   their domain's DLS, so the stacks are keyed by thread id (unique
+   across domains); a thread's entry goes when its last span closes,
+   so the table holds only threads inside a span. *)
+let stacks : (int, string list) Hashtbl.t = Hashtbl.create 16
+let stacks_mutex = Mutex.create ()
+
+let set_stack tid = function
+  | [] -> Hashtbl.remove stacks tid
+  | stack -> Hashtbl.replace stacks tid stack
 
 let with_span ?(args = []) name f =
   if not (Atomic.get enabled_) then f ()
   else begin
-    let parent = Domain.DLS.get span_stack in
-    let path = match parent with [] -> name | p :: _ -> p ^ "/" ^ name in
-    Domain.DLS.set span_stack (path :: parent);
+    let tid = Thread.id (Thread.self ()) in
+    let path, parent =
+      Mutex.protect stacks_mutex (fun () ->
+          let parent = Option.value (Hashtbl.find_opt stacks tid) ~default:[] in
+          let path = match parent with [] -> name | p :: _ -> p ^ "/" ^ name in
+          set_stack tid (path :: parent);
+          (path, parent))
+    in
     let ts = now_us () in
     Fun.protect
       ~finally:(fun () ->
         let dur = now_us () -. ts in
-        Domain.DLS.set span_stack parent;
-        record_span ~path
-          ~tid:(Domain.self () :> int)
-          ~ts_us:ts ~dur_us:dur ~args)
+        Mutex.protect stacks_mutex (fun () -> set_stack tid parent);
+        record_span ~path ~tid ~ts_us:ts ~dur_us:dur ~args)
       f
   end
 

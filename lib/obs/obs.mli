@@ -7,7 +7,7 @@
 
     {ul
     {- {b Spans} — nestable monotonic timers.  A span opened inside
-       another span on the same domain extends its path with [/], so the
+       another span on the same thread extends its path with [/], so the
        recorded tree reads like a call stack: [flow/place/cg_solve],
        [flow/route/repair:2].  Path segments of the form [name:<int>]
        (per-net, per-sample, per-iteration spans) are rolled up to
@@ -61,10 +61,11 @@ val set_profile_dest : string -> unit
 val with_span : ?args:(string * string) list -> string -> (unit -> 'a) -> 'a
 (** [with_span name f] times [f ()] on the monotonic clock and records
     the interval under [parent_path/name], where the parent path is the
-    innermost span currently open on this domain (spans opened on pool
-    worker domains start fresh roots — the trace shows them on their
-    own track).  [args] attaches key/value detail visible in the trace
-    viewer.  The result (or exception) of [f] is passed through;
+    innermost span currently open on this thread (spans opened on pool
+    worker domains or on other threads start fresh roots — the trace
+    shows each thread on its own track).  [args] attaches key/value
+    detail visible in the trace viewer.  The result (or exception) of
+    [f] is passed through;
     disabled, [with_span name f] is [f ()]. *)
 
 (** {1 Counters, gauges, histograms} *)

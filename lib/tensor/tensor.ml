@@ -7,34 +7,25 @@ module Pool = Dco3d_parallel.Pool
    dispatch costs a couple of microseconds (two atomic writes plus a
    worker wake-up), so a region is only worth opening when every helper
    gets well over that in work.  The crossovers were calibrated per
-   kernel against the PR 1 bench shapes (BENCH_kernels.json): the
+   kernel against the kernel bench shapes (BENCH_kernels.json): the
    gather-GEMM (matmul and every conv lowering) amortizes dispatch
-   fastest (dense multiply-adds), the direct conv loops run at about
-   the same crossover, and matvec is memory-bound
-   (one float of traffic per MAC leaves little for extra cores), so
-   each gets its own floor instead of PR 1's single global
-   par_threshold = 1 lsl 16, which sent sub-crossover shapes to the
-   pool at a loss.  The gather-GEMM applies its floor to every chunk
+   fastest (dense multiply-adds), and matvec is memory-bound (one
+   float of traffic per MAC leaves little for extra cores), so each
+   gets its own floor instead of a single global par_threshold =
+   1 lsl 16, which sent sub-crossover shapes to the pool at a loss.
+   The gather-GEMM applies its floor to every chunk
    ([gemm_gather]); on the conv and matmul kernel rows at two jobs,
    floors of 2^15 to 2^18 per chunk timed within noise of each other.
 
      kernel                  threshold (MACs)  first clearly-winning shape
      gather-GEMM             1 lsl 17 / chunk  128 x 128 x 128
-     direct conv             1 lsl 17          8ch 32x32, 3x3 kernel
      matvec                  1 lsl 18          512 x 512
 
    The guards depend only on the problem size — never on the job
    count — so the sequential and pooled paths agree bit-for-bit at
    every DCO3D_JOBS value. *)
 let gemm_par_macs = 1 lsl 17
-let conv_par_macs = 1 lsl 17
 let matvec_par_macs = 1 lsl 18
-
-(* Below this many MACs a convolution skips the GEMM lowering: the
-   descriptor set-up would cost more than the arithmetic it feeds.  The
-   two conv paths are bit-identical, so the switch is invisible to
-   callers. *)
-let conv_gemm_min_macs = 4096
 
 let numel_of_shape shape = Array.fold_left ( * ) 1 shape
 
@@ -310,9 +301,8 @@ let frobenius t = sqrt (dot t t)
 (* left-to-right chain of separate multiplies and adds, starting from  *)
 (* out's value (slabs continue the chain from the value the previous   *)
 (* slab stored; no FMA: the stub is built with -ffp-contract=off,      *)
-(* never -ffast-math), which is exactly the order of the direct        *)
-(* reference loops — so the GEMM path, the direct path, every ISA      *)
-(* variant and any banding across domains produce identical bits.      *)
+(* never -ffast-math) — so every ISA variant and any banding across    *)
+(* domains produce identical bits, those of the naive loop over p.     *)
 (* ------------------------------------------------------------------ *)
 
 (* Rows [i0, i1) x column blocks [b0, b1) (block b is columns 8b ..
@@ -534,14 +524,19 @@ let matvec a x =
 (* ------------------------------------------------------------------ *)
 (* Convolution kernels.                                                *)
 (*                                                                     *)
-(* Each kernel has two bit-identical implementations: a direct loop    *)
-(* nest (the reference, kept for tiny shapes and for property tests)   *)
-(* and an im2col/GEMM lowering onto the gather-GEMM kernel above.      *)
-(* The lowering is bit-exact because for every output element the      *)
-(* im2col inner index enumerates contributions in exactly the order    *)
-(* the direct loops visit them, and the zeros it substitutes for       *)
-(* padding (or for skipped zero coefficients) are exact no-ops:        *)
-(* adding +/-0. never changes a finite float's bits.                   *)
+(* Every pass is one im2col lowering onto the gather-GEMM kernel      *)
+(* above, so each output element is one chain of separately rounded   *)
+(* multiplies and adds from +0., in a fixed order of its terms, with   *)
+(* the bias (if any) added after the last one:                         *)
+(*   conv2d            taps (c, ky, kx) ascending                      *)
+(*   backward_input    (o, ky, kx) ascending                           *)
+(*   backward_weight   output pixels (oy, ox) ascending                *)
+(*   conv2d_transpose  c ascending, then source pixel (iy, ix)         *)
+(*                     ascending (taps ky, kx descending)              *)
+(* Only terms whose source pixel lies inside the input count: the      *)
+(* zeros the lowering gathers for padding and stride gaps add +/-0.,   *)
+(* which never changes a chain that began at +0.  The tests' Conv_ref  *)
+(* spells each order out as a plain loop nest.                         *)
 (*                                                                     *)
 (* Every lowering's B is one gather from a source image, described by *)
 (* (off, y, x) descriptors that nested loops fill ([fill_taps],        *)
@@ -557,8 +552,6 @@ let matvec a x =
 (* [float array]s: a helper that only moves floats is otherwise        *)
 (* inferred polymorphic and boxes every element it touches.            *)
 (* ------------------------------------------------------------------ *)
-
-type conv_engine = [ `Auto | `Direct | `Gemm ]
 
 let check_rank3 name t =
   if rank t <> 3 then invalid_arg (name ^ ": expected a rank-3 tensor")
@@ -597,12 +590,6 @@ let check_conv_args name ~stride ~pad ~in_channels ~in_axis ~out_axis ~weight
   | _ -> ());
   co
 
-let gemm_selected (engine : conv_engine) macs =
-  match engine with
-  | `Gemm -> true
-  | `Direct -> false
-  | `Auto -> macs >= conv_gemm_min_macs
-
 (* Kernel taps (c, ky, kx), c-major over [chans] planes of [plane]
    floats: off = c*plane, y = ky - pad, x = kx - pad. *)
 let fill_taps (d : int array) ~chans ~plane ~kh ~kw ~pad =
@@ -618,9 +605,8 @@ let fill_taps (d : int array) ~chans ~plane ~kh ~kw ~pad =
     done
   done
 
-(* Finish a batched forward GEMM: bias after the full contraction
-   (matching the direct paths, which also add it last, once per output
-   channel), then [co; n; hw] -> [n; co; hw]. *)
+(* Finish a batched forward GEMM: bias after the full contraction,
+   once per output channel, then [co; n; hw] -> [n; co; hw]. *)
 let finish_batch (g : float array) ~n ~co ~hw bias =
   let ncol = n * hw in
   (match bias with
@@ -653,10 +639,10 @@ let finish_batch (g : float array) ~n ~co ~hw bias =
 (* ty + (ry + pad - ky) / s: a stride-1 gather.  So each of the s^2    *)
 (* phases (ry, rx) is one GEMM over its own taps and its own pixel     *)
 (* grid, whose columns scatter to (ry + s*ty, rx + s*tx).  Every       *)
-(* output pixel lies in exactly one phase, a tap a phase drops is one  *)
-(* the direct loops never visit for its pixels, and the taps keep the  *)
-(* direct loops' order (ky, kx descending when [flip]), so each        *)
-(* output's chain is the direct loops' chain.                          *)
+(* output pixel lies in exactly one phase, a tap a phase drops reaches *)
+(* none of its pixels, and the taps keep the pass's order (ky, kx      *)
+(* descending when [flip]), so each output's chain is the one the      *)
+(* section comment gives.                                              *)
 
 (* Phase (ry, rx)'s taps (c, ky, kx): ky runs over ky0, ky0 + s, ...
    (nky of them, descending when [flip]), kx likewise.  Tap p fills
@@ -756,8 +742,7 @@ let phase_gemm ~stride:s ~pad ~kh ~kw ~flip ~chans ~m ~n ~sh ~sw ~oh ~ow
 (* Forward lowering over a batch: A = weight as (co x ci*kh*kw) — its
    natural layout — and B[(c,ky,kx), (b,oy,ox)] =
    x[b, c, oy*s + ky - pad, ox*s + kx - pad] (or 0. outside the input).
-   The inner index p ascends exactly like the direct loop's (c, ky, kx)
-   nest. *)
+   The inner index p ascends over (c, ky, kx). *)
 let conv2d_gemm ~n ~stride ~pad ~ci ~h ~w ~co ~kh ~kw ~oh ~ow xd wd bias =
   let ncol = n * oh * ow in
   let g = Array.make (co * ncol) 0. in
@@ -772,9 +757,8 @@ let conv2d_gemm ~n ~stride ~pad ~ci ~h ~w ~co ~kh ~kw ~oh ~ow xd wd bias =
    the sums, so instead the gradient is computed as a GEMM over *input*
    pixels, one per stride phase: A[c, (o,ky,kx)] = w[o,c,ky,kx] and
    B[(o,ky,kx), (iy,ix)] = gout[o, (iy+pad-ky)/s, (ix+pad-kx)/s] when
-   that division is exact and in range, else 0.  For a fixed input
-   pixel the direct path accumulates over (o, ky, kx) ascending — the
-   same order p ascends here. *)
+   that division is exact and in range, else 0.  The inner index p
+   ascends over (o, ky, kx). *)
 let conv2d_backward_input_gemm ~stride ~pad ~ci ~h ~w ~co ~kh ~kw ~oh ~ow gd
     wd =
   let gin = Array.create_float (ci * h * w) in
@@ -786,8 +770,7 @@ let conv2d_backward_input_gemm ~stride ~pad ~ci ~h ~w ~co ~kh ~kw ~oh ~ow gd
 (* Weight-gradient lowering: A = gout as (co x oh*ow) — its natural
    layout — and B[(oy,ox), (c,ky,kx)] = x[c, oy*s+ky-pad, ox*s+kx-pad]
    or 0.: the forward gather with the roles of rows and columns
-   exchanged.  The direct path reduces each weight cell over (oy, ox)
-   ascending, which is exactly how p ascends here. *)
+   exchanged.  The inner index p ascends over (oy, ox). *)
 let conv2d_backward_weight_gemm ~stride ~pad ~ci ~h ~w ~co ~kh ~kw ~oh ~ow gd
     xd =
   let gw = Array.make (co * ci * kh * kw) 0. in
@@ -802,10 +785,8 @@ let conv2d_backward_weight_gemm ~stride ~pad ~ci ~h ~w ~co ~kh ~kw ~oh ~ow gd
    stride-dilated correlation with the kernel flipped, so per stride
    phase A[o, (c,ky,kx)] = w[c,o,ky,kx] and B[(c,ky,kx), (b,oy,ox)] =
    x[b, c, (oy+pad-ky)/s, (ox+pad-kx)/s] when exact and in range, else
-   0.  Taking the taps with ky and kx descending makes p ascend in the
-   order the direct scatter visits contributions for a fixed output
-   pixel: c ascending, then iy, then ix.  The bias is added after the
-   full contraction, like the direct path. *)
+   0.  Taking the taps with ky and kx descending makes p ascend over c,
+   then iy, then ix.  The bias is added after the full contraction. *)
 let conv2d_transpose_gemm ~n ~stride ~pad ~ci ~h ~w ~co ~kh ~kw ~oh ~ow xd wd
     bias =
   let out = Array.create_float (n * co * oh * ow) in
@@ -813,56 +794,9 @@ let conv2d_transpose_gemm ~n ~stride ~pad ~ci ~h ~w ~co ~kh ~kw ~oh ~ow xd wd
     ~ow ~chan_stride:(co * kh * kw) ~row_stride:(kh * kw) xd wd bias out;
   out
 
-(* Direct reference for one sample: reads x at [xoff], writes out at
-   [ooff].  Each output channel writes only its own slice, so channels
-   distribute freely across domains without changing any result bit. *)
-let conv2d_direct ~stride ~pad ~ci ~h ~w ~co ~kh ~kw ~oh ~ow (xd : float array)
-    xoff (wd : float array) bias (out : float array) ooff =
-  let per_out_channel o =
-    let wbase_o = o * ci * kh * kw in
-    let obase_o = ooff + (o * oh * ow) in
-    for c = 0 to ci - 1 do
-      let wbase = wbase_o + (c * kh * kw) in
-      let xbase = xoff + (c * h * w) in
-      for ky = 0 to kh - 1 do
-        for kx = 0 to kw - 1 do
-          let wv = Array.unsafe_get wd (wbase + (ky * kw) + kx) in
-          if wv <> 0. then
-            for oy = 0 to oh - 1 do
-              let iy = (oy * stride) + ky - pad in
-              if iy >= 0 && iy < h then begin
-                let orow = obase_o + (oy * ow) in
-                let xrow = xbase + (iy * w) in
-                for ox = 0 to ow - 1 do
-                  let ix = (ox * stride) + kx - pad in
-                  if ix >= 0 && ix < w then
-                    Array.unsafe_set out (orow + ox)
-                      (Array.unsafe_get out (orow + ox)
-                      +. (wv *. Array.unsafe_get xd (xrow + ix)))
-                done
-              end
-            done
-        done
-      done
-    done;
-    match bias with
-    | Some b ->
-        let bv = b.data.(o) in
-        for i = 0 to (oh * ow) - 1 do
-          Array.unsafe_set out (obase_o + i)
-            (Array.unsafe_get out (obase_o + i) +. bv)
-        done
-    | None -> ()
-  in
-  if co * ci * kh * kw * oh * ow < conv_par_macs then
-    for o = 0 to co - 1 do
-      per_out_channel o
-    done
-  else Pool.parallel_for ~chunk:1 0 co per_out_channel
-
 (* Shared by [conv2d] (n = 1) and [conv2d_batch]: returns
    (co, oh, ow, data) with data laid out [n; co; oh; ow]. *)
-let conv2d_core ~name ~stride ~pad ~engine ~n ~ci ~h ~w xd ~weight ~bias =
+let conv2d_core ~name ~stride ~pad ~n ~ci ~h ~w xd ~weight ~bias =
   let co =
     check_conv_args name ~stride ~pad ~in_channels:ci ~in_axis:1 ~out_axis:0
       ~weight ~bias
@@ -871,36 +805,26 @@ let conv2d_core ~name ~stride ~pad ~engine ~n ~ci ~h ~w xd ~weight ~bias =
   let oh = ((h + (2 * pad) - kh) / stride) + 1 in
   let ow = ((w + (2 * pad) - kw) / stride) + 1 in
   if oh <= 0 || ow <= 0 then invalid_arg (name ^ ": empty output");
-  let data =
-    if n > 0 && gemm_selected engine (n * co * ci * kh * kw * oh * ow) then
-      conv2d_gemm ~n ~stride ~pad ~ci ~h ~w ~co ~kh ~kw ~oh ~ow xd weight.data
-        bias
-    else begin
-      let out = Array.make (n * co * oh * ow) 0. in
-      for b = 0 to n - 1 do
-        conv2d_direct ~stride ~pad ~ci ~h ~w ~co ~kh ~kw ~oh ~ow xd
-          (b * ci * h * w) weight.data bias out
-          (b * co * oh * ow)
-      done;
-      out
-    end
-  in
-  (co, oh, ow, data)
+  ( co,
+    oh,
+    ow,
+    conv2d_gemm ~n ~stride ~pad ~ci ~h ~w ~co ~kh ~kw ~oh ~ow xd weight.data
+      bias )
 
-let conv2d ?(stride = 1) ?(pad = 0) ?(engine = `Auto) x ~weight ~bias =
+let conv2d ?(stride = 1) ?(pad = 0) x ~weight ~bias =
   check_rank3 "Tensor.conv2d" x;
   let co, oh, ow, data =
-    conv2d_core ~name:"Tensor.conv2d" ~stride ~pad ~engine ~n:1
-      ~ci:x.shape.(0) ~h:x.shape.(1) ~w:x.shape.(2) x.data ~weight ~bias
+    conv2d_core ~name:"Tensor.conv2d" ~stride ~pad ~n:1 ~ci:x.shape.(0)
+      ~h:x.shape.(1) ~w:x.shape.(2) x.data ~weight ~bias
   in
   make [| co; oh; ow |] data
 
-let conv2d_batch ?(stride = 1) ?(pad = 0) ?(engine = `Auto) x ~weight ~bias =
+let conv2d_batch ?(stride = 1) ?(pad = 0) x ~weight ~bias =
   check_rank4 "Tensor.conv2d_batch" x;
   let n = x.shape.(0) in
   let co, oh, ow, data =
-    conv2d_core ~name:"Tensor.conv2d_batch" ~stride ~pad ~engine ~n
-      ~ci:x.shape.(1) ~h:x.shape.(2) ~w:x.shape.(3) x.data ~weight ~bias
+    conv2d_core ~name:"Tensor.conv2d_batch" ~stride ~pad ~n ~ci:x.shape.(1)
+      ~h:x.shape.(2) ~w:x.shape.(3) x.data ~weight ~bias
   in
   make [| n; co; oh; ow |] data
 
@@ -911,8 +835,7 @@ let conv_output_shape name ~stride ~pad ~co ~h ~w ~kh ~kw =
     co; ((h + (2 * pad) - kh) / stride) + 1; ((w + (2 * pad) - kw) / stride) + 1;
   |]
 
-let conv2d_backward_input ?(stride = 1) ?(pad = 0) ?(engine = `Auto)
-    ~input_shape ~weight gout =
+let conv2d_backward_input ?(stride = 1) ?(pad = 0) ~input_shape ~weight gout =
   let name = "Tensor.conv2d_backward_input" in
   check_rank3 name gout;
   if rank weight <> 4 then invalid_arg (name ^ ": weight must be rank 4");
@@ -925,53 +848,11 @@ let conv2d_backward_input ?(stride = 1) ?(pad = 0) ?(engine = `Auto)
   if gout.shape <> expected then
     shape_mismatch name "gradient shape" gout.shape "output shape" expected;
   let oh = gout.shape.(1) and ow = gout.shape.(2) in
-  if gemm_selected engine (co * ci * kh * kw * oh * ow) then
-    make input_shape
-      (conv2d_backward_input_gemm ~stride ~pad ~ci ~h ~w ~co ~kh ~kw ~oh ~ow
-         gout.data weight.data)
-  else begin
-    let gin = Array.make (ci * h * w) 0. in
-    let gd = gout.data and wd = weight.data in
-    (* input channels own disjoint [gin] slices; within a channel the
-       output channels accumulate in ascending order, a fixed reduction
-       order at any job count *)
-    let per_in_channel c =
-      let ibase = c * h * w in
-      for o = 0 to co - 1 do
-        let wbase = ((o * ci) + c) * kh * kw in
-        let gbase_o = o * oh * ow in
-        for ky = 0 to kh - 1 do
-          for kx = 0 to kw - 1 do
-            let wv = Array.unsafe_get wd (wbase + (ky * kw) + kx) in
-            if wv <> 0. then
-              for oy = 0 to oh - 1 do
-                let iy = (oy * stride) + ky - pad in
-                if iy >= 0 && iy < h then begin
-                  let grow = gbase_o + (oy * ow) in
-                  let irow = ibase + (iy * w) in
-                  for ox = 0 to ow - 1 do
-                    let ix = (ox * stride) + kx - pad in
-                    if ix >= 0 && ix < w then
-                      Array.unsafe_set gin (irow + ix)
-                        (Array.unsafe_get gin (irow + ix)
-                        +. (wv *. Array.unsafe_get gd (grow + ox)))
-                  done
-                end
-              done
-          done
-        done
-      done
-    in
-    if co * ci * kh * kw * oh * ow < conv_par_macs then
-      for c = 0 to ci - 1 do
-        per_in_channel c
-      done
-    else Pool.parallel_for ~chunk:1 0 ci per_in_channel;
-    make input_shape gin
-  end
+  make input_shape
+    (conv2d_backward_input_gemm ~stride ~pad ~ci ~h ~w ~co ~kh ~kw ~oh ~ow
+       gout.data weight.data)
 
-let conv2d_backward_weight ?(stride = 1) ?(pad = 0) ?(engine = `Auto) ~input
-    ~weight_shape gout =
+let conv2d_backward_weight ?(stride = 1) ?(pad = 0) ~input ~weight_shape gout =
   let name = "Tensor.conv2d_backward_weight" in
   check_rank3 name gout;
   check_rank3 name input;
@@ -984,99 +865,12 @@ let conv2d_backward_weight ?(stride = 1) ?(pad = 0) ?(engine = `Auto) ~input
   if gout.shape <> expected then
     shape_mismatch name "gradient shape" gout.shape "output shape" expected;
   let oh = gout.shape.(1) and ow = gout.shape.(2) in
-  if gemm_selected engine (co * ci * kh * kw * oh * ow) then
-    make weight_shape
-      (conv2d_backward_weight_gemm ~stride ~pad ~ci ~h ~w ~co ~kh ~kw ~oh ~ow
-         gout.data input.data)
-  else begin
-    let gw = Array.make (co * ci * kh * kw) 0. in
-    let gd = gout.data and xd = input.data in
-    let per_out_channel o =
-      let gbase_o = o * oh * ow in
-      let wbase_o = o * ci * kh * kw in
-      for c = 0 to ci - 1 do
-        let xbase = c * h * w in
-        let wbase = wbase_o + (c * kh * kw) in
-        for ky = 0 to kh - 1 do
-          for kx = 0 to kw - 1 do
-            let acc = ref 0. in
-            for oy = 0 to oh - 1 do
-              let iy = (oy * stride) + ky - pad in
-              if iy >= 0 && iy < h then begin
-                let grow = gbase_o + (oy * ow) in
-                let xrow = xbase + (iy * w) in
-                for ox = 0 to ow - 1 do
-                  let ix = (ox * stride) + kx - pad in
-                  if ix >= 0 && ix < w then
-                    acc :=
-                      !acc
-                      +. Array.unsafe_get gd (grow + ox)
-                         *. Array.unsafe_get xd (xrow + ix)
-                done
-              end
-            done;
-            gw.(wbase + (ky * kw) + kx) <- !acc
-          done
-        done
-      done
-    in
-    if co * ci * kh * kw * oh * ow < conv_par_macs then
-      for o = 0 to co - 1 do
-        per_out_channel o
-      done
-    else Pool.parallel_for ~chunk:1 0 co per_out_channel;
-    make weight_shape gw
-  end
-
-(* Direct reference for one sample, offsets as in [conv2d_direct].
-   Output channels own disjoint [out] slices; within one, input
-   channels scatter in ascending order — a fixed accumulation order. *)
-let conv2d_transpose_direct ~stride ~pad ~ci ~h ~w ~co ~kh ~kw ~oh ~ow
-    (xd : float array) xoff (wd : float array) bias (out : float array) ooff =
-  let per_out_channel o =
-    let obase = ooff + (o * oh * ow) in
-    for c = 0 to ci - 1 do
-      let xbase = xoff + (c * h * w) in
-      let wbase = ((c * co) + o) * kh * kw in
-      for iy = 0 to h - 1 do
-        let xrow = xbase + (iy * w) in
-        for ix = 0 to w - 1 do
-          let xv = Array.unsafe_get xd (xrow + ix) in
-          if xv <> 0. then
-            for ky = 0 to kh - 1 do
-              let oy = (iy * stride) + ky - pad in
-              if oy >= 0 && oy < oh then begin
-                let orow = obase + (oy * ow) in
-                let wrow = wbase + (ky * kw) in
-                for kx = 0 to kw - 1 do
-                  let ox = (ix * stride) + kx - pad in
-                  if ox >= 0 && ox < ow then
-                    Array.unsafe_set out (orow + ox)
-                      (Array.unsafe_get out (orow + ox)
-                      +. (xv *. Array.unsafe_get wd (wrow + kx)))
-                done
-              end
-            done
-        done
-      done
-    done;
-    match bias with
-    | Some b ->
-        let bv = b.data.(o) in
-        for i = 0 to (oh * ow) - 1 do
-          Array.unsafe_set out (obase + i) (Array.unsafe_get out (obase + i) +. bv)
-        done
-    | None -> ()
-  in
-  if ci * co * kh * kw * h * w < conv_par_macs then
-    for o = 0 to co - 1 do
-      per_out_channel o
-    done
-  else Pool.parallel_for ~chunk:1 0 co per_out_channel
+  make weight_shape
+    (conv2d_backward_weight_gemm ~stride ~pad ~ci ~h ~w ~co ~kh ~kw ~oh ~ow
+       gout.data input.data)
 
 (* Shared by [conv2d_transpose] (n = 1) and [conv2d_transpose_batch]. *)
-let conv2d_transpose_core ~name ~stride ~pad ~engine ~n ~ci ~h ~w xd ~weight
-    ~bias =
+let conv2d_transpose_core ~name ~stride ~pad ~n ~ci ~h ~w xd ~weight ~bias =
   let co =
     check_conv_args name ~stride ~pad ~in_channels:ci ~in_axis:0 ~out_axis:1
       ~weight ~bias
@@ -1085,41 +879,26 @@ let conv2d_transpose_core ~name ~stride ~pad ~engine ~n ~ci ~h ~w xd ~weight
   let oh = ((h - 1) * stride) - (2 * pad) + kh in
   let ow = ((w - 1) * stride) - (2 * pad) + kw in
   if oh <= 0 || ow <= 0 then invalid_arg (name ^ ": empty output");
-  let data =
-    if
-      n > 0 && gemm_selected engine (n * ci * co * kh * kw * h * w)
-    then
-      conv2d_transpose_gemm ~n ~stride ~pad ~ci ~h ~w ~co ~kh ~kw ~oh ~ow xd
-        weight.data bias
-    else begin
-      let out = Array.make (n * co * oh * ow) 0. in
-      for b = 0 to n - 1 do
-        conv2d_transpose_direct ~stride ~pad ~ci ~h ~w ~co ~kh ~kw ~oh ~ow xd
-          (b * ci * h * w) weight.data bias out
-          (b * co * oh * ow)
-      done;
-      out
-    end
-  in
-  (co, oh, ow, data)
+  ( co,
+    oh,
+    ow,
+    conv2d_transpose_gemm ~n ~stride ~pad ~ci ~h ~w ~co ~kh ~kw ~oh ~ow xd
+      weight.data bias )
 
-let conv2d_transpose ?(stride = 1) ?(pad = 0) ?(engine = `Auto) x ~weight
-    ~bias =
+let conv2d_transpose ?(stride = 1) ?(pad = 0) x ~weight ~bias =
   check_rank3 "Tensor.conv2d_transpose" x;
   let co, oh, ow, data =
-    conv2d_transpose_core ~name:"Tensor.conv2d_transpose" ~stride ~pad ~engine
-      ~n:1 ~ci:x.shape.(0) ~h:x.shape.(1) ~w:x.shape.(2) x.data ~weight ~bias
+    conv2d_transpose_core ~name:"Tensor.conv2d_transpose" ~stride ~pad ~n:1
+      ~ci:x.shape.(0) ~h:x.shape.(1) ~w:x.shape.(2) x.data ~weight ~bias
   in
   make [| co; oh; ow |] data
 
-let conv2d_transpose_batch ?(stride = 1) ?(pad = 0) ?(engine = `Auto) x
-    ~weight ~bias =
+let conv2d_transpose_batch ?(stride = 1) ?(pad = 0) x ~weight ~bias =
   check_rank4 "Tensor.conv2d_transpose_batch" x;
   let n = x.shape.(0) in
   let co, oh, ow, data =
-    conv2d_transpose_core ~name:"Tensor.conv2d_transpose_batch" ~stride ~pad
-      ~engine ~n ~ci:x.shape.(1) ~h:x.shape.(2) ~w:x.shape.(3) x.data ~weight
-      ~bias
+    conv2d_transpose_core ~name:"Tensor.conv2d_transpose_batch" ~stride ~pad ~n
+      ~ci:x.shape.(1) ~h:x.shape.(2) ~w:x.shape.(3) x.data ~weight ~bias
   in
   make [| n; co; oh; ow |] data
 

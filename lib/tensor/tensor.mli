@@ -181,14 +181,12 @@ val with_gemm_isa : string -> (unit -> 'a) -> 'a option
 
 (** {1 Convolution kernels (rank 3 activations [[c; h; w]])} *)
 
-type conv_engine = [ `Auto | `Direct | `Gemm ]
-(** Implementation selector for the convolution family.  [`Direct] is
-    the reference loop nest; [`Gemm] lowers onto {!gemm_gather}, which
-    reads the im2col matrix straight from the image.  The two are
-    bit-identical for every shape, stride, and padding — the engine is
-    purely a performance choice — and [`Auto] (the default) picks
-    [`Gemm] once the kernel's multiply-add count is large enough to
-    amortize the lowering's set-up, whatever its stride.
+(** Every convolution lowers onto {!gemm_gather}, which reads the
+    im2col matrix straight from the image.  Each output element is one
+    chain of separately rounded multiplies and adds from [0.] over its
+    in-image terms, in a fixed order per pass (listed in [tensor.ml]),
+    with the bias added last, so the bits are the same at every
+    [DCO3D_JOBS] and batch size.
 
     Every convolution entry below checks its shapes (input channels
     against the weight, bias length against the output channels, a
@@ -196,27 +194,22 @@ type conv_engine = [ `Auto | `Direct | `Gemm ]
     its stride ([>= 1]) and padding ([>= 0]) before touching any data,
     and raises [Invalid_argument] naming the mismatched shapes. *)
 
-val conv2d :
-  ?stride:int -> ?pad:int -> ?engine:conv_engine -> t -> weight:t ->
-  bias:t option -> t
+val conv2d : ?stride:int -> ?pad:int -> t -> weight:t -> bias:t option -> t
 (** [conv2d x ~weight ~bias] with [x : [ci; h; w]],
     [weight : [co; ci; kh; kw]], [bias : [co]] option.  Runs as
     {!conv2d_batch} at [n = 1]. *)
 
 val conv2d_backward_input :
-  ?stride:int -> ?pad:int -> ?engine:conv_engine -> input_shape:int array ->
-  weight:t -> t -> t
+  ?stride:int -> ?pad:int -> input_shape:int array -> weight:t -> t -> t
 (** Adjoint of {!conv2d} with respect to its input: maps the gradient of
     the output back to the gradient of the input. *)
 
 val conv2d_backward_weight :
-  ?stride:int -> ?pad:int -> ?engine:conv_engine -> input:t ->
-  weight_shape:int array -> t -> t
+  ?stride:int -> ?pad:int -> input:t -> weight_shape:int array -> t -> t
 (** Adjoint of {!conv2d} with respect to the weight. *)
 
 val conv2d_transpose :
-  ?stride:int -> ?pad:int -> ?engine:conv_engine -> t -> weight:t ->
-  bias:t option -> t
+  ?stride:int -> ?pad:int -> t -> weight:t -> bias:t option -> t
 (** Transposed convolution (a.k.a. deconvolution), used by the UNet
     decoder.  [x : [ci; h; w]], [weight : [ci; co; kh; kw]]; output has
     spatial size [(h-1)*stride - 2*pad + kh].  Runs as
@@ -254,18 +247,17 @@ val unstack : t -> t array
     owned tensors. *)
 
 val conv2d_batch :
-  ?stride:int -> ?pad:int -> ?engine:conv_engine -> t -> weight:t ->
-  bias:t option -> t
-(** {!conv2d} over a batch: [x : [n; ci; h; w]] -> [[n; co; oh; ow]].
-    Under [`Auto]/[`Gemm] the whole batch is lowered to a single
-    im2col/GEMM with [n * oh * ow] columns. *)
+  ?stride:int -> ?pad:int -> t -> weight:t -> bias:t option -> t
+(** {!conv2d} over a batch: [x : [n; ci; h; w]] -> [[n; co; oh; ow]],
+    lowered to a single im2col/GEMM with [n * oh * ow] columns.  An
+    empty batch ([n = 0]) gives an empty [[0; co; oh; ow]]. *)
 
 val conv2d_transpose_batch :
-  ?stride:int -> ?pad:int -> ?engine:conv_engine -> t -> weight:t ->
-  bias:t option -> t
-(** {!conv2d_transpose} over a batch ([x : [n; ci; h; w]]).  Under
-    [`Auto]/[`Gemm] the batch is lowered to [stride²] phase GEMMs, one
-    per output residue class, each over all [n] samples' columns. *)
+  ?stride:int -> ?pad:int -> t -> weight:t -> bias:t option -> t
+(** {!conv2d_transpose} over a batch ([x : [n; ci; h; w]]), lowered to
+    [stride²] phase GEMMs, one per output residue class, each over all
+    [n] samples' columns.  An empty batch gives an empty result, as for
+    {!conv2d_batch}. *)
 
 val maxpool2_batch : t -> t
 (** 2x2, stride-2 max pooling over a rank-4 batch (no argmax — this is

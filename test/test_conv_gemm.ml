@@ -1,11 +1,13 @@
-(* Property tests for the im2col/GEMM convolution engine.
+(* Property tests for the im2col/GEMM convolution lowerings.
 
    The contract under test is strict bit-identity: for EVERY shape,
    stride, and padding — including degenerate ones (pad larger than the
-   kernel, 1x1 inputs, stride-2 transposed convolutions) — the [`Gemm]
-   engine must produce exactly the floats the [`Direct] reference loops
-   produce, at DCO3D_JOBS=1 and on a real multi-domain pool.  This is
-   the property that keeps BENCH_kernels.digest stable across engine
+   kernel, 1x1 inputs, stride-2 transposed convolutions, shapes of a
+   few multiply-adds and shapes large enough to run pooled) — each
+   conv entry must produce exactly the floats the plain loop nests of
+   [Conv_ref] produce, at DCO3D_JOBS=1 and on a real multi-domain
+   pool.  This is
+   the property that keeps BENCH_kernels.digest stable across kernel
    changes, so it is checked with [eps = 0.], never a tolerance. *)
 
 module Obs = Dco3d_obs.Obs
@@ -98,9 +100,15 @@ let corner_conv_cases =
     (* wide rectangular kernel with stride *)
     { ci = 2; co = 5; h = 11; w = 13; kh = 1; kw = 5; stride = 3; pad = 2;
       with_bias = true };
-    (* above conv_par_macs, so the jobs=4 schedule genuinely row-bands
-       the GEMM across domains *)
+    (* several times gemm_par_macs, so the jobs=4 schedule genuinely
+       bands the GEMM across domains *)
     { ci = 8; co = 16; h = 32; w = 32; kh = 3; kw = 3; stride = 1; pad = 1;
+      with_bias = true };
+    (* 16 and 147,456 multiply-adds: far below and well above the
+       smallest conv the flows run (8,192) *)
+    { ci = 1; co = 1; h = 3; w = 3; kh = 2; kw = 2; stride = 1; pad = 0;
+      with_bias = false };
+    { ci = 8; co = 8; h = 16; w = 16; kh = 3; kw = 3; stride = 1; pad = 1;
       with_bias = true };
   ]
 
@@ -113,84 +121,98 @@ let corner_transpose_cases =
       with_bias = false };
     { ci = 2; co = 3; h = 7; w = 4; kh = 3; kw = 5; stride = 3; pad = 2;
       with_bias = true };
-    (* above conv_par_macs with stride 1, so [`Gemm] runs the pooled
-       row-banded path when jobs=4 *)
+    (* above gemm_par_macs with stride 1, so the one phase GEMM runs
+       pooled when jobs=4 *)
     { ci = 8; co = 8; h = 36; w = 36; kh = 4; kw = 4; stride = 1; pad = 2;
       with_bias = true };
+    (* 16 multiply-adds *)
+    { ci = 1; co = 1; h = 2; w = 2; kh = 2; kw = 2; stride = 1; pad = 0;
+      with_bias = false };
   ]
+
+(* Multiply-adds of a conv case and of a transpose case. *)
+let conv_macs c =
+  let oh = conv_out_dim c.h c.kh ~stride:c.stride ~pad:c.pad
+  and ow = conv_out_dim c.w c.kw ~stride:c.stride ~pad:c.pad in
+  c.co * c.ci * c.kh * c.kw * oh * ow
+
+let transpose_macs c = c.ci * c.co * c.kh * c.kw * c.h * c.w
+
+(* The case list reaches both sides of 4096 multiply-adds: tiny shapes
+   as well as the sizes the flows run (8,192 and up). *)
+let check_spans_4096 what macs cases =
+  Alcotest.(check (pair bool bool))
+    (what ^ " cases below and above 4096 multiply-adds")
+    (true, true)
+    (List.exists (fun c -> macs c < 4096) cases,
+     List.exists (fun c -> macs c >= 4096) cases)
 
 let check_conv2d rng c =
   let x, w, bias = make_inputs rng c in
+  let reference = Conv_ref.conv2d ~stride:c.stride ~pad:c.pad x ~weight:w ~bias in
   on_both_schedules (fun sched ->
-      let direct =
-        T.conv2d ~stride:c.stride ~pad:c.pad ~engine:`Direct x ~weight:w ~bias
-      in
-      let gemm =
-        T.conv2d ~stride:c.stride ~pad:c.pad ~engine:`Gemm x ~weight:w ~bias
-      in
-      Alcotest.check exact_tensor (case_name "conv2d" c ^ " " ^ sched) direct
-        gemm)
+      Alcotest.check exact_tensor
+        (case_name "conv2d" c ^ " " ^ sched)
+        reference
+        (T.conv2d ~stride:c.stride ~pad:c.pad x ~weight:w ~bias))
 
 let check_conv2d_backwards rng c =
   let x, w, _ = make_inputs rng c in
   let y = T.conv2d ~stride:c.stride ~pad:c.pad x ~weight:w ~bias:None in
   let gout = T.randn rng (T.shape y) in
+  let ri =
+    Conv_ref.backward_input ~stride:c.stride ~pad:c.pad ~input_shape:(T.shape x)
+      ~weight:w gout
+  in
+  let rw =
+    Conv_ref.backward_weight ~stride:c.stride ~pad:c.pad ~input:x
+      ~weight_shape:(T.shape w) gout
+  in
   on_both_schedules (fun sched ->
-      let di =
-        T.conv2d_backward_input ~stride:c.stride ~pad:c.pad ~engine:`Direct
-          ~input_shape:(T.shape x) ~weight:w gout
-      in
-      let gi =
-        T.conv2d_backward_input ~stride:c.stride ~pad:c.pad ~engine:`Gemm
-          ~input_shape:(T.shape x) ~weight:w gout
-      in
       Alcotest.check exact_tensor
         (case_name "bwd_input" c ^ " " ^ sched)
-        di gi;
-      let dw =
-        T.conv2d_backward_weight ~stride:c.stride ~pad:c.pad ~engine:`Direct
-          ~input:x ~weight_shape:(T.shape w) gout
-      in
-      let gw =
-        T.conv2d_backward_weight ~stride:c.stride ~pad:c.pad ~engine:`Gemm
-          ~input:x ~weight_shape:(T.shape w) gout
-      in
+        ri
+        (T.conv2d_backward_input ~stride:c.stride ~pad:c.pad
+           ~input_shape:(T.shape x) ~weight:w gout);
       Alcotest.check exact_tensor
         (case_name "bwd_weight" c ^ " " ^ sched)
-        dw gw)
+        rw
+        (T.conv2d_backward_weight ~stride:c.stride ~pad:c.pad ~input:x
+           ~weight_shape:(T.shape w) gout))
 
 let check_transpose rng c =
   let x = T.randn rng [| c.ci; c.h; c.w |] in
   (* transposed-conv weight layout is [ci; co; kh; kw] *)
   let w = T.randn rng [| c.ci; c.co; c.kh; c.kw |] in
   let bias = if c.with_bias then Some (T.randn rng [| c.co |]) else None in
+  let reference =
+    Conv_ref.conv2d_transpose ~stride:c.stride ~pad:c.pad x ~weight:w ~bias
+  in
   on_both_schedules (fun sched ->
-      let direct =
-        T.conv2d_transpose ~stride:c.stride ~pad:c.pad ~engine:`Direct x
-          ~weight:w ~bias
-      in
-      let gemm =
-        T.conv2d_transpose ~stride:c.stride ~pad:c.pad ~engine:`Gemm x
-          ~weight:w ~bias
-      in
       Alcotest.check exact_tensor
         (case_name "transpose" c ^ " " ^ sched)
-        direct gemm)
+        reference
+        (T.conv2d_transpose ~stride:c.stride ~pad:c.pad x ~weight:w ~bias))
 
 let test_conv2d_random () =
   let rng = Rng.create 0xC0417 in
-  List.iter (check_conv2d rng)
-    (corner_conv_cases @ random_cases rng ~n:30 ~valid:valid_conv)
+  let cases = corner_conv_cases @ random_cases rng ~n:30 ~valid:valid_conv in
+  check_spans_4096 "conv2d" conv_macs cases;
+  List.iter (check_conv2d rng) cases
 
 let test_backwards_random () =
   let rng = Rng.create 0xC0418 in
-  List.iter (check_conv2d_backwards rng)
-    (corner_conv_cases @ random_cases rng ~n:30 ~valid:valid_conv)
+  let cases = corner_conv_cases @ random_cases rng ~n:30 ~valid:valid_conv in
+  check_spans_4096 "backward" conv_macs cases;
+  List.iter (check_conv2d_backwards rng) cases
 
 let test_transpose_random () =
   let rng = Rng.create 0xC0419 in
-  List.iter (check_transpose rng)
-    (corner_transpose_cases @ random_cases rng ~n:30 ~valid:valid_transpose)
+  let cases =
+    corner_transpose_cases @ random_cases rng ~n:30 ~valid:valid_transpose
+  in
+  check_spans_4096 "transpose" transpose_macs cases;
+  List.iter (check_transpose rng) cases
 
 (* Pool chunks [f] submits, from the pool's own counter (a function of
    the work alone, the same at every job count). *)
@@ -206,7 +228,7 @@ let pool_chunks f =
 
 (* The gather-GEMM matmul must agree bitwise with a naive row-major
    triple loop accumulating the inner dimension in ascending order —
-   the reference order every engine in the tensor layer preserves.
+   the reference order every kernel in the tensor layer preserves.
    The stream must reach every m mod 4 (the micro-kernel's 4-row tile
    and its remainder rows), every n mod 4 (full quads and the tail),
    a one-term product on fewer than 4 rows, and pooled GEMMs whose
@@ -453,7 +475,7 @@ let test_gather_definition () =
 
 (* The kernel is compiled for several ISAs and dispatches to the widest
    this CPU has; every variant the CPU supports must give the bits of
-   the baseline variant and of the naive / [`Direct] references, the
+   the baseline variant and of the naive / [Conv_ref] references, the
    fused-multiply-add trap included. *)
 let test_isa_variants () =
   let rng = Rng.create 0xC0420 in
@@ -478,22 +500,30 @@ let test_isa_variants () =
         (Printf.sprintf "matmul %dx%dx%d" (T.dim a 0) (T.dim a 1) (T.dim b 1),
          (fun () -> naive_matmul a b), fun () -> T.matmul a b))
       mats
-    @ List.map
-        (fun (what, f) ->
-          (what, (fun () -> f `Direct), fun () -> f `Gemm))
-        [
-          ("conv2d", fun engine ->
-              T.conv2d ~stride:2 ~pad:1 ~engine x ~weight:w ~bias);
-          ("backward_input", fun engine ->
-              T.conv2d_backward_input ~stride:2 ~pad:1 ~engine
-                ~input_shape:(T.shape x) ~weight:w gout);
-          ("backward_weight", fun engine ->
-              T.conv2d_backward_weight ~stride:2 ~pad:1 ~engine ~input:x
-                ~weight_shape:(T.shape w) gout);
-          ("conv2d_transpose", fun engine ->
-              T.conv2d_transpose ~stride:2 ~pad:1 ~engine x ~weight:tw
-                ~bias:None);
-        ]
+    @ [
+        ( "conv2d",
+          (fun () -> Conv_ref.conv2d ~stride:2 ~pad:1 x ~weight:w ~bias),
+          fun () -> T.conv2d ~stride:2 ~pad:1 x ~weight:w ~bias );
+        ( "backward_input",
+          (fun () ->
+            Conv_ref.backward_input ~stride:2 ~pad:1 ~input_shape:(T.shape x)
+              ~weight:w gout),
+          fun () ->
+            T.conv2d_backward_input ~stride:2 ~pad:1 ~input_shape:(T.shape x)
+              ~weight:w gout );
+        ( "backward_weight",
+          (fun () ->
+            Conv_ref.backward_weight ~stride:2 ~pad:1 ~input:x
+              ~weight_shape:(T.shape w) gout),
+          fun () ->
+            T.conv2d_backward_weight ~stride:2 ~pad:1 ~input:x
+              ~weight_shape:(T.shape w) gout );
+        ( "conv2d_transpose",
+          (fun () ->
+            Conv_ref.conv2d_transpose ~stride:2 ~pad:1 x ~weight:tw ~bias:None),
+          fun () -> T.conv2d_transpose ~stride:2 ~pad:1 x ~weight:tw ~bias:None
+        );
+      ]
   in
   (* FMA trap as in "matmul == naive reference": exactly 0 without a
      fused multiply-add *)
@@ -537,32 +567,10 @@ let test_isa_variants () =
   Alcotest.(check bool) "an unknown variant is refused" true
     (Option.is_none (T.with_gemm_isa "no-such-isa" (fun () -> ())))
 
-let test_auto_matches_forced_engines () =
-  let rng = Rng.create 0xC041B in
-  (* straddle conv_gemm_min_macs so [`Auto] picks both engines *)
-  List.iter
-    (fun c ->
-      let x, w, bias = make_inputs rng c in
-      let auto =
-        T.conv2d ~stride:c.stride ~pad:c.pad x ~weight:w ~bias
-      in
-      let direct =
-        T.conv2d ~stride:c.stride ~pad:c.pad ~engine:`Direct x ~weight:w ~bias
-      in
-      Alcotest.check exact_tensor (case_name "auto" c) direct auto)
-    (corner_conv_cases
-    @ [
-        { ci = 8; co = 8; h = 16; w = 16; kh = 3; kw = 3; stride = 1; pad = 1;
-          with_bias = true };
-        { ci = 1; co = 1; h = 3; w = 3; kh = 2; kw = 2; stride = 1; pad = 0;
-          with_bias = false };
-      ])
-
 (* The stride-phase lowering's degenerate phases: a kernel smaller
    than the stride leaves some phases with no taps (their outputs are
    zero, or the bias alone), and an output grid smaller than the
-   stride leaves some phases with no pixels.  Every case is above
-   conv_gemm_min_macs, so [`Auto] takes the phase GEMMs too. *)
+   stride leaves some phases with no pixels. *)
 let test_phase_corners () =
   let rng = Rng.create 0xC041E in
   let no_taps c =
@@ -571,7 +579,6 @@ let test_phase_corners () =
       (List.init c.stride Fun.id)
   in
   let tapless = ref 0 and gridless = ref 0 in
-  let engines = [ ("auto", `Auto); ("gemm", `Gemm) ] in
   let transpose_cases =
     [
       (* 1x1 stride 2: odd output rows and columns have no taps *)
@@ -596,25 +603,17 @@ let test_phase_corners () =
       if no_taps c then incr tapless;
       if min oh (((c.w - 1) * c.stride) - (2 * c.pad) + c.kw) < c.stride then
         incr gridless;
-      let direct =
-        T.conv2d_transpose ~stride:c.stride ~pad:c.pad ~engine:`Direct x
-          ~weight:w ~bias
+      let reference x =
+        Conv_ref.conv2d_transpose ~stride:c.stride ~pad:c.pad x ~weight:w ~bias
       in
-      let direct_b =
-        T.conv2d_transpose_batch ~stride:c.stride ~pad:c.pad ~engine:`Direct xb
-          ~weight:w ~bias
-      in
+      let ref_b = T.stack (Array.map reference (T.unstack xb)) in
       on_both_schedules (fun sched ->
-          List.iter
-            (fun (tag, engine) ->
-              let name what = Printf.sprintf "%s %s %s" (case_name what c) tag sched in
-              Alcotest.check exact_tensor (name "transpose") direct
-                (T.conv2d_transpose ~stride:c.stride ~pad:c.pad ~engine x
-                   ~weight:w ~bias);
-              Alcotest.check exact_tensor (name "transpose_batch") direct_b
-                (T.conv2d_transpose_batch ~stride:c.stride ~pad:c.pad ~engine xb
-                   ~weight:w ~bias))
-            engines))
+          let name what = Printf.sprintf "%s %s" (case_name what c) sched in
+          Alcotest.check exact_tensor (name "transpose") (reference x)
+            (T.conv2d_transpose ~stride:c.stride ~pad:c.pad x ~weight:w ~bias);
+          Alcotest.check exact_tensor (name "transpose_batch") ref_b
+            (T.conv2d_transpose_batch ~stride:c.stride ~pad:c.pad xb ~weight:w
+               ~bias)))
     transpose_cases;
   let backward_cases =
     [
@@ -636,28 +635,26 @@ let test_phase_corners () =
       if min c.h c.w < c.stride then incr gridless;
       let y = T.conv2d ~stride:c.stride ~pad:c.pad x ~weight:w ~bias:None in
       let gout = T.randn rng (T.shape y) in
-      let run engine =
-        T.conv2d_backward_input ~stride:c.stride ~pad:c.pad ~engine
+      let reference =
+        Conv_ref.backward_input ~stride:c.stride ~pad:c.pad
           ~input_shape:(T.shape x) ~weight:w gout
       in
-      let direct = run `Direct in
       on_both_schedules (fun sched ->
-          List.iter
-            (fun (tag, engine) ->
-              Alcotest.check exact_tensor
-                (Printf.sprintf "%s %s %s" (case_name "bwd_input" c) tag sched)
-                direct (run engine))
-            engines))
+          Alcotest.check exact_tensor
+            (Printf.sprintf "%s %s" (case_name "bwd_input" c) sched)
+            reference
+            (T.conv2d_backward_input ~stride:c.stride ~pad:c.pad
+               ~input_shape:(T.shape x) ~weight:w gout)))
     backward_cases;
   Alcotest.(check bool) "cases reach phases with no taps" true (!tapless >= 4);
   Alcotest.(check bool) "cases reach phases with no pixels" true (!gridless >= 3)
 
-(* The batched lowerings against stacked per-sample [`Direct] results.
+(* The batched lowerings against stacked per-sample [Conv_ref] results.
    A batch lays its columns out (b, oy, ox), so a packing quad can
    straddle an output row or a sample boundary and the tail block
    holds n*oh*ow mod 4 columns; the stream must reach each of those,
    plus stride 2 and pad > kernel. *)
-let test_batched_vs_direct () =
+let test_batched_vs_reference () =
   let rng = Rng.create 0xC041C in
   let straddle_row = ref false and straddle_sample = ref false in
   let ragged_tail = ref false and strided = ref false in
@@ -681,20 +678,15 @@ let test_batched_vs_direct () =
       let xb = T.stack xs in
       let w = T.randn rng [| c.co; c.ci; c.kh; c.kw |] in
       let bias = if c.with_bias then Some (T.randn rng [| c.co |]) else None in
-      let direct =
+      let reference =
         stacked
-          (fun x ->
-            T.conv2d ~stride:c.stride ~pad:c.pad ~engine:`Direct x ~weight:w
-              ~bias)
+          (fun x -> Conv_ref.conv2d ~stride:c.stride ~pad:c.pad x ~weight:w ~bias)
           xs
       in
-      note ~n c ~oh:(T.dim direct 2) ~ow:(T.dim direct 3);
+      note ~n c ~oh:(T.dim reference 2) ~ow:(T.dim reference 3);
       let tag = Printf.sprintf "%s n=%d" (case_name "conv2d_batch" c) n in
       on_both_schedules (fun sched ->
-          Alcotest.check exact_tensor (tag ^ " gemm " ^ sched) direct
-            (T.conv2d_batch ~stride:c.stride ~pad:c.pad ~engine:`Gemm xb
-               ~weight:w ~bias);
-          Alcotest.check exact_tensor (tag ^ " auto " ^ sched) direct
+          Alcotest.check exact_tensor (tag ^ " " ^ sched) reference
             (T.conv2d_batch ~stride:c.stride ~pad:c.pad xb ~weight:w ~bias))
     done
   in
@@ -704,20 +696,17 @@ let test_batched_vs_direct () =
       let xb = T.stack xs in
       let w = T.randn rng [| c.ci; c.co; c.kh; c.kw |] in
       let bias = if c.with_bias then Some (T.randn rng [| c.co |]) else None in
-      let direct =
+      let reference =
         stacked
           (fun x ->
-            T.conv2d_transpose ~stride:c.stride ~pad:c.pad ~engine:`Direct x
-              ~weight:w ~bias)
+            Conv_ref.conv2d_transpose ~stride:c.stride ~pad:c.pad x ~weight:w
+              ~bias)
           xs
       in
-      note ~n c ~oh:(T.dim direct 2) ~ow:(T.dim direct 3);
+      note ~n c ~oh:(T.dim reference 2) ~ow:(T.dim reference 3);
       let tag = Printf.sprintf "%s n=%d" (case_name "transpose_batch" c) n in
       on_both_schedules (fun sched ->
-          Alcotest.check exact_tensor (tag ^ " gemm " ^ sched) direct
-            (T.conv2d_transpose_batch ~stride:c.stride ~pad:c.pad ~engine:`Gemm
-               xb ~weight:w ~bias);
-          Alcotest.check exact_tensor (tag ^ " auto " ^ sched) direct
+          Alcotest.check exact_tensor (tag ^ " " ^ sched) reference
             (T.conv2d_transpose_batch ~stride:c.stride ~pad:c.pad xb ~weight:w
                ~bias))
     done
@@ -813,12 +802,10 @@ let suites =
           test_isa_variants;
         Alcotest.test_case "gemm_gather == its definition" `Quick
           test_gather_definition;
-        Alcotest.test_case "auto == forced engines" `Quick
-          test_auto_matches_forced_engines;
         Alcotest.test_case "stride phases without taps or pixels" `Quick
           test_phase_corners;
         Alcotest.test_case "batched == stacked direct" `Quick
-          test_batched_vs_direct;
+          test_batched_vs_reference;
         Alcotest.test_case "kernels allocation-free" `Quick
           test_kernels_allocation_free;
       ] );

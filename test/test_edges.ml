@@ -88,8 +88,7 @@ let test_tensor_conv_malformed () =
       T.conv2d_transpose_batch ~stride:2 (T.zeros [| 1; 2; 6; 6 |]) ~weight:tw
         ~bias:short_bias);
   (* a negative pad would put the stride-phase lowering's tap residues
-     outside [0, stride); 8 -> 8 channels on 8 x 8 is above the GEMM
-     threshold, so [`Auto] would take that lowering *)
+     outside [0, stride) *)
   let x8 = T.zeros [| 8; 8; 8 |] and w8 = T.zeros [| 8; 8; 2; 2 |] in
   raises "conv2d negative pad" "Tensor.conv2d: pad must be >= 0" (fun () ->
       T.conv2d ~pad:(-1) x ~weight:w ~bias:None);
@@ -197,10 +196,25 @@ let test_gemm_gather_bounds () =
   Alcotest.(check (array (float 0.))) "empty image" (Array.make (m * n) 0.)
     (call ~src:[||] ~h:0 ());
   let x = T.zeros [| 2; 0; 5 |] and w = T.randn (Rng.create 5) [| 3; 2; 3; 3 |] in
-  Alcotest.(check bool) "conv2d over an empty image, gemm = direct" true
+  Alcotest.(check bool) "conv2d over an empty image = Conv_ref" true
     (T.approx_equal ~eps:0.
-       (T.conv2d ~pad:2 ~engine:`Direct x ~weight:w ~bias:None)
-       (T.conv2d ~pad:2 ~engine:`Gemm x ~weight:w ~bias:None))
+       (Conv_ref.conv2d ~pad:2 x ~weight:w ~bias:None)
+       (T.conv2d ~pad:2 x ~weight:w ~bias:None))
+
+(* A batch of no samples has the shape of the batch it would have
+   been, with no elements. *)
+let test_empty_batch () =
+  let rng = Rng.create 6 in
+  let w = T.randn rng [| 4; 3; 3; 3 |] and b = Some (T.randn rng [| 4 |]) in
+  Alcotest.(check (array int)) "conv2d_batch" [| 0; 4; 3; 4 |]
+    (T.shape
+       (T.conv2d_batch ~stride:2 ~pad:1 (T.zeros [| 0; 3; 6; 7 |]) ~weight:w
+          ~bias:b));
+  let tw = T.randn rng [| 3; 4; 2; 2 |] in
+  Alcotest.(check (array int)) "conv2d_transpose_batch" [| 0; 4; 12; 14 |]
+    (T.shape
+       (T.conv2d_transpose_batch ~stride:2 (T.zeros [| 0; 3; 6; 7 |])
+          ~weight:tw ~bias:b))
 
 let test_tensor_empty_and_tiny () =
   let e = T.zeros [| 0 |] in
@@ -462,6 +476,7 @@ let suites =
           test_tensor_conv_malformed;
         Alcotest.test_case "gemm_gather bounds" `Quick test_gemm_gather_bounds;
         Alcotest.test_case "empty and tiny" `Quick test_tensor_empty_and_tiny;
+        Alcotest.test_case "empty batch" `Quick test_empty_batch;
         Alcotest.test_case "resize degenerate" `Quick test_resize_degenerate;
       ] );
     ( "edges.autodiff",

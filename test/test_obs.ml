@@ -78,6 +78,67 @@ let test_span_passes_result_and_exn () =
       Obs.with_span "after" (fun () -> ());
       Alcotest.(check bool) "stack unwound" true (find_stat "after" <> None))
 
+(* Two threads of one domain with overlapping "conn" spans: A opens,
+   B opens while A's is open, A closes first.  Each span is a root on
+   its own thread, neither leaves anything open behind it, and each
+   thread lands on its own trace track. *)
+let test_span_threads () =
+  with_obs (fun () ->
+      let step = ref 0 and m = Mutex.create () and cv = Condition.create () in
+      let set s =
+        Mutex.protect m (fun () ->
+            step := s;
+            Condition.broadcast cv)
+      in
+      let await s =
+        Mutex.protect m (fun () ->
+            while !step < s do
+              Condition.wait cv m
+            done)
+      in
+      let a =
+        Thread.create
+          (fun () ->
+            Obs.with_span "conn" (fun () ->
+                set 1;
+                await 2);
+            set 3)
+          ()
+      in
+      let b =
+        Thread.create
+          (fun () ->
+            await 1;
+            Obs.with_span "conn" (fun () ->
+                set 2;
+                await 3))
+          ()
+      in
+      Thread.join a;
+      Thread.join b;
+      Obs.with_span "after" (fun () -> ());
+      Alcotest.(check bool) "no conn/conn" true (find_stat "conn/conn" = None);
+      Alcotest.(check bool) "no conn/after" true (find_stat "conn/after" = None);
+      Alcotest.(check (option int)) "two conn roots" (Some 2)
+        (Option.map (fun s -> s.Obs.sp_count) (find_stat "conn"));
+      Alcotest.(check bool) "after is a root" true (find_stat "after" <> None);
+      let path = Filename.temp_file "dco3d_threads" ".json" in
+      Fun.protect
+        ~finally:(fun () -> Sys.remove path)
+        (fun () ->
+          Obs.write_chrome_trace path;
+          let tids =
+            In_channel.with_open_bin path In_channel.input_all
+            |> String.split_on_char '\n'
+            |> List.filter (String.starts_with ~prefix:"{\"name\":\"conn\"")
+            |> List.filter_map (fun event ->
+                   String.split_on_char ',' event
+                   |> List.find_map (fun field ->
+                          Scanf.sscanf_opt field "\"tid\":%d" Fun.id))
+            |> List.sort_uniq compare
+          in
+          Alcotest.(check int) "one trace track per thread" 2 (List.length tids)))
+
 (* ------------------------------------------------------------------ *)
 (* Counters under parallelism                                          *)
 (* ------------------------------------------------------------------ *)
@@ -307,6 +368,7 @@ let suites =
         Alcotest.test_case "span rollup" `Quick test_span_rollup;
         Alcotest.test_case "span result/exception" `Quick
           test_span_passes_result_and_exn;
+        Alcotest.test_case "span stacks per thread" `Quick test_span_threads;
         Alcotest.test_case "counters jobs-invariant" `Quick
           test_counters_jobs_invariant;
         Alcotest.test_case "gauges and histograms" `Quick
