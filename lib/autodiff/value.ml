@@ -165,20 +165,23 @@ let add_bias_rows x b =
   let n = T.dim x.data 0 and f = T.dim x.data 1 in
   if T.dim b.data 0 <> f then invalid_arg "Value.add_bias_rows: width mismatch";
   let y = T.copy x.data in
+  let yd = y.T.data and bd = b.data.T.data in
   for i = 0 to n - 1 do
+    let o = i * f in
     for j = 0 to f - 1 do
-      T.set2 y i j (T.get2 y i j +. T.get_flat b.data j)
+      yd.(o + j) <- yd.(o + j) +. bd.(j)
     done
   done;
   node y [ x; b ] (fun g ->
       let gb () =
-        let gb = T.zeros [| f |] in
+        let gd = g.T.data and gb = Array.make f 0. in
         for i = 0 to n - 1 do
+          let o = i * f in
           for j = 0 to f - 1 do
-            T.set_flat gb j (T.get_flat gb j +. T.get2 g i j)
+            gb.(j) <- gb.(j) +. gd.(o + j)
           done
         done;
-        gb
+        T.make [| f |] gb
       in
       [ Some (fun () -> g); Some gb ])
 
@@ -309,15 +312,19 @@ let reshape x sh =
 let columns x =
   if T.rank x.data <> 2 then invalid_arg "Value.columns: rank-2 only";
   let n = T.dim x.data 0 and f = T.dim x.data 1 in
+  let xd = x.data.T.data in
   Array.init f (fun j ->
-      let col = T.init [| n |] (fun i -> T.get2 x.data i.(0) j) in
-      node col [ x ] (fun g ->
+      let col = Array.make n 0. in
+      for i = 0 to n - 1 do
+        col.(i) <- xd.((i * f) + j)
+      done;
+      node (T.make [| n |] col) [ x ] (fun g ->
           let gx () =
-            let gx = T.zeros [| n; f |] in
+            let gd = g.T.data and gx = Array.make (n * f) 0. in
             for i = 0 to n - 1 do
-              T.set2 gx i j (T.get_flat g i)
+              gx.((i * f) + j) <- gd.(i)
             done;
-            gx
+            T.make [| n; f |] gx
           in
           [ Some gx ]))
 

@@ -81,26 +81,26 @@ let resize_value v h w =
   in
   V.custom ~data:out ~parents:[ v ]
     ~backward:(fun g ->
-      let gin = T.zeros [| c; hi; wi |] in
+      let gd = g.T.data and gin = Array.make (c * hi * wi) 0. in
       for ch = 0 to c - 1 do
         for oy = 0 to h - 1 do
           let iy = min (hi - 1) (oy * hi / h) in
+          let irow = ((ch * hi) + iy) * wi and orow = ((ch * h) + oy) * w in
           for ox = 0 to w - 1 do
             let ix = min (wi - 1) (ox * wi / w) in
-            T.set3 gin ch iy ix (T.get3 gin ch iy ix +. T.get3 g ch oy ox)
+            gin.(irow + ix) <- gin.(irow + ix) +. gd.(orow + ox)
           done
         done
       done;
-      [ Some gin ])
+      [ Some (T.make [| c; hi; wi |] gin) ])
 
-let normalize_features v =
-  let d = V.data v in
-  let c = T.dim d 0 and h = T.dim d 1 and w = T.dim d 2 in
-  if c <> Fm.n_channels then
-    invalid_arg "Dco.normalize_features: expected 8 channels";
-  let scales =
-    T.init [| c; h; w |] (fun idx -> 1. /. Fm.default_scales.(idx.(0)))
-  in
+let feature_scales ~h ~w =
+  T.init [| Fm.n_channels; h; w |] (fun idx ->
+      1. /. Fm.default_scales.(idx.(0)))
+
+let normalize_features scales v =
+  if not (T.same_shape (V.data v) scales) then
+    invalid_arg "Dco.normalize_features: shape differs from the scales";
   V.mul (V.const scales) v
 
 (* Bin per-cell power at *soft* positions: movable cells split between
@@ -145,6 +145,7 @@ let optimize ?(config = default_config) ~predictor (p_in : Pl.t) =
   (* graph and features *)
   let raw_adj = Spreader.graph_of_netlist nl in
   let norm_adj = Csr.symmetric_normalize raw_adj in
+  let cut_graph = Losses.cut_graph raw_adj in
   let features = Spreader.node_features p in
   let max_move = config.max_move_gcells *. Fp.gcell_w fp in
   let spreader =
@@ -155,6 +156,7 @@ let optimize ?(config = default_config) ~predictor (p_in : Pl.t) =
   let x0 = T.of_array1 p.Pl.x and y0 = T.of_array1 p.Pl.y in
   let input_hw = predictor.Predictor.input_hw in
   let net = predictor.Predictor.net in
+  let scales = feature_scales ~h:ny ~w:nx in
   let z_const =
     lazy
       (V.const
@@ -197,12 +199,14 @@ let optimize ?(config = default_config) ~predictor (p_in : Pl.t) =
     in
     let c0, c1 =
       Obs.with_span "unet" @@ fun () ->
-      let prep f = resize_value (normalize_features f) input_hw input_hw in
+      let prep f =
+        resize_value (normalize_features scales f) input_hw input_hw
+      in
       SiaUNet.forward net (prep f0) (prep f1)
     in
     Obs.with_span "losses" @@ fun () ->
     let l_cong = Losses.congestion c0 c1 in
-    let l_cut = Losses.cutsize ~adj:raw_adj z in
+    let l_cut = Losses.cutsize ~graph:cut_graph z in
     let l_ovlp = Losses.overlap ~target:config.density_target f0 f1 in
     let l_disp = Losses.displacement ~x ~y ~x0 ~y0 in
     let l_therm =

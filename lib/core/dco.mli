@@ -75,9 +75,17 @@ val resize_value : Dco3d_autodiff.Value.t -> int -> int -> Dco3d_autodiff.Value.
 (** Differentiable nearest-neighbour resize of a [[c; h; w]] value
     (Fig. 3's resolution adaptation, on the tape). *)
 
-val normalize_features : Dco3d_autodiff.Value.t -> Dco3d_autodiff.Value.t
-(** Per-channel normalization matching
-    {!Dco3d_congestion.Feature_maps.normalize}, on the tape. *)
+val feature_scales : h:int -> w:int -> Dco3d_tensor.Tensor.t
+(** The constant [[8; h; w]] tensor of per-channel reciprocal scales
+    ({!Dco3d_congestion.Feature_maps.default_scales}) that
+    {!normalize_features} multiplies by; {!optimize} builds it once. *)
+
+val normalize_features :
+  Dco3d_tensor.Tensor.t -> Dco3d_autodiff.Value.t -> Dco3d_autodiff.Value.t
+(** [normalize_features (feature_scales ~h ~w) v]: per-channel
+    normalization of a [[8; h; w]] value matching
+    {!Dco3d_congestion.Feature_maps.normalize}, on the tape.
+    @raise Invalid_argument when [v] and the scales differ in shape. *)
 
 type cool_report = {
   loss_start : float;  (** thermal penalty at the incoming placement *)

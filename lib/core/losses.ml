@@ -11,20 +11,27 @@ let congestion c0 c1 =
   V.scale 0.5
     (V.add (V.rmse_frobenius c0 (zeros c0)) (V.rmse_frobenius c1 (zeros c1)))
 
-let cutsize ~adj z =
+type cut_graph = { op : Gcn.graph; total : T.t }
+
+let cut_graph adj =
+  {
+    op = Gcn.graph adj;
+    total = T.scalar (Array.fold_left ( +. ) 0. (Csr.row_sums adj));
+  }
+
+let cutsize ~graph z =
   let n = V.numel z in
-  if Csr.nnz adj = 0 then V.scalar 0.
+  if Csr.nnz graph.op.Gcn.adj = 0 then V.scalar 0.
   else begin
     let z2 = V.reshape z [| n; 1 |] in
-    let az = Gcn.spmm adj z2 in
+    let az = Gcn.spmm graph.op z2 in
     (* scalar building blocks *)
     let zaz = V.dot (V.reshape z2 [| n |]) (V.reshape az [| n |]) in
     let sum_az = V.sum az in
-    let total = T.scalar (Array.fold_left ( +. ) 0. (Csr.row_sums adj)) in
     (* cut = 1'Az - z'Az ; deg_T = z'Az ; deg_B = total - 2 1'Az + z'Az *)
     let cut = V.sub sum_az zaz in
     let deg_t = zaz in
-    let deg_b = V.add (V.sub (V.const total) (V.scale 2. sum_az)) zaz in
+    let deg_b = V.add (V.sub (V.const graph.total) (V.scale 2. sum_az)) zaz in
     let eps = 1e-6 in
     V.add
       (V.div cut (V.add_scalar eps deg_t))

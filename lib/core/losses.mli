@@ -8,13 +8,20 @@ val congestion :
     root-mean-squared Frobenius norm of the predicted congestion
     (target zero). *)
 
-val cutsize :
-  adj:Dco3d_graph.Csr.t -> Dco3d_autodiff.Value.t -> Dco3d_autodiff.Value.t
+type cut_graph
+(** The constants of {!cutsize} for one connectivity graph: the
+    {!Dco3d_graph.Gcn.graph} (with its transpose) and the total edge
+    weight [1'A1].  Build it once per graph with {!cut_graph}. *)
+
+val cut_graph : Dco3d_graph.Csr.t -> cut_graph
+
+val cutsize : graph:cut_graph -> Dco3d_autodiff.Value.t -> Dco3d_autodiff.Value.t
 (** Eq. 7 with soft tier probabilities: [cut(T,B)/deg(T) +
     cut(T,B)/deg(B)] where, over the weighted cell-connectivity graph
-    [adj], [cut = sum_ij a_ij (z_i(1-z_j) + z_j(1-z_i)) / 2],
+    [adj] of [graph = cut_graph adj],
+    [cut = sum_ij a_ij (z_i(1-z_j) + z_j(1-z_i)) / 2],
     [deg(T) = sum_ij a_ij z_i z_j], [deg(B)] symmetric.  [z] is the
-    rank-1 tier-probability vector. *)
+    rank-1 tier-probability vector.  An edgeless graph gives 0. *)
 
 val overlap :
   ?target:float ->

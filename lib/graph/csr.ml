@@ -110,21 +110,33 @@ let matvec m x =
   done;
   y
 
+(* One pass over the stored entries, straight on the flat arrays: for
+   each row [i], every entry [(j, v)] with [v <> 0.] adds [v * x(j, :)]
+   into [y(i, :)], so each output element sums its terms in column-index
+   order.  [col_idx] entries are below [n_cols] (= rows of [x]) by
+   construction, which is what makes the unchecked reads safe. *)
 let spmm m x =
   if T.rank x <> 2 || T.dim x 0 <> m.n_cols then
     invalid_arg "Csr.spmm: shape mismatch";
   let f = T.dim x 1 in
-  let y = T.zeros [| m.n_rows; f |] in
+  let xd = x.T.data in
+  let row_ptr = m.row_ptr and col_idx = m.col_idx and values = m.values in
+  let y = Array.make (m.n_rows * f) 0. in
   for i = 0 to m.n_rows - 1 do
-    for k = m.row_ptr.(i) to m.row_ptr.(i + 1) - 1 do
-      let j = m.col_idx.(k) and v = m.values.(k) in
-      if v <> 0. then
+    let yo = i * f in
+    for k = row_ptr.(i) to row_ptr.(i + 1) - 1 do
+      let v = Array.unsafe_get values k in
+      if v <> 0. then begin
+        let xo = Array.unsafe_get col_idx k * f in
         for c = 0 to f - 1 do
-          T.set2 y i c (T.get2 y i c +. (v *. T.get2 x j c))
+          Array.unsafe_set y (yo + c)
+            (Array.unsafe_get y (yo + c)
+            +. (v *. Array.unsafe_get xd (xo + c)))
         done
+      end
     done
   done;
-  y
+  T.make [| m.n_rows; f |] y
 
 let row_sums m =
   let s = Array.make m.n_rows 0. in

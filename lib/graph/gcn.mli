@@ -8,10 +8,19 @@
     operator is fixed (the netlist does not change during spreading) and
     only [W], [b] are trained. *)
 
-val spmm : Csr.t -> Dco3d_autodiff.Value.t -> Dco3d_autodiff.Value.t
-(** Differentiable sparse-dense product with a constant sparse matrix:
-    the backward pass multiplies by the transpose (computed once per
-    call). *)
+type graph = private { adj : Csr.t; adj_t : Csr.t }
+(** A constant sparse operator together with its transpose, built once
+    per graph by {!graph}.  The backward pass of {!spmm} multiplies by
+    [adj_t], so no tape backward builds a transpose.  [adj_t] is the
+    real transpose even for a nearly symmetric [adj] (such as
+    {!Csr.symmetric_normalize}'s output, whose mirrored entries need not
+    be bit-equal). *)
+
+val graph : Csr.t -> graph
+
+val spmm : graph -> Dco3d_autodiff.Value.t -> Dco3d_autodiff.Value.t
+(** Differentiable sparse-dense product [adj x] with a constant sparse
+    matrix: the backward pass is [adj_t g]. *)
 
 type t
 
@@ -24,7 +33,8 @@ val layer :
   unit ->
   t
 (** One GCN layer over a pre-normalized propagation matrix [adj]
-    (see {!Csr.symmetric_normalize}).  Default activation: identity. *)
+    (see {!Csr.symmetric_normalize}); builds its own {!graph}.  Default
+    activation: identity. *)
 
 val forward : t -> Dco3d_autodiff.Value.t -> Dco3d_autodiff.Value.t
 val params : t -> Dco3d_autodiff.Value.t list
@@ -37,7 +47,8 @@ val stack :
   unit ->
   t list
 (** [stack rng ~adj ~dims:[f0; f1; ...; fk] ()] builds [k] layers
-    [f0 -> f1 -> ... -> fk]; all but the last use [hidden_act]
+    [f0 -> f1 -> ... -> fk] sharing one {!graph} of [adj] (one
+    transpose for the whole stack); all but the last use [hidden_act]
     (default {!Dco3d_autodiff.Value.relu}), the last is linear. *)
 
 val forward_stack : t list -> Dco3d_autodiff.Value.t -> Dco3d_autodiff.Value.t

@@ -121,17 +121,21 @@ let init shape f =
 
 let get t idx = t.data.(offset t idx)
 let set t idx v = t.data.(offset t idx) <- v
-let get_flat t i = t.data.(i)
-let set_flat t i v = t.data.(i) <- v
+(* The element accessors are [@inline]: ocamlopt's own size heuristic
+   inlines [get_flat]/[set_flat] across modules but not the rank-2/3
+   ones, and a float returned from or passed to a call that is not
+   inlined is boxed (4 minor words per element of a get2/set2 loop). *)
+let[@inline] get_flat t i = t.data.(i)
+let[@inline] set_flat t i v = t.data.(i) <- v
 
-let get2 t i j = t.data.((i * t.shape.(1)) + j)
-let set2 t i j v = t.data.((i * t.shape.(1)) + j) <- v
+let[@inline] get2 t i j = t.data.((i * t.shape.(1)) + j)
+let[@inline] set2 t i j v = t.data.((i * t.shape.(1)) + j) <- v
 
-let get3 t c i j =
+let[@inline] get3 t c i j =
   let h = t.shape.(1) and w = t.shape.(2) in
   t.data.((((c * h) + i) * w) + j)
 
-let set3 t c i j v =
+let[@inline] set3 t c i j v =
   let h = t.shape.(1) and w = t.shape.(2) in
   t.data.((((c * h) + i) * w) + j) <- v
 

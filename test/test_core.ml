@@ -434,9 +434,9 @@ let prop_cutsize_bounds =
       done;
       let adj = Csr.create ~n_rows:n ~n_cols:n !coo in
       let z = V.const (T.init [| n |] (fun _ -> Rng.uniform rng)) in
-      let l = T.get_flat (V.data (Losses.cutsize ~adj z)) 0 in
+      let l = T.get_flat (V.data (Losses.cutsize ~graph:(Losses.cut_graph adj) z)) 0 in
       let all_bottom = V.const (T.zeros [| n |]) in
-      let l0 = T.get_flat (V.data (Losses.cutsize ~adj all_bottom)) 0 in
+      let l0 = T.get_flat (V.data (Losses.cutsize ~graph:(Losses.cut_graph adj) all_bottom)) 0 in
       l >= -1e-9 && abs_float l0 < 1e-6)
 
 let test_hard_assignment () =
@@ -457,7 +457,7 @@ let test_cutsize_loss_matches_hard_cut () =
   (* partition {0,1 | 2,3}: one cut edge (1-2); deg_T = 2*1 (edge 0-1 both
      dirs), deg_B = 2*1 *)
   let z = V.const (T.of_array1 [| 0.; 0.; 1.; 1. |]) in
-  let l = Losses.cutsize ~adj z in
+  let l = Losses.cutsize ~graph:(Losses.cut_graph adj) z in
   (* cut = z'A1 - z'Az = 3 - 2 = 1 (the single cut edge), deg(T) =
      z'Az = 2 and deg(B) = 2 (each intra-die edge counted in both
      directions): loss = 1/2 + 1/2 = 1 *)
@@ -469,7 +469,7 @@ let test_cutsize_gradient_reduces_cut () =
   let adj = Csr.create ~n_rows:2 ~n_cols:2 [ (0, 1, 1.); (1, 0, 1.) ] in
   let zt = T.of_array1 [| -0.2; 0.2 |] in
   let z = V.param zt in
-  let l = Losses.cutsize ~adj (V.sigmoid z) in
+  let l = Losses.cutsize ~graph:(Losses.cut_graph adj) (V.sigmoid z) in
   ignore (V.data l);
   V.backward l;
   let g = V.grad z in
@@ -682,7 +682,8 @@ let test_resize_value_gradcheck () =
 let test_normalize_features_gradcheck () =
   Alcotest.(check bool) "normalize gradient" true
     (V.gradient_check
-       (fun v -> V.sum (V.sqr (Dco.normalize_features v)))
+       (fun v ->
+         V.sum (V.sqr (Dco.normalize_features (Dco.feature_scales ~h:3 ~w:3) v)))
        (T.randn (Rng.create 22) [| 8; 3; 3 |]))
 
 (* ------------------------------------------------------------------ *)

@@ -62,6 +62,71 @@ let prop_spmm_matches_dense =
       let x = T.randn (Rng.create (seed + 1)) [| 8; 3 |] in
       T.approx_equal ~eps:1e-9 (Csr.spmm m x) (T.matmul (to_dense m) x))
 
+(* Bit patterns, so the comparison is exact (eps = 0) and tells -0.
+   from 0. *)
+let bits t = Array.map Int64.bits_of_float t.T.data
+
+(* A random CSR with explicit zeros (stored entries of value 0.) and
+   empty rows: every row is empty with probability 1/4, every stored
+   entry is 0. with probability 1/5. *)
+let random_csr_with_holes rng n_rows n_cols =
+  let coo = ref [] in
+  for i = 0 to n_rows - 1 do
+    if Rng.int rng 4 > 0 then
+      for j = 0 to n_cols - 1 do
+        if Rng.uniform rng < 0.35 then
+          let v = if Rng.int rng 5 = 0 then 0. else Rng.gaussian rng in
+          coo := (i, j, v) :: !coo
+      done
+  done;
+  Csr.create ~n_rows ~n_cols !coo
+
+(* The plain dense loop the sparse product must reproduce bit for bit:
+   y(i, c) = sum over j = 0 .. n_cols-1 of a(i, j) x(j, c), in j order.
+   Absent entries and explicit zeros add +-0. to a running sum that
+   starts at +0., which leaves it unchanged, so skipping them is
+   exact. *)
+let dense_spmm m x =
+  let f = T.dim x 1 in
+  let y = T.zeros [| m.Csr.n_rows; f |] in
+  for i = 0 to m.Csr.n_rows - 1 do
+    for c = 0 to f - 1 do
+      let acc = ref 0. in
+      for j = 0 to m.Csr.n_cols - 1 do
+        acc := !acc +. (Csr.get m i j *. T.get2 x j c)
+      done;
+      T.set2 y i c !acc
+    done
+  done;
+  y
+
+let prop_spmm_exact_dense_loop =
+  QCheck.Test.make ~name:"spmm == dense loop (eps 0, zeros, empty rows)"
+    ~count:40 (QCheck.int_bound 10_000) (fun seed ->
+      let rng = Rng.create seed in
+      let n_rows = 1 + Rng.int rng 12 and n_cols = 1 + Rng.int rng 12 in
+      let m = random_csr_with_holes rng n_rows n_cols in
+      List.for_all
+        (fun f ->
+          let x = T.randn rng [| n_cols; f |] in
+          bits (Csr.spmm m x) = bits (dense_spmm m x))
+        [ 1; 3; 32 ])
+
+(* The flat kernel allocates its output and nothing else.  The output's
+   data (16,384 floats) goes straight to the major heap, so the minor
+   heap only sees the result's record and shape arrays; boxing one
+   float per multiply-add would add about 150k words here. *)
+let test_spmm_allocation_free () =
+  let m = random_csr 0x5A11 512 512 0.02 in
+  let x = T.randn (Rng.create 0x5A12) [| 512; 32 |] in
+  ignore (Csr.spmm m x);
+  let w0 = Gc.minor_words () in
+  ignore (Sys.opaque_identity (Csr.spmm m x));
+  let words = Gc.minor_words () -. w0 in
+  if words > 16. then
+    Alcotest.failf "Csr.spmm allocates %.0f minor words besides its output"
+      words
+
 let test_row_sums () =
   let m = Csr.create ~n_rows:2 ~n_cols:3 [ (0, 0, 1.); (0, 2, 2.); (1, 1, 4.) ] in
   Alcotest.(check (array (float 0.))) "row sums" [| 3.; 4. |] (Csr.row_sums m)
@@ -115,8 +180,40 @@ let test_spmm_gradcheck () =
   let m = random_csr 77 5 5 0.4 in
   Alcotest.(check bool) "spmm gradient" true
     (V.gradient_check
-       (fun x -> V.sum (V.sqr (Gcn.spmm m x)))
+       (fun x -> V.sum (V.sqr (Gcn.spmm (Gcn.graph m) x)))
        (T.randn (Rng.create 78) [| 5; 3 |]))
+
+(* The cached transpose is the real one: the same entries as
+   [Csr.transpose adj], bit for bit. *)
+let test_graph_caches_transpose () =
+  let m = random_csr 91 7 5 0.4 in
+  let g = Gcn.graph m in
+  let t = Csr.transpose m in
+  Alcotest.(check bool) "adj kept" true (g.Gcn.adj == m);
+  Alcotest.(check (array int)) "row_ptr" t.Csr.row_ptr g.Gcn.adj_t.Csr.row_ptr;
+  Alcotest.(check (array int)) "col_idx" t.Csr.col_idx g.Gcn.adj_t.Csr.col_idx;
+  Alcotest.(check bool) "values" true
+    (Array.map Int64.bits_of_float t.Csr.values
+    = Array.map Int64.bits_of_float g.Gcn.adj_t.Csr.values)
+
+(* Every other GCN test runs on a symmetric_normalize output, which is
+   symmetric up to rounding, so a backward multiplying by [adj] instead
+   of its transpose would pass them.  On a random non-symmetric operator
+   it cannot. *)
+let test_gcn_gradcheck_nonsymmetric () =
+  let adj = random_csr 93 6 6 0.45 in
+  Alcotest.(check bool) "operator is not symmetric" false
+    (T.approx_equal ~eps:1e-6 (to_dense adj) (T.transpose2 (to_dense adj)));
+  let layers = Gcn.stack (Rng.create 94) ~adj ~dims:[ 3; 4; 2 ] () in
+  Alcotest.(check bool) "stack input gradient" true
+    (V.gradient_check
+       (fun x -> V.sum (V.sqr (Gcn.forward_stack layers x)))
+       (T.randn (Rng.create 95) [| 6; 3 |]));
+  let l = Gcn.layer (Rng.create 96) ~adj ~in_dim:3 ~out_dim:3 () in
+  Alcotest.(check bool) "layer input gradient" true
+    (V.gradient_check
+       (fun x -> V.sum (V.sqr (Gcn.forward l x)))
+       (T.randn (Rng.create 97) [| 6; 3 |]))
 
 let test_gcn_layer_shape () =
   let adj = Csr.symmetric_normalize (Csr.identity 6) in
@@ -203,11 +300,16 @@ let suites =
         Alcotest.test_case "symmetric normalize (path graph)" `Quick test_symmetric_normalize;
         qtest prop_transpose_involutive;
         qtest prop_spmm_matches_dense;
+        qtest prop_spmm_exact_dense_loop;
+        Alcotest.test_case "spmm allocation-free" `Quick test_spmm_allocation_free;
         qtest prop_normalized_rows_bounded;
       ] );
     ( "graph.gcn",
       [
         Alcotest.test_case "spmm gradcheck" `Quick test_spmm_gradcheck;
+        Alcotest.test_case "graph caches the transpose" `Quick test_graph_caches_transpose;
+        Alcotest.test_case "gradcheck, non-symmetric adj" `Quick
+          test_gcn_gradcheck_nonsymmetric;
         Alcotest.test_case "layer shape" `Quick test_gcn_layer_shape;
         Alcotest.test_case "identity graph = per-node linear" `Quick test_gcn_isolated_node_untouched;
         Alcotest.test_case "neighbour propagation" `Quick test_gcn_propagates_neighbours;

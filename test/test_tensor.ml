@@ -554,6 +554,54 @@ let prop_cg_status_consistent =
       (* a well-conditioned SPD system must converge, within budget *)
       !status = Linalg.Converged && !iters >= 0 && !iters < 500)
 
+(* ------------------------------------------------------------------ *)
+(* Cross-module inlining                                               *)
+(* ------------------------------------------------------------------ *)
+
+(* The default build (release, see dune-workspace) compiles without
+   -opaque, so the element accessors (all [@inline]) inline into this
+   module and the float never leaves a register.  Under -opaque every
+   element of these loops costs 4 minor words, a boxed float returned
+   by the getter and another passed to the setter: 40k words per
+   loop. *)
+let test_flat_accessors_unboxed () =
+  let n = 10_000 in
+  let t = T.zeros [| n |] in
+  let t2 = T.zeros [| 100; 100 |] and t3 = T.zeros [| 4; 50; 50 |] in
+  let flat () =
+    for i = 0 to n - 1 do
+      T.set_flat t i (T.get_flat t i +. float_of_int i)
+    done
+  in
+  let rank2 () =
+    for i = 0 to 99 do
+      for j = 0 to 99 do
+        T.set2 t2 i j (T.get2 t2 i j +. 1.)
+      done
+    done
+  in
+  let rank3 () =
+    for c = 0 to 3 do
+      for i = 0 to 49 do
+        for j = 0 to 49 do
+          T.set3 t3 c i j (T.get3 t3 c i j +. 1.)
+        done
+      done
+    done
+  in
+  List.iter
+    (fun (what, loop) ->
+      loop ();
+      let w0 = Gc.minor_words () in
+      loop ();
+      let words = Gc.minor_words () -. w0 in
+      Alcotest.(check (float 0.)) ("minor words of a 10k " ^ what ^ " loop") 0.
+        words)
+    [ ("get_flat/set_flat", flat); ("get2/set2", rank2); ("get3/set3", rank3) ];
+  check_float "loop ran" (2. *. float_of_int (n - 1)) (T.get_flat t (n - 1));
+  check_float "rank-2 loop ran" 2. (T.get2 t2 99 99);
+  check_float "rank-3 loop ran" 2. (T.get3 t3 3 49 49)
+
 let qtest = QCheck_alcotest.to_alcotest
 
 let suites =
@@ -570,6 +618,8 @@ let suites =
         Alcotest.test_case "elementwise ops" `Quick test_elementwise;
         Alcotest.test_case "reductions" `Quick test_reductions;
         Alcotest.test_case "axpy" `Quick test_axpy;
+        Alcotest.test_case "flat accessors allocation-free" `Quick
+          test_flat_accessors_unboxed;
       ] );
     ( "tensor.linear",
       [
