@@ -611,6 +611,13 @@ let kernels () =
   let trng = Rng.create 15 in
   let upimg = T.rand_uniform trng [| 8; 16; 16 |] in
   let upw = T.randn trng [| 8; 8; 2; 2 |] in
+  (* The conv kernels take [n; c; h; w] batches: each row runs one
+     sample (n = 1) and digests the rank-3 view of a batched result, so
+     every digest is that of a single image. *)
+  let batch1 t = T.reshape t (Array.append [| 1 |] (T.shape t)) in
+  let sample t = T.reshape t (Array.sub (T.shape t) 1 3) in
+  let img = batch1 img and gout = batch1 gout and timg = batch1 timg in
+  let uimg = batch1 uimg and ugout = batch1 ugout and upimg = batch1 upimg in
   let sm_nx = e.ctx.Flow.fp.P.Floorplan.gcell_nx in
   let sm_ny = e.ctx.Flow.fp.P.Floorplan.gcell_ny in
   let sm_w0 = T.rand_uniform rng [| Fm.n_channels; sm_ny; sm_nx |] in
@@ -629,15 +636,16 @@ let kernels () =
         "8x64x64 -> 16x64x64, 3x3",
         Some (conv_flops 16 8 3 3 64 64),
         3,
-        fun () -> [ T.conv2d ~pad:1 img ~weight:w ~bias:None ] );
+        fun () -> [ sample (T.conv2d ~pad:1 img ~weight:w ~bias:None) ] );
       ( "conv2d_backward_input",
         "16x64x64 -> 8x64x64, 3x3",
         Some (conv_flops 16 8 3 3 64 64),
         3,
         fun () ->
           [
-            T.conv2d_backward_input ~pad:1 ~input_shape:[| 8; 64; 64 |]
-              ~weight:w gout;
+            sample
+              (T.conv2d_backward_input ~pad:1 ~input_shape:[| 1; 8; 64; 64 |]
+                 ~weight:w gout);
           ] );
       ( "conv2d_backward_weight",
         "16x8x3x3 over 64x64",
@@ -652,20 +660,22 @@ let kernels () =
         "8x32x32 -> 8x64x64, 4x4 s2",
         Some (conv_flops 8 8 4 4 32 32),
         3,
-        fun () -> [ T.conv2d_transpose ~stride:2 ~pad:1 timg ~weight:tw ~bias:None ] );
+        fun () ->
+          [ sample (T.conv2d_transpose ~stride:2 ~pad:1 timg ~weight:tw ~bias:None) ] );
       ( "unet_conv2d",
         "8x32x32 -> 8x32x32, 3x3",
         Some (conv_flops 8 8 3 3 32 32),
         9,
-        fun () -> [ T.conv2d ~pad:1 uimg ~weight:uw ~bias:None ] );
+        fun () -> [ sample (T.conv2d ~pad:1 uimg ~weight:uw ~bias:None) ] );
       ( "unet_backward_input",
         "8x32x32 -> 8x32x32, 3x3",
         Some (conv_flops 8 8 3 3 32 32),
         9,
         fun () ->
           [
-            T.conv2d_backward_input ~pad:1 ~input_shape:[| 8; 32; 32 |]
-              ~weight:uw ugout;
+            sample
+              (T.conv2d_backward_input ~pad:1 ~input_shape:[| 1; 8; 32; 32 |]
+                 ~weight:uw ugout);
           ] );
       ( "unet_backward_weight",
         "8x8x3x3 over 32x32",
@@ -681,7 +691,7 @@ let kernels () =
         Some (conv_flops 8 8 2 2 16 16),
         9,
         fun () ->
-          [ T.conv2d_transpose ~stride:2 upimg ~weight:upw ~bias:None ] );
+          [ sample (T.conv2d_transpose ~stride:2 upimg ~weight:upw ~bias:None) ] );
       ( "rudy_map",
         Printf.sprintf "%s, 64x64 gcells" e.name,
         None,

@@ -189,18 +189,24 @@ let add_bias_rows x b =
 (* Convolution / pooling                                               *)
 (* ------------------------------------------------------------------ *)
 
-(* Bias gradient of a convolution: sum of [g] over each output channel. *)
+(* Bias gradient of a convolution: per sample, the sum of [g] over
+   each output channel; the samples' sums are then added in ascending
+   sample order. *)
 let conv_bias_grad g =
-  let co = T.dim g 0 and oh = T.dim g 1 and ow = T.dim g 2 in
-  let gb = T.zeros [| co |] in
-  for o = 0 to co - 1 do
-    let acc = ref 0. in
-    for i = 0 to (oh * ow) - 1 do
-      acc := !acc +. T.get_flat g ((o * oh * ow) + i)
-    done;
-    T.set_flat gb o !acc
+  let n = T.dim g 0 and co = T.dim g 1 in
+  let hw = T.dim g 2 * T.dim g 3 in
+  let gd = g.T.data and gb = Array.make co 0. in
+  for b = 0 to n - 1 do
+    for o = 0 to co - 1 do
+      let base = ((b * co) + o) * hw in
+      let acc = ref 0. in
+      for i = 0 to hw - 1 do
+        acc := !acc +. Array.unsafe_get gd (base + i)
+      done;
+      gb.(o) <- gb.(o) +. !acc
+    done
   done;
-  gb
+  T.make [| co |] gb
 
 let c_conv_dx = Obs.counter "autodiff/conv_input_grads"
 let c_conv_dw = Obs.counter "autodiff/conv_weight_grads"
@@ -250,32 +256,15 @@ let maxpool2 x =
   node y [ x ] (fun g ->
       [ Some (fun () -> T.maxpool2_backward ~input_shape:(T.shape x.data) arg g) ])
 
-let upsample_nearest2 x =
-  let y = T.upsample_nearest2 x.data in
-  node y [ x ] (fun g ->
-      (* gradient: sum the 2x2 block of g into each input pixel *)
-      let gin () =
-        let c = T.dim x.data 0 and h = T.dim x.data 1 and w = T.dim x.data 2 in
-        let gin = T.zeros [| c; h; w |] in
-        for ch = 0 to c - 1 do
-          for oy = 0 to (2 * h) - 1 do
-            for ox = 0 to (2 * w) - 1 do
-              T.set3 gin ch (oy / 2) (ox / 2)
-                (T.get3 gin ch (oy / 2) (ox / 2) +. T.get3 g ch oy ox)
-            done
-          done
-        done;
-        gin
-      in
-      [ Some gin ])
-
 let concat_channels xs =
   match xs with
   | [] -> invalid_arg "Value.concat_channels: empty list"
   | _ ->
       let y = T.concat_channels (List.map (fun x -> x.data) xs) in
+      (* channels are axis 1 of a batch, axis 0 of a stack, and a map
+         is one channel *)
       let channel_count t =
-        match T.rank t with 3 -> T.dim t 0 | 2 -> 1 | _ -> assert false
+        match T.rank t with 4 -> T.dim t 1 | 3 -> T.dim t 0 | _ -> 1
       in
       node y xs (fun g ->
           let pos = ref 0 in
@@ -286,24 +275,72 @@ let concat_channels xs =
               Some (fun () -> T.reshape (T.slice_channels g lo c) (T.shape x.data)))
             xs)
 
-let slice_channels x lo n =
-  let y = T.slice_channels x.data lo n in
+let slice_channels x lo k =
+  let y = T.slice_channels x.data lo k in
   node y [ x ] (fun g ->
       let gx () =
-        let gx = T.zeros (T.shape x.data) in
-        let x3shape =
-          match T.rank x.data with
-          | 3 -> T.shape x.data
-          | 2 -> [| 1; T.dim x.data 0; T.dim x.data 1 |]
-          | _ -> invalid_arg "Value.slice_channels backward"
+        (* [x] as [n; c; hw] planes; [g] holds channels lo..lo+k-1 of
+           each sample *)
+        let n, c =
+          match T.shape x.data with
+          | [| n; c; _; _ |] -> (n, c)
+          | [| c; _; _ |] -> (1, c)
+          | _ -> (1, 1)
         in
-        let hw = x3shape.(1) * x3shape.(2) in
-        for i = 0 to (n * hw) - 1 do
-          T.set_flat gx ((lo * hw) + i) (T.get_flat g i)
+        let hw = T.numel x.data / max 1 (n * c) in
+        let gx = Array.make (T.numel x.data) 0. in
+        for b = 0 to n - 1 do
+          Array.blit g.T.data (b * k * hw) gx (((b * c) + lo) * hw) (k * hw)
         done;
-        gx
+        T.make (T.shape x.data) gx
       in
       [ Some gx ])
+
+(* ------------------------------------------------------------------ *)
+(* Batch axis                                                          *)
+(* ------------------------------------------------------------------ *)
+
+let stack xs =
+  let datas = Array.of_list (List.map (fun x -> x.data) xs) in
+  let y = T.stack datas in
+  node y xs (fun g ->
+      List.mapi
+        (fun i x ->
+          let per = T.numel x.data in
+          Some (fun () -> T.make (T.shape x.data) (Array.sub g.T.data (i * per) per)))
+        xs)
+
+(* Sample [i]'s gradient fills its own slot of a batch gradient whose
+   other slots hold -0., the exact identity of IEEE addition: when the
+   backward pass accumulates every sample's contribution into the
+   batch, each slot keeps its own sample's bits, signed zeros
+   included. *)
+let unstack x =
+  Array.mapi
+    (fun i y ->
+      node y [ x ] (fun g ->
+          let gx () =
+            let per = T.numel y in
+            let gx = Array.make (T.numel x.data) (-0.) in
+            Array.blit g.T.data 0 gx (i * per) per;
+            T.make (T.shape x.data) gx
+          in
+          [ Some gx ]))
+    (T.unstack x.data)
+
+(* Sample b of the result is sample (b + n/2) mod n of [t]. *)
+let swap_halves_data t =
+  let n = T.dim t 0 in
+  if n mod 2 <> 0 then invalid_arg "Value.swap_halves: odd batch";
+  let half = T.numel t / 2 in
+  let out = Array.create_float (T.numel t) in
+  Array.blit t.T.data 0 out half half;
+  Array.blit t.T.data half out 0 half;
+  T.make (T.shape t) out
+
+let swap_halves x =
+  node (swap_halves_data x.data) [ x ] (fun g ->
+      [ Some (fun () -> swap_halves_data g) ])
 
 let reshape x sh =
   let y = T.reshape (T.copy x.data) sh in

@@ -73,11 +73,38 @@ val add_bias_rows : t -> t -> t
     of a rank-2 tensor [x : [n; f]] — the GNN layer bias. *)
 
 val conv2d : ?stride:int -> ?pad:int -> t -> weight:t -> bias:t option -> t
+(** Over a rank-4 [[n; c; h; w]] batch, like {!Dco3d_tensor.Tensor.conv2d}.
+    The weight and bias gradients sum the batch: per sample, then the
+    samples' results added in ascending sample order. *)
+
 val conv2d_transpose : ?stride:int -> ?pad:int -> t -> weight:t -> bias:t option -> t
+(** Over a rank-4 batch; gradients as for {!conv2d}. *)
+
 val maxpool2 : t -> t
-val upsample_nearest2 : t -> t
+(** 2x2, stride-2 max pooling of a rank-4 batch. *)
+
 val concat_channels : t list -> t
+(** Channel concatenation, as {!Dco3d_tensor.Tensor.concat_channels}
+    (per sample for rank-4 inputs). *)
+
 val slice_channels : t -> int -> int -> t
+
+(** {1 Batch axis} *)
+
+val stack : t list -> t
+(** [stack [x0; ...; x_{n-1}]] is the batch [n :: shape x0] of
+    same-shaped nodes; each gets its own sample's gradient. *)
+
+val unstack : t -> t array
+(** [unstack x] splits a batch into its samples, each differentiable
+    back into [x]: the inverse of {!stack}. *)
+
+val swap_halves : t -> t
+(** [swap_halves x] exchanges the first and second half of an even
+    batch: sample [b] of the result is sample [(b + n/2) mod n] of [x].
+    The Siamese UNet's communication layer hands each die the other
+    die's half this way.
+    @raise Invalid_argument on an odd batch. *)
 
 val reshape : t -> int array -> t
 

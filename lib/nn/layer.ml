@@ -30,27 +30,6 @@ let rec forward l x =
   | Act Maxpool2 -> V.maxpool2 x
   | Seq layers -> List.fold_left (fun acc l -> forward l acc) x layers
 
-(* The batched interpreter: the same walk over rank-4 [[n; c; h; w]]
-   tensors, reading the weights in place.  Each batched kernel computes
-   every sample with the per-sample kernel's scalar chains, so element
-   [b] of the result is bit-identical to [forward] on sample [b]. *)
-let rec forward_batch l x =
-  match l with
-  | Conv { stride; pad; weight; bias } ->
-      T.conv2d_batch ~stride ~pad x ~weight:(V.data weight)
-        ~bias:(Option.map V.data bias)
-  | Conv_transpose { stride; pad; weight; bias } ->
-      T.conv2d_transpose_batch ~stride ~pad x ~weight:(V.data weight)
-        ~bias:(Option.map V.data bias)
-  | Linear _ ->
-      invalid_arg "Layer.forward_batch: linear layers are not supported"
-  | Act Relu -> T.relu x
-  | Act (Leaky slope) -> T.leaky_relu slope x
-  | Act Sigmoid -> T.sigmoid x
-  | Act Tanh -> T.tanh_ x
-  | Act Maxpool2 -> T.maxpool2_batch x
-  | Seq layers -> List.fold_left (fun acc l -> forward_batch l acc) x layers
-
 let rec params = function
   | Conv { weight; bias; _ }
   | Conv_transpose { weight; bias; _ }
@@ -58,6 +37,16 @@ let rec params = function
       weight :: Option.to_list bias
   | Act _ -> []
   | Seq layers -> List.concat_map params layers
+
+let rec frozen l =
+  let view p = V.const (V.data p) in
+  match l with
+  | Conv c -> Conv { c with weight = view c.weight; bias = Option.map view c.bias }
+  | Conv_transpose c ->
+      Conv_transpose { c with weight = view c.weight; bias = Option.map view c.bias }
+  | Linear c -> Linear { weight = view c.weight; bias = Option.map view c.bias }
+  | Act _ -> l
+  | Seq layers -> Seq (List.map frozen layers)
 
 let conv2d rng ?(stride = 1) ?(pad = 0) ?(bias = true) ~in_channels
     ~out_channels ~ksize () =

@@ -2,11 +2,12 @@
 
     A layer is a plain description — convolutions, dense layers and
     activations composed with {!seq} — whose leaves hold the trainable
-    {!Dco3d_autodiff.Value.t} parameters.  Two interpreters walk it:
-    {!forward} records it on the autodiff tape, and {!forward_batch}
-    runs it over a batch of plain tensors for inference.  Weight sharing (the Siamese property of the
-    paper's predictor) is obtained simply by applying the same layer
-    value to several inputs. *)
+    {!Dco3d_autodiff.Value.t} parameters.  One executor walks it:
+    {!forward} records it on the autodiff tape over a batch, and
+    inference runs the same walk over {!frozen} weights, which records
+    nothing.  Weight sharing (the Siamese property of the paper's
+    predictor) is obtained by applying the same layer value to a batch
+    that holds both dies. *)
 
 type act_kind = Relu | Leaky of float | Sigmoid | Tanh | Maxpool2
 
@@ -31,16 +32,17 @@ type t =
   | Seq of t list  (** left-to-right composition *)
 
 val forward : t -> Dco3d_autodiff.Value.t -> Dco3d_autodiff.Value.t
-(** Apply the layer on the autodiff tape.  Convolutions take rank-3
-    [[c; h; w]] inputs, {!Linear} rank-2 [[n; in_dim]] (row-wise). *)
+(** Apply the layer on the autodiff tape.  Convolutions and pooling take
+    rank-4 [[n; c; h; w]] batches, {!Linear} rank-2 [[n; in_dim]]
+    (row-wise).  Sample [b] of a convolution's output is bit-identical
+    to the output of sample [b] run alone, at every [DCO3D_JOBS]
+    value. *)
 
-val forward_batch : t -> Dco3d_tensor.Tensor.t -> Dco3d_tensor.Tensor.t
-(** Apply the layer to a rank-4 [[n; c; h; w]] batch, off the tape,
-    reading the current weights in place.  Element [b] of the result is
-    bit-identical to {!forward} on sample [b] alone, at every
-    [DCO3D_JOBS] value.
-    @raise Invalid_argument on {!Linear}, which has no batched
-    lowering. *)
+val frozen : t -> t
+(** The same layer with every parameter read through a
+    {!Dco3d_autodiff.Value.const} view of its tensor: {!forward} over it
+    records no tape and computes no gradient, and in-place updates of
+    the parameters (optimizer steps, {!load_state}) stay visible. *)
 
 val params : t -> Dco3d_autodiff.Value.t list
 (** Trainable leaves in layer order, each weight before its bias. *)

@@ -9,8 +9,9 @@ let default_config = { in_channels = 8; base_channels = 8; depth = 2 }
    level (0 = full resolution) the encoder double conv, the transposed
    conv from the level below and the decoder double conv; then the
    bottleneck, the communication layer's self and cross pointwise
-   convs, and the 1x1 head. *)
-type t = { cfg : config; layers : Layer.t array }
+   convs, and the 1x1 head.  [frozen] is the same layers over constant
+   views of the same weight tensors, for inference. *)
+type t = { cfg : config; layers : Layer.t array; frozen : Layer.t array }
 
 let enc l = 3 * l
 let up l = (3 * l) + 1
@@ -75,109 +76,71 @@ let create rng cfg =
     Array.concat
       (Array.to_list levels @ [ [| bottleneck; comm_self; comm_cross; head |] ])
   in
-  { cfg; layers }
+  { cfg; layers; frozen = Array.map Layer.frozen layers }
 
 (* ------------------------------------------------------------------ *)
-(* The Siamese topology (Fig. 3), written once over the operations it *)
-(* needs.  One instance runs on the autodiff tape, one on batches of  *)
-(* plain tensors.  Operand order is part of the contract: it fixes    *)
-(* the tape's parent lists and hence the backward order.              *)
+(* The Siamese topology (Fig. 3), over one batch [x : [2n; c; h; w]]  *)
+(* holding die 0 of n samples, then die 1 of the same samples.  Both  *)
+(* dies share every encoder and decoder weight, so each of those      *)
+(* layers runs once over the whole batch; the communication layer is  *)
+(* the only place the two halves meet.  Each sample's bits are those  *)
+(* of the sample run alone, and operand order is part of the          *)
+(* contract: it fixes the tape's parent lists and hence the backward  *)
+(* order.                                                             *)
 (* ------------------------------------------------------------------ *)
 
-type 'a ops = {
-  layer : int -> 'a -> 'a;  (** apply [layers.(i)] *)
-  pool : 'a -> 'a;  (** 2x2 max-pool *)
-  concat : 'a list -> 'a;  (** channel concatenation *)
-  merge : 'a -> 'a -> 'a;  (** add, then leaky ReLU *)
-}
-
-let siamese ops ~depth x0 x1 =
-  (* Encoder for one die: returns skip activations (one per level) and
-     the bottleneck activation. *)
-  let encode x =
-    let skips = Array.make depth x in
-    let cur = ref x in
-    for l = 0 to depth - 1 do
-      let a = ops.layer (enc l) !cur in
-      skips.(l) <- a;
-      cur := ops.pool a
-    done;
-    (skips, ops.layer (bottleneck depth) !cur)
+let run layers ~depth x =
+  let layer i x = Layer.forward layers.(i) x in
+  (* encoder: each level's activation is the skip its decoder level
+     reads, deepest first.  The decoder walks the list, so a skip is
+     garbage once its level has read it: with both dies in one batch,
+     an activation kept past its use costs twice what a die's did. *)
+  let rec encode l x skips =
+    if l = depth then (layer (bottleneck depth) x, skips)
+    else
+      let a = layer (enc l) x in
+      encode (l + 1) (V.maxpool2 a) (a :: skips)
   in
-  (* Decoder for one die given its communicated bottleneck. *)
-  let decode skips bottom =
-    let cur = ref bottom in
-    for l = depth - 1 downto 0 do
-      let u = ops.layer (up l) !cur in
-      cur := ops.layer (dec l) (ops.concat [ u; skips.(l) ])
-    done;
-    ops.layer (head depth) !cur
+  let b, skips = encode 0 x [] in
+  (* Communication layer (Fig. 3b): out_d = act (self b_d + cross
+     b_other), the other die's cross term reached by swapping the
+     batch's halves. *)
+  let merged =
+    V.leaky_relu 0.1
+      (V.add
+         (layer (comm_self depth) b)
+         (V.swap_halves (layer (comm_cross depth) b)))
   in
-  let skips0, b0 = encode x0 in
-  let skips1, b1 = encode x1 in
-  (* Communication layer (Fig. 3b): mix the two bottlenecks through
-     shared pointwise convolutions and hand each decoder a view of both
-     dies. *)
-  let communicate own other =
-    ops.merge
-      (ops.layer (comm_self depth) own)
-      (ops.layer (comm_cross depth) other)
+  let rec decode l cur = function
+    | [] -> layer (head depth) cur
+    | skip :: rest ->
+        let u = layer (up l) cur in
+        decode (l - 1) (layer (dec l) (V.concat_channels [ u; skip ])) rest
   in
-  let b0' = communicate b0 b1 in
-  let b1' = communicate b1 b0 in
-  (decode skips0 b0', decode skips1 b1')
+  decode (depth - 1) merged skips
 
 let forward net f0 f1 =
-  let ops =
-    {
-      layer = (fun i x -> Layer.forward net.layers.(i) x);
-      pool = V.maxpool2;
-      concat = V.concat_channels;
-      merge = (fun a b -> V.leaky_relu 0.1 (V.add a b));
-    }
-  in
-  siamese ops ~depth:net.cfg.depth f0 f1
+  match V.unstack (run net.layers ~depth:net.cfg.depth (V.stack [ f0; f1 ])) with
+  | [| c0; c1 |] -> (c0, c1)
+  | _ -> assert false
 
-let predict net f0 f1 =
-  let c0, c1 = forward net (V.const f0) (V.const f1) in
-  let to_map v =
-    let d = V.data v in
-    T.reshape (T.copy d) [| T.dim d 1; T.dim d 2 |]
-  in
-  (to_map c0, to_map c1)
-
-(* ------------------------------------------------------------------ *)
-(* Batched inference: the topology over [Layer.forward_batch].        *)
-(* ------------------------------------------------------------------ *)
-
-(* Each conv is one batched gather-GEMM call for the whole batch,
-   bit-identical to the per-sample tape forward (the batched kernels
-   only add GEMM columns, the elementwise steps use the same scalar
-   formulas), which is what lets the serve micro-batcher coalesce
-   requests without changing any reply bit. *)
+(* Inference runs the same executor over the frozen layers, so no node
+   records a backward and each intermediate dies as soon as the next
+   layer has read it.  This is the contract the serve micro-batcher and
+   its result cache depend on: a request's reply bits do not depend on
+   the batch it joined. *)
 let predict_batch net pairs =
-  if Array.length pairs = 0 then [||]
+  let n = Array.length pairs in
+  if n = 0 then [||]
   else begin
-    let ops =
-      {
-        layer = (fun i x -> Layer.forward_batch net.layers.(i) x);
-        pool = T.maxpool2_batch;
-        concat = T.concat_channels_batch;
-        merge = (fun a b -> T.leaky_relu 0.1 (T.add a b));
-      }
-    in
-    let x0 = T.stack (Array.map fst pairs) in
-    let x1 = T.stack (Array.map snd pairs) in
-    let c0, c1 = siamese ops ~depth:net.cfg.depth x0 x1 in
-    (* each sample comes back as [1; h; w]; flatten to the rank-2 map
-       [predict] returns *)
-    let split c =
-      Array.map
-        (fun m -> T.reshape m [| T.dim m 1; T.dim m 2 |])
-        (T.unstack c)
-    in
-    Array.map2 (fun a b -> (a, b)) (split c0) (split c1)
+    let x = T.stack (Array.append (Array.map fst pairs) (Array.map snd pairs)) in
+    let c = T.unstack (V.data (run net.frozen ~depth:net.cfg.depth (V.const x))) in
+    (* each sample comes back as [1; h; w]; flatten to a rank-2 map *)
+    let map m = T.reshape m [| T.dim m 1; T.dim m 2 |] in
+    Array.init n (fun i -> (map c.(i), map c.(n + i)))
   end
+
+let predict net f0 f1 = (predict_batch net [| (f0, f1) |]).(0)
 
 (* The whole network as one layer: its parameters in [layers] order. *)
 let as_layer net = Layer.seq (Array.to_list net.layers)

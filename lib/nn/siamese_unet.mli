@@ -9,9 +9,13 @@
     b_other)]), which keeps the whole network exactly equivariant under
     die exchange — swapping the inputs swaps the predictions.
 
-    The topology is written once and run two ways: on the autodiff
-    tape ({!forward}), and over batches of plain tensors through
-    {!Layer.forward_batch} ({!predict_batch}).
+    The topology is written once, over one rank-4 batch that holds both
+    dies, and run by one executor ({!Layer.forward}): every shared layer
+    runs once for the pair, and the communication layer swaps the
+    batch's halves to pair each die with the other.  Training and
+    Algorithm 2 run it on the autodiff tape ({!forward}); inference
+    ({!predict}, {!predict_batch}) runs it over constant views of the
+    same weights, which record no tape.
 
     The network is an images-to-images model: it maps the per-die
     feature stacks [F0, F1 : [c_in; h; w]] to predicted post-route
@@ -43,11 +47,14 @@ val forward :
   Dco3d_autodiff.Value.t ->
   Dco3d_autodiff.Value.t ->
   Dco3d_autodiff.Value.t * Dco3d_autodiff.Value.t
-(** [forward net f0 f1] predicts the two congestion maps.  Spatial
-    dimensions must be divisible by [2^depth].  Differentiable in both
+(** [forward net f0 f1] predicts the two congestion maps [[1; h; w]]
+    from the feature stacks [[c_in; h; w]].  Spatial dimensions must be
+    divisible by [2^depth].  Differentiable in both
     the network parameters and the inputs (the latter is what Algorithm
     2 exploits: gradients flow from the congestion loss through the
-    frozen network back into the feature maps). *)
+    frozen network back into the feature maps).  The pair runs as one
+    [[2; c; h; w]] batch: each shared conv computes one weight and one
+    input gradient per backward pass. *)
 
 val predict :
   t -> Dco3d_tensor.Tensor.t -> Dco3d_tensor.Tensor.t ->
@@ -59,10 +66,9 @@ val predict_batch :
   (Dco3d_tensor.Tensor.t * Dco3d_tensor.Tensor.t) array ->
   (Dco3d_tensor.Tensor.t * Dco3d_tensor.Tensor.t) array
 (** [predict_batch net pairs] is {!predict} over a whole batch in one
-    network pass: the [(f0, f1)] stacks are packed into rank-4
-    [[n; c; h; w]] tensors and every layer runs through
-    {!Layer.forward_batch}, so each conv is a single batched call.
-    Element [i] of the result is bit-identical to
+    network pass: every die-0 stack, then every die-1 stack, packed
+    into one rank-4 [[2n; c; h; w]] batch, so each conv is a single
+    batched call.  Element [i] of the result is bit-identical to
     [predict net (fst pairs.(i)) (snd pairs.(i))] at every
     [DCO3D_JOBS] value — the contract the serve micro-batcher and its
     result cache depend on. *)

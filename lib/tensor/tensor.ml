@@ -526,7 +526,7 @@ let matvec a x =
   make [| m |] out
 
 (* ------------------------------------------------------------------ *)
-(* Convolution kernels.                                                *)
+(* Convolution kernels over rank-4 [n; c; h; w] activations.           *)
 (*                                                                     *)
 (* Every pass is one im2col lowering onto the gather-GEMM kernel      *)
 (* above, so each output element is one chain of separately rounded   *)
@@ -534,13 +534,15 @@ let matvec a x =
 (* the bias (if any) added after the last one:                         *)
 (*   conv2d            taps (c, ky, kx) ascending                      *)
 (*   backward_input    (o, ky, kx) ascending                           *)
-(*   backward_weight   output pixels (oy, ox) ascending                *)
+(*   backward_weight   output pixels (oy, ox) ascending, one chain per *)
+(*                     sample; the samples' chains are then added in   *)
+(*                     ascending sample order                          *)
 (*   conv2d_transpose  c ascending, then source pixel (iy, ix)         *)
 (*                     ascending (taps ky, kx descending)              *)
 (* Only terms whose source pixel lies inside the input count: the      *)
 (* zeros the lowering gathers for padding and stride gaps add +/-0.,   *)
 (* which never changes a chain that began at +0.  The tests' Conv_ref  *)
-(* spells each order out as a plain loop nest.                         *)
+(* spells each order out as a plain loop nest, one sample at a time.   *)
 (*                                                                     *)
 (* Every lowering's B is one gather from a source image, described by *)
 (* (off, y, x) descriptors that nested loops fill ([fill_taps],        *)
@@ -549,16 +551,13 @@ let matvec a x =
 (* passes that walk dilated geometry (transposes, and backward_input   *)
 (* at stride s) run as s^2 stride-1 phase GEMMs, one per output        *)
 (* residue class, over only the taps that reach it ([phase_gemm]), so  *)
-(* no GEMM grinds through stride zeros.  The forward lowering is       *)
-(* batched — [conv2d] is [conv2d_batch] at n = 1, and                  *)
-(* [conv2d_transpose] likewise — so a batch only adds GEMM columns and *)
-(* never reorders an accumulation.  Hot kernels take annotated         *)
-(* [float array]s: a helper that only moves floats is otherwise        *)
-(* inferred polymorphic and boxes every element it touches.            *)
+(* no GEMM grinds through stride zeros.  The samples of a batch are    *)
+(* extra GEMM columns of the forward and input-gradient passes, which  *)
+(* never reorders an accumulation: each sample's bits are those of a   *)
+(* batch of one.  Hot kernels take annotated [float array]s: a helper  *)
+(* that only moves floats is otherwise inferred polymorphic and boxes  *)
+(* every element it touches.                                           *)
 (* ------------------------------------------------------------------ *)
-
-let check_rank3 name t =
-  if rank t <> 3 then invalid_arg (name ^ ": expected a rank-3 tensor")
 
 let check_rank4 name t =
   if rank t <> 4 then invalid_arg (name ^ ": expected a rank-4 tensor")
@@ -595,13 +594,14 @@ let check_conv_args name ~stride ~pad ~in_channels ~in_axis ~out_axis ~weight
   co
 
 (* Kernel taps (c, ky, kx), c-major over [chans] planes of [plane]
-   floats: off = c*plane, y = ky - pad, x = kx - pad. *)
-let fill_taps (d : int array) ~chans ~plane ~kh ~kw ~pad =
+   floats from [base]: off = base + c*plane, y = ky - pad,
+   x = kx - pad. *)
+let fill_taps (d : int array) ~base ~chans ~plane ~kh ~kw ~pad =
   let i = ref 0 in
   for c = 0 to chans - 1 do
     for ky = 0 to kh - 1 do
       for kx = 0 to kw - 1 do
-        Array.unsafe_set d !i (c * plane);
+        Array.unsafe_set d !i (base + (c * plane));
         Array.unsafe_set d (!i + 1) (ky - pad);
         Array.unsafe_set d (!i + 2) (kx - pad);
         i := !i + 3
@@ -743,138 +743,136 @@ let phase_gemm ~stride:s ~pad ~kh ~kw ~flip ~chans ~m ~n ~sh ~sw ~oh ~ow
     done
   done
 
-(* Forward lowering over a batch: A = weight as (co x ci*kh*kw) — its
-   natural layout — and B[(c,ky,kx), (b,oy,ox)] =
+(* The output shape [n; co; oh; ow] a conv of an [n; ci; h; w] input
+   produces, with [co; kh; kw] from the weight; raises when empty. *)
+let conv_output_shape name ~stride ~pad ~n ~co ~h ~w ~kh ~kw =
+  check_stride_pad name ~stride ~pad;
+  let oh = ((h + (2 * pad) - kh) / stride) + 1 in
+  let ow = ((w + (2 * pad) - kw) / stride) + 1 in
+  if oh <= 0 || ow <= 0 then invalid_arg (name ^ ": empty output");
+  [| n; co; oh; ow |]
+
+(* Forward lowering: A = weight as (co x ci*kh*kw) — its natural
+   layout — and B[(c,ky,kx), (b,oy,ox)] =
    x[b, c, oy*s + ky - pad, ox*s + kx - pad] (or 0. outside the input).
    The inner index p ascends over (c, ky, kx). *)
-let conv2d_gemm ~n ~stride ~pad ~ci ~h ~w ~co ~kh ~kw ~oh ~ow xd wd bias =
-  let ncol = n * oh * ow in
-  let g = Array.make (co * ncol) 0. in
-  gemm_described ~m:co ~k:(ci * kh * kw) ~n:ncol ~h ~w xd
-    ~rows:(fun d ->
-      fill_taps d ~chans:ci ~plane:(h * w) ~kh ~kw ~pad)
-    ~cols:(fun d -> fill_pixels d ~imgs:n ~img:(ci * h * w) ~oh ~ow ~stride)
-    wd g;
-  finish_batch g ~n ~co ~hw:(oh * ow) bias
-
-(* Input-gradient lowering.  A plain col2im scatter would re-associate
-   the sums, so instead the gradient is computed as a GEMM over *input*
-   pixels, one per stride phase: A[c, (o,ky,kx)] = w[o,c,ky,kx] and
-   B[(o,ky,kx), (iy,ix)] = gout[o, (iy+pad-ky)/s, (ix+pad-kx)/s] when
-   that division is exact and in range, else 0.  The inner index p
-   ascends over (o, ky, kx). *)
-let conv2d_backward_input_gemm ~stride ~pad ~ci ~h ~w ~co ~kh ~kw ~oh ~ow gd
-    wd =
-  let gin = Array.create_float (ci * h * w) in
-  phase_gemm ~stride ~pad ~kh ~kw ~flip:false ~chans:co ~m:ci ~n:1 ~sh:oh
-    ~sw:ow ~oh:h ~ow:w ~chan_stride:(ci * kh * kw) ~row_stride:(kh * kw) gd wd
-    None gin;
-  gin
-
-(* Weight-gradient lowering: A = gout as (co x oh*ow) — its natural
-   layout — and B[(oy,ox), (c,ky,kx)] = x[c, oy*s+ky-pad, ox*s+kx-pad]
-   or 0.: the forward gather with the roles of rows and columns
-   exchanged.  The inner index p ascends over (oy, ox). *)
-let conv2d_backward_weight_gemm ~stride ~pad ~ci ~h ~w ~co ~kh ~kw ~oh ~ow gd
-    xd =
-  let gw = Array.make (co * ci * kh * kw) 0. in
-  gemm_described ~m:co ~k:(oh * ow) ~n:(ci * kh * kw) ~h ~w xd
-    ~rows:(fun d -> fill_pixels d ~imgs:1 ~img:0 ~oh ~ow ~stride)
-    ~cols:(fun d ->
-      fill_taps d ~chans:ci ~plane:(h * w) ~kh ~kw ~pad)
-    gd gw;
-  gw
-
-(* Transpose lowering over a batch: a transposed convolution is a
-   stride-dilated correlation with the kernel flipped, so per stride
-   phase A[o, (c,ky,kx)] = w[c,o,ky,kx] and B[(c,ky,kx), (b,oy,ox)] =
-   x[b, c, (oy+pad-ky)/s, (ox+pad-kx)/s] when exact and in range, else
-   0.  Taking the taps with ky and kx descending makes p ascend over c,
-   then iy, then ix.  The bias is added after the full contraction. *)
-let conv2d_transpose_gemm ~n ~stride ~pad ~ci ~h ~w ~co ~kh ~kw ~oh ~ow xd wd
-    bias =
-  let out = Array.create_float (n * co * oh * ow) in
-  phase_gemm ~stride ~pad ~kh ~kw ~flip:true ~chans:ci ~m:co ~n ~sh:h ~sw:w ~oh
-    ~ow ~chan_stride:(co * kh * kw) ~row_stride:(kh * kw) xd wd bias out;
-  out
-
-(* Shared by [conv2d] (n = 1) and [conv2d_batch]: returns
-   (co, oh, ow, data) with data laid out [n; co; oh; ow]. *)
-let conv2d_core ~name ~stride ~pad ~n ~ci ~h ~w xd ~weight ~bias =
+let conv2d ?(stride = 1) ?(pad = 0) x ~weight ~bias =
+  let name = "Tensor.conv2d" in
+  check_rank4 name x;
+  let n = x.shape.(0) and ci = x.shape.(1) in
+  let h = x.shape.(2) and w = x.shape.(3) in
   let co =
     check_conv_args name ~stride ~pad ~in_channels:ci ~in_axis:1 ~out_axis:0
       ~weight ~bias
   in
   let kh = weight.shape.(2) and kw = weight.shape.(3) in
-  let oh = ((h + (2 * pad) - kh) / stride) + 1 in
-  let ow = ((w + (2 * pad) - kw) / stride) + 1 in
-  if oh <= 0 || ow <= 0 then invalid_arg (name ^ ": empty output");
-  ( co,
-    oh,
-    ow,
-    conv2d_gemm ~n ~stride ~pad ~ci ~h ~w ~co ~kh ~kw ~oh ~ow xd weight.data
-      bias )
+  let out_shape = conv_output_shape name ~stride ~pad ~n ~co ~h ~w ~kh ~kw in
+  let oh = out_shape.(2) and ow = out_shape.(3) in
+  let ncol = n * oh * ow in
+  let g = Array.make (co * ncol) 0. in
+  gemm_described ~m:co ~k:(ci * kh * kw) ~n:ncol ~h ~w x.data
+    ~rows:(fun d -> fill_taps d ~base:0 ~chans:ci ~plane:(h * w) ~kh ~kw ~pad)
+    ~cols:(fun d -> fill_pixels d ~imgs:n ~img:(ci * h * w) ~oh ~ow ~stride)
+    weight.data g;
+  make out_shape (finish_batch g ~n ~co ~hw:(oh * ow) bias)
 
-let conv2d ?(stride = 1) ?(pad = 0) x ~weight ~bias =
-  check_rank3 "Tensor.conv2d" x;
-  let co, oh, ow, data =
-    conv2d_core ~name:"Tensor.conv2d" ~stride ~pad ~n:1 ~ci:x.shape.(0)
-      ~h:x.shape.(1) ~w:x.shape.(2) x.data ~weight ~bias
+(* The shapes of a backward pass: [input_shape] is [n; ci; h; w], its
+   channels those of the weight ([co; ci; kh; kw]), and the gradient
+   [gout] has the output shape those imply.  Returns that shape. *)
+let check_backward name ~stride ~pad ~input_shape ~weight_shape gout =
+  check_rank4 name gout;
+  if
+    Array.length input_shape <> 4
+    || Array.length weight_shape <> 4
+    || weight_shape.(1) <> input_shape.(1)
+  then shape_mismatch name "input shape" input_shape "weight shape" weight_shape;
+  let expected =
+    conv_output_shape name ~stride ~pad ~n:input_shape.(0) ~co:weight_shape.(0)
+      ~h:input_shape.(2) ~w:input_shape.(3) ~kh:weight_shape.(2)
+      ~kw:weight_shape.(3)
   in
-  make [| co; oh; ow |] data
+  if gout.shape <> expected then
+    shape_mismatch name "gradient shape" gout.shape "output shape" expected;
+  expected
 
-let conv2d_batch ?(stride = 1) ?(pad = 0) x ~weight ~bias =
-  check_rank4 "Tensor.conv2d_batch" x;
-  let n = x.shape.(0) in
-  let co, oh, ow, data =
-    conv2d_core ~name:"Tensor.conv2d_batch" ~stride ~pad ~n ~ci:x.shape.(1)
-      ~h:x.shape.(2) ~w:x.shape.(3) x.data ~weight ~bias
-  in
-  make [| n; co; oh; ow |] data
-
-(* The spatial size [conv2d] produces from an h x w input. *)
-let conv_output_shape name ~stride ~pad ~co ~h ~w ~kh ~kw =
-  check_stride_pad name ~stride ~pad;
-  [|
-    co; ((h + (2 * pad) - kh) / stride) + 1; ((w + (2 * pad) - kw) / stride) + 1;
-  |]
-
+(* Input-gradient lowering.  A plain col2im scatter would re-associate
+   the sums, so instead the gradient is computed as a GEMM over *input*
+   pixels, one per stride phase: A[c, (o,ky,kx)] = w[o,c,ky,kx] and
+   B[(o,ky,kx), (b,iy,ix)] = gout[b, o, (iy+pad-ky)/s, (ix+pad-kx)/s]
+   when that division is exact and in range, else 0.  The inner index
+   p ascends over (o, ky, kx). *)
 let conv2d_backward_input ?(stride = 1) ?(pad = 0) ~input_shape ~weight gout =
   let name = "Tensor.conv2d_backward_input" in
-  check_rank3 name gout;
   if rank weight <> 4 then invalid_arg (name ^ ": weight must be rank 4");
-  if Array.length input_shape <> 3 || weight.shape.(1) <> input_shape.(0) then
-    shape_mismatch name "input shape" input_shape "weight shape" weight.shape;
-  let ci = input_shape.(0) and h = input_shape.(1) and w = input_shape.(2) in
-  let co = weight.shape.(0) in
+  let out_shape =
+    check_backward name ~stride ~pad ~input_shape ~weight_shape:weight.shape
+      gout
+  in
+  let n = input_shape.(0) and ci = input_shape.(1) in
+  let h = input_shape.(2) and w = input_shape.(3) in
   let kh = weight.shape.(2) and kw = weight.shape.(3) in
-  let expected = conv_output_shape name ~stride ~pad ~co ~h ~w ~kh ~kw in
-  if gout.shape <> expected then
-    shape_mismatch name "gradient shape" gout.shape "output shape" expected;
-  let oh = gout.shape.(1) and ow = gout.shape.(2) in
-  make input_shape
-    (conv2d_backward_input_gemm ~stride ~pad ~ci ~h ~w ~co ~kh ~kw ~oh ~ow
-       gout.data weight.data)
+  let gin = Array.create_float (n * ci * h * w) in
+  phase_gemm ~stride ~pad ~kh ~kw ~flip:false ~chans:weight.shape.(0) ~m:ci ~n
+    ~sh:out_shape.(2) ~sw:out_shape.(3) ~oh:h ~ow:w
+    ~chan_stride:(ci * kh * kw) ~row_stride:(kh * kw) gout.data weight.data None
+    gin;
+  make input_shape gin
 
+(* Weight-gradient lowering, per sample b: A = gout[b] as (co x oh*ow)
+   — its natural layout — and B[(oy,ox), (c,ky,kx)] =
+   x[b, c, oy*s+ky-pad, ox*s+kx-pad] or 0.: the forward gather with the
+   roles of rows and columns exchanged.  The inner index p ascends over
+   (oy, ox).  Sample 0's GEMM runs into the result, every later one into
+   scratch that is then added in, so a sample's chain never continues
+   another's. *)
 let conv2d_backward_weight ?(stride = 1) ?(pad = 0) ~input ~weight_shape gout =
   let name = "Tensor.conv2d_backward_weight" in
-  check_rank3 name gout;
-  check_rank3 name input;
-  if Array.length weight_shape <> 4 || weight_shape.(1) <> input.shape.(0) then
-    shape_mismatch name "input shape" input.shape "weight shape" weight_shape;
-  let ci = input.shape.(0) and h = input.shape.(1) and w = input.shape.(2) in
-  let co = weight_shape.(0) in
-  let kh = weight_shape.(2) and kw = weight_shape.(3) in
-  let expected = conv_output_shape name ~stride ~pad ~co ~h ~w ~kh ~kw in
-  if gout.shape <> expected then
-    shape_mismatch name "gradient shape" gout.shape "output shape" expected;
-  let oh = gout.shape.(1) and ow = gout.shape.(2) in
-  make weight_shape
-    (conv2d_backward_weight_gemm ~stride ~pad ~ci ~h ~w ~co ~kh ~kw ~oh ~ow
-       gout.data input.data)
+  check_rank4 name input;
+  let out_shape =
+    check_backward name ~stride ~pad ~input_shape:input.shape ~weight_shape
+      gout
+  in
+  let n = input.shape.(0) and ci = input.shape.(1) in
+  let h = input.shape.(2) and w = input.shape.(3) in
+  let co = weight_shape.(0) and kh = weight_shape.(2) in
+  let kw = weight_shape.(3) in
+  let oh = out_shape.(2) and ow = out_shape.(3) in
+  let kdim = ci * kh * kw and ohw = oh * ow in
+  let gw = Array.make (co * kdim) 0. in
+  let sample b (a : float array) (out : float array) =
+    gemm_described ~m:co ~k:ohw ~n:kdim ~h ~w input.data
+      ~rows:(fun d -> fill_pixels d ~imgs:1 ~img:0 ~oh ~ow ~stride)
+      ~cols:(fun d ->
+        fill_taps d ~base:(b * ci * h * w) ~chans:ci ~plane:(h * w) ~kh ~kw
+          ~pad)
+      a out
+  in
+  if n > 0 then sample 0 gout.data gw;
+  if n > 1 then begin
+    Workspace.with_floats (co * ohw) @@ fun a ->
+    Workspace.with_floats (co * kdim) @@ fun g ->
+    for b = 1 to n - 1 do
+      Array.blit gout.data (b * co * ohw) a 0 (co * ohw);
+      Array.fill g 0 (co * kdim) 0.;
+      sample b a g;
+      for i = 0 to (co * kdim) - 1 do
+        Array.unsafe_set gw i (Array.unsafe_get gw i +. Array.unsafe_get g i)
+      done
+    done
+  end;
+  make weight_shape gw
 
-(* Shared by [conv2d_transpose] (n = 1) and [conv2d_transpose_batch]. *)
-let conv2d_transpose_core ~name ~stride ~pad ~n ~ci ~h ~w xd ~weight ~bias =
+(* Transpose lowering: a transposed convolution is a stride-dilated
+   correlation with the kernel flipped, so per stride phase
+   A[o, (c,ky,kx)] = w[c,o,ky,kx] and B[(c,ky,kx), (b,oy,ox)] =
+   x[b, c, (oy+pad-ky)/s, (ox+pad-kx)/s] when exact and in range, else
+   0.  Taking the taps with ky and kx descending makes p ascend over c,
+   then iy, then ix.  The bias is added after the full contraction. *)
+let conv2d_transpose ?(stride = 1) ?(pad = 0) x ~weight ~bias =
+  let name = "Tensor.conv2d_transpose" in
+  check_rank4 name x;
+  let n = x.shape.(0) and ci = x.shape.(1) in
+  let h = x.shape.(2) and w = x.shape.(3) in
   let co =
     check_conv_args name ~stride ~pad ~in_channels:ci ~in_axis:0 ~out_axis:1
       ~weight ~bias
@@ -883,41 +881,27 @@ let conv2d_transpose_core ~name ~stride ~pad ~n ~ci ~h ~w xd ~weight ~bias =
   let oh = ((h - 1) * stride) - (2 * pad) + kh in
   let ow = ((w - 1) * stride) - (2 * pad) + kw in
   if oh <= 0 || ow <= 0 then invalid_arg (name ^ ": empty output");
-  ( co,
-    oh,
-    ow,
-    conv2d_transpose_gemm ~n ~stride ~pad ~ci ~h ~w ~co ~kh ~kw ~oh ~ow xd
-      weight.data bias )
+  let out = Array.create_float (n * co * oh * ow) in
+  phase_gemm ~stride ~pad ~kh ~kw ~flip:true ~chans:ci ~m:co ~n ~sh:h ~sw:w ~oh
+    ~ow ~chan_stride:(co * kh * kw) ~row_stride:(kh * kw) x.data weight.data
+    bias out;
+  make [| n; co; oh; ow |] out
 
-let conv2d_transpose ?(stride = 1) ?(pad = 0) x ~weight ~bias =
-  check_rank3 "Tensor.conv2d_transpose" x;
-  let co, oh, ow, data =
-    conv2d_transpose_core ~name:"Tensor.conv2d_transpose" ~stride ~pad ~n:1
-      ~ci:x.shape.(0) ~h:x.shape.(1) ~w:x.shape.(2) x.data ~weight ~bias
-  in
-  make [| co; oh; ow |] data
-
-let conv2d_transpose_batch ?(stride = 1) ?(pad = 0) x ~weight ~bias =
-  check_rank4 "Tensor.conv2d_transpose_batch" x;
-  let n = x.shape.(0) in
-  let co, oh, ow, data =
-    conv2d_transpose_core ~name:"Tensor.conv2d_transpose_batch" ~stride ~pad ~n
-      ~ci:x.shape.(1) ~h:x.shape.(2) ~w:x.shape.(3) x.data ~weight ~bias
-  in
-  make [| n; co; oh; ow |] data
-
+(* 2x2, stride-2 max pooling; pooling is per channel, so the batch and
+   channel axes fold into one run of planes. *)
 let maxpool2 x =
-  check_rank3 "Tensor.maxpool2" x;
-  let c = x.shape.(0) and h = x.shape.(1) and w = x.shape.(2) in
+  check_rank4 "Tensor.maxpool2" x;
+  let n = x.shape.(0) and c = x.shape.(1) in
+  let h = x.shape.(2) and w = x.shape.(3) in
   if h mod 2 <> 0 || w mod 2 <> 0 then
     invalid_arg "Tensor.maxpool2: spatial dimensions must be even";
   let oh = h / 2 and ow = w / 2 in
   let xd = x.data in
-  let out = Array.make (c * oh * ow) 0. in
-  let arg = Array.make (c * oh * ow) 0 in
-  for ch = 0 to c - 1 do
-    let xbase = ch * h * w in
-    let obase = ch * oh * ow in
+  let out = Array.make (n * c * oh * ow) 0. in
+  let arg = Array.make (n * c * oh * ow) 0 in
+  for plane = 0 to (n * c) - 1 do
+    let xbase = plane * h * w in
+    let obase = plane * oh * ow in
     for oy = 0 to oh - 1 do
       for ox = 0 to ow - 1 do
         (* candidates i0, i0+1, i0+w, i0+w+1; the first strict
@@ -933,61 +917,15 @@ let maxpool2 x =
       done
     done
   done;
-  (make [| c; oh; ow |] out, arg)
+  (make [| n; c; oh; ow |] out, arg)
 
 let maxpool2_backward ~input_shape argmax gout =
   let gin = Array.make (numel_of_shape input_shape) 0. in
   Array.iteri (fun i src -> gin.(src) <- gin.(src) +. gout.data.(i)) argmax;
   make input_shape gin
 
-let avgpool2 x =
-  check_rank3 "Tensor.avgpool2" x;
-  let c = x.shape.(0) and h = x.shape.(1) and w = x.shape.(2) in
-  if h mod 2 <> 0 || w mod 2 <> 0 then
-    invalid_arg "Tensor.avgpool2: spatial dimensions must be even";
-  let oh = h / 2 and ow = w / 2 in
-  let out = Array.make (c * oh * ow) 0. in
-  for ch = 0 to c - 1 do
-    let xbase = ch * h * w in
-    let obase = ch * oh * ow in
-    for oy = 0 to oh - 1 do
-      for ox = 0 to ow - 1 do
-        let i0 = xbase + (2 * oy * w) + (2 * ox) in
-        out.(obase + (oy * ow) + ox) <-
-          0.25
-          *. (x.data.(i0) +. x.data.(i0 + 1) +. x.data.(i0 + w)
-             +. x.data.(i0 + w + 1))
-      done
-    done
-  done;
-  make [| c; oh; ow |] out
-
-let upsample_nearest2 x =
-  check_rank3 "Tensor.upsample_nearest2" x;
-  let c = x.shape.(0) and h = x.shape.(1) and w = x.shape.(2) in
-  let oh = 2 * h and ow = 2 * w in
-  let out = Array.make (c * oh * ow) 0. in
-  for ch = 0 to c - 1 do
-    let xbase = ch * h * w in
-    let obase = ch * oh * ow in
-    for oy = 0 to oh - 1 do
-      let iy = oy / 2 in
-      for ox = 0 to ow - 1 do
-        out.(obase + (oy * ow) + ox) <- x.data.(xbase + (iy * w) + (ox / 2))
-      done
-    done
-  done;
-  make [| c; oh; ow |] out
-
 (* ------------------------------------------------------------------ *)
-(* Batched kernels (rank-4 [n; c; h; w]).                              *)
-(*                                                                     *)
-(* The batched convolutions live with the convolution kernels above:   *)
-(* one im2col/GEMM call per batch (kdim x n*oh*ow columns), so the     *)
-(* descriptor set-up and the parallel-region dispatch amortize over    *)
-(* the batch —                                                         *)
-(* the payoff the serve micro-batcher is built on.  The helpers below  *)
-(* are per-channel or pure copies, so they fold the batch axis freely. *)
+(* Batch axis.                                                         *)
 (* ------------------------------------------------------------------ *)
 
 let stack ts =
@@ -1010,40 +948,6 @@ let unstack t =
   let per = numel_of_shape rest in
   Array.init n (fun i -> make rest (Array.sub t.data (i * per) per))
 
-let maxpool2_batch x =
-  check_rank4 "Tensor.maxpool2_batch" x;
-  let n = x.shape.(0) and c = x.shape.(1) in
-  let h = x.shape.(2) and w = x.shape.(3) in
-  (* pooling is per channel, so the batch and channel axes fold *)
-  let y, _ = maxpool2 (reshape x [| n * c; h; w |]) in
-  reshape y [| n; c; h / 2; w / 2 |]
-
-let concat_channels_batch ts =
-  match ts with
-  | [] -> invalid_arg "Tensor.concat_channels_batch: empty list"
-  | first :: _ ->
-      List.iter (check_rank4 "Tensor.concat_channels_batch") ts;
-      let n = first.shape.(0) in
-      let h = first.shape.(2) and w = first.shape.(3) in
-      List.iter
-        (fun t ->
-          if t.shape.(0) <> n || t.shape.(2) <> h || t.shape.(3) <> w then
-            invalid_arg "Tensor.concat_channels_batch: batch/spatial mismatch")
-        ts;
-      let ctot = List.fold_left (fun acc t -> acc + t.shape.(1)) 0 ts in
-      let hw = h * w in
-      let out = Array.make (n * ctot * hw) 0. in
-      for b = 0 to n - 1 do
-        let pos = ref (b * ctot * hw) in
-        List.iter
-          (fun t ->
-            let span = t.shape.(1) * hw in
-            Array.blit t.data (b * span) out !pos span;
-            pos := !pos + span)
-          ts
-      done;
-      make [| n; ctot; h; w |] out
-
 (* ------------------------------------------------------------------ *)
 (* Map utilities.                                                      *)
 (* ------------------------------------------------------------------ *)
@@ -1062,60 +966,59 @@ let resize_nearest m oh ow =
   done;
   make [| oh; ow |] out
 
-let as_rank3 t =
-  match rank t with
-  | 3 -> t
-  | 2 -> reshape t [| 1; t.shape.(0); t.shape.(1) |]
-  | _ -> invalid_arg "Tensor: expected a rank-2 or rank-3 tensor"
+(* [t] as (n, c, h, w): a rank-2 map is one channel of one sample, a
+   rank-3 stack one sample, a rank-4 tensor a batch. *)
+let nchw name t =
+  match t.shape with
+  | [| h; w |] -> (1, 1, h, w)
+  | [| c; h; w |] -> (1, c, h, w)
+  | [| n; c; h; w |] -> (n, c, h, w)
+  | _ -> invalid_arg (name ^ ": expected a rank-2, rank-3 or rank-4 tensor")
 
 let concat_channels ts =
-  match List.map as_rank3 ts with
-  | [] -> invalid_arg "Tensor.concat_channels: empty list"
-  | first :: _ as ts ->
-      let h = first.shape.(1) and w = first.shape.(2) in
-      List.iter
-        (fun t ->
-          if t.shape.(1) <> h || t.shape.(2) <> w then
-            invalid_arg "Tensor.concat_channels: spatial mismatch")
-        ts;
-      let c = List.fold_left (fun acc t -> acc + t.shape.(0)) 0 ts in
-      let out = Array.make (c * h * w) 0. in
-      let pos = ref 0 in
-      List.iter
-        (fun t ->
-          Array.blit t.data 0 out !pos (Array.length t.data);
-          pos := !pos + Array.length t.data)
-        ts;
-      make [| c; h; w |] out
+  let name = "Tensor.concat_channels" in
+  match ts with
+  | [] -> invalid_arg (name ^ ": empty list")
+  | first :: _ ->
+      let batched = rank first = 4 in
+      let n, _, h, w = nchw name first in
+      let ctot =
+        List.fold_left
+          (fun acc t ->
+            let n', c, h', w' = nchw name t in
+            if (rank t = 4) <> batched || n' <> n || h' <> h || w' <> w then
+              invalid_arg (name ^ ": batch/spatial mismatch");
+            acc + c)
+          0 ts
+      in
+      let hw = h * w in
+      let out = Array.make (n * ctot * hw) 0. in
+      for b = 0 to n - 1 do
+        let pos = ref (b * ctot * hw) in
+        List.iter
+          (fun t ->
+            let span = Array.length t.data / n in
+            Array.blit t.data (b * span) out !pos span;
+            pos := !pos + span)
+          ts
+      done;
+      make (if batched then [| n; ctot; h; w |] else [| ctot; h; w |]) out
 
-let slice_channels t lo n =
-  let t = as_rank3 t in
-  let c = t.shape.(0) and h = t.shape.(1) and w = t.shape.(2) in
-  if lo < 0 || n < 0 || lo + n > c then
-    invalid_arg "Tensor.slice_channels: out of range";
-  let out = Array.make (n * h * w) 0. in
-  Array.blit t.data (lo * h * w) out 0 (n * h * w);
-  make [| n; h; w |] out
+let slice_channels t lo k =
+  let name = "Tensor.slice_channels" in
+  let n, c, h, w = nchw name t in
+  if lo < 0 || k < 0 || lo + k > c then invalid_arg (name ^ ": out of range");
+  let hw = h * w in
+  let out = Array.make (n * k * hw) 0. in
+  for b = 0 to n - 1 do
+    Array.blit t.data (((b * c) + lo) * hw) out (b * k * hw) (k * hw)
+  done;
+  make (if rank t = 4 then [| n; k; h; w |] else [| k; h; w |]) out
 
 let channel t c =
+  if rank t = 4 then invalid_arg "Tensor.channel: rank-2 or rank-3 only";
   let s = slice_channels t c 1 in
   reshape s [| s.shape.(1); s.shape.(2) |]
-
-let pad2d t p =
-  if p < 0 then invalid_arg "Tensor.pad2d: negative padding";
-  let t3 = as_rank3 t in
-  let c = t3.shape.(0) and h = t3.shape.(1) and w = t3.shape.(2) in
-  let oh = h + (2 * p) and ow = w + (2 * p) in
-  let out = Array.make (c * oh * ow) 0. in
-  for ch = 0 to c - 1 do
-    for i = 0 to h - 1 do
-      Array.blit t3.data ((ch * h * w) + (i * w)) out
-        ((ch * oh * ow) + ((i + p) * ow) + p)
-        w
-    done
-  done;
-  let res = make [| c; oh; ow |] out in
-  if rank t = 2 then reshape res [| oh; ow |] else res
 
 let rot90_2 m =
   let h = m.shape.(0) and w = m.shape.(1) in
@@ -1152,22 +1055,6 @@ let flip_h t =
   match rank t with
   | 2 | 3 -> flip_last_axis t
   | _ -> invalid_arg "Tensor.flip_h: rank-2 or rank-3 only"
-
-let flip_v t =
-  let flip2 m =
-    let h = m.shape.(0) and w = m.shape.(1) in
-    let out = Array.make (h * w) 0. in
-    for i = 0 to h - 1 do
-      Array.blit m.data (i * w) out ((h - 1 - i) * w) w
-    done;
-    make [| h; w |] out
-  in
-  match rank t with
-  | 2 -> flip2 t
-  | 3 ->
-      let c = t.shape.(0) in
-      concat_channels (List.init c (fun ch -> flip2 (channel t ch)))
-  | _ -> invalid_arg "Tensor.flip_v: rank-2 or rank-3 only"
 
 let approx_equal ?(eps = 1e-9) a b =
   same_shape a b

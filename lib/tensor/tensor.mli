@@ -4,10 +4,11 @@
     congestion maps are rank-2 tensors [[h; w]], per-die feature stacks
     are rank-3 tensors [[c; h; w]] (channels first, matching the paper's
     7-channel inputs), convolution weights are rank-4 [[co; ci; kh; kw]],
-    and GNN activations are rank-2 [[n; f]].  All neural-network kernels
-    (convolution, transposed convolution, pooling, nearest-neighbour
-    resize) live here so that {!module:Dco3d_autodiff} can wrap each
-    forward kernel with its hand-written adjoint. *)
+    GNN activations are rank-2 [[n; f]], and the network's activations
+    are rank-4 batches [[n; c; h; w]].  All neural-network kernels
+    (convolution, transposed convolution, pooling) live here so that
+    {!module:Dco3d_autodiff} can wrap each forward kernel with its
+    hand-written adjoint. *)
 
 type t = private { shape : int array; data : float array }
 (** A tensor.  [data] is row-major; the type is private so that all
@@ -179,63 +180,66 @@ val with_gemm_isa : string -> (unit -> 'a) -> 'a option
     [None] (and [f] not run) if [v] is unknown or this CPU lacks it.
     Not for use while another domain runs kernels. *)
 
-(** {1 Convolution kernels (rank 3 activations [[c; h; w]])} *)
+(** {1 Convolution kernels (rank-4 activations [[n; c; h; w]])}
 
-(** Every convolution lowers onto {!gemm_gather}, which reads the
+    Every network activation is a batch: [n] samples of [c] channels
+    on an [h x w] grid, a single sample being [n = 1].  Each kernel
+    below has exactly this one rank-4 entry.
+
+    Every convolution lowers onto {!gemm_gather}, which reads the
     im2col matrix straight from the image.  Each output element is one
     chain of separately rounded multiplies and adds from [0.] over its
     in-image terms, in a fixed order per pass (listed in [tensor.ml]),
     with the bias added last, so the bits are the same at every
-    [DCO3D_JOBS] and batch size.
+    [DCO3D_JOBS].  The samples of a batch only add GEMM columns, so
+    sample [b] of a forward or input-gradient result is bit-identical
+    to that sample run alone; the weight gradient computes one chain
+    per sample and adds the samples' results in ascending order.
 
     Every convolution entry below checks its shapes (input channels
     against the weight, bias length against the output channels, a
     gradient against the output shape the input and weight imply) and
     its stride ([>= 1]) and padding ([>= 0]) before touching any data,
-    and raises [Invalid_argument] naming the mismatched shapes. *)
+    and raises [Invalid_argument] naming the mismatched shapes.  An
+    empty batch ([n = 0]) gives an empty result of the implied
+    shape. *)
 
 val conv2d : ?stride:int -> ?pad:int -> t -> weight:t -> bias:t option -> t
-(** [conv2d x ~weight ~bias] with [x : [ci; h; w]],
-    [weight : [co; ci; kh; kw]], [bias : [co]] option.  Runs as
-    {!conv2d_batch} at [n = 1]. *)
+(** [conv2d x ~weight ~bias] with [x : [n; ci; h; w]],
+    [weight : [co; ci; kh; kw]], [bias : [co]] option gives
+    [[n; co; oh; ow]], lowered to a single gather-GEMM with
+    [n * oh * ow] columns. *)
 
 val conv2d_backward_input :
   ?stride:int -> ?pad:int -> input_shape:int array -> weight:t -> t -> t
 (** Adjoint of {!conv2d} with respect to its input: maps the gradient of
-    the output back to the gradient of the input. *)
+    the output ([[n; co; oh; ow]]) back to the gradient of the input
+    ([input_shape = [|n; ci; h; w|]]). *)
 
 val conv2d_backward_weight :
   ?stride:int -> ?pad:int -> input:t -> weight_shape:int array -> t -> t
-(** Adjoint of {!conv2d} with respect to the weight. *)
+(** Adjoint of {!conv2d} with respect to the weight, summed over the
+    batch: one GEMM per sample, whose results are added in ascending
+    sample order. *)
 
 val conv2d_transpose :
   ?stride:int -> ?pad:int -> t -> weight:t -> bias:t option -> t
 (** Transposed convolution (a.k.a. deconvolution), used by the UNet
-    decoder.  [x : [ci; h; w]], [weight : [ci; co; kh; kw]]; output has
-    spatial size [(h-1)*stride - 2*pad + kh].  Runs as
-    {!conv2d_transpose_batch} at [n = 1]. *)
+    decoder.  [x : [n; ci; h; w]], [weight : [ci; co; kh; kw]]; output
+    [[n; co; oh; ow]] has spatial size [(h-1)*stride - 2*pad + kh],
+    lowered to [stride²] phase GEMMs, one per output residue class,
+    each over all [n] samples' columns. *)
 
 val maxpool2 : t -> t * int array
-(** 2x2, stride-2 max pooling.  Also returns the flat argmax index into
-    the input for each output element (for the backward pass).  Requires
-    even spatial dimensions. *)
+(** 2x2, stride-2 max pooling of [[n; c; h; w]].  Also returns the flat
+    argmax index into the input for each output element (for the
+    backward pass).  Requires even spatial dimensions. *)
 
 val maxpool2_backward : input_shape:int array -> int array -> t -> t
 (** [maxpool2_backward ~input_shape argmax gout] scatters [gout] back
     through the recorded argmax indices. *)
 
-val avgpool2 : t -> t
-val upsample_nearest2 : t -> t
-(** 2x nearest-neighbour upsampling of a rank-3 tensor. *)
-
-(** {1 Batched kernels (rank 4 activations [[n; c; h; w]])}
-
-    Inference-time batching for the serve micro-batcher: a batch of [n]
-    samples runs as {e one} kernel call, so the im2col/GEMM engine
-    reads the weight matrix once per column block and its parallel
-    region covers [n] times the work.  Every batched kernel is bit-identical to [n] independent
-    per-sample calls — batching adds GEMM columns, it never reorders a
-    floating-point accumulation. *)
+(** {1 Batch axis} *)
 
 val stack : t array -> t
 (** [stack [|t0; ...; t_{n-1}|]] concatenates [n] same-shaped tensors
@@ -246,28 +250,7 @@ val unstack : t -> t array
 (** Inverse of {!stack}: split the leading axis into [n] independently
     owned tensors. *)
 
-val conv2d_batch :
-  ?stride:int -> ?pad:int -> t -> weight:t -> bias:t option -> t
-(** {!conv2d} over a batch: [x : [n; ci; h; w]] -> [[n; co; oh; ow]],
-    lowered to a single im2col/GEMM with [n * oh * ow] columns.  An
-    empty batch ([n = 0]) gives an empty [[0; co; oh; ow]]. *)
-
-val conv2d_transpose_batch :
-  ?stride:int -> ?pad:int -> t -> weight:t -> bias:t option -> t
-(** {!conv2d_transpose} over a batch ([x : [n; ci; h; w]]), lowered to
-    [stride²] phase GEMMs, one per output residue class, each over all
-    [n] samples' columns.  An empty batch gives an empty result, as for
-    {!conv2d_batch}. *)
-
-val maxpool2_batch : t -> t
-(** 2x2, stride-2 max pooling over a rank-4 batch (no argmax — this is
-    an inference-only kernel). *)
-
-val concat_channels_batch : t list -> t
-(** Concatenate rank-4 tensors along the channel axis; batch and
-    spatial dimensions must agree. *)
-
-(** {1 Map utilities (rank 2 and 3)} *)
+(** {1 Map utilities (rank 2, 3 and 4)} *)
 
 val resize_nearest : t -> int -> int -> t
 (** [resize_nearest m h w] resizes a rank-2 map with nearest-neighbour
@@ -275,18 +258,20 @@ val resize_nearest : t -> int -> int -> t
     III-B3). *)
 
 val concat_channels : t list -> t
-(** Stack rank-3 tensors along the channel axis (spatial dims must
-    agree); rank-2 inputs are treated as single channels. *)
+(** Concatenate along the channel axis.  Rank-3 [[c; h; w]] inputs
+    (rank-2 ones count as single channels) give a rank-3 result;
+    rank-4 [[n; c; h; w]] inputs concatenate each sample's channels and
+    give a rank-4 result.  Spatial (and batch) dimensions must agree,
+    and rank-4 inputs cannot mix with lower ranks. *)
 
 val slice_channels : t -> int -> int -> t
-(** [slice_channels x lo n] extracts channels [lo..lo+n-1] as a copy. *)
+(** [slice_channels x lo n] extracts channels [lo..lo+n-1] as a copy:
+    of every sample of a rank-4 [x] (rank-4 result), else of a rank-3
+    [x] (a rank-2 map is one channel). *)
 
 val channel : t -> int -> t
 (** [channel x c] extracts channel [c] of a rank-3 tensor as a rank-2
     map (copy). *)
-
-val pad2d : t -> int -> t
-(** Zero-pad the two trailing spatial dimensions by [p] on each side. *)
 
 val rot90 : t -> t
 (** Rotate a rank-2 map counter-clockwise by 90 degrees; for rank-3,
@@ -294,9 +279,6 @@ val rot90 : t -> t
 
 val flip_h : t -> t
 (** Mirror the last (width) axis. *)
-
-val flip_v : t -> t
-(** Mirror the height axis. *)
 
 (** {1 Comparison and printing} *)
 

@@ -146,7 +146,7 @@ let prune_net ~seed ~in_wrt =
     y
   in
   let ci = 1 + Rng.int rng 3 and c1 = 1 + Rng.int rng 3 and hw = 3 + Rng.int rng 3 in
-  let img = conv ~transpose:false (input [| ci; hw; hw |]) ci c1 in
+  let img = conv ~transpose:false (input [| 1; ci; hw; hw |]) ci c1 in
   let img = maybe (fun x -> conv ~transpose:true x c1 (1 + Rng.int rng 2)) img in
   let img = maybe cube img in
   let n = 2 + Rng.int rng 3 and k = 2 + Rng.int rng 3 and f = 1 + Rng.int rng 3 in
@@ -255,7 +255,8 @@ let test_gc_bias_rows () =
     x
 
 let test_gc_conv2d () =
-  let x0 = T.randn (Rng.create 14) [| 2; 5; 5 |] in
+  (* two samples: the weight and bias gradients sum the batch *)
+  let x0 = T.randn (Rng.create 14) [| 2; 2; 5; 5 |] in
   let w = T.randn (Rng.create 15) [| 3; 2; 3; 3 |] in
   let b = T.randn (Rng.create 16) [| 3 |] in
   gc "conv2d input" (fun x ->
@@ -269,14 +270,14 @@ let test_gc_conv2d () =
     b
 
 let test_gc_conv2d_stride () =
-  let x0 = T.randn (Rng.create 17) [| 1; 6; 6 |] in
+  let x0 = T.randn (Rng.create 17) [| 1; 1; 6; 6 |] in
   let w = T.randn (Rng.create 18) [| 2; 1; 3; 3 |] in
   gc "strided conv input" (fun x ->
       V.sum (V.sqr (V.conv2d ~stride:2 ~pad:1 x ~weight:(V.const w) ~bias:None)))
     x0
 
 let test_gc_conv2d_transpose () =
-  let x0 = T.randn (Rng.create 19) [| 3; 4; 4 |] in
+  let x0 = T.randn (Rng.create 19) [| 2; 3; 4; 4 |] in
   let w = T.randn (Rng.create 20) [| 3; 2; 2; 2 |] in
   let b = T.randn (Rng.create 21) [| 2 |] in
   gc "convT input" (fun x ->
@@ -289,10 +290,9 @@ let test_gc_conv2d_transpose () =
       V.sum (V.sqr (V.conv2d_transpose ~stride:2 (V.const x0) ~weight:(V.const w) ~bias:(Some bv))))
     b
 
-let test_gc_pool_upsample () =
-  let x0 = T.randn (Rng.create 22) [| 2; 4; 4 |] in
-  gc "maxpool" (fun x -> V.sum (V.sqr (V.maxpool2 x))) x0;
-  gc "upsample" (fun x -> V.sum (V.sqr (V.upsample_nearest2 x))) x0
+let test_gc_maxpool () =
+  let x0 = T.randn (Rng.create 22) [| 2; 2; 4; 4 |] in
+  gc "maxpool" (fun x -> V.sum (V.sqr (V.maxpool2 x))) x0
 
 let test_gc_concat_slice () =
   let x0 = T.randn (Rng.create 23) [| 2; 3; 3 |] in
@@ -301,7 +301,49 @@ let test_gc_concat_slice () =
       V.sum (V.sqr (V.concat_channels [ x; V.const other ])))
     x0;
   gc "slice" (fun x -> V.sum (V.sqr (V.slice_channels x 1 1))) x0;
-  gc "reshape" (fun x -> V.sum (V.sqr (V.reshape x [| 9; 2 |]))) x0
+  gc "reshape" (fun x -> V.sum (V.sqr (V.reshape x [| 9; 2 |]))) x0;
+  (* rank 4: per-sample channels *)
+  let xb = T.randn (Rng.create 26) [| 2; 2; 3; 3 |] in
+  let otherb = T.randn (Rng.create 27) [| 2; 1; 3; 3 |] in
+  gc "batched concat" (fun x ->
+      V.sum (V.sqr (V.concat_channels [ V.const otherb; x ])))
+    xb;
+  gc "batched slice" (fun x -> V.sum (V.sqr (V.slice_channels x 1 1))) xb
+
+(* Stack two samples, swap the batch's halves and split it again: each
+   operation only moves values, so the gradients are exact, and a
+   sample's gradient reaches only that sample. *)
+let test_gc_batch_axis () =
+  let x0 = T.randn (Rng.create 28) [| 2; 3; 3 |] in
+  let y0 = T.randn (Rng.create 29) [| 2; 3; 3 |] in
+  let weights = T.randn (Rng.create 30) [| 2; 2; 3; 3 |] in
+  gc "stack, swap, unstack" (fun x ->
+      let b = V.swap_halves (V.stack [ x; V.const y0 ]) in
+      let s = V.unstack (V.mul b (V.const weights)) in
+      V.add (V.sum (V.sqr s.(0))) (V.scale 3. (V.sum s.(1))))
+    x0;
+  let x = V.param x0 and y = V.param y0 in
+  let s = V.unstack (V.swap_halves (V.stack [ x; y ])) in
+  V.backward (V.sum s.(1));
+  Alcotest.(check bool) "x gets sample 1's gradient" true
+    (T.approx_equal ~eps:0. (T.ones [| 2; 3; 3 |]) (V.grad x));
+  Alcotest.(check bool) "y gets zeros" true
+    (T.approx_equal ~eps:0. (T.zeros [| 2; 3; 3 |]) (V.grad y));
+  (* a -0. in one sample's gradient keeps its sign when both samples'
+     gradients accumulate into the batch *)
+  let x = V.param x0 and y = V.param y0 in
+  let s = V.unstack (V.stack [ x; y ]) in
+  let signed = T.init [| 2; 3; 3 |] (fun i -> if i.(2) = 1 then -0. else 1.) in
+  V.backward (V.add (V.dot s.(0) (V.const signed)) (V.dot s.(1) (V.const signed)));
+  List.iter
+    (fun (what, v) ->
+      Alcotest.(check (array int64)) (what ^ " gradient bits")
+        (Array.init 18 (fun i -> Int64.bits_of_float (T.get_flat signed i)))
+        (Array.init 18 (fun i -> Int64.bits_of_float (T.get_flat (V.grad v) i))))
+    [ ("x", x); ("y", y) ];
+  Alcotest.check_raises "odd batch"
+    (Invalid_argument "Value.swap_halves: odd batch") (fun () ->
+      ignore (V.swap_halves (V.const (T.zeros [| 3; 1 |]))))
 
 let test_gc_columns () =
   let x0 = T.randn (Rng.create 25) [| 5; 3 |] in
@@ -460,8 +502,9 @@ let suites =
         Alcotest.test_case "conv2d" `Quick test_gc_conv2d;
         Alcotest.test_case "conv2d strided" `Quick test_gc_conv2d_stride;
         Alcotest.test_case "conv2d transpose" `Quick test_gc_conv2d_transpose;
-        Alcotest.test_case "pool and upsample" `Quick test_gc_pool_upsample;
+        Alcotest.test_case "maxpool" `Quick test_gc_maxpool;
         Alcotest.test_case "concat/slice/reshape" `Quick test_gc_concat_slice;
+        Alcotest.test_case "stack/swap/unstack" `Quick test_gc_batch_axis;
         Alcotest.test_case "columns" `Quick test_gc_columns;
         qtest prop_random_graphs;
       ] );

@@ -83,6 +83,13 @@ let make_inputs rng c =
   let bias = if c.with_bias then Some (T.randn rng [| c.co |]) else None in
   (x, w, bias)
 
+(* The kernels take [n; c; h; w] batches and [Conv_ref] one [c; h; w]
+   sample: a sample as a batch of one, a batch of one as its sample, and
+   a per-sample reference over a batch, restacked. *)
+let batch1 t = T.reshape t (Array.append [| 1 |] (T.shape t))
+let sample1 t = T.reshape t (Array.sub (T.shape t) 1 (T.rank t - 1))
+let per_sample f x = T.stack (Array.map f (T.unstack x))
+
 (* Hand-picked corners that a random draw might miss. *)
 let corner_conv_cases =
   [
@@ -153,32 +160,51 @@ let check_conv2d rng c =
   on_both_schedules (fun sched ->
       Alcotest.check exact_tensor
         (case_name "conv2d" c ^ " " ^ sched)
-        reference
-        (T.conv2d ~stride:c.stride ~pad:c.pad x ~weight:w ~bias))
+        (batch1 reference)
+        (T.conv2d ~stride:c.stride ~pad:c.pad (batch1 x) ~weight:w ~bias))
 
+(* Both backward passes over batches of 1, 2 and 3 samples, against
+   [Conv_ref] per sample: the input gradient is the samples' gradients
+   stacked, the weight gradient their sum in ascending sample order. *)
 let check_conv2d_backwards rng c =
-  let x, w, _ = make_inputs rng c in
-  let y = T.conv2d ~stride:c.stride ~pad:c.pad x ~weight:w ~bias:None in
-  let gout = T.randn rng (T.shape y) in
-  let ri =
-    Conv_ref.backward_input ~stride:c.stride ~pad:c.pad ~input_shape:(T.shape x)
-      ~weight:w gout
-  in
-  let rw =
-    Conv_ref.backward_weight ~stride:c.stride ~pad:c.pad ~input:x
-      ~weight_shape:(T.shape w) gout
-  in
-  on_both_schedules (fun sched ->
-      Alcotest.check exact_tensor
-        (case_name "bwd_input" c ^ " " ^ sched)
-        ri
-        (T.conv2d_backward_input ~stride:c.stride ~pad:c.pad
-           ~input_shape:(T.shape x) ~weight:w gout);
-      Alcotest.check exact_tensor
-        (case_name "bwd_weight" c ^ " " ^ sched)
-        rw
-        (T.conv2d_backward_weight ~stride:c.stride ~pad:c.pad ~input:x
-           ~weight_shape:(T.shape w) gout))
+  let w = T.randn rng [| c.co; c.ci; c.kh; c.kw |] in
+  List.iter
+    (fun n ->
+      let x = T.randn rng [| n; c.ci; c.h; c.w |] in
+      let y = T.conv2d ~stride:c.stride ~pad:c.pad x ~weight:w ~bias:None in
+      let gout = T.randn rng (T.shape y) in
+      let xs = T.unstack x and gs = T.unstack gout in
+      let ri =
+        T.stack
+          (Array.map2
+             (fun x g ->
+               Conv_ref.backward_input ~stride:c.stride ~pad:c.pad
+                 ~input_shape:(T.shape x) ~weight:w g)
+             xs gs)
+      in
+      let rw =
+        let per =
+          Array.map2
+            (fun x g ->
+              Conv_ref.backward_weight ~stride:c.stride ~pad:c.pad ~input:x
+                ~weight_shape:(T.shape w) g)
+            xs gs
+        in
+        Array.fold_left T.add per.(0) (Array.sub per 1 (n - 1))
+      in
+      let tag what = Printf.sprintf "%s n=%d" (case_name what c) n in
+      on_both_schedules (fun sched ->
+          Alcotest.check exact_tensor
+            (tag "bwd_input" ^ " " ^ sched)
+            ri
+            (T.conv2d_backward_input ~stride:c.stride ~pad:c.pad
+               ~input_shape:(T.shape x) ~weight:w gout);
+          Alcotest.check exact_tensor
+            (tag "bwd_weight" ^ " " ^ sched)
+            rw
+            (T.conv2d_backward_weight ~stride:c.stride ~pad:c.pad ~input:x
+               ~weight_shape:(T.shape w) gout)))
+    [ 1; 2; 3 ]
 
 let check_transpose rng c =
   let x = T.randn rng [| c.ci; c.h; c.w |] in
@@ -191,8 +217,9 @@ let check_transpose rng c =
   on_both_schedules (fun sched ->
       Alcotest.check exact_tensor
         (case_name "transpose" c ^ " " ^ sched)
-        reference
-        (T.conv2d_transpose ~stride:c.stride ~pad:c.pad x ~weight:w ~bias))
+        (batch1 reference)
+        (T.conv2d_transpose ~stride:c.stride ~pad:c.pad (batch1 x) ~weight:w
+           ~bias))
 
 let test_conv2d_random () =
   let rng = Rng.create 0xC0417 in
@@ -491,8 +518,10 @@ let test_isa_variants () =
   let c = { ci = 8; co = 7; h = 19; w = 17; kh = 3; kw = 3; stride = 2;
             pad = 1; with_bias = true } in
   let x, w, bias = make_inputs rng c in
-  let y = T.conv2d ~stride:2 ~pad:1 x ~weight:w ~bias:None in
+  let xb = batch1 x in
+  let y = T.conv2d ~stride:2 ~pad:1 xb ~weight:w ~bias:None in
   let gout = T.randn rng (T.shape y) in
+  let g = sample1 gout in
   let tw = T.randn rng [| 8; 7; 4; 4 |] in
   let kernels =
     List.map
@@ -502,26 +531,29 @@ let test_isa_variants () =
       mats
     @ [
         ( "conv2d",
-          (fun () -> Conv_ref.conv2d ~stride:2 ~pad:1 x ~weight:w ~bias),
-          fun () -> T.conv2d ~stride:2 ~pad:1 x ~weight:w ~bias );
+          (fun () -> batch1 (Conv_ref.conv2d ~stride:2 ~pad:1 x ~weight:w ~bias)),
+          fun () -> T.conv2d ~stride:2 ~pad:1 xb ~weight:w ~bias );
         ( "backward_input",
           (fun () ->
-            Conv_ref.backward_input ~stride:2 ~pad:1 ~input_shape:(T.shape x)
-              ~weight:w gout),
+            batch1
+              (Conv_ref.backward_input ~stride:2 ~pad:1 ~input_shape:(T.shape x)
+                 ~weight:w g)),
           fun () ->
-            T.conv2d_backward_input ~stride:2 ~pad:1 ~input_shape:(T.shape x)
+            T.conv2d_backward_input ~stride:2 ~pad:1 ~input_shape:(T.shape xb)
               ~weight:w gout );
         ( "backward_weight",
           (fun () ->
             Conv_ref.backward_weight ~stride:2 ~pad:1 ~input:x
-              ~weight_shape:(T.shape w) gout),
+              ~weight_shape:(T.shape w) g),
           fun () ->
-            T.conv2d_backward_weight ~stride:2 ~pad:1 ~input:x
+            T.conv2d_backward_weight ~stride:2 ~pad:1 ~input:xb
               ~weight_shape:(T.shape w) gout );
         ( "conv2d_transpose",
           (fun () ->
-            Conv_ref.conv2d_transpose ~stride:2 ~pad:1 x ~weight:tw ~bias:None),
-          fun () -> T.conv2d_transpose ~stride:2 ~pad:1 x ~weight:tw ~bias:None
+            batch1
+              (Conv_ref.conv2d_transpose ~stride:2 ~pad:1 x ~weight:tw
+                 ~bias:None)),
+          fun () -> T.conv2d_transpose ~stride:2 ~pad:1 xb ~weight:tw ~bias:None
         );
       ]
   in
@@ -606,13 +638,15 @@ let test_phase_corners () =
       let reference x =
         Conv_ref.conv2d_transpose ~stride:c.stride ~pad:c.pad x ~weight:w ~bias
       in
-      let ref_b = T.stack (Array.map reference (T.unstack xb)) in
+      let ref_b = per_sample reference xb in
       on_both_schedules (fun sched ->
           let name what = Printf.sprintf "%s %s" (case_name what c) sched in
-          Alcotest.check exact_tensor (name "transpose") (reference x)
-            (T.conv2d_transpose ~stride:c.stride ~pad:c.pad x ~weight:w ~bias);
-          Alcotest.check exact_tensor (name "transpose_batch") ref_b
-            (T.conv2d_transpose_batch ~stride:c.stride ~pad:c.pad xb ~weight:w
+          Alcotest.check exact_tensor (name "transpose n=1")
+            (batch1 (reference x))
+            (T.conv2d_transpose ~stride:c.stride ~pad:c.pad (batch1 x)
+               ~weight:w ~bias);
+          Alcotest.check exact_tensor (name "transpose n=2") ref_b
+            (T.conv2d_transpose ~stride:c.stride ~pad:c.pad xb ~weight:w
                ~bias)))
     transpose_cases;
   let backward_cases =
@@ -633,11 +667,13 @@ let test_phase_corners () =
       let x, w, _ = make_inputs rng c in
       if no_taps c then incr tapless;
       if min c.h c.w < c.stride then incr gridless;
+      let x = batch1 x in
       let y = T.conv2d ~stride:c.stride ~pad:c.pad x ~weight:w ~bias:None in
       let gout = T.randn rng (T.shape y) in
       let reference =
-        Conv_ref.backward_input ~stride:c.stride ~pad:c.pad
-          ~input_shape:(T.shape x) ~weight:w gout
+        batch1
+          (Conv_ref.backward_input ~stride:c.stride ~pad:c.pad
+             ~input_shape:(T.shape (sample1 x)) ~weight:w (sample1 gout))
       in
       on_both_schedules (fun sched ->
           Alcotest.check exact_tensor
@@ -649,7 +685,8 @@ let test_phase_corners () =
   Alcotest.(check bool) "cases reach phases with no taps" true (!tapless >= 4);
   Alcotest.(check bool) "cases reach phases with no pixels" true (!gridless >= 3)
 
-(* The batched lowerings against stacked per-sample [Conv_ref] results.
+(* The forward lowerings over batches against stacked per-sample
+   [Conv_ref] results.
    A batch lays its columns out (b, oy, ox), so a packing quad can
    straddle an output row or a sample boundary and the tail block
    holds n*oh*ow mod 4 columns; the stream must reach each of those,
@@ -684,10 +721,10 @@ let test_batched_vs_reference () =
           xs
       in
       note ~n c ~oh:(T.dim reference 2) ~ow:(T.dim reference 3);
-      let tag = Printf.sprintf "%s n=%d" (case_name "conv2d_batch" c) n in
+      let tag = Printf.sprintf "%s n=%d" (case_name "conv2d" c) n in
       on_both_schedules (fun sched ->
           Alcotest.check exact_tensor (tag ^ " " ^ sched) reference
-            (T.conv2d_batch ~stride:c.stride ~pad:c.pad xb ~weight:w ~bias))
+            (T.conv2d ~stride:c.stride ~pad:c.pad xb ~weight:w ~bias))
     done
   in
   let check_transpose_case c =
@@ -704,11 +741,10 @@ let test_batched_vs_reference () =
           xs
       in
       note ~n c ~oh:(T.dim reference 2) ~ow:(T.dim reference 3);
-      let tag = Printf.sprintf "%s n=%d" (case_name "transpose_batch" c) n in
+      let tag = Printf.sprintf "%s n=%d" (case_name "transpose" c) n in
       on_both_schedules (fun sched ->
           Alcotest.check exact_tensor (tag ^ " " ^ sched) reference
-            (T.conv2d_transpose_batch ~stride:c.stride ~pad:c.pad xb ~weight:w
-               ~bias))
+            (T.conv2d_transpose ~stride:c.stride ~pad:c.pad xb ~weight:w ~bias))
     done
   in
   List.iter check_case
@@ -743,9 +779,9 @@ let minor_words_of f =
 let test_kernels_allocation_free () =
   let module V = Dco3d_autodiff.Value in
   let rng = Rng.create 0xC041D in
-  let x = T.randn rng [| 8; 32; 32 |] and xb = T.randn rng [| 2; 8; 32; 32 |] in
+  let x = T.randn rng [| 1; 8; 32; 32 |] and xb = T.randn rng [| 2; 8; 32; 32 |] in
   let w = T.randn rng [| 8; 8; 3; 3 |] and b = Some (T.randn rng [| 8 |]) in
-  let g = T.randn rng [| 8; 32; 32 |] in
+  let g = T.randn rng [| 1; 8; 32; 32 |] and gb = T.randn rng [| 2; 8; 32; 32 |] in
   let budget = 512. in
   let check what f =
     let words = minor_words_of f in
@@ -756,25 +792,27 @@ let test_kernels_allocation_free () =
   let ma = T.randn rng [| 64; 72 |] and mb = T.randn rng [| 72; 100 |] in
   check "matmul" (fun () -> T.matmul ma mb);
   check "conv2d" (fun () -> T.conv2d ~pad:1 x ~weight:w ~bias:b);
-  check "conv2d_batch" (fun () -> T.conv2d_batch ~pad:1 xb ~weight:w ~bias:b);
+  check "conv2d n=2" (fun () -> T.conv2d ~pad:1 xb ~weight:w ~bias:b);
   check "conv2d_backward_input" (fun () ->
-      T.conv2d_backward_input ~pad:1 ~input_shape:[| 8; 32; 32 |] ~weight:w g);
+      T.conv2d_backward_input ~pad:1 ~input_shape:[| 1; 8; 32; 32 |] ~weight:w g);
   check "conv2d_backward_weight" (fun () ->
       T.conv2d_backward_weight ~pad:1 ~input:x ~weight_shape:[| 8; 8; 3; 3 |] g);
+  check "conv2d_backward_weight n=2" (fun () ->
+      T.conv2d_backward_weight ~pad:1 ~input:xb ~weight_shape:[| 8; 8; 3; 3 |] gb);
   (* the stride-phase lowerings: one GEMM per phase *)
-  let x16 = T.randn rng [| 8; 16; 16 |] and xb16 = T.randn rng [| 2; 8; 16; 16 |] in
-  let g16 = T.randn rng [| 8; 16; 16 |] in
+  let x16 = T.randn rng [| 1; 8; 16; 16 |] and xb16 = T.randn rng [| 2; 8; 16; 16 |] in
+  let g16 = T.randn rng [| 1; 8; 16; 16 |] in
   List.iter
     (fun (k, pad) ->
       let tw = T.randn rng [| 8; 8; k; k |] in
       let what f = Printf.sprintf "%s k%d s2 p%d" f k pad in
       check (what "conv2d_transpose") (fun () ->
           T.conv2d_transpose ~stride:2 ~pad x16 ~weight:tw ~bias:b);
-      check (what "conv2d_transpose_batch") (fun () ->
-          T.conv2d_transpose_batch ~stride:2 ~pad xb16 ~weight:tw ~bias:b))
+      check (what "conv2d_transpose n=2") (fun () ->
+          T.conv2d_transpose ~stride:2 ~pad xb16 ~weight:tw ~bias:b))
     [ (2, 0); (2, 1); (3, 0); (3, 1) ];
   check "conv2d_backward_input s2" (fun () ->
-      T.conv2d_backward_input ~stride:2 ~pad:1 ~input_shape:[| 8; 32; 32 |]
+      T.conv2d_backward_input ~stride:2 ~pad:1 ~input_shape:[| 1; 8; 32; 32 |]
         ~weight:w g16);
   check "T.add" (fun () -> T.add x g);
   (* forward and backward through the tape; the budget also covers the

@@ -47,15 +47,18 @@ let test_tensor_approx_equal_nan () =
   check "shape mismatch" false (v [| 1.; 2. |]) (T.of_array2 [| [| 1.; 2. |] |])
 
 let test_tensor_conv_errors () =
-  let x = T.zeros [| 2; 4; 4 |] in
+  let x = T.zeros [| 1; 2; 4; 4 |] in
   let w_bad = T.zeros [| 3; 5; 3; 3 |] in
   Alcotest.check_raises "channel mismatch"
     (Invalid_argument "Tensor.conv2d: channel mismatch between input and weight")
     (fun () -> ignore (T.conv2d x ~weight:w_bad ~bias:None));
-  let odd = T.zeros [| 1; 3; 4 |] in
+  let odd = T.zeros [| 1; 1; 3; 4 |] in
   Alcotest.check_raises "odd pool"
     (Invalid_argument "Tensor.maxpool2: spatial dimensions must be even")
-    (fun () -> ignore (T.maxpool2 odd))
+    (fun () -> ignore (T.maxpool2 odd));
+  Alcotest.check_raises "rank-3 conv input"
+    (Invalid_argument "Tensor.conv2d: expected a rank-4 tensor") (fun () ->
+      ignore (T.conv2d (T.zeros [| 2; 4; 4 |]) ~weight:w_bad ~bias:None))
 
 (* Every public conv entry reads and writes with unchecked accesses, so
    a malformed call must be rejected up front, naming both shapes. *)
@@ -63,16 +66,11 @@ let test_tensor_conv_malformed () =
   let raises what msg f =
     Alcotest.check_raises what (Invalid_argument msg) (fun () -> ignore (f ()))
   in
-  let x = T.zeros [| 2; 6; 6 |] and w = T.zeros [| 4; 2; 3; 3 |] in
+  let x = T.zeros [| 1; 2; 6; 6 |] and w = T.zeros [| 4; 2; 3; 3 |] in
   let long_bias = Some (T.zeros [| 9 |]) in
   raises "conv2d bias longer than co"
     "Tensor.conv2d: bias shape [9] does not match weight shape [4; 2; 3; 3]"
     (fun () -> T.conv2d ~pad:1 x ~weight:w ~bias:long_bias);
-  raises "conv2d_batch bias longer than co"
-    "Tensor.conv2d_batch: bias shape [9] does not match weight shape [4; 2; \
-     3; 3]"
-    (fun () ->
-      T.conv2d_batch ~pad:1 (T.zeros [| 2; 2; 6; 6 |]) ~weight:w ~bias:long_bias);
   raises "conv2d stride 0" "Tensor.conv2d: stride must be >= 1" (fun () ->
       T.conv2d ~stride:0 x ~weight:w ~bias:None);
   (* transposed weights are [ci; co; kh; kw]: co = 3 here *)
@@ -81,57 +79,54 @@ let test_tensor_conv_malformed () =
     "Tensor.conv2d_transpose: bias shape [1] does not match weight shape [2; \
      3; 2; 2]"
     (fun () -> T.conv2d_transpose ~stride:2 x ~weight:tw ~bias:short_bias);
-  raises "conv2d_transpose_batch short bias"
-    "Tensor.conv2d_transpose_batch: bias shape [1] does not match weight \
-     shape [2; 3; 2; 2]"
-    (fun () ->
-      T.conv2d_transpose_batch ~stride:2 (T.zeros [| 1; 2; 6; 6 |]) ~weight:tw
-        ~bias:short_bias);
   (* a negative pad would put the stride-phase lowering's tap residues
      outside [0, stride) *)
-  let x8 = T.zeros [| 8; 8; 8 |] and w8 = T.zeros [| 8; 8; 2; 2 |] in
+  let x8 = T.zeros [| 1; 8; 8; 8 |] and w8 = T.zeros [| 8; 8; 2; 2 |] in
   raises "conv2d negative pad" "Tensor.conv2d: pad must be >= 0" (fun () ->
       T.conv2d ~pad:(-1) x ~weight:w ~bias:None);
   raises "conv2d_transpose negative pad"
     "Tensor.conv2d_transpose: pad must be >= 0" (fun () ->
       T.conv2d_transpose ~stride:2 ~pad:(-1) x8 ~weight:w8 ~bias:None);
-  raises "conv2d_transpose_batch negative pad"
-    "Tensor.conv2d_transpose_batch: pad must be >= 0" (fun () ->
-      T.conv2d_transpose_batch ~stride:2 ~pad:(-1) (T.zeros [| 1; 8; 8; 8 |])
-        ~weight:w8 ~bias:None);
   raises "backward_input negative pad"
     "Tensor.conv2d_backward_input: pad must be >= 0" (fun () ->
-      T.conv2d_backward_input ~stride:2 ~pad:(-1) ~input_shape:[| 8; 8; 8 |]
-        ~weight:w8 (T.zeros [| 8; 3; 3 |]));
+      T.conv2d_backward_input ~stride:2 ~pad:(-1) ~input_shape:[| 1; 8; 8; 8 |]
+        ~weight:w8 (T.zeros [| 1; 8; 3; 3 |]));
   raises "backward_weight negative pad"
     "Tensor.conv2d_backward_weight: pad must be >= 0" (fun () ->
       T.conv2d_backward_weight ~stride:2 ~pad:(-1) ~input:x8
-        ~weight_shape:[| 8; 8; 2; 2 |] (T.zeros [| 8; 3; 3 |]));
-  let gout = T.zeros [| 4; 6; 6 |] in
+        ~weight_shape:[| 8; 8; 2; 2 |] (T.zeros [| 1; 8; 3; 3 |]));
+  let gout = T.zeros [| 1; 4; 6; 6 |] in
   raises "backward_input input channels"
-    "Tensor.conv2d_backward_input: input shape [3; 6; 6] does not match \
+    "Tensor.conv2d_backward_input: input shape [1; 3; 6; 6] does not match \
      weight shape [4; 2; 3; 3]"
     (fun () ->
-      T.conv2d_backward_input ~pad:1 ~input_shape:[| 3; 6; 6 |] ~weight:w gout);
+      T.conv2d_backward_input ~pad:1 ~input_shape:[| 1; 3; 6; 6 |] ~weight:w
+        gout);
   raises "backward_input gradient channels"
-    "Tensor.conv2d_backward_input: gradient shape [3; 6; 6] does not match \
-     output shape [4; 6; 6]"
+    "Tensor.conv2d_backward_input: gradient shape [1; 3; 6; 6] does not match \
+     output shape [1; 4; 6; 6]"
     (fun () ->
-      T.conv2d_backward_input ~pad:1 ~input_shape:[| 2; 6; 6 |] ~weight:w
-        (T.zeros [| 3; 6; 6 |]));
+      T.conv2d_backward_input ~pad:1 ~input_shape:[| 1; 2; 6; 6 |] ~weight:w
+        (T.zeros [| 1; 3; 6; 6 |]));
+  raises "backward_input batch size"
+    "Tensor.conv2d_backward_input: gradient shape [1; 4; 6; 6] does not match \
+     output shape [2; 4; 6; 6]"
+    (fun () ->
+      T.conv2d_backward_input ~pad:1 ~input_shape:[| 2; 2; 6; 6 |] ~weight:w
+        gout);
   raises "backward_weight gradient channels"
-    "Tensor.conv2d_backward_weight: gradient shape [4; 6; 6] does not match \
-     output shape [5; 6; 6]"
+    "Tensor.conv2d_backward_weight: gradient shape [1; 4; 6; 6] does not \
+     match output shape [1; 5; 6; 6]"
     (fun () ->
       T.conv2d_backward_weight ~pad:1 ~input:x ~weight_shape:[| 5; 2; 3; 3 |]
         gout);
   raises "backward_weight gradient size"
-    "Tensor.conv2d_backward_weight: gradient shape [4; 6; 6] does not match \
-     output shape [4; 4; 4]"
+    "Tensor.conv2d_backward_weight: gradient shape [1; 4; 6; 6] does not \
+     match output shape [1; 4; 4; 4]"
     (fun () ->
       T.conv2d_backward_weight ~input:x ~weight_shape:[| 4; 2; 3; 3 |] gout);
   raises "backward_weight input channels"
-    "Tensor.conv2d_backward_weight: input shape [2; 6; 6] does not match \
+    "Tensor.conv2d_backward_weight: input shape [1; 2; 6; 6] does not match \
      weight shape [4; 3; 3; 3]"
     (fun () ->
       T.conv2d_backward_weight ~pad:1 ~input:x ~weight_shape:[| 4; 3; 3; 3 |]
@@ -199,22 +194,31 @@ let test_gemm_gather_bounds () =
   Alcotest.(check bool) "conv2d over an empty image = Conv_ref" true
     (T.approx_equal ~eps:0.
        (Conv_ref.conv2d ~pad:2 x ~weight:w ~bias:None)
-       (T.conv2d ~pad:2 x ~weight:w ~bias:None))
+       (T.unstack
+          (T.conv2d ~pad:2 (T.stack [| x |]) ~weight:w ~bias:None)).(0))
 
 (* A batch of no samples has the shape of the batch it would have
    been, with no elements. *)
 let test_empty_batch () =
   let rng = Rng.create 6 in
   let w = T.randn rng [| 4; 3; 3; 3 |] and b = Some (T.randn rng [| 4 |]) in
-  Alcotest.(check (array int)) "conv2d_batch" [| 0; 4; 3; 4 |]
-    (T.shape
-       (T.conv2d_batch ~stride:2 ~pad:1 (T.zeros [| 0; 3; 6; 7 |]) ~weight:w
-          ~bias:b));
+  let x = T.zeros [| 0; 3; 6; 7 |] in
+  Alcotest.(check (array int)) "conv2d" [| 0; 4; 3; 4 |]
+    (T.shape (T.conv2d ~stride:2 ~pad:1 x ~weight:w ~bias:b));
   let tw = T.randn rng [| 3; 4; 2; 2 |] in
-  Alcotest.(check (array int)) "conv2d_transpose_batch" [| 0; 4; 12; 14 |]
+  Alcotest.(check (array int)) "conv2d_transpose" [| 0; 4; 12; 14 |]
+    (T.shape (T.conv2d_transpose ~stride:2 x ~weight:tw ~bias:b));
+  let gout = T.zeros [| 0; 4; 3; 4 |] in
+  Alcotest.(check (array int)) "conv2d_backward_input" [| 0; 3; 6; 7 |]
     (T.shape
-       (T.conv2d_transpose_batch ~stride:2 (T.zeros [| 0; 3; 6; 7 |])
-          ~weight:tw ~bias:b))
+       (T.conv2d_backward_input ~stride:2 ~pad:1 ~input_shape:[| 0; 3; 6; 7 |]
+          ~weight:w gout));
+  Alcotest.(check bool) "conv2d_backward_weight of no samples is zero" true
+    (T.approx_equal ~eps:0. (T.zeros [| 4; 3; 3; 3 |])
+       (T.conv2d_backward_weight ~stride:2 ~pad:1 ~input:x
+          ~weight_shape:[| 4; 3; 3; 3 |] gout));
+  Alcotest.(check (array int)) "maxpool2" [| 0; 3; 3; 3 |]
+    (T.shape (fst (T.maxpool2 (T.zeros [| 0; 3; 6; 6 |]))))
 
 let test_tensor_empty_and_tiny () =
   let e = T.zeros [| 0 |] in

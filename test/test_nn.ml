@@ -7,6 +7,7 @@ module Opt = Dco3d_autodiff.Optimizer
 module Layer = Dco3d_nn.Layer
 module SiaUNet = Dco3d_nn.Siamese_unet
 module Pool = Dco3d_parallel.Pool
+module Obs = Dco3d_obs.Obs
 
 let with_exact_jobs n f =
   let saved = Pool.jobs () in
@@ -25,8 +26,8 @@ let check_tensor_bits name a b =
 let test_conv_layer_shapes () =
   let rng = Rng.create 1 in
   let l = Layer.conv2d rng ~pad:1 ~in_channels:3 ~out_channels:5 ~ksize:3 () in
-  let y = Layer.forward l (V.const (T.zeros [| 3; 8; 8 |])) in
-  Alcotest.(check (array int)) "conv shape" [| 5; 8; 8 |] (V.shape y);
+  let y = Layer.forward l (V.const (T.zeros [| 2; 3; 8; 8 |])) in
+  Alcotest.(check (array int)) "conv shape" [| 2; 5; 8; 8 |] (V.shape y);
   Alcotest.(check int) "param count" ((5 * 3 * 3 * 3) + 5) (Layer.num_params l)
 
 let test_linear_layer () =
@@ -46,8 +47,8 @@ let test_seq_composition () =
         Layer.conv2d rng ~pad:1 ~in_channels:4 ~out_channels:2 ~ksize:3 ();
       ]
   in
-  let y = Layer.forward l (V.const (T.zeros [| 1; 8; 8 |])) in
-  Alcotest.(check (array int)) "seq shape" [| 2; 4; 4 |] (V.shape y)
+  let y = Layer.forward l (V.const (T.zeros [| 1; 1; 8; 8 |])) in
+  Alcotest.(check (array int)) "seq shape" [| 1; 2; 4; 4 |] (V.shape y)
 
 let test_layer_state_roundtrip () =
   let rng = Rng.create 4 in
@@ -72,7 +73,7 @@ let test_layer_trains () =
   let rng = Rng.create 5 in
   let l = Layer.conv2d rng ~in_channels:1 ~out_channels:1 ~ksize:1 () in
   let opt = Opt.adam ~lr:0.05 (Layer.params l) in
-  let x = T.rand_uniform (Rng.create 6) [| 1; 4; 4 |] in
+  let x = T.rand_uniform (Rng.create 6) [| 1; 1; 4; 4 |] in
   let target = T.scale 2. x in
   let loss_at it =
     let loss = V.mse (Layer.forward l (V.const x)) target in
@@ -90,10 +91,12 @@ let test_layer_trains () =
   Alcotest.(check bool) "loss decreased 20x" true (last < first /. 20.)
 
 (* The parts of Layer.t the UNet does not exercise: strided convs, a
-   biased strided transposed conv and every activation kind.  Each
-   sample of the batched run must carry the tape's bits, on both
-   schedules. *)
-let test_forward_batch_matches_tape () =
+   biased strided transposed conv and every activation kind.  On both
+   schedules, one forward over a stacked batch of three must carry each
+   sample's bits from a forward of that sample alone, and its weight and
+   bias gradients must be the per-sample gradients added in sample
+   order. *)
+let test_stacked_batch_matches_samples () =
   let rng = Rng.create 61 in
   let l =
     Layer.seq
@@ -120,24 +123,36 @@ let test_forward_batch_matches_tape () =
       done)
     (Layer.params l);
   let samples = Array.init 3 (fun _ -> T.rand_uniform rng [| 2; 12; 12 |]) in
+  let cotangents = Array.init 3 (fun _ -> T.randn rng [| 2; 6; 6 |]) in
+  (* forward over the stacked samples, then the parameter gradients of
+     <y, cotangents> *)
+  let run xs cots =
+    List.iter V.zero_grad (Layer.params l);
+    let y = Layer.forward l (V.const (T.stack xs)) in
+    V.backward (V.dot y (V.const (T.stack cots)));
+    (V.data y, List.map V.grad (Layer.params l))
+  in
   List.iter
     (fun jobs ->
       with_exact_jobs jobs (fun () ->
-          let batched = T.unstack (Layer.forward_batch l (T.stack samples)) in
+          let y, grads = run samples cotangents in
+          let per = Array.map2 (fun x c -> run [| x |] [| c |]) samples cotangents in
           Array.iteri
-            (fun k x ->
+            (fun k (yk, _) ->
               check_tensor_bits
                 (Printf.sprintf "jobs=%d sample %d" jobs k)
-                (V.data (Layer.forward l (V.const x)))
-                batched.(k))
-            samples))
+                yk
+                (T.stack [| (T.unstack y).(k) |]))
+            per;
+          List.iteri
+            (fun i g ->
+              let gk k = List.nth (snd per.(k)) i in
+              check_tensor_bits
+                (Printf.sprintf "jobs=%d param %d gradient" jobs i)
+                (T.add (T.add (gk 0) (gk 1)) (gk 2))
+                g)
+            grads))
     [ 1; 4 ]
-
-let test_forward_batch_rejects_linear () =
-  let l = Layer.linear (Rng.create 62) ~in_dim:4 ~out_dim:2 () in
-  match Layer.forward_batch l (T.zeros [| 1; 4; 1; 1 |]) with
-  | _ -> Alcotest.fail "a linear layer ran batched"
-  | exception Invalid_argument _ -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Siamese UNet                                                        *)
@@ -209,6 +224,62 @@ let test_unet_gradients_flow_to_inputs () =
     (T.frobenius (V.grad f0) > 0.);
   Alcotest.(check bool) "nonzero input grad (die 1)" true
     (T.frobenius (V.grad f1) > 0.)
+
+(* The pair runs as one batch, so each of the 15 convolutions of a
+   depth-2 net computes one weight gradient per full pass, and one input
+   gradient and no weight gradient per Algorithm-2 pass
+   ([~wrt:[f0; f1]]). *)
+let test_unet_conv_grads_per_pass () =
+  let net = SiaUNet.create (Rng.create 31) small_cfg in
+  let f0 = T.rand_uniform (Rng.create 32) [| 3; 8; 8 |] in
+  let f1 = T.rand_uniform (Rng.create 33) [| 3; 8; 8 |] in
+  let loss (c0, c1) = V.add (V.sum (V.sqr c0)) (V.sum (V.sqr c1)) in
+  let counts f =
+    let was = Obs.enabled () in
+    Obs.enable ();
+    Fun.protect
+      ~finally:(fun () -> if not was then Obs.disable ())
+      (fun () ->
+        let dx () = Obs.counter_value "autodiff/conv_input_grads"
+        and dw () = Obs.counter_value "autodiff/conv_weight_grads" in
+        let x0 = dx () and w0 = dw () in
+        f ();
+        (dx () - x0, dw () - w0))
+  in
+  let _, weight_grads =
+    counts (fun () ->
+        V.backward (loss (SiaUNet.forward net (V.const f0) (V.const f1))))
+  in
+  Alcotest.(check int) "weight gradients per full pass" 15 weight_grads;
+  let p0 = V.param f0 and p1 = V.param f1 in
+  let input_grads, weight_grads =
+    counts (fun () -> V.backward ~wrt:[ p0; p1 ] (loss (SiaUNet.forward net p0 p1)))
+  in
+  Alcotest.(check int) "input gradients per ~wrt:[f0; f1] pass" 15 input_grads;
+  Alcotest.(check int) "weight gradients per ~wrt:[f0; f1] pass" 0 weight_grads
+
+(* Inference runs the tape's executor over constant views of the same
+   weights: the same bits as the tape forward, and an optimizer step
+   on the parameters is visible to the next prediction. *)
+let test_unet_predict_is_forward () =
+  let net = SiaUNet.create (Rng.create 34) small_cfg in
+  let f0 = T.rand_uniform (Rng.create 35) [| 3; 8; 8 |] in
+  let f1 = T.rand_uniform (Rng.create 36) [| 3; 8; 8 |] in
+  let check what =
+    let c0, c1 = SiaUNet.forward net (V.const f0) (V.const f1) in
+    let p0, p1 = SiaUNet.predict net f0 f1 in
+    check_tensor_bits (what ^ " die 0") (T.reshape (V.data c0) [| 8; 8 |]) p0;
+    check_tensor_bits (what ^ " die 1") (T.reshape (V.data c1) [| 8; 8 |]) p1;
+    p0
+  in
+  let before = check "fresh" in
+  let opt = Opt.adam ~lr:0.01 (SiaUNet.params net) in
+  let c0, _ = SiaUNet.forward net (V.const f0) (V.const f1) in
+  V.backward (V.sum (V.sqr c0));
+  Opt.step opt;
+  let after = check "after a step" in
+  Alcotest.(check bool) "the step changed the prediction" false
+    (T.approx_equal ~eps:0. before after)
 
 let test_unet_trains () =
   (* Tiny overfit run: the predictor must fit one (features, label) pair;
@@ -308,10 +379,8 @@ let suites =
         Alcotest.test_case "seq composition" `Quick test_seq_composition;
         Alcotest.test_case "state roundtrip" `Quick test_layer_state_roundtrip;
         Alcotest.test_case "1x1 conv learns scaling" `Quick test_layer_trains;
-        Alcotest.test_case "forward_batch = tape, every constructor" `Quick
-          test_forward_batch_matches_tape;
-        Alcotest.test_case "forward_batch rejects linear" `Quick
-          test_forward_batch_rejects_linear;
+        Alcotest.test_case "stacked batch = samples, every constructor" `Quick
+          test_stacked_batch_matches_samples;
       ] );
     ( "nn.siamese_unet",
       [
@@ -321,6 +390,10 @@ let suites =
         Alcotest.test_case "die-swap symmetry" `Quick test_unet_siamese_symmetry;
         Alcotest.test_case "communication layer mixes dies" `Quick test_unet_communication_matters;
         Alcotest.test_case "gradients reach inputs" `Quick test_unet_gradients_flow_to_inputs;
+        Alcotest.test_case "one conv gradient per pass" `Quick
+          test_unet_conv_grads_per_pass;
+        Alcotest.test_case "predict = tape forward" `Quick
+          test_unet_predict_is_forward;
         Alcotest.test_case "overfits one sample" `Slow test_unet_trains;
         Alcotest.test_case "save/load roundtrip" `Quick test_unet_save_load;
         Alcotest.test_case "load rejects garbage" `Quick test_unet_load_rejects_garbage;

@@ -211,7 +211,7 @@ let test_matvec_par_eq_seq () =
 
 let test_conv2d_par_eq_seq () =
   let rng = Rng.create 23 in
-  let x = T.randn rng [| 3; 26; 24 |] in
+  let x = T.randn rng [| 1; 3; 26; 24 |] in
   let w = T.randn rng [| 5; 3; 3; 3 |] in
   let b = T.randn rng [| 5 |] in
   check_par_eq_seq "conv2d" (fun () ->
@@ -221,7 +221,8 @@ let test_conv2d_par_eq_seq () =
 
 let test_conv2d_backwards_par_eq_seq () =
   let rng = Rng.create 24 in
-  let x = T.randn rng [| 3; 26; 24 |] in
+  (* two samples: the weight gradient adds one GEMM per sample *)
+  let x = T.randn rng [| 2; 3; 26; 24 |] in
   let w = T.randn rng [| 5; 3; 3; 3 |] in
   let y = T.conv2d ~pad:1 x ~weight:w ~bias:None in
   let gout = T.randn rng (T.shape y) in
@@ -232,7 +233,7 @@ let test_conv2d_backwards_par_eq_seq () =
 
 let test_conv2d_transpose_par_eq_seq () =
   let rng = Rng.create 25 in
-  let x = T.randn rng [| 6; 17; 19 |] in
+  let x = T.randn rng [| 1; 6; 17; 19 |] in
   let w = T.randn rng [| 6; 4; 4; 4 |] in
   let b = T.randn rng [| 4 |] in
   check_par_eq_seq "conv2d_transpose" (fun () ->

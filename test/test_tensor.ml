@@ -147,7 +147,7 @@ let prop_matmul_assoc =
 let test_conv2d_identity () =
   (* 1x1 kernel of weight 1 is the identity. *)
   let rng = Rng.create 1 in
-  let x = T.rand_uniform rng [| 2; 4; 4 |] in
+  let x = T.rand_uniform rng [| 1; 2; 4; 4 |] in
   let w = T.make [| 2; 2; 1; 1 |] [| 1.; 0.; 0.; 1. |] in
   let y = T.conv2d x ~weight:w ~bias:None in
   Alcotest.check tensor_testable "identity conv" x y
@@ -155,26 +155,26 @@ let test_conv2d_identity () =
 let test_conv2d_known () =
   (* 3x3 all-ones kernel on a 3x3 all-ones input with pad 1: each output
      counts the number of valid taps. *)
-  let x = T.ones [| 1; 3; 3 |] in
+  let x = T.ones [| 1; 1; 3; 3 |] in
   let w = T.ones [| 1; 1; 3; 3 |] in
   let y = T.conv2d ~pad:1 x ~weight:w ~bias:None in
   Alcotest.check tensor_testable "padded sum conv"
-    (T.make [| 1; 3; 3 |] [| 4.; 6.; 4.; 6.; 9.; 6.; 4.; 6.; 4. |])
+    (T.make [| 1; 1; 3; 3 |] [| 4.; 6.; 4.; 6.; 9.; 6.; 4.; 6.; 4. |])
     y
 
 let test_conv2d_stride_shape () =
-  let x = T.zeros [| 3; 8; 8 |] in
+  let x = T.zeros [| 2; 3; 8; 8 |] in
   let w = T.zeros [| 5; 3; 3; 3 |] in
   let y = T.conv2d ~stride:2 ~pad:1 x ~weight:w ~bias:None in
-  Alcotest.(check (array int)) "strided shape" [| 5; 4; 4 |] (T.shape y)
+  Alcotest.(check (array int)) "strided shape" [| 2; 5; 4; 4 |] (T.shape y)
 
 let test_conv2d_bias () =
-  let x = T.zeros [| 1; 2; 2 |] in
+  let x = T.zeros [| 1; 1; 2; 2 |] in
   let w = T.zeros [| 2; 1; 1; 1 |] in
   let b = T.of_array1 [| 1.5; -0.5 |] in
   let y = T.conv2d x ~weight:w ~bias:(Some b) in
-  check_float "bias ch0" 1.5 (T.get3 y 0 0 0);
-  check_float "bias ch1" (-0.5) (T.get3 y 1 1 1)
+  check_float "bias ch0" 1.5 (T.get y [| 0; 0; 0; 0 |]);
+  check_float "bias ch1" (-0.5) (T.get y [| 0; 1; 1; 1 |])
 
 (* Adjointness: <conv(x), y> = <x, conv_backward_input(y)> for any x, y.
    This is the defining property of a correct backward kernel. *)
@@ -185,12 +185,12 @@ let prop_conv_adjoint =
       let stride = s + 1 in
       let rng = Rng.create seed in
       let ci = 2 and co = 3 and h = 6 and w = 6 and k = 3 and pad = 1 in
-      let x = T.randn rng [| ci; h; w |] in
+      let x = T.randn rng [| 1; ci; h; w |] in
       let wt = T.randn rng [| co; ci; k; k |] in
       let y = T.conv2d ~stride ~pad x ~weight:wt ~bias:None in
       let gy = T.randn rng (T.shape y) in
       let gx =
-        T.conv2d_backward_input ~stride ~pad ~input_shape:[| ci; h; w |]
+        T.conv2d_backward_input ~stride ~pad ~input_shape:[| 1; ci; h; w |]
           ~weight:wt gy
       in
       abs_float (T.dot y gy -. T.dot x gx) < 1e-8)
@@ -200,10 +200,10 @@ let prop_conv_weight_grad =
     ~count:10 (QCheck.int_bound 1000) (fun seed ->
       let rng = Rng.create seed in
       let ci = 1 and co = 2 and h = 5 and w = 5 and k = 3 in
-      let x = T.randn rng [| ci; h; w |] in
+      let x = T.randn rng [| 1; ci; h; w |] in
       let wt = T.randn rng [| co; ci; k; k |] in
       let loss wt = T.sum (T.conv2d ~pad:1 x ~weight:wt ~bias:None) in
-      let gy = T.ones [| co; h; w |] in
+      let gy = T.ones [| 1; co; h; w |] in
       let gw =
         T.conv2d_backward_weight ~pad:1 ~input:x ~weight_shape:(T.shape wt) gy
       in
@@ -216,10 +216,10 @@ let prop_conv_weight_grad =
       abs_float (fd -. T.get_flat gw idx) < 1e-4)
 
 let test_conv_transpose_shape () =
-  let x = T.zeros [| 4; 5; 5 |] in
+  let x = T.zeros [| 1; 4; 5; 5 |] in
   let w = T.zeros [| 4; 2; 2; 2 |] in
   let y = T.conv2d_transpose ~stride:2 x ~weight:w ~bias:None in
-  Alcotest.(check (array int)) "transpose shape" [| 2; 10; 10 |] (T.shape y)
+  Alcotest.(check (array int)) "transpose shape" [| 1; 2; 10; 10 |] (T.shape y)
 
 let prop_conv_transpose_adjoint =
   (* conv2d_transpose is the adjoint of a matching conv2d:
@@ -230,7 +230,7 @@ let prop_conv_transpose_adjoint =
       let ci = 2 and co = 3 and h = 4 and w = 4 and k = 2 and stride = 2 in
       (* weight for transpose: [ci; co; kh; kw] *)
       let wt = T.randn rng [| ci; co; k; k |] in
-      let x = T.randn rng [| ci; h; w |] in
+      let x = T.randn rng [| 1; ci; h; w |] in
       let y = T.conv2d_transpose ~stride x ~weight:wt ~bias:None in
       let gy = T.randn rng (T.shape y) in
       (* adjoint direction: conv2d with the same kernel viewed as
@@ -239,28 +239,19 @@ let prop_conv_transpose_adjoint =
       abs_float (T.dot y gy -. T.dot x gx) < 1e-8)
 
 (* ------------------------------------------------------------------ *)
-(* Pooling, upsampling, resize                                         *)
+(* Pooling, resize                                                     *)
 (* ------------------------------------------------------------------ *)
 
 let test_maxpool () =
-  let x = T.make [| 1; 2; 4 |] [| 1.; 5.; 2.; 0.; 3.; 4.; 1.; 7. |] in
+  let x = T.make [| 1; 1; 2; 4 |] [| 1.; 5.; 2.; 0.; 3.; 4.; 1.; 7. |] in
   let y, arg = T.maxpool2 x in
-  Alcotest.check tensor_testable "maxpool" (T.make [| 1; 1; 2 |] [| 5.; 7. |]) y;
-  let gin = T.maxpool2_backward ~input_shape:[| 1; 2; 4 |] arg (T.ones [| 1; 1; 2 |]) in
+  Alcotest.check tensor_testable "maxpool" (T.make [| 1; 1; 1; 2 |] [| 5.; 7. |]) y;
+  let gin =
+    T.maxpool2_backward ~input_shape:[| 1; 1; 2; 4 |] arg (T.ones [| 1; 1; 1; 2 |])
+  in
   Alcotest.check tensor_testable "maxpool backward"
-    (T.make [| 1; 2; 4 |] [| 0.; 1.; 0.; 0.; 0.; 0.; 0.; 1. |])
+    (T.make [| 1; 1; 2; 4 |] [| 0.; 1.; 0.; 0.; 0.; 0.; 0.; 1. |])
     gin
-
-let test_avgpool () =
-  let x = T.make [| 1; 2; 2 |] [| 1.; 2.; 3.; 6. |] in
-  Alcotest.check tensor_testable "avgpool" (T.make [| 1; 1; 1 |] [| 3. |])
-    (T.avgpool2 x)
-
-let test_upsample () =
-  let x = T.make [| 1; 1; 2 |] [| 1.; 2. |] in
-  Alcotest.check tensor_testable "upsample"
-    (T.make [| 1; 2; 4 |] [| 1.; 1.; 2.; 2.; 1.; 1.; 2.; 2. |])
-    (T.upsample_nearest2 x)
 
 let test_resize_nearest_roundtrip () =
   (* Paper section III-B3: nearest-neighbour resize preserves magnitudes
@@ -283,7 +274,7 @@ let prop_resize_preserves_range =
       && T.min_elt r >= T.min_elt m -. 1e-12)
 
 (* ------------------------------------------------------------------ *)
-(* Channels, padding, orientation transforms                           *)
+(* Channels, orientation transforms                                    *)
 (* ------------------------------------------------------------------ *)
 
 let test_concat_slice_channels () =
@@ -294,19 +285,22 @@ let test_concat_slice_channels () =
   Alcotest.check tensor_testable "slice" b (T.slice_channels c 1 2);
   Alcotest.check tensor_testable "channel"
     (T.full [| 2; 2 |] 1.)
-    (T.channel c 0)
+    (T.channel c 0);
+  (* rank 4: each sample's channels concatenate, and slice back *)
+  let ab = T.stack [| a; T.full [| 1; 2; 2 |] 4. |] in
+  let bb = T.stack [| b; T.full [| 2; 2; 2 |] 5. |] in
+  let cb = T.concat_channels [ ab; bb ] in
+  Alcotest.(check (array int)) "batched concat shape" [| 2; 3; 2; 2 |]
+    (T.shape cb);
+  Alcotest.check tensor_testable "sample 1 of the batched concat"
+    (T.concat_channels [ T.full [| 1; 2; 2 |] 4.; T.full [| 2; 2; 2 |] 5. ])
+    (T.unstack cb).(1);
+  Alcotest.check tensor_testable "batched slice" bb (T.slice_channels cb 1 2)
 
 let test_concat_rank2_promotion () =
   let a = T.full [| 2; 2 |] 3. in
   let c = T.concat_channels [ a; a ] in
   Alcotest.(check (array int)) "promoted shape" [| 2; 2; 2 |] (T.shape c)
-
-let test_pad2d () =
-  let x = T.ones [| 1; 1 |] in
-  let p = T.pad2d x 1 in
-  Alcotest.check tensor_testable "pad"
-    (T.make [| 3; 3 |] [| 0.; 0.; 0.; 0.; 1.; 0.; 0.; 0.; 0. |])
-    p
 
 let test_rot90_cycle () =
   let rng = Rng.create 7 in
@@ -319,9 +313,8 @@ let test_flips_involutive () =
   let rng = Rng.create 8 in
   let m = T.rand_uniform rng [| 3; 5 |] in
   Alcotest.check tensor_testable "flip_h^2 = id" m (T.flip_h (T.flip_h m));
-  Alcotest.check tensor_testable "flip_v^2 = id" m (T.flip_v (T.flip_v m));
   let c = T.rand_uniform rng [| 2; 3; 5 |] in
-  Alcotest.check tensor_testable "rank3 flip_v^2 = id" c (T.flip_v (T.flip_v c))
+  Alcotest.check tensor_testable "rank3 flip_h^2 = id" c (T.flip_h (T.flip_h c))
 
 (* ------------------------------------------------------------------ *)
 (* Rng                                                                 *)
@@ -640,12 +633,9 @@ let suites =
     ( "tensor.maps",
       [
         Alcotest.test_case "maxpool fwd/bwd" `Quick test_maxpool;
-        Alcotest.test_case "avgpool" `Quick test_avgpool;
-        Alcotest.test_case "upsample nearest" `Quick test_upsample;
         Alcotest.test_case "resize roundtrip" `Quick test_resize_nearest_roundtrip;
         Alcotest.test_case "concat/slice channels" `Quick test_concat_slice_channels;
         Alcotest.test_case "rank-2 channel promotion" `Quick test_concat_rank2_promotion;
-        Alcotest.test_case "pad2d" `Quick test_pad2d;
         Alcotest.test_case "rot90 four-cycle" `Quick test_rot90_cycle;
         Alcotest.test_case "flips involutive" `Quick test_flips_involutive;
         qtest prop_resize_preserves_range;
