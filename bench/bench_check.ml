@@ -29,6 +29,13 @@
                          incremental-routing contract.
                          Floors are gated with the same noise
                          tolerance: speedup < floor * (1 - tol) fails.
+     5. work-count drift - a row's work count ("astar_pops" on the
+                         route rows: A* pops per route) differs from
+                         the committed one, or the committed row has
+                         one and the fresh row does not.  Counts are a
+                         function of the inputs alone, the same on
+                         every host and at every DCO3D_JOBS, so any
+                         difference means the search changed.
 
    Usage: dune exec bench/bench_check.exe [fresh.json [baseline.json]]
    With no arguments the fresh file is ./BENCH_kernels.json and the
@@ -50,6 +57,7 @@ type row = {
   par_ms : float;
   speedup : float;
   digest : string;
+  astar_pops : int option;
 }
 
 (* ------------------------------------------------------------------ *)
@@ -107,6 +115,8 @@ let row_of_line line =
           par_ms = num "par_ms";
           speedup = num "speedup";
           digest = Option.value ~default:"" (find_field line "digest");
+          astar_pops =
+            Option.bind (find_field line "astar_pops") int_of_string_opt;
         }
 
 let rows_of_string text =
@@ -227,6 +237,14 @@ let () =
           fail "%s: digest %s differs from committed %s (numerics changed)"
             r.op r.digest b.digest;
           verdicts := "digest-drift" :: !verdicts
+      | _ -> ());
+      (match (b, r.astar_pops) with
+      | Some { astar_pops = Some base_pops; _ }, fresh_pops
+        when fresh_pops <> Some base_pops ->
+          fail "%s: A* pops %s, committed %d (the search changed)" r.op
+            (Option.fold ~none:"missing" ~some:string_of_int fresh_pops)
+            base_pops;
+          verdicts := "count-drift" :: !verdicts
       | _ -> ());
       (match b with
       | Some b when r.par_ms > b.par_ms *. (1. +. regress) ->

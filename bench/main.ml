@@ -583,6 +583,9 @@ type kernel_row = {
   k_par_ms : float;
   k_digest : string;
   k_ok : bool;
+  k_pops : int option;
+      (** A* pops per call (route rows): a work count that is the same
+          on every host, which bench_check compares for equality *)
 }
 
 let kernels () =
@@ -820,6 +823,7 @@ let kernels () =
           k_par_ms = par_t *. 1e3;
           k_digest = dseq;
           k_ok = ok;
+          k_pops = None;
         })
       cases
   in
@@ -951,6 +955,7 @@ let route_bench () =
       k_par_ms = par_t *. 1e3;
       k_digest = dseq;
       k_ok = ok;
+      k_pops = Some pops;
     };
     {
       k_name = "route_warm";
@@ -963,6 +968,7 @@ let route_bench () =
       k_par_ms = warm_t *. 1e3;
       k_digest = dwpar;
       k_ok = warm_ok;
+      k_pops = Some warm_pops;
     };
   ]
 
@@ -1033,6 +1039,7 @@ let predict_bench () =
       k_par_ms = par_t *. 1e3;
       k_digest = d_seq;
       k_ok = ok;
+      k_pops = None;
     };
   ]
 
@@ -1189,6 +1196,7 @@ let serve_bench () =
         k_par_ms = tn *. 1e3;
         k_digest = d1;
         k_ok = ok;
+        k_pops = None;
       };
     ]
   end
@@ -1213,13 +1221,16 @@ let write_bench_files rows =
     (fun i k ->
       Printf.fprintf oc
         "    {\"op\": %S, \"size\": %S, \"seq_ms\": %.4f, \"par_ms\": %.4f, \
-         \"speedup\": %.4f, \"gflops_par\": %s, \"digest\": %S}%s\n"
+         \"speedup\": %.4f, \"gflops_par\": %s, \"digest\": %S%s}%s\n"
         k.k_name k.k_size k.k_seq_ms k.k_par_ms
         (k.k_seq_ms /. k.k_par_ms)
         (match k.k_flops with
         | Some f -> Printf.sprintf "%.4f" (f /. (k.k_par_ms /. 1e3) /. 1e9)
         | None -> "null")
         k.k_digest
+        (match k.k_pops with
+        | Some n -> Printf.sprintf ", \"astar_pops\": %d" n
+        | None -> "")
         (if i = List.length rows - 1 then "" else ","))
     rows;
   output_string oc "  ]\n}\n";

@@ -16,10 +16,11 @@ let path_of ~dir ~suffix key =
   Filename.concat dir (Digest.to_hex (Digest.string key) ^ suffix)
 
 (* Temp names carry a per-process sequence besides the pid: two threads
-   writing the same key concurrently (e.g. the LRU eviction hook vs.
-   the shutdown flush in [Server.wait]) would otherwise share one temp
-   path and interleave writes — the digest check downgrades that to a
-   deleted entry, but the entry is still silently lost. *)
+   writing the same key concurrently (e.g. two servers in one process
+   sharing a spill directory, each spilling an eviction of that key)
+   would otherwise share one temp path and interleave writes — the digest
+   check downgrades that to a deleted entry, but the entry is still
+   silently lost. *)
 let tmp_seq = Atomic.make 0
 
 let write_file ~magic ~path ~body =

@@ -184,9 +184,9 @@ module Heap = struct
     let i = ref h.len in
     h.len <- h.len + 1;
     while
-      !i > 0 && Array.unsafe_get keys ((!i - 1) / 2) > k
+      !i > 0 && Array.unsafe_get keys ((!i - 1) lsr 1) > k
     do
-      let parent = (!i - 1) / 2 in
+      let parent = (!i - 1) lsr 1 in
       Array.unsafe_set keys !i (Array.unsafe_get keys parent);
       Array.unsafe_set vals !i (Array.unsafe_get vals parent);
       i := parent
@@ -195,7 +195,14 @@ module Heap = struct
     Array.unsafe_set vals !i v
 
   (* The value alone: the A* loop discards the key, and returning a
-     pair would allocate on every pop. *)
+     pair would allocate on every pop.  Each sift-down step first picks
+     the smaller child, the right one only if it is strictly smaller
+     (a compare-to-flag, no branch), then compares it once against the
+     held key.  For keys that are never NaN (A* keys are finite) that
+     is the textbook step's decision — left if [l < k] and not
+     [r < l], right if [r < k] and [r < l], else stop — so the layout
+     and the tie order are the same, but the child choice, the
+     unpredictable branch of the textbook loop, is now data flow. *)
   let pop h =
     if h.len = 0 then invalid_arg "Heap.pop: empty heap";
     let keys = h.keys and vals = h.vals in
@@ -206,19 +213,19 @@ module Heap = struct
       let k = Array.unsafe_get keys len and kv = Array.unsafe_get vals len in
       let i = ref 0 in
       let continue_ = ref true in
-      while !continue_ do
-        let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-        let s = ref !i in
-        if l < len && Array.unsafe_get keys l < k then s := l;
-        if
-          r < len
-          && Array.unsafe_get keys r
-             < (if !s = !i then k else Array.unsafe_get keys !s)
-        then s := r;
-        if !s <> !i then begin
-          Array.unsafe_set keys !i (Array.unsafe_get keys !s);
-          Array.unsafe_set vals !i (Array.unsafe_get vals !s);
-          i := !s
+      while !continue_ && (2 * !i) + 1 < len do
+        let l = (2 * !i) + 1 in
+        let c =
+          if l + 1 < len then
+            l
+            + Bool.to_int
+                (Array.unsafe_get keys (l + 1) < Array.unsafe_get keys l)
+          else l
+        in
+        if Array.unsafe_get keys c < k then begin
+          Array.unsafe_set keys !i (Array.unsafe_get keys c);
+          Array.unsafe_set vals !i (Array.unsafe_get vals c);
+          i := c
         end
         else continue_ := false
       done;
@@ -247,9 +254,13 @@ type state = {
   base_cost : float array;  (** routing cost units *)
   pass_cost : float array;
       (** [base_cost.(e) *. (1. +. history.(e))], refreshed once per
-          repair pass — the history term only moves between passes, so
-          hoisting it keeps the A* inner loop (millions of pops) to one
-          load plus the overflow term *)
+          repair pass: the history term only moves between passes *)
+  cost : float array;
+      (** [congested_cost st e] for every edge: [pass_cost] plus the
+          overflow term of the current demand.  Refreshed wherever one
+          of its inputs moves — [refresh_pass_cost] (every edge),
+          [apply_net] and [rip_up_net] (the edges they touch) — so an
+          A* relax reads one float instead of three arrays *)
   phys_len : float array;  (** physical length, um *)
   node_tier : int array;
       (** per-node coordinate tables: the A* loop decodes every popped
@@ -260,9 +271,19 @@ type state = {
   node_gx : int array;
 }
 
+(* The cost of committing one more net to edge [e]: the per-pass cost
+   plus a penalty per unit of overflow that net would add.  [st.cost]
+   caches exactly this expression, evaluated against the current
+   [pass_cost] and [demand]. *)
+let congested_cost st e =
+  let over = st.demand.(e) + 1 - st.cap.(e) in
+  st.pass_cost.(e)
+  +. (if over > 0 then st.cfg.overflow_penalty *. float_of_int over else 0.)
+
 let refresh_pass_cost st =
   for e = 0 to st.n_edges - 1 do
-    st.pass_cost.(e) <- st.base_cost.(e) *. (1. +. st.history.(e))
+    st.pass_cost.(e) <- st.base_cost.(e) *. (1. +. st.history.(e));
+    st.cost.(e) <- congested_cost st e
   done
 
 let make_state cfg fp (p : Pl.t) =
@@ -328,6 +349,7 @@ let make_state cfg fp (p : Pl.t) =
       history = Array.make n_edges 0.;
       base_cost;
       pass_cost = Array.make n_edges 0.;
+      cost = Array.make n_edges 0.;
       phys_len;
       node_tier; node_gy; node_gx;
     }
@@ -351,18 +373,14 @@ type net_marks = { mark : int array; mutable gen : int }
 
 let make_marks st = { mark = Array.make st.n_edges (-1); gen = 0 }
 
-(* Congestion-aware edge cost.  [pass_cost] already folds in the
-   history term (bit-identically: it is the same product, computed once
-   per pass instead of once per query).  Unchecked accesses as in the
-   tensor kernels: [e] comes from the edge-id formulas over in-range
-   coordinates, and this runs ~5x per A* pop. *)
+(* Congestion-aware edge cost: [st.cost] holds [congested_cost]
+   bit-identically (the same expression over the same inputs, evaluated
+   when an input moves instead of once per query).  Unchecked accesses
+   as in the tensor kernels: [e] comes from the edge-id formulas over
+   in-range coordinates, and this runs ~5x per A* pop. *)
 let[@inline] edge_cost st marks e =
   if Array.unsafe_get marks.mark e = marks.gen then 0.001
-  else begin
-    let over = Array.unsafe_get st.demand e + 1 - Array.unsafe_get st.cap e in
-    Array.unsafe_get st.pass_cost e
-    +. (if over > 0 then st.cfg.overflow_penalty *. float_of_int over else 0.)
-  end
+  else Array.unsafe_get st.cost e
 
 (* ------------------------------------------------------------------ *)
 (* Pattern routing                                                     *)
@@ -481,16 +499,22 @@ let pattern_route st marks src dst =
 (* A* maze routing                                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* Per-domain A* scratch.  The search's window and target live here
-   too, so the relax step can read them instead of taking them as
-   arguments. *)
+(* Per-domain A* scratch.  One relax reads and writes a node's search
+   state together, so it lives in one interleaved int array, three
+   slots per node:
+   - [3n]: the state word, [2 * generation] once [n] is reached in the
+     current search and [2 * generation + 1] once it is closed (any
+     smaller value is left over from an earlier search);
+   - [3n + 1]: the parent node;
+   - [3n + 2]: the parent edge.
+   [gscore] stays a float array of its own (an OCaml float array is
+   unboxed; an int array cannot hold the score without a conversion).
+   The search's window and target live here too, so the relax step can
+   read them instead of taking them as arguments. *)
 type astar = {
   heap : Heap.t;
   gscore : float array;
-  stamp : int array;
-  closed : int array;  (** generation-stamped closed set *)
-  parent_node : int array;
-  parent_edge : int array;
+  node : int array;  (** 3 ints per node, see above *)
   mutable generation : int;
   mutable wx0 : int;  (** search window, inclusive GCell bounds *)
   mutable wx1 : int;
@@ -505,10 +529,7 @@ let make_astar st =
   {
     heap = Heap.create ();
     gscore = Array.make n infinity;
-    stamp = Array.make n (-1);
-    closed = Array.make n (-1);
-    parent_node = Array.make n (-1);
-    parent_edge = Array.make n (-1);
+    node = Array.make (3 * n) 0;
     generation = 0;
     wx0 = 0;
     wx1 = 0;
@@ -543,31 +564,37 @@ let c_warm_ripped = Obs.counter "route/warm/ripped"
 let[@inline] heuristic az gx gy =
   1.15 *. float_of_int (abs (gx - az.tx) + abs (gy - az.ty))
 
-(* Relax edge [e] from the expanded node [n] to its neighbour [n'].
-   Every argument is an int or a record, and the edge cost, the
-   tentative score and the heap key are computed here and handed to
-   the inlined [Heap.push], so no float crosses a call boundary and a
-   pop allocates nothing.  Node and edge ids come from the id formulas
-   over in-range coordinates, hence the unchecked accesses. *)
-let relax st az marks n e n' =
-  let gx = Array.unsafe_get st.node_gx n' and gy = Array.unsafe_get st.node_gy n' in
-  if gx >= az.wx0 && gx <= az.wx1 && gy >= az.wy0 && gy <= az.wy1 then begin
-    let g = Array.unsafe_get az.gscore n +. edge_cost st marks e in
-    if
-      Array.unsafe_get az.stamp n' <> az.generation
-      || g < Array.unsafe_get az.gscore n'
-    then begin
-      Array.unsafe_set az.stamp n' az.generation;
-      Array.unsafe_set az.gscore n' g;
-      Array.unsafe_set az.parent_node n' n;
-      Array.unsafe_set az.parent_edge n' e;
-      Heap.push az.heap (g +. heuristic az gx gy) n'
-    end
+(* Relax edge [e] from the expanded node [n] to its neighbour [n'] at
+   GCell (gx, gy); the caller has already checked that (gx, gy) lies in
+   the search window.  Every argument is an int or a record, and the
+   edge cost, the tentative score and the heap key are computed here
+   and handed to the inlined [Heap.push], so no float crosses a call
+   boundary and a pop allocates nothing.  A closed node can still be
+   improved (the weighted heuristic is not consistent): its score and
+   parents move and it is pushed again, but it stays closed.  Node and
+   edge ids come from the id formulas over in-range coordinates, hence
+   the unchecked accesses. *)
+let relax st az marks n e n' gx gy =
+  let g = Array.unsafe_get az.gscore n +. edge_cost st marks e in
+  let node = az.node and open_ = 2 * az.generation in
+  let s = Array.unsafe_get node (3 * n') in
+  if s < open_ || g < Array.unsafe_get az.gscore n' then begin
+    if s < open_ then Array.unsafe_set node (3 * n') open_;
+    Array.unsafe_set az.gscore n' g;
+    Array.unsafe_set node ((3 * n') + 1) n;
+    Array.unsafe_set node ((3 * n') + 2) e;
+    Heap.push az.heap (g +. heuristic az gx gy) n'
   end
+
+(* The A* detour margin around a pin bounding box.  [astar_route]'s
+   search window and [net_window] both take it from here: a repair wave
+   is only sound if every edge a net can commit lies in its window. *)
+let window_margin st = 2 + (max st.nx st.ny / 6)
 
 let astar_route st az marks src dst =
   az.generation <- az.generation + 1;
-  let gen = az.generation in
+  let open_ = 2 * az.generation in
+  let closed = open_ + 1 in
   Heap.clear az.heap;
   let node_gx = st.node_gx and node_gy = st.node_gy in
   let dx1 = node_gx.(dst) and dy1 = node_gy.(dst) in
@@ -577,15 +604,16 @@ let astar_route st az marks src dst =
   (* restrict the search to the pair's bounding box plus a detour
      margin — the standard global-router window, which caps expansion
      cost on large grids *)
-  let margin = 2 + (max st.nx st.ny / 6) in
+  let margin = window_margin st in
   az.wx0 <- max 0 (min sx dx1 - margin);
   az.wx1 <- min (st.nx - 1) (max sx dx1 + margin);
   az.wy0 <- max 0 (min sy dy1 - margin);
   az.wy1 <- min (st.ny - 1) (max sy dy1 + margin);
-  az.stamp.(src) <- gen;
+  let node = az.node in
+  node.(3 * src) <- open_;
   az.gscore.(src) <- 0.;
-  az.parent_node.(src) <- -1;
-  az.parent_edge.(src) <- -1;
+  node.((3 * src) + 1) <- -1;
+  node.((3 * src) + 2) <- -1;
   Heap.push az.heap (heuristic az sx sy) src;
   let found = ref false in
   let pops = ref 0 in
@@ -593,15 +621,23 @@ let astar_route st az marks src dst =
     let n = Heap.pop az.heap in
     incr pops;
     if n = dst then found := true
-    else if Array.unsafe_get az.closed n <> gen then begin
-      Array.unsafe_set az.closed n gen;
+    else if Array.unsafe_get node (3 * n) <> closed then begin
+      Array.unsafe_set node (3 * n) closed;
+      (* [n] lies in the window (only window nodes are pushed), so a
+         move can only leave it across the side it heads for, and the
+         window sits inside the grid: one bound test per planar move,
+         none for the via *)
       let t = Array.unsafe_get st.node_tier n in
       let gy = Array.unsafe_get node_gy n and gx = Array.unsafe_get node_gx n in
-      if gx > 0 then relax st az marks n (h_edge st t gy (gx - 1)) (node_of st t gy (gx - 1));
-      if gx < st.nx - 1 then relax st az marks n (h_edge st t gy gx) (node_of st t gy (gx + 1));
-      if gy > 0 then relax st az marks n (v_edge st t (gy - 1) gx) (node_of st t (gy - 1) gx);
-      if gy < st.ny - 1 then relax st az marks n (v_edge st t gy gx) (node_of st t (gy + 1) gx);
-      relax st az marks n (via_edge st gy gx) (node_of st (1 - t) gy gx)
+      if gx > az.wx0 then
+        relax st az marks n (h_edge st t gy (gx - 1)) (n - 1) (gx - 1) gy;
+      if gx < az.wx1 then
+        relax st az marks n (h_edge st t gy gx) (n + 1) (gx + 1) gy;
+      if gy > az.wy0 then
+        relax st az marks n (v_edge st t (gy - 1) gx) (n - st.nx) gx (gy - 1);
+      if gy < az.wy1 then
+        relax st az marks n (v_edge st t gy gx) (n + st.nx) gx (gy + 1);
+      relax st az marks n (via_edge st gy gx) (node_of st (1 - t) gy gx) gx gy
     end
   done;
   (* one flush per call keeps the per-pop cost to a local increment *)
@@ -613,8 +649,8 @@ let astar_route st az marks src dst =
     let edges = ref [] in
     let n = ref dst in
     while !n <> src do
-      edges := az.parent_edge.(!n) :: !edges;
-      n := az.parent_node.(!n)
+      edges := node.((3 * !n) + 2) :: !edges;
+      n := node.((3 * !n) + 1)
     done;
     Some !edges
   end
@@ -719,6 +755,7 @@ let apply_net st idx k path =
   Array.iter
     (fun e ->
       st.demand.(e) <- st.demand.(e) + 1;
+      st.cost.(e) <- congested_cost st e;
       bag_add idx.(e) k)
     path
 
@@ -726,6 +763,7 @@ let rip_up_net st idx k path =
   Array.iter
     (fun e ->
       st.demand.(e) <- st.demand.(e) - 1;
+      st.cost.(e) <- congested_cost st e;
       bag_remove idx.(e) k)
     path
 
@@ -798,11 +836,11 @@ let overflow_of st e = max 0 (st.demand.(e) - st.cap.(e))
 (* ------------------------------------------------------------------ *)
 
 (* A net's search window: its pin-GCell bounding box plus the A* detour
-   margin (same formula as [astar_route]).  Every edge the net can ever
-   commit — pattern or maze, any pass — has both endpoints inside the
-   window, so two nets with disjoint windows never read or write the
-   same edge.  That independence relation is what a repair wave
-   exploits. *)
+   margin ([window_margin], as in [astar_route]).  Every edge the net
+   can ever commit — pattern or maze, any pass — has both endpoints
+   inside the window, so two nets with disjoint windows never read or
+   write the same edge.  That independence relation is what a repair
+   wave exploits. *)
 let net_window st fp (p : Pl.t) net =
   let x0 = ref max_int and y0 = ref max_int in
   let x1 = ref min_int and y1 = ref min_int in
@@ -816,7 +854,7 @@ let net_window st fp (p : Pl.t) net =
   in
   add net.Nl.driver;
   Array.iter add net.Nl.sinks;
-  let margin = 2 + (max st.nx st.ny / 6) in
+  let margin = window_margin st in
   ( max 0 (!x0 - margin),
     max 0 (!y0 - margin),
     min (st.nx - 1) (!x1 + margin),
@@ -1128,7 +1166,8 @@ let route ?config ?(validate = false) ?warm_start (p : Pl.t) =
   done;
   if validate then begin
     (* conservation: demand must equal the per-edge sum over committed
-       paths (and the incidence index must agree) *)
+       paths (and the incidence index must agree); and the cost cache
+       must hold, bit for bit, what [congested_cost] recomputes *)
     let expect = Array.make st.n_edges 0 in
     Array.iter (Array.iter (fun e -> expect.(e) <- expect.(e) + 1)) net_edges;
     for e = 0 to st.n_edges - 1 do
@@ -1143,7 +1182,19 @@ let route ?config ?(validate = false) ?warm_start (p : Pl.t) =
           (Printf.sprintf
              "Router.route: incidence index inconsistent at edge %d: %d nets \
               indexed, %d committed"
-             e idx.(e).len expect.(e))
+             e idx.(e).len expect.(e));
+      let fresh = congested_cost st e in
+      if
+        not
+          (Int64.equal
+             (Int64.bits_of_float st.cost.(e))
+             (Int64.bits_of_float fresh))
+      then
+        failwith
+          (Printf.sprintf
+             "Router.route: cached cost stale at edge %d: cached %h, \
+              recomputed %h"
+             e st.cost.(e) fresh)
     done
   end;
   (* ---------------- results ---------------- *)

@@ -83,9 +83,11 @@ val route :
 (** Route all signal nets of a placement.  Deterministic, including
     across [DCO3D_JOBS] values.  [~validate:true] additionally checks
     the router's internal invariants after routing — the demand array
-    must equal the per-edge sum over committed net paths, and the
-    edge→net incidence index must agree — raising [Failure] on any
-    violation (used by tests; default off).
+    must equal the per-edge sum over committed net paths, the edge→net
+    incidence index must agree, and every cached edge cost must equal,
+    bit for bit, its recomputation from the per-pass cost, demand and
+    capacity — raising [Failure] on any violation (used by tests;
+    default off).
 
     [~warm_start:(prev, prev_p)] routes incrementally against a prior
     result: nets whose every pin kept its GCell (comparing [prev_p] to

@@ -14,7 +14,6 @@ type 'a t = {
   table : (string, 'a node) Hashtbl.t;
   mutable head : 'a node option;
   mutable tail : 'a node option;
-  mutable on_evict : (string -> 'a -> unit) option;
 }
 
 let create ~capacity =
@@ -24,10 +23,7 @@ let create ~capacity =
     table = Hashtbl.create (max 16 capacity);
     head = None;
     tail = None;
-    on_evict = None;
   }
-
-let set_on_evict c f = c.on_evict <- Some f
 
 let capacity c = c.cap
 let length c = Hashtbl.length c.table
@@ -58,28 +54,31 @@ let find c key =
 
 let mem c key = Hashtbl.mem c.table key
 
-(* The single spot every capacity eviction funnels through — the spill
-   hook lives here so "evicted" always implies "offered to disk". *)
 let evict_tail c =
   match c.tail with
-  | None -> ()
+  | None -> None
   | Some n ->
       unlink c n;
       Hashtbl.remove c.table n.key;
-      match c.on_evict with Some f -> f n.key n.value | None -> ()
+      Some (n.key, n.value)
 
 let put c key value =
-  if c.cap > 0 then
+  if c.cap = 0 then None
+  else
     match Hashtbl.find_opt c.table key with
     | Some n ->
         n.value <- value;
         unlink c n;
-        push_front c n
+        push_front c n;
+        None
     | None ->
-        if Hashtbl.length c.table >= c.cap then evict_tail c;
+        let evicted =
+          if Hashtbl.length c.table >= c.cap then evict_tail c else None
+        in
         let n = { key; value; prev = None; next = None } in
         Hashtbl.replace c.table key n;
-        push_front c n
+        push_front c n;
+        evicted
 
 let iter c f =
   let rec go = function

@@ -5,7 +5,7 @@
     policy.  [find] promotes the entry it returns to most-recently-used;
     [put] evicts the least-recently-used entry once [capacity] entries
     are resident.  A capacity of [0] disables the cache ([find] always
-    misses, [put] is a no-op). *)
+    misses, [put] stores and evicts nothing). *)
 
 type 'a t
 
@@ -18,19 +18,15 @@ val length : 'a t -> int
 val find : 'a t -> string -> 'a option
 (** Lookup; a hit becomes the most-recently-used entry. *)
 
-val put : 'a t -> string -> 'a -> unit
+val put : 'a t -> string -> 'a -> (string * 'a) option
 (** Insert or replace; the entry becomes most-recently-used.  Evicts
-    the least-recently-used entry when the cache is full. *)
+    the least-recently-used entry when the cache is full and returns
+    it, so the caller can persist it (the serve daemon writes it to
+    its disk spill).  Replacing a resident
+    key evicts nothing. *)
 
 val mem : 'a t -> string -> bool
 (** Membership without promotion. *)
-
-val set_on_evict : 'a t -> (string -> 'a -> unit) -> unit
-(** Install the eviction hook.  Every {e capacity} eviction (an entry
-    pushed out by [put] on a full cache) calls it with the departing
-    key and value — the serve daemon points it at the disk spill.
-    [clear] does not fire it.  Exceptions from the hook propagate to
-    the [put] that triggered the eviction. *)
 
 val iter : 'a t -> (string -> 'a -> unit) -> unit
 (** Iterate entries from most- to least-recently-used, without
@@ -38,3 +34,4 @@ val iter : 'a t -> (string -> 'a -> unit) -> unit
     graceful drain. *)
 
 val clear : 'a t -> unit
+(** Drop every entry; nothing is returned as evicted. *)

@@ -168,6 +168,20 @@ let locked t f =
   Mutex.lock t.m;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.m) f
 
+(* Write one cache entry to the disk spill: an entry [Lru.put] evicted,
+   or a resident one at drain.  Called with [t.m] held, so an evicted
+   entry is on disk before the reply that evicted it: entries are two
+   small gcell maps, the write is one buffered temp file + rename, and
+   the store scans its directory only once per cap/16 puts. *)
+let spill_put t (key, value) =
+  match t.spill with
+  | None -> ()
+  | Some sp ->
+      if Store.put sp key value then begin
+        t.stats.n_spill_writes <- t.stats.n_spill_writes + 1;
+        Obs.incr c_spill_write
+      end
+
 let now () = Unix.gettimeofday ()
 
 let deadline_of arrival = function
@@ -267,7 +281,7 @@ let run_batch t batch =
         Array.iteri
           (fun i p ->
             let cb, ct = results.(i) in
-            Lru.put t.cache p.key (cb, ct);
+            Option.iter (spill_put t) (Lru.put t.cache p.key (cb, ct));
             t.stats.n_cache_misses <-
               t.stats.n_cache_misses + List.length (Hashtbl.find by_key p.key);
             List.iter
@@ -504,7 +518,7 @@ let handle_predict t payload timeout_ms =
   match Option.bind t.spill (fun sp -> Store.find sp key) with
   | Some (cb, ct) ->
       locked t (fun () ->
-          Lru.put t.cache key (cb, ct);
+          Option.iter (spill_put t) (Lru.put t.cache key (cb, ct));
           t.stats.n_cache_hits <- t.stats.n_cache_hits + 1;
           t.stats.n_spill_hits <- t.stats.n_spill_hits + 1);
       Obs.incr c_cache_hit;
@@ -724,13 +738,6 @@ let open_spill dir : (T.t * T.t) Store.t =
   Store.create ~magic:"DCO3D-SPILL-V1" ~suffix:".spill" ~counters:"serve/spill"
     dir
 
-(* Persist one cache entry to the spill.  Called with [t.m] held. *)
-let spill_put t sp key value =
-  if Store.put sp key value then begin
-    t.stats.n_spill_writes <- t.stats.n_spill_writes + 1;
-    Obs.incr c_spill_write
-  end
-
 let make ~listen ~bound cfg predictor =
   ignore_sigpipe ();
   if cfg.queue_capacity < 1 then invalid_arg "Server.start: queue_capacity < 1";
@@ -799,13 +806,6 @@ let make ~listen ~bound cfg predictor =
       handler_threads = [];
     }
   in
-  (* Eviction-to-disk hook: fires inside [Lru.put] while [t.m] is held,
-     which is fine — entries are two small gcell maps, the write is one
-     buffered temp file + rename, and the store scans its directory
-     only once per cap/16 puts. *)
-  Option.iter
-    (fun sp -> Lru.set_on_evict t.cache (fun key value -> spill_put t sp key value))
-    spill;
   Option.iter
     (fun listen_fd ->
       t.accept_thread <- Some (Thread.create (fun () -> accept_loop t listen_fd) ()))
@@ -859,9 +859,8 @@ let wait t =
   List.iter Thread.join t.job_threads;
   (* Flush the surviving hot set so a successor process starts warm —
      eviction only spilled the overflow; this writes what's resident. *)
-  Option.iter
-    (fun sp -> locked t (fun () -> Lru.iter t.cache (spill_put t sp)))
-    t.spill;
+  if Option.is_some t.spill then
+    locked t (fun () -> Lru.iter t.cache (fun key v -> spill_put t (key, v)));
   Option.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) t.listen;
   (try Unix.close t.stop_rd with Unix.Unix_error _ -> ());
   (try Unix.close t.stop_wr with Unix.Unix_error _ -> ());

@@ -1,4 +1,4 @@
-(* dco3d.serve fleet: LRU eviction hooks, the spill's on-disk layout,
+(* dco3d.serve fleet: LRU evictions, the spill's on-disk layout,
    warm restarts from spill, self-pipe stop latency, and process-level
    balancer failure paths (shard crash mid-stream, drain-while-serving,
    fingerprint routing) against real [dco3d serve --shard-of]
@@ -48,34 +48,31 @@ let check_bits what expected got =
     expected.T.data
 
 (* ------------------------------------------------------------------ *)
-(* LRU eviction hook                                                   *)
+(* LRU evictions                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let test_lru_on_evict_capacity_only () =
-  let evicted = ref [] in
+let test_lru_put_returns_eviction () =
+  let evicted = Alcotest.(option (pair string int)) in
   let c = Lru.create ~capacity:2 in
-  Lru.set_on_evict c (fun k v -> evicted := (k, v) :: !evicted);
-  Lru.put c "a" 1;
-  Lru.put c "b" 2;
-  Alcotest.(check (list (pair string int))) "nothing evicted yet" [] !evicted;
+  Alcotest.(check evicted) "room for a" None (Lru.put c "a" 1);
+  Alcotest.(check evicted) "room for b" None (Lru.put c "b" 2);
   (* replacing a resident key is not an eviction *)
-  Lru.put c "a" 10;
-  Alcotest.(check (list (pair string int))) "replace is not evict" [] !evicted;
-  Lru.put c "c" 3;
-  Alcotest.(check (list (pair string int)))
-    "capacity eviction fires with the evicted value"
-    [ ("b", 2) ] !evicted;
-  (* clear drops entries without spilling them: they were not pushed
+  Alcotest.(check evicted) "replace is not evict" None (Lru.put c "a" 10);
+  Alcotest.(check evicted) "capacity eviction returns the evicted entry"
+    (Some ("b", 2))
+    (Lru.put c "c" 3);
+  (* clear drops entries without returning them: they were not pushed
      out by hotter traffic, the cache was torn down *)
   Lru.clear c;
-  Alcotest.(check (list (pair string int))) "clear is silent" [ ("b", 2) ]
-    !evicted
+  Alcotest.(check evicted) "room again after clear" None (Lru.put c "d" 4);
+  Alcotest.(check evicted) "a disabled cache evicts nothing" None
+    (Lru.put (Lru.create ~capacity:0) "a" 1)
 
 let test_lru_iter_order () =
   let c = Lru.create ~capacity:4 in
-  Lru.put c "a" 1;
-  Lru.put c "b" 2;
-  Lru.put c "c" 3;
+  ignore (Lru.put c "a" 1);
+  ignore (Lru.put c "b" 2);
+  ignore (Lru.put c "c" 3);
   (* promote "a" so the MRU->LRU order is a, c, b *)
   ignore (Lru.find c "a");
   let seen = ref [] in
@@ -85,8 +82,8 @@ let test_lru_iter_order () =
     [ ("a", 1); ("c", 3); ("b", 2) ]
     (List.rev !seen);
   (* iter must not promote: "b" is still the eviction candidate *)
-  Lru.put c "d" 4;
-  Lru.put c "e" 5;
+  ignore (Lru.put c "d" 4);
+  ignore (Lru.put c "e" 5);
   Alcotest.(check bool) "b evicted first" false (Lru.mem c "b")
 
 (* ------------------------------------------------------------------ *)
@@ -273,6 +270,65 @@ let test_server_spill_warm_restart () =
         inputs;
       Alcotest.(check bool) "hits came from spill" true
         (stat srv2 "spill_hits" >= 3.))
+
+(* Every entry the cache evicts is written to the spill exactly once,
+   before the reply that evicted it; the drain writes the resident
+   rest; a restarted server reads every one of them back. *)
+let test_server_spill_every_eviction_once () =
+  let predictor = mk_predictor 17 in
+  let spill_dir = tmp_name ".spill" in
+  Fun.protect ~finally:(fun () -> rm_rf spill_dir) @@ fun () ->
+  let rng = Rng.create 37 in
+  let n = 6 in
+  let inputs =
+    Array.init n (fun _ -> (rand_stack rng 8 8, rand_stack rng 8 8))
+  in
+  let expected =
+    Array.map (fun (b, t) -> Predictor.predict predictor b t) inputs
+  in
+  (* capacity 2, n distinct keys sent one at a time: the first n - 2
+     are evicted, once each *)
+  let srv = Server.start (server_cfg ~cache_capacity:2 ~spill_dir ()) predictor in
+  let c = Client.connect (Server.bound_addr srv) in
+  Array.iteri
+    (fun i (b, t) ->
+      let _, _, hit = predict_ok (Printf.sprintf "first life %d" i) c b t in
+      Alcotest.(check bool) (Printf.sprintf "first life %d misses" i) false hit)
+    inputs;
+  Client.close c;
+  Alcotest.(check (float 0.)) "each eviction written once"
+    (float_of_int (n - 2))
+    (stat srv "spill_writes");
+  Server.stop srv;
+  Alcotest.(check (float 0.)) "drain writes the two resident entries"
+    (float_of_int n) (stat srv "spill_writes");
+  let spilled =
+    Sys.readdir spill_dir |> Array.to_list
+    |> List.filter (fun e -> Filename.check_suffix e ".spill")
+  in
+  Alcotest.(check int) "one file per key" n (List.length spilled);
+  (* second life, with room for every key: each one is a spill hit *)
+  let srv2 =
+    Server.start (server_cfg ~cache_capacity:n ~spill_dir ()) predictor
+  in
+  let c2 = Client.connect (Server.bound_addr srv2) in
+  Fun.protect
+    ~finally:(fun () ->
+      Client.close c2;
+      Server.stop srv2)
+    (fun () ->
+      Array.iteri
+        (fun i (b, t) ->
+          let rb, rt, hit = predict_ok (Printf.sprintf "reload %d" i) c2 b t in
+          Alcotest.(check bool) (Printf.sprintf "reload %d hits" i) true hit;
+          let eb, et = expected.(i) in
+          check_bits (Printf.sprintf "reload %d bottom" i) eb rb;
+          check_bits (Printf.sprintf "reload %d top" i) et rt)
+        inputs;
+      Alcotest.(check (float 0.)) "every key read back from the spill"
+        (float_of_int n) (stat srv2 "spill_hits");
+      Alcotest.(check (float 0.)) "reading back evicts nothing" 0.
+        (stat srv2 "spill_writes"))
 
 (* An entry written in the spill's on-disk layout by an older daemon —
    "DCO3D-SPILL-V1" | MD5(body) | Marshal (key, (c_bottom, c_top)) under
@@ -592,8 +648,8 @@ let suites =
   [
     ( "balance lru hooks",
       [
-        Alcotest.test_case "on_evict fires on capacity only" `Quick
-          test_lru_on_evict_capacity_only;
+        Alcotest.test_case "put returns its eviction" `Quick
+          test_lru_put_returns_eviction;
         Alcotest.test_case "iter order, no promotion" `Quick
           test_lru_iter_order;
       ] );
@@ -606,6 +662,8 @@ let suites =
           test_spill_rejects_wrong_key;
         Alcotest.test_case "server warm restart from spill" `Quick
           test_server_spill_warm_restart;
+        Alcotest.test_case "every eviction spilled once" `Quick
+          test_server_spill_every_eviction_once;
         Alcotest.test_case "corrupt spill recomputes" `Quick
           test_server_spill_corrupt_recompute;
         Alcotest.test_case "planted entry in the old layout is served" `Quick

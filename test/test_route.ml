@@ -225,13 +225,26 @@ let with_jobs n f =
   Fun.protect ~finally:(fun () -> Dco3d_parallel.Pool.set_jobs 1) f
 
 (* [~validate:true] makes the router itself check that demand equals
-   the per-edge sum over committed paths and that the incidence index
-   agrees — run it under both a sequential and a true multi-domain
+   the per-edge sum over committed paths, that the incidence index
+   agrees and that every cached edge cost equals its recomputation bit
+   for bit — run it under both a sequential and a true multi-domain
    schedule *)
 let test_demand_conservation () =
   let p = placed "DMA" in
   ignore (R.route ~validate:true p);
-  with_jobs 4 (fun () -> ignore (R.route ~validate:true p))
+  with_jobs 4 (fun () -> ignore (R.route ~validate:true p));
+  (* the pinned-digest case overflows, so rip-up and re-commit run, on
+     the cold route and on a warm start from it *)
+  let p = placed ~scale:0.05 "DMA" in
+  let cfg = R.calibrated_config p in
+  let q = Placer.perturb ~seed:3 ~fraction:0.05 p in
+  let cold_and_warm () =
+    let cold = R.route ~validate:true ~config:cfg p in
+    Alcotest.(check bool) "cold route rips up" true (cold.R.iterations_run > 1);
+    ignore (R.route ~validate:true ~config:cfg ~warm_start:(cold, p) q)
+  in
+  cold_and_warm ();
+  with_jobs 4 cold_and_warm
 
 (* the whole point of the wave construction: routing results are
    bit-identical at any job count *)
@@ -341,17 +354,36 @@ let test_warm_mismatch_raises () =
 (* Router output pinned to values recorded before the A* loop and the
    heap were rewritten for speed: [R.digest] (overflow, lengths, maps)
    and the committed edge paths of every net, for a cold route and a
-   warm start from it.  DMA at scale 0.05 overflows under its
-   calibrated config, so repair waves and A* run. *)
+   warm start from it, plus the work each did (A* pops, ripped nets),
+   so a change of pop order fails even where the digests coincide.
+   DMA at scale 0.05 overflows under its calibrated config, so repair
+   waves and A* run. *)
 let test_pinned_route_digests () =
+  let module Obs = Dco3d_obs.Obs in
   let p = placed ~scale:0.05 "DMA" in
   let cfg = R.calibrated_config p in
   let edges_md5 (r : R.result) =
     Digest.to_hex (Digest.string (Marshal.to_string r.R.net_edges []))
   in
-  let cold = R.route ~config:cfg p in
+  (* counter deltas, with recording on for the call only *)
+  let counted f =
+    let was_enabled = Obs.enabled () in
+    Obs.enable ();
+    Fun.protect
+      ~finally:(fun () -> if not was_enabled then Obs.disable ())
+      (fun () ->
+        let pops0 = Obs.counter_value "route/astar_pops"
+        and ripped0 = Obs.counter_value "route/ripped_nets" in
+        let r = f () in
+        ( r,
+          Obs.counter_value "route/astar_pops" - pops0,
+          Obs.counter_value "route/ripped_nets" - ripped0 ))
+  in
+  let cold, cold_pops, cold_ripped = counted (fun () -> R.route ~config:cfg p) in
   let q = Placer.perturb ~seed:3 ~fraction:0.05 p in
-  let warm = R.route ~config:cfg ~warm_start:(cold, p) q in
+  let warm, warm_pops, warm_ripped =
+    counted (fun () -> R.route ~config:cfg ~warm_start:(cold, p) q)
+  in
   Alcotest.(check bool) "cold route overflows (A* repair ran)" true
     (cold.R.overflow_total > 0);
   Alcotest.(check string) "cold digest" "2eb2e356353e67c28fc2160e7d7cb6cc"
@@ -361,7 +393,11 @@ let test_pinned_route_digests () =
   Alcotest.(check string) "warm digest" "646d1b1376d75bb2265a3f34348009cc"
     (R.digest warm);
   Alcotest.(check string) "warm paths" "62f5457f6ff4cc5bd6951eb1f31899ed"
-    (edges_md5 warm)
+    (edges_md5 warm);
+  Alcotest.(check int) "cold A* pops" 145670 cold_pops;
+  Alcotest.(check int) "cold ripped nets" 873 cold_ripped;
+  Alcotest.(check int) "warm A* pops" 34336 warm_pops;
+  Alcotest.(check int) "warm ripped nets" 149 warm_ripped
 
 let suites =
   [
