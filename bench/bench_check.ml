@@ -30,12 +30,14 @@
                          Floors are gated with the same noise
                          tolerance: speedup < floor * (1 - tol) fails.
      5. work-count drift - a row's work count ("astar_pops" on the
-                         route rows: A* pops per route) differs from
-                         the committed one, or the committed row has
-                         one and the fresh row does not.  Counts are a
-                         function of the inputs alone, the same on
-                         every host and at every DCO3D_JOBS, so any
-                         difference means the search changed.
+                         route rows: A* pops per route; "tiles" on
+                         soft_maps: RUDY tiles visited per forward and
+                         backward) differs from the committed one, or
+                         the committed row has one and the fresh row
+                         does not.  Counts are a function of the
+                         inputs alone, the same on every host and at
+                         every DCO3D_JOBS, so any difference means the
+                         kernel's work changed.
 
    Usage: dune exec bench/bench_check.exe [fresh.json [baseline.json]]
    With no arguments the fresh file is ./BENCH_kernels.json and the
@@ -57,8 +59,11 @@ type row = {
   par_ms : float;
   speedup : float;
   digest : string;
-  astar_pops : int option;
+  counts : (string * int) list;  (** work counts, by key *)
 }
+
+(* the work-count keys a row may carry *)
+let work_keys = [ "astar_pops"; "tiles" ]
 
 (* ------------------------------------------------------------------ *)
 (* Minimal parser for the flat one-object-per-line format bench/main.ml
@@ -115,8 +120,12 @@ let row_of_line line =
           par_ms = num "par_ms";
           speedup = num "speedup";
           digest = Option.value ~default:"" (find_field line "digest");
-          astar_pops =
-            Option.bind (find_field line "astar_pops") int_of_string_opt;
+          counts =
+            List.filter_map
+              (fun key ->
+                Option.bind (find_field line key) int_of_string_opt
+                |> Option.map (fun n -> (key, n)))
+              work_keys;
         }
 
 let rows_of_string text =
@@ -238,14 +247,19 @@ let () =
             r.op r.digest b.digest;
           verdicts := "digest-drift" :: !verdicts
       | _ -> ());
-      (match (b, r.astar_pops) with
-      | Some { astar_pops = Some base_pops; _ }, fresh_pops
-        when fresh_pops <> Some base_pops ->
-          fail "%s: A* pops %s, committed %d (the search changed)" r.op
-            (Option.fold ~none:"missing" ~some:string_of_int fresh_pops)
-            base_pops;
-          verdicts := "count-drift" :: !verdicts
-      | _ -> ());
+      Option.iter
+        (fun b ->
+          List.iter
+            (fun (key, base_n) ->
+              let fresh_n = List.assoc_opt key r.counts in
+              if fresh_n <> Some base_n then begin
+                fail "%s: %s %s, committed %d (the work changed)" r.op key
+                  (Option.fold ~none:"missing" ~some:string_of_int fresh_n)
+                  base_n;
+                verdicts := "count-drift" :: !verdicts
+              end)
+            b.counts)
+        b;
       (match b with
       | Some b when r.par_ms > b.par_ms *. (1. +. regress) ->
           fail "%s: par %.2f ms is %+.0f%% vs committed %.2f ms" r.op r.par_ms

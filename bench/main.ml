@@ -583,10 +583,18 @@ type kernel_row = {
   k_par_ms : float;
   k_digest : string;
   k_ok : bool;
-  k_pops : int option;
-      (** A* pops per call (route rows): a work count that is the same
-          on every host, which bench_check compares for equality *)
+  k_work : (string * int) option;
+      (** a work count per call and its JSON key ("astar_pops" on the
+          route rows, "tiles" on soft_maps): the same on every host and
+          at every DCO3D_JOBS, so bench_check compares it for equality *)
 }
+
+(* [time_best] that also reports how far the Obs counter [counter]
+   moves per call: the rows it is used on do the same work every rep. *)
+let time_counted counter reps f =
+  let c0 = Obs.counter_value counter in
+  let t, r = time_best reps f in
+  (t, r, (Obs.counter_value counter - c0) / max 1 reps)
 
 let kernels () =
   section "Kernel microbenchmarks (sequential vs parallel)";
@@ -628,22 +636,27 @@ let kernels () =
   let conv_flops co ci kh kw oh ow =
     2. *. float_of_int (co * ci * kh * kw * oh * ow)
   in
+  (* (name, size, flops, reps, work, run): [work] is the JSON key and
+     Obs counter of the row's work count, when it has one *)
   let cases =
     [
       ( "matmul",
         "256x256x256",
         Some (2. *. (256. ** 3.)),
         3,
+        None,
         fun () -> [ T.matmul ma mb ] );
       ( "conv2d",
         "8x64x64 -> 16x64x64, 3x3",
         Some (conv_flops 16 8 3 3 64 64),
         3,
+        None,
         fun () -> [ sample (T.conv2d ~pad:1 img ~weight:w ~bias:None) ] );
       ( "conv2d_backward_input",
         "16x64x64 -> 8x64x64, 3x3",
         Some (conv_flops 16 8 3 3 64 64),
         3,
+        None,
         fun () ->
           [
             sample
@@ -654,6 +667,7 @@ let kernels () =
         "16x8x3x3 over 64x64",
         Some (conv_flops 16 8 3 3 64 64),
         3,
+        None,
         fun () ->
           [
             T.conv2d_backward_weight ~pad:1 ~input:img
@@ -663,17 +677,20 @@ let kernels () =
         "8x32x32 -> 8x64x64, 4x4 s2",
         Some (conv_flops 8 8 4 4 32 32),
         3,
+        None,
         fun () ->
           [ sample (T.conv2d_transpose ~stride:2 ~pad:1 timg ~weight:tw ~bias:None) ] );
       ( "unet_conv2d",
         "8x32x32 -> 8x32x32, 3x3",
         Some (conv_flops 8 8 3 3 32 32),
         9,
+        None,
         fun () -> [ sample (T.conv2d ~pad:1 uimg ~weight:uw ~bias:None) ] );
       ( "unet_backward_input",
         "8x32x32 -> 8x32x32, 3x3",
         Some (conv_flops 8 8 3 3 32 32),
         9,
+        None,
         fun () ->
           [
             sample
@@ -684,6 +701,7 @@ let kernels () =
         "8x8x3x3 over 32x32",
         Some (conv_flops 8 8 3 3 32 32),
         9,
+        None,
         fun () ->
           [
             T.conv2d_backward_weight ~pad:1 ~input:uimg
@@ -693,12 +711,14 @@ let kernels () =
         "8x16x16 -> 8x32x32, 2x2 s2",
         Some (conv_flops 8 8 2 2 16 16),
         9,
+        None,
         fun () ->
           [ sample (T.conv2d_transpose ~stride:2 upimg ~weight:upw ~bias:None) ] );
       ( "rudy_map",
         Printf.sprintf "%s, 64x64 gcells" e.name,
         None,
         3,
+        None,
         fun () ->
           [
             Dco3d_congestion.Rudy.rudy_map p ~tier:0
@@ -708,6 +728,7 @@ let kernels () =
         Printf.sprintf "%s, 2x%dx%d gcells, fwd+bwd" e.name sm_ny sm_nx,
         None,
         7,
+        Some ("tiles", "soft_maps/tiles"),
         fun () ->
           (* Eq.-6 soft maps of both dies and the x/y/z gradients of a
              fixed random cotangent through their custom backward *)
@@ -728,6 +749,7 @@ let kernels () =
         Printf.sprintf "%s, 2x48x48 gcells" e.name,
         None,
         3,
+        None,
         fun () ->
           let r = Thermal.solve_placement ~nx:48 ~ny:48 p in
           [ r.Thermal.grid ] );
@@ -735,6 +757,7 @@ let kernels () =
         "dma + ecg-local + vga-macro @ 0.05",
         None,
         3,
+        None,
         fun () ->
           (* digest the generated netlists themselves: the tensor packs
              each corpus point's content digest with its cell/net
@@ -760,6 +783,7 @@ let kernels () =
         Printf.sprintf "%s, 4 layouts" e.name,
         None,
         3,
+        None,
         fun () ->
           let d =
             Dataset.build ~n_samples:4 ~seed:11 ~route_cfg:e.ctx.Flow.route_cfg
@@ -786,12 +810,18 @@ let kernels () =
     "par ms" "speedup" "GFLOP/s" "digest match";
   let rows =
     List.map
-      (fun (name, size, flops, reps, run) ->
+      (fun (name, size, flops, reps, work, run) ->
         (* DCO3D_BENCH_REPS raises every case's repetition floor; more
            best-of-N samples tighten the seq/par ratio on noisy hosts *)
         let reps = max reps (env_int "DCO3D_BENCH_REPS" reps) in
         Pool.set_jobs 1;
-        let seq_t, seq_r = time_best reps run in
+        let seq_t, seq_r, count =
+          match work with
+          | Some (_, counter) -> time_counted counter reps run
+          | None ->
+              let t, r = time_best reps run in
+              (t, r, 0)
+        in
         Pool.set_jobs target_jobs;
         let par_t, par_r = time_best reps run in
         (* With the hardware clamp at one effective job, both legs run
@@ -823,7 +853,7 @@ let kernels () =
           k_par_ms = par_t *. 1e3;
           k_digest = dseq;
           k_ok = ok;
-          k_pops = None;
+          k_work = Option.map (fun (key, _) -> (key, count)) work;
         })
       cases
   in
@@ -838,13 +868,6 @@ let kernels () =
 (* ------------------------------------------------------------------ *)
 (* Route benchmark: sequential vs parallel repair waves                 *)
 (* ------------------------------------------------------------------ *)
-
-(* [time_best] that also reports the A* pops of one call: routes are
-   deterministic, so every rep pops the same count. *)
-let time_pops reps f =
-  let pops0 = Obs.counter_value "route/astar_pops" in
-  let t, r = time_best reps f in
-  (t, r, (Obs.counter_value "route/astar_pops" - pops0) / max 1 reps)
 
 let print_pops pops t =
   Printf.printf "    A* pops %d per route, %.1f ns of route time per pop\n"
@@ -869,7 +892,7 @@ let route_bench () =
   let reps = max 3 (env_int "DCO3D_BENCH_REPS" 3) in
   let run () = Router.route ~config:cfg p in
   Pool.set_jobs 1;
-  let seq_t, seq_r, pops = time_pops reps run in
+  let seq_t, seq_r, pops = time_counted "route/astar_pops" reps run in
   Pool.set_jobs target_jobs;
   let par_t, par_r = time_best reps run in
   (* same honest-reporting rule as the kernels: one effective job means
@@ -914,7 +937,8 @@ let route_bench () =
     time_best reps (fun () -> Router.route ~config:cfg perturbed)
   in
   let warm_t, warm_r, warm_pops =
-    time_pops reps (fun () -> Router.route ~config:cfg ~warm_start:(seq_r, p) perturbed)
+    time_counted "route/astar_pops" reps (fun () ->
+        Router.route ~config:cfg ~warm_start:(seq_r, p) perturbed)
   in
   let dwseq = Router.digest warm_seq_r and dwpar = Router.digest warm_r in
   let warm_jobs_ok = String.equal dwseq dwpar in
@@ -955,7 +979,7 @@ let route_bench () =
       k_par_ms = par_t *. 1e3;
       k_digest = dseq;
       k_ok = ok;
-      k_pops = Some pops;
+      k_work = Some ("astar_pops", pops);
     };
     {
       k_name = "route_warm";
@@ -968,7 +992,7 @@ let route_bench () =
       k_par_ms = warm_t *. 1e3;
       k_digest = dwpar;
       k_ok = warm_ok;
-      k_pops = Some warm_pops;
+      k_work = Some ("astar_pops", warm_pops);
     };
   ]
 
@@ -1039,7 +1063,7 @@ let predict_bench () =
       k_par_ms = par_t *. 1e3;
       k_digest = d_seq;
       k_ok = ok;
-      k_pops = None;
+      k_work = None;
     };
   ]
 
@@ -1196,7 +1220,7 @@ let serve_bench () =
         k_par_ms = tn *. 1e3;
         k_digest = d1;
         k_ok = ok;
-        k_pops = None;
+        k_work = None;
       };
     ]
   end
@@ -1228,8 +1252,8 @@ let write_bench_files rows =
         | Some f -> Printf.sprintf "%.4f" (f /. (k.k_par_ms /. 1e3) /. 1e9)
         | None -> "null")
         k.k_digest
-        (match k.k_pops with
-        | Some n -> Printf.sprintf ", \"astar_pops\": %d" n
+        (match k.k_work with
+        | Some (key, n) -> Printf.sprintf ", %S: %d" key n
         | None -> "")
         (if i = List.length rows - 1 then "" else ","))
     rows;

@@ -3,6 +3,7 @@ module V = Dco3d_autodiff.Value
 module Nl = Dco3d_netlist.Netlist
 module Pl = Dco3d_place.Placement
 module Fp = Dco3d_place.Floorplan
+module Obs = Dco3d_obs.Obs
 
 (* channel layout inside the fused [16; ny; nx] tensor *)
 let ch_density = 0
@@ -16,6 +17,10 @@ let ch_thermal = 7
 let n_ch = 8
 
 let min_span = 0.10
+
+(* RUDY tiles visited (ox > 0 and oy > 0), forward and backward: a
+   function of the placement alone, flushed once per pass *)
+let c_tiles = Obs.counter "soft_maps/tiles"
 
 let hard_assignment z =
   Array.init (T.numel z) (fun c -> if T.get_flat z c >= 0.5 then 1 else 0)
@@ -51,21 +56,40 @@ let leave_one_out a =
   done;
   (prefix.(k), Array.init k (fun i -> prefix.(i) *. suffix.(i + 1)))
 
+(* [a.(i) <- a.(i) +. v] without a bounds check, for the tile loops,
+   whose indices come from grid coordinates clamped into the map *)
+let[@inline] add_at a i v = Array.unsafe_set a i (Array.unsafe_get a i +. v)
+
 (* [v] clamped into [0, hi) *)
 let[@inline] clamp_below hi v = Float.max 0. (Float.min (hi -. 1e-9) v)
 
+(* Fill [ox_col.(gx)], gx0 <= gx <= gx1, with the overlap of the RUDY
+   span [x0, x1] and column gx (width [bw]); return how many are
+   positive.  The forward and the backward both call it, so their
+   tiles carry the same bits.  Inlined, so its floats stay unboxed. *)
+let[@inline] fill_ox_col ox_col ~bw ~x0 ~x1 ~gx0 ~gx1 =
+  let cols = ref 0 in
+  for gx = gx0 to gx1 do
+    let tx0 = float_of_int gx *. bw and tx1 = float_of_int (gx + 1) *. bw in
+    let ox = Float.min x1 tx1 -. Float.max x0 tx0 in
+    if ox > 0. then incr cols;
+    Array.unsafe_set ox_col gx ox
+  done;
+  !cols
+
 (* Eq. 6: the gradient of one coordinate of the net's extreme pin
-   [darg] — for each die d: kind_d * (dW * sum_s_d + W * dS_d), plus
-   the 3D channel with 0.5 * p3d — added into [garr] when that pin is a
-   movable cell. *)
-let[@inline] edge_grad nl nc garr ~p3d ~sum_s ~darg ~dwd ~dsd sign =
+   [darg] — for each die d: kind_d * (dW * sum_d + W * dS_d), plus the
+   3D channel with 0.5 * p3d — added into [garr] when that pin is a
+   movable cell.  The tile sums [sum*] and the edge sums [d*] are
+   given per die 0, die 1 and 3D. *)
+let[@inline] edge_grad nl nc garr ~p3d ~sum0 ~sum1 ~sum3 ~darg ~dwd ~d0 ~d1 ~d3 sign =
   match nc.pins.(darg) with
   | Nl.Cell c when not (Nl.is_macro nl c) ->
       let acc =
         0.
-        +. (nc.p_bot *. ((sign *. dwd *. sum_s.(0)) +. (nc.weight *. dsd.(0))))
-        +. (nc.p_top *. ((sign *. dwd *. sum_s.(1)) +. (nc.weight *. dsd.(1))))
-        +. (0.5 *. p3d *. ((sign *. dwd *. sum_s.(2)) +. (nc.weight *. dsd.(2))))
+        +. (nc.p_bot *. ((sign *. dwd *. sum0) +. (nc.weight *. d0)))
+        +. (nc.p_top *. ((sign *. dwd *. sum1) +. (nc.weight *. d1)))
+        +. (0.5 *. p3d *. ((sign *. dwd *. sum3) +. (nc.weight *. d3)))
       in
       garr.(c) <- garr.(c) +. acc
   | Nl.Cell _ | Nl.Io _ -> ()
@@ -77,6 +101,7 @@ let build ?thermal ~placement ~x ~y ~z ~nx ~ny () =
   let n = Nl.n_cells nl in
   if V.numel x <> n || V.numel y <> n || V.numel z <> n then
     invalid_arg "Soft_maps.build: coordinate vectors must have n_cells entries";
+  if nx < 1 || ny < 1 then invalid_arg "Soft_maps.build: nx and ny must be positive";
   let die_w = fp.Fp.width and die_h = fp.Fp.height in
   let bw = die_w /. float_of_int nx and bh = die_h /. float_of_int ny in
   let bin_area = bw *. bh in
@@ -87,7 +112,8 @@ let build ?thermal ~placement ~x ~y ~z ~nx ~ny () =
   (* The tile and tent loops below are written out in full, in the
      forward and the backward alike, and read and write plain float
      arrays: a helper taking or returning floats would box them at
-     every visit on a non-flambda build. *)
+     every visit on a non-flambda build.  The one exception,
+     [fill_ox_col], is inlined and returns an int. *)
   let out = Array.make (2 * n_ch * ny * nx) 0. in
   let plane die ch = ((die * n_ch) + ch) * ny * nx in
   let cl_x i = Int.max 0 (Int.min (nx - 1) i) in
@@ -198,12 +224,17 @@ let build ?thermal ~placement ~x ~y ~z ~nx ~ny () =
 
   (* RUDY tiles of a net: the bbox (x0, y0, x1, y1) widened to at least
      min_span, cut into its overlaps (ox, oy) with the GCells it
-     touches; each tile carries s = ox * oy / bin_area. *)
+     touches; each tile carries s = ox * oy / bin_area.  The column
+     overlaps ox are computed once per net into [ox_col] (gx0..gx1),
+     the row overlap oy once per row, so a tile only reads them.
+     [tiles] counts the tiles with ox > 0 and oy > 0. *)
   let d_r2d0 = plane 0 ch_rudy2d and d_r2d1 = plane 1 ch_rudy2d in
   let d_r3d0 = plane 0 ch_rudy3d and d_r3d1 = plane 1 ch_rudy3d in
   let d_pr2d0 = plane 0 ch_pinrudy2d and d_pr2d1 = plane 1 ch_pinrudy2d in
   let d_pr3d0 = plane 0 ch_pinrudy3d and d_pr3d1 = plane 1 ch_pinrudy3d in
   let d_pins0 = plane 0 ch_pins and d_pins1 = plane 1 ch_pins in
+  let ox_col = Array.make nx 0. in
+  let tiles = ref 0 in
   Array.iter
     (fun nc ->
       let p3d = Float.max 0. (1. -. nc.p_top -. nc.p_bot) in
@@ -214,23 +245,26 @@ let build ?thermal ~placement ~x ~y ~z ~nx ~ny () =
       let x1 = Float.max x1 (x0 +. min_span) and y1 = Float.max y1 (y0 +. min_span) in
       let gx0 = cl_x (int_of_float (x0 /. bw)) and gx1 = cl_x (int_of_float (x1 /. bw)) in
       let gy0 = cl_y (int_of_float (y0 /. bh)) and gy1 = cl_y (int_of_float (y1 /. bh)) in
+      let cols = fill_ox_col ox_col ~bw ~x0 ~x1 ~gx0 ~gx1 in
       for gy = gy0 to gy1 do
         let ty0 = float_of_int gy *. bh and ty1 = float_of_int (gy + 1) *. bh in
         let oy = Float.min y1 ty1 -. Float.max y0 ty0 in
-        if oy > 0. then
+        if oy > 0. then begin
+          tiles := !tiles + cols;
+          let row = gy * nx in
           for gx = gx0 to gx1 do
-            let tx0 = float_of_int gx *. bw and tx1 = float_of_int (gx + 1) *. bw in
-            let ox = Float.min x1 tx1 -. Float.max x0 tx0 in
+            let ox = Array.unsafe_get ox_col gx in
             if ox > 0. then begin
               let s = ox *. oy /. bin_area in
-              let k = (gy * nx) + gx in
-              out.(d_r2d0 + k) <- out.(d_r2d0 + k) +. (w2_0 *. s);
-              out.(d_r2d1 + k) <- out.(d_r2d1 + k) +. (w2_1 *. s);
+              let k = row + gx in
+              add_at out (d_r2d0 + k) (w2_0 *. s);
+              add_at out (d_r2d1 + k) (w2_1 *. s);
               let v3 = w3 *. s in
-              out.(d_r3d0 + k) <- out.(d_r3d0 + k) +. v3;
-              out.(d_r3d1 + k) <- out.(d_r3d1 + k) +. v3
+              add_at out (d_r3d0 + k) v3;
+              add_at out (d_r3d1 + k) v3
             end
           done
+        end
       done;
       (* PinRUDY channels and pin density (unit weight): tent splat at
          each pin *)
@@ -257,6 +291,7 @@ let build ?thermal ~placement ~x ~y ~z ~nx ~ny () =
         done
       done)
     caches;
+  Obs.incr ~by:!tiles c_tiles;
 
   (* ---------- thermal plane: a frozen field ---------- *)
   (* The solved temperature-rise map enters the stack as a constant:
@@ -280,7 +315,10 @@ let build ?thermal ~placement ~x ~y ~z ~nx ~ny () =
   (* custom backward                                                     *)
   (* ------------------------------------------------------------------ *)
   let backward (g : T.t) =
+    Obs.with_span "soft_maps_bwd" @@ fun () ->
     let g = g.T.data in
+    if Array.length g <> 2 * n_ch * ny * nx then
+      invalid_arg "Soft_maps.build: cotangent shape differs from the maps";
     let gxa = Array.make n 0. and gya = Array.make n 0. and gza = Array.make n 0. in
     (* --- cell density --- *)
     for c = 0 to n - 1 do
@@ -310,68 +348,85 @@ let build ?thermal ~placement ~x ~y ~z ~nx ~ny () =
       end
     done;
     (* --- per-net channels --- *)
-    (* Tile sums of one net, as [| die 0; die 1; 3D |]:
+    (* Tile sums of one net, per die 0, die 1 and 3D (suffixes 0, 1, 3):
        sum_s = sum of S * g[d][rudy2d], and S * (g0 + g1)[rudy3d] for
        the 3D entry; dxl, dxh, dyl, dyh = the same sums of dS/d(edge)
-       over the tiles cut by each bbox edge. *)
+       over the tiles cut by each bbox edge.  Each is one local float,
+       added into in tile order (gy, then gx). *)
+    let ox_col = Array.make nx 0. in
+    let xh_col = Array.make nx false and xl_col = Array.make nx false in
+    let tiles = ref 0 in
     Array.iter
       (fun nc ->
         let x0, y0, x1, y1 = nc.bbox in
         let w = Float.max min_span (x1 -. x0) in
         let h = Float.max min_span (y1 -. y0) in
         let p3d = Float.max 0. (1. -. nc.p_top -. nc.p_bot) in
-        let sum_s = Array.make 3 0. in
-        let dxl = Array.make 3 0. and dxh = Array.make 3 0. in
-        let dyl = Array.make 3 0. and dyh = Array.make 3 0. in
+        let sum0 = ref 0. and sum1 = ref 0. and sum3 = ref 0. in
+        let dxl0 = ref 0. and dxl1 = ref 0. and dxl3 = ref 0. in
+        let dxh0 = ref 0. and dxh1 = ref 0. and dxh3 = ref 0. in
+        let dyl0 = ref 0. and dyl1 = ref 0. and dyl3 = ref 0. in
+        let dyh0 = ref 0. and dyh1 = ref 0. and dyh3 = ref 0. in
         (* the tiles span the bbox widened to min_span (x1e, y1e); the
            edge tests use the bbox itself *)
         let x1e = Float.max x1 (x0 +. min_span) and y1e = Float.max y1 (y0 +. min_span) in
         let gx0 = cl_x (int_of_float (x0 /. bw)) and gx1 = cl_x (int_of_float (x1e /. bw)) in
         let gy0 = cl_y (int_of_float (y0 /. bh)) and gy1 = cl_y (int_of_float (y1e /. bh)) in
+        (* per column: the overlap ox, and whether the right edge x1 or
+           the left edge x0 lies inside the tile *)
+        let cols = fill_ox_col ox_col ~bw ~x0 ~x1:x1e ~gx0 ~gx1 in
+        for gx = gx0 to gx1 do
+          let tx0 = float_of_int gx *. bw and tx1 = float_of_int (gx + 1) *. bw in
+          Array.unsafe_set xh_col gx (x1 > tx0 && x1 <= tx1);
+          Array.unsafe_set xl_col gx (x0 >= tx0 && x0 < tx1)
+        done;
         for gy = gy0 to gy1 do
           let ty0 = float_of_int gy *. bh and ty1 = float_of_int (gy + 1) *. bh in
           let oy = Float.min y1e ty1 -. Float.max y0 ty0 in
-          if oy > 0. then
+          if oy > 0. then begin
+            tiles := !tiles + cols;
+            let yh = y1 > ty0 && y1 <= ty1 and yl = y0 >= ty0 && y0 < ty1 in
+            let row = gy * nx in
             for gx = gx0 to gx1 do
-              let tx0 = float_of_int gx *. bw and tx1 = float_of_int (gx + 1) *. bw in
-              let ox = Float.min x1e tx1 -. Float.max x0 tx0 in
+              let ox = Array.unsafe_get ox_col gx in
               if ox > 0. then begin
                 let s = ox *. oy /. bin_area in
-                let k = (gy * nx) + gx in
-                let g0 = g.(d_r2d0 + k) and g1 = g.(d_r2d1 + k) in
-                let g3 = g.(d_r3d0 + k) +. g.(d_r3d1 + k) in
-                sum_s.(0) <- sum_s.(0) +. (s *. g0);
-                sum_s.(1) <- sum_s.(1) +. (s *. g1);
-                sum_s.(2) <- sum_s.(2) +. (s *. g3);
+                let k = row + gx in
+                let g0 = Array.unsafe_get g (d_r2d0 + k) and g1 = Array.unsafe_get g (d_r2d1 + k) in
+                let g3 = Array.unsafe_get g (d_r3d0 + k) +. Array.unsafe_get g (d_r3d1 + k) in
+                sum0 := !sum0 +. (s *. g0);
+                sum1 := !sum1 +. (s *. g1);
+                sum3 := !sum3 +. (s *. g3);
                 (* dS/d(boundary): the tiles whose overlap is cut by the
                    moving edge *)
                 (* right edge x1 inside the tile: dox/dxh = 1 *)
-                if x1 > tx0 && x1 <= tx1 then begin
+                if Array.unsafe_get xh_col gx then begin
                   let d = oy /. bin_area in
-                  dxh.(0) <- dxh.(0) +. (d *. g0);
-                  dxh.(1) <- dxh.(1) +. (d *. g1);
-                  dxh.(2) <- dxh.(2) +. (d *. g3)
+                  dxh0 := !dxh0 +. (d *. g0);
+                  dxh1 := !dxh1 +. (d *. g1);
+                  dxh3 := !dxh3 +. (d *. g3)
                 end;
-                if x0 >= tx0 && x0 < tx1 then begin
+                if Array.unsafe_get xl_col gx then begin
                   let d = -.oy /. bin_area in
-                  dxl.(0) <- dxl.(0) +. (d *. g0);
-                  dxl.(1) <- dxl.(1) +. (d *. g1);
-                  dxl.(2) <- dxl.(2) +. (d *. g3)
+                  dxl0 := !dxl0 +. (d *. g0);
+                  dxl1 := !dxl1 +. (d *. g1);
+                  dxl3 := !dxl3 +. (d *. g3)
                 end;
-                if y1 > ty0 && y1 <= ty1 then begin
+                if yh then begin
                   let d = ox /. bin_area in
-                  dyh.(0) <- dyh.(0) +. (d *. g0);
-                  dyh.(1) <- dyh.(1) +. (d *. g1);
-                  dyh.(2) <- dyh.(2) +. (d *. g3)
+                  dyh0 := !dyh0 +. (d *. g0);
+                  dyh1 := !dyh1 +. (d *. g1);
+                  dyh3 := !dyh3 +. (d *. g3)
                 end;
-                if y0 >= ty0 && y0 < ty1 then begin
+                if yl then begin
                   let d = -.ox /. bin_area in
-                  dyl.(0) <- dyl.(0) +. (d *. g0);
-                  dyl.(1) <- dyl.(1) +. (d *. g1);
-                  dyl.(2) <- dyl.(2) +. (d *. g3)
+                  dyl0 := !dyl0 +. (d *. g0);
+                  dyl1 := !dyl1 +. (d *. g1);
+                  dyl3 := !dyl3 +. (d *. g3)
                 end
               end
             done
+          end
         done;
         (* dW/d(edge) and dS/d(edge): both vanish while the span is
            clamped at min_span (moving the extreme pin then leaves the
@@ -380,18 +435,23 @@ let build ?thermal ~placement ~x ~y ~z ~nx ~ny () =
         let dw_dxh = if x_live then -1. /. (w *. w) else 0. in
         let dh_dyh = if y_live then -1. /. (h *. h) else 0. in
         if not x_live then begin
-          Array.fill dxl 0 3 0.;
-          Array.fill dxh 0 3 0.
+          dxl0 := 0.; dxl1 := 0.; dxl3 := 0.;
+          dxh0 := 0.; dxh1 := 0.; dxh3 := 0.
         end;
         if not y_live then begin
-          Array.fill dyl 0 3 0.;
-          Array.fill dyh 0 3 0.
+          dyl0 := 0.; dyl1 := 0.; dyl3 := 0.;
+          dyh0 := 0.; dyh1 := 0.; dyh3 := 0.
         end;
+        let sum0 = !sum0 and sum1 = !sum1 and sum3 = !sum3 in
         (* Eq. 6: only the extreme pins receive position gradients *)
-        edge_grad nl nc gxa ~p3d ~sum_s ~darg:nc.arg_xh ~dwd:dw_dxh ~dsd:dxh 1.;
-        edge_grad nl nc gxa ~p3d ~sum_s ~darg:nc.arg_xl ~dwd:dw_dxh ~dsd:dxl (-1.);
-        edge_grad nl nc gya ~p3d ~sum_s ~darg:nc.arg_yh ~dwd:dh_dyh ~dsd:dyh 1.;
-        edge_grad nl nc gya ~p3d ~sum_s ~darg:nc.arg_yl ~dwd:dh_dyh ~dsd:dyl (-1.);
+        edge_grad nl nc gxa ~p3d ~sum0 ~sum1 ~sum3 ~darg:nc.arg_xh ~dwd:dw_dxh
+          ~d0:!dxh0 ~d1:!dxh1 ~d3:!dxh3 1.;
+        edge_grad nl nc gxa ~p3d ~sum0 ~sum1 ~sum3 ~darg:nc.arg_xl ~dwd:dw_dxh
+          ~d0:!dxl0 ~d1:!dxl1 ~d3:!dxl3 (-1.);
+        edge_grad nl nc gya ~p3d ~sum0 ~sum1 ~sum3 ~darg:nc.arg_yh ~dwd:dh_dyh
+          ~d0:!dyh0 ~d1:!dyh1 ~d3:!dyh3 1.;
+        edge_grad nl nc gya ~p3d ~sum0 ~sum1 ~sum3 ~darg:nc.arg_yl ~dwd:dh_dyh
+          ~d0:!dyl0 ~d1:!dyl1 ~d3:!dyl3 (-1.);
         let w2_0 = nc.weight *. nc.p_bot and w2_1 = nc.weight *. nc.p_top in
         let w3 = 0.5 *. nc.weight *. p3d in
         (* z gradients through the soft tier products (RUDY channels) *)
@@ -404,8 +464,7 @@ let build ?thermal ~placement ~x ~y ~z ~nx ~ny () =
               gza.(c) <-
                 gza.(c)
                 +. (nc.weight
-                   *. ((dbot *. sum_s.(0)) +. (dtop *. sum_s.(1))
-                      +. (0.5 *. d3 *. sum_s.(2))))
+                   *. ((dbot *. sum0) +. (dtop *. sum1) +. (0.5 *. d3 *. sum3)))
           | Nl.Cell _ | Nl.Io _ -> ()
         done;
         (* PinRUDY + pin-density backward: tent position gradients with
@@ -447,6 +506,7 @@ let build ?thermal ~placement ~x ~y ~z ~nx ~ny () =
           | Nl.Cell _ | Nl.Io _ -> ()
         done)
       caches;
+    Obs.incr ~by:!tiles c_tiles;
     [ Some (T.make [| n |] gxa); Some (T.make [| n |] gya); Some (T.make [| n |] gza) ]
   in
   let fused =

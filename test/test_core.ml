@@ -347,6 +347,124 @@ let test_soft_maps_exact_gradients () =
       (T.get_flat (V.grad z) c)
   done
 
+(* The soft-map forward and the Eq.-6 backward pinned bit for bit on a
+   fixed DMA placement: z in (0, 1), a fixed cotangent, one net moved
+   into the top-right corner with every pin on one spot (narrower than
+   min_span, its widened bbox clamped to the last GCell column and
+   row) and one cell pushed outside the die (its pins clamped into it).
+   The pins are MD5s of the float bits of both stacks and of the x, y,
+   z gradients, at jobs 1 and 4. *)
+let soft_maps_pinned_digests =
+  [
+    ("f_bottom", "ab0b99d15f1ff75c78c31fd7407b9cda");
+    ("f_top", "bb51fbb1fe6cf3d5d746a7a61b74146a");
+    ("grad x", "6a8c82b4fdfc39d6e9575f703fbe5082");
+    ("grad y", "bf8db095be590d3c836fc16cc61b53c2");
+    ("grad z", "f8cdec7d88ced16f700026fdfd817caf");
+  ]
+
+let test_soft_maps_pinned_bits () =
+  let nl, fp, base, _ = Lazy.force env in
+  let n = Nl.n_cells nl in
+  let nets = Array.of_list (Nl.signal_nets nl) in
+  let movable = function Nl.Cell c -> not (Nl.is_macro nl c) | Nl.Io _ -> false in
+  let pins (net : Nl.net) = Array.append [| net.Nl.driver |] net.Nl.sinks in
+  let xs = Array.copy base.Pl.x and ys = Array.copy base.Pl.y in
+  let narrow =
+    match Array.find_opt (fun net -> Array.for_all movable (pins net)) nets with
+    | Some net -> net
+    | None -> Alcotest.fail "no net with only movable cells"
+  in
+  Array.iter
+    (function
+      | Nl.Cell c ->
+          xs.(c) <- fp.Fp.width -. 0.02;
+          ys.(c) <- fp.Fp.height -. 0.04
+      | Nl.Io _ -> ())
+    (pins narrow);
+  let outside =
+    match
+      Array.find_opt
+        (fun net -> net != narrow && Array.exists (function Nl.Io _ -> true | _ -> false) (pins net))
+        nets
+    with
+    | Some net -> net
+    | None -> Alcotest.fail "no net with an IO pin"
+  in
+  (match
+     Array.find_opt
+       (fun e -> movable e && not (Array.mem e (pins narrow)))
+       (pins outside)
+   with
+  | Some (Nl.Cell c) ->
+      xs.(c) <- -0.5;
+      ys.(c) <- fp.Fp.height +. 0.7
+  | _ -> Alcotest.fail "the IO net has no movable cell");
+  let rng = Rng.create 23 in
+  let zs = Array.init n (fun _ -> 0.1 +. (0.8 *. Rng.uniform rng)) in
+  let w0 = T.randn rng [| 8; 16; 16 |] and w1 = T.randn rng [| 8; 16; 16 |] in
+  let digest t =
+    let b = Buffer.create (8 * T.numel t) in
+    for i = 0 to T.numel t - 1 do
+      Buffer.add_int64_le b (Int64.bits_of_float (T.get_flat t i))
+    done;
+    Digest.to_hex (Digest.string (Buffer.contents b))
+  in
+  List.iter
+    (fun jobs ->
+      with_exact_jobs jobs @@ fun () ->
+      let x = V.param (T.of_array1 xs) and y = V.param (T.of_array1 ys) in
+      let z = V.param (T.of_array1 zs) in
+      let f0, f1 = Sm.build ~placement:base ~x ~y ~z ~nx:16 ~ny:16 () in
+      V.backward (V.add (V.dot f0 (V.const w0)) (V.dot f1 (V.const w1)));
+      List.iter2
+        (fun (what, pinned) t ->
+          let got = digest t in
+          if got <> pinned then
+            Alcotest.failf "jobs %d: %s digest %s, pinned %s" jobs what got pinned)
+        soft_maps_pinned_digests
+        [ V.data f0; V.data f1; V.grad x; V.grad y; V.grad z ])
+    [ 1; 4 ]
+
+(* The Eq.-6 backward keeps its per-net sums in locals: its minor-heap
+   allocation does not grow with the net count.  Two netlists with the
+   same 300 cells and 10 or 200 nets run the same tape (every n- or
+   grid-sized array is larger than the minor heap's limit, so only
+   records and closures land there); a few words per net would show
+   as a difference in the thousands. *)
+let test_soft_maps_backward_allocation () =
+  let n = 300 in
+  let m = Cl.find "INV_X1" in
+  let fp = { Fp.width = 16.; height = 16.; gcell_nx = 8; gcell_ny = 8; n_rows = 16 } in
+  let backward_words n_nets =
+    let nets =
+      Array.init n_nets (fun i ->
+          { Nl.net_id = i; net_name = Printf.sprintf "n%d" i; driver = Nl.Cell (i mod n);
+            sinks = [| Nl.Cell ((i + 1) mod n); Nl.Cell ((i + 7) mod n) |];
+            is_clock = false })
+    in
+    let nl =
+      { Nl.design = "alloc"; masters = Array.make n m; nets; ios = [||];
+        cell_fanin = Array.make n [||]; cell_fanout = Array.make n (-1) }
+    in
+    let p = Pl.create nl fp in
+    let rng = Rng.create 29 in
+    let coord () = T.init [| n |] (fun _ -> 16. *. Rng.uniform rng) in
+    let x = V.param (coord ()) and y = V.param (coord ()) in
+    let z = V.param (T.init [| n |] (fun _ -> 0.1 +. (0.8 *. Rng.uniform rng))) in
+    let f0, f1 = Sm.build ~placement:p ~x ~y ~z ~nx:16 ~ny:16 () in
+    let w = V.const (T.randn rng [| 8; 16; 16 |]) in
+    let l = V.add (V.dot f0 w) (V.dot f1 w) in
+    let w0 = Gc.minor_words () in
+    V.backward l;
+    Gc.minor_words () -. w0
+  in
+  ignore (backward_words 10);
+  let few = backward_words 10 and many = backward_words 200 in
+  if many -. few > 16. then
+    Alcotest.failf "backward minor words grow with the net count: %.0f at 10 nets, %.0f at 200"
+      few many
+
 let test_soft_maps_descent_direction () =
   (* On a full random design the RUDY backward is a sub-gradient at
      ties; it must still be a descent direction: moving against it must
@@ -744,6 +862,10 @@ let suites =
         Alcotest.test_case "mass matches hard maps" `Quick test_soft_maps_match_hard_at_binary_z;
         Alcotest.test_case "exact gradients (2-cell)" `Quick test_soft_maps_exact_gradients;
         Alcotest.test_case "descent direction" `Quick test_soft_maps_descent_direction;
+        Alcotest.test_case "pinned forward and backward bits" `Quick
+          test_soft_maps_pinned_bits;
+        Alcotest.test_case "backward allocation independent of nets" `Quick
+          test_soft_maps_backward_allocation;
         Alcotest.test_case "hard assignment" `Quick test_hard_assignment;
         qtest prop_soft_density_mass_conserved;
         qtest prop_soft_rudy3d_symmetric;
