@@ -728,6 +728,10 @@ let thermal_cmd =
       const run $ setup_t $ design_t $ scale_t $ seed_t $ gcell_t $ epsilon_t
       $ iters_t $ check_t)
 
+(* The batching and cache defaults of [serve] and [balance] (which
+   passes them on to its shards) are the server's own. *)
+let serve_defaults = Server.default_config (Server.Unix_path "")
+
 let serve_cmd =
   let run () socket port model seed input_hw queue_cap max_batch linger_ms
       cache_cap shard_of shard_id spill_dir route_cache_dir corpus_dir =
@@ -823,25 +827,32 @@ let serve_cmd =
   in
   let queue_t =
     Arg.(
-      value & opt int 64
+      value
+      & opt int serve_defaults.Server.queue_capacity
       & info [ "queue-capacity" ] ~docv:"N"
           ~doc:"Predict-queue high-water mark; beyond it requests are            refused with Overloaded.")
   in
   let batch_t =
     Arg.(
-      value & opt int 8
+      value
+      & opt int serve_defaults.Server.max_batch
       & info [ "max-batch" ] ~docv:"N"
           ~doc:"Most requests coalesced into one forward pass.")
   in
   let linger_t =
     Arg.(
-      value & opt float 2.0
+      value
+      & opt float serve_defaults.Server.batch_linger_ms
       & info [ "linger-ms" ] ~docv:"MS"
-          ~doc:"How long the batcher waits for companion requests.")
+          ~doc:
+            "How long the batcher waits for companion requests before a \
+             batch that is not full (0: take whatever is queued; requests \
+             that arrive during a forward pass still ride the next batch).")
   in
   let cache_t =
     Arg.(
-      value & opt int 128
+      value
+      & opt int serve_defaults.Server.cache_capacity
       & info [ "cache-capacity" ] ~docv:"N"
           ~doc:"LRU result-cache entries (0 disables caching).")
   in
@@ -916,6 +927,8 @@ let balance_cmd =
           Printf.sprintf "%g" linger_ms;
           "--cache-capacity";
           string_of_int cache_cap;
+          "--jobs";
+          string_of_int (Balance.shard_jobs ~n_shards:shards);
         ]
       in
       let with_model =
@@ -1022,25 +1035,29 @@ let balance_cmd =
   in
   let queue_t =
     Arg.(
-      value & opt int 64
+      value
+      & opt int serve_defaults.Server.queue_capacity
       & info [ "queue-capacity" ] ~docv:"N"
           ~doc:"Per-shard predict-queue high-water mark.")
   in
   let batch_t =
     Arg.(
-      value & opt int 8
+      value
+      & opt int serve_defaults.Server.max_batch
       & info [ "max-batch" ] ~docv:"N"
           ~doc:"Per-shard micro-batch size cap.")
   in
   let linger_t =
     Arg.(
-      value & opt float 2.0
+      value
+      & opt float serve_defaults.Server.batch_linger_ms
       & info [ "linger-ms" ] ~docv:"MS"
           ~doc:"Per-shard batcher linger.")
   in
   let cache_t =
     Arg.(
-      value & opt int 128
+      value
+      & opt int serve_defaults.Server.cache_capacity
       & info [ "cache-capacity" ] ~docv:"N"
           ~doc:"Per-shard LRU result-cache entries.")
   in

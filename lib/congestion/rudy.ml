@@ -23,9 +23,11 @@ let net_weight w h = (1. /. Float.max min_span w) +. (1. /. Float.max min_span h
    through [T.get2]/[T.set2], which re-read the shape and bounds-check
    on every tile) lets the chunk bodies run on workspace slabs with no
    per-access overhead; the float expressions are kept verbatim so the
-   results are bit-identical to the tensor version. *)
+   results are bit-identical to the tensor version.  An empty map is
+   rejected: its clamped tile index would be 0, past the end. *)
 let accumulate_net_buf buf ~off ~nx ~ny ~bw ~bh ~bbox:(x0, y0, x1, y1) ~weight
     =
+  if nx < 1 || ny < 1 then invalid_arg "Rudy.accumulate_net: empty map";
   if weight <> 0. then begin
     (* give degenerate boxes the minimal span so they land somewhere *)
     let x1 = Float.max x1 (x0 +. min_span) and y1 = Float.max y1 (y0 +. min_span) in

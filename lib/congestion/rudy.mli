@@ -37,4 +37,6 @@ val accumulate_net :
   unit
 (** Add one net's RUDY contribution into an existing [[ny; nx]] map —
     the kernel shared with the differentiable soft maps of the
-    optimizer. *)
+    optimizer.
+    @raise Invalid_argument if the map has no tiles ([nx < 1] or
+    [ny < 1]). *)

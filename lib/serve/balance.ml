@@ -31,6 +31,7 @@
 
 module P = Protocol
 module Obs = Dco3d_obs.Obs
+module Pool = Dco3d_parallel.Pool
 
 let c_accepted = Obs.counter "balance/accepted"
 let c_handoffs = Obs.counter "balance/handoffs"
@@ -56,6 +57,11 @@ let default_config ~address ~ctl_path ~n_shards =
     health_timeout_s = 5.0;
     restart_backoff_s = 0.2;
   }
+
+(* Shards are separate processes, each with its own domain pool, so
+   the fleet shares out the cores this process may use instead of
+   giving every shard all of them. *)
+let shard_jobs ~n_shards = max 1 (Pool.effective_jobs () / n_shards)
 
 type slot_state = Starting | Live | Draining | Dead
 

@@ -45,6 +45,13 @@ type config = {
 val default_config :
   address:Server.address -> ctl_path:string -> n_shards:int -> config
 
+val shard_jobs : n_shards:int -> int
+(** The [--jobs] each of [n_shards] shard processes should run with:
+    the cores this process may use ({!Dco3d_parallel.Pool.effective_jobs}:
+    [DCO3D_JOBS] or [--jobs], clamped to the hardware) divided among
+    the shards, at least 1.  Every shard inheriting the whole count
+    would put [n_shards] pools of workers on the same cores. *)
+
 type t
 
 type slot_info = {

@@ -27,7 +27,7 @@ let default_config address =
     address;
     queue_capacity = 64;
     max_batch = 8;
-    batch_linger_ms = 2.0;
+    batch_linger_ms = 0.;
     cache_capacity = 128;
     spill_dir = None;
     route_cache_dir = None;

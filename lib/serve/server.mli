@@ -9,11 +9,12 @@
        thread (blocking socket IO releases the OCaml domain lock, so
        handlers are cheap);}
     {- a {b micro-batcher} that drains the bounded predict queue,
-       lingers briefly ({!config.batch_linger_ms}) to let concurrent
-       requests pile up, and runs one
-       {!Dco3d_core.Predictor.predict_batch} forward pass for the whole
-       batch — bit-identical to per-request [predict], so batching is
-       invisible to clients;}
+       optionally lingers ({!config.batch_linger_ms}, off by default)
+       to let concurrent requests pile up, and runs one
+       {!Dco3d_core.Predictor.predict_batch} forward pass for whatever
+       it took — bit-identical to per-request [predict], so batching is
+       invisible to clients.  Requests that arrive during a forward ride
+       the next batch;}
     {- two {b job workers} running one job loop: one runs submitted
        flow jobs, the other the third async request class — corpus PPA
        cells and corpus dataset builds, deduped in-flight by
@@ -53,7 +54,7 @@ type config = {
   max_batch : int;  (** most requests coalesced per forward pass (default 8) *)
   batch_linger_ms : float;
       (** how long the batcher waits for companions once one request is
-          pending (default 2.0) *)
+          pending (default 0: take whatever is queued) *)
   cache_capacity : int;  (** LRU result-cache entries (default 128) *)
   spill_dir : string option;
       (** when set, evicted LRU entries are persisted here and cache

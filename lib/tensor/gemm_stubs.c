@@ -1,5 +1,7 @@
 /* Fused gather-GEMM kernel: rows [i0, i1) x column blocks [b0, b1) of
- * out (m x n) += A (m x k) . B, where B is never materialized.  B is
+ * out (m x n) += A (m x k) . B, where B is never materialized.  Output
+ * element (i, j) lives at out[off + i*n + j], so a caller can write
+ * one sample's block straight into a larger tensor.  B is
  * read straight from a source of h x w planes through (off, y, x) int
  * descriptors, one triple per row p of B ([rows]) and per column j
  * ([cols]):
@@ -65,7 +67,7 @@ struct gemm_args {
   intnat k, n, h, w;
   const double *a, *src;
   const value *rows, *cols;
-  double *out;
+  double *out; /* already advanced by the output offset */
   intnat i0, i1, b0, b1;
 };
 
@@ -142,13 +144,14 @@ value dco3d_gemm_isa_active(value unit)
 
 value dco3d_gemm_gather(intnat k, intnat n, intnat h, intnat w, value va,
                         value vsrc, value vrows, value vcols, value vout,
-                        intnat i0, intnat i1, intnat b0, intnat b1)
+                        intnat off, intnat i0, intnat i1, intnat b0,
+                        intnat b1)
 {
   struct gemm_args g = {
     k, n, h, w,
     (const double *)va, (const double *)vsrc,
     (const value *)vrows, (const value *)vcols,
-    (double *)vout,
+    (double *)vout + off,
     i0, i1, b0, b1,
   };
   variants[__atomic_load_n(&active, __ATOMIC_RELAXED)].fn(&g);
@@ -162,5 +165,6 @@ value dco3d_gemm_gather_byte(value *argv, int argn)
                            Long_val(argv[2]), Long_val(argv[3]), argv[4],
                            argv[5], argv[6], argv[7], argv[8],
                            Long_val(argv[9]), Long_val(argv[10]),
-                           Long_val(argv[11]), Long_val(argv[12]));
+                           Long_val(argv[11]), Long_val(argv[12]),
+                           Long_val(argv[13]));
 }

@@ -311,7 +311,7 @@ let frobenius t = sqrt (dot t t)
 
 (* Rows [i0, i1) x column blocks [b0, b1) (block b is columns 8b ..
    8b+7, the last one partial), in C; the arguments are k n h w a src
-   rows cols out i0 i1 b0 b1.  The tile is compiled for avx2 and the
+   rows cols out off i0 i1 b0 b1, output (i, j) at out[off + i*n + j].  The tile is compiled for avx2 and the
    baseline ISA; module init picks the widest the CPU has.  No
    bounds checks: [gemm_gather] checks every length and the
    descriptors' extent. *)
@@ -325,6 +325,7 @@ external gemm_gather_band :
   int array ->
   int array ->
   float array ->
+  (int[@untagged]) ->
   (int[@untagged]) ->
   (int[@untagged]) ->
   (int[@untagged]) ->
@@ -399,12 +400,13 @@ let max_offset (d : int array) cnt len =
 (* [cnt * per <= len] without forming the product (cnt, per >= 0). *)
 let fits cnt per len = per = 0 || cnt <= len / per
 
-let check_gather ~m ~k ~n ~h ~w (src : float array) (rows : int array)
+let check_gather ~m ~k ~n ~h ~w ~off (src : float array) (rows : int array)
     (cols : int array) (a : float array) (out : float array) =
   if
     not
       (fits m k (Array.length a)
-      && fits m n (Array.length out)
+      && off <= Array.length out
+      && fits m n (Array.length out - off)
       && fits k 3 (Array.length rows)
       && fits n 3 (Array.length cols))
   then invalid_arg "Tensor.gemm_gather: array shorter than its shape";
@@ -428,10 +430,11 @@ let check_gather ~m ~k ~n ~h ~w (src : float array) (rows : int array)
    of 4-row tiles; a band then re-gathers at most 8k floats for its
    ~[gemm_par_macs] multiply-adds.  The split is a function of the
    shape alone, so at one job the chunks simply run in order. *)
-let gemm_gather ~m ~k ~n ~h ~w src rows cols a out =
+let gemm_gather ?(off = 0) ~m ~k ~n ~h ~w src rows cols a out =
   if m < 0 || k < 0 || n < 0 then
     invalid_arg "Tensor.gemm_gather: negative dimension";
-  check_gather ~m ~k ~n ~h ~w src rows cols a out;
+  if off < 0 then invalid_arg "Tensor.gemm_gather: negative offset";
+  check_gather ~m ~k ~n ~h ~w ~off src rows cols a out;
   if m > 0 && n > 0 && k > 0 then begin
     let tiles = (m + 3) lsr 2 and blocks = (n + 7) lsr 3 in
     let chunks =
@@ -439,31 +442,32 @@ let gemm_gather ~m ~k ~n ~h ~w src rows cols a out =
         (Float.min 64.
            (float m *. float k *. float n /. float gemm_par_macs))
     in
-    if chunks < 2 then gemm_gather_band k n h w a src rows cols out 0 m 0 blocks
+    let band i0 i1 b0 b1 =
+      gemm_gather_band k n h w a src rows cols out off i0 i1 b0 b1
+    in
+    if chunks < 2 then band 0 m 0 blocks
     else if blocks > 1 then
       Pool.for_chunks
         ~chunk:((blocks + chunks - 1) / chunks)
         0 blocks
-        (fun b0 b1 -> gemm_gather_band k n h w a src rows cols out 0 m b0 b1)
+        (fun b0 b1 -> band 0 m b0 b1)
     else
       Pool.for_chunks
         ~chunk:((tiles + chunks - 1) / chunks)
         0 tiles
-        (fun t0 t1 ->
-          gemm_gather_band k n h w a src rows cols out (4 * t0)
-            (min m (4 * t1)) 0 1)
+        (fun t0 t1 -> band (4 * t0) (min m (4 * t1)) 0 1)
   end
 
-(* Pixels (b, oy, ox) of [imgs] images of [img] floats on an oh x ow
-   grid: off = b*img, y = oy*stride, x = ox*stride.  A dense matrix's
-   rows are k images of n floats on a 1 x 1 grid, its columns one image
-   on a 1 x n grid. *)
-let fill_pixels (d : int array) ~imgs ~img ~oh ~ow ~stride =
+(* Pixels (b, oy, ox) of [imgs] images of [img] floats from [base] on
+   an oh x ow grid: off = base + b*img, y = oy*stride, x = ox*stride.  A
+   dense matrix's rows are k images of n floats on a 1 x 1 grid, its
+   columns one image on a 1 x n grid. *)
+let fill_pixels (d : int array) ~base ~imgs ~img ~oh ~ow ~stride =
   let i = ref 0 in
   for b = 0 to imgs - 1 do
     for oy = 0 to oh - 1 do
       for ox = 0 to ow - 1 do
-        Array.unsafe_set d !i (b * img);
+        Array.unsafe_set d !i (base + (b * img));
         Array.unsafe_set d (!i + 1) (oy * stride);
         Array.unsafe_set d (!i + 2) (ox * stride);
         i := !i + 3
@@ -488,8 +492,8 @@ let matmul a b =
   let out = Array.make (m * n) 0. in
   if m > 0 && n > 0 && k > 0 then
     gemm_described ~m ~k ~n ~h:1 ~w:n b.data
-      ~rows:(fun d -> fill_pixels d ~imgs:k ~img:n ~oh:1 ~ow:1 ~stride:1)
-      ~cols:(fun d -> fill_pixels d ~imgs:1 ~img:0 ~oh:1 ~ow:n ~stride:1)
+      ~rows:(fun d -> fill_pixels d ~base:0 ~imgs:k ~img:n ~oh:1 ~ow:1 ~stride:1)
+      ~cols:(fun d -> fill_pixels d ~base:0 ~imgs:1 ~img:0 ~oh:1 ~ow:n ~stride:1)
       a.data out;
   make [| m; n |] out
 
@@ -551,12 +555,14 @@ let matvec a x =
 (* passes that walk dilated geometry (transposes, and backward_input   *)
 (* at stride s) run as s^2 stride-1 phase GEMMs, one per output        *)
 (* residue class, over only the taps that reach it ([phase_gemm]), so  *)
-(* no GEMM grinds through stride zeros.  The samples of a batch are    *)
-(* extra GEMM columns of the forward and input-gradient passes, which  *)
-(* never reorders an accumulation: each sample's bits are those of a   *)
-(* batch of one.  Hot kernels take annotated [float array]s: a helper  *)
-(* that only moves floats is otherwise inferred polymorphic and boxes  *)
-(* every element it touches.                                           *)
+(* no GEMM grinds through stride zeros.  Where a sample's output is    *)
+(* one contiguous block (the forward, and every stride-1 phase pass),  *)
+(* each sample is its own GEMM that writes that block in place, at an  *)
+(* output offset; the strided phases take the samples as extra GEMM    *)
+(* columns.  Neither reorders an accumulation: each sample's bits are  *)
+(* those of a batch of one.  Hot kernels take annotated               *)
+(* [float array]s: a helper that only moves floats is otherwise        *)
+(* inferred polymorphic and boxes every element it touches.            *)
 (* ------------------------------------------------------------------ *)
 
 let check_rank4 name t =
@@ -609,30 +615,19 @@ let fill_taps (d : int array) ~base ~chans ~plane ~kh ~kw ~pad =
     done
   done
 
-(* Finish a batched forward GEMM: bias after the full contraction,
-   once per output channel, then [co; n; hw] -> [n; co; hw]. *)
-let finish_batch (g : float array) ~n ~co ~hw bias =
-  let ncol = n * hw in
-  (match bias with
+(* The bias of a finished contraction, in place: bias.(o) onto every
+   pixel of channel o of out ([n; co; hw]). *)
+let add_bias (out : float array) ~n ~co ~hw bias =
+  match bias with
   | None -> ()
   | Some b ->
-      for o = 0 to co - 1 do
-        let bv = Array.unsafe_get b.data o in
-        let base = o * ncol in
-        for i = 0 to ncol - 1 do
-          Array.unsafe_set g (base + i) (Array.unsafe_get g (base + i) +. bv)
+      for plane = 0 to (n * co) - 1 do
+        let bv = Array.unsafe_get b.data (plane mod co) in
+        let base = plane * hw in
+        for i = base to base + hw - 1 do
+          Array.unsafe_set out i (Array.unsafe_get out i +. bv)
         done
-      done);
-  if n = 1 then g
-  else begin
-    let out = Array.create_float (n * co * hw) in
-    for o = 0 to co - 1 do
-      for b = 0 to n - 1 do
-        Array.blit g ((o * ncol) + (b * hw)) out (((b * co) + o) * hw) hw
       done
-    done;
-    out
-  end
 
 (* ---- Stride-phase lowering ---------------------------------------- *)
 (* A transposed convolution, and the input gradient of a strided one,  *)
@@ -708,13 +703,31 @@ let scatter_phase (g : float array) (out : float array) ~m ~n ~oh ~ow ~s ~ry
 
 (* [n] images of [chans] source planes (sh x sw) in [src]; output
    [n; m; oh; ow] into [out], every element written.  Weight indexing
-   as in [fill_phase_taps].  The scratch is borrowed once, at the
+   as in [fill_phase_taps].  At stride 1 the one phase covers every
+   output pixel, so each sample's GEMM writes its [m; oh; ow] block of
+   [out] in place.  Otherwise the scratch is borrowed once, at the
    largest phase's size, not per phase through [gemm_described]: s^2
    rounds of borrows and closures would cost a k2/s2 transpose more
    minor words than the kernels' allocation budget. *)
 let phase_gemm ~stride:s ~pad ~kh ~kw ~flip ~chans ~m ~n ~sh ~sw ~oh ~ow
     ~chan_stride ~row_stride (src : float array) (wd : float array) bias
     (out : float array) =
+  if s = 1 then begin
+    let kp = chans * kh * kw and hw = oh * ow and img = chans * sh * sw in
+    Workspace.with_ints (3 * kp) @@ fun rows ->
+    Workspace.with_ints (3 * hw) @@ fun cols ->
+    Workspace.with_floats (m * kp) @@ fun a ->
+    Array.fill out 0 (n * m * hw) 0.;
+    fill_phase_taps a rows wd ~m ~kp ~chans ~plane:(sh * sw) ~chan_stride
+      ~row_stride ~kw ~s ~flip ~pad ~ry:0 ~rx:0 ~ky0:0 ~nky:kh ~kx0:0 ~nkx:kw;
+    for b = 0 to n - 1 do
+      fill_pixels cols ~base:(b * img) ~imgs:1 ~img:0 ~oh ~ow ~stride:1;
+      gemm_gather ~off:(b * m * hw) ~m ~k:kp ~n:hw ~h:sh ~w:sw src rows cols a
+        out
+    done;
+    add_bias out ~n ~co:m ~hw bias
+  end
+  else
   let cdiv x = (x + s - 1) / s in
   let count r x = if r < x then ((x - 1 - r) / s) + 1 else 0 in
   let kmax = chans * cdiv kh * cdiv kw and cmax = n * cdiv oh * cdiv ow in
@@ -734,8 +747,8 @@ let phase_gemm ~stride:s ~pad ~kh ~kw ~flip ~chans ~m ~n ~sh ~sw ~oh ~ow
           fill_phase_taps a rows wd ~m ~kp ~chans ~plane:(sh * sw)
             ~chan_stride ~row_stride ~kw ~s ~flip ~pad ~ry ~rx ~ky0 ~nky ~kx0
             ~nkx;
-          fill_pixels cols ~imgs:n ~img:(chans * sh * sw) ~oh:ohp ~ow:owp
-            ~stride:1;
+          fill_pixels cols ~base:0 ~imgs:n ~img:(chans * sh * sw) ~oh:ohp
+            ~ow:owp ~stride:1;
           gemm_gather ~m ~k:kp ~n:ncol ~h:sh ~w:sw src rows cols a g
         end;
         scatter_phase g out ~m ~n ~oh ~ow ~s ~ry ~rx ~ohp ~owp bias
@@ -752,9 +765,10 @@ let conv_output_shape name ~stride ~pad ~n ~co ~h ~w ~kh ~kw =
   if oh <= 0 || ow <= 0 then invalid_arg (name ^ ": empty output");
   [| n; co; oh; ow |]
 
-(* Forward lowering: A = weight as (co x ci*kh*kw) — its natural
-   layout — and B[(c,ky,kx), (b,oy,ox)] =
-   x[b, c, oy*s + ky - pad, ox*s + kx - pad] (or 0. outside the input).
+(* Forward lowering, per sample b: A = weight as (co x ci*kh*kw) — its
+   natural layout — and B[(c,ky,kx), (oy,ox)] =
+   x[b, c, oy*s + ky - pad, ox*s + kx - pad] (or 0. outside the input),
+   written straight into sample b's [co; oh; ow] block of the result.
    The inner index p ascends over (c, ky, kx). *)
 let conv2d ?(stride = 1) ?(pad = 0) x ~weight ~bias =
   let name = "Tensor.conv2d" in
@@ -768,13 +782,19 @@ let conv2d ?(stride = 1) ?(pad = 0) x ~weight ~bias =
   let kh = weight.shape.(2) and kw = weight.shape.(3) in
   let out_shape = conv_output_shape name ~stride ~pad ~n ~co ~h ~w ~kh ~kw in
   let oh = out_shape.(2) and ow = out_shape.(3) in
-  let ncol = n * oh * ow in
-  let g = Array.make (co * ncol) 0. in
-  gemm_described ~m:co ~k:(ci * kh * kw) ~n:ncol ~h ~w x.data
-    ~rows:(fun d -> fill_taps d ~base:0 ~chans:ci ~plane:(h * w) ~kh ~kw ~pad)
-    ~cols:(fun d -> fill_pixels d ~imgs:n ~img:(ci * h * w) ~oh ~ow ~stride)
-    weight.data g;
-  make out_shape (finish_batch g ~n ~co ~hw:(oh * ow) bias)
+  let k = ci * kh * kw and hw = oh * ow in
+  let out = Array.make (n * co * hw) 0. in
+  (Workspace.with_ints (3 * k) @@ fun rows ->
+   Workspace.with_ints (3 * hw) @@ fun cols ->
+   fill_pixels cols ~base:0 ~imgs:1 ~img:0 ~oh ~ow ~stride;
+   for b = 0 to n - 1 do
+     fill_taps rows ~base:(b * ci * h * w) ~chans:ci ~plane:(h * w) ~kh ~kw
+       ~pad;
+     gemm_gather ~off:(b * co * hw) ~m:co ~k ~n:hw ~h ~w x.data rows cols
+       weight.data out
+   done);
+  add_bias out ~n ~co ~hw bias;
+  make out_shape out
 
 (* The shapes of a backward pass: [input_shape] is [n; ci; h; w], its
    channels those of the weight ([co; ci; kh; kw]), and the gradient
@@ -841,7 +861,7 @@ let conv2d_backward_weight ?(stride = 1) ?(pad = 0) ~input ~weight_shape gout =
   let gw = Array.make (co * kdim) 0. in
   let sample b (a : float array) (out : float array) =
     gemm_described ~m:co ~k:ohw ~n:kdim ~h ~w input.data
-      ~rows:(fun d -> fill_pixels d ~imgs:1 ~img:0 ~oh ~ow ~stride)
+      ~rows:(fun d -> fill_pixels d ~base:0 ~imgs:1 ~img:0 ~oh ~ow ~stride)
       ~cols:(fun d ->
         fill_taps d ~base:(b * ci * h * w) ~chans:ci ~plane:(h * w) ~kh ~kw
           ~pad)

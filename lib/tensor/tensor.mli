@@ -147,10 +147,11 @@ val matvec : t -> t -> t
     descriptors, one triple per row [p] and per column [j]. *)
 
 val gemm_gather :
-  m:int -> k:int -> n:int -> h:int -> w:int -> float array -> int array ->
-  int array -> float array -> float array -> unit
-(** [gemm_gather ~m ~k ~n ~h ~w src rows cols a out] adds [A . B] to
-    [out] (row-major [m x n]) for [a] row-major [m x k] and
+  ?off:int -> m:int -> k:int -> n:int -> h:int -> w:int -> float array ->
+  int array -> int array -> float array -> float array -> unit
+(** [gemm_gather ?off ~m ~k ~n ~h ~w src rows cols a out] adds [A . B]
+    to the row-major [m x n] matrix that starts at [out.(off)] ([off]
+    defaults to [0]), for [a] row-major [m x k] and
     [B(p, j) = src.(off_p + off_j + y * w + x)] with
     [y = y_p + y_j], [x = x_p + x_j] when [0 <= y < h] and
     [0 <= x < w], else [0.]; [rows] holds [(off_p, y_p, x_p)] at
@@ -158,8 +159,9 @@ val gemm_gather :
     Every output is one chain over [p] ascending from [out]'s value,
     with separately rounded multiplies and adds, so the bits equal the
     naive loop's at any [DCO3D_JOBS].
-    @raise Invalid_argument if a dimension is negative, [a], [out],
-    [rows] or [cols] is shorter than the shape implies, or (when
+    @raise Invalid_argument if a dimension or [off] is negative, [a],
+    [out] (from [off]), [rows] or [cols] is shorter than the shape
+    implies, or (when
     [m, k, n, h, w > 0]) an offset lies outside [\[0, length src)], a
     [y] or [x] outside [\[-2^58, 2^58\]], or
     [max off_p + max off_j + h * w - 1] past the end of [src] —
@@ -191,10 +193,12 @@ val with_gemm_isa : string -> (unit -> 'a) -> 'a option
     chain of separately rounded multiplies and adds from [0.] over its
     in-image terms, in a fixed order per pass (listed in [tensor.ml]),
     with the bias added last, so the bits are the same at every
-    [DCO3D_JOBS].  The samples of a batch only add GEMM columns, so
-    sample [b] of a forward or input-gradient result is bit-identical
-    to that sample run alone; the weight gradient computes one chain
-    per sample and adds the samples' results in ascending order.
+    [DCO3D_JOBS].  Sample [b] of a forward or input-gradient result is
+    bit-identical to that sample run alone (its own GEMM, or extra
+    GEMM columns in the strided phases), and the batched result is
+    written in place, with no second output-sized array; the weight
+    gradient computes one chain per sample and adds the samples'
+    results in ascending order.
 
     Every convolution entry below checks its shapes (input channels
     against the weight, bias length against the output channels, a

@@ -48,6 +48,21 @@ let test_accumulate_clips_outside () =
   Alcotest.(check (float 1e-9)) "clipped mass" 4. (T.sum map);
   Alcotest.(check (float 1e-9)) "in the corner" 1. (T.get2 map 0 0)
 
+(* A map with no tiles has nowhere to put a net: every clamped tile
+   index would be 0, one past the end of its empty data. *)
+let test_accumulate_rejects_empty_map () =
+  List.iter
+    (fun shape ->
+      let name =
+        Printf.sprintf "[%s]"
+          (String.concat "; " (Array.to_list (Array.map string_of_int shape)))
+      in
+      Alcotest.check_raises name
+        (Invalid_argument "Rudy.accumulate_net: empty map") (fun () ->
+          Rudy.accumulate_net (T.zeros shape) ~die_w:4. ~die_h:4.
+            ~bbox:(1., 1., 2., 2.) ~weight:1.))
+    [ [| 0; 4 |]; [| 4; 0 |]; [| 0; 0 |] ]
+
 let test_rudy_2d_3d_partition () =
   (* Every signal net is either 2D or 3D: on each die,
      2D + 2*3D(scaled by .5 -> x2) mass must equal the per-die share of
@@ -288,6 +303,8 @@ let suites =
         Alcotest.test_case "net weight" `Quick test_net_weight;
         Alcotest.test_case "mass conservation" `Quick test_accumulate_net_conserves_weight;
         Alcotest.test_case "clips outside die" `Quick test_accumulate_clips_outside;
+        Alcotest.test_case "rejects an empty map" `Quick
+          test_accumulate_rejects_empty_map;
         Alcotest.test_case "2D/3D partition" `Quick test_rudy_2d_3d_partition;
         Alcotest.test_case "3D nets scaled by 0.5" `Quick test_rudy_scaling_halves_3d;
         Alcotest.test_case "pin RUDY per tier" `Quick test_pin_rudy_counts_only_tier_pins;

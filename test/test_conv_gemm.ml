@@ -491,7 +491,24 @@ let test_gather_definition () =
         T.gemm_gather ~m ~k ~n ~h ~w src rows cols a out;
         check_bits
           (Printf.sprintf "case %d (%dx%dx%d on %dx%d) %s" case m k n h w sched)
-          reference (T.make [| m; n |] out))
+          reference (T.make [| m; n |] out));
+    (* the same product written at an offset inside a larger array
+       whose other elements stay untouched *)
+    let off = Rng.int rng 5 in
+    let sentinel = 7.25 in
+    let big = Array.make (off + (m * n) + Rng.int rng 3) sentinel in
+    Array.fill big off (m * n) 0.;
+    T.gemm_gather ~off ~m ~k ~n ~h ~w src rows cols a big;
+    check_bits
+      (Printf.sprintf "case %d at off %d" case off)
+      reference
+      (T.make [| m; n |] (Array.sub big off (m * n)));
+    Array.iteri
+      (fun p v ->
+        if (p < off || p >= off + (m * n)) && v <> sentinel then
+          Alcotest.failf "case %d: element %d outside the output written" case
+            p)
+      big
   done;
   Array.iteri
     (fun kind count ->
@@ -823,6 +840,36 @@ let test_kernels_allocation_free () =
       V.backward (V.dot y (V.const g));
       V.grad p)
 
+(* Words (minor and major heap) one call allocates in a fresh domain,
+   whose scratch arena starts empty, so scratch the call grows counts
+   too. *)
+let words_in_fresh_domain f =
+  Domain.join
+    (Domain.spawn (fun () ->
+         let b0 = Gc.allocated_bytes () in
+         ignore (Sys.opaque_identity (f ()));
+         (Gc.allocated_bytes () -. b0) /. float_of_int (Sys.word_size / 8)))
+
+(* A batched forward and a stride-1 input gradient write each sample's
+   GEMM straight into the result: besides the output, a call holds only
+   descriptors and weight scratch (here about a quarter of the output),
+   never a second output-sized array to copy or scatter from. *)
+let test_output_in_place () =
+  let rng = Rng.create 0x1A9CE in
+  let shape = [| 2; 8; 32; 32 |] in
+  let xb = T.randn rng shape and gb = T.randn rng shape in
+  let w = T.randn rng [| 8; 8; 3; 3 |] and b = Some (T.randn rng [| 8 |]) in
+  let out_words = float_of_int (T.numel xb) in
+  let check what f =
+    let words = words_in_fresh_domain f in
+    if words >= 1.5 *. out_words then
+      Alcotest.failf "%s allocates %.0f words for a %.0f-word output" what
+        words out_words
+  in
+  check "conv2d n=2" (fun () -> T.conv2d ~pad:1 xb ~weight:w ~bias:b);
+  check "conv2d_backward_input n=2" (fun () ->
+      T.conv2d_backward_input ~pad:1 ~input_shape:shape ~weight:w gb)
+
 let suites =
   [
     ( "tensor.conv_gemm",
@@ -846,5 +893,7 @@ let suites =
           test_batched_vs_reference;
         Alcotest.test_case "kernels allocation-free" `Quick
           test_kernels_allocation_free;
+        Alcotest.test_case "batched output written in place" `Quick
+          test_output_in_place;
       ] );
   ]

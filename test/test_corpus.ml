@@ -339,6 +339,38 @@ let test_corpus_key_identity () =
     (Proto.corpus_key req
     <> Proto.corpus_key { req with Proto.cr_kind = Proto.Corpus_dataset 1 })
 
+(* The ledger's deterministic work counts, pinned at its smoke size:
+   the seed-0 DMA cell of flow-corpus (scale 0.03, 16x16 GCells), the
+   congestion-driven config.  A change to placement CG, A* or rip-up,
+   or the thermal solver moves these on purpose and re-pins them here;
+   [pool/chunks] depends on the job count and stays out. *)
+let work_count_spec = Corpus.scaled 0.03 (Corpus.find "dma")
+let work_count_cfg = Corpus.flow_config ~gcell:16 ~variant:Corpus.Cong "cong"
+
+let pinned_work_counts =
+  [
+    ("place/cg_iters", 793);
+    ("route/astar_pops", 80185);
+    ("route/ripped_nets", 946);
+    ("thermal/cg_iters", 31);
+  ]
+
+let test_work_counts_pinned () =
+  let counts () =
+    with_obs (fun () ->
+        ignore (Corpus.run_cell work_count_spec work_count_cfg);
+        List.map (fun (name, _) -> (name, Obs.counter_value name))
+          pinned_work_counts)
+  in
+  let check what got =
+    List.iter2
+      (fun (name, want) (_, v) ->
+        Alcotest.(check int) (Printf.sprintf "%s (%s)" name what) want v)
+      pinned_work_counts got
+  in
+  check "jobs 1" (with_jobs 1 counts);
+  check "jobs 4" (with_jobs 4 counts)
+
 let suites =
   [
     ( "corpus",
@@ -360,5 +392,7 @@ let suites =
         Alcotest.test_case "served dataset build" `Quick
           test_served_dataset_build;
         Alcotest.test_case "corpus request key" `Quick test_corpus_key_identity;
+        Alcotest.test_case "ledger work counts pinned (jobs 1 and 4)" `Quick
+          test_work_counts_pinned;
       ] );
   ]

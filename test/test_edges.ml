@@ -171,6 +171,21 @@ let test_gemm_gather_bounds () =
   raises "plane taller than the source" outside (fun () -> call ~h:2 ());
   raises "negative dimension" "Tensor.gemm_gather: negative dimension"
     (fun () -> call ~m:(-1) ~out:[||] ());
+  (* an output offset: the m x n result from out.(off) *)
+  let at ~off out =
+    T.gemm_gather ~off ~m ~k ~n ~h:1 ~w:n b rows cols a out;
+    out
+  in
+  let placed = at ~off:3 (Array.make (3 + (m * n)) 0.) in
+  Alcotest.(check bool) "offset call = matmul" true
+    (T.approx_equal ~eps:0. expected
+       (T.make [| m; n |] (Array.sub placed 3 (m * n))));
+  raises "negative offset" "Tensor.gemm_gather: negative offset" (fun () ->
+      at ~off:(-1) (Array.make (m * n) 0.));
+  raises "block past the end" short (fun () ->
+      at ~off:1 (Array.make (m * n) 0.));
+  raises "offset past the end" short (fun () ->
+      at ~off:max_int (Array.make (m * n) 0.));
   (* sizes whose products wrap: m*k = m*n = 2^63 = 0 in OCaml ints *)
   raises "m*k and m*n wrap to 0" short (fun () ->
       T.gemm_gather ~m:(1 lsl 61) ~k:4 ~n:4 ~h:1 ~w:4 b (Array.make 12 0)
