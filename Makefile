@@ -67,24 +67,32 @@ bench-ab:
 # End-to-end daemon smoke: start `dco3d serve` (untrained model), fire
 # predict requests (the repeats must hit the result cache), run a tiny
 # flow job through the async job queue, then drain with SIGTERM.  The
-# daemon writes its stage profile to $(LOGS)/serve-profile.txt at exit.
+# daemon writes its stage profile to $(LOGS)/serve-profile.txt at exit,
+# each client its own to $(LOGS)/serve-client-profile.txt.<command>.
+# Every frame is MD5'd once by its sender and once by its receiver, so
+# the daemon's serve/digest_bytes must equal the clients' sum: a second
+# hash of a predict body on the daemon (the cache key) shows up there.
 serve-smoke:
 	dune build bin/dco3d.exe
 	mkdir -p $(LOGS)
-	rm -f $(LOGS)/serve-smoke.sock $(LOGS)/serve-profile.txt
+	rm -f $(LOGS)/serve-smoke.sock $(LOGS)/serve-profile.txt $(LOGS)/serve-client-profile.txt.*
 	DCO3D_PROFILE=$(LOGS)/serve-profile.txt \
 	  dune exec --no-build bin/dco3d.exe -- serve --socket $(LOGS)/serve-smoke.sock \
 	  > $(LOGS)/serve-smoke.log 2>&1 & \
 	SERVE_PID=$$!; \
 	for i in $$(seq 1 50); do [ -S $(LOGS)/serve-smoke.sock ] && break; sleep 0.1; done; \
 	[ -S $(LOGS)/serve-smoke.sock ] || { cat $(LOGS)/serve-smoke.log; exit 1; }; \
-	dune exec --no-build bin/dco3d.exe -- client ping --socket $(LOGS)/serve-smoke.sock && \
-	dune exec --no-build bin/dco3d.exe -- client predict --socket $(LOGS)/serve-smoke.sock \
+	DCO3D_PROFILE=$(LOGS)/serve-client-profile.txt.ping \
+	  dune exec --no-build bin/dco3d.exe -- client ping --socket $(LOGS)/serve-smoke.sock && \
+	DCO3D_PROFILE=$(LOGS)/serve-client-profile.txt.predict \
+	  dune exec --no-build bin/dco3d.exe -- client predict --socket $(LOGS)/serve-smoke.sock \
 	  -s 0.05 --gcell 16 --repeat 3 | tee $(LOGS)/serve-predict.log && \
 	grep -q "cache hit" $(LOGS)/serve-predict.log && \
-	dune exec --no-build bin/dco3d.exe -- client flow --socket $(LOGS)/serve-smoke.sock \
+	DCO3D_PROFILE=$(LOGS)/serve-client-profile.txt.flow \
+	  dune exec --no-build bin/dco3d.exe -- client flow --socket $(LOGS)/serve-smoke.sock \
 	  -d DMA -s 0.02 --gcell 12 && \
-	dune exec --no-build bin/dco3d.exe -- client stats --socket $(LOGS)/serve-smoke.sock && \
+	DCO3D_PROFILE=$(LOGS)/serve-client-profile.txt.stats \
+	  dune exec --no-build bin/dco3d.exe -- client stats --socket $(LOGS)/serve-smoke.sock && \
 	kill -TERM $$SERVE_PID && wait $$SERVE_PID; \
 	STATUS=$$?; cat $(LOGS)/serve-smoke.log; \
 	[ $$STATUS -eq 0 ] && [ -f $(LOGS)/serve-profile.txt ] && \
@@ -92,6 +100,11 @@ serve-smoke:
 	  grep -q "serve/flow_job" $(LOGS)/serve-profile.txt && \
 	  grep -q "serve/cache_hit" $(LOGS)/serve-profile.txt && \
 	  grep -q "serve/requests" $(LOGS)/serve-profile.txt && \
+	  grep -q "serve/digest_bytes" $(LOGS)/serve-profile.txt && \
+	  awk '$$1 == "serve/digest_bytes" { if (FILENAME ~ /client/) c += $$2; else d += $$2 } \
+	    END { printf "serve-smoke: digest bytes, daemon %d, clients %d\n", d, c; \
+	          exit !(d > 0 && d == c) }' \
+	    $(LOGS)/serve-profile.txt $(LOGS)/serve-client-profile.txt.* && \
 	  grep -q "drained and stopped" $(LOGS)/serve-smoke.log && \
 	  echo "serve-smoke: OK" || { echo "serve-smoke: FAILED"; exit 1; }
 	@rm -f $(LOGS)/serve-smoke.sock

@@ -1327,7 +1327,7 @@ let corpus_cmd =
         let rows =
           if remote then begin
             (* One connection per design: a balancer routes a connection
-               by its first frame, so per-design connections spread the
+               by its first request, so per-design connections spread the
                matrix across shards via the corpus design affinity while
                keeping all of one design's cells on one shard. *)
             let addr = address_of socket port in

@@ -1,13 +1,14 @@
 (* The fd-passing balancer: front process of the sharded serving fleet.
 
    One public socket, N shard daemons.  The balancer accepts a client
-   connection, reads exactly ONE request frame to pick a shard, then
-   hands the accepted descriptor to that shard over a Unix-domain
-   control channel via SCM_RIGHTS ([Fdpass]) — together with the raw
-   frame bytes, which the shard replays as the connection's first
-   request.  After the handoff the balancer holds nothing: every
-   subsequent frame flows directly between client and shard, so the
-   fleet's steady-state data path has zero proxy copies.
+   connection, reads exactly ONE request (one frame, or a predict's
+   envelope and body frames) to pick a shard, then hands the accepted
+   descriptor to that shard over a Unix-domain control channel via
+   SCM_RIGHTS ([Fdpass]) — together with those verified frames, which
+   the shard replays as the connection's first request.  After the
+   handoff the balancer holds nothing: every subsequent frame flows
+   directly between client and shard, so the fleet's steady-state data
+   path has zero proxy copies.
 
    Routing: a [Hello want] first request pins the connection to a shard
    by model fingerprint (the balancer answers the hello
@@ -15,8 +16,8 @@
    within the primary fingerprint group — slot 0's model — so clients
    that never hello always get results bit-identical to a direct
    [Predictor.predict] with that model: [Predict]s by hash affinity on
-   their predict key (cache locality across connections), everything
-   else round-robin.  While that group is momentarily empty (startup,
+   their predict key, the verified digest of the body frame (cache
+   locality across connections), everything else round-robin.  While that group is momentarily empty (startup,
    mid-swap) default traffic gets [Overloaded] rather than a
    foreign-fingerprint shard; [Client.retry] rides through.
 
@@ -268,9 +269,9 @@ let round_robin t candidates = (* t.m held *)
       t.rr <- t.rr + 1;
       Some (List.nth candidates (t.rr mod n))
 
-let pick_slot t (env : P.envelope) = (* t.m held *)
-  match env.P.req with
-  | P.Hello want ->
+let pick_slot t (raw : P.raw_request) = (* t.m held *)
+  match raw with
+  | P.Raw (P.Hello want, _) ->
       let candidates =
         match want with
         | P.Want_any -> live_slots t
@@ -278,17 +279,18 @@ let pick_slot t (env : P.envelope) = (* t.m held *)
             List.filter (fun s -> s.fingerprint = fp) (live_slots t)
       in
       round_robin t candidates
-  | P.Predict payload -> (
+  | P.Raw_predict { body; _ } -> (
       (* Hash affinity: the same feature maps always land on the same
          shard of the primary group, so its LRU concentrates the hits
-         instead of every shard caching everything. *)
+         instead of every shard caching everything.  The body frame's
+         verified digest is the predict key; the body is not decoded. *)
       match primary_group t with
       | [] -> None
       | group ->
           let n = List.length group in
-          let h = Hashtbl.hash (P.predict_key payload) in
+          let h = Hashtbl.hash (Digest.to_hex body.P.digest) in
           Some (List.nth group (h mod n)))
-  | P.Flow_submit spec -> (
+  | P.Raw (P.Flow_submit spec, _) -> (
       (* Design affinity: all jobs on one design land on one shard of
          the primary group, so its flow worker's route cache and warm
          state concentrate per design instead of every shard routing
@@ -298,14 +300,16 @@ let pick_slot t (env : P.envelope) = (* t.m held *)
       | group ->
           let h = Hashtbl.hash spec.P.fl_design in
           Some (List.nth group (h mod List.length group)))
-  | P.Corpus_submit req -> (
+  | P.Raw (P.Corpus_submit req, _) -> (
       (* Same per-design affinity for the corpus class. *)
       match primary_group t with
       | [] -> None
       | group ->
           let h = Hashtbl.hash req.P.cr_spec.Dco3d_corpus.Corpus.sp_name in
           Some (List.nth group (h mod List.length group)))
-  | P.Ping | P.Stats | P.Flow_poll _ | P.Corpus_poll _ ->
+  | P.Raw ((P.Ping | P.Stats | P.Flow_poll _ | P.Corpus_poll _), _)
+  (* [Protocol] refuses a predict whose tensors are in the envelope *)
+  | P.Raw (P.Predict _, _) ->
       (* Job polls are connection-scoped: submit and poll travel on one
          connection, which lives on one shard, so round-robin is safe. *)
       round_robin t (primary_group t)
@@ -325,33 +329,33 @@ let route_connection t fd =
         match Unix.select [ fd ] [] [] 30.0 with
         | [], _, _ -> `Drop
         | _ ->
-            let payload = P.recv_frame fd in
-            let env = P.decode_request payload in
+            let raw = P.recv_raw_request fd in
             let target =
               locked t (fun () ->
-                  match pick_slot t env with
+                  match pick_slot t raw with
                   | None -> None
                   | Some slot ->
-                      (match env.P.req with
-                      | P.Hello _ ->
+                      (match raw with
+                      | P.Raw (P.Hello _, _) ->
                           (* The balancer owns the hello: pass a bare
                              fd (the shard sees a brand-new connection)
                              and answer the hello itself — but only
                              once the handoff succeeds, below. *)
                           Some
                             ( slot,
-                              "",
+                              [],
                               Some
                                 (P.Hello_reply
                                    {
                                      h_fingerprint = slot.fingerprint;
                                      h_shard = slot.idx;
                                    }) )
-                      | _ -> Some (slot, payload, None)))
+                      | _ -> Some (slot, P.raw_frames raw, None)))
             in
             match target with
             | None -> `No_shard
-            | Some (slot, initial, reply) -> `Handoff (slot, initial, reply))
+            | Some (slot, frames, reply) ->
+                `Handoff (slot, P.encode_frames frames, reply))
   with
   | `Drop -> close_quiet fd
   | `No_shard ->

@@ -33,7 +33,7 @@ let recv_ctl sock =
       let lenb = Bytes.create 4 in
       Protocol.read_all sock lenb 0 4;
       let len = Int32.to_int (Bytes.get_int32_be lenb 0) in
-      if len < 0 || len > Protocol.max_frame_bytes then
+      if len < 0 || len > Protocol.max_handoff_bytes then
         raise (Protocol.Protocol_error
                  (Printf.sprintf "bad control payload length %d" len));
       let payload = Bytes.create len in

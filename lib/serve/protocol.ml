@@ -94,10 +94,19 @@ exception Protocol_error of string
 
 let magic = "DCO3D-SERVE-V1"
 (* Bumped whenever a message type's Marshal layout changes, so a peer
-   built against another layout is refused instead of mis-decoded. *)
-let version = 2
+   built against another layout is refused instead of mis-decoded.
+   v3: a predict travels as an envelope frame and a body frame. *)
+let version = 3
 let max_frame_bytes = 256 * 1024 * 1024
 let header_bytes = String.length magic + 1 + 4 + 16
+
+(* Every byte this process runs through MD5 on the serving path: frame
+   digests on both directions, plus any key computed from content. *)
+let c_digest_bytes = Dco3d_obs.Obs.counter "serve/digest_bytes"
+
+let digest s =
+  Dco3d_obs.Obs.incr ~by:(String.length s) c_digest_bytes;
+  Digest.string s
 
 (* ------------------------------------------------------------------ *)
 (* Raw IO.  [Unix.read]/[Unix.write] may move fewer bytes than asked   *)
@@ -125,6 +134,8 @@ let read_all fd buf off len =
     len := !len - n
   done
 
+type frame = { digest : Digest.t; payload : string }
+
 let send_frame fd payload =
   let plen = String.length payload in
   if plen > max_frame_bytes then
@@ -133,7 +144,7 @@ let send_frame fd payload =
   Bytes.blit_string magic 0 header 0 (String.length magic);
   Bytes.set_uint8 header (String.length magic) version;
   Bytes.set_int32_be header (String.length magic + 1) (Int32.of_int plen);
-  Bytes.blit_string (Digest.string payload) 0 header (String.length magic + 5) 16;
+  Bytes.blit_string (digest payload) 0 header (String.length magic + 5) 16;
   write_all fd header 0 header_bytes;
   write_all fd (Bytes.unsafe_of_string payload) 0 plen
 
@@ -152,36 +163,168 @@ let recv_frame fd =
   let plen = Int32.to_int (Bytes.get_int32_be header (String.length magic + 1)) in
   if plen < 0 || plen > max_frame_bytes then
     raise (Protocol_error (Printf.sprintf "bad frame length %d" plen));
-  let digest = Bytes.sub_string header (String.length magic + 5) 16 in
+  let expected = Bytes.sub_string header (String.length magic + 5) 16 in
   let payload = Bytes.create plen in
   (try read_all fd payload 0 plen
    with End_of_file -> raise (Protocol_error "truncated frame payload"));
   let payload = Bytes.unsafe_to_string payload in
-  if Digest.string payload <> digest then
-    raise (Protocol_error "frame digest mismatch");
-  payload
+  let digest = digest payload in
+  if digest <> expected then raise (Protocol_error "frame digest mismatch");
+  { digest; payload }
 
 (* The payload types are closure-free plain data, so Marshal round-trips
-   them exactly (tensors travel as their shape + float array fields). *)
-let send_value fd v = send_frame fd (Marshal.to_string v [])
-
-let recv_value fd =
-  let payload = recv_frame fd in
+   them exactly (tensors travel as their shape + float array fields).
+   [Marshal.from_string] raises [Failure] on a bad header and
+   [Invalid_argument] on a payload shorter than one; both are a
+   malformed message here. *)
+let unmarshal what payload =
   try Marshal.from_string payload 0
-  with Failure msg -> raise (Protocol_error ("undecodable payload: " ^ msg))
+  with e ->
+    raise
+      (Protocol_error
+         (Printf.sprintf "undecodable %s: %s" what (Printexc.to_string e)))
 
-let send_request fd (e : envelope) = send_value fd e
-let recv_request fd : envelope = recv_value fd
+let send_value fd v = send_frame fd (Marshal.to_string v [])
+let recv_value fd = unmarshal "payload" (recv_frame fd).payload
+
+(* ------------------------------------------------------------------ *)
+(* Requests.  The envelope frame carries a [head]; a predict's tensors *)
+(* follow as a frame of their own whose payload is exactly             *)
+(* [Marshal.to_string (f_bottom, f_top) []], so the digest [recv_frame] *)
+(* verified on it is the predict key: nothing hashes the body again.   *)
+(* ------------------------------------------------------------------ *)
+
+type head = Whole of request | Predict_follows
+
+let encode_request (e : envelope) =
+  match e.req with
+  | Predict p ->
+      [
+        Marshal.to_string (Predict_follows, e.timeout_ms) [];
+        Marshal.to_string (p.f_bottom, p.f_top) [];
+      ]
+  | req -> [ Marshal.to_string (Whole req, e.timeout_ms) [] ]
+
+let send_request fd e = List.iter (send_frame fd) (encode_request e)
+
+(* Marshal is untyped: a digest-valid frame of another type would be
+   read as this one and crash whatever touches it.  The checks below
+   look at the runtime representation of what came off the wire before
+   it is used at its static type. *)
+let is_float_block o =
+  Obj.is_block o && (Obj.tag o = Obj.double_array_tag || Obj.size o = 0)
+
+let is_tensor o =
+  Obj.is_block o && Obj.tag o = 0 && Obj.size o = 2
+  &&
+  let shape = Obj.field o 0 and data = Obj.field o 1 in
+  Obj.is_block shape && Obj.tag shape = 0 && is_float_block data
+  &&
+  let dims = List.init (Obj.size shape) (Obj.field shape) in
+  List.for_all (fun d -> Obj.is_int d && (Obj.obj d : int) >= 0) dims
+  && List.fold_left (fun n d -> n * (Obj.obj d : int)) 1 dims
+     = Array.length (Obj.obj data : float array)
+
+let decode_head payload : head * float option =
+  let o = unmarshal "payload" payload in
+  let is_zero o = Obj.is_int o && (Obj.obj o : int) = 0 in
+  let is_some f o =
+    Obj.is_block o && Obj.tag o = 0 && Obj.size o = 1 && f (Obj.field o 0)
+  in
+  let ok =
+    Obj.is_block o && Obj.tag o = 0 && Obj.size o = 2
+    (* [Predict_follows] or [Whole _] *)
+    && (is_zero (Obj.field o 0) || is_some (fun _ -> true) (Obj.field o 0))
+    (* [None] or [Some (_ : float)] *)
+    && (is_zero (Obj.field o 1)
+       || is_some
+            (fun f -> Obj.is_block f && Obj.tag f = Obj.double_tag)
+            (Obj.field o 1))
+  in
+  if not ok then raise (Protocol_error "undecodable payload: not an envelope");
+  Obj.obj o
+
+let decode_body payload =
+  let o = unmarshal "predict body" payload in
+  if
+    not
+      (Obj.is_block o && Obj.tag o = 0 && Obj.size o = 2
+      && is_tensor (Obj.field o 0)
+      && is_tensor (Obj.field o 1))
+  then raise (Protocol_error "undecodable predict body: not a tensor pair");
+  let f_bottom, f_top = (Obj.obj o : Dco3d_tensor.Tensor.t * Dco3d_tensor.Tensor.t) in
+  { f_bottom; f_top }
+
+type raw_request =
+  | Raw of request * frame
+  | Raw_predict of { envelope : frame; body : frame }
+
+(* A predict's body frame, its envelope already read: a clean EOF here
+   still cuts the request in half. *)
+let body_frame next_frame =
+  try next_frame ()
+  with End_of_file ->
+    raise (Protocol_error "predict envelope without its body frame")
+
+let read_head next_frame =
+  let envelope = next_frame () in
+  let head, timeout_ms = decode_head envelope.payload in
+  match head with
+  | Whole (Predict _) ->
+      raise (Protocol_error "predict tensors outside their body frame")
+  | Whole req -> (Raw (req, envelope), timeout_ms)
+  | Predict_follows ->
+      (Raw_predict { envelope; body = body_frame next_frame }, timeout_ms)
+
+let recv_raw_request fd = fst (read_head (fun () -> recv_frame fd))
+
+let raw_frames = function
+  | Raw (_, f) -> [ f ]
+  | Raw_predict { envelope; body } -> [ envelope; body ]
+
+let read_request next_frame =
+  match read_head next_frame with
+  | Raw (req, _), timeout_ms -> ({ req; timeout_ms }, None)
+  | Raw_predict { body; _ }, timeout_ms ->
+      ( { req = Predict (decode_body body.payload); timeout_ms },
+        Some (Digest.to_hex body.digest) )
+
+let recv_request fd = read_request (fun () -> recv_frame fd)
+
 let send_reply fd (r : reply) = send_value fd r
 let recv_reply fd : reply = recv_value fd
 
-(* The balancer reads one raw frame per new connection to decide the
-   route, then forwards those exact bytes to the chosen shard, which
-   replays them through [decode_request] — no re-encoding, so the
-   shard sees bit-for-bit what the client sent. *)
-let decode_request payload : envelope =
-  try Marshal.from_string payload 0
-  with Failure msg -> raise (Protocol_error ("undecodable payload: " ^ msg))
+(* A routed connection's first frames travel to the shard inside one
+   control message: per frame, its 16-byte digest, a u32_be length and
+   the payload.  The balancer verified each digest on receipt; the
+   shard takes them as given instead of hashing the body again. *)
+let encode_frames frames =
+  let b = Buffer.create 64 in
+  List.iter
+    (fun f ->
+      Buffer.add_string b f.digest;
+      Buffer.add_int32_be b (Int32.of_int (String.length f.payload));
+      Buffer.add_string b f.payload)
+    frames;
+  Buffer.contents b
+
+(* A handoff carries at most a predict's two frames. *)
+let max_handoff_bytes = 2 * (max_frame_bytes + 20)
+
+let decode_frames s =
+  let n = String.length s in
+  let rec go off acc =
+    if off = n then List.rev acc
+    else if off + 20 > n then raise (Protocol_error "truncated handoff frames")
+    else
+      let len = Int32.to_int (String.get_int32_be s (off + 16)) in
+      if len < 0 || off + 20 + len > n then
+        raise (Protocol_error "truncated handoff frames");
+      go (off + 20 + len)
+        ({ digest = String.sub s off 16; payload = String.sub s (off + 20) len }
+        :: acc)
+  in
+  go 0 []
 
 (* Sent by a shard over the control channel right after connecting to
    the balancer, announcing what it serves. *)
@@ -193,15 +336,14 @@ type shard_hello = {
 
 let encode_shard_hello (h : shard_hello) = Marshal.to_string h []
 
-let decode_shard_hello payload : shard_hello =
-  try Marshal.from_string payload 0
-  with Failure msg ->
-    raise (Protocol_error ("undecodable shard hello: " ^ msg))
+let decode_shard_hello payload : shard_hello = unmarshal "shard hello" payload
 
+(* The reference definition of the predict key: what [read_request]
+   returns for a predict, computed from the tensors. *)
 let predict_key (p : predict_payload) =
-  Digest.to_hex (Digest.string (Marshal.to_string (p.f_bottom, p.f_top) []))
+  Digest.to_hex (digest (Marshal.to_string (p.f_bottom, p.f_top) []))
 
 (* In-flight dedup identity of a corpus request: two submits carrying
    the same (spec, config, kind) share one job. *)
 let corpus_key (r : corpus_req) =
-  Digest.to_hex (Digest.string (Marshal.to_string r []))
+  Digest.to_hex (digest (Marshal.to_string r []))

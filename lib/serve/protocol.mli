@@ -1,18 +1,26 @@
 (** Wire protocol of the [dco3d serve] daemon.
 
-    Every message travels as one length-prefixed binary frame, mirroring
+    Every message travels as length-prefixed binary frames, mirroring
     the framing discipline of the on-disk model files (magic + version +
     digest + Marshal payload):
 
     {v
-    "DCO3D-SERVE-V1" | u8 version | u32_be payload length
+    "DCO3D-SERVE-V1" | u8 version (3) | u32_be payload length
                      | 16-byte MD5(payload) | payload
     v}
 
     The digest makes truncated or corrupted frames fail loudly at the
-    receiver instead of Marshal-decoding garbage; for [Predict] requests
-    the {e content} digest ({!predict_key}) doubles as the daemon's
-    result-cache key.  Frames are capped at {!max_frame_bytes}. *)
+    receiver instead of Marshal-decoding garbage.  A request is one
+    envelope frame ([timeout_ms] and the request), except a [Predict]:
+    its envelope frame carries no tensors, and a second frame whose
+    payload is exactly [Marshal.to_string (f_bottom, f_top) []] follows.
+    The MD5 the receiver verifies on that body frame is therefore the
+    predict's content digest ({!predict_key}), which the daemon uses as
+    its result-cache key without hashing the body again.  Replies are
+    one frame each.  Frames are capped at {!max_frame_bytes}.
+
+    Every MD5 this module computes adds the bytes it hashed to the
+    [serve/digest_bytes] counter. *)
 
 type predict_payload = {
   f_bottom : Dco3d_tensor.Tensor.t;  (** raw [[7; ny; nx]] stack, bottom die *)
@@ -119,8 +127,9 @@ type reply =
           [Corpus_poll] *)
 
 exception Protocol_error of string
-(** Bad magic, unsupported version, oversized frame, or digest
-    mismatch. *)
+(** Bad magic, unsupported version, oversized frame, digest mismatch,
+    a payload that does not decode to the expected type, or a predict
+    cut between its two frames. *)
 
 val max_frame_bytes : int
 
@@ -129,33 +138,71 @@ val read_all : Unix.file_descr -> Bytes.t -> int -> int -> unit
 (** Short-transfer/EINTR-safe loops, shared with the control channel.
     [read_all] raises [End_of_file] if the peer closes mid-read. *)
 
+type frame = {
+  digest : Digest.t;  (** raw 16-byte MD5 of [payload], verified on receipt *)
+  payload : string;
+}
+
 val send_frame : Unix.file_descr -> string -> unit
-val recv_frame : Unix.file_descr -> string
-(** Raw framed payloads.  The balancer uses [recv_frame] to pull one
-    request off a fresh connection without consuming anything else,
-    then forwards the exact bytes to the chosen shard. *)
+val recv_frame : Unix.file_descr -> frame
+(** Raw framed payloads.  [recv_frame] raises [End_of_file] on a clean
+    peer disconnect before any byte of the frame. *)
+
+val encode_request : envelope -> string list
+(** The frame payloads {!send_request} writes, in order: one for most
+    requests, the envelope then the body for a [Predict]. *)
 
 val send_request : Unix.file_descr -> envelope -> unit
-val recv_request : Unix.file_descr -> envelope
-(** @raise End_of_file on a clean peer disconnect before any byte of a
-    frame; {!Protocol_error} on a malformed frame. *)
+
+val read_request : (unit -> frame) -> envelope * string option
+(** [read_request next_frame] pulls one request's frames from
+    [next_frame] and decodes them.  For a [Predict] the second result is
+    [Some key], the hex MD5 of its body frame — equal to
+    {!predict_key} of the decoded payload, taken from the digest the
+    frame was verified with — and [None] for every other request.
+    @raise End_of_file if [next_frame] does, before the first frame;
+    {!Protocol_error} on a malformed frame or payload, a predict whose
+    body frame is missing, or predict tensors inside the envelope. *)
+
+val recv_request : Unix.file_descr -> envelope * string option
+(** {!read_request} on the frames of a socket. *)
+
+(** A request as received, with only its envelope decoded: what the
+    balancer routes on and forwards to a shard untouched. *)
+type raw_request =
+  | Raw of request * frame  (** any request but a predict, and its frame *)
+  | Raw_predict of { envelope : frame; body : frame }
+      (** a predict's two frames; the body is not decoded, its
+          [digest] is the predict key *)
+
+val recv_raw_request : Unix.file_descr -> raw_request
+val raw_frames : raw_request -> frame list
+
+val encode_frames : frame list -> string
+val decode_frames : string -> frame list
+(** The control-channel form of a routed connection's first frames:
+    per frame its digest, a u32_be length and the payload.  Digests are
+    carried, not recomputed: the balancer already verified them.
+    [decode_frames ""] is [[]].
+    @raise Protocol_error on a truncated encoding. *)
+
+val max_handoff_bytes : int
+(** Size bound of an encoding of one request's frames (a predict's
+    two), the control channel's payload cap. *)
 
 val send_reply : Unix.file_descr -> reply -> unit
 val recv_reply : Unix.file_descr -> reply
 
 val predict_key : predict_payload -> string
-(** Hex digest of the feature-map content alone (no envelope fields),
-    combined by the server with the model fingerprint to key the result
-    cache. *)
+(** Hex digest of the feature-map content alone (no envelope fields):
+    MD5 of [Marshal.to_string (f_bottom, f_top) []].  The reference
+    definition of the key {!read_request} returns; the server combines
+    it with the model fingerprint to key the result cache. *)
 
 val corpus_key : corpus_req -> string
 (** Hex digest of a corpus request's full content — the server's
     in-flight dedup identity: concurrent submits of the same request
     share one job id. *)
-
-val decode_request : string -> envelope
-(** Decode a raw frame payload (from {!recv_frame}) into an envelope.
-    @raise Protocol_error if the payload does not unmarshal. *)
 
 (** Announcement a shard sends over the balancer's control channel when
     it registers. *)

@@ -494,8 +494,11 @@ let stats = stats_snapshot
 (* Connection handling                                                 *)
 (* ------------------------------------------------------------------ *)
 
-let handle_predict t payload timeout_ms =
-  let key = P.predict_key payload ^ ":" ^ t.fingerprint in
+(* [content_key] is the verified digest of the predict's body frame
+   ([Protocol.read_request]), equal to [Protocol.predict_key payload]:
+   the body is not hashed a second time. *)
+let handle_predict t payload ~content_key timeout_ms =
+  let key = content_key ^ ":" ^ t.fingerprint in
   let arrival = now () in
   let cached =
     locked t (fun () ->
@@ -563,13 +566,16 @@ let handle_predict t payload timeout_ms =
   in
   match action with `Reply r -> r | `Wait p -> await_pending p
 
-let handle_request t (env : P.envelope) =
+let handle_request t (env : P.envelope) content_key =
   locked t (fun () -> t.stats.n_requests <- t.stats.n_requests + 1);
   Obs.incr c_requests;
   match env.P.req with
   | P.Ping -> P.Pong
   | P.Stats -> P.Stats_reply (stats_snapshot t)
-  | P.Predict payload -> handle_predict t payload env.P.timeout_ms
+  | P.Predict payload ->
+      (* [read_request] returns a key with every predict *)
+      handle_predict t payload ~content_key:(Option.get content_key)
+        env.P.timeout_ms
   | P.Flow_submit spec ->
       let id =
         locked t (fun () ->
@@ -615,25 +621,25 @@ let handle_request t (env : P.envelope) =
       | Some status -> P.Corpus_status status
       | None -> P.Server_error (Printf.sprintf "unknown corpus job id %d" id))
 
-(* [initial] is a raw frame payload the balancer already read off this
-   connection to pick the route; the handler replays it before touching
-   the socket so the client's first request is never lost. *)
-let handler_loop t ?initial fd =
+(* [initial] holds the frames the balancer already read off this
+   connection to pick the route; the handler replays them before
+   touching the socket so the client's first request is never lost. *)
+let handler_loop t ~initial fd =
   let finished = ref false in
   let replay = ref initial in
-  let next () =
+  let next_frame () =
     match !replay with
-    | Some payload ->
-        replay := None;
-        P.decode_request payload
-    | None -> P.recv_request fd
+    | f :: rest ->
+        replay := rest;
+        f
+    | [] -> P.recv_frame fd
   in
   (try
      while not !finished do
-       match next () with
-       | env -> (
+       match P.read_request next_frame with
+       | env, content_key -> (
            let reply =
-             try handle_request t env
+             try handle_request t env content_key
              with e -> P.Server_error (Printexc.to_string e)
            in
            try P.send_reply fd reply with
@@ -663,7 +669,7 @@ let handler_loop t ?initial fd =
    (and closes the fd) if the server is already stopping.  This is how
    the accept loop admits sockets and how a shard adopts fds handed
    over by the balancer. *)
-let adopt_connection t ?initial fd =
+let adopt_connection t ?(initial = []) fd =
   let admit =
     locked t (fun () ->
         if t.stopping then false
@@ -675,7 +681,7 @@ let adopt_connection t ?initial fd =
   if admit then
     locked t (fun () ->
         t.handler_threads <-
-          Thread.create (fun () -> handler_loop t ?initial fd) ()
+          Thread.create (fun () -> handler_loop t ~initial fd) ()
           :: t.handler_threads)
   else Unix.close fd;
   admit

@@ -26,9 +26,12 @@
        finished statuses ({!job_retention}, {!job_retention_unpolled}).}}
 
     Results are cached in an {!Lru} keyed by
-    [Protocol.predict_key ^ ":" ^ Predictor.fingerprint], so a repeated
-    request is answered from memory without touching the network —
-    and a model swap can never serve stale maps.
+    [content ^ ":" ^ Predictor.fingerprint], where [content] is the hex
+    MD5 the predict's body frame was verified with on receipt — equal
+    to [Protocol.predict_key] of its tensors, so each request body is
+    hashed exactly once.  A repeated request is answered from memory
+    without touching the network, and a model swap can never serve
+    stale maps.
 
     Backpressure: once {!config.queue_capacity} predict requests are
     queued, further ones are refused immediately with
@@ -39,7 +42,7 @@
     Observability: [serve/queue_depth] gauge, [serve/batch_size]
     histogram, [serve/cache_hit]/[serve/cache_miss]/[serve/overloaded]/
     [serve/timeout]/[serve/epipe]/[serve/corpus_dedup]/
-    [serve/spill_write] counters (plus the spill store's
+    [serve/spill_write]/[serve/digest_bytes] counters (plus the spill store's
     [serve/spill_{hit,miss,evicted}]), and
     [serve/batch] / [serve/flow_job] / [serve/corpus_job] spans, all
     through {!Dco3d_obs.Obs}. *)
@@ -106,11 +109,13 @@ val start_detached : config -> Dco3d_core.Predictor.t -> t
     {!adopt_connection}.  This is the shard-side server behind the
     fd-passing balancer. *)
 
-val adopt_connection : t -> ?initial:string -> Unix.file_descr -> bool
+val adopt_connection :
+  t -> ?initial:Protocol.frame list -> Unix.file_descr -> bool
 (** Take ownership of an already-connected socket (e.g. one received
     over [SCM_RIGHTS]) and serve it on its own handler thread.
-    [initial], if given, is a raw frame payload the balancer consumed
-    to route the connection; it is replayed as the first request.
+    [initial] holds the verified frames the balancer consumed to route
+    the connection (a predict's envelope and body); they are replayed
+    as the first request, ahead of anything read from the socket.
     Returns [false] (closing the fd) if the server is stopping. *)
 
 val bound_addr : t -> address

@@ -6,9 +6,9 @@
    and then loops on control messages:
 
      'C'  adopt the attached fd as a client connection; the payload,
-          when non-empty, is a raw request frame the balancer already
-          consumed for routing, replayed as the connection's first
-          request
+          when non-empty, holds the request frames the balancer already
+          consumed for routing ([Protocol.encode_frames]), replayed as
+          the connection's first request
      'D'  drain: stop gracefully (spilling the hot set) and exit
 
    EOF on the control channel means the balancer died; the shard drains
@@ -45,8 +45,11 @@ let run ~ctl_path (cfg : Server.config) predictor =
     match Fdpass.recv_ctl sock with
     | None -> Balancer_gone
     | Some ('C', payload, Some fd) ->
-        let initial = if payload = "" then None else Some payload in
-        if Server.adopt_connection t ?initial fd then Obs.incr c_adopted;
+        (match P.decode_frames payload with
+         | initial ->
+             if Server.adopt_connection t ~initial fd then Obs.incr c_adopted
+         | exception P.Protocol_error _ -> (
+             try Unix.close fd with Unix.Unix_error _ -> ()));
         loop ()
     | Some ('D', _, fd) ->
         Option.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) fd;

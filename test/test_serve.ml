@@ -111,7 +111,7 @@ let test_protocol_roundtrip () =
         { Proto.f_bottom = rand_stack rng 9 13; f_top = rand_stack rng 9 13 }
       in
       Proto.send_request a { Proto.req = Proto.Predict payload; timeout_ms = Some 25. };
-      let env = Proto.recv_request b in
+      let env, _ = Proto.recv_request b in
       Alcotest.(check (option (float 0.))) "timeout survives" (Some 25.)
         env.Proto.timeout_ms;
       (match env.Proto.req with
@@ -169,6 +169,126 @@ let test_predict_key_content_only () =
   let other = { p with Proto.f_top = rand_stack rng 6 6 } in
   Alcotest.(check bool) "different content, different key" true
     (Proto.predict_key p <> Proto.predict_key other)
+
+(* The key [read_request] derives from the wire is the digest the body
+   frame was verified with; it must be [predict_key] of the tensors,
+   byte for byte, whatever the shapes and envelope fields. *)
+let test_wire_key_is_predict_key () =
+  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.close a;
+      Unix.close b)
+  @@ fun () ->
+  let rng = Rng.create 71 in
+  List.iter
+    (fun (c, ny, nx) ->
+      List.iter
+        (fun timeout_ms ->
+          let p =
+            {
+              Proto.f_bottom = T.rand_uniform rng ~lo:(-2.) ~hi:2. [| c; ny; nx |];
+              f_top = T.rand_uniform rng ~lo:(-2.) ~hi:2. [| c; ny; nx |];
+            }
+          in
+          Proto.send_request a { Proto.req = Proto.Predict p; timeout_ms };
+          let env, key = Proto.recv_request b in
+          let what = Printf.sprintf "%dx%dx%d" c ny nx in
+          Alcotest.(check (option string)) (what ^ " key") (Some (Proto.predict_key p)) key;
+          Alcotest.(check (option (float 0.))) (what ^ " timeout") timeout_ms
+            env.Proto.timeout_ms;
+          match env.Proto.req with
+          | Proto.Predict q ->
+              Alcotest.(check (array (float 0.))) (what ^ " bottom")
+                p.Proto.f_bottom.T.data q.Proto.f_bottom.T.data;
+              Alcotest.(check (array (float 0.))) (what ^ " top")
+                p.Proto.f_top.T.data q.Proto.f_top.T.data
+          | _ -> Alcotest.fail "wrong request decoded")
+        [ None; Some 0.5; Some 1e4 ])
+    [ (7, 1, 1); (7, 6, 6); (8, 9, 13); (1, 32, 3); (7, 0, 4) ];
+  (* every other request carries no key *)
+  Proto.send_request a { Proto.req = Proto.Ping; timeout_ms = Some 3. };
+  Alcotest.(check (option string)) "ping has no key" None
+    (snd (Proto.recv_request b))
+
+(* The balancer hands a routed connection's first frames to a shard in
+   one control message; the shard must get the same frames back, digests
+   included, and a cut encoding must be refused. *)
+let test_handoff_frames () =
+  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.close a;
+      Unix.close b)
+  @@ fun () ->
+  let rng = Rng.create 73 in
+  let p = { Proto.f_bottom = rand_stack rng 5 7; f_top = rand_stack rng 5 7 } in
+  Proto.send_request a { Proto.req = Proto.Predict p; timeout_ms = Some 9. };
+  let raw = Proto.recv_raw_request b in
+  (match raw with
+  | Proto.Raw_predict { body; _ } ->
+      Alcotest.(check string) "routing key is predict_key" (Proto.predict_key p)
+        (Digest.to_hex body.Proto.digest)
+  | Proto.Raw _ -> Alcotest.fail "a predict reads as two frames");
+  let frames = Proto.raw_frames raw in
+  let encoded = Proto.encode_frames frames in
+  Alcotest.(check bool) "fits the control channel" true
+    (String.length encoded <= Proto.max_handoff_bytes);
+  let decoded = Proto.decode_frames encoded in
+  Alcotest.(check int) "two frames" 2 (List.length decoded);
+  List.iter2
+    (fun f g ->
+      Alcotest.(check string) "digest" f.Proto.digest g.Proto.digest;
+      Alcotest.(check string) "payload" f.Proto.payload g.Proto.payload)
+    frames decoded;
+  (* replayed through [read_request], the frames decode to the request *)
+  let replay = ref decoded in
+  let env, key =
+    Proto.read_request (fun () ->
+        match !replay with
+        | f :: rest ->
+            replay := rest;
+            f
+        | [] -> raise End_of_file)
+  in
+  Alcotest.(check (option string)) "replayed key" (Some (Proto.predict_key p)) key;
+  Alcotest.(check (option (float 0.))) "replayed timeout" (Some 9.) env.Proto.timeout_ms;
+  Alcotest.(check int) "empty handoff" 0 (List.length (Proto.decode_frames ""));
+  List.iter
+    (fun cut ->
+      Alcotest.(check bool)
+        (Printf.sprintf "cut at %d refused" cut)
+        true
+        (match Proto.decode_frames (String.sub encoded 0 cut) with
+        | _ -> false
+        | exception Proto.Protocol_error _ -> true))
+    [ 1; 19; 20; 21; String.length encoded - 1 ]
+
+(* A digest-valid payload shorter than Marshal's 20-byte header raises
+   [Invalid_argument] inside Marshal; every decoder must turn that into
+   [Protocol_error], like any other undecodable payload. *)
+let test_short_payload_protocol_error () =
+  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.close a;
+      Unix.close b)
+  @@ fun () ->
+  let refused what f =
+    Alcotest.(check bool) what true
+      (match f () with
+      | _ -> false
+      | exception Proto.Protocol_error msg ->
+          String.length msg >= 11 && String.sub msg 0 11 = "undecodable")
+  in
+  Proto.send_frame a "short";
+  refused "request" (fun () -> Proto.recv_request b);
+  Proto.send_frame a "short";
+  refused "reply" (fun () -> Proto.recv_reply b);
+  refused "shard hello" (fun () -> Proto.decode_shard_hello "short");
+  refused "empty payload" (fun () ->
+      Proto.send_frame a "";
+      Proto.recv_reply b)
 
 (* ------------------------------------------------------------------ *)
 (* predict_batch bit-exactness (satellite: property tests)             *)
@@ -552,6 +672,233 @@ let test_bad_payload_does_not_kill_batcher () =
   | Client.Ok _ -> ()
   | _ -> Alcotest.fail "batcher must survive a malformed payload"
 
+(* Frame bytes as [Protocol.send_frame] writes them, with the version
+   and digest open to tampering. *)
+let raw_frame ?(version = 3) ?digest payload =
+  let digest = Option.value digest ~default:(Digest.string payload) in
+  let b = Buffer.create (String.length payload + 35) in
+  Buffer.add_string b "DCO3D-SERVE-V1";
+  Buffer.add_uint8 b version;
+  Buffer.add_int32_be b (Int32.of_int (String.length payload));
+  Buffer.add_string b digest;
+  Buffer.add_string b payload;
+  Buffer.contents b
+
+let write_string fd s =
+  Proto.write_all fd (Bytes.unsafe_of_string s) 0 (String.length s)
+
+let dial_raw srv =
+  match Server.bound_addr srv with
+  | Server.Unix_path p ->
+      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      Unix.connect fd (Unix.ADDR_UNIX p);
+      fd
+  | Server.Tcp _ -> assert false
+
+(* Send [bytes] on a fresh connection, half-close it and read the
+   daemon's answer: a protocol-error reply, or the connection closed. *)
+let expect_protocol_error srv what bytes =
+  let fd = dial_raw srv in
+  Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+  write_string fd bytes;
+  Unix.shutdown fd Unix.SHUTDOWN_SEND;
+  match Proto.recv_reply fd with
+  | Proto.Server_error msg ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: protocol error (%s)" what msg)
+        true
+        (contains ~affix:"protocol error" msg)
+  | _ -> Alcotest.failf "%s: expected a protocol error" what
+  | exception e ->
+      Alcotest.failf "%s: no reply (%s)" what (Printexc.to_string e)
+
+(* A digest-valid 5-byte frame used to escape [Protocol_error] as
+   [Invalid_argument]: the daemon dropped the connection without its
+   reply, and a client reading it as a reply saw the raw exception. *)
+let test_short_payload_e2e () =
+  let predictor = mk_predictor 89 in
+  let rng = Rng.create 89 in
+  with_server predictor @@ fun srv ->
+  expect_protocol_error srv "5-byte request" (raw_frame "short");
+  (* the daemon serves a fresh connection *)
+  let c = Client.connect (Server.bound_addr srv) in
+  Fun.protect ~finally:(fun () -> Client.close c) (fun () ->
+      Client.ping c;
+      let fb = rand_stack rng 6 6 and ft = rand_stack rng 6 6 in
+      match Client.predict c fb ft with
+      | Client.Ok _ -> ()
+      | _ -> Alcotest.fail "daemon must keep serving");
+  (* the same frame as a reply: the client sees a lost connection *)
+  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let peer =
+    Thread.create
+      (fun () ->
+        ignore (Proto.recv_request b);
+        write_string b (raw_frame "short"))
+      ()
+  in
+  let c = Client.of_fd a in
+  let fb = rand_stack rng 6 6 and ft = rand_stack rng 6 6 in
+  let outcome = Client.predict c fb ft in
+  Thread.join peer;
+  Unix.close b;
+  Client.close c;
+  match outcome with
+  | Client.Disconnected -> ()
+  | _ -> Alcotest.fail "a short reply frame must read as Disconnected"
+
+(* [Tensor.t]'s layout, for forging a tensor whose shape lies. *)
+type forged_tensor = { shape : int array; data : float array }
+
+(* A predict is an envelope frame and a body frame; every way of
+   getting the pair wrong is a protocol error on that connection, and
+   the daemon keeps serving. *)
+let test_malformed_two_frame_predicts () =
+  let predictor = mk_predictor 97 in
+  let rng = Rng.create 97 in
+  with_server predictor @@ fun srv ->
+  let fb = rand_stack rng 6 6 and ft = rand_stack rng 6 6 in
+  let envelope, body =
+    match
+      Proto.encode_request
+        { Proto.req = Proto.Predict { Proto.f_bottom = fb; f_top = ft }; timeout_ms = None }
+    with
+    | [ e; b ] -> (e, b)
+    | _ -> Alcotest.fail "a predict encodes as two frames"
+  in
+  let framed = raw_frame body in
+  let cases =
+    [
+      ("envelope, then EOF", raw_frame envelope);
+      ( "truncated body frame",
+        raw_frame envelope ^ String.sub framed 0 (String.length framed / 2) );
+      ( "body digest mismatch",
+        raw_frame envelope ^ raw_frame ~digest:(Digest.string "other") body );
+      ("body of another type", raw_frame envelope ^ raw_frame (Marshal.to_string 42 []));
+      ( "body of strings",
+        raw_frame envelope ^ raw_frame (Marshal.to_string ("a", "b") []) );
+      ( "tensor with a lying shape",
+        raw_frame envelope
+        ^ raw_frame
+            (Marshal.to_string
+               ({ shape = [| 7; 9; 9 |]; data = [| 1. |] }, ft)
+               []) );
+      ( "tensors inside the envelope",
+        raw_frame
+          (Marshal.to_string
+             (Proto.Predict { Proto.f_bottom = fb; f_top = ft }, (None : float option))
+             []) );
+      ("envelope of another type", raw_frame (Marshal.to_string [ 1; 2; 3 ] []));
+      ("a v2 frame", raw_frame ~version:2 envelope);
+    ]
+  in
+  List.iter
+    (fun (what, bytes) ->
+      expect_protocol_error srv what bytes;
+      let c = Client.connect (Server.bound_addr srv) in
+      Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+      Client.ping c)
+    cases;
+  (* the v2 refusal names the version *)
+  let fd = dial_raw srv in
+  Fun.protect ~finally:(fun () -> Unix.close fd) (fun () ->
+      write_string fd (raw_frame ~version:2 envelope);
+      match Proto.recv_reply fd with
+      | Proto.Server_error msg ->
+          Alcotest.(check bool) msg true
+            (contains ~affix:"unsupported protocol version 2" msg)
+      | _ -> Alcotest.fail "v2 must be refused");
+  let c = Client.connect (Server.bound_addr srv) in
+  Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+  match Client.predict c fb ft with
+  | Client.Ok { cache_hit = false; _ } -> ()
+  | _ -> Alcotest.fail "daemon must keep serving after malformed predicts"
+
+let with_obs f =
+  let was = Obs.enabled () in
+  Obs.enable ();
+  Fun.protect ~finally:(fun () -> if not was then Obs.disable ()) f
+
+(* [serve/digest_bytes]: an in-process predict round trip hashes each
+   frame once on each side — the request's envelope and body, the
+   reply — and nothing else: the cache key is the body's frame digest,
+   not a second hash of the tensors. *)
+let test_digest_bytes_once_per_side () =
+  with_obs @@ fun () ->
+  let predictor = mk_predictor 101 in
+  let rng = Rng.create 101 in
+  with_server predictor @@ fun srv ->
+  let c = Client.connect (Server.bound_addr srv) in
+  Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+  let fb = rand_stack rng 6 6 and ft = rand_stack rng 6 6 in
+  let request =
+    Proto.encode_request
+      { Proto.req = Proto.Predict { Proto.f_bottom = fb; f_top = ft }; timeout_ms = None }
+  in
+  List.iter
+    (fun expect_hit ->
+      let before = Obs.counter_value "serve/digest_bytes" in
+      match Client.predict c fb ft with
+      | Client.Ok { c_bottom; c_top; cache_hit } ->
+          let hashed = Obs.counter_value "serve/digest_bytes" - before in
+          Alcotest.(check bool) "cache hit" expect_hit cache_hit;
+          let reply =
+            Marshal.to_string (Proto.Predicted { c_bottom; c_top; cache_hit }) []
+          in
+          let frames =
+            List.fold_left (fun n f -> n + String.length f) 0 (reply :: request)
+          in
+          Alcotest.(check int)
+            (Printf.sprintf "hit=%b: each frame once per side" expect_hit)
+            (2 * frames) hashed
+      | _ -> Alcotest.fail "predict failed")
+    [ false; true ]
+
+(* The key the daemon derives from the wire is [predict_key]: an entry
+   planted in the spill under [predict_key ^ ":" ^ fingerprint] is
+   served, for any shape and with or without a deadline. *)
+let test_served_key_is_predict_key () =
+  let predictor = mk_predictor 103 in
+  let rng = Rng.create 103 in
+  let spill_dir = tmp_name ".spill" in
+  Fun.protect
+    ~finally:(fun () ->
+      if Sys.file_exists spill_dir then begin
+        Array.iter (fun e -> Sys.remove (Filename.concat spill_dir e))
+          (Sys.readdir spill_dir);
+        Sys.rmdir spill_dir
+      end)
+  @@ fun () ->
+  with_server ~spill_dir predictor @@ fun srv ->
+  let c = Client.connect (Server.bound_addr srv) in
+  Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+  List.iter
+    (fun ((ny, nx), timeout_ms) ->
+      let b = rand_stack rng ny nx and t = rand_stack rng ny nx in
+      let key =
+        Proto.predict_key { Proto.f_bottom = b; f_top = t }
+        ^ ":" ^ Server.fingerprint srv
+      in
+      (* not the model's output: only the planted entry can supply it *)
+      let pb = rand_stack rng 3 3 and pt = rand_stack rng 3 3 in
+      Alcotest.(check bool) "planted" true
+        (Dco3d_framing.Framing.write_file ~magic:"DCO3D-SPILL-V1"
+           ~path:(Dco3d_framing.Framing.path_of ~dir:spill_dir ~suffix:".spill" key)
+           ~body:(Marshal.to_string (key, (pb, pt)) []));
+      match Client.predict ?timeout_ms c b t with
+      | Client.Ok { c_bottom; c_top; cache_hit } ->
+          let what = Printf.sprintf "%dx%d" ny nx in
+          Alcotest.(check bool) (what ^ " served from the planted key") true cache_hit;
+          check_bits (what ^ " bottom") pb c_bottom;
+          check_bits (what ^ " top") pt c_top
+      | _ -> Alcotest.fail "predict failed")
+    [
+      ((1, 1), None);
+      ((6, 6), Some 1e4);
+      ((9, 13), None);
+      ((32, 3), Some 5e3);
+    ]
+
 let test_e2e_flow_job () =
   let predictor = mk_predictor 71 in
   with_server predictor @@ fun srv ->
@@ -822,6 +1169,11 @@ let suites =
           test_protocol_eof_and_truncation;
         Alcotest.test_case "content-only cache key" `Quick
           test_predict_key_content_only;
+        Alcotest.test_case "wire key = predict_key" `Quick
+          test_wire_key_is_predict_key;
+        Alcotest.test_case "short payload is a protocol error" `Quick
+          test_short_payload_protocol_error;
+        Alcotest.test_case "handoff frames roundtrip" `Quick test_handoff_frames;
       ] );
     ( "serve batch",
       [
@@ -855,6 +1207,14 @@ let suites =
           test_e2e_survives_rude_clients;
         Alcotest.test_case "bad payload fails, batcher survives" `Quick
           test_bad_payload_does_not_kill_batcher;
+        Alcotest.test_case "short payload: error reply, serves on" `Quick
+          test_short_payload_e2e;
+        Alcotest.test_case "malformed two-frame predicts" `Quick
+          test_malformed_two_frame_predicts;
+        Alcotest.test_case "digest bytes: each frame once per side" `Quick
+          test_digest_bytes_once_per_side;
+        Alcotest.test_case "served key = predict_key" `Quick
+          test_served_key_is_predict_key;
         Alcotest.test_case "flow job lifecycle" `Quick test_e2e_flow_job;
         Alcotest.test_case "answered jobs retire after a cap" `Quick
           test_e2e_job_retention;
