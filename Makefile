@@ -66,12 +66,15 @@ bench-ab:
 
 # End-to-end daemon smoke: start `dco3d serve` (untrained model), fire
 # predict requests (the repeats must hit the result cache), run a tiny
-# flow job through the async job queue, then drain with SIGTERM.  The
+# remote flow (a corpus PPA cell) through the async job queue, then
+# drain with SIGTERM.  The
 # daemon writes its stage profile to $(LOGS)/serve-profile.txt at exit,
 # each client its own to $(LOGS)/serve-client-profile.txt.<command>.
-# Every frame is MD5'd once by its sender and once by its receiver, so
-# the daemon's serve/digest_bytes must equal the clients' sum: a second
-# hash of a predict body on the daemon (the cache key) shows up there.
+# Every frame is MD5'd once by its sender and once by its receiver, and
+# beyond frames the daemon's serve/digest_bytes counts only the dedup
+# key of each corpus job (serve/corpus_key_bytes).  So it must equal
+# the clients' sum plus those key bytes: a second hash of a predict
+# body on the daemon (the cache key) shows up there.
 serve-smoke:
 	dune build bin/dco3d.exe
 	mkdir -p $(LOGS)
@@ -97,13 +100,14 @@ serve-smoke:
 	STATUS=$$?; cat $(LOGS)/serve-smoke.log; \
 	[ $$STATUS -eq 0 ] && [ -f $(LOGS)/serve-profile.txt ] && \
 	  grep -q "serve/batch " $(LOGS)/serve-profile.txt && \
-	  grep -q "serve/flow_job" $(LOGS)/serve-profile.txt && \
+	  grep -q "serve/corpus_job" $(LOGS)/serve-profile.txt && \
 	  grep -q "serve/cache_hit" $(LOGS)/serve-profile.txt && \
 	  grep -q "serve/requests" $(LOGS)/serve-profile.txt && \
 	  grep -q "serve/digest_bytes" $(LOGS)/serve-profile.txt && \
 	  awk '$$1 == "serve/digest_bytes" { if (FILENAME ~ /client/) c += $$2; else d += $$2 } \
-	    END { printf "serve-smoke: digest bytes, daemon %d, clients %d\n", d, c; \
-	          exit !(d > 0 && d == c) }' \
+	    $$1 == "serve/corpus_key_bytes" && FILENAME !~ /client/ { k += $$2 } \
+	    END { printf "serve-smoke: digest bytes, daemon %d, clients %d, corpus keys %d\n", d, c, k; \
+	          exit !(d > 0 && d == c + k) }' \
 	    $(LOGS)/serve-profile.txt $(LOGS)/serve-client-profile.txt.* && \
 	  grep -q "drained and stopped" $(LOGS)/serve-smoke.log && \
 	  echo "serve-smoke: OK" || { echo "serve-smoke: FAILED"; exit 1; }

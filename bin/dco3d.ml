@@ -740,7 +740,7 @@ let serve_cmd =
       | Some path -> Predictor.load path
       | None ->
           (* No trained weights: serve a freshly initialized network.
-             Exercises the full daemon (batching, caching, flow jobs)
+             Exercises the full daemon (batching, caching, corpus jobs)
              without a training run — what the CI smoke test uses. *)
           untrained_predictor ~seed ~input_hw
     in
@@ -880,7 +880,7 @@ let serve_cmd =
     (Cmd.info "serve"
        ~doc:"Run the persistent inference/flow daemon: load the model \
              once, micro-batch concurrent predict requests, cache \
-             results, run flow jobs asynchronously.  SIGTERM/SIGINT \
+             results, run corpus jobs asynchronously.  SIGTERM/SIGINT \
              drain and stop.  With $(b,--shard-of) it runs as one shard \
              of a balanced fleet instead.")
     Term.(
@@ -1138,23 +1138,36 @@ let client_cmd =
               Printf.printf "predict %d/%d: disconnected\n" i repeat
         done
     | `Flow ->
-        let spec =
+        (* A remote Pin-3D flow is the "base" corpus cell of a spec named
+           after its profile.  The generator seeds its RNG from the
+           profile name, so the spec carries the resolved name: "-d dma"
+           generates the netlist of "DMA". *)
+        let name =
+          match Gen.profile design with
+          | p -> p.Gen.name
+          | exception Not_found ->
+              Printf.eprintf "dco3d client: unknown design %S\n" design;
+              exit 2
+        in
+        let req =
           {
-            Proto.fl_design = design;
-            fl_scale = scale;
-            fl_seed = seed;
-            fl_gcell = gcell;
-            fl_variant = Proto.Pin3d;
+            Proto.cr_spec = Corpus.spec ~name ~scale ~seed name;
+            cr_config = Corpus.flow_config ~gcell "base";
+            cr_kind = Proto.Corpus_ppa;
           }
         in
-        let id = Client.submit_flow c spec in
+        let id = Client.submit_corpus c req in
         Printf.printf "job %d accepted, polling...\n%!" id;
-        let s = Client.wait_flow c id in
-        Printf.printf
-          "%s: overflow %d, WL %.1f um, WNS %.1f ps, TNS %.1f ps, power \
-           %.2f mW\n"
-          s.Proto.fs_name s.Proto.fs_overflow s.Proto.fs_wirelength_um
-          s.Proto.fs_wns_ps s.Proto.fs_tns_ps s.Proto.fs_power_mw
+        match Client.wait_corpus c id with
+        | Proto.Corpus_row r ->
+            Printf.printf
+              "%s/%s: overflow %d, WL %.1f um, WNS %.1f ps, TNS %.1f ps, \
+               power %.2f mW\n"
+              r.Corpus.r_design r.Corpus.r_config r.Corpus.r_overflow
+              r.Corpus.r_wirelength_um r.Corpus.r_wns_ps r.Corpus.r_tns_ps
+              r.Corpus.r_power_mw
+        | Proto.Corpus_dataset_built _ ->
+            raise (Client.Error "client flow: unexpected dataset reply")
   in
   let action_t =
     Arg.(
@@ -1170,7 +1183,7 @@ let client_cmd =
                 ]))
           None
       & info [] ~docv:"ACTION"
-          ~doc:"$(b,ping), $(b,stats), $(b,predict) (build features for            --design locally, request congestion maps) or $(b,flow)            (submit a flow job and poll it).")
+          ~doc:"$(b,ping), $(b,stats), $(b,predict) (build features for            --design locally, request congestion maps) or $(b,flow)            (run the Pin-3D flow on --design as a corpus PPA job and poll it).")
   in
   let repeat_t =
     Arg.(

@@ -290,24 +290,17 @@ let pick_slot t (raw : P.raw_request) = (* t.m held *)
           let n = List.length group in
           let h = Hashtbl.hash (Digest.to_hex body.P.digest) in
           Some (List.nth group (h mod n)))
-  | P.Raw (P.Flow_submit spec, _) -> (
+  | P.Raw (P.Corpus_submit req, _) -> (
       (* Design affinity: all jobs on one design land on one shard of
-         the primary group, so its flow worker's route cache and warm
+         the primary group, so its job worker's route cache and warm
          state concentrate per design instead of every shard routing
          every design. *)
       match primary_group t with
       | [] -> None
       | group ->
-          let h = Hashtbl.hash spec.P.fl_design in
-          Some (List.nth group (h mod List.length group)))
-  | P.Raw (P.Corpus_submit req, _) -> (
-      (* Same per-design affinity for the corpus class. *)
-      match primary_group t with
-      | [] -> None
-      | group ->
           let h = Hashtbl.hash req.P.cr_spec.Dco3d_corpus.Corpus.sp_name in
           Some (List.nth group (h mod List.length group)))
-  | P.Raw ((P.Ping | P.Stats | P.Flow_poll _ | P.Corpus_poll _), _)
+  | P.Raw ((P.Ping | P.Stats | P.Corpus_poll _), _)
   (* [Protocol] refuses a predict whose tensors are in the envelope *)
   | P.Raw (P.Predict _, _) ->
       (* Job polls are connection-scoped: submit and poll travel on one

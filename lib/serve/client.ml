@@ -153,28 +153,6 @@ let retry ?(attempts = 5) ?(base_delay_s = 0.01) ?(max_delay_s = 0.5)
   in
   go 0
 
-let submit_flow c spec =
-  match roundtrip c (P.Flow_submit spec) None with
-  | P.Accepted id -> id
-  | r -> fail_reply "submit_flow" r
-
-let poll_flow c id =
-  match roundtrip c (P.Flow_poll id) None with
-  | P.Status s -> s
-  | r -> fail_reply "poll_flow" r
-
-let wait_flow ?(poll_interval_s = 0.05) c id =
-  let rec go () =
-    match poll_flow c id with
-    | P.Job_done summary -> summary
-    | P.Job_failed msg ->
-        raise (Error (Printf.sprintf "flow job %d failed: %s" id msg))
-    | P.Job_queued | P.Job_running ->
-        Thread.delay poll_interval_s;
-        go ()
-  in
-  go ()
-
 let submit_corpus c req =
   match roundtrip c (P.Corpus_submit req) None with
   | P.Accepted id -> id

@@ -7,7 +7,7 @@
 type t
 
 exception Error of string
-(** Unexpected reply shape, [Server_error], or a failed flow job. *)
+(** Unexpected reply shape, [Server_error], or a failed corpus job. *)
 
 exception Lost_connection
 (** The peer vanished mid-request (EOF, EPIPE/ECONNRESET, or a frame
@@ -90,16 +90,6 @@ val retry :
     outcome is returned verbatim.
     Defaults: [base_delay_s = 0.01], [max_delay_s = 0.5], no deadline.
     @raise Error as {!predict} does (server errors are not retried). *)
-
-val submit_flow : t -> Protocol.flow_spec -> int
-(** Enqueue a flow job; returns its id immediately. *)
-
-val poll_flow : t -> int -> Protocol.job_status
-
-val wait_flow :
-  ?poll_interval_s:float -> t -> int -> Protocol.flow_summary
-(** Poll until the job finishes (default every 50 ms).
-    @raise Error if the job failed or the id is unknown. *)
 
 val submit_corpus : t -> Protocol.corpus_req -> int
 (** Enqueue a corpus job (PPA cell or dataset build); returns its id

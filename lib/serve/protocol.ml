@@ -3,24 +3,14 @@ type predict_payload = {
   f_top : Dco3d_tensor.Tensor.t;
 }
 
-type flow_variant = Pin3d | Pin3d_cong
-
-type flow_spec = {
-  fl_design : string;
-  fl_scale : float;
-  fl_seed : int;
-  fl_gcell : int;
-  fl_variant : flow_variant;
-}
-
 (* What a client asks the balancer to route it to.  Matching is against
    the shard's model fingerprint. *)
 type route_want =
   | Want_any
   | Want_fingerprint of string
 
-(* The third async request class: corpus PPA cells and corpus dataset
-   builds, keyed on disk by (netlist digest, flow config, seed). *)
+(* The async request class: corpus PPA cells and corpus dataset builds,
+   keyed on disk by (netlist digest, flow config, seed). *)
 type corpus_kind =
   | Corpus_ppa
   | Corpus_dataset of int  (* n_samples *)
@@ -31,34 +21,17 @@ type corpus_req = {
   cr_kind : corpus_kind;
 }
 
-(* New constructors are appended at the END of request/reply so Marshal
-   tags of existing constructors never shift between releases. *)
+(* Adding or removing a constructor of request/reply moves the Marshal
+   tags of the later ones: bump [version] with it. *)
 type request =
   | Ping
   | Predict of predict_payload
-  | Flow_submit of flow_spec
-  | Flow_poll of int
   | Stats
   | Hello of route_want
   | Corpus_submit of corpus_req
   | Corpus_poll of int
 
 type envelope = { req : request; timeout_ms : float option }
-
-type flow_summary = {
-  fs_name : string;
-  fs_overflow : int;
-  fs_wirelength_um : float;
-  fs_wns_ps : float;
-  fs_tns_ps : float;
-  fs_power_mw : float;
-}
-
-type job_status =
-  | Job_queued
-  | Job_running
-  | Job_done of flow_summary
-  | Job_failed of string
 
 type corpus_result =
   | Corpus_row of Dco3d_corpus.Corpus.row
@@ -82,7 +55,6 @@ type reply =
       cache_hit : bool;
     }
   | Accepted of int
-  | Status of job_status
   | Stats_reply of (string * float) list
   | Overloaded of { queue_len : int; capacity : int }
   | Timed_out
@@ -95,8 +67,9 @@ exception Protocol_error of string
 let magic = "DCO3D-SERVE-V1"
 (* Bumped whenever a message type's Marshal layout changes, so a peer
    built against another layout is refused instead of mis-decoded.
-   v3: a predict travels as an envelope frame and a body frame. *)
-let version = 3
+   v3: a predict travels as an envelope frame and a body frame.
+   v4: flow jobs are gone; a remote flow is a corpus PPA cell. *)
+let version = 4
 let max_frame_bytes = 256 * 1024 * 1024
 let header_bytes = String.length magic + 1 + 4 + 16
 
@@ -225,21 +198,64 @@ let is_tensor o =
   && List.fold_left (fun n d -> n * (Obj.obj d : int)) 1 dims
      = Array.length (Obj.obj data : float array)
 
+let is_block ~tag ~size o = Obj.is_block o && Obj.tag o = tag && Obj.size o = size
+let is_string o = Obj.is_block o && Obj.tag o = Obj.string_tag
+let is_float o = Obj.is_block o && Obj.tag o = Obj.double_tag
+
+(* a constant constructor of a type with [n] of them *)
+let is_const n o = Obj.is_int o && (Obj.obj o : int) >= 0 && (Obj.obj o : int) < n
+
+(* a constructor with one argument, the [tag]-th of its type *)
+let is_arg ~tag f o = is_block ~tag ~size:1 o && f (Obj.field o 0)
+let is_option f o = is_const 1 o || is_arg ~tag:0 f o
+
+(* a record, or a tuple, of these field kinds *)
+let is_record kinds o =
+  is_block ~tag:0 ~size:(List.length kinds) o
+  && List.for_all Fun.id (List.mapi (fun i k -> k (Obj.field o i)) kinds)
+
+(* [Corpus.spec], [Corpus.flow_config] and [corpus_kind], field by field *)
+let is_corpus_req =
+  let spec =
+    is_record
+      [
+        is_string;  (* sp_name *)
+        is_string;  (* sp_base *)
+        is_float;  (* sp_scale *)
+        Obj.is_int;  (* sp_seed *)
+        is_option is_float;  (* sp_seq_fraction *)
+        is_option Obj.is_int;  (* sp_depth *)
+        is_option is_float;  (* sp_hub_fraction *)
+        is_option is_float;  (* sp_locality *)
+        is_option Obj.is_int;  (* sp_macros *)
+      ]
+  in
+  let config = is_record [ is_string; is_const 2; Obj.is_int; is_float ] in
+  let kind o = is_const 1 o || is_arg ~tag:0 Obj.is_int o in
+  is_record [ spec; config; kind ]
+
+(* The version-4 layout of [request]: [Ping] and [Stats] are the
+   constants 0 and 1; [Predict], [Hello], [Corpus_submit] and
+   [Corpus_poll] are the blocks tagged 0 to 3.  A [Predict] in the
+   envelope is refused by [read_head] without touching its argument. *)
+let is_request o =
+  is_const 2 o
+  || is_arg ~tag:0 (fun _ -> true) o
+  || is_arg ~tag:1 (fun w -> is_const 1 w || is_arg ~tag:0 is_string w) o
+  || is_arg ~tag:2 is_corpus_req o
+  || is_arg ~tag:3 Obj.is_int o
+
 let decode_head payload : head * float option =
   let o = unmarshal "payload" payload in
-  let is_zero o = Obj.is_int o && (Obj.obj o : int) = 0 in
-  let is_some f o =
-    Obj.is_block o && Obj.tag o = 0 && Obj.size o = 1 && f (Obj.field o 0)
-  in
   let ok =
-    Obj.is_block o && Obj.tag o = 0 && Obj.size o = 2
-    (* [Predict_follows] or [Whole _] *)
-    && (is_zero (Obj.field o 0) || is_some (fun _ -> true) (Obj.field o 0))
-    (* [None] or [Some (_ : float)] *)
-    && (is_zero (Obj.field o 1)
-       || is_some
-            (fun f -> Obj.is_block f && Obj.tag f = Obj.double_tag)
-            (Obj.field o 1))
+    is_record
+      [
+        (* [Predict_follows] or [Whole _] *)
+        (fun h -> is_const 1 h || is_arg ~tag:0 is_request h);
+        (* [timeout_ms] *)
+        is_option is_float;
+      ]
+      o
   in
   if not ok then raise (Protocol_error "undecodable payload: not an envelope");
   Obj.obj o
@@ -344,6 +360,12 @@ let predict_key (p : predict_payload) =
   Digest.to_hex (digest (Marshal.to_string (p.f_bottom, p.f_top) []))
 
 (* In-flight dedup identity of a corpus request: two submits carrying
-   the same (spec, config, kind) share one job. *)
+   the same (spec, config, kind) share one job.  Its bytes also count
+   on a counter of their own, so that the frame bytes a daemon hashed
+   can be told apart from its key bytes. *)
+let c_corpus_key_bytes = Dco3d_obs.Obs.counter "serve/corpus_key_bytes"
+
 let corpus_key (r : corpus_req) =
-  Digest.to_hex (digest (Marshal.to_string r []))
+  let s = Marshal.to_string r [] in
+  Dco3d_obs.Obs.incr ~by:(String.length s) c_corpus_key_bytes;
+  Digest.to_hex (digest s)

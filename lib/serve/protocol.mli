@@ -5,7 +5,7 @@
     digest + Marshal payload):
 
     {v
-    "DCO3D-SERVE-V1" | u8 version (3) | u32_be payload length
+    "DCO3D-SERVE-V1" | u8 version (4) | u32_be payload length
                      | 16-byte MD5(payload) | payload
     v}
 
@@ -19,30 +19,33 @@
     its result-cache key without hashing the body again.  Replies are
     one frame each.  Frames are capped at {!max_frame_bytes}.
 
+    An MD5 is no MAC: any peer can send a digest-valid frame of any
+    layout.  {!read_request} therefore checks the runtime layout of
+    every request it decodes against its static type before handing it
+    out.  Replies are not checked.
+
+    Version 4 has one async job class, the corpus class: a remote
+    Pin-3D flow is a [Corpus_ppa] cell.  A peer speaking another
+    version (3 had separate flow jobs) is refused with
+    ["unsupported protocol version N"].
+
     Every MD5 this module computes adds the bytes it hashed to the
-    [serve/digest_bytes] counter. *)
+    [serve/digest_bytes] counter; those of {!corpus_key} also add them
+    to [serve/corpus_key_bytes]. *)
 
 type predict_payload = {
   f_bottom : Dco3d_tensor.Tensor.t;  (** raw [[7; ny; nx]] stack, bottom die *)
   f_top : Dco3d_tensor.Tensor.t;
 }
 
-type flow_variant = Pin3d | Pin3d_cong
-
-type flow_spec = {
-  fl_design : string;  (** benchmark name, e.g. "DMA" *)
-  fl_scale : float;
-  fl_seed : int;
-  fl_gcell : int;
-  fl_variant : flow_variant;
-}
-
 type route_want =
   | Want_any  (** any live shard *)
   | Want_fingerprint of string  (** a shard with exactly this model fingerprint *)
 
-(** The third async request class: corpus PPA cells and corpus dataset
-    builds, deduped in-flight by {!corpus_key} and cached on disk by
+(** The daemon's one async job class: corpus PPA cells (a remote
+    Pin-3D flow, [dco3d client flow], is the [base] cell of a spec named
+    after its profile) and corpus dataset builds, deduped in-flight by
+    {!corpus_key} and cached on disk by
     [(netlist digest, flow config, seed)]. *)
 type corpus_kind =
   | Corpus_ppa  (** run the full flow, report the PPA row *)
@@ -60,13 +63,11 @@ type corpus_req = {
 type request =
   | Ping
   | Predict of predict_payload
-  | Flow_submit of flow_spec
-  | Flow_poll of int
   | Stats
   | Hello of route_want
       (** optional first request on a balanced connection: pins the
-          route before the fd is handed to a shard.  New constructors
-          are appended so Marshal tags of older ones never shift. *)
+          route before the fd is handed to a shard.  Adding or removing
+          a constructor moves Marshal tags, so it bumps the version. *)
   | Corpus_submit of corpus_req
   | Corpus_poll of int
 
@@ -76,21 +77,6 @@ type envelope = {
       (** per-request deadline, measured by the server from arrival;
           a request still queued past it is answered [Timed_out] *)
 }
-
-type flow_summary = {
-  fs_name : string;
-  fs_overflow : int;
-  fs_wirelength_um : float;
-  fs_wns_ps : float;
-  fs_tns_ps : float;
-  fs_power_mw : float;
-}
-
-type job_status =
-  | Job_queued
-  | Job_running
-  | Job_done of flow_summary
-  | Job_failed of string
 
 type corpus_result =
   | Corpus_row of Dco3d_corpus.Corpus.row
@@ -113,8 +99,7 @@ type reply =
       c_top : Dco3d_tensor.Tensor.t;
       cache_hit : bool;
     }
-  | Accepted of int  (** flow job id *)
-  | Status of job_status
+  | Accepted of int  (** corpus job id *)
   | Stats_reply of (string * float) list
   | Overloaded of { queue_len : int; capacity : int }
       (** backpressure: the predict queue is past its high-water mark *)
@@ -161,8 +146,10 @@ val read_request : (unit -> frame) -> envelope * string option
     {!predict_key} of the decoded payload, taken from the digest the
     frame was verified with — and [None] for every other request.
     @raise End_of_file if [next_frame] does, before the first frame;
-    {!Protocol_error} on a malformed frame or payload, a predict whose
-    body frame is missing, or predict tensors inside the envelope. *)
+    {!Protocol_error} on a malformed frame or payload (one whose layout
+    is not a version-4 request, down to the field kinds of a
+    [Corpus_submit]), a predict whose body frame is missing, or predict
+    tensors inside the envelope. *)
 
 val recv_request : Unix.file_descr -> envelope * string option
 (** {!read_request} on the frames of a socket. *)
@@ -202,7 +189,8 @@ val predict_key : predict_payload -> string
 val corpus_key : corpus_req -> string
 (** Hex digest of a corpus request's full content — the server's
     in-flight dedup identity: concurrent submits of the same request
-    share one job id. *)
+    share one job id.  Counts its bytes on [serve/digest_bytes] and
+    [serve/corpus_key_bytes]. *)
 
 (** Announcement a shard sends over the balancer's control channel when
     it registers. *)

@@ -59,17 +59,21 @@ type pending = {
   pcv : Condition.t;
 }
 
-(* One async job class: its queue, the worker's wakeup, and the status
-   table clients poll.  Finished statuses retire through two FIFOs:
-   [finished] in finish order and [polled] in the order their final
-   status was first answered ([unpolled] marks the finished ids not yet
-   answered).  A status goes once [job_retention] later ones have been
-   answered, or once [job_retention_unpolled] later jobs have finished,
-   whichever comes first; queued and running jobs are never dropped. *)
-type ('req, 'status) jobs = {
-  pending : (int * 'req) Queue.t;
+(* The async job class, corpus jobs: its queue (id, dedup key,
+   request), the worker's wakeup, and the status table clients poll.
+   [inflight] maps the dedup key of each queued or running job to its
+   id, so a duplicate submit joins it instead of queueing a second run.
+   Finished statuses retire through two FIFOs: [finished] in finish
+   order and [polled] in the order their final status was first
+   answered ([unpolled] marks the finished ids not yet answered).  A
+   status goes once [job_retention] later ones have been answered, or
+   once [job_retention_unpolled] later jobs have finished, whichever
+   comes first; queued and running jobs are never dropped. *)
+type jobs = {
+  pending : (int * string * P.corpus_req) Queue.t;
   wake : Condition.t;
-  status : (int, 'status) Hashtbl.t;
+  status : (int, P.corpus_status) Hashtbl.t;
+  inflight : (string, int) Hashtbl.t;
   finished : int Queue.t;
   unpolled : (int, unit) Hashtbl.t;
   polled : int Queue.t;
@@ -83,6 +87,7 @@ let new_jobs () =
     pending = Queue.create ();
     wake = Condition.create ();
     status = Hashtbl.create 16;
+    inflight = Hashtbl.create 16;
     finished = Queue.create ();
     unpolled = Hashtbl.create 16;
     polled = Queue.create ();
@@ -119,9 +124,6 @@ type stats_acc = {
   mutable n_batches : int;
   mutable max_batch_seen : int;
   mutable n_epipe : int;
-  mutable jobs_submitted : int;
-  mutable jobs_done : int;
-  mutable jobs_failed : int;
   mutable n_spill_hits : int;
   mutable n_spill_writes : int;
   mutable corpus_submitted : int;
@@ -149,18 +151,14 @@ type t = {
   queue_cv : Condition.t;  (* batcher wakeup *)
   queue : pending Queue.t;
   cache : (T.t * T.t) Lru.t;
-  flow_jobs : (P.flow_spec, P.job_status) jobs;
-  corpus_jobs : (string * P.corpus_req, P.corpus_status) jobs;  (* dedup key *)
-  (* dedup key -> job id for queued/running corpus jobs: a duplicate
-     submit joins the in-flight job instead of queueing a second run *)
-  corpus_inflight : (string, int) Hashtbl.t;
+  jobs : jobs;
   mutable next_job_id : int;
   mutable stopping : bool;
   mutable conns : Unix.file_descr list;  (* live connection sockets *)
   stats : stats_acc;
   mutable accept_thread : Thread.t option;
   mutable batcher_thread : Thread.t option;
-  mutable job_threads : Thread.t list;
+  mutable job_thread : Thread.t option;
   mutable handler_threads : Thread.t list;
 }
 
@@ -327,78 +325,27 @@ let batcher_loop t =
   done
 
 (* ------------------------------------------------------------------ *)
-(* Job runner: flow and corpus jobs                                    *)
+(* Job runner: corpus jobs                                             *)
 (* ------------------------------------------------------------------ *)
 
-(* Register a queued job and wake its worker.  Called with [t.m] held;
-   ids are unique across both job classes. *)
-let enqueue t jobs ~queued req =
-  let id = t.next_job_id in
-  t.next_job_id <- id + 1;
-  Hashtbl.replace jobs.status id queued;
-  Queue.push (id, req) jobs.pending;
-  Condition.signal jobs.wake;
-  id
-
-(* One worker thread per job class, so a corpus cell never blocks a
-   flow job.  [run] must not raise (it folds failures into a status);
-   [finish] runs with [t.m] held once the final status is recorded.
-   The loop drains its queue before honouring [stopping]. *)
-let job_loop t jobs ~running ~run ~finish =
-  let rec loop () =
-    let next =
-      locked t (fun () ->
-          while Queue.is_empty jobs.pending && not t.stopping do
-            Condition.wait jobs.wake t.m
-          done;
-          let job = Queue.take_opt jobs.pending in
-          Option.iter (fun (id, _) -> Hashtbl.replace jobs.status id running) job;
-          job)
-    in
-    match next with
-    | None -> ()
-    | Some (id, req) ->
-        let status = run req in
-        locked t (fun () ->
-            Hashtbl.replace jobs.status id status;
-            Hashtbl.replace jobs.unpolled id ();
-            Queue.push id jobs.finished;
-            retire jobs jobs.finished job_retention_unpolled;
-            finish req status);
-        loop ()
-  in
-  loop ()
-
-let run_flow_spec ?route_cache (spec : P.flow_spec) =
-  let profile = Dco3d_netlist.Generator.profile spec.P.fl_design in
-  let nl = Dco3d_netlist.Generator.generate ~scale:spec.P.fl_scale ~seed:spec.P.fl_seed profile in
-  let ctx =
-    Dco3d_flow.Flow.make_context ~seed:spec.P.fl_seed ~gcell_nx:spec.P.fl_gcell
-      ~gcell_ny:spec.P.fl_gcell ?route_cache nl
-  in
-  let result =
-    match spec.P.fl_variant with
-    | P.Pin3d -> Dco3d_flow.Flow.run_pin3d ctx
-    | P.Pin3d_cong -> Dco3d_flow.Flow.run_pin3d_cong ctx
-  in
-  {
-    P.fs_name = result.Dco3d_flow.Flow.flow_name;
-    fs_overflow = result.place_stage.overflow;
-    fs_wirelength_um = result.signoff.wirelength_um;
-    fs_wns_ps = result.signoff.wns_ps;
-    fs_tns_ps = result.signoff.tns_ps;
-    fs_power_mw = result.signoff.power_mw;
-  }
-
-let run_flow_job t (spec : P.flow_spec) =
-  try
-    P.Job_done
-      (Obs.with_span "serve/flow_job"
-         ~args:[ ("design", spec.P.fl_design) ]
-         (fun () -> run_flow_spec ?route_cache:t.route_cache spec))
-  with
-  | Not_found -> P.Job_failed (Printf.sprintf "unknown design %S" spec.P.fl_design)
-  | e -> P.Job_failed (Printexc.to_string e)
+(* Queue a corpus request, or join the queued or running job with the
+   same dedup [key].  Called with [t.m] held. *)
+let enqueue t key req =
+  let jobs = t.jobs in
+  match Hashtbl.find_opt jobs.inflight key with
+  | Some id ->
+      t.stats.corpus_dedup <- t.stats.corpus_dedup + 1;
+      Obs.incr c_corpus_dedup;
+      id
+  | None ->
+      let id = t.next_job_id in
+      t.next_job_id <- id + 1;
+      Hashtbl.replace jobs.status id P.Corpus_queued;
+      Hashtbl.replace jobs.inflight key id;
+      Queue.push (id, key, req) jobs.pending;
+      Condition.signal jobs.wake;
+      t.stats.corpus_submitted <- t.stats.corpus_submitted + 1;
+      id
 
 let run_corpus_req ?store ?route_cache (req : P.corpus_req) =
   match req.P.cr_kind with
@@ -417,7 +364,8 @@ let run_corpus_req ?store ?route_cache (req : P.corpus_req) =
           cd_digest = Dataset.digest d;
         }
 
-let run_corpus_job t (_, (req : P.corpus_req)) =
+(* Never raises: a failure is folded into the job's status. *)
+let run_corpus_job t (req : P.corpus_req) =
   try
     P.Corpus_done
       (Obs.with_span "serve/corpus_job"
@@ -434,19 +382,38 @@ let run_corpus_job t (_, (req : P.corpus_req)) =
         (Printf.sprintf "unknown base profile %S" req.P.cr_spec.Corpus.sp_base)
   | e -> P.Corpus_failed (Printexc.to_string e)
 
-let flow_loop t =
-  job_loop t t.flow_jobs ~running:P.Job_running ~run:(run_flow_job t)
-    ~finish:(fun _ -> function
-      | P.Job_done _ -> t.stats.jobs_done <- t.stats.jobs_done + 1
-      | _ -> t.stats.jobs_failed <- t.stats.jobs_failed + 1)
-
-let corpus_loop t =
-  job_loop t t.corpus_jobs ~running:P.Corpus_running ~run:(run_corpus_job t)
-    ~finish:(fun (key, _) status ->
-      Hashtbl.remove t.corpus_inflight key;
-      match status with
-      | P.Corpus_done _ -> t.stats.corpus_done <- t.stats.corpus_done + 1
-      | _ -> t.stats.corpus_failed <- t.stats.corpus_failed + 1)
+(* The one job worker: runs corpus jobs in submission order, one at a
+   time, and drains its queue before honouring [stopping]. *)
+let job_loop t =
+  let jobs = t.jobs in
+  let rec loop () =
+    let next =
+      locked t (fun () ->
+          while Queue.is_empty jobs.pending && not t.stopping do
+            Condition.wait jobs.wake t.m
+          done;
+          let job = Queue.take_opt jobs.pending in
+          Option.iter
+            (fun (id, _, _) -> Hashtbl.replace jobs.status id P.Corpus_running)
+            job;
+          job)
+    in
+    match next with
+    | None -> ()
+    | Some (id, key, req) ->
+        let status = run_corpus_job t req in
+        locked t (fun () ->
+            Hashtbl.replace jobs.status id status;
+            Hashtbl.remove jobs.inflight key;
+            Hashtbl.replace jobs.unpolled id ();
+            Queue.push id jobs.finished;
+            retire jobs jobs.finished job_retention_unpolled;
+            match status with
+            | P.Corpus_done _ -> t.stats.corpus_done <- t.stats.corpus_done + 1
+            | _ -> t.stats.corpus_failed <- t.stats.corpus_failed + 1);
+        loop ()
+  in
+  loop ()
 
 (* ------------------------------------------------------------------ *)
 (* Stats                                                               *)
@@ -468,9 +435,6 @@ let stats_snapshot t =
         ("batches", float_of_int s.n_batches);
         ("max_batch", float_of_int s.max_batch_seen);
         ("epipe", float_of_int s.n_epipe);
-        ("jobs_submitted", float_of_int s.jobs_submitted);
-        ("jobs_done", float_of_int s.jobs_done);
-        ("jobs_failed", float_of_int s.jobs_failed);
         ("spill_hits", float_of_int s.n_spill_hits);
         ("spill_writes", float_of_int s.n_spill_writes);
         ("corpus_submitted", float_of_int s.corpus_submitted);
@@ -576,20 +540,6 @@ let handle_request t (env : P.envelope) content_key =
       (* [read_request] returns a key with every predict *)
       handle_predict t payload ~content_key:(Option.get content_key)
         env.P.timeout_ms
-  | P.Flow_submit spec ->
-      let id =
-        locked t (fun () ->
-            if t.stopping then -1
-            else begin
-              t.stats.jobs_submitted <- t.stats.jobs_submitted + 1;
-              enqueue t t.flow_jobs ~queued:P.Job_queued spec
-            end)
-      in
-      if id < 0 then P.Server_error "server shutting down" else P.Accepted id
-  | P.Flow_poll id -> (
-      match locked t (fun () -> poll_status t.flow_jobs id) with
-      | Some status -> P.Status status
-      | None -> P.Server_error (Printf.sprintf "unknown job id %d" id))
   | P.Hello _ ->
       (* Normally consumed by the balancer; answered here too so a
          client talking straight to a shard gets the same handshake. *)
@@ -597,27 +547,10 @@ let handle_request t (env : P.envelope) content_key =
         { h_fingerprint = t.fingerprint; h_shard = t.cfg.shard_id }
   | P.Corpus_submit req ->
       let key = P.corpus_key req in
-      let id =
-        locked t (fun () ->
-            if t.stopping then -1
-            else
-              match Hashtbl.find_opt t.corpus_inflight key with
-              | Some id ->
-                  (* identical request already queued or running: join it *)
-                  t.stats.corpus_dedup <- t.stats.corpus_dedup + 1;
-                  Obs.incr c_corpus_dedup;
-                  id
-              | None ->
-                  let id =
-                    enqueue t t.corpus_jobs ~queued:P.Corpus_queued (key, req)
-                  in
-                  Hashtbl.replace t.corpus_inflight key id;
-                  t.stats.corpus_submitted <- t.stats.corpus_submitted + 1;
-                  id)
-      in
+      let id = locked t (fun () -> if t.stopping then -1 else enqueue t key req) in
       if id < 0 then P.Server_error "server shutting down" else P.Accepted id
   | P.Corpus_poll id -> (
-      match locked t (fun () -> poll_status t.corpus_jobs id) with
+      match locked t (fun () -> poll_status t.jobs id) with
       | Some status -> P.Corpus_status status
       | None -> P.Server_error (Printf.sprintf "unknown corpus job id %d" id))
 
@@ -751,8 +684,8 @@ let make ~listen ~bound cfg predictor =
   let fingerprint = Predictor.fingerprint predictor in
   let stop_rd, stop_wr = Unix.pipe ~cloexec:true () in
   let spill = Option.map open_spill cfg.spill_dir in
-  (* One route cache and one PPA store per daemon, shared by both job
-     workers.  Shards pass one shared directory, so sibling daemons
+  (* One route cache and one PPA store per daemon, used by the job
+     worker.  Shards pass one shared directory, so sibling daemons
      replay each other's routed corpus.  The PPA store sits next to the
      route cache: an explicit --corpus-cache wins, else
      <route cache>/corpus, else no persistence (jobs still run). *)
@@ -780,9 +713,7 @@ let make ~listen ~bound cfg predictor =
       queue_cv = Condition.create ();
       queue = Queue.create ();
       cache = Lru.create ~capacity:cfg.cache_capacity;
-      flow_jobs = new_jobs ();
-      corpus_jobs = new_jobs ();
-      corpus_inflight = Hashtbl.create 16;
+      jobs = new_jobs ();
       next_job_id = 0;
       stopping = false;
       conns = [];
@@ -796,9 +727,6 @@ let make ~listen ~bound cfg predictor =
           n_batches = 0;
           max_batch_seen = 0;
           n_epipe = 0;
-          jobs_submitted = 0;
-          jobs_done = 0;
-          jobs_failed = 0;
           n_spill_hits = 0;
           n_spill_writes = 0;
           corpus_submitted = 0;
@@ -808,7 +736,7 @@ let make ~listen ~bound cfg predictor =
         };
       accept_thread = None;
       batcher_thread = None;
-      job_threads = [];
+      job_thread = None;
       handler_threads = [];
     }
   in
@@ -817,8 +745,7 @@ let make ~listen ~bound cfg predictor =
       t.accept_thread <- Some (Thread.create (fun () -> accept_loop t listen_fd) ()))
     listen;
   t.batcher_thread <- Some (Thread.create (fun () -> batcher_loop t) ());
-  t.job_threads <-
-    [ Thread.create flow_loop t; Thread.create corpus_loop t ];
+  t.job_thread <- Some (Thread.create job_loop t);
   t
 
 let start cfg predictor =
@@ -838,8 +765,7 @@ let request_stop t =
         else begin
           t.stopping <- true;
           Condition.broadcast t.queue_cv;
-          Condition.broadcast t.flow_jobs.wake;
-          Condition.broadcast t.corpus_jobs.wake;
+          Condition.broadcast t.jobs.wake;
           true
         end)
   in
@@ -858,11 +784,11 @@ let wait t =
          try Unix.shutdown fd Unix.SHUTDOWN_RECEIVE
          with Unix.Unix_error _ -> ());
   (* The batcher drains the remaining queue before exiting (its loop
-     only stops on [stopping && queue empty]); same for the flow
+     only stops on [stopping && queue empty]); same for the job
      worker.  Handlers waiting on pending outcomes therefore finish. *)
   Option.iter Thread.join t.batcher_thread;
   List.iter Thread.join (locked t (fun () -> t.handler_threads));
-  List.iter Thread.join t.job_threads;
+  Option.iter Thread.join t.job_thread;
   (* Flush the surviving hot set so a successor process starts warm —
      eviction only spilled the overflow; this writes what's resident. *)
   if Option.is_some t.spill then

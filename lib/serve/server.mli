@@ -15,15 +15,14 @@
        it took — bit-identical to per-request [predict], so batching is
        invisible to clients.  Requests that arrive during a forward ride
        the next batch;}
-    {- two {b job workers} running one job loop: one runs submitted
-       flow jobs, the other the third async request class — corpus PPA
-       cells and corpus dataset builds, deduped in-flight by
-       {!Protocol.corpus_key} and cached on disk through
+    {- one {b job worker} for the async request class, corpus jobs:
+       PPA cells (a remote Pin-3D flow is one) and corpus dataset
+       builds, run one at a time in submission order, deduped
+       in-flight by {!Protocol.corpus_key} and cached on disk through
        {!Dco3d_corpus.Corpus.open_store} next to the route cache, so a
-       whole fleet shares one evaluated corpus.  Each class runs one
-       job at a time, so a corpus cell never blocks a flow job; clients
-       poll jobs by id, and each job table keeps a bounded number of
-       finished statuses ({!job_retention}, {!job_retention_unpolled}).}}
+       whole fleet shares one evaluated corpus.  Clients poll jobs by
+       id, and the job table keeps a bounded number of finished
+       statuses ({!job_retention}, {!job_retention_unpolled}).}}
 
     Results are cached in an {!Lru} keyed by
     [content ^ ":" ^ Predictor.fingerprint], where [content] is the hex
@@ -44,7 +43,7 @@
     [serve/timeout]/[serve/epipe]/[serve/corpus_dedup]/
     [serve/spill_write]/[serve/digest_bytes] counters (plus the spill store's
     [serve/spill_{hit,miss,evicted}]), and
-    [serve/batch] / [serve/flow_job] / [serve/corpus_job] spans, all
+    [serve/batch] / [serve/corpus_job] spans, all
     through {!Dco3d_obs.Obs}. *)
 
 type address =
@@ -67,7 +66,7 @@ type config = {
           [.spill], [serve/spill_{hit,miss,evicted}] counters), bounded
           LRU at {!Dco3d_framing.Framing.Store.default_max_entries}. *)
   route_cache_dir : string option;
-      (** when set, the async flow jobs route through a
+      (** when set, the corpus jobs route through a
           content-addressed {!Dco3d_route.Route_cache} rooted here;
           shards given the same directory share one routed corpus
           (default [None]) *)
@@ -134,25 +133,26 @@ val request_stop : t -> unit
 val wait : t -> unit
 (** Block until shutdown completes: live connections are shut down,
     the queued predict requests are drained (each gets its reply or
-    [Timed_out]), queued flow and corpus jobs finish, and the socket is closed
+    [Timed_out]), queued corpus jobs finish, and the socket is closed
     (and unlinked, for a Unix-domain path). *)
 
 val stop : t -> unit
 (** [request_stop] then [wait]. *)
 
 val job_retention : int
-(** Answered finished jobs each job table remembers (256).  Once a
+(** Answered finished jobs the job table remembers (256).  Once a
     poll has returned a job's final status, the job is dropped after
-    this many later jobs of its table have had their final status
-    answered; polling a dropped id answers "unknown job id".  Queued
-    and running jobs are never dropped. *)
+    this many later jobs have had their final status answered; polling
+    a dropped id answers "unknown corpus job id".  Queued and running
+    jobs are never dropped. *)
 
 val job_retention_unpolled : int
 (** The hard bound (4096): a finished job whose final status nobody
-    has polled yet is dropped once this many later jobs of its table
-    have finished.  A client may therefore submit up to this many jobs
+    has polled yet is dropped once this many later jobs have
+    finished.  A client may therefore submit up to this many jobs
     before it polls the first. *)
 
 val stats : t -> (string * float) list
 (** The same snapshot served to [Stats] requests: queue depth, cache
-    occupancy and hit/miss totals, batch counts, job counts, uptime. *)
+    occupancy and hit/miss totals, batch counts, corpus job counts,
+    uptime. *)

@@ -1,7 +1,7 @@
 (* Shard-side of the balancer's control channel.
 
    A shard is a normal serving process ([Server.start_detached] — full
-   batcher/LRU/spill/flow pipeline, no listening socket) that dials the
+   batcher/LRU/spill/job pipeline, no listening socket) that dials the
    balancer's control socket, announces itself with a [shard_hello],
    and then loops on control messages:
 

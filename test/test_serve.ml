@@ -12,6 +12,9 @@ module Lru = Dco3d_serve.Lru
 module Proto = Dco3d_serve.Protocol
 module Server = Dco3d_serve.Server
 module Client = Dco3d_serve.Client
+module Corpus = Dco3d_corpus.Corpus
+module Gen = Dco3d_netlist.Generator
+module Flow = Dco3d_flow.Flow
 
 let with_jobs n f =
   Pool.set_jobs ~exact:true n;
@@ -674,7 +677,7 @@ let test_bad_payload_does_not_kill_batcher () =
 
 (* Frame bytes as [Protocol.send_frame] writes them, with the version
    and digest open to tampering. *)
-let raw_frame ?(version = 3) ?digest payload =
+let raw_frame ?(version = 4) ?digest payload =
   let digest = Option.value digest ~default:(Digest.string payload) in
   let b = Buffer.create (String.length payload + 35) in
   Buffer.add_string b "DCO3D-SERVE-V1";
@@ -790,6 +793,7 @@ let test_malformed_two_frame_predicts () =
              []) );
       ("envelope of another type", raw_frame (Marshal.to_string [ 1; 2; 3 ] []));
       ("a v2 frame", raw_frame ~version:2 envelope);
+      ("a v3 frame", raw_frame ~version:3 envelope);
     ]
   in
   List.iter
@@ -799,20 +803,146 @@ let test_malformed_two_frame_predicts () =
       Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
       Client.ping c)
     cases;
-  (* the v2 refusal names the version *)
-  let fd = dial_raw srv in
-  Fun.protect ~finally:(fun () -> Unix.close fd) (fun () ->
-      write_string fd (raw_frame ~version:2 envelope);
+  (* an old peer's refusal names its version *)
+  List.iter
+    (fun version ->
+      let fd = dial_raw srv in
+      Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+      write_string fd (raw_frame ~version envelope);
       match Proto.recv_reply fd with
       | Proto.Server_error msg ->
           Alcotest.(check bool) msg true
-            (contains ~affix:"unsupported protocol version 2" msg)
-      | _ -> Alcotest.fail "v2 must be refused");
+            (contains
+               ~affix:(Printf.sprintf "unsupported protocol version %d" version)
+               msg)
+      | _ -> Alcotest.failf "v%d must be refused" version)
+    [ 2; 3 ];
   let c = Client.connect (Server.bound_addr srv) in
   Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
   match Client.predict c fb ft with
   | Client.Ok { cache_hit = false; _ } -> ()
   | _ -> Alcotest.fail "daemon must keep serving after malformed predicts"
+
+let corpus_req_all_set =
+  {
+    Proto.cr_spec =
+      Corpus.spec ~scale:0.5 ~seed:3 ~seq_fraction:0.2 ~depth:7 ~hub_fraction:0.01
+        ~locality:0.4 ~macros:2 ~name:"probe" "AES";
+    cr_config = Corpus.flow_config ~gcell:12 ~util:0.6 ~variant:Corpus.Cong "cong";
+    cr_kind = Proto.Corpus_dataset 3;
+  }
+
+(* Every request of the version-4 layout passes the layout check and
+   decodes to itself; the check must not refuse a real request. *)
+let test_request_layouts_roundtrip () =
+  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.close a;
+      Unix.close b)
+  @@ fun () ->
+  List.iter
+    (fun (what, req) ->
+      List.iter
+        (fun timeout_ms ->
+          Proto.send_request a { Proto.req; timeout_ms };
+          let env, key = Proto.recv_request b in
+          Alcotest.(check bool) (what ^ " decodes to itself") true
+            (env = { Proto.req; timeout_ms } && key = None))
+        [ None; Some 2.5 ])
+    [
+      ("ping", Proto.Ping);
+      ("stats", Proto.Stats);
+      ("hello any", Proto.Hello Proto.Want_any);
+      ("hello fingerprint", Proto.Hello (Proto.Want_fingerprint "f00d"));
+      ("corpus poll", Proto.Corpus_poll 17);
+      ("corpus submit, every override", Proto.Corpus_submit corpus_req_all_set);
+      ( "corpus submit, defaults",
+        Proto.Corpus_submit
+          {
+            Proto.cr_spec = Corpus.spec ~name:"DMA" "DMA";
+            cr_config = Corpus.flow_config "base";
+            cr_kind = Proto.Corpus_ppa;
+          } );
+    ]
+
+(* Envelope payloads whose request is digest-valid Marshal data of the
+   wrong layout.  [Some x] has the layout of the envelope head
+   [Whole x]; [x] is built from [Obj] blocks, or from a real request
+   with one field swapped (the blocks on the path to it are copied). *)
+let crafted_requests =
+  let block tag fields =
+    let b = Obj.new_block tag (Array.length fields) in
+    Array.iteri (Obj.set_field b) fields;
+    b
+  in
+  let rec swap o path v =
+    match path with
+    | [] -> v
+    | i :: rest ->
+        let o' = Obj.dup o in
+        Obj.set_field o' i (swap (Obj.field o i) rest v);
+        o'
+  in
+  let submit = Obj.repr (Proto.Corpus_submit corpus_req_all_set) in
+  let spec = Obj.field (Obj.field submit 0) 0 in
+  let int = Obj.repr and str (s : string) = Obj.repr s in
+  List.map
+    (fun (what, x) ->
+      (what, Marshal.to_string (Some x, (None : float option)) []))
+    [
+      ("constant constructor out of range", int 2);
+      ("negative constant constructor", int (-1));
+      ("unknown block tag", block 4 [| int 0 |]);
+      ("known tag, two fields", block 3 [| int 1; int 2 |]);
+      ("corpus poll of a string", block 3 [| str "7" |]);
+      ("hello of an out-of-range want", block 1 [| int 1 |]);
+      ("hello of a fingerprint that is an int", block 1 [| block 0 [| int 5 |] |]);
+      ("corpus submit of an int", block 2 [| int 0 |]);
+      ("corpus req of two fields", block 2 [| block 0 [| spec; spec |] |]);
+      ("spec name an int", swap submit [ 0; 0; 0 ] (int 1));
+      ("spec base an int", swap submit [ 0; 0; 1 ] (int 1));
+      ("spec scale an int", swap submit [ 0; 0; 2 ] (int 1));
+      ("spec seed a string", swap submit [ 0; 0; 3 ] (str "x"));
+      ("spec seq fraction an int", swap submit [ 0; 0; 4; 0 ] (int 1));
+      ("spec depth a string", swap submit [ 0; 0; 5; 0 ] (str "x"));
+      ("spec macros out of option", swap submit [ 0; 0; 8 ] (int 1));
+      ("spec missing a field", swap submit [ 0; 0 ] (block 0 [| str "a"; str "b" |]));
+      ("config name an int", swap submit [ 0; 1; 0 ] (int 1));
+      ("config variant out of range", swap submit [ 0; 1; 1 ] (int 2));
+      ("config gcell a string", swap submit [ 0; 1; 2 ] (str "x"));
+      ("config util an int", swap submit [ 0; 1; 3 ] (int 1));
+      ("kind out of range", swap submit [ 0; 2 ] (int 1));
+      ("dataset size a string", swap submit [ 0; 2; 0 ] (str "x"));
+    ]
+
+let test_crafted_layouts_refused () =
+  List.iter
+    (fun (what, payload) ->
+      let frame = { Proto.digest = Digest.string payload; payload } in
+      Alcotest.(check bool) (what ^ " raises Protocol_error") true
+        (match Proto.read_request (fun () -> frame) with
+        | _ -> false
+        | exception Proto.Protocol_error _ -> true))
+    crafted_requests
+
+(* On a live daemon each crafted frame costs only its own connection:
+   it gets a protocol-error reply, and a fresh connection's predict is
+   answered. *)
+let test_crafted_layouts_e2e () =
+  let predictor = mk_predictor 103 in
+  let rng = Rng.create 103 in
+  let fb = rand_stack rng 6 6 and ft = rand_stack rng 6 6 in
+  with_server predictor @@ fun srv ->
+  List.iter
+    (fun (what, payload) ->
+      expect_protocol_error srv what (raw_frame payload);
+      let c = Client.connect (Server.bound_addr srv) in
+      Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+      match Client.predict c fb ft with
+      | Client.Ok _ -> ()
+      | _ -> Alcotest.failf "%s: the daemon must keep serving" what)
+    crafted_requests
 
 let with_obs f =
   let was = Obs.enabled () in
@@ -899,72 +1029,86 @@ let test_served_key_is_predict_key () =
       ((32, 3), Some 5e3);
     ]
 
-let test_e2e_flow_job () =
+(* A corpus spec whose base profile does not exist: its job fails
+   before any flow runs, so it makes a cheap finished job.  Distinct
+   seeds keep the in-flight dedup from merging submits. *)
+let unknown_base_req i =
+  {
+    Proto.cr_spec =
+      Corpus.reseeded i (Corpus.spec ~scale:0.02 ~name:"bogus" "no-such-design");
+    cr_config = Corpus.flow_config ~gcell:8 "base";
+    cr_kind = Proto.Corpus_ppa;
+  }
+
+(* A remote flow is a corpus PPA cell: the [base] cell of a spec named
+   after its profile runs the Pin-3D flow on the very netlist and
+   context a local run builds. *)
+let test_e2e_corpus_job () =
   let predictor = mk_predictor 71 in
   with_server predictor @@ fun srv ->
   let c = Client.connect (Server.bound_addr srv) in
   Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
-  (* Unknown design: the job fails, the daemon does not. *)
-  let bad =
-    Client.submit_flow c
-      {
-        Proto.fl_design = "no-such-design";
-        fl_scale = 0.02;
-        fl_seed = 1;
-        fl_gcell = 8;
-        fl_variant = Proto.Pin3d;
-      }
-  in
+  (* Unknown base profile: the job fails, the daemon does not. *)
+  let bad = Client.submit_corpus c (unknown_base_req 1) in
   (match
-     try `Sum (Client.wait_flow c bad) with Client.Error msg -> `Err msg
+     try `Row (Client.wait_corpus c bad) with Client.Error msg -> `Err msg
    with
   | `Err msg ->
-      Alcotest.(check bool) "failure names the design" true
-        (contains ~affix:"no-such-design" msg)
-  | `Sum _ -> Alcotest.fail "unknown design must fail");
-  (* A real (tiny) flow job completes asynchronously and reports PPA. *)
+      Alcotest.(check bool) ("failure names the profile: " ^ msg) true
+        (contains ~affix:"unknown base profile \"no-such-design\"" msg)
+  | `Row _ -> Alcotest.fail "unknown base profile must fail");
+  (* A real (tiny) cell completes asynchronously and reports PPA. *)
+  let scale = 0.02 and seed = 5 and gcell = 10 in
   let id =
-    Client.submit_flow c
+    Client.submit_corpus c
       {
-        Proto.fl_design = "DMA";
-        fl_scale = 0.02;
-        fl_seed = 5;
-        fl_gcell = 10;
-        fl_variant = Proto.Pin3d;
+        Proto.cr_spec = Corpus.spec ~scale ~seed ~name:"DMA" "DMA";
+        cr_config = Corpus.flow_config ~gcell "base";
+        cr_kind = Proto.Corpus_ppa;
       }
   in
-  (* Submission returns immediately; the job runs on the flow worker
+  (* Submission returns immediately; the cell runs on the job worker
      while this connection stays free for other requests. *)
   Client.ping c;
-  let s = Client.wait_flow c id in
-  Alcotest.(check bool) "wirelength positive" true
-    (s.Proto.fs_wirelength_um > 0.);
-  Alcotest.(check bool) "overflow sane" true (s.Proto.fs_overflow >= 0);
+  let r =
+    match Client.wait_corpus c id with
+    | Proto.Corpus_row r -> r
+    | Proto.Corpus_dataset_built _ -> Alcotest.fail "expected a PPA row"
+  in
+  let local =
+    let nl = Gen.generate ~scale ~seed (Gen.profile "DMA") in
+    Flow.run_pin3d (Flow.make_context ~seed ~gcell_nx:gcell ~gcell_ny:gcell nl)
+  in
+  Alcotest.(check bool) "wirelength positive" true (r.Corpus.r_wirelength_um > 0.);
+  Alcotest.(check int) "overflow = local Pin-3D run"
+    local.Flow.place_stage.Flow.overflow r.Corpus.r_overflow;
+  List.iter
+    (fun (what, want, got) -> Alcotest.(check (float 0.)) what want got)
+    [
+      ("WL = local", local.Flow.signoff.Flow.wirelength_um, r.Corpus.r_wirelength_um);
+      ("WNS = local", local.Flow.signoff.Flow.wns_ps, r.Corpus.r_wns_ps);
+      ("TNS = local", local.Flow.signoff.Flow.tns_ps, r.Corpus.r_tns_ps);
+      ("power = local", local.Flow.signoff.Flow.power_mw, r.Corpus.r_power_mw);
+    ];
   (* Unknown job id is an error, not a crash. *)
-  match Client.poll_flow c (id + 999) with
+  match Client.poll_corpus c (id + 999) with
   | _ -> Alcotest.fail "unknown job id must be refused"
-  | exception Client.Error _ -> ()
+  | exception Client.Error msg ->
+      Alcotest.(check bool) msg true (contains ~affix:"unknown corpus job id" msg)
 
-(* The job tables are bounded: a daemon polled for weeks must not hold
+(* The job table is bounded: a daemon polled for weeks must not hold
    every result it ever produced, but a client that submits many jobs
-   before polling any must still find them all.  Unknown-design jobs
-   fail immediately, so they make cheap finished jobs. *)
-let unknown_design_spec =
-  {
-    Proto.fl_design = "no-such-design";
-    fl_scale = 0.02;
-    fl_seed = 1;
-    fl_gcell = 8;
-    fl_variant = Proto.Pin3d;
-  }
+   before polling any must still find them all. *)
+let submit_unknown_base c n =
+  List.init n (fun i -> Client.submit_corpus c (unknown_base_req i))
 
 (* jobs run in submission order: once the newest has finished, every
    older one has too.  Peeks with the server's stats, not a poll, so no
    status counts as answered. *)
-let settle_flow_jobs srv n =
+let settle_corpus_jobs srv n =
   let rec go () =
     let s = Server.stats srv in
-    if List.assoc "jobs_failed" s +. List.assoc "jobs_done" s < float_of_int n
+    if List.assoc "corpus_failed" s +. List.assoc "corpus_done" s < float_of_int n
     then begin
       Thread.delay 0.01;
       go ()
@@ -973,18 +1117,18 @@ let settle_flow_jobs srv n =
   go ()
 
 let check_unknown what c id =
-  match Client.poll_flow c id with
+  match Client.poll_corpus c id with
   | _ -> Alcotest.fail (what ^ ": must have been forgotten")
   | exception Client.Error msg ->
-      Alcotest.(check bool) (what ^ " answers unknown job id") true
-        (contains ~affix:"unknown job id" msg)
+      Alcotest.(check bool) (what ^ " answers unknown corpus job id") true
+        (contains ~affix:"unknown corpus job id" msg)
 
 let check_failed what c id =
-  match Client.poll_flow c id with
-  | Proto.Job_failed msg ->
+  match Client.poll_corpus c id with
+  | Proto.Corpus_failed msg ->
       Alcotest.(check bool) (what ^ " reports its failure") true
         (contains ~affix:"no-such-design" msg)
-  | _ -> Alcotest.fail (what ^ ": must report Job_failed")
+  | _ -> Alcotest.fail (what ^ ": must report Corpus_failed")
 
 (* Answered statuses retire after [Server.job_retention] later answers;
    unanswered ones outlive that many finished jobs. *)
@@ -994,8 +1138,10 @@ let test_e2e_job_retention () =
   let c = Client.connect (Server.bound_addr srv) in
   Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
   let n = Server.job_retention + 1 in
-  let ids = List.init n (fun _ -> Client.submit_flow c unknown_design_spec) in
-  settle_flow_jobs srv n;
+  let ids = submit_unknown_base c n in
+  Alcotest.(check int) "no submit deduped" n
+    (List.length (List.sort_uniq compare ids));
+  settle_corpus_jobs srv n;
   (* more than [job_retention] jobs finished, none polled yet: the
      first is still there *)
   check_failed "first job, submitted before any poll" c (List.hd ids);
@@ -1015,8 +1161,8 @@ let test_e2e_job_retention_unpolled () =
   let c = Client.connect (Server.bound_addr srv) in
   Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
   let n = Server.job_retention_unpolled + 1 in
-  let ids = List.init n (fun _ -> Client.submit_flow c unknown_design_spec) in
-  settle_flow_jobs srv n;
+  let ids = submit_unknown_base c n in
+  settle_corpus_jobs srv n;
   check_unknown "oldest unpolled job" c (List.hd ids);
   check_failed "second-oldest unpolled job" c (List.nth ids 1);
   check_failed "newest job" c (List.nth ids (n - 1))
@@ -1174,6 +1320,10 @@ let suites =
         Alcotest.test_case "short payload is a protocol error" `Quick
           test_short_payload_protocol_error;
         Alcotest.test_case "handoff frames roundtrip" `Quick test_handoff_frames;
+        Alcotest.test_case "request layouts roundtrip" `Quick
+          test_request_layouts_roundtrip;
+        Alcotest.test_case "crafted request layouts refused" `Quick
+          test_crafted_layouts_refused;
       ] );
     ( "serve batch",
       [
@@ -1211,11 +1361,13 @@ let suites =
           test_short_payload_e2e;
         Alcotest.test_case "malformed two-frame predicts" `Quick
           test_malformed_two_frame_predicts;
+        Alcotest.test_case "crafted layouts: error reply, serves on" `Quick
+          test_crafted_layouts_e2e;
         Alcotest.test_case "digest bytes: each frame once per side" `Quick
           test_digest_bytes_once_per_side;
         Alcotest.test_case "served key = predict_key" `Quick
           test_served_key_is_predict_key;
-        Alcotest.test_case "flow job lifecycle" `Quick test_e2e_flow_job;
+        Alcotest.test_case "corpus job lifecycle" `Quick test_e2e_corpus_job;
         Alcotest.test_case "answered jobs retire after a cap" `Quick
           test_e2e_job_retention;
         Alcotest.test_case "unpolled jobs are retained up to a hard cap" `Quick
