@@ -64,7 +64,9 @@ SEED ?= 951
 bench-ab:
 	BASE='$(BASE)' W='$(W)' PAIRS=$(PAIRS) S=$(S) SEED=$(SEED) bash bench/ab.sh
 
-# End-to-end daemon smoke: start `dco3d serve` (untrained model), fire
+# End-to-end daemon smoke: train a tiny model with `dco3d train -o`,
+# serve it with `dco3d serve --model` (a hello must report the
+# fingerprint `train` printed: the saved-model path end to end), fire
 # predict requests (the repeats must hit the result cache), run a tiny
 # remote flow (a corpus PPA cell) through the async job queue, then
 # drain with SIGTERM.  The
@@ -79,14 +81,22 @@ serve-smoke:
 	dune build bin/dco3d.exe
 	mkdir -p $(LOGS)
 	rm -f $(LOGS)/serve-smoke.sock $(LOGS)/serve-profile.txt $(LOGS)/serve-client-profile.txt.*
+	rm -f $(LOGS)/serve-model.bin
+	dune exec --no-build bin/dco3d.exe -- train -d DMA -s 0.02 --gcell 12 --samples 3 \
+	  --epochs 1 --input-hw 16 -o $(LOGS)/serve-model.bin | tee $(LOGS)/serve-train.log
 	DCO3D_PROFILE=$(LOGS)/serve-profile.txt \
 	  dune exec --no-build bin/dco3d.exe -- serve --socket $(LOGS)/serve-smoke.sock \
-	  > $(LOGS)/serve-smoke.log 2>&1 & \
+	  --model $(LOGS)/serve-model.bin > $(LOGS)/serve-smoke.log 2>&1 & \
 	SERVE_PID=$$!; \
 	for i in $$(seq 1 50); do [ -S $(LOGS)/serve-smoke.sock ] && break; sleep 0.1; done; \
 	[ -S $(LOGS)/serve-smoke.sock ] || { cat $(LOGS)/serve-smoke.log; exit 1; }; \
 	DCO3D_PROFILE=$(LOGS)/serve-client-profile.txt.ping \
-	  dune exec --no-build bin/dco3d.exe -- client ping --socket $(LOGS)/serve-smoke.sock && \
+	  dune exec --no-build bin/dco3d.exe -- client --route any ping \
+	  --socket $(LOGS)/serve-smoke.sock | tee $(LOGS)/serve-ping.log && \
+	FP_TRAIN=$$(sed -n 's/^saved predictor to .* (fingerprint \([0-9a-f]*\))$$/\1/p' $(LOGS)/serve-train.log) && \
+	FP_SERVE=$$(sed -n 's/^hello: shard .* (fingerprint \([0-9a-f]*\))$$/\1/p' $(LOGS)/serve-ping.log) && \
+	echo "serve-smoke: model fingerprint, trained $$FP_TRAIN, served $$FP_SERVE" && \
+	[ -n "$$FP_TRAIN" ] && [ "$$FP_TRAIN" = "$$FP_SERVE" ] && \
 	DCO3D_PROFILE=$(LOGS)/serve-client-profile.txt.predict \
 	  dune exec --no-build bin/dco3d.exe -- client predict --socket $(LOGS)/serve-smoke.sock \
 	  -s 0.05 --gcell 16 --repeat 3 | tee $(LOGS)/serve-predict.log && \
@@ -95,10 +105,10 @@ serve-smoke:
 	  dune exec --no-build bin/dco3d.exe -- client flow --socket $(LOGS)/serve-smoke.sock \
 	  -d DMA -s 0.02 --gcell 12 && \
 	DCO3D_PROFILE=$(LOGS)/serve-client-profile.txt.stats \
-	  dune exec --no-build bin/dco3d.exe -- client stats --socket $(LOGS)/serve-smoke.sock && \
-	kill -TERM $$SERVE_PID && wait $$SERVE_PID; \
+	  dune exec --no-build bin/dco3d.exe -- client stats --socket $(LOGS)/serve-smoke.sock; \
+	CLIENTS=$$?; kill -TERM $$SERVE_PID; wait $$SERVE_PID; \
 	STATUS=$$?; cat $(LOGS)/serve-smoke.log; \
-	[ $$STATUS -eq 0 ] && [ -f $(LOGS)/serve-profile.txt ] && \
+	[ $$CLIENTS -eq 0 ] && [ $$STATUS -eq 0 ] && [ -f $(LOGS)/serve-profile.txt ] && \
 	  grep -q "serve/batch " $(LOGS)/serve-profile.txt && \
 	  grep -q "serve/corpus_job" $(LOGS)/serve-profile.txt && \
 	  grep -q "serve/cache_hit" $(LOGS)/serve-profile.txt && \

@@ -394,6 +394,14 @@ let untrained_predictor ~seed ~input_hw =
     prerr_endline ("dco3d: " ^ msg);
     exit 2
 
+(* A model file that cannot serve is one line naming the path and the
+   cause, and exit 1. *)
+let load_model path =
+  try Predictor.load path
+  with Predictor.Load_error msg ->
+    prerr_endline ("dco3d: " ^ msg);
+    exit 1
+
 (* ------------------------------------------------------------------ *)
 (* train                                                                *)
 (* ------------------------------------------------------------------ *)
@@ -429,8 +437,12 @@ let train_cmd =
           /. float_of_int (List.length metrics)
     in
     Printf.printf "test NRMSE %.3f, SSIM %.3f\n" (avg fst) (avg snd);
-    Predictor.save predictor output;
-    Printf.printf "saved predictor to %s\n" output
+    (try Predictor.save predictor output
+     with Sys_error msg ->
+       Printf.eprintf "dco3d: cannot save the predictor to %s: %s\n" output msg;
+       exit 1);
+    Printf.printf "saved predictor to %s (fingerprint %s)\n" output
+      (Predictor.fingerprint predictor)
   in
   let samples_t =
     Arg.(
@@ -737,7 +749,7 @@ let serve_cmd =
       cache_cap shard_of shard_id spill_dir route_cache_dir corpus_dir =
     let predictor =
       match model with
-      | Some path -> Predictor.load path
+      | Some path -> load_model path
       | None ->
           (* No trained weights: serve a freshly initialized network.
              Exercises the full daemon (batching, caching, corpus jobs)
@@ -895,8 +907,11 @@ let serve_cmd =
 let balance_cmd =
   let run () socket port ctl shards model seed input_hw queue_cap
       max_batch linger_ms cache_cap spill_root route_cache_dir corpus_dir =
-    (* the shards would start and then fail every predict *)
-    if model = None then ignore (untrained_predictor ~seed ~input_hw);
+    (* Check the model once here: the shards would start and then fail
+       every predict, or die on a model file that cannot load. *)
+    (match model with
+    | Some path -> ignore (load_model path)
+    | None -> ignore (untrained_predictor ~seed ~input_hw));
     let addr = address_of socket port in
     let ctl_path =
       match ctl with
@@ -1082,11 +1097,7 @@ let balance_cmd =
       $ spill_t $ route_cache_t $ corpus_cache_t)
 
 let client_cmd =
-  let run () socket port action design scale seed gcell repeat timeout_ms
-      route retries =
-    let addr = address_of socket port in
-    let c = Client.connect addr in
-    Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+  let talk c action design scale seed gcell repeat timeout_ms route retries =
     (match route with
     | None -> ()
     | Some r ->
@@ -1168,6 +1179,25 @@ let client_cmd =
               r.Corpus.r_power_mw
         | Proto.Corpus_dataset_built _ ->
             raise (Client.Error "client flow: unexpected dataset reply")
+  in
+  (* A refused request, a lost daemon or a wire-version mismatch is one
+     line on stderr and exit 1. *)
+  let run () socket port action design scale seed gcell repeat timeout_ms
+      route retries =
+    let addr = address_of socket port in
+    let fail msg =
+      prerr_endline ("dco3d client: " ^ msg);
+      exit 1
+    in
+    try
+      let c = Client.connect addr in
+      Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+      talk c action design scale seed gcell repeat timeout_ms route retries
+    with
+    | Client.Error msg -> fail msg
+    | Client.Lost_connection -> fail "the daemon closed the connection"
+    | Unix.Unix_error (e, _, _) ->
+        fail (pp_address addr ^ ": " ^ Unix.error_message e)
   in
   let action_t =
     Arg.(

@@ -199,83 +199,3 @@ let digest d =
            (Digest.to_hex (Digest.string (Marshal.to_string s.params [])))))
     d.samples;
   Digest.to_hex (Digest.string (Buffer.contents buf))
-
-(* ------------------------------------------------------------------ *)
-(* Persistence                                                         *)
-(* ------------------------------------------------------------------ *)
-
-let magic = "DCO3D-DATASET-V1"
-
-(* Tensors are flattened to (shape, data) pairs so the Marshal image
-   stays independent of the Tensor module's internals. *)
-type flat_sample = {
-  x_fb : int array * float array;
-  x_ft : int array * float array;
-  x_cb : int array * float array;
-  x_ct : int array * float array;
-  x_params : Params.t;
-  x_seed : int;
-}
-
-let flatten_tensor t = (T.shape t, Array.init (T.numel t) (T.get_flat t))
-let unflatten (shape, data) = T.make shape data
-
-let save d path =
-  let oc = open_out_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc magic;
-      let flat =
-        Array.map
-          (fun s ->
-            {
-              x_fb = flatten_tensor s.f_bottom;
-              x_ft = flatten_tensor s.f_top;
-              x_cb = flatten_tensor s.c_bottom;
-              x_ct = flatten_tensor s.c_top;
-              x_params = s.params;
-              x_seed = s.sample_seed;
-            })
-          d.samples
-      in
-      Marshal.to_channel oc (d.design, d.nx, d.ny, flat) [])
-
-exception Load_error of string
-
-let load_error path cause =
-  raise (Load_error (Printf.sprintf "Dataset.load: %s: %s" path cause))
-
-let load path =
-  let ic =
-    try open_in_bin path with Sys_error msg -> load_error path msg
-  in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      let design, nx, ny, (flat : flat_sample array) =
-        try
-          let tag = really_input_string ic (String.length magic) in
-          if tag <> magic then load_error path "bad file magic";
-          Marshal.from_channel ic
-        with
-        | End_of_file -> load_error path "truncated file"
-        | Failure msg -> load_error path msg
-      in
-      {
-        design;
-        nx;
-        ny;
-        samples =
-          Array.map
-            (fun f ->
-              {
-                f_bottom = unflatten f.x_fb;
-                f_top = unflatten f.x_ft;
-                c_bottom = unflatten f.x_cb;
-                c_top = unflatten f.x_ct;
-                params = f.x_params;
-                sample_seed = f.x_seed;
-              })
-            flat;
-      })

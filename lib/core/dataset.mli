@@ -72,15 +72,3 @@ val digest : t -> string
     feature/label map plus the per-sample knobs and seeds — equal
     digests mean bit-identical datasets.  The serving tier's
     corpus-build replies and the determinism tests compare by this. *)
-
-exception Load_error of string
-(** Raised by {!load} on a missing, truncated or corrupt file; the
-    message names the offending path and the cause. *)
-
-val save : t -> string -> unit
-(** Persist the dataset (features, labels, knobs) to a file, so a
-    dataset built once can feed many training runs. *)
-
-val load : string -> t
-(** Restore a dataset written by {!save}.
-    @raise Load_error on a missing, truncated or malformed file. *)

@@ -6,6 +6,7 @@ module SiaUNet = Dco3d_nn.Siamese_unet
 module Fm = Dco3d_congestion.Feature_maps
 module Metrics = Dco3d_congestion.Metrics
 module Obs = Dco3d_obs.Obs
+module Framing = Dco3d_framing.Framing
 
 let log_src = Logs.Src.create "dco3d.predictor" ~doc:"Algorithm 1 training"
 
@@ -163,50 +164,34 @@ let evaluate t (d : Dataset.t) =
          in
          [ score p0 s.Dataset.c_bottom; score p1 s.Dataset.c_top ])
 
-(* A predictor on disk: a magic-tagged (resolution, label scale) header
-   plus a companion [.net] file holding the network weights. *)
-let magic = "DCO3D-PREDICTOR-V1"
+(* A predictor on disk: one framed file holding the resolution, the
+   label scale, the architecture and every weight. *)
+let magic = "DCO3D-PREDICTOR-V2"
+
+type image = int * float * SiaUNet.config * SiaUNet.weight_image
 
 let save t path =
-  let oc = open_out_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc magic;
-      Marshal.to_channel oc (t.input_hw, t.label_scale) []);
-  SiaUNet.save t.net (path ^ ".net")
+  let net = t.net in
+  Framing.save ~magic ~path
+    ((t.input_hw, t.label_scale, SiaUNet.config net, SiaUNet.weight_image net)
+      : image)
 
 exception Load_error of string
 
-let load_error path cause =
-  raise (Load_error (Printf.sprintf "Predictor.load: %s: %s" path cause))
-
 let load ?expect path =
-  let ic =
-    try open_in_bin path with Sys_error msg -> load_error path msg
+  let fail cause =
+    raise (Load_error (Printf.sprintf "Predictor.load: %s: %s" path cause))
   in
-  let input_hw, label_scale =
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () ->
-        try
-          let tag = really_input_string ic (String.length magic) in
-          if tag <> magic then load_error path "bad file magic";
-          (Marshal.from_channel ic : int * float)
-        with
-        | End_of_file -> load_error path "truncated file"
-        | Failure msg -> load_error path msg)
-  in
-  let net =
-    (* the companion network file is part of the same on-disk artifact,
-       so its failures surface as this module's Load_error too *)
-    try SiaUNet.load ?expect (path ^ ".net")
-    with SiaUNet.Load_error msg -> raise (Load_error msg)
-  in
-  (* Cross-check the pair of files: a swapped-in network file that
-     Marshal-decodes fine must still agree with the data pipeline and
-     the stored network resolution, or [predict] would blow up inside
-     a conv long after loading "succeeded". *)
-  match mismatch net ~input_hw ~label_scale with
-  | Some cause -> load_error path cause
-  | None -> { net; input_hw; label_scale }
+  match (Framing.load ~magic ~path : (image, string) result) with
+  | Error cause -> fail cause
+  | Ok (input_hw, label_scale, cfg, weights) -> (
+      let net =
+        try SiaUNet.of_weights ?expect cfg weights
+        with Invalid_argument cause -> fail cause
+      in
+      (* The weights must also agree with the data pipeline and the
+         stored resolution, or [predict] would blow up inside a conv
+         long after loading "succeeded". *)
+      match mismatch net ~input_hw ~label_scale with
+      | Some cause -> fail cause
+      | None -> { net; input_hw; label_scale })

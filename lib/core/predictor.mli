@@ -81,20 +81,30 @@ val eq4_loss :
   Dco3d_autodiff.Value.t
 (** Eq. 4: [1/2 * (rmse_F(c0, t0) + rmse_F(c1, t1))]. *)
 
+(** {2 The model file}
+
+    A predictor persists as one {!Dco3d_framing.Framing} file under the
+    magic ["DCO3D-PREDICTOR-V2"]: an MD5 over a [Marshal] of the
+    resolution, the label scale, the network architecture and every
+    weight ({!Dco3d_nn.Siamese_unet.weight_image}).  Saving then loading
+    keeps {!fingerprint} bit for bit.  Files of earlier releases (a
+    ["DCO3D-PREDICTOR-V1"] header with a companion [.net] weights file)
+    are refused on their magic and must be retrained. *)
+
 exception Load_error of string
-(** Raised by {!load} on a missing, truncated or corrupt file (either
-    the predictor file or its companion [.net] weights file); the
-    message names the offending path and the cause. *)
+(** Raised by {!load}; the message names the path and the cause. *)
 
 val save : t -> string -> unit
+(** Write the model file atomically (temp file, then rename).
+    @raise Sys_error if it cannot be written. *)
 
 val load : ?expect:Dco3d_nn.Siamese_unet.config -> string -> t
-(** Restore a predictor written by {!save}.  When [expect] is given,
-    weight files whose stored architecture disagrees with it are
-    rejected with a message naming both configurations.  Regardless of
-    [expect], the loaded pair of files is cross-checked ({!make}'s
-    checks, plus weight shapes against the declared architecture) so
-    that a mismatched or swapped file fails here instead of deep inside
-    a convolution later.
-    @raise Load_error on a missing, truncated, malformed or mismatched
-    file. *)
+(** Restore a predictor written by {!save}.  Causes of a
+    {!Load_error}: the file is missing or unreadable (the system
+    error), ["bad file magic"] (not a model file, or one of an earlier
+    release), ["truncated file"], ["digest mismatch"] (any damaged
+    byte), ["undecodable body"]; an architecture mismatch against
+    [expect], naming both configurations; weights that disagree with
+    the stored architecture; or {!make}'s checks (resolution, label
+    scale, input channels, divisibility by [2^depth]).  A mismatched
+    file fails here instead of deep inside a convolution later. *)

@@ -1,7 +1,7 @@
-(* The one on-disk store: magic+digest+rename framing for
-   content-addressed cache files, and the bounded LRU [Store] the
-   spill tier, the route cache and the corpus PPA store all persist
-   through, so the corruption-handling discipline can't drift. *)
+(* The one on-disk framing: magic+digest+rename for the predictor file
+   and for the bounded LRU [Store] the spill tier, the route cache and
+   the corpus PPA store all persist through, so the corruption-handling
+   discipline can't drift. *)
 
 module Obs = Dco3d_obs.Obs
 
@@ -23,50 +23,60 @@ let path_of ~dir ~suffix key =
    silently lost. *)
 let tmp_seq = Atomic.make 0
 
-let write_file ~magic ~path ~body =
+(* The single encoding seam: every framed body is a [Marshal] of the
+   value.  Swapping the codec (e.g. for an explicit, type-checked one)
+   changes only these two functions. *)
+let encode v = Marshal.to_string v []
+let decode s ofs = Marshal.from_string s ofs
+
+let save ~magic ~path v =
+  let body = encode v in
   let tmp =
     Printf.sprintf "%s.tmp.%d.%d" path (Unix.getpid ())
       (Atomic.fetch_and_add tmp_seq 1)
   in
   try
-    let oc = open_out_bin tmp in
-    (try
-       output_string oc magic;
-       output_string oc (Digest.string body);
-       output_string oc body;
-       close_out oc
-     with e ->
-       close_out_noerr oc;
-       raise e);
-    Sys.rename tmp path;
-    true
-  with Sys_error _ | Unix.Unix_error _ ->
-    (* Best-effort: a full or read-only disk must not break the caller. *)
+    Out_channel.with_open_bin tmp (fun oc ->
+        output_string oc magic;
+        output_string oc (Digest.string body);
+        output_string oc body);
+    Sys.rename tmp path
+  with Sys_error _ as e ->
+    (* a failed write leaves no temp file behind *)
     (try Sys.remove tmp with Sys_error _ -> ());
-    false
+    raise e
+
+let digest_bytes = String.length (Digest.string "")
+
+let load ~magic ~path =
+  match In_channel.with_open_bin path In_channel.input_all with
+  | exception Sys_error msg ->
+      (* [msg] is "<path>: <cause>"; the caller names the path *)
+      let prefix = path ^ ": " in
+      let n = String.length prefix in
+      Error
+        (if String.starts_with ~prefix msg then
+           String.sub msg n (String.length msg - n)
+         else msg)
+  | raw -> (
+      let m = String.length magic and n = String.length raw in
+      let head = min m n in
+      if String.sub raw 0 head <> String.sub magic 0 head then
+        Error "bad file magic"
+      else if n < m + digest_bytes then Error "truncated file"
+      else
+        let ofs = m + digest_bytes in
+        if Digest.substring raw ofs (n - ofs) <> String.sub raw m digest_bytes
+        then Error "digest mismatch"
+        else
+          (* A digest-valid body shorter than Marshal's header raises
+             [Invalid_argument], a malformed one [Failure]. *)
+          match decode raw ofs with
+          | v -> Ok v
+          | exception (Failure _ | Invalid_argument _) ->
+              Error "undecodable body")
 
 let discard path = try Sys.remove path with Sys_error _ -> ()
-
-let read_file ~magic ~path =
-  if not (Sys.file_exists path) then None
-  else
-    match
-      let ic = open_in_bin path in
-      Fun.protect ~finally:(fun () -> close_in_noerr ic) @@ fun () ->
-      let m = really_input_string ic (String.length magic) in
-      if m <> magic then raise Exit;
-      let digest = really_input_string ic (String.length (Digest.string "")) in
-      let blen = in_channel_length ic - pos_in ic in
-      let body = really_input_string ic blen in
-      if Digest.string body <> digest then raise Exit;
-      body
-    with
-    | body -> Some body
-    | exception (Exit | End_of_file | Failure _ | Sys_error _) ->
-        (* Truncated, corrupted, foreign, or unreadable: drop it so the
-           next write can install a good copy. *)
-        discard path;
-        None
 
 (* The [suffix] file names in [dir]; none if it is unreadable. *)
 let entries ~dir ~suffix =
@@ -109,12 +119,6 @@ let evict_lru ~dir ~suffix ~max_entries =
            | exception Sys_error _ -> evicted)
          0
 
-(* The single encoding seam: every store body is a [Marshal] of
-   [(key, value)].  Swapping the codec (e.g. for an explicit,
-   type-checked one) changes only these two functions. *)
-let encode key v = Marshal.to_string (key, v) []
-let decode body : string * 'v = Marshal.from_string body 0
-
 module Store = struct
   type 'v t = {
     dir : string;
@@ -154,30 +158,31 @@ module Store = struct
   let find t key =
     let path = path_of ~dir:t.dir ~suffix:t.suffix key in
     let found =
-      match read_file ~magic:t.magic ~path with
-      | None -> None
-      | Some body -> (
-          match decode body with
-          | stored_key, v when stored_key = key ->
-              touch path;
-              Some v
-          | _ | (exception _) ->
-              (* Digest-valid but undecodable (a body shorter than
-                 Marshal's header raises [Invalid_argument], not
-                 [Failure]) or stored under another key (an MD5
-                 collision, a renamed file): drop it so the next write
-                 can install a good copy. *)
-              discard path;
-              None)
+      if not (Sys.file_exists path) then None
+      else
+        match load ~magic:t.magic ~path with
+        | Ok (stored_key, v) when stored_key = key ->
+            touch path;
+            Some v
+        | Ok _ | Error _ ->
+            (* Damaged, foreign, unreadable, or stored under another key
+               (an MD5 collision, a renamed file): drop it so the next
+               write can install a good copy. *)
+            discard path;
+            None
     in
     Obs.incr (if Option.is_some found then t.c_hit else t.c_miss);
     found
 
   let put t key v =
     let ok =
-      write_file ~magic:t.magic
-        ~path:(path_of ~dir:t.dir ~suffix:t.suffix key)
-        ~body:(encode key v)
+      let path = path_of ~dir:t.dir ~suffix:t.suffix key in
+      match save ~magic:t.magic ~path (key, v) with
+      | () -> true
+      | exception Sys_error _ ->
+          (* Best-effort: a full or read-only disk must not break the
+             caller. *)
+          false
     in
     (* Eviction is amortized: the pass (a readdir, plus a stat per
        entry once over the target) runs on this handle's first put and

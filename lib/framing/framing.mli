@@ -1,34 +1,46 @@
-(** The repository's one on-disk store, and the framing under it.
+(** The repository's one file framing, and the on-disk store built on it.
 
-    {!Store} persists content-addressed entries as one file per key
-    under a cache directory; the serving tier's LRU spill, the route
-    cache and the corpus PPA store are all instances of it, differing
-    only in magic, suffix and counter prefix.  Each file is
+    Every file the repository persists is
 
       magic | 16-byte MD5(body) | body
 
-    where [body] is a [Marshal] of [(key, value)]: the stored key is
-    re-checked on read, so an MD5 filename collision or a foreign file
-    can never serve the wrong value.  Writes go through a temp file +
-    rename, so a crash mid-write leaves no torn entry and concurrent
-    processes can share one directory; any file that fails the magic,
-    digest, decode or stored-key check is deleted and read as a miss.
-    Stores are bounded LRU: hits refresh an entry's mtime, and writes
-    evict the oldest files past the cap (amortized; see {!Store.put}).
+    where [body] is a [Marshal] of the value, written to a temp file and
+    renamed into place, so a crash mid-write leaves no torn file and
+    concurrent processes can share one directory.  {!save} and {!load}
+    are that framing for one file: the trained predictor
+    ([Predictor.save]/[load]) is one such file.
 
-    All operations are best-effort and never raise on IO failure:
-    [put] reports success as a bool, [find] returns [None]. *)
+    {!Store} persists content-addressed entries as one framed file per
+    key under a cache directory; the serving tier's LRU spill, the route
+    cache and the corpus PPA store are all instances of it, differing
+    only in magic, suffix and counter prefix.  Its value is [(key, v)]:
+    the stored key is re-checked on read, so an MD5 filename collision
+    or a foreign file can never serve the wrong value.  Any entry that
+    fails the magic, digest, decode or stored-key check is deleted and
+    read as a miss.  Stores are bounded LRU: hits refresh an entry's
+    mtime, and writes evict the oldest files past the cap (amortized;
+    see {!Store.put}).  Store operations are best-effort and never raise
+    on IO failure: [put] reports success as a bool, [find] returns
+    [None]. *)
 
 val path_of : dir:string -> suffix:string -> string -> string
 (** [path_of ~dir ~suffix key] is the entry file for [key]:
     [dir]/MD5-hex([key])[suffix]. *)
 
-val write_file : magic:string -> path:string -> body:string -> bool
-(** Frame [body] under [magic] and atomically install it at [path]
-    (temp file carrying pid + a per-process sequence, then rename).
-    [false] if the write failed (disk full, read-only dir, …); a
-    failed write leaves no temp file behind.  {!Store.put} writes
-    through this; it is public so tests can plant framed entries. *)
+val save : magic:string -> path:string -> 'a -> unit
+(** Frame [v] under [magic] and atomically install it at [path] (temp
+    file carrying pid + a per-process sequence, then rename).  A failed
+    write leaves no temp file behind.
+    @raise Sys_error if the file cannot be written (disk full, read-only
+    or missing directory, …). *)
+
+val load : magic:string -> path:string -> ('a, string) result
+(** The value framed at [path], or the cause it cannot be read:
+    ["bad file magic"], ["truncated file"], ["digest mismatch"],
+    ["undecodable body"] or the system error (a missing or unreadable
+    file).  Never deletes the file.  The result type is fixed by the
+    caller's annotation and must be the type [path] was saved at:
+    distinct magics keep the repository's files apart. *)
 
 module Store : sig
   type 'v t

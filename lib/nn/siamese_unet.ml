@@ -147,12 +147,10 @@ let as_layer net = Layer.seq (Array.to_list net.layers)
 let params net = Layer.params (as_layer net)
 let num_params net = Layer.num_params (as_layer net)
 let config net = net.cfg
-let state net = Layer.state (as_layer net)
-
-let load_state net snapshot = Layer.load_state (as_layer net) snapshot
-
 (* Every weight as plain (shape, data): what [fingerprint] digests and
-   [save] persists. *)
+   the predictor file stores. *)
+type weight_image = (int array * float array) list
+
 let weight_image net =
   List.map
     (fun p ->
@@ -164,68 +162,29 @@ let fingerprint net =
   Digest.to_hex
     (Digest.string (Marshal.to_string (net.cfg, weight_image net) []))
 
-(* Persistence: a tagged Marshal image of the config plus raw
-   (shape, data) pairs.  The file is only ever read back by [load], so
-   the representation can stay internal. *)
-type snapshot = {
-  s_cfg : config;
-  s_weights : (int array * float array) list;
-}
-
-let magic = "DCO3D-SIAUNET-V1"
-
-let save net path =
-  let oc = open_out_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc magic;
-      Marshal.to_channel oc { s_cfg = net.cfg; s_weights = weight_image net } [])
-
-exception Load_error of string
-
-let load_error path cause =
-  raise (Load_error (Printf.sprintf "Siamese_unet.load: %s: %s" path cause))
-
 let invalid_architecture cfg cause =
   Printf.sprintf "invalid architecture %s: %s" (config_string cfg) cause
 
-let load ?expect path =
-  let ic =
-    try open_in_bin path with Sys_error msg -> load_error path msg
-  in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      let snap : snapshot =
-        try
-          let tag = really_input_string ic (String.length magic) in
-          if tag <> magic then load_error path "bad file magic";
-          Marshal.from_channel ic
-        with
-        | End_of_file -> load_error path "truncated file"
-        | Failure msg -> load_error path msg
-      in
-      (* Reject before building anything: a wrong-architecture file must
-         fail here with a clear message, not deep inside a conv once a
-         wrong-shaped network is already in use. *)
-      let cfg = snap.s_cfg in
-      Option.iter
-        (fun cause -> load_error path (invalid_architecture cfg cause))
-        (check_config cfg);
-      (match expect with
-      | Some e when e <> cfg ->
-          load_error path
-            (Printf.sprintf
-               "architecture mismatch: file holds weights for %s, requested %s"
-               (config_string cfg) (config_string e))
-      | _ -> ());
-      try
-        let net = create (Dco3d_tensor.Rng.create 0) cfg in
-        load_state net
-          (List.map (fun (shape, data) -> T.make shape data) snap.s_weights);
-        net
-      with Invalid_argument msg ->
-        load_error path
-          (Printf.sprintf "weights disagree with the declared architecture %s (%s)"
-             (config_string cfg) msg))
+(* Reject before building anything: a wrong-architecture image must
+   fail here with a clear message, not deep inside a conv once a
+   wrong-shaped network is already in use. *)
+let of_weights ?expect cfg weights =
+  Option.iter
+    (fun cause -> invalid_arg (invalid_architecture cfg cause))
+    (check_config cfg);
+  (match expect with
+  | Some e when e <> cfg ->
+      invalid_arg
+        (Printf.sprintf
+           "architecture mismatch: file holds weights for %s, requested %s"
+           (config_string cfg) (config_string e))
+  | _ -> ());
+  let net = create (Dco3d_tensor.Rng.create 0) cfg in
+  (try
+     Layer.load_state (as_layer net)
+       (List.map (fun (shape, data) -> T.make shape data) weights)
+   with Invalid_argument msg ->
+     invalid_arg
+       (Printf.sprintf "weights disagree with the declared architecture %s (%s)"
+          (config_string cfg) msg));
+  net

@@ -39,8 +39,8 @@ val default_config : config
 val create : Dco3d_tensor.Rng.t -> config -> t
 (** A network with He-initialized weights drawn from the generator.
     @raise Invalid_argument unless [depth] is 1 or 2 and both channel
-    counts are positive — the same check {!load} applies to a file's
-    stored architecture. *)
+    counts are positive — the same check {!of_weights} applies to a
+    file's stored architecture. *)
 
 val forward :
   t ->
@@ -77,28 +77,23 @@ val params : t -> Dco3d_autodiff.Value.t list
 val num_params : t -> int
 val config : t -> config
 
-val state : t -> Dco3d_tensor.Tensor.t list
-val load_state : t -> Dco3d_tensor.Tensor.t list -> unit
+type weight_image = (int array * float array) list
+(** Every parameter as plain [(shape, data)], in {!params} order. *)
+
+val weight_image : t -> weight_image
+
+val of_weights : ?expect:config -> config -> weight_image -> t
+(** The network of architecture [config] holding [weights] (the
+    predictor file's constructor).  When [expect] is given, a [config]
+    that disagrees with it is rejected up front with a message naming
+    both configurations.  Weights that disagree with [config] (count or
+    shapes) are likewise rejected here rather than failing deep inside a
+    convolution later.
+    @raise Invalid_argument naming the cause: an architecture {!create}
+    cannot build, the [expect] mismatch, or the weights. *)
 
 val fingerprint : t -> string
 (** Hex digest of the architecture plus every weight bit.  Two networks
     share a fingerprint iff they compute the same function; the serve
     result cache keys on it so stale entries can never survive a model
     swap. *)
-
-exception Load_error of string
-(** Raised by {!load} on a missing, truncated or corrupt file; the
-    message names the offending path and the cause. *)
-
-val save : t -> string -> unit
-(** Persist configuration and weights to a file. *)
-
-val load : ?expect:config -> string -> t
-(** Restore a network written by {!save}.  When [expect] is given, a
-    file whose stored architecture hyperparameters disagree with it is
-    rejected up front with a message naming both configurations.  Files
-    whose weight list disagrees with their own declared architecture
-    (count or shapes) are likewise rejected here rather than failing
-    deep inside a convolution later.
-    @raise Load_error on a missing, truncated, malformed or mismatched
-    file. *)

@@ -150,19 +150,6 @@ let tier_balance p =
   let total = bot +. top in
   if total <= 0. then 0. else abs_float (bot -. top) /. total
 
-let inside_die p =
-  let ok = ref true in
-  let n = Array.length p.x in
-  for c = 0 to n - 1 do
-    if
-      p.x.(c) < 0.
-      || p.x.(c) > p.fp.Floorplan.width
-      || p.y.(c) < 0.
-      || p.y.(c) > p.fp.Floorplan.height
-    then ok := false
-  done;
-  !ok
-
 let clamp_to_die p =
   let n = Array.length p.x in
   for c = 0 to n - 1 do

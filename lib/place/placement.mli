@@ -54,8 +54,5 @@ val tier_areas : t -> float * float
 val tier_balance : t -> float
 (** [abs (bottom - top) / total] area imbalance in [\[0, 1\]]. *)
 
-val inside_die : t -> bool
-(** Every cell center within the outline. *)
-
 val clamp_to_die : t -> unit
 (** Clamp all cell coordinates into the outline in place. *)

@@ -583,7 +583,7 @@ let legal_check (p : Placement.t) =
   with Bad m -> Error m
 
 (* ------------------------------------------------------------------ *)
-(* Congestion-driven inflation                                         *)
+(* Wire demand (for the congestion-driven relief below)                *)
 (* ------------------------------------------------------------------ *)
 
 (* RUDY-style wire-demand map over the GCell grid (both tiers combined;
@@ -620,51 +620,6 @@ let demand_quantile map q =
   let n = Array.length flat in
   if n = 0 then 0.
   else flat.(max 0 (min (n - 1) (int_of_float (q *. float_of_int n))))
-
-(* One hotspot-inflation step: cells sitting in the top-demand bins get
-   their effective area bumped, so the next spreading pass pushes their
-   neighbourhoods apart — surgical relief, small wirelength cost (the
-   behaviour of ICC2's congestion-driven placement, which Table III
-   shows costs only ~1 % WL). *)
-let inflate_hotspots ?(quantile = 0.88) (p : Placement.t) inflation ~bump ~pin_aware =
-  let fp = p.Placement.fp in
-  let nx = fp.Floorplan.gcell_nx and ny = fp.Floorplan.gcell_ny in
-  let bw = fp.Floorplan.width /. float_of_int nx in
-  let bh = fp.Floorplan.height /. float_of_int ny in
-  let demand = wire_demand_map p in
-  let thr = demand_quantile demand quantile in
-  let nl = p.Placement.nl in
-  let n = Nl.n_cells nl in
-  let pins c =
-    float_of_int
-      (Array.length nl.Nl.cell_fanin.(c)
-      + if nl.Nl.cell_fanout.(c) >= 0 then 1 else 0)
-  in
-  let avg_pins =
-    let acc = ref 0. in
-    for c = 0 to n - 1 do
-      acc := !acc +. pins c
-    done;
-    !acc /. float_of_int (max 1 n)
-  in
-  for c = 0 to n - 1 do
-    let gx = max 0 (min (nx - 1) (int_of_float (p.Placement.x.(c) /. bw))) in
-    let gy = max 0 (min (ny - 1) (int_of_float (p.Placement.y.(c) /. bh))) in
-    if demand.(gy).(gx) > thr then begin
-      let pin_term =
-        if pin_aware then 0.5 *. Float.max 0. ((pins c /. avg_pins) -. 1.)
-        else 0.
-      in
-      inflation.(c) <-
-        Float.min 3.0 (inflation.(c) *. (1. +. bump +. (bump *. pin_term)))
-    end
-  done
-
-let pin_inflation (p : Placement.t) =
-  let inflation = Array.make (Nl.n_cells p.Placement.nl) 1. in
-  inflate_hotspots p inflation ~bump:0.25 ~pin_aware:true;
-  Array.fold_left ( +. ) 0. inflation
-  /. float_of_int (max 1 (Array.length inflation))
 
 (* ------------------------------------------------------------------ *)
 (* Full pipeline                                                       *)

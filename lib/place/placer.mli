@@ -45,10 +45,6 @@ val legal_check : Placement.t -> (unit, string) result
 (** Verify row alignment and the absence of same-tier overlaps
     (macros exempt from row alignment). *)
 
-val pin_inflation : Placement.t -> float
-(** Mean per-cell inflation factor used by congestion-driven modes
-    (diagnostic). *)
-
 val global_place :
   seed:int ->
   params:Params.t ->

@@ -8,11 +8,11 @@
    determinism digest of a replay equals the cold route's).
 
    Entries live in a [Framing.Store] ("DCO3D-ROUTE-V1", ".route",
-   [route/cache_*] counters) holding the flattened result, so stored-key
+   [route/cache_*] counters) holding the result, so stored-key
    rechecks, corruption handling, the LRU bound and temp-file + rename
    writes (shard daemons and parallel dataset workers share one cache
    directory) are the store's; this module owns only the content key
-   and the flattening. *)
+   and the tensor checks on a hit. *)
 
 module T = Dco3d_tensor.Tensor
 module Nl = Dco3d_netlist.Netlist
@@ -81,82 +81,46 @@ let key ~(config : Router.config) (p : Pl.t) =
   add_float buf config.Router.pin_saturation;
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
-(* Tensors are flattened to (shape, data) pairs so the Marshal image
-   stays independent of the Tensor module's internals (same idiom as
-   the dataset files). *)
-type flat = {
-  x_overflow_total : int;
-  x_overflow_h : int;
-  x_overflow_v : int;
-  x_overflow_via : int;
-  x_overflow_gcell_pct : float;
-  x_wirelength : float;
-  x_congestion : (int array * float array) array;
-  x_utilization : (int array * float array) array;
-  x_net_length : float array;
-  x_iterations_run : int;
-  x_net_edges : int array array;
-  x_history : float array;
-  x_config : Router.config;
-}
+(* The store holds [Router.result] itself.  A tensor is a two-field
+   [{shape; data}] block, the layout of the [(shape, data)] pairs
+   earlier releases stored, so their entries still decode.  Every
+   decoded tensor goes back through [T.make], which checks its shape
+   against its length; an entry that fails it is a miss, and the
+   re-route overwrites it. *)
+type t = Router.result Store.t
 
-let flatten_tensor t = (T.shape t, Array.init (T.numel t) (T.get_flat t))
-let unflatten (shape, data) = T.make shape data
+let checked (r : Router.result) =
+  let retensor (t : T.t) = T.make t.T.shape t.T.data in
+  match
+    {
+      r with
+      Router.congestion = Array.map retensor r.Router.congestion;
+      utilization = Array.map retensor r.Router.utilization;
+    }
+  with
+  | r -> Some r
+  | exception Invalid_argument _ -> None
 
-let flat_of_result (r : Router.result) =
-  {
-    x_overflow_total = r.Router.overflow_total;
-    x_overflow_h = r.Router.overflow_h;
-    x_overflow_v = r.Router.overflow_v;
-    x_overflow_via = r.Router.overflow_via;
-    x_overflow_gcell_pct = r.Router.overflow_gcell_pct;
-    x_wirelength = r.Router.wirelength;
-    x_congestion = Array.map flatten_tensor r.Router.congestion;
-    x_utilization = Array.map flatten_tensor r.Router.utilization;
-    x_net_length = r.Router.net_length;
-    x_iterations_run = r.Router.iterations_run;
-    x_net_edges = r.Router.net_edges;
-    x_history = r.Router.history;
-    x_config = r.Router.config;
-  }
-
-let result_of_flat f : Router.result =
-  {
-    Router.overflow_total = f.x_overflow_total;
-    overflow_h = f.x_overflow_h;
-    overflow_v = f.x_overflow_v;
-    overflow_via = f.x_overflow_via;
-    overflow_gcell_pct = f.x_overflow_gcell_pct;
-    wirelength = f.x_wirelength;
-    congestion = Array.map unflatten f.x_congestion;
-    utilization = Array.map unflatten f.x_utilization;
-    net_length = f.x_net_length;
-    iterations_run = f.x_iterations_run;
-    net_edges = f.x_net_edges;
-    history = f.x_history;
-    config = f.x_config;
-  }
-
-type t = flat Store.t
+let lookup t k = Option.bind (Store.find t k) checked
 
 let create ?max_entries dir =
   Store.create ~magic:"DCO3D-ROUTE-V1" ~suffix:".route" ~counters:"route/cache"
     ?max_entries dir
 
-let find t ~config p = Option.map result_of_flat (Store.find t (key ~config p))
+let find t ~config p = lookup t (key ~config p)
 
 let find_or_route ?cache ?(validate = false) ?warm_start ~config p =
   match cache with
   | None -> Router.route ~config ~validate ?warm_start p
   | Some t -> (
       let k = key ~config p in
-      match Store.find t k with
-      | Some f -> result_of_flat f
+      match lookup t k with
+      | Some r -> r
       | None ->
           let r = Router.route ~config ~validate ?warm_start p in
           (* A warm-started result is a function of its predecessor
              chain, not of the content key alone, so persisting it
              would poison the cache's cold-replay contract. *)
           if Option.is_none warm_start then
-            ignore (Store.put t k (flat_of_result r) : bool);
+            ignore (Store.put t k r : bool);
           r)

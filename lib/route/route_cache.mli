@@ -13,13 +13,12 @@
     [route/cache_{hit,miss,evicted}]), which owns the framing, the
     stored-key recheck, corruption handling and the LRU bound; shard
     daemons, parallel dataset workers and repeated sweeps can all
-    share one cache directory. *)
+    share one cache directory.  Entries written by earlier releases,
+    which stored each tensor as a [(shape, data)] pair, still decode;
+    every tensor of a hit is checked against its shape, and an entry
+    that fails the check is a miss. *)
 
-type flat
-(** A {!Router.result} with its tensors flattened to [(shape, data)]
-    pairs — the stored value. *)
-
-type t = flat Dco3d_framing.Framing.Store.t
+type t = Router.result Dco3d_framing.Framing.Store.t
 (** Use {!Dco3d_framing.Framing.Store.dir} / [count] / [max_entries]
     for diagnostics. *)
 

@@ -60,6 +60,13 @@ let roundtrip c req timeout_ms =
     P.send_request c.fd { P.req; timeout_ms };
     P.recv_reply c.fd
   with
+  | P.Version_mismatch v ->
+      close c;
+      raise
+        (Error
+           (Printf.sprintf
+              "the daemon speaks wire version %d, this client speaks %d" v
+              P.version))
   | End_of_file
   | P.Protocol_error _
   | Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET | Unix.EBADF), _, _) ->

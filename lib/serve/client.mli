@@ -7,7 +7,8 @@
 type t
 
 exception Error of string
-(** Unexpected reply shape, [Server_error], or a failed corpus job. *)
+(** Unexpected reply shape, [Server_error], a failed corpus job, or a
+    reply framed in another wire version (the message names both). *)
 
 exception Lost_connection
 (** The peer vanished mid-request (EOF, EPIPE/ECONNRESET, or a frame

@@ -63,6 +63,7 @@ type reply =
   | Corpus_status of corpus_status
 
 exception Protocol_error of string
+exception Version_mismatch of int
 
 let magic = "DCO3D-SERVE-V1"
 (* Bumped whenever a message type's Marshal layout changes, so a peer
@@ -121,7 +122,8 @@ let send_frame fd payload =
   write_all fd header 0 header_bytes;
   write_all fd (Bytes.unsafe_of_string payload) 0 plen
 
-let recv_frame fd =
+(* Raises [Version_mismatch] on a frame of another wire version. *)
+let read_frame fd =
   let header = Bytes.create header_bytes in
   (* Distinguish "peer closed between frames" (End_of_file, a normal
      disconnect) from "closed mid-frame" (protocol error). *)
@@ -131,8 +133,7 @@ let recv_frame fd =
   if Bytes.sub_string header 0 (String.length magic) <> magic then
     raise (Protocol_error "bad frame magic");
   let v = Bytes.get_uint8 header (String.length magic) in
-  if v <> version then
-    raise (Protocol_error (Printf.sprintf "unsupported protocol version %d" v));
+  if v <> version then raise (Version_mismatch v);
   let plen = Int32.to_int (Bytes.get_int32_be header (String.length magic + 1)) in
   if plen < 0 || plen > max_frame_bytes then
     raise (Protocol_error (Printf.sprintf "bad frame length %d" plen));
@@ -144,6 +145,11 @@ let recv_frame fd =
   let digest = digest payload in
   if digest <> expected then raise (Protocol_error "frame digest mismatch");
   { digest; payload }
+
+let recv_frame fd =
+  try read_frame fd
+  with Version_mismatch v ->
+    raise (Protocol_error (Printf.sprintf "unsupported protocol version %d" v))
 
 (* The payload types are closure-free plain data, so Marshal round-trips
    them exactly (tensors travel as their shape + float array fields).
@@ -158,7 +164,6 @@ let unmarshal what payload =
          (Printf.sprintf "undecodable %s: %s" what (Printexc.to_string e)))
 
 let send_value fd v = send_frame fd (Marshal.to_string v [])
-let recv_value fd = unmarshal "payload" (recv_frame fd).payload
 
 (* ------------------------------------------------------------------ *)
 (* Requests.  The envelope frame carries a [head]; a predict's tensors *)
@@ -308,7 +313,7 @@ let read_request next_frame =
 let recv_request fd = read_request (fun () -> recv_frame fd)
 
 let send_reply fd (r : reply) = send_value fd r
-let recv_reply fd : reply = recv_value fd
+let recv_reply fd : reply = unmarshal "payload" (read_frame fd).payload
 
 (* A routed connection's first frames travel to the shard inside one
    control message: per frame, its 16-byte digest, a u32_be length and

@@ -1,8 +1,8 @@
 (** Wire protocol of the [dco3d serve] daemon.
 
     Every message travels as length-prefixed binary frames, mirroring
-    the framing discipline of the on-disk model files (magic + version +
-    digest + Marshal payload):
+    the on-disk framing of {!Dco3d_framing.Framing} (magic + digest +
+    Marshal payload) plus a version and a length:
 
     {v
     "DCO3D-SERVE-V1" | u8 version (4) | u32_be payload length
@@ -116,6 +116,14 @@ exception Protocol_error of string
     a payload that does not decode to the expected type, or a predict
     cut between its two frames. *)
 
+exception Version_mismatch of int
+(** A reply framed in another wire version, the peer's: raised by
+    {!recv_reply} only.  Everywhere else a frame of another version is
+    a {!Protocol_error}. *)
+
+val version : int
+(** The wire version this build speaks and frames every message in. *)
+
 val max_frame_bytes : int
 
 val write_all : Unix.file_descr -> Bytes.t -> int -> int -> unit
@@ -179,6 +187,7 @@ val max_handoff_bytes : int
 
 val send_reply : Unix.file_descr -> reply -> unit
 val recv_reply : Unix.file_descr -> reply
+(** @raise Version_mismatch on a reply frame of another version. *)
 
 val predict_key : predict_payload -> string
 (** Hex digest of the feature-map content alone (no envelope fields):

@@ -238,8 +238,6 @@ let relu t =
 
 let sigmoid t = map (fun x -> 1. /. (1. +. exp (-.x))) t
 let tanh_ t = map tanh t
-let exp_ t = map exp t
-let log_ t = map log t
 let sqrt_ t = map sqrt t
 
 let sqr t =

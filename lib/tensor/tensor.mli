@@ -107,8 +107,6 @@ val leaky_relu : float -> t -> t
 
 val sigmoid : t -> t
 val tanh_ : t -> t
-val exp_ : t -> t
-val log_ : t -> t
 val sqrt_ : t -> t
 val sqr : t -> t
 val clip : lo:float -> hi:float -> t -> t

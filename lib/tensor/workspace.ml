@@ -102,11 +102,6 @@ let live_floats () =
   let arena = Domain.DLS.get key in
   List.fold_left (fun acc s -> acc + Array.length s.buf) 0 arena.slots
 
-let live_scratch_bytes () =
-  let arena = Domain.DLS.get key in
-  (8 * live_floats ())
-  + List.fold_left (fun acc s -> acc + (8 * Array.length s.buf)) 0 arena.islots
-
 let borrows () = (Domain.DLS.get key).borrows
 let grows () = (Domain.DLS.get key).grows
 

@@ -30,10 +30,6 @@ val live_floats : unit -> int
 (** Floats currently retained by this domain's arena (capacity, whether
     borrowed or free). *)
 
-val live_scratch_bytes : unit -> int
-(** Total bytes retained by this domain's arena across both pools
-    (float and int slots). *)
-
 val borrows : unit -> int
 (** Borrows served on this domain since the last {!reset}. *)
 

@@ -352,10 +352,9 @@ let test_server_spill_planted_entry () =
     Proto.predict_key { Proto.f_bottom = b; f_top = t }
     ^ ":" ^ Server.fingerprint srv
   in
-  Alcotest.(check bool) "planted" true
-    (Dco3d_framing.Framing.write_file ~magic:"DCO3D-SPILL-V1"
-       ~path:(Dco3d_framing.Framing.path_of ~dir:spill_dir ~suffix:".spill" key)
-       ~body:(Marshal.to_string (key, (pb, pt)) []));
+  Dco3d_framing.Framing.save ~magic:"DCO3D-SPILL-V1"
+    ~path:(Dco3d_framing.Framing.path_of ~dir:spill_dir ~suffix:".spill" key)
+    (key, (pb, pt));
   let rb, rt, hit = predict_ok "planted" c b t in
   Alcotest.(check bool) "planted entry is a hit" true hit;
   check_bits "planted bottom" pb rb;
@@ -452,14 +451,14 @@ let cli_predictor ~seed ~input_hw =
   in
   Predictor.make net ~input_hw ~label_scale:1.0
 
-(* Run [dco3d serve --socket <fresh path> extra...] and require it to
-   exit nonzero at startup without ever binding its socket. *)
-let check_serve_refuses what extra =
+(* Run [dco3d <cmd> --socket <fresh path> extra...] and require it to
+   exit with [code] at startup without ever binding its socket. *)
+let check_serve_refuses ?(cmd = "serve") ~code what extra =
   let sock = tmp_name ".sock" in
   let devnull = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
   let pid =
     Unix.create_process dco3d_exe
-      (Array.append [| dco3d_exe; "serve"; "--socket"; sock |] extra)
+      (Array.append [| dco3d_exe; cmd; "--socket"; sock |] extra)
       Unix.stdin devnull devnull
   in
   Unix.close devnull;
@@ -478,21 +477,26 @@ let check_serve_refuses what extra =
     | _, (Unix.WSIGNALED _ | Unix.WSTOPPED _) ->
         Alcotest.failf "serve %s died on a signal" what
   in
-  Alcotest.(check bool) (what ^ ": exits nonzero at startup") true (wait () <> 0);
+  Alcotest.(check int) (what ^ ": exit code at startup") code (wait ());
   Alcotest.(check bool) (what ^ ": never bound its socket") false
     (Sys.file_exists sock)
 
 let test_serve_rejects_bad_input_hw () =
   (* 30 is not divisible by 2^depth = 4: the daemon must refuse to
      start instead of answering every predict with an error *)
-  check_serve_refuses "--input-hw 30" [| "--input-hw"; "30" |];
-  (* a model file in the retired int8 format is refused at load *)
+  check_serve_refuses ~code:2 "--input-hw 30" [| "--input-hw"; "30" |];
+  (* a missing model file, and one in a retired format, are refused at
+     load with exit 1, by the balancer before it spawns a shard too *)
   let model = tmp_name ".bin" in
+  check_serve_refuses ~code:1 "--model <missing>" [| "--model"; model |];
+  check_serve_refuses ~cmd:"balance" ~code:1 "balance --model <missing>"
+    [| "--model"; model |];
   Fun.protect
     ~finally:(fun () -> try Sys.remove model with Sys_error _ -> ())
     (fun () ->
-      Test_core.write_retired_predictor model;
-      check_serve_refuses "--model <retired format>" [| "--model"; model |])
+      Test_core.write_retired_predictor ~magic:"DCO3D-PREDICTOR-V1" model;
+      check_serve_refuses ~code:1 "--model <retired format>"
+        [| "--model"; model |])
 
 (* Slot [i] serves the untrained network drawn from [seed_of i]. *)
 let fleet_argv ~ctl ~seed_of ~input_hw ?spill_root () i =

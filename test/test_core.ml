@@ -28,13 +28,14 @@ let with_exact_jobs n f =
   Pool.set_jobs ~exact:true n;
   Fun.protect ~finally:(fun () -> Pool.set_jobs ~exact:true saved) f
 
-(* A predictor header in the retired int8 format: its old magic, then a
-   well-formed (resolution, label scale) pair. *)
-let write_retired_predictor path =
-  let oc = open_out_bin path in
-  output_string oc "DCO3D-QPRED-V1";
-  Marshal.to_channel oc ((32, 1.0) : int * float) [];
-  close_out oc
+(* Model files of retired formats, each refused on its magic: an int8
+   predictor header, and a V1 header (its companion [.net] weights
+   file next to it), both followed by a well-formed (resolution, label
+   scale) pair. *)
+let write_retired_predictor ~magic path =
+  Out_channel.with_open_bin path (fun oc ->
+      output_string oc magic;
+      Marshal.to_channel oc ((32, 1.0) : int * float) [])
 
 (* shared tiny environment *)
 let env =
@@ -175,72 +176,105 @@ let test_predictor_save_load () =
   let s = d.Dataset.samples.(0) in
   let path = Filename.temp_file "dco3d_pred" ".bin" in
   Fun.protect
-    ~finally:(fun () ->
-      Sys.remove path;
-      if Sys.file_exists (path ^ ".net") then Sys.remove (path ^ ".net"))
+    ~finally:(fun () -> Sys.remove path)
     (fun () ->
       Predictor.save t path;
       let t' = Predictor.load path in
+      Alcotest.(check string) "same fingerprint" (Predictor.fingerprint t)
+        (Predictor.fingerprint t');
       let a, _ = Predictor.predict t s.Dataset.f_bottom s.Dataset.f_top in
       let b, _ = Predictor.predict t' s.Dataset.f_bottom s.Dataset.f_top in
-      Alcotest.(check bool) "same predictions" true (T.approx_equal a b))
+      Alcotest.(check bool) "same predictions" true (T.approx_equal ~eps:0. a b);
+      Alcotest.(check bool) "no companion file" false
+        (Sys.file_exists (path ^ ".net")))
+
+let contains hay needle =
+  let nh = String.length hay and nn = String.length needle in
+  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
+  go 0
+
+let load_error path =
+  match Predictor.load path with
+  | _ -> Alcotest.failf "%s: expected Load_error" path
+  | exception Predictor.Load_error msg -> msg
 
 let test_predictor_load_errors () =
-  let contains hay needle =
-    let nh = String.length hay and nn = String.length needle in
-    let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-    go 0
-  in
   (* missing file *)
-  (match Predictor.load "/nonexistent/dco3d-no-such-predictor.bin" with
-  | _ -> Alcotest.fail "expected Load_error on missing file"
-  | exception Predictor.Load_error msg ->
-      Alcotest.(check bool) "missing: names the file" true
-        (contains msg "no-such-predictor"));
-  (* well-formed header whose companion weights file is absent: the
-     SiaUNet failure must surface as Predictor.Load_error *)
+  Alcotest.(check bool) "missing: names the file" true
+    (contains (load_error "/nonexistent/dco3d-no-such-predictor.bin")
+       "no-such-predictor");
+  (* the magic alone *)
   let path = Filename.temp_file "dco3d_pred" ".bin" in
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      let oc = open_out_bin path in
-      output_string oc "DCO3D-PREDICTOR-V1";
-      Marshal.to_channel oc ((32, 1.0) : int * float) [];
-      close_out oc;
-      match Predictor.load path with
-      | _ -> Alcotest.fail "expected Load_error on missing .net"
-      | exception Predictor.Load_error msg ->
+      Out_channel.with_open_bin path (fun oc ->
+          output_string oc "DCO3D-PREDICTOR-V2");
+      let msg = load_error path in
+      Alcotest.(check bool) (msg ^ ": names the file") true (contains msg path);
+      Alcotest.(check bool) (msg ^ ": truncated") true
+        (contains msg "truncated file"));
+  (* retired formats are refused on their magic, before anything behind
+     it is decoded *)
+  List.iter
+    (fun magic ->
+      let path = Filename.temp_file "dco3d_pred" ".bin" in
+      let net_path = path ^ ".net" in
+      Fun.protect
+        ~finally:(fun () ->
+          Sys.remove path;
+          if Sys.file_exists net_path then Sys.remove net_path)
+        (fun () ->
+          write_retired_predictor ~magic path;
+          Out_channel.with_open_bin net_path (fun oc ->
+              output_string oc "DCO3D-SIAUNET-V1");
+          let msg = load_error path in
           Alcotest.(check bool)
-            (Printf.sprintf "error %S names the .net file" msg)
+            (Printf.sprintf "%s: %S says bad file magic" magic msg)
             true
-            (contains msg (path ^ ".net")));
-  (* truncated header *)
+            (contains msg "bad file magic")))
+    [ "DCO3D-QPRED-V1"; "DCO3D-PREDICTOR-V1" ]
+
+(* One flipped byte anywhere in a model file is refused: in the magic,
+   the digest, the header fields at the front of the body, and the
+   weights behind them. *)
+let test_predictor_flipped_byte () =
+  let net =
+    SiaUNet.create (Rng.create 11)
+      { SiaUNet.default_config with SiaUNet.base_channels = 4 }
+  in
+  let t = Predictor.make net ~input_hw:16 ~label_scale:2.5 in
   let path = Filename.temp_file "dco3d_pred" ".bin" in
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      let oc = open_out_bin path in
-      output_string oc "DCO3D-PREDICTOR-V1";
-      close_out oc;
-      match Predictor.load path with
-      | _ -> Alcotest.fail "expected Load_error on truncated file"
-      | exception Predictor.Load_error msg ->
-          Alcotest.(check bool) "truncated: names the file" true
-            (contains msg path));
-  (* a header in the retired int8 predictor format is refused on its
-     magic, before anything behind it is decoded *)
-  let path = Filename.temp_file "dco3d_pred" ".bin" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      write_retired_predictor path;
-      match Predictor.load path with
-      | _ -> Alcotest.fail "expected Load_error on the retired format"
-      | exception Predictor.Load_error msg ->
-          Alcotest.(check bool)
-            (Printf.sprintf "retired format: %S says bad file magic" msg)
-            true
-            (contains msg "bad file magic"))
+      Predictor.save t path;
+      let full = In_channel.with_open_bin path In_channel.input_all in
+      let n = String.length full in
+      let body = String.length "DCO3D-PREDICTOR-V2" + 16 in
+      (* every byte of the magic, the digest and the body's first 64
+         bytes, then every 97th byte and the last one *)
+      let positions =
+        List.sort_uniq compare
+          (List.init (body + 64) Fun.id
+          @ List.init (n / 97) (fun i -> i * 97)
+          @ [ n - 1 ])
+      in
+      List.iter
+        (fun i ->
+          let b = Bytes.of_string full in
+          Bytes.set b i (Char.chr (Char.code full.[i] lxor 0xff));
+          Out_channel.with_open_bin path (fun oc -> Out_channel.output_bytes oc b);
+          match Predictor.load path with
+          | _ -> Alcotest.failf "byte %d of %d flipped: loaded" i n
+          | exception Predictor.Load_error msg ->
+              let cause =
+                if i < body - 16 then "bad file magic" else "digest mismatch"
+              in
+              Alcotest.(check bool)
+                (Printf.sprintf "byte %d: %s" i msg)
+                true (contains msg cause))
+        positions)
 
 (* The serve cache key, pinned: it covers every weight bit and the
    seeded draw order, and must not depend on the schedule. *)
@@ -853,6 +887,8 @@ let suites =
         Alcotest.test_case "metric ranges" `Slow test_evaluate_metrics_range;
         Alcotest.test_case "save/load" `Slow test_predictor_save_load;
         Alcotest.test_case "load errors" `Quick test_predictor_load_errors;
+        Alcotest.test_case "every flipped byte is refused" `Quick
+          test_predictor_flipped_byte;
         Alcotest.test_case "golden fingerprint" `Quick test_golden_fingerprint;
         Alcotest.test_case "train rejects bad input_hw" `Quick
           test_train_rejects_bad_input_hw;

@@ -1,5 +1,5 @@
-(* Tests for the auxiliary user-facing utilities: ASCII map rendering,
-   dataset persistence, and critical-path tracing. *)
+(* Tests for the auxiliary user-facing utilities: ASCII map rendering
+   and critical-path tracing. *)
 
 module T = Dco3d_tensor.Tensor
 module Rng = Dco3d_tensor.Rng
@@ -9,7 +9,6 @@ module Ascii = Dco3d_congestion.Ascii_map
 module Sta = Dco3d_sta.Sta
 module Fp = Dco3d_place.Floorplan
 module Pl = Dco3d_place.Placement
-module Dataset = Dco3d_core.Dataset
 
 (* ------------------------------------------------------------------ *)
 (* Ascii_map                                                           *)
@@ -63,95 +62,6 @@ let test_render_requires_rank2 () =
   Alcotest.check_raises "rank 3"
     (Invalid_argument "Ascii_map.render: rank-2 map expected") (fun () ->
       ignore (Ascii.render (T.zeros [| 1; 2; 2 |])))
-
-(* ------------------------------------------------------------------ *)
-(* Dataset persistence                                                 *)
-(* ------------------------------------------------------------------ *)
-
-let test_dataset_save_load_roundtrip () =
-  let nl = Gen.generate ~scale:0.01 ~seed:5 (Gen.profile "DMA") in
-  let fp = Fp.create ~gcell_nx:12 ~gcell_ny:12 nl in
-  let base =
-    Dco3d_place.Placer.global_place ~seed:1 ~params:Dco3d_place.Params.default
-      nl fp
-  in
-  let route_cfg = Dco3d_route.Router.calibrated_config base in
-  let d = Dataset.build ~n_samples:2 ~seed:3 ~route_cfg nl fp in
-  let path = Filename.temp_file "dco3d_ds" ".bin" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      Dataset.save d path;
-      let d' = Dataset.load path in
-      Alcotest.(check string) "design" d.Dataset.design d'.Dataset.design;
-      Alcotest.(check int) "samples" 2 (Array.length d'.Dataset.samples);
-      Alcotest.(check bool) "features identical" true
-        (T.approx_equal d.Dataset.samples.(0).Dataset.f_bottom
-           d'.Dataset.samples.(0).Dataset.f_bottom);
-      Alcotest.(check bool) "labels identical" true
-        (T.approx_equal d.Dataset.samples.(1).Dataset.c_top
-           d'.Dataset.samples.(1).Dataset.c_top);
-      Alcotest.(check bool) "params preserved" true
-        (d.Dataset.samples.(0).Dataset.params
-        = d'.Dataset.samples.(0).Dataset.params))
-
-(* substring check, used by the load-error tests *)
-let astr_contains hay needle =
-  let nh = String.length hay and nn = String.length needle in
-  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-  go 0
-
-let test_dataset_load_rejects_garbage () =
-  let path = Filename.temp_file "dco3d_ds" ".bin" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      let oc = open_out_bin path in
-      output_string oc "garbage-not-a-dataset";
-      close_out oc;
-      (match Dataset.load path with
-      | _ -> Alcotest.fail "expected Load_error"
-      | exception Dataset.Load_error msg ->
-          Alcotest.(check bool) "names the file" true
-            (astr_contains msg path);
-          Alcotest.(check bool) "names the cause" true
-            (astr_contains msg "bad file magic")))
-
-let test_dataset_load_truncated () =
-  let nl = Gen.generate ~scale:0.01 ~seed:5 (Gen.profile "DMA") in
-  let fp = Fp.create ~gcell_nx:12 ~gcell_ny:12 nl in
-  let base =
-    Dco3d_place.Placer.global_place ~seed:1 ~params:Dco3d_place.Params.default
-      nl fp
-  in
-  let route_cfg = Dco3d_route.Router.calibrated_config base in
-  let d = Dataset.build ~n_samples:1 ~seed:3 ~route_cfg nl fp in
-  let path = Filename.temp_file "dco3d_ds" ".bin" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      Dataset.save d path;
-      (* keep the magic plus a sliver of the Marshal image *)
-      let ic = open_in_bin path in
-      let keep = min (in_channel_length ic) 40 in
-      let prefix = really_input_string ic keep in
-      close_in ic;
-      let oc = open_out_bin path in
-      output_string oc prefix;
-      close_out oc;
-      match Dataset.load path with
-      | _ -> Alcotest.fail "expected Load_error on truncated file"
-      | exception Dataset.Load_error msg ->
-          Alcotest.(check bool)
-            (Printf.sprintf "error %S names the file" msg)
-            true (astr_contains msg path))
-
-let test_dataset_load_missing_file () =
-  match Dataset.load "/nonexistent/dco3d-no-such-dataset.bin" with
-  | _ -> Alcotest.fail "expected Load_error on missing file"
-  | exception Dataset.Load_error msg ->
-      Alcotest.(check bool) "names the file" true
-        (astr_contains msg "no-such-dataset")
 
 (* ------------------------------------------------------------------ *)
 (* Critical path                                                       *)
@@ -268,13 +178,6 @@ let suites =
         Alcotest.test_case "downsamples wide maps" `Quick test_render_downsamples_wide_maps;
         Alcotest.test_case "pair shares scale" `Quick test_render_pair_shares_scale;
         Alcotest.test_case "requires rank 2" `Quick test_render_requires_rank2;
-      ] );
-    ( "extras.dataset_io",
-      [
-        Alcotest.test_case "save/load roundtrip" `Quick test_dataset_save_load_roundtrip;
-        Alcotest.test_case "rejects garbage" `Quick test_dataset_load_rejects_garbage;
-        Alcotest.test_case "rejects truncated" `Quick test_dataset_load_truncated;
-        Alcotest.test_case "rejects missing" `Quick test_dataset_load_missing_file;
       ] );
     ( "extras.critical_path",
       [

@@ -6,6 +6,7 @@ module V = Dco3d_autodiff.Value
 module Opt = Dco3d_autodiff.Optimizer
 module Layer = Dco3d_nn.Layer
 module SiaUNet = Dco3d_nn.Siamese_unet
+module Predictor = Dco3d_core.Predictor
 module Pool = Dco3d_parallel.Pool
 module Obs = Dco3d_obs.Obs
 
@@ -310,65 +311,58 @@ let test_unet_trains () =
     true
     (!last < first /. 3.)
 
-let test_unet_save_load () =
-  let net = SiaUNet.create (Rng.create 24) small_cfg in
-  let f0 = T.rand_uniform (Rng.create 25) [| 3; 8; 8 |] in
-  let f1 = T.rand_uniform (Rng.create 26) [| 3; 8; 8 |] in
-  let c0, _ = SiaUNet.predict net f0 f1 in
+(* The network persists inside the one predictor file; these pin that
+   it comes back whole and that a damaged file is refused, naming the
+   path and the cause. *)
+let file_cfg = { SiaUNet.in_channels = 8; base_channels = 4; depth = 2 }
+
+let with_model_file f =
   let path = Filename.temp_file "dco3d_unet" ".bin" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      SiaUNet.save net path;
-      let net' = SiaUNet.load path in
-      let c0', _ = SiaUNet.predict net' f0 f1 in
-      Alcotest.(check bool) "same prediction after reload" true
-        (T.approx_equal ~eps:1e-12 c0 c0');
-      Alcotest.(check int) "same param count" (SiaUNet.num_params net)
-        (SiaUNet.num_params net'))
+  Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> f path)
+
+let expect_load_error path ~cause =
+  let msg = Test_core.load_error path in
+  Alcotest.(check bool) (msg ^ ": names the file") true
+    (Test_core.contains msg path);
+  Alcotest.(check bool) (msg ^ ": names the cause") true
+    (Test_core.contains msg cause)
+
+let test_unet_save_load () =
+  let net = SiaUNet.create (Rng.create 24) file_cfg in
+  let f0 = T.rand_uniform (Rng.create 25) [| 8; 8; 8 |] in
+  let f1 = T.rand_uniform (Rng.create 26) [| 8; 8; 8 |] in
+  let c0, c1 = SiaUNet.predict net f0 f1 in
+  with_model_file @@ fun path ->
+  Predictor.save (Predictor.make net ~input_hw:8 ~label_scale:1.0) path;
+  let net' = (Predictor.load path).Predictor.net in
+  let c0', c1' = SiaUNet.predict net' f0 f1 in
+  check_tensor_bits "die 0 after reload" c0 c0';
+  check_tensor_bits "die 1 after reload" c1 c1';
+  Alcotest.(check int) "same param count" (SiaUNet.num_params net)
+    (SiaUNet.num_params net');
+  Alcotest.(check string) "same fingerprint" (SiaUNet.fingerprint net)
+    (SiaUNet.fingerprint net')
 
 let test_unet_load_rejects_garbage () =
-  let path = Filename.temp_file "dco3d_unet" ".bin" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      let oc = open_out_bin path in
-      output_string oc "NOT-A-UNET-FILE-AT-ALL";
-      close_out oc;
-      (match SiaUNet.load path with
-      | _ -> Alcotest.fail "expected Load_error"
-      | exception SiaUNet.Load_error msg ->
-          let contains hay needle =
-            let nh = String.length hay and nn = String.length needle in
-            let rec go i =
-              i + nn <= nh && (String.sub hay i nn = needle || go (i + 1))
-            in
-            go 0
-          in
-          Alcotest.(check bool) "names the file" true (contains msg path);
-          Alcotest.(check bool) "names the cause" true
-            (contains msg "bad file magic")))
+  with_model_file @@ fun path ->
+  Out_channel.with_open_bin path (fun oc ->
+      output_string oc "NOT-A-UNET-FILE-AT-ALL");
+  expect_load_error path ~cause:"bad file magic"
 
 let test_unet_load_truncated () =
-  let path = Filename.temp_file "dco3d_unet" ".bin" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      let oc = open_out_bin path in
-      (* valid magic, no snapshot behind it *)
-      output_string oc "DCO3D-SIAUNET-V1";
-      close_out oc;
-      match SiaUNet.load path with
-      | _ -> Alcotest.fail "expected Load_error on truncated file"
-      | exception SiaUNet.Load_error msg ->
-          let contains hay needle =
-            let nh = String.length hay and nn = String.length needle in
-            let rec go i =
-              i + nn <= nh && (String.sub hay i nn = needle || go (i + 1))
-            in
-            go 0
-          in
-          Alcotest.(check bool) "names the file" true (contains msg path))
+  let net = SiaUNet.create (Rng.create 27) file_cfg in
+  with_model_file @@ fun path ->
+  Predictor.save (Predictor.make net ~input_hw:8 ~label_scale:1.0) path;
+  let full = In_channel.with_open_bin path In_channel.input_all in
+  let cut n =
+    Out_channel.with_open_bin path (fun oc ->
+        output_string oc (String.sub full 0 n))
+  in
+  (* the magic alone, then half the file *)
+  cut (String.length "DCO3D-PREDICTOR-V2");
+  expect_load_error path ~cause:"truncated file";
+  cut (String.length full / 2);
+  expect_load_error path ~cause:"digest mismatch"
 
 let suites =
   [

@@ -94,7 +94,7 @@ let test_replay_bit_identical () =
 
 let test_replay_fields_roundtrip () =
   (* beyond the digest: tensors, arrays and the stored config must
-     survive the flatten/unflatten marshalling *)
+     survive the marshalling *)
   let p = placed "DMA" in
   let cfg = R.calibrated_config p in
   let cache = Rc.create (tmp_dir ()) in
@@ -228,6 +228,88 @@ let test_foreign_key_collision_is_miss () =
   Alcotest.(check bool) "original still hits" true
     (Rc.find cache ~config:cfg p <> None)
 
+(* The layout earlier releases stored: each tensor flattened to a
+   (shape, data) pair. *)
+type old_flat = {
+  x_overflow_total : int;
+  x_overflow_h : int;
+  x_overflow_v : int;
+  x_overflow_via : int;
+  x_overflow_gcell_pct : float;
+  x_wirelength : float;
+  x_congestion : (int array * float array) array;
+  x_utilization : (int array * float array) array;
+  x_net_length : float array;
+  x_iterations_run : int;
+  x_net_edges : int array array;
+  x_history : float array;
+  x_config : R.config;
+}
+
+let old_flat_of_result ?(flatten = fun t -> (T.shape t, Array.copy t.T.data))
+    (r : R.result) =
+  {
+    x_overflow_total = r.R.overflow_total;
+    x_overflow_h = r.R.overflow_h;
+    x_overflow_v = r.R.overflow_v;
+    x_overflow_via = r.R.overflow_via;
+    x_overflow_gcell_pct = r.R.overflow_gcell_pct;
+    x_wirelength = r.R.wirelength;
+    x_congestion = Array.map flatten r.R.congestion;
+    x_utilization = Array.map flatten r.R.utilization;
+    x_net_length = r.R.net_length;
+    x_iterations_run = r.R.iterations_run;
+    x_net_edges = r.R.net_edges;
+    x_history = r.R.history;
+    x_config = r.R.config;
+  }
+
+let plant cache key v =
+  Dco3d_framing.Framing.save ~magic:"DCO3D-ROUTE-V1"
+    ~path:(Dco3d_framing.Framing.path_of ~dir:(Store.dir cache) ~suffix:".route" key)
+    (key, v)
+
+let test_old_layout_entry_replays () =
+  let p = placed "DMA" in
+  let cfg = R.calibrated_config p in
+  let cold = R.route ~config:cfg p in
+  let cache = Rc.create (tmp_dir ()) in
+  plant cache (Rc.key ~config:cfg p) (old_flat_of_result cold);
+  let r =
+    match Rc.find cache ~config:cfg p with
+    | Some r -> r
+    | None -> Alcotest.fail "the old-layout entry must hit"
+  in
+  Alcotest.(check string) "replay == cold route" (R.digest cold) (R.digest r);
+  Array.iteri
+    (fun i c ->
+      Alcotest.(check bool)
+        (Printf.sprintf "utilization.(%d)" i)
+        true
+        (tensor_eq c r.R.utilization.(i)))
+    cold.R.utilization;
+  Alcotest.(check string) "find_or_route replays it" (R.digest cold)
+    (R.digest (Rc.find_or_route ~cache ~config:cfg p))
+
+let test_misshaped_tensor_is_miss () =
+  (* a digest-valid entry whose congestion map holds one value fewer
+     than its shape says must not replay *)
+  let p = placed "DMA" in
+  let cfg = R.calibrated_config p in
+  let cold = R.route ~config:cfg p in
+  let cache = Rc.create (tmp_dir ()) in
+  let short t =
+    let d = t.T.data in
+    (T.shape t, Array.sub d 0 (Array.length d - 1))
+  in
+  plant cache (Rc.key ~config:cfg p) (old_flat_of_result ~flatten:short cold);
+  Alcotest.(check bool) "mis-shaped entry is a miss" true
+    (Rc.find cache ~config:cfg p = None);
+  Alcotest.(check string) "find_or_route re-routes it" (R.digest cold)
+    (R.digest (Rc.find_or_route ~cache ~config:cfg p));
+  Alcotest.(check bool) "and overwrites it" true
+    (Rc.find cache ~config:cfg p <> None)
+
 let test_dataset_build_cached_identical () =
   (* Dataset.build through a cache must produce the same samples as
      without one — first run populates, second run replays *)
@@ -273,6 +355,10 @@ let suites =
           test_corrupt_entries_are_misses;
         Alcotest.test_case "foreign stored key is a miss" `Quick
           test_foreign_key_collision_is_miss;
+        Alcotest.test_case "entry in the old flat layout replays" `Quick
+          test_old_layout_entry_replays;
+        Alcotest.test_case "mis-shaped tensor is a miss" `Quick
+          test_misshaped_tensor_is_miss;
         Alcotest.test_case "dataset build through cache is identical" `Slow
           test_dataset_build_cached_identical;
       ] );

@@ -357,9 +357,7 @@ let test_load_rejects_wrong_architecture () =
   let predictor = mk_predictor ~base_channels:4 9 in
   Predictor.save predictor path;
   Fun.protect
-    ~finally:(fun () ->
-      Sys.remove path;
-      Sys.remove (path ^ ".net"))
+    ~finally:(fun () -> Sys.remove path)
     (fun () ->
       (* Matching expectation loads fine... *)
       let same =
@@ -389,27 +387,34 @@ let test_load_rejects_corrupt_weights () =
   let predictor = mk_predictor 13 in
   Predictor.save predictor path;
   Fun.protect
-    ~finally:(fun () ->
-      Sys.remove path;
-      Sys.remove (path ^ ".net"))
+    ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      (* Truncate the companion weights file mid-payload. *)
-      let net_path = path ^ ".net" in
-      let full = In_channel.with_open_bin net_path In_channel.input_all in
-      Out_channel.with_open_bin net_path (fun oc ->
+      let expect_cause what cause =
+        match Predictor.load path with
+        | _ -> Alcotest.failf "%s must fail" what
+        | exception Predictor.Load_error msg ->
+            Alcotest.(check bool) (what ^ ": " ^ msg) true
+              (contains ~affix:cause msg)
+      in
+      (* Truncate the file mid-weights. *)
+      let full = In_channel.with_open_bin path In_channel.input_all in
+      Out_channel.with_open_bin path (fun oc ->
           Out_channel.output_string oc
             (String.sub full 0 (String.length full / 2)));
-      (match Predictor.load path with
-      | _ -> Alcotest.fail "truncated weights must fail"
-      | exception Predictor.Load_error _ -> ());
+      expect_cause "truncated weights" "digest mismatch";
       (* Garbage magic. *)
-      Out_channel.with_open_bin net_path (fun oc ->
+      Out_channel.with_open_bin path (fun oc ->
           Out_channel.output_string oc (String.make 256 'Z'));
-      match Predictor.load path with
-      | _ -> Alcotest.fail "garbage weights must fail"
-      | exception Predictor.Load_error msg ->
-          Alcotest.(check bool) "names the cause" true
-            (contains ~affix:"magic" msg))
+      expect_cause "garbage weights" "magic";
+      (* A digest-valid file whose weights do not fit its architecture:
+         one weight tensor short. *)
+      let net = predictor.Predictor.net in
+      Dco3d_framing.Framing.save ~magic:"DCO3D-PREDICTOR-V2" ~path
+        ( predictor.Predictor.input_hw,
+          predictor.Predictor.label_scale,
+          SiaUNet.config net,
+          List.tl (SiaUNet.weight_image net) );
+      expect_cause "short weight list" "weights disagree")
 
 let test_load_rejects_incoherent_pair () =
   (* A predictor whose stored resolution is not divisible by the
@@ -418,9 +423,7 @@ let test_load_rejects_incoherent_pair () =
   let predictor = { (mk_predictor 21) with Predictor.input_hw = 18 } in
   Predictor.save predictor path;
   Fun.protect
-    ~finally:(fun () ->
-      Sys.remove path;
-      Sys.remove (path ^ ".net"))
+    ~finally:(fun () -> Sys.remove path)
     (fun () ->
       match Predictor.load path with
       | _ -> Alcotest.fail "indivisible resolution must fail"
@@ -442,9 +445,7 @@ let test_load_rejects_wrong_channels () =
   in
   Predictor.save predictor path;
   Fun.protect
-    ~finally:(fun () ->
-      Sys.remove path;
-      Sys.remove (path ^ ".net"))
+    ~finally:(fun () -> Sys.remove path)
     (fun () ->
       match Predictor.load path with
       | _ -> Alcotest.fail "wrong channel count must fail"
@@ -689,6 +690,26 @@ let raw_frame ?(version = 4) ?digest payload =
 
 let write_string fd s =
   Proto.write_all fd (Bytes.unsafe_of_string s) 0 (String.length s)
+
+(* A peer that frames its replies in wire version 3: the client must
+   name both versions, not report a lost connection. *)
+let test_client_names_version_mismatch () =
+  let mine, peer = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect ~finally:(fun () -> Unix.close peer) @@ fun () ->
+  let c = Client.of_fd mine in
+  Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+  (* the answer is queued before the request: one ping fits the socket
+     buffer, so no thread is needed *)
+  write_string peer (raw_frame ~version:3 (Marshal.to_string Proto.Pong []));
+  match Client.ping c with
+  | () -> Alcotest.fail "a v3 reply must be refused"
+  | exception Client.Error msg ->
+      Alcotest.(check bool) (msg ^ ": names the daemon's version") true
+        (contains ~affix:"version 3" msg);
+      Alcotest.(check bool) (msg ^ ": names the client's version") true
+        (contains ~affix:(Printf.sprintf "client speaks %d" Proto.version) msg)
+  | exception Client.Lost_connection ->
+      Alcotest.fail "a version mismatch is not a lost connection"
 
 let dial_raw srv =
   match Server.bound_addr srv with
@@ -1011,10 +1032,9 @@ let test_served_key_is_predict_key () =
       in
       (* not the model's output: only the planted entry can supply it *)
       let pb = rand_stack rng 3 3 and pt = rand_stack rng 3 3 in
-      Alcotest.(check bool) "planted" true
-        (Dco3d_framing.Framing.write_file ~magic:"DCO3D-SPILL-V1"
-           ~path:(Dco3d_framing.Framing.path_of ~dir:spill_dir ~suffix:".spill" key)
-           ~body:(Marshal.to_string (key, (pb, pt)) []));
+      Dco3d_framing.Framing.save ~magic:"DCO3D-SPILL-V1"
+        ~path:(Dco3d_framing.Framing.path_of ~dir:spill_dir ~suffix:".spill" key)
+        (key, (pb, pt));
       match Client.predict ?timeout_ms c b t with
       | Client.Ok { c_bottom; c_top; cache_hit } ->
           let what = Printf.sprintf "%dx%d" ny nx in
@@ -1310,6 +1330,8 @@ let suites =
     ( "serve protocol",
       [
         Alcotest.test_case "roundtrip" `Quick test_protocol_roundtrip;
+        Alcotest.test_case "client names a version mismatch" `Quick
+          test_client_names_version_mismatch;
         Alcotest.test_case "rejects garbage" `Quick test_protocol_rejects_garbage;
         Alcotest.test_case "eof and truncation" `Quick
           test_protocol_eof_and_truncation;

@@ -71,6 +71,10 @@ let write_raw path bytes =
   output_string oc bytes;
   close_out oc
 
+(* A framed file written by hand: magic | MD5(body) | body. *)
+let write_frame ~magic path body =
+  write_raw path (magic ^ Digest.string body ^ body)
+
 let read_raw path =
   let ic = open_in_bin path in
   Fun.protect ~finally:(fun () -> close_in_noerr ic) @@ fun () ->
@@ -158,13 +162,11 @@ let test_undecodable_body_is_a_miss () =
      that discards the poison entry, not an exception out of [find]. *)
   let st = open_store (tmp_dir ()) in
   let path = entry st "k" in
-  Alcotest.(check bool) "planted" true
-    (Framing.write_file ~magic ~path ~body:"short");
+  write_frame ~magic path "short";
   Alcotest.check value_t "poison entry misses" None (Store.find st "k");
   Alcotest.(check bool) "poison file discarded" false (Sys.file_exists path);
   (* a full-length body that is not a Marshal image either *)
-  Alcotest.(check bool) "planted" true
-    (Framing.write_file ~magic ~path ~body:(String.make 64 'x'));
+  write_frame ~magic path (String.make 64 'x');
   Alcotest.check value_t "garbage body misses" None (Store.find st "k");
   Alcotest.(check bool) "garbage file discarded" false (Sys.file_exists path)
 
@@ -309,13 +311,51 @@ let test_on_disk_layout () =
     }
   in
   Unix.mkdir dir 0o755;
-  ignore
-    (Framing.write_file ~magic:"DCO3D-CORPUS-V1"
-       ~path:(Framing.path_of ~dir ~suffix:".ppa" key)
-       ~body:(Marshal.to_string (key, row) [])
-      : bool);
+  write_frame ~magic:"DCO3D-CORPUS-V1"
+    (Framing.path_of ~dir ~suffix:".ppa" key)
+    (Marshal.to_string (key, row) []);
   Alcotest.(check bool) "planted corpus row is a hit" true
     (Store.find (Corpus.open_store dir) key = Some row)
+
+(* The plain framed file under the store: [load] names each cause and
+   deletes nothing; [save] raises on a failed write and leaves no temp
+   file behind. *)
+let test_file_save_load () =
+  let dir = tmp_dir () in
+  Unix.mkdir dir 0o755;
+  let path = Filename.concat dir "f.bin" in
+  let load () : (value, string) result = Framing.load ~magic ~path in
+  let cause what expected =
+    match load () with
+    | Ok _ -> Alcotest.failf "%s: loaded" what
+    | Error c ->
+        Alcotest.(check string) what expected c;
+        Alcotest.(check bool) (what ^ ": file kept") true (Sys.file_exists path)
+  in
+  (match load () with
+  | Ok _ -> Alcotest.fail "missing file: loaded"
+  | Error c ->
+      Alcotest.(check bool) ("missing file: " ^ c) false (c = ""));
+  Framing.save ~magic ~path (value 7);
+  Alcotest.(check bool) "round trip" true (load () = Ok (value 7));
+  let raw = read_raw path in
+  let m = String.length magic in
+  write_raw path ("X" ^ String.sub raw 1 (String.length raw - 1));
+  cause "foreign magic" "bad file magic";
+  write_raw path (String.sub raw 0 (m + 8));
+  cause "cut inside the digest" "truncated file";
+  let b = Bytes.of_string raw in
+  Bytes.set b (m + 20) (Char.chr (Char.code raw.[m + 20] lxor 1));
+  write_raw path (Bytes.to_string b);
+  cause "flipped body byte" "digest mismatch";
+  write_frame ~magic path "short";
+  cause "digest-valid garbage" "undecodable body";
+  let nowhere = Filename.concat (Filename.concat dir "absent") "f.bin" in
+  (match Framing.save ~magic ~path:nowhere (value 1) with
+  | () -> Alcotest.fail "save into a missing directory succeeded"
+  | exception Sys_error _ -> ());
+  Alcotest.(check (list string)) "no temp file left" [ "f.bin" ]
+    (Array.to_list (Sys.readdir dir))
 
 let suites =
   [
@@ -336,5 +376,7 @@ let suites =
           test_vanished_dir_is_best_effort;
         Alcotest.test_case "cap default and clamp" `Quick test_cap_defaults;
         Alcotest.test_case "on-disk layout pinned" `Quick test_on_disk_layout;
+        Alcotest.test_case "framed file save/load causes" `Quick
+          test_file_save_load;
       ] );
   ]
